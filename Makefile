@@ -1,11 +1,11 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check trace-race fuzz-smoke bench bench-json bench-smoke calibrate serve-smoke obs-smoke
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke bench bench-json bench-smoke calibrate serve-smoke obs-smoke
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
-## compiler-diagnostic gate
-check: fmt vet build test race lint gc-check
+## compiler-diagnostic gate, and the repository benchmark at toy sizes
+check: fmt vet build test race lint gc-check benchmark-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -34,6 +34,13 @@ lint:
 gc-check:
 	$(GO) run ./cmd/bipiegc -v
 
+## benchmark-smoke: every workload of the repository benchmark
+## (BENCHMARK.json), untraced and traced, at toy sizes — answers checked
+## against the oracle, printed metric names and units against the
+## declaration. Builds into the git-ignored .bench_build/.
+benchmark-smoke:
+	bash benchmark/run.sh --smoke
+
 ## trace-race: the tracing-enabled torture combo and the concurrency tests
 ## of the tracer/metrics registry, under the race detector (a focused
 ## subset of `race`)
@@ -50,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRLEDomainFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDictDomainFilter -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSumExpr -fuzztime $(FUZZTIME)
 
 ## calibrate: fit the cost model on this machine — prints the profile JSON
 ## and writes the per-signature cache file every later bipie process reuses

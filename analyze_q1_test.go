@@ -77,26 +77,27 @@ func TestExplainAnalyzeQ1Golden(t *testing.T) {
 	// under the deterministic static profile.
 	rep := analyzeQ1(t, bipie.Options{CostProfile: bipie.StaticCostModel()})
 	got := normalizeReport(rep.Format())
-	want := normalizeReport(`segment  rows     groups  special  strategy  model  pushed  packed  residual  runsums  domains
-0        524288  6  true  Scalar  2.0  1  1  false  0  packed
+	want := normalizeReport(`segment  rows     groups  special  strategy  model  sumwords   pushed  packed  residual  runsums  domains
+0        524288  6  true  Scalar  8.5  1,4,4,8,1  1  1  false  0  packed
 
 rows:     524288 scanned, 515000 selected (98.2%)
-wall:     15ms over 1 unit(s) — 59.0 cycles/row at 2.1 GHz
+wall:     8ms over 1 unit(s) — 30.0 cycles/row at 2.1 GHz
 phases (cycles/row over scanned rows):
   plan       0.0   0.0%  (1 calls)
   zone-map   0.1   0.1%  (128 calls)
   encoded-filter  4.0  7.0%  (128 calls)
-  decode     33.0  56.0%  (1000 calls)
+  decode     10.0  33.0%  (128 calls)
   selection  0.3   0.5%  (128 calls)
   group-map  3.5   6.0%  (128 calls)
-  aggregate  17.0  30.0%  (260 calls)
+  aggregate  9.0   30.0%  (260 calls)
   merge      0.0   0.0%  (2 calls)
-  traced total  58.0  99.0% of measured
+  traced total  30.0  99.0% of measured
 strategies (aggregate phase, cycles/row):
-  Scalar  assumed 2.0  measured 17.0  over 524288 rows in 1 unit(s)
+  Scalar  assumed 8.5  measured 4.5  over 524288 rows in 1 unit(s)
 model (cycles per phase-touched row):
   encoded-filter  predicted 1.0  measured 1.1  error 10.0%
-  aggregate       predicted 2.0  measured 17.0  error 88.0%
+  decode          predicted 9.0  measured 10.0  error 10.0%
+  aggregate       predicted 8.5  measured 4.5  error 88.0%
 spans:    1770 captured, 0 dropped
 `)
 	if got != want {

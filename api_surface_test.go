@@ -3,6 +3,7 @@ package bipie_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,17 @@ func TestPublicSurface(t *testing.T) {
 	}
 	if !strings.Contains(bipie.FormatPlans(plans), "strategy") {
 		t.Fatal("FormatPlans")
+	}
+	// One word size per distinct SUM/MIN/MAX input: the division falls to
+	// the int64 lane, the plain columns stay on their unpacked byte.
+	if got := fmt.Sprint(plans[0].SumWordSizes); got != "[8 1 1 1 1]" {
+		t.Fatalf("SumWordSizes = %s, want [8 1 1 1 1]", got)
+	}
+	if !strings.Contains(bipie.FormatPlans(plans), "8,1,1,1,1") {
+		t.Fatalf("FormatPlans lost the sumwords column:\n%s", bipie.FormatPlans(plans))
+	}
+	if plans[0].DecodeModelCyclesPerRow <= 0 {
+		t.Fatal("plan carries no decode prediction")
 	}
 
 	// Prepare/Run split through the public façade: a shared Prepared serves

@@ -771,28 +771,6 @@ func BenchmarkAblationRLERunSum(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTableCompaction contrasts the per-row cursor compaction
-// against the movemask-table variant (Schlegel et al. [20]) at the
-// selectivity extremes.
-func BenchmarkAblationTableCompaction(b *testing.B) {
-	for _, s := range []float64{0.1, 0.5, 0.98} {
-		d := workload.Gen(workload.Spec{Rows: benchRows, Groups: 2, AggBits: 4, Selectivity: s, Seed: 17})
-		var idx sel.IndexVec
-		b.Run(fmt.Sprintf("sel%.0f%%/cursor", s*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx = sel.CompactIndices(idx, d.SelVec)
-			}
-			reportCycles(b, benchRows)
-		})
-		b.Run(fmt.Sprintf("sel%.0f%%/table", s*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx = sel.CompactIndicesTable(idx, d.SelVec)
-			}
-			reportCycles(b, benchRows)
-		})
-	}
-}
-
 // BenchmarkAblationSkewedGroups reproduces the §5.1 data-skew observation:
 // under a Zipf group distribution the single-array scalar kernels stall on
 // same-address updates even with many groups, and the multi-array unroll

@@ -105,20 +105,27 @@ func sweepQuery(col string, threshold int64) *bipie.Query {
 	}
 }
 
-// checkFilterModel runs ExplainAnalyze and asserts the encoded-filter
-// phase's model error is within bound. The first attempt uses the
-// process-wide profile (the production path). Noise can break the bound
-// two ways — a scheduler interrupt inside the traced scan inflates one
-// measurement, or sibling test packages load the machine so heavily that
-// a quiet-fitted profile underprices everything — so failing attempts
-// retry with a profile refitted under the current load, and the best
-// attempt counts. It returns false (after logging) when the phase produced
-// no comparison — callers that know the phase must run treat that as a
+// checkModel runs ExplainAnalyze and asserts the named phases' model error
+// is within bound. The first attempt uses the process-wide profile (the
+// production path). Noise can break the bound two ways — a scheduler
+// interrupt inside the traced scan inflates one measurement, or sibling
+// test packages load the machine so heavily that a quiet-fitted profile
+// underprices everything — so failing attempts retry with a profile
+// refitted under the current load, and the attempt whose worst phase is
+// best counts. It returns false (after logging) when a phase produced no
+// comparison — callers that know the phase must run treat that as a
 // failure.
-func checkFilterModel(t *testing.T, label string, tbl *bipie.Table, q *bipie.Query, bound float64) bool {
+func checkModel(t *testing.T, label string, tbl *bipie.Table, q *bipie.Query, bound float64, phases ...string) bool {
 	t.Helper()
-	const attempts = 3
-	var best bipie.ModelPhase
+	const attempts = 5
+	var best []bipie.ModelPhase
+	worst := func(ms []bipie.ModelPhase) float64 {
+		w := 0.0
+		for _, m := range ms {
+			w = max(w, m.Err())
+		}
+		return w
+	}
 	for i := 0; i < attempts; i++ {
 		opts := bipie.Options{Parallelism: 1}
 		if i > 0 {
@@ -128,27 +135,34 @@ func checkFilterModel(t *testing.T, label string, tbl *bipie.Table, q *bipie.Que
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		m, ok := rep.ModelFor("encoded-filter")
-		if !ok {
-			return false
+		var ms []bipie.ModelPhase
+		for _, phase := range phases {
+			m, ok := rep.ModelFor(phase)
+			if !ok {
+				t.Logf("%s: no %s comparison", label, phase)
+				return false
+			}
+			if m.MeasuredCyclesPerRow <= 0 || m.PredictedCyclesPerRow <= 0 {
+				t.Errorf("%s: degenerate model comparison %+v", label, m)
+				return true
+			}
+			ms = append(ms, m)
 		}
-		if m.MeasuredCyclesPerRow <= 0 || m.PredictedCyclesPerRow <= 0 {
-			t.Errorf("%s: degenerate model comparison %+v", label, m)
-			return true
+		if i == 0 || worst(ms) < worst(best) {
+			best = ms
 		}
-		if i == 0 || m.Err() < best.Err() {
-			best = m
-		}
-		if best.Err() <= bound {
+		if worst(best) <= bound {
 			break
 		}
 	}
-	if err := best.Err(); err > bound {
-		t.Errorf("%s: model error %.1f%% exceeds %.0f%% (predicted %.2f, measured %.2f cycles/row over %d rows)",
-			label, 100*err, 100*bound, best.PredictedCyclesPerRow, best.MeasuredCyclesPerRow, best.Rows)
-	} else {
-		t.Logf("%s: predicted %.2f measured %.2f error %.1f%%",
-			label, best.PredictedCyclesPerRow, best.MeasuredCyclesPerRow, 100*best.Err())
+	for _, m := range best {
+		if err := m.Err(); err > bound {
+			t.Errorf("%s %s: model error %.1f%% exceeds %.0f%% (predicted %.2f, measured %.2f cycles/row over %d rows)",
+				label, m.Phase, 100*err, 100*bound, m.PredictedCyclesPerRow, m.MeasuredCyclesPerRow, m.Rows)
+		} else {
+			t.Logf("%s %s: predicted %.2f measured %.2f error %.1f%%",
+				label, m.Phase, m.PredictedCyclesPerRow, m.MeasuredCyclesPerRow, 100*err)
+		}
 	}
 	return true
 }
@@ -156,7 +170,9 @@ func checkFilterModel(t *testing.T, label string, tbl *bipie.Table, q *bipie.Que
 // TestModelErrorBound is the tentpole acceptance bound: the calibrated
 // profile's predicted encoded-filter cycles/row stays within 35% of the
 // ExplainAnalyze measurement across a selectivity sweep on the packed
-// path, on the encoded-domain (RLE run) path, and on TPC-H Q1.
+// path, on the encoded-domain (RLE run) path, and on TPC-H Q1 — where the
+// decode phase, Q1's top budget line (unpacks plus the sum-expression
+// program), is held to the same bound.
 func TestModelErrorBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured-cycles acceptance test")
@@ -180,7 +196,7 @@ func TestModelErrorBound(t *testing.T) {
 		}
 		for _, pct := range []int64{10, 25, 40, 50, 60, 75, 90} {
 			threshold := (1 << 14) * pct / 100
-			if !checkFilterModel(t, "sel="+strconv.FormatInt(pct, 10)+"%", tbl, sweepQuery("f", threshold), bound) {
+			if !checkModel(t, "sel="+strconv.FormatInt(pct, 10)+"%", tbl, sweepQuery("f", threshold), bound, "encoded-filter") {
 				t.Errorf("sel=%d%%: encoded-filter phase produced no model comparison", pct)
 			}
 		}
@@ -196,7 +212,7 @@ func TestModelErrorBound(t *testing.T) {
 			t.Fatalf("filter not pushed onto the RLE run domain: %+v", plans)
 		}
 		for _, thr := range []int64{15, 31, 47} {
-			if !checkFilterModel(t, "rle thr="+strconv.FormatInt(thr, 10), tbl, sweepQuery("r", thr), bound) {
+			if !checkModel(t, "rle thr="+strconv.FormatInt(thr, 10), tbl, sweepQuery("r", thr), bound, "encoded-filter") {
 				t.Errorf("rle thr=%d: encoded-filter phase produced no model comparison", thr)
 			}
 		}
@@ -207,8 +223,8 @@ func TestModelErrorBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checkFilterModel(t, "q1", tbl, tpch.Q1(), bound) {
-			t.Error("q1: encoded-filter phase produced no model comparison")
+		if !checkModel(t, "q1", tbl, tpch.Q1(), bound, "encoded-filter", "decode") {
+			t.Error("q1: a phase produced no model comparison")
 		}
 	})
 }

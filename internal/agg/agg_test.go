@@ -372,21 +372,24 @@ func TestSortBasedSpecialGroupSkip(t *testing.T) {
 	if !reflect.DeepEqual(counts, wantCounts) || !reflect.DeepEqual(sums, wantSums) {
 		t.Fatal("special-group skip results mismatch")
 	}
-	// SumUnpacked and SumInt64 must agree with SumPacked.
+	// SumUnpacked must agree with SumPacked, and sum an 8-byte column as
+	// the signed values it holds in two's complement.
 	u := packed.UnpackSmallest(nil, 0, n)
 	sums2 := make([]int64, numGroups)
 	sb.SumUnpacked(u, sums2)
 	if !reflect.DeepEqual(sums2, wantSums) {
 		t.Fatal("SumUnpacked mismatch")
 	}
-	signed := make([]int64, n)
+	signed := bitpack.NewUnpacked(64, n)
 	for i, v := range vals {
-		signed[i] = int64(v)
+		signed.U64[i] = uint64(-int64(v))
 	}
 	sums3 := make([]int64, numGroups)
-	sb.SumInt64(signed, sums3)
-	if !reflect.DeepEqual(sums3, wantSums) {
-		t.Fatal("SumInt64 mismatch")
+	sb.SumUnpacked(signed, sums3)
+	for g := range sums3 {
+		if sums3[g] != -wantSums[g] {
+			t.Fatalf("SumUnpacked of negated values: group %d = %d, want %d", g, sums3[g], -wantSums[g])
+		}
 	}
 }
 

@@ -185,12 +185,14 @@ func ScalarSumRowAtATime(groups []uint8, cols []*bitpack.Unpacked, sums [][]int6
 }
 
 // ScalarScratch is the mutable per-scan state of the row-at-a-time scalar
-// kernels: the row-layout accumulator block and the typed column-view
-// slices the width-specialized loops consume. The engine allocates one per
-// pooled exec state so the per-batch scalar path never heap-allocates in
-// steady state; the one-shot kernels below build a throwaway one per call.
+// kernels: the row-layout accumulator block, the typed column-view slices
+// the width-specialized loops consume, and where each column sits in an
+// accumulator row. The engine allocates one per pooled exec state so the
+// per-batch scalar path never heap-allocates in steady state; the one-shot
+// kernels below build a throwaway one per call.
 type ScalarScratch struct {
 	acc []int64
+	pos []int
 	u8  [][]uint8
 	u16 [][]uint16
 	u32 [][]uint32
@@ -204,6 +206,7 @@ func (sc *ScalarScratch) ensure(nGroups, nCols int) {
 		sc.acc = make([]int64, nGroups*nCols)
 	}
 	if cap(sc.u8) < nCols {
+		sc.pos = make([]int, nCols)
 		sc.u8 = make([][]uint8, nCols)
 		sc.u16 = make([][]uint16, nCols)
 		sc.u32 = make([][]uint32, nCols)
@@ -211,72 +214,70 @@ func (sc *ScalarScratch) ensure(nGroups, nCols int) {
 	}
 }
 
-// rowAtATimeUniform dispatches to a width-specialized row loop when every
-// column shares one word size; it reports whether it handled the input.
-// The column views live in the scratch so the dispatch allocates nothing.
-func rowAtATimeUniform(sc *ScalarScratch, groups []uint8, cols []*bitpack.Unpacked, acc []int64) bool {
-	ws := cols[0].WordSize
-	for _, c := range cols[1:] {
-		if c.WordSize != ws {
-			return false
+// rowAtATimeMixed is the mixed-width row loop. The columns are sorted into
+// their four word-size classes, each class taking a contiguous stretch of
+// the one accumulator row a group owns, and every non-empty class runs the
+// width-specialized loop over its stretch — so no element is ever
+// dispatched on or widened, whatever mix of words the inputs arrive in,
+// and uniform inputs are simply the one-class case. sc.pos records each
+// column's place in the row for the caller's fold.
+func rowAtATimeMixed(sc *ScalarScratch, groups []uint8, cols []*bitpack.Unpacked, acc []int64) {
+	var n [9]int // columns per word size
+	for i, c := range cols {
+		sc.pos[i] = n[c.WordSize]
+		switch c.WordSize {
+		case 1:
+			sc.u8[n[1]] = c.U8
+		case 2:
+			sc.u16[n[2]] = c.U16
+		case 4:
+			sc.u32[n[4]] = c.U32
+		default:
+			sc.u64[n[8]] = c.U64
 		}
+		n[c.WordSize]++
 	}
-	switch ws {
-	case 1:
-		views := sc.u8[:len(cols)]
-		for i, c := range cols {
-			views[i] = c.U8
-		}
-		rowAtATimeTyped(groups, views, acc)
-	case 2:
-		views := sc.u16[:len(cols)]
-		for i, c := range cols {
-			views[i] = c.U16
-		}
-		rowAtATimeTyped(groups, views, acc)
-	case 4:
-		views := sc.u32[:len(cols)]
-		for i, c := range cols {
-			views[i] = c.U32
-		}
-		rowAtATimeTyped(groups, views, acc)
-	default:
-		views := sc.u64[:len(cols)]
-		for i, c := range cols {
-			views[i] = c.U64
-		}
-		rowAtATimeTyped(groups, views, acc)
+	u8, u16, u32, u64 := sc.u8[:n[1]], sc.u16[:n[2]], sc.u32[:n[4]], sc.u64[:n[8]]
+	start := [9]int{2: len(u8), 4: len(u8) + len(u16), 8: len(u8) + len(u16) + len(u32)}
+	for i, c := range cols {
+		sc.pos[i] += start[c.WordSize]
 	}
-	return true
+	stride := len(cols)
+	rowAtATimeTyped(groups, u8, acc, stride, start[1])
+	rowAtATimeTyped(groups, u16, acc, stride, start[2])
+	rowAtATimeTyped(groups, u32, acc, stride, start[4])
+	rowAtATimeTyped(groups, u64, acc, stride, start[8])
 }
 
-// rowAtATimeTyped is the width-specialized row loop; the compiler
-// instantiates one tight version per element type. Column views are
-// pre-sliced to the row count so the value loads carry no bounds checks;
-// the group-indexed accumulator stores are data-dependent and stay
-// checked.
+// rowAtATimeTyped is the width-specialized row loop over one word-size
+// class; the compiler instantiates one tight version per element type. A
+// group's accumulator row starts at g*stride and this class's columns sit
+// at off within it. Column views are pre-sliced to the row count so the
+// value loads carry no bounds checks; the group-indexed accumulator stores
+// are data-dependent and stay checked.
 //
 //bipie:nobce
-func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols [][]T, acc []int64) {
+func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols [][]T, acc []int64, stride, off int) {
 	nCols := len(cols)
 	n := len(groups)
 	switch nCols {
+	case 0:
 	case 1:
 		c0 := cols[0][:n]
 		for i, g := range groups {
-			acc[g] += int64(c0[i])
+			acc[int(g)*stride+off] += int64(c0[i])
 		}
 	case 2:
 		c0, c1 := cols[0][:n], cols[1][:n]
 		for i, g := range groups {
-			base := int(g) * 2
+			base := int(g)*stride + off
 			acc[base] += int64(c0[i])
 			acc[base+1] += int64(c1[i])
 		}
 	case 3:
 		c0, c1, c2 := cols[0][:n], cols[1][:n], cols[2][:n]
 		for i, g := range groups {
-			base := int(g) * 3
+			base := int(g)*stride + off
 			acc[base] += int64(c0[i])
 			acc[base+1] += int64(c1[i])
 			acc[base+2] += int64(c2[i])
@@ -284,7 +285,7 @@ func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols []
 	case 4:
 		c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
 		for i, g := range groups {
-			base := int(g) * 4
+			base := int(g)*stride + off
 			acc[base] += int64(c0[i])
 			acc[base+1] += int64(c1[i])
 			acc[base+2] += int64(c2[i])
@@ -293,7 +294,7 @@ func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols []
 	case 5:
 		c0, c1, c2, c3, c4 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n], cols[4][:n]
 		for i, g := range groups {
-			base := int(g) * 5
+			base := int(g)*stride + off
 			acc[base] += int64(c0[i])
 			acc[base+1] += int64(c1[i])
 			acc[base+2] += int64(c2[i])
@@ -302,7 +303,7 @@ func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols []
 		}
 	default:
 		for i, g := range groups {
-			base := int(g) * nCols
+			base := int(g)*stride + off
 			for c := 0; c < nCols; c++ {
 				acc[base+c] += int64(cols[c][i])
 			}
@@ -312,11 +313,9 @@ func rowAtATimeTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, cols []
 
 // ScalarSumRowAtATimeUnrolled is the row-at-a-time variant with the inner
 // loop over columns unrolled and specialized (the fastest series in
-// Figure 3). When every column shares one word size — the common case,
-// since the batch unpacker picks one word per column width — the body is a
+// Figure 3): each word size present among the columns gets a
 // width-specialized generic instantiation with no per-element dispatch,
-// the equivalent of the paper's template-generated kernels; mixed widths
-// fall back to the dispatching loop.
+// the equivalent of the paper's template-generated kernels.
 //
 //bipie:kernel
 func ScalarSumRowAtATimeUnrolled(groups []uint8, cols []*bitpack.Unpacked, sums [][]int64) {
@@ -341,17 +340,10 @@ func ScalarSumRowAtATimeInto(sc *ScalarScratch, groups []uint8, cols []*bitpack.
 	for i := range acc {
 		acc[i] = 0
 	}
-	if !rowAtATimeUniform(sc, groups, cols, acc) {
-		for i, g := range groups {
-			base := int(g) * nCols
-			for c := 0; c < nCols; c++ {
-				acc[base+c] += colVal(cols[c], i)
-			}
-		}
-	}
+	rowAtATimeMixed(sc, groups, cols, acc)
 	for c := 0; c < nCols; c++ {
 		for g := 0; g < nGroups; g++ {
-			sums[c][g] += acc[g*nCols+c]
+			sums[c][g] += acc[g*nCols+sc.pos[c]]
 		}
 	}
 }

@@ -195,7 +195,8 @@ func (s *SortBased) SumPacked(v *bitpack.Vector, segStart int, sums []int64) {
 
 // SumUnpacked adds per-group sums of an already-decoded column indexed by
 // the sorted row indices. Used when the aggregate input is a computed
-// expression rather than a stored column.
+// expression rather than a stored column; 8-byte values are int64 in two's
+// complement, so signed expression outputs sum correctly.
 //
 //bipie:kernel
 func (s *SortBased) SumUnpacked(vals *bitpack.Unpacked, sums []int64) {
@@ -207,23 +208,6 @@ func (s *SortBased) SumUnpacked(vals *bitpack.Unpacked, sums []int64) {
 		var sum int64
 		for _, row := range sc.sorted[sc.starts[g]:sc.starts[g+1]] {
 			sum += colVal(vals, int(row))
-		}
-		sums[g] += sum
-	}
-}
-
-// SumInt64 is SumUnpacked for signed expression outputs.
-//
-//bipie:kernel
-func (s *SortBased) SumInt64(vals []int64, sums []int64) {
-	sc := &s.scratch
-	for g := 0; g < s.numGroups; g++ {
-		if g == s.skip {
-			continue
-		}
-		var sum int64
-		for _, row := range sc.sorted[sc.starts[g]:sc.starts[g+1]] {
-			sum += vals[row]
 		}
 		sums[g] += sum
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"bipie/internal/bitpack"
 )
 
 // TestMultiLayoutStateReuse exercises the plan/exec split of the
@@ -77,7 +79,7 @@ func TestSortScratchReuse(t *testing.T) {
 	}
 	s := &SortBased{numGroups: numGroups, skip: -1, scratch: sc}
 	for round := 0; round < 3; round++ {
-		groups, raw, _ := makeInput(rng, n, numGroups, 1, 12)
+		groups, raw, cols := makeInput(rng, n, numGroups, 1, 12)
 		wantCounts, wantSums := refAgg(groups, raw, numGroups)
 		s.Prepare(groups, nil)
 		counts := make([]int64, numGroups)
@@ -85,12 +87,8 @@ func TestSortScratchReuse(t *testing.T) {
 		if !reflect.DeepEqual(counts, wantCounts) {
 			t.Fatalf("round %d counts = %v, want %v", round, counts, wantCounts)
 		}
-		vals := make([]int64, n)
-		for i, v := range raw[0] {
-			vals[i] = int64(v)
-		}
 		sums := make([]int64, numGroups)
-		s.SumInt64(vals, sums)
+		s.SumUnpacked(cols[0], sums)
 		if !reflect.DeepEqual(sums, wantSums[0]) {
 			t.Fatalf("round %d sums = %v, want %v", round, sums, wantSums[0])
 		}
@@ -122,6 +120,46 @@ func TestScalarSumRowAtATimeInto(t *testing.T) {
 		ScalarSumRowAtATimeInto(&sc, groups, cols, got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shape %+v: sums = %v, want %v", shape, got, want)
+		}
+	}
+}
+
+// TestScalarSumRowAtATimeMixedWidths feeds the scalar kernel columns of
+// every word size in one call, interleaved, with one class past the
+// unrolled five — the shapes a sum-expression program hands it (Q1: bytes,
+// two 4-byte words and an 8-byte one).
+func TestScalarSumRowAtATimeMixedWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	var sc ScalarScratch
+	for _, widths := range [][]uint8{
+		{6, 24, 30, 37, 4},
+		{64, 8, 16, 32, 1},
+		{12, 3, 12, 3, 12, 3, 40},
+		{20, 5, 20, 20, 7, 20, 20, 20, 9, 60},
+	} {
+		const numGroups, n = 7, 3000
+		var groups []uint8
+		var raw [][]uint64
+		var cols []*bitpack.Unpacked
+		for _, w := range widths {
+			g, r, c := makeInput(rng, n, numGroups, 1, w)
+			groups = g // one group vector serves every column: the last draw
+			raw, cols = append(raw, r[0]), append(cols, c[0])
+		}
+		_, want := refAgg(groups, raw, numGroups)
+		got := make([][]int64, len(cols))
+		for c := range got {
+			got[c] = make([]int64, numGroups)
+		}
+		ScalarSumRowAtATimeInto(&sc, groups, cols, got)
+		ScalarSumRowAtATimeInto(&sc, groups, cols, got) // a second batch accumulates
+		for c := range want {
+			for g := range want[c] {
+				want[c][g] *= 2
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("widths %v: sums = %v, want %v", widths, got, want)
 		}
 	}
 }

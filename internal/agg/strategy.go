@@ -86,8 +86,12 @@ type CostProfile struct {
 	MultiFixed  float64 `json:"multi_fixed"`
 	MultiPerSum float64 `json:"multi_per_sum"`
 	// ScalarPerSum is the specialized row-at-a-time update cost
-	// (Figure 3 measured: ~1.6 cycles/row/sum).
-	ScalarPerSum float64 `json:"scalar_per_sum"`
+	// (Figure 3 measured: ~1.6 cycles/row/sum). ScalarMixedPerSum is the
+	// same loop's cost when the inputs arrive in more than one word size
+	// and it runs one pass per size; zero (a profile fitted before the
+	// probe existed) means ScalarPerSum.
+	ScalarPerSum      float64 `json:"scalar_per_sum"`
+	ScalarMixedPerSum float64 `json:"scalar_mixed_per_sum"`
 }
 
 // StaticCost returns the hand-fit constants the chooser used before
@@ -103,6 +107,8 @@ func StaticCost() CostProfile {
 		MultiFixed:     5.1,
 		MultiPerSum:    1.8,
 		ScalarPerSum:   1.7,
+
+		ScalarMixedPerSum: 1.7,
 	}
 }
 
@@ -159,8 +165,21 @@ func EstimateCost(s Strategy, p Params, cp *CostProfile) float64 {
 	case StrategyMultiAggregate:
 		return cp.MultiFixed + cp.MultiPerSum*float64(sums)
 	default:
-		return cp.ScalarPerSum * float64(sums)
+		perSum := cp.ScalarPerSum
+		if cp.ScalarMixedPerSum > 0 && mixedWords(p.WordSizes) {
+			perSum = cp.ScalarMixedPerSum
+		}
+		return perSum * float64(sums)
 	}
+}
+
+func mixedWords(wordSizes []int) bool {
+	for _, ws := range wordSizes {
+		if ws != wordSizes[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // Choose picks the aggregation strategy for a segment, mirroring the

@@ -107,3 +107,23 @@ func TestEstimateCostRejectsUnsupportedWidth(t *testing.T) {
 		t.Fatalf("Choose picked in-register at an unsupported width")
 	}
 }
+
+// The scalar loop runs one pass per word size present, so mixed-width
+// inputs are priced with their own coefficient — and a profile fitted
+// before that probe existed (zero) falls back to the uniform one.
+func TestEstimateCostScalarMixedWidths(t *testing.T) {
+	cp := StaticCost()
+	cp.ScalarPerSum, cp.ScalarMixedPerSum = 1.5, 2.5
+	uniform := Params{Groups: 6, Sums: 3, MaxWordSize: 4, WordSizes: []int{4, 4, 4}}
+	mixed := Params{Groups: 6, Sums: 3, MaxWordSize: 8, WordSizes: []int{1, 4, 8}}
+	if got := EstimateCost(StrategyScalar, uniform, &cp); got != 4.5 {
+		t.Errorf("uniform scalar estimate = %v, want 4.5", got)
+	}
+	if got := EstimateCost(StrategyScalar, mixed, &cp); got != 7.5 {
+		t.Errorf("mixed scalar estimate = %v, want 7.5", got)
+	}
+	cp.ScalarMixedPerSum = 0
+	if got := EstimateCost(StrategyScalar, mixed, &cp); got != 4.5 {
+		t.Errorf("mixed scalar estimate without the coefficient = %v, want 4.5", got)
+	}
+}

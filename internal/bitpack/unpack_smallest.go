@@ -93,37 +93,6 @@ func (u *Unpacked) Resize(n int) {
 	}
 }
 
-// WidenTo64 copies this buffer's values into a word-size-8 buffer with a
-// width-specialized loop. Aggregation strategies whose inner loops require
-// one uniform element type (the specialized scalar row loop with
-// mixed-width inputs) widen through this instead of dispatching per
-// element. dst is reused when possible and returned.
-func (u *Unpacked) WidenTo64(dst *Unpacked) *Unpacked {
-	n := u.Len()
-	if dst == nil || dst.WordSize != 8 {
-		dst = NewUnpacked(64, n)
-	} else {
-		dst.Resize(n)
-	}
-	switch u.WordSize {
-	case 1:
-		for i, v := range u.U8 {
-			dst.U64[i] = uint64(v)
-		}
-	case 2:
-		for i, v := range u.U16 {
-			dst.U64[i] = uint64(v)
-		}
-	case 4:
-		for i, v := range u.U32 {
-			dst.U64[i] = uint64(v)
-		}
-	default:
-		copy(dst.U64, u.U64)
-	}
-	return dst
-}
-
 // UnpackSmallest decodes values [start, start+n) into a buffer of the
 // smallest power-of-two word size for the vector's bit width. buf may be nil
 // or a buffer previously returned for the same width; it is resized and

@@ -1,9 +1,6 @@
 package bitpack
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestVectorMaskSizeBytes(t *testing.T) {
 	for _, width := range []uint8{1, 7, 32, 63, 64} {
@@ -67,37 +64,6 @@ func TestUnpackedResize(t *testing.T) {
 		u.Resize(250) // beyond capacity: reallocates
 		if u.Len() != 250 {
 			t.Fatalf("width %d: grow Len=%d want 250", width, u.Len())
-		}
-	}
-}
-
-func TestWidenTo64(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, width := range []uint8{5, 8, 12, 16, 30, 32, 50, 64} {
-		n := 300
-		vals := make([]uint64, n)
-		mask := ^uint64(0)
-		if width < 64 {
-			mask = 1<<width - 1
-		}
-		for i := range vals {
-			vals[i] = rng.Uint64() & mask
-		}
-		u := MustPack(vals, width).UnpackSmallest(nil, 0, n)
-		var wide *Unpacked
-		wide = u.WidenTo64(wide)
-		if wide.WordSize != 8 || len(wide.U64) != n {
-			t.Fatalf("width %d: WordSize=%d len=%d", width, wide.WordSize, len(wide.U64))
-		}
-		for i := range vals {
-			if wide.U64[i] != vals[i] {
-				t.Fatalf("width %d: [%d]=%d want %d", width, i, wide.U64[i], vals[i])
-			}
-		}
-		// Reuse path: widening a second time into the same buffer.
-		again := u.WidenTo64(wide)
-		if again != wide {
-			t.Fatalf("width %d: reuse allocated a new buffer", width)
 		}
 	}
 }

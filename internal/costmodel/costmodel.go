@@ -23,6 +23,7 @@ import (
 
 	"bipie/internal/agg"
 	"bipie/internal/bitpack"
+	"bipie/internal/expr"
 )
 
 // Machine is the signature of the hardware a profile was fitted on —
@@ -156,6 +157,8 @@ const (
 	staticApplySpanPerRow  = 0.6 // per selected row
 	staticDeltaPerRow      = 2.5
 	staticDictBitmapPerRow = 1.6
+	staticSumExprPerRow    = 1.5
+	staticSumDivPerRow     = 10.0
 )
 
 // UnpackCyclesPerRow is the measured fast-unpack cost at a packed width.
@@ -261,6 +264,28 @@ func (p *Profile) DictBitmapCyclesPerRow() float64 {
 		return v
 	}
 	return staticDictBitmapPerRow
+}
+
+// SumExprCyclesPerRow is the cost of one sum-expression operator node
+// (internal/expr) writing a wordSize-byte lane: the typed add or multiply
+// kernel, or the int64 divide.
+func (p *Profile) SumExprCyclesPerRow(op expr.SumOp, wordSize int) float64 {
+	switch op {
+	case expr.SumDiv:
+		if v, ok := p.kernel("sumexpr.div"); ok {
+			return v
+		}
+		return staticSumDivPerRow
+	case expr.SumAdd:
+		if v, ok := p.kernel(fmt.Sprintf("sumexpr.add.w%d", wordSize)); ok {
+			return v
+		}
+	default:
+		if v, ok := p.kernel(fmt.Sprintf("sumexpr.mul.w%d", wordSize)); ok {
+			return v
+		}
+	}
+	return staticSumExprPerRow
 }
 
 // GatherCompactCrossover returns the selectivity above which physical

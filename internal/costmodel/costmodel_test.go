@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bipie/internal/bitpack"
+	"bipie/internal/expr"
 )
 
 func writeJSON(path string, v any) error {
@@ -39,6 +40,7 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 		"sel.applyspans", "sel.compactidx",
 		"sel.compact.w1", "sel.compact.w8", "sel.gather.w1", "sel.gather.w8",
 		"delta.decode", "dict.bitmap",
+		"sumexpr.add.w1", "sumexpr.add.w8", "sumexpr.mul.w2", "sumexpr.mul.w4", "sumexpr.div",
 	} {
 		if v, ok := p.kernel(name); !ok || v <= 0 {
 			t.Fatalf("kernel %q = %v ok=%v", name, v, ok)
@@ -72,6 +74,10 @@ func TestProbesAllocFree(t *testing.T) {
 		"agg.multi1":     ps.runMulti1,
 		"agg.multi4":     ps.runMulti4,
 		"agg.scalar":     ps.runScalarSum,
+		"agg.scalar.mix": ps.runScalarSumMixed,
+		"sumexpr.add.w1": func() { ps.runSumExpr(ps.sumAdd[1]) },
+		"sumexpr.mul.w8": func() { ps.runSumExpr(ps.sumMul[8]) },
+		"sumexpr.div":    func() { ps.runSumExpr(ps.sumDiv) },
 	}
 	for name, fn := range probes {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
@@ -134,6 +140,29 @@ func TestStaticProfileFallbacks(t *testing.T) {
 	}
 	if nilP.AggCost() != nil {
 		t.Fatal("nil profile must yield nil agg coefficients")
+	}
+	if v := s.SumExprCyclesPerRow(expr.SumMul, 4); v != staticSumExprPerRow {
+		t.Fatalf("static sum-expression multiply = %v", v)
+	}
+	if v := nilP.SumExprCyclesPerRow(expr.SumDiv, 8); v != staticSumDivPerRow {
+		t.Fatalf("nil-profile sum-expression divide = %v", v)
+	}
+}
+
+// The probed sum-expression operators must be the instantiations a plan
+// would run: each lands in the lane it is filed under.
+func TestSumExprProbeLanes(t *testing.T) {
+	ps := newProbeSet()
+	for _, lane := range sumExprLanes {
+		if nd := ps.sumProg.Node(ps.sumAdd[lane]); nd.Op != expr.SumAdd || nd.Word != lane {
+			t.Errorf("add probe for lane %d runs node %+v", lane, nd)
+		}
+		if nd := ps.sumProg.Node(ps.sumMul[lane]); nd.Op != expr.SumMul || nd.Word != lane {
+			t.Errorf("multiply probe for lane %d runs node %+v", lane, nd)
+		}
+	}
+	if nd := ps.sumProg.Node(ps.sumDiv); nd.Op != expr.SumDiv || nd.Word != 8 {
+		t.Errorf("divide probe runs node %+v", nd)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"bipie/internal/agg"
 	"bipie/internal/bitpack"
 	"bipie/internal/encoding"
+	"bipie/internal/expr"
 	"bipie/internal/perfstat"
 	"bipie/internal/sel"
 )
@@ -41,6 +42,10 @@ import (
 //	agg.sort.persum       sorted-order packed sum            cycles/row/sum
 //	agg.multi.fixed/.persum  multi-aggregate Accumulate fit  cycles/row
 //	agg.scalar.persum     row-at-a-time scalar sum           cycles/row/sum
+//	agg.scalar.mixed      the same over mixed word sizes     cycles/row/sum
+//	sumexpr.add.w<S>      sum-expression add into an S-byte lane   cycles/row
+//	sumexpr.mul.w<S>      sum-expression multiply, likewise        cycles/row
+//	sumexpr.div           sum-expression int64 divide              cycles/row
 
 const (
 	// probeRows is the probe working-set length: four 4096-row batches,
@@ -127,7 +132,24 @@ type probeSet struct {
 	cols4     []*bitpack.Unpacked
 	sumAcc1   [][]int64
 	scScratch agg.ScalarScratch
+
+	// The mixed-width scalar probe sums Q1's shape: two byte columns, two
+	// 4-byte ones, one 8-byte one.
+	colsMixed   []*bitpack.Unpacked
+	sumAccMixed [][]int64
+
+	// sumProg holds one operator of each probed kind per destination lane,
+	// over operands half the lane wide (a product or sum outgrows its
+	// inputs, which is why it lands in that lane); sumBufs are its node
+	// vectors and sumAdd/sumMul[lane], sumDiv index the operators.
+	sumProg        *expr.SumProgram
+	sumBufs        []*bitpack.Unpacked
+	sumAdd, sumMul [9]int
+	sumDiv         int
 }
+
+// sumExprLanes are the destination lanes of the sum-expression probes.
+var sumExprLanes = []int{1, 2, 4, 8}
 
 // lcg is the probe data generator: deterministic, cheap, and enough mixing
 // that compare masks and group ids do not fall into branch-predictable
@@ -245,7 +267,54 @@ func newProbeSet() *probeSet {
 	ps.multi1.Accumulate(ps.groups64, ps.cols1)
 	ps.multi4.Accumulate(ps.groups64, ps.cols4)
 	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.cols1, ps.sumAcc1)
+
+	for _, w := range []uint8{8, 32, 32, 64, 8} {
+		ps.colsMixed = append(ps.colsMixed, ps.unpacked[w])
+		ps.sumAccMixed = append(ps.sumAccMixed, make([]int64, probeGroups))
+	}
+	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.colsMixed, ps.sumAccMixed)
+
+	ps.buildSumProgram()
 	return ps
+}
+
+// buildSumProgram compiles the probed operators through the real builder,
+// so the probes time exactly the kernel instantiations a plan would run:
+// leaves of 4, 8, 16 and 32 bits whose sums and products are proven into
+// the 1-, 2-, 4- and 8-byte lanes.
+func (ps *probeSet) buildSumProgram() {
+	leafBits := map[int]uint8{1: 4, 2: 8, 4: 16, 8: 32}
+	widths := map[string]uint8{}
+	for _, w := range leafBits {
+		widths[fmt.Sprintf("a%d", w)], widths[fmt.Sprintf("b%d", w)] = w, w
+	}
+	b := expr.NewSumBuilder(func(name string) (expr.SumLeaf, error) {
+		return expr.SumLeaf{Max: 1<<widths[name] - 1, Width: widths[name]}, nil
+	}, false)
+	node := func(e expr.Expr) int {
+		t, err := b.Term(e)
+		if err != nil {
+			panic("costmodel: sum-expression probe: " + err.Error())
+		}
+		return t.Node
+	}
+	for _, lane := range sumExprLanes {
+		x, y := expr.Col(fmt.Sprintf("a%d", leafBits[lane])), expr.Col(fmt.Sprintf("b%d", leafBits[lane]))
+		ps.sumAdd[lane] = node(expr.Add(x, y))
+		ps.sumMul[lane] = node(expr.Mul(x, y))
+	}
+	ps.sumDiv = node(expr.Div(expr.Col("a32"), expr.Col("b32")))
+	ps.sumProg = b.Program()
+	ps.sumBufs = make([]*bitpack.Unpacked, ps.sumProg.Len())
+	for i := range ps.sumBufs {
+		nd := ps.sumProg.Node(i)
+		if nd.Op == expr.SumLeafPacked {
+			ps.sumBufs[i] = ps.packed[nd.Width].UnpackSmallest(nil, 0, probeRows)
+			continue
+		}
+		ps.sumBufs[i] = bitpack.NewUnpacked(uint8(8*nd.Word), probeRows)
+		ps.sumProg.Eval(ps.sumBufs, i, probeRows) // fills operand nodes the probed ones read
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +469,16 @@ func (ps *probeSet) runScalarSum() {
 	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.cols1, ps.sumAcc1)
 }
 
+//bipie:kernel
+func (ps *probeSet) runScalarSumMixed() {
+	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.colsMixed, ps.sumAccMixed)
+}
+
+//bipie:kernel
+func (ps *probeSet) runSumExpr(node int) {
+	ps.sumProg.Eval(ps.sumBufs, node, probeRows)
+}
+
 // ---------------------------------------------------------------------------
 // Calibration driver.
 
@@ -474,6 +553,12 @@ func Calibrate() *Profile {
 	p.Kernels["sel.compactidx"] = measureN(probeRows, 2, ps.runCompactIndices)
 	p.Kernels["delta.decode"] = measureN(probeRows, 2, ps.runDeltaDecode)
 	p.Kernels["dict.bitmap"] = measureN(probeRows, 4, ps.runDictBitmap)
+	for _, lane := range sumExprLanes {
+		add, mul := ps.sumAdd[lane], ps.sumMul[lane]
+		p.Kernels[fmt.Sprintf("sumexpr.add.w%d", lane)] = measureN(probeRows, 4, func() { ps.runSumExpr(add) })
+		p.Kernels[fmt.Sprintf("sumexpr.mul.w%d", lane)] = measureN(probeRows, 4, func() { ps.runSumExpr(mul) })
+	}
+	p.Kernels["sumexpr.div"] = measure(probeRows, func() { ps.runSumExpr(ps.sumDiv) })
 
 	// Aggregation coefficients, fitted into the agg.CostProfile shape.
 	inReg1 := measureN(probeRows, 2, func() { ps.runInReg(1) }) / inRegProbeGroups
@@ -485,15 +570,17 @@ func Calibrate() *Profile {
 	multi4 := measureN(probeRows, 2, ps.runMulti4)
 	multiPerSum := floorCost((multi4 - multi1) / 3)
 	scalarPerSum := measureN(probeRows, 4, ps.runScalarSum)
+	scalarMixed := measureN(probeRows, 2, ps.runScalarSumMixed) / float64(len(ps.colsMixed))
 	p.Agg = agg.CostProfile{
-		InRegPerGroup1: floorCost(inReg1),
-		InRegPerGroup2: floorCost(inReg2),
-		InRegPerGroup4: floorCost(inReg4),
-		SortFixed:      floorCost(sortFixed),
-		SortPerSum:     floorCost(sortPerSum),
-		MultiFixed:     floorCost(multi1 - multiPerSum),
-		MultiPerSum:    multiPerSum,
-		ScalarPerSum:   floorCost(scalarPerSum),
+		InRegPerGroup1:    floorCost(inReg1),
+		InRegPerGroup2:    floorCost(inReg2),
+		InRegPerGroup4:    floorCost(inReg4),
+		SortFixed:         floorCost(sortFixed),
+		SortPerSum:        floorCost(sortPerSum),
+		MultiFixed:        floorCost(multi1 - multiPerSum),
+		MultiPerSum:       multiPerSum,
+		ScalarPerSum:      floorCost(scalarPerSum),
+		ScalarMixedPerSum: floorCost(scalarMixed),
 	}
 	for k, v := range p.Kernels {
 		p.Kernels[k] = floorCost(v)

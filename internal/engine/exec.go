@@ -6,22 +6,25 @@ import (
 	"bipie/internal/agg"
 	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
+	"bipie/internal/encoding"
 	"bipie/internal/expr"
 	"bipie/internal/obs"
 	"bipie/internal/sel"
 )
 
 // execState is the mutable half of a scan: every batch buffer, accumulator,
-// and compiled closure one execution of a segPlan needs. It is built once
+// and compiled predicate one execution of a segPlan needs. It is built once
 // per pool entry and recycled across executions, so a steady-state scan
 // performs no heap allocation — the discipline bipievet's hotalloc analyzer
 // enforces on the methods below.
 //
-// Compiled expressions and predicates live here, not in the plan: compiled
+// The compiled residual predicate lives here, not in the plan: compiled
 // closures capture evaluation scratch (and StrIn predicates bind their
 // dictionary-id masks lazily to the first segment they see), so sharing
 // them across concurrent scans would race. Each exec state compiles its
-// own from the plan's ASTs; pooling amortizes the cost.
+// own from the plan's AST; pooling amortizes the cost. Aggregate inputs
+// need no such thing — the plan's sum-expression program is immutable and
+// shared, and only its vectors live here.
 type execState struct {
 	plan *segPlan
 
@@ -33,9 +36,8 @@ type execState struct {
 	multi  *agg.MultiAgg
 	sorter *agg.SortBased
 
-	// Compiled per exec from the plan's ASTs.
-	compiledSums []expr.Compiled   // parallel to plan.sums; nil for fused slots
-	filter       expr.CompiledPred // residual predicate, nil if fully pushed
+	// Compiled per exec from the plan's AST.
+	filter expr.CompiledPred // residual predicate, nil if fully pushed
 
 	// Reusable batch buffers.
 	residScratch sel.ByteVec   // residual result, ANDed into the pushed mask
@@ -50,11 +52,13 @@ type execState struct {
 	groupBuf   []uint8
 	compGroups []uint8
 	idx        sel.IndexVec
-	valBufs    []*bitpack.Unpacked
-	colViews   []*bitpack.Unpacked
-	exprBuf    []int64
-	wideBufs   []*bitpack.Unpacked
-	wideViews  []*bitpack.Unpacked
+	// nodeBufs holds one lane-typed vector per node of the plan's
+	// sum-expression program; colViews points each sum slot at its node's
+	// vector (nil for slots that never materialize), and leafI64 is the
+	// decode scratch of the leaves that are not bit-packed.
+	nodeBufs []*bitpack.Unpacked
+	colViews []*bitpack.Unpacked
+	leafI64  [][]int64
 	// Sum-kind subset views, used when MIN/MAX slots interleave with sums.
 	sumColsScratch []*bitpack.Unpacked
 	sumAccScratch  [][]int64
@@ -62,7 +66,6 @@ type execState struct {
 	mapScratch     mapScratch
 	decoded        map[string][]int64
 	strIDs         map[string][]uint8
-	decodedAt      int
 	env            expr.Env
 
 	// stats counts this unit's batch outcomes, merged by the driver.
@@ -108,17 +111,11 @@ func domainFlag(d predDomain) noteFlags {
 // newExecState allocates the full mutable state for one execution of sp.
 // Everything sized here is sized once; the batch loop only reslices.
 func newExecState(sp *segPlan) *execState {
-	e := &execState{plan: sp, decodedAt: -1}
+	e := &execState{plan: sp}
 	e.counts = make([]int64, sp.domain)
 	e.sumAcc = make([][]int64, len(sp.sums))
 	for i := range e.sumAcc {
 		e.sumAcc[i] = make([]int64, sp.domain)
-	}
-	e.compiledSums = make([]expr.Compiled, len(sp.sums))
-	for i := range sp.sums {
-		if sp.sums[i].bp == nil {
-			e.compiledSums[i] = expr.CompileExpr(sp.sums[i].arg)
-		}
 	}
 	if sp.residual != nil {
 		e.filter = expr.CompilePred(sp.residual)
@@ -140,19 +137,27 @@ func newExecState(sp *segPlan) *execState {
 	e.selVec = sel.NewByteVec(colstore.BatchRows)
 	e.groupBuf = make([]uint8, colstore.BatchRows)
 	e.compGroups = make([]uint8, colstore.BatchRows)
-	e.valBufs = make([]*bitpack.Unpacked, len(sp.sums))
-	e.colViews = make([]*bitpack.Unpacked, len(sp.sums))
-	e.exprBuf = make([]int64, colstore.BatchRows)
-	if sp.mixedSumWidths {
-		e.wideBufs = make([]*bitpack.Unpacked, len(sp.sumIdx))
-		e.wideViews = make([]*bitpack.Unpacked, len(sp.sumIdx))
+	if !sp.eliminated {
+		e.mapScratch = sp.mapper.newScratch()
+		e.nodeBufs = make([]*bitpack.Unpacked, sp.prog.Len())
+		e.leafI64 = make([][]int64, sp.prog.Len())
+		for _, i := range sp.evalOrder {
+			nd := sp.prog.Node(i)
+			e.nodeBufs[i] = bitpack.NewUnpacked(uint8(8*nd.Word), colstore.BatchRows)
+			if nd.Op == expr.SumLeafDecoded {
+				e.leafI64[i] = make([]int64, colstore.BatchRows)
+			}
+		}
+		e.colViews = make([]*bitpack.Unpacked, len(sp.sums))
+		for i, si := range sp.sums {
+			if sp.materialize[i] {
+				e.colViews[i] = e.nodeBufs[si.term.Node]
+			}
+		}
 	}
 	if len(sp.sumIdx) != len(sp.sums) {
 		e.sumColsScratch = make([]*bitpack.Unpacked, len(sp.sumIdx))
 		e.sumAccScratch = make([][]int64, len(sp.sumIdx))
-	}
-	if !sp.eliminated {
-		e.mapScratch = sp.mapper.newScratch()
 	}
 	if sp.multiLayout != nil {
 		e.multi = sp.multiLayout.NewState()
@@ -179,7 +184,7 @@ func newExecState(sp *segPlan) *execState {
 
 // reset returns the state to the post-construction baseline so the next
 // execution starts clean: accumulators zeroed (MIN/MAX back to their
-// sentinels), decode caches invalidated, stats cleared. Buffer capacity is
+// sentinels), stats cleared. Buffer capacity is
 // kept — that is the point of pooling.
 func (e *execState) reset() {
 	for i := range e.counts {
@@ -201,7 +206,6 @@ func (e *execState) reset() {
 	if e.multi != nil {
 		e.multi.Reset()
 	}
-	e.decodedAt = -1
 	e.stats = unitStats{}
 	e.trace = nil
 }
@@ -228,16 +232,13 @@ func (e *execState) scanBatches(ctx context.Context, batches []colstore.Batch) e
 	return nil
 }
 
-// decodeFor materializes the named integer columns for a batch into the
-// expression environment, reusing buffers and skipping work when the batch
-// is already decoded.
+// decodeFilterCols materializes the columns the residual predicate reads —
+// integer columns decoded to int64, dictionary columns to their id vectors —
+// for one batch into the expression environment, reusing buffers.
 //
 //bipie:kernel
-func (e *execState) decodeFor(b colstore.Batch, cols []string) error {
-	for _, name := range cols {
-		if e.decodedAt == b.Start && len(e.decoded[name]) == b.N {
-			continue
-		}
+func (e *execState) decodeFilterCols(b colstore.Batch) error {
+	for _, name := range e.plan.filterCols {
 		col, err := e.plan.seg.IntCol(name)
 		if err != nil {
 			return err
@@ -250,18 +251,7 @@ func (e *execState) decodeFor(b colstore.Batch, cols []string) error {
 		col.Decode(buf, b.Start)
 		e.decoded[name] = buf
 	}
-	return nil
-}
-
-// decodeStrIDsFor unpacks the dictionary id vectors of the filter's string
-// columns for one batch.
-//
-//bipie:kernel
-func (e *execState) decodeStrIDsFor(b colstore.Batch) error {
 	for _, name := range e.plan.filterStrCols {
-		if e.decodedAt == b.Start && len(e.strIDs[name]) == b.N {
-			continue
-		}
 		col, err := e.plan.seg.StrCol(name)
 		if err != nil {
 			return err
@@ -284,20 +274,11 @@ func (e *execState) processBatch(b colstore.Batch) error {
 	}
 	sp := e.plan
 	e.traceBatch(b.Start)
-	if e.decodedAt != b.Start {
-		// Invalidate the per-batch decode caches.
-		for k, v := range e.decoded {
-			e.decoded[k] = v[:0]
-		}
-		for k, v := range e.strIDs {
-			e.strIDs[k] = v[:0]
-		}
-		e.decodedAt = -1
-	}
 	noFilter := !sp.hasFilter && sp.seg.DeletedRows() == 0
 	if noFilter && sp.opts.ForceSelection == nil {
 		e.stats.note(b.N, b.N, 0, true, 0)
-		return e.processAll(b, false)
+		e.processAll(b, false)
+		return nil
 	}
 	if sp.spanAgg {
 		return e.processSpans(b)
@@ -333,13 +314,9 @@ func (e *execState) processBatch(b colstore.Batch) error {
 	}
 	if e.filter != nil {
 		t0 := e.traceStart()
-		if err := e.decodeFor(b, sp.filterCols); err != nil {
+		if err := e.decodeFilterCols(b); err != nil {
 			return err
 		}
-		if err := e.decodeStrIDsFor(b); err != nil {
-			return err
-		}
-		e.decodedAt = b.Start
 		e.traceEnd(obs.PhaseDecode, t0, b.N)
 		t0 = e.traceStart()
 		if !filled {
@@ -359,7 +336,8 @@ func (e *execState) processBatch(b colstore.Batch) error {
 		// remains: the batch is metadata-proven fully selected.
 		if sp.seg.DeletedRows() == 0 && sp.opts.ForceSelection == nil {
 			e.stats.note(b.N, b.N, 0, true, 0)
-			return e.processAll(b, false)
+			e.processAll(b, false)
+			return nil
 		}
 		for i := range vec {
 			vec[i] = sel.Selected
@@ -375,19 +353,21 @@ func (e *execState) processBatch(b colstore.Batch) error {
 	}
 	if selected == b.N && sp.opts.ForceSelection == nil {
 		e.stats.note(b.N, b.N, 0, true, flags)
-		return e.processAll(b, false)
+		e.processAll(b, false)
+		return nil
 	}
 
 	method := e.chooseSelection(float64(selected) / float64(b.N))
 	e.stats.note(b.N, selected, method, false, flags)
 	switch method {
 	case sel.MethodSpecialGroup:
-		return e.processAll(b, true)
+		e.processAll(b, true)
 	case sel.MethodGather:
-		return e.processIndexed(b, true)
+		e.processIndexed(b, true)
 	default:
-		return e.processIndexed(b, false)
+		e.processIndexed(b, false)
 	}
+	return nil
 }
 
 // processSpans is the fully encoded batch pipeline for spanAgg plans:
@@ -481,7 +461,7 @@ func (e *execState) chooseSelection(selectivity float64) sel.Method {
 // otherwise the batch is unfiltered.
 //
 //bipie:kernel
-func (e *execState) processAll(b colstore.Batch, special bool) error {
+func (e *execState) processAll(b colstore.Batch, special bool) {
 	sp := e.plan
 	groups := e.groupBuf[:b.N]
 	t0 := e.traceStart()
@@ -502,22 +482,16 @@ func (e *execState) processAll(b colstore.Batch, special bool) error {
 	if sp.strategy == agg.StrategySortBased {
 		e.sorter.Prepare(groups, nil)
 		e.sorter.AddCounts(e.counts)
-		err := e.sortSums(b)
-		e.traceEnd(obs.PhaseAggregate, t0, b.N)
-		return err
+	} else {
+		e.countGroups(groups)
 	}
-	e.countGroups(groups)
 	e.traceEnd(obs.PhaseAggregate, t0, b.N)
 	t0 = e.traceStart()
-	cols, err := e.fullValues(b)
+	cols := e.evalValues(b, valuesFull, b.N)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
-	if err != nil {
-		return err
-	}
 	t0 = e.traceStart()
-	e.applySums(groups, cols)
+	e.applySums(groups, cols, b.Start)
 	e.traceEnd(obs.PhaseAggregate, t0, b.N)
-	return nil
 }
 
 // processIndexed aggregates only selected rows, removed either by gather
@@ -525,7 +499,7 @@ func (e *execState) processAll(b colstore.Batch, special bool) error {
 // compaction (full unpack then compact, paper §4.1).
 //
 //bipie:kernel
-func (e *execState) processIndexed(b colstore.Batch, gather bool) error {
+func (e *execState) processIndexed(b colstore.Batch, gather bool) {
 	sp := e.plan
 	vec := e.selVec[:b.N]
 	groups := e.groupBuf[:b.N]
@@ -537,38 +511,38 @@ func (e *execState) processIndexed(b colstore.Batch, gather bool) error {
 	e.traceEnd(obs.PhaseSelection, t0, b.N)
 	comp := e.compGroups[:k]
 
-	if sp.strategy == agg.StrategySortBased {
-		t0 = e.traceStart()
+	// Sort-based aggregation consumes a selection index vector: its sorted
+	// indices address batch rows, so packed columns are gathered straight
+	// from their packed form and expression inputs are evaluated over the
+	// whole batch.
+	sortBased := sp.strategy == agg.StrategySortBased
+	t0 = e.traceStart()
+	if gather || sortBased {
 		e.idx = sel.CompactIndices(e.idx, vec)
-		e.traceEnd(obs.PhaseSelection, t0, b.N)
-		t0 = e.traceStart()
+	}
+	e.traceEnd(obs.PhaseSelection, t0, b.N)
+	t0 = e.traceStart()
+	if sortBased {
 		e.sorter.Prepare(comp, e.idx)
 		e.sorter.AddCounts(e.counts)
-		err := e.sortSums(b)
-		e.traceEnd(obs.PhaseAggregate, t0, k)
-		return err
-	}
-
-	t0 = e.traceStart()
-	e.countGroups(comp)
-	e.traceEnd(obs.PhaseAggregate, t0, k)
-	var cols []*bitpack.Unpacked
-	var err error
-	t0 = e.traceStart()
-	if gather {
-		e.idx = sel.CompactIndices(e.idx, vec)
-		cols, err = e.gatherValues(b)
 	} else {
-		cols, err = e.compactValues(b)
+		e.countGroups(comp)
+	}
+	e.traceEnd(obs.PhaseAggregate, t0, k)
+	t0 = e.traceStart()
+	var cols []*bitpack.Unpacked
+	switch {
+	case sortBased:
+		cols = e.evalValues(b, valuesFull, b.N)
+	case gather:
+		cols = e.evalValues(b, valuesGather, k)
+	default:
+		cols = e.evalValues(b, valuesCompact, k)
 	}
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
-	if err != nil {
-		return err
-	}
 	t0 = e.traceStart()
-	e.applySums(comp, cols)
+	e.applySums(comp, cols, b.Start)
 	e.traceEnd(obs.PhaseAggregate, t0, k)
-	return nil
 }
 
 // inRegisterCountMaxGroups is the domain size up to which in-register
@@ -592,124 +566,80 @@ func (e *execState) countGroups(groups []uint8) {
 	}
 }
 
-// fullValues materializes every sum input for the whole batch.
+// valueMode is how a batch's sum-input vectors are loaded: every row, or
+// only the selected ones — gathered at the positions in e.idx (paper §4.2)
+// or unpacked in full and physically compacted (paper §4.1).
+type valueMode uint8
+
+const (
+	valuesFull valueMode = iota
+	valuesGather
+	valuesCompact
+)
+
+// evalValues runs the plan's sum-expression program for one batch. The mode
+// only decides how the leaves load — each column is unpacked once, however
+// many inputs read it — and every operator then runs over the k loaded
+// rows, so under gather and compaction expressions are never evaluated for
+// rows the filter rejected. Every node's vector was allocated at its lane
+// in newExecState, so the kernels fill it in place. The returned views are
+// indexed by sum slot.
 //
 //bipie:kernel
-func (e *execState) fullValues(b colstore.Batch) ([]*bitpack.Unpacked, error) {
+func (e *execState) evalValues(b colstore.Batch, mode valueMode, k int) []*bitpack.Unpacked {
 	sp := e.plan
-	for i := range sp.sums {
-		if !sp.materialize[i] {
-			e.colViews[i] = nil
-			continue
+	for _, i := range sp.evalOrder {
+		buf, leaf := e.nodeBufs[i], sp.progLeaves[i]
+		switch {
+		case leaf.bp == nil && leaf.col == nil:
+			sp.prog.Eval(e.nodeBufs, i, k)
+		case leaf.bp == nil:
+			e.loadDecoded(buf, e.leafI64[i][:b.N], leaf.col, b, mode)
+		case mode == valuesFull:
+			leaf.bp.Packed().UnpackSmallest(buf, b.Start, b.N)
+		case mode == valuesGather:
+			sel.GatherIndices(buf, leaf.bp.Packed(), b.Start, e.idx)
+		default:
+			sel.CompactSelect(buf, leaf.bp.Packed(), b.Start, b.N, e.selVec[:b.N])
 		}
-		si := &sp.sums[i]
-		if si.bp != nil {
-			e.valBufs[i] = si.bp.Packed().UnpackSmallest(e.valBufs[i], b.Start, b.N)
-		} else {
-			if err := e.evalExpr(b, i); err != nil {
-				return nil, err
-			}
-			e.valBufs[i] = exprToUnpacked(e.valBufs[i], e.exprBuf[:b.N], nil)
-		}
-		e.colViews[i] = e.valBufs[i]
 	}
-	return e.colViews, nil
+	return e.colViews
 }
 
-// gatherValues materializes sum inputs at selected positions only, via the
-// fused gather kernel for packed columns and an indexed pick for
-// expression outputs.
+// loadDecoded fills a leaf vector from a column that is not bit-packed: a
+// full int64 decode into vals, then the wanted rows carried into the 8-byte
+// lane — the two's-complement round trip through uint64 is exact.
 //
 //bipie:kernel
-func (e *execState) gatherValues(b colstore.Batch) ([]*bitpack.Unpacked, error) {
-	sp := e.plan
-	for i := range sp.sums {
-		if !sp.materialize[i] {
-			e.colViews[i] = nil
-			continue
+//bipie:nobce
+func (e *execState) loadDecoded(buf *bitpack.Unpacked, vals []int64, col encoding.IntColumn, b colstore.Batch, mode valueMode) {
+	col.Decode(vals, b.Start)
+	if mode == valuesGather {
+		buf.Resize(len(e.idx))
+		dst := buf.U64[:len(e.idx)]
+		for j, ix := range e.idx {
+			dst[j] = uint64(vals[ix])
 		}
-		si := &sp.sums[i]
-		if si.bp != nil {
-			e.valBufs[i] = sel.GatherIndices(e.valBufs[i], si.bp.Packed(), b.Start, e.idx)
-		} else {
-			if err := e.evalExpr(b, i); err != nil {
-				return nil, err
-			}
-			e.valBufs[i] = exprToUnpacked(e.valBufs[i], e.exprBuf[:b.N], e.idx)
-		}
-		e.colViews[i] = e.valBufs[i]
+		return
 	}
-	return e.colViews, nil
-}
-
-// compactValues materializes sum inputs with physical compaction.
-//
-//bipie:kernel
-func (e *execState) compactValues(b colstore.Batch) ([]*bitpack.Unpacked, error) {
-	sp := e.plan
-	vec := e.selVec[:b.N]
-	for i := range sp.sums {
-		if !sp.materialize[i] {
-			e.colViews[i] = nil
-			continue
-		}
-		si := &sp.sums[i]
-		if si.bp != nil {
-			e.valBufs[i] = sel.CompactSelect(e.valBufs[i], si.bp.Packed(), b.Start, b.N, vec)
-		} else {
-			if err := e.evalExpr(b, i); err != nil {
-				return nil, err
-			}
-			buf := exprToUnpacked(e.valBufs[i], e.exprBuf[:b.N], nil)
-			k := sel.CompactU64(buf.U64, buf.U64, vec)
-			buf.Resize(k)
-			e.valBufs[i] = buf
-		}
-		e.colViews[i] = e.valBufs[i]
+	buf.Resize(len(vals))
+	dst := buf.U64[:len(vals)]
+	for j, v := range vals {
+		dst[j] = uint64(v)
 	}
-	return e.colViews, nil
-}
-
-// evalExpr runs compiled expression i over the decoded batch into exprBuf.
-//
-//bipie:kernel
-func (e *execState) evalExpr(b colstore.Batch, i int) error {
-	if err := e.decodeFor(b, e.plan.sumCols[i]); err != nil {
-		return err
+	if mode == valuesCompact {
+		buf.Resize(sel.CompactU64(dst, dst, e.selVec[:b.N]))
 	}
-	e.decodedAt = b.Start
-	e.compiledSums[i](&e.env, b.N, e.exprBuf)
-	return nil
-}
-
-// sortSums runs the sort-based sum pass for one batch; the sorter was
-// already prepared with this batch's (possibly compacted) rows.
-//
-//bipie:kernel
-func (e *execState) sortSums(b colstore.Batch) error {
-	sp := e.plan
-	for i := range sp.sums {
-		if !sp.materialize[i] {
-			continue
-		}
-		si := &sp.sums[i]
-		if si.bp != nil {
-			e.sorter.SumPacked(si.bp.Packed(), b.Start, e.sumAcc[i])
-			continue
-		}
-		if err := e.evalExpr(b, i); err != nil {
-			return err
-		}
-		e.sorter.SumInt64(e.exprBuf[:b.N], e.sumAcc[i])
-	}
-	return nil
 }
 
 // applySums feeds aligned (groups, values) vectors to the segment's sum
-// strategy; MIN/MAX inputs always take the scalar extremum kernel.
+// strategy; MIN/MAX inputs always take the scalar extremum kernel. The
+// sort-based strategy, whose sorter was already prepared with this batch's
+// rows, reads whole-batch vectors through its sorted indices instead, and
+// bit-packed columns straight from their packed form at segment row start.
 //
 //bipie:kernel
-func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked) {
+func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked, start int) {
 	sp := e.plan
 	if len(sp.sums) == 0 {
 		return
@@ -746,37 +676,17 @@ func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked) {
 		}
 	case agg.StrategyMultiAggregate:
 		e.multi.Accumulate(groups, sumCols)
+	case agg.StrategySortBased:
+		for k, i := range sp.sumIdx {
+			if bp := sp.sums[i].bp; bp != nil {
+				e.sorter.SumPacked(bp.Packed(), start, sumAcc[k])
+			} else {
+				e.sorter.SumUnpacked(sumCols[k], sumAcc[k])
+			}
+		}
 	default:
-		agg.ScalarSumRowAtATimeInto(&e.scalarScratch, groups, e.uniformCols(sumCols), sumAcc)
+		agg.ScalarSumRowAtATimeInto(&e.scalarScratch, groups, sumCols, sumAcc)
 	}
-}
-
-// uniformCols widens mixed-width sum inputs to one element type so the
-// specialized scalar row loop never falls back to per-element dispatch;
-// uniform inputs pass through untouched. The widening buffers were
-// preallocated at construction when the plan saw mixed widths.
-//
-//bipie:kernel
-func (e *execState) uniformCols(cols []*bitpack.Unpacked) []*bitpack.Unpacked {
-	mixed := false
-	for _, c := range cols[1:] {
-		if c.WordSize != cols[0].WordSize {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		return cols
-	}
-	for i, c := range cols {
-		if c.WordSize == 8 {
-			e.wideViews[i] = c
-			continue
-		}
-		e.wideBufs[i] = c.WidenTo64(e.wideBufs[i])
-		e.wideViews[i] = e.wideBufs[i]
-	}
-	return e.wideViews
 }
 
 // finalize folds strategy state and frame-of-reference offsets into the
@@ -787,7 +697,7 @@ func (e *execState) finalize() []Row {
 	sp := e.plan
 	if e.multi != nil {
 		dst := e.sumAcc
-		if len(sp.extIdx) > 0 {
+		if len(sp.sumIdx) != len(sp.sums) {
 			dst = make([][]int64, len(sp.sumIdx))
 			for k, i := range sp.sumIdx {
 				dst[k] = e.sumAcc[i]
@@ -795,21 +705,25 @@ func (e *execState) finalize() []Row {
 		}
 		e.multi.AddSums(dst)
 	}
-	// Fold the frame of reference back: sums add ref per contributing row,
-	// extrema shift by ref once (offset order is value order).
+	// The kernels aggregated each slot's node vector; fold the rest of its
+	// term ±node + Add back per group — the sign and Add per contributing
+	// row for a sum (this is where a bit-packed column's frame of
+	// reference returns), Add once for an extremum, whose terms are never
+	// negated. Wrapping arithmetic throughout, as the row-at-a-time oracle.
 	for i := range sp.sums {
 		si := &sp.sums[i]
-		if si.bp == nil || si.ref == 0 {
-			continue
-		}
+		acc := e.sumAcc[i]
 		for g := 0; g < sp.realGroups; g++ {
-			if e.counts[g] == 0 {
-				continue
-			}
-			if si.kind == Sum {
-				e.sumAcc[i][g] += si.ref * e.counts[g]
-			} else {
-				e.sumAcc[i][g] += si.ref
+			switch {
+			case e.counts[g] == 0:
+			case si.kind != Sum && si.term.IsConst():
+				acc[g] = si.term.Add
+			case si.kind != Sum:
+				acc[g] += si.term.Add
+			case si.term.Neg:
+				acc[g] = si.term.Add*e.counts[g] - acc[g]
+			default:
+				acc[g] += si.term.Add * e.counts[g]
 			}
 		}
 	}
@@ -829,31 +743,4 @@ func (e *execState) finalize() []Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// exprToUnpacked copies signed expression outputs into a word-size-8
-// Unpacked buffer (two's-complement round trip through uint64 is exact).
-// When idx is non-nil only the indexed positions are taken, in order.
-//
-//bipie:kernel
-func exprToUnpacked(buf *bitpack.Unpacked, vals []int64, idx sel.IndexVec) *bitpack.Unpacked {
-	n := len(vals)
-	if idx != nil {
-		n = len(idx)
-	}
-	if buf == nil || buf.WordSize != 8 {
-		buf = bitpack.NewUnpacked(64, n)
-	} else {
-		buf.Resize(n)
-	}
-	if idx == nil {
-		for i, v := range vals {
-			buf.U64[i] = uint64(v)
-		}
-	} else {
-		for j, ix := range idx {
-			buf.U64[j] = uint64(vals[ix])
-		}
-	}
-	return buf
 }

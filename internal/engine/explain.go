@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"bipie/internal/table"
@@ -37,6 +38,13 @@ type SegmentPlan struct {
 	// pushed conjuncts — the unit the encoded-filter trace phase measures.
 	// Zero when nothing live is pushed.
 	FilterModelCyclesPerRow float64
+	// DecodeModelCyclesPerRow is the cost model's predicted decode cost —
+	// Σ unpack(width) over the columns the sum inputs (and any residual
+	// predicate) read, plus one typed pass per sum-expression operator —
+	// in cycles per row of one timed decode pass over a batch whose values
+	// load in full. Batches that gather or compact load fewer rows and
+	// cost less. Zero when the plan decodes nothing.
+	DecodeModelCyclesPerRow float64
 	// PushedFilters counts filter conjuncts evaluated in their column's
 	// encoded domain; PackedFilters counts how many of those run the
 	// packed-domain SWAR compare kernels (the rest evaluate per run, in
@@ -49,6 +57,12 @@ type SegmentPlan struct {
 	// pushdown order: packed, unpack, rle-run, dict-eq, dict-ne,
 	// dict-range, dict-bitmap, dict-const, delta-prune.
 	PushedDomains []string
+	// SumWordSizes lists, per distinct SUM/MIN/MAX input (equal inputs
+	// share one; AVG reuses SUM's), the word size in bytes of the vector
+	// the aggregation kernels consume: the unpacked word of a bit-packed
+	// column, the narrowest word segment metadata proves an expression
+	// fits, 8 for the int64 lane, 0 for a literal that needs no vector.
+	SumWordSizes []int
 	// RunLevelSums counts SUM slots aggregated at RLE run granularity —
 	// the unfiltered whole-segment path and the span-filtered path both
 	// count, since neither decodes a row.
@@ -106,7 +120,13 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 		if live > 0 {
 			out.FilterModelCyclesPerRow = sp.filterModel / float64(live)
 		}
+		if sp.decodePasses > 0 {
+			out.DecodeModelCyclesPerRow = sp.decodeModel / float64(sp.decodePasses)
+		}
 		out.ResidualFilter = sp.residual != nil
+		for _, si := range sp.sums {
+			out.SumWordSizes = append(out.SumWordSizes, si.wordSize)
+		}
 		out.RunLevelSums = len(sp.runIdx) + len(sp.spanIdx)
 		plans = append(plans, out)
 	}
@@ -117,8 +137,8 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 // tools.
 func FormatPlans(plans []SegmentPlan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-10s %-8s %-9s %-10s %-8s %-8s %-8s %-9s %-8s %s\n",
-		"segment", "rows", "groups", "special", "strategy", "model", "pushed", "packed", "residual", "runsums", "domains")
+	fmt.Fprintf(&b, "%-8s %-10s %-8s %-9s %-10s %-8s %-10s %-8s %-8s %-9s %-8s %s\n",
+		"segment", "rows", "groups", "special", "strategy", "model", "sumwords", "pushed", "packed", "residual", "runsums", "domains")
 	for _, p := range plans {
 		name := fmt.Sprint(p.Segment)
 		if p.MutableSnapshot {
@@ -132,8 +152,16 @@ func FormatPlans(plans []SegmentPlan) string {
 		if domains == "" {
 			domains = "-"
 		}
-		fmt.Fprintf(&b, "%-8s %-10d %-8d %-9v %-10s %-8.1f %-8d %-8d %-9v %-8d %s\n",
-			name, p.Rows, p.Groups, p.SpecialGroup, p.Strategy, p.ModelCyclesPerRow,
+		words := "-"
+		for i, w := range p.SumWordSizes {
+			if i == 0 {
+				words = strconv.Itoa(w)
+			} else {
+				words += "," + strconv.Itoa(w)
+			}
+		}
+		fmt.Fprintf(&b, "%-8s %-10d %-8d %-9v %-10s %-8.1f %-10s %-8d %-8d %-9v %-8d %s\n",
+			name, p.Rows, p.Groups, p.SpecialGroup, p.Strategy, p.ModelCyclesPerRow, words,
 			p.PushedFilters, p.PackedFilters, p.ResidualFilter, p.RunLevelSums, domains)
 	}
 	if strings.ContainsRune(b.String(), '*') {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"bipie/internal/agg"
-	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/encoding"
 	"bipie/internal/expr"
@@ -19,31 +18,34 @@ import (
 //
 //   - Prepared / segPlan: the immutable plan. Everything derivable from
 //     (query × segment metadata) alone — resolved columns, group mappers,
-//     pushdown splits, overflow proofs, the per-segment aggregation
-//     strategy — computed once and shared by any number of concurrent
-//     executions.
+//     pushdown splits, overflow proofs, the sum-expression program with its
+//     proven word sizes, the per-segment aggregation strategy — computed
+//     once and shared by any number of concurrent executions.
 //   - execState (exec.go): the mutable per-scan state — selection vectors,
-//     decode buffers, accumulators, compiled expression closures — pooled
+//     value vectors, accumulators, the compiled residual predicate — pooled
 //     per plan so steady-state execution allocates nothing.
 //   - execute (engine.go): the thin driver that splits segments into work
 //     units, borrows exec states, threads context cancellation between
 //     batch ranges, and merges partials.
 
-// sumInput is one SUM (or AVG numerator) input resolved against a segment.
-// Plain bit-packed columns take the fused encoded path and are aggregated
-// in frame-of-reference offset space; everything else (expressions, columns
-// the encoder stored as RLE/delta) evaluates through the compiled
-// expression layer on decoded data. The expression itself is kept as an
-// AST: compiled closures carry scratch state and are built per exec state,
-// never shared through the plan.
+// sumInput is one distinct SUM/MIN/MAX input resolved against a segment: a
+// slot of accumulators fed by one node of the plan's sum-expression
+// program. The input's value is the affine term ±node + Add; the kernels
+// aggregate the node's vector as it stands — frame-of-reference offsets
+// for a bit-packed column, the narrowest proven word for an expression —
+// and finalize folds sign and constant back per group.
 type sumInput struct {
 	kind     AggKind                 // Sum (also for Avg numerators), Min, or Max
-	bp       *encoding.BitPackColumn // non-nil → fused encoded path
-	rle      *encoding.RLEColumn     // non-nil → run-level path may apply
-	ref      int64                   // frame of reference to fold back per group
-	width    uint8                   // packed bit width (plain path)
-	wordSize int                     // unpacked word size; 8 for expressions
-	arg      expr.Expr               // expression path input, compiled per exec
+	term     expr.SumTerm            // Node < 0: a literal input, no vector at all
+	bp       *encoding.BitPackColumn // node is a packed leaf: the sort path sums it still packed
+	rle      *encoding.RLEColumn     // input is a bare RLE column: run-level paths may apply
+	wordSize int                     // lane of the node's vector; 0 for a literal
+}
+
+// progLeaf is the column behind a leaf node of the sum-expression program.
+type progLeaf struct {
+	bp  *encoding.BitPackColumn // SumLeafPacked
+	col encoding.IntColumn      // SumLeafDecoded
 }
 
 // segPlan is the immutable execution plan of one query over one segment:
@@ -72,17 +74,25 @@ type segPlan struct {
 	special    int // special group id, or -1
 
 	sums        []sumInput
-	sumIdx      []int      // slots with kind Sum, fed to the sum strategy kernels
-	extIdx      []int      // slots with kind Min/Max, always scalar
-	runIdx      []int      // slots summed at run granularity on encoded RLE data
-	materialize []bool     // whether a slot needs per-row value vectors
-	aggSlot     []int      // aggregate index → sum slot, -1 for COUNT
-	sumCols     [][]string // integer columns each expression sum reads
+	sumIdx      []int  // slots with kind Sum, fed to the sum strategy kernels
+	extIdx      []int  // slots with kind Min/Max, always scalar
+	runIdx      []int  // slots summed at run granularity on encoded RLE data
+	materialize []bool // whether a slot needs per-row value vectors
+	aggSlot     []int  // aggregate index → sum slot, -1 for COUNT
 
-	strategy       agg.Strategy
-	modelCost      float64          // agg.EstimateCost of the chosen strategy, for actual-vs-assumed reporting
-	multiLayout    *agg.MultiLayout // slot layout when strategy is multi-aggregate
-	mixedSumWidths bool             // scalar path needs the widening buffers
+	// prog is the sum-expression program every slot's term points into;
+	// progLeaves resolves its leaf nodes (parallel to the nodes, zero for
+	// operators) and evalOrder lists the nodes the value-vector paths
+	// evaluate per batch, operands first — under the sort strategy only
+	// what the expression slots reach, since packed leaves are gathered
+	// straight from their packed form.
+	prog       *expr.SumProgram
+	progLeaves []progLeaf
+	evalOrder  []int
+
+	strategy    agg.Strategy
+	modelCost   float64          // agg.EstimateCost of the chosen strategy, for actual-vs-assumed reporting
+	multiLayout *agg.MultiLayout // slot layout when strategy is multi-aggregate
 
 	hasFilter     bool
 	pushed        []pushedPred // conjuncts evaluated in their column's encoded domain
@@ -98,7 +108,7 @@ type segPlan struct {
 	spanPreds []spanPred // parallel to pushed; nil entries are planOp()==pushAll
 	spanIdx   []int      // sum slots aggregated via SumSpans on the span path
 
-	maxBits uint8 // widest packed input, drives the selection crossover
+	maxBits uint8 // widest column word the value paths read, drives the selection crossover
 
 	// selCrossover is the gather/compact selectivity crossover at maxBits,
 	// resolved once at plan time from the active cost profile so the
@@ -108,6 +118,13 @@ type segPlan struct {
 	// per evaluated row, summed over live pushed conjuncts (each batch that
 	// is not zone-collapsed evaluates each of them once).
 	filterModel float64
+	// decodeModel is the model's predicted decode cost in cycles per row of
+	// a batch whose values load in full — Σ unpack(width) over the leaves
+	// evalOrder reads plus Σ operator nodes, and the residual predicate's
+	// column decodes — and decodePasses how many timed decode passes
+	// (residual columns, sum inputs) such a batch makes.
+	decodeModel  float64
+	decodePasses int
 
 	// pool recycles execState values across executions of this plan. Exec
 	// states are returned reset, so a Get either reuses a clean one or
@@ -135,6 +152,10 @@ type Prepared struct {
 	t    *table.Table
 	q    *Query
 	opts Options
+	// wideLanes evaluates every sum-expression operator in the int64 lane
+	// regardless of its proven range. No option sets it: it exists so
+	// tests can hold the narrow lanes result-identical to plain int64.
+	wideLanes bool
 
 	mu    sync.RWMutex
 	plans map[*colstore.Segment]*segPlan
@@ -146,10 +167,14 @@ type Prepared struct {
 // returned Prepared may be executed concurrently and reused across table
 // writes.
 func Prepare(t *table.Table, q *Query, opts Options) (*Prepared, error) {
+	return prepare(t, q, opts, false)
+}
+
+func prepare(t *table.Table, q *Query, opts Options, wideLanes bool) (*Prepared, error) {
 	if err := q.validate(t); err != nil {
 		return nil, err
 	}
-	p := &Prepared{t: t, q: q, opts: opts, plans: make(map[*colstore.Segment]*segPlan)}
+	p := &Prepared{t: t, q: q, opts: opts, wideLanes: wideLanes, plans: make(map[*colstore.Segment]*segPlan)}
 	segments, _ := p.segments()
 	for _, seg := range segments {
 		if _, err := p.planFor(seg); err != nil {
@@ -182,7 +207,7 @@ func (p *Prepared) planFor(seg *colstore.Segment) (*segPlan, error) {
 	if sp != nil {
 		return sp, nil
 	}
-	sp, err := newSegPlan(seg, p.q, &p.opts)
+	sp, err := newSegPlan(seg, p.q, &p.opts, p.wideLanes)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +252,7 @@ func (sp *segPlan) getExec() *execState {
 // pair: group mapping, aggregate resolution, overflow proofs, special-group
 // reservation, strategy choice, and filter pushdown. It allocates no scan
 // buffers — that is newExecState's job.
-func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error) {
+func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) (*segPlan, error) {
 	sp := &segPlan{seg: seg, q: q, opts: opts}
 	sp.pool.New = func() any { return newExecState(sp) }
 	if !opts.DisableElimination && q.Filter != nil && canEliminate(seg, q.Filter) {
@@ -240,56 +265,82 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 	}
 	sp.realGroups = sp.mapper.groups()
 
-	// Resolve aggregates.
+	// Resolve aggregates into the segment's sum-expression program:
+	// structurally equal inputs share one slot (AVG reuses SUM's), equal
+	// sub-expressions one node, and every node gets the narrowest word the
+	// columns' min/max metadata proves.
+	cols := map[string]encoding.IntColumn{}
+	builder := expr.NewSumBuilder(func(name string) (expr.SumLeaf, error) {
+		col, err := seg.IntCol(name)
+		if err != nil {
+			return expr.SumLeaf{}, err
+		}
+		cols[name] = col
+		lf := expr.SumLeaf{Min: col.Min(), Max: col.Max()}
+		if bp, ok := col.(*encoding.BitPackColumn); ok {
+			lf.Width = bp.Width()
+		}
+		return lf, nil
+	}, wideLanes)
 	sp.aggSlot = make([]int, len(q.Aggregates))
-	maxBits := uint8(0)
+	type slotKey struct {
+		kind AggKind
+		term expr.SumTerm
+	}
+	slots := map[slotKey]int{}
 	for i, a := range q.Aggregates {
 		if a.Kind == Count {
 			sp.aggSlot[i] = -1
 			continue
 		}
-		sp.aggSlot[i] = len(sp.sums)
-		si := sumInput{wordSize: 8, kind: Sum}
+		key := slotKey{kind: Sum}
+		compile := builder.Term
 		if a.Kind == Min || a.Kind == Max {
-			si.kind = a.Kind
+			key.kind, compile = a.Kind, builder.OrderedTerm
 		}
-		if name, ok := expr.IsCol(a.Arg); ok {
-			col, err := seg.IntCol(name)
-			if err != nil {
-				return nil, err
-			}
-			switch c := col.(type) {
-			case *encoding.BitPackColumn:
-				si.bp = c
-				si.ref = c.Ref()
-				si.width = c.Width()
-				si.wordSize = bitpack.WordBytes(c.Width())
-				if c.Width() > maxBits {
-					maxBits = c.Width()
-				}
-			case *encoding.RLEColumn:
-				si.rle = c
-			}
+		if key.term, err = compile(a.Arg); err != nil {
+			return nil, err
 		}
-		if si.bp == nil {
-			// RLE columns also keep the expression fallback for paths where
-			// the run shortcut does not apply; the AST is compiled per exec.
-			si.arg = a.Arg
-			sp.sumCols = append(sp.sumCols, a.Arg.Columns())
-		} else {
-			if si.kind == Sum {
-				if err := proveNoOverflow(si.bp, seg.Rows(), a.Arg); err != nil {
+		if name, ok := expr.IsCol(a.Arg); ok && key.kind == Sum {
+			// A plain column's sum carries the §2.1 overflow proof;
+			// expressions are outside it and wrap as Go does.
+			if bp, ok := cols[name].(*encoding.BitPackColumn); ok {
+				if err := proveNoOverflow(bp, seg.Rows(), name); err != nil {
 					return nil, err
 				}
 			}
-			sp.sumCols = append(sp.sumCols, nil)
 		}
-		sp.sums = append(sp.sums, si)
+		slot, ok := slots[key]
+		if !ok {
+			slot = len(sp.sums)
+			slots[key] = slot
+			sp.sums = append(sp.sums, sumInput{kind: key.kind, term: key.term})
+		}
+		sp.aggSlot[i] = slot
 	}
-	if maxBits == 0 {
-		maxBits = 14 // neutral default when all inputs are expressions
+	sp.prog = builder.Program()
+	sp.progLeaves = make([]progLeaf, sp.prog.Len())
+	for i := range sp.progLeaves {
+		switch col := cols[sp.prog.Node(i).Col].(type) {
+		case nil: // an operator node
+		case *encoding.BitPackColumn:
+			sp.progLeaves[i].bp = col
+		default:
+			sp.progLeaves[i].col = col
+		}
 	}
-	sp.maxBits = maxBits
+	for i := range sp.sums {
+		si := &sp.sums[i]
+		if si.term.IsConst() {
+			continue
+		}
+		leaf := sp.progLeaves[si.term.Node]
+		si.wordSize = sp.prog.Node(si.term.Node).Word
+		si.bp = leaf.bp
+		if rle, ok := leaf.col.(*encoding.RLEColumn); ok && si.kind == Sum && si.term == (expr.SumTerm{Node: si.term.Node}) {
+			si.rle = rle
+		}
+	}
 
 	// Split the filter before the sum-slot routing below: whether every
 	// conjunct pushed (and in which domain) decides whether the span-domain
@@ -358,6 +409,9 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 		opts.ForceSelection == nil && opts.ForceAggregation == nil
 	for i, si := range sp.sums {
 		switch {
+		case si.term.IsConst():
+			// A literal input has no vector: finalize computes it from the
+			// group counts.
 		case si.kind != Sum:
 			sp.extIdx = append(sp.extIdx, i)
 		case runnable && si.rle != nil:
@@ -377,9 +431,6 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 		wordSizes = append(wordSizes, ws)
 		if ws > maxWS {
 			maxWS = ws
-		}
-		if ws != sp.sums[sp.sumIdx[0]].wordSize {
-			sp.mixedSumWidths = true
 		}
 	}
 	params := agg.Params{
@@ -424,7 +475,6 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 	// actually run (after degradation), so ExplainAnalyze can report
 	// assumed vs measured cycles/row per strategy.
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
-	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
 	for _, pp := range sp.pushed {
 		sp.filterModel += pp.modelCost(prof)
 	}
@@ -434,6 +484,79 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 	}
 	for _, i := range sp.extIdx {
 		sp.materialize[i] = true
+	}
+
+	// Which program nodes a batch evaluates: everything the materialized
+	// slots reach. The widest column word among them prices the
+	// gather/compact crossover — the packed width of a bit-packed column,
+	// the full 64 bits of one that decodes to int64 — whichever strategy
+	// ends up consuming the vectors.
+	live := make([]bool, sp.prog.Len())
+	sortLive := make([]bool, sp.prog.Len())
+	for i, si := range sp.sums {
+		if sp.materialize[i] {
+			live[si.term.Node] = true
+			sortLive[si.term.Node] = si.bp == nil
+		}
+	}
+	for i := len(live) - 1; i >= 0; i-- {
+		nd := sp.prog.Node(i)
+		switch nd.Op {
+		case expr.SumLeafPacked:
+			if live[i] {
+				sp.maxBits = max(sp.maxBits, nd.Width)
+			}
+		case expr.SumLeafDecoded:
+			if live[i] {
+				sp.maxBits = 64
+			}
+		default:
+			for _, t := range [2]expr.SumTerm{nd.L, nd.R} {
+				if !t.IsConst() {
+					live[t.Node] = live[t.Node] || live[i]
+					sortLive[t.Node] = sortLive[t.Node] || sortLive[i]
+				}
+			}
+		}
+	}
+	if sp.strategy == agg.StrategySortBased {
+		live = sortLive
+	}
+	for i, on := range live {
+		if on {
+			sp.evalOrder = append(sp.evalOrder, i)
+		}
+	}
+	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
+
+	decodeCost := func(col encoding.IntColumn) float64 {
+		if bp, ok := col.(*encoding.BitPackColumn); ok {
+			return prof.UnpackCyclesPerRow(bp.Width())
+		}
+		return prof.DeltaDecodeCyclesPerRow() // stands in for RLE decode too
+	}
+	for _, i := range sp.evalOrder {
+		if nd := sp.prog.Node(i); cols[nd.Col] != nil {
+			sp.decodeModel += decodeCost(cols[nd.Col])
+		} else {
+			sp.decodeModel += prof.SumExprCyclesPerRow(nd.Op, nd.Word)
+		}
+	}
+	if len(sp.evalOrder) > 0 {
+		sp.decodePasses++
+	}
+	if sp.residual != nil {
+		sp.decodePasses++
+		for _, name := range sp.filterCols {
+			if col, err := seg.IntCol(name); err == nil {
+				sp.decodeModel += decodeCost(col)
+			}
+		}
+		for _, name := range sp.filterStrCols {
+			if col, err := seg.StrCol(name); err == nil {
+				sp.decodeModel += prof.UnpackCyclesPerRow(col.IDs().Bits())
+			}
+		}
 	}
 	return sp, nil
 }
@@ -445,14 +568,14 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options) (*segPlan, error
 // fails the scan refuses the segment rather than silently wrapping —
 // expressions are outside the proof and follow Go's wrapping semantics,
 // as the paper's generated code is also outside its segment analysis.
-func proveNoOverflow(bp *encoding.BitPackColumn, rows int, arg expr.Expr) error {
+func proveNoOverflow(bp *encoding.BitPackColumn, rows int, name string) error {
 	if rows == 0 {
 		return nil
 	}
 	const maxI64 = uint64(1<<63 - 1)
 	maxOffset := uint64(bp.Max() - bp.Ref())
 	if maxOffset > 0 && uint64(rows) > maxI64/maxOffset {
-		return fmt.Errorf("engine: metadata cannot prove sum(%s) fits int64 over %d rows (max offset %d)", arg, rows, maxOffset)
+		return fmt.Errorf("engine: metadata cannot prove sum(%s) fits int64 over %d rows (max offset %d)", name, rows, maxOffset)
 	}
 	ref := bp.Ref()
 	absRef := uint64(ref)
@@ -460,7 +583,7 @@ func proveNoOverflow(bp *encoding.BitPackColumn, rows int, arg expr.Expr) error 
 		absRef = uint64(-ref)
 	}
 	if absRef > 0 && uint64(rows) > maxI64/absRef {
-		return fmt.Errorf("engine: metadata cannot prove sum(%s) reference fold fits int64 over %d rows", arg, rows)
+		return fmt.Errorf("engine: metadata cannot prove sum(%s) reference fold fits int64 over %d rows", name, rows)
 	}
 	return nil
 }

@@ -6,6 +6,12 @@
 // generated functions always operate on decoded column data, batch at a
 // time, never on encodings.
 //
+// Two evaluators live here. Filter predicates (and the row-at-a-time
+// oracle) compile to the closure trees below, int64 throughout. Aggregate
+// inputs compile to sum-expression programs (sumprog.go): typed vector
+// operations over the unpacked column words, each node in the narrowest
+// word segment metadata proves it fits.
+//
 // Values are int64 throughout. Fixed-point quantities (TPC-H prices,
 // discounts) are represented as scaled integers by the schema layer.
 package expr

@@ -378,35 +378,3 @@ func TestMethodString(t *testing.T) {
 		t.Fatal("Method.String")
 	}
 }
-
-// Table-driven compaction must agree with the cursor variant on canonical
-// (0x00/0xFF) selection vectors of every length and selectivity.
-func TestCompactIndicesTableAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(150))
-	for _, n := range []int{0, 1, 7, 8, 9, 16, 100, 4093, 4096} {
-		for _, s := range []float64{0, 0.02, 0.3, 0.7, 0.98, 1} {
-			sel := randSel(rng, n, s)
-			a := CompactIndices(nil, sel)
-			b := CompactIndicesTable(nil, sel)
-			if len(a) != len(b) {
-				t.Fatalf("n=%d s=%v: %d vs %d", n, s, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d s=%v: [%d] %d vs %d", n, s, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-// The worst case for the table variant's tail guard: nearly all rows
-// selected so k chases len(dst).
-func TestCompactIndicesTableDense(t *testing.T) {
-	sel := NewByteVec(64)
-	sel[0] = 0 // one rejected row
-	idx := CompactIndicesTable(nil, sel)
-	if len(idx) != 63 || idx[0] != 1 || idx[62] != 63 {
-		t.Fatalf("dense: len=%d first=%d last=%d", len(idx), idx[0], idx[62])
-	}
-}

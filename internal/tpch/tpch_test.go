@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"reflect"
 	"testing"
 
 	"bipie/internal/agg"
@@ -166,6 +167,27 @@ func TestQ1AllStrategyCombos(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Q1's eight aggregates read five distinct inputs — the averages reuse the
+// sums — and segment metadata proves each into its narrowest word: quantity
+// and discount stay bytes, price and disc_price (price × at most 100) fit
+// 32 bits, only charge needs 64.
+func TestQ1PlansFiveNarrowSumSlots(t *testing.T) {
+	tbl, err := Generate(GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := engine.Explain(tbl, Q1(), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 4, 4, 8, 1}
+	for _, pl := range plans {
+		if !reflect.DeepEqual(pl.SumWordSizes, want) {
+			t.Errorf("segment %d: sum words %v, want %v", pl.Segment, pl.SumWordSizes, want)
 		}
 	}
 }
