@@ -177,19 +177,7 @@ func (v *Vector) CheckUnpack(maxBits uint8, start, n int) {
 //bipie:kernel
 func (v *Vector) UnpackUint64(dst []uint64, start int) {
 	v.CheckUnpack(64, start, len(dst))
-	width := uint64(v.bits)
-	mask := v.Mask()
-	bitPos := uint64(start) * width
-	for i := range dst {
-		w := bitPos >> 6
-		off := bitPos & 63
-		val := v.words[w] >> off
-		if off+width > 64 {
-			val |= v.words[w+1] << (64 - off)
-		}
-		dst[i] = val & mask
-		bitPos += width
-	}
+	unpackWindowed(v, dst, start)
 }
 
 // UnpackUint32 decodes values [start, start+len(dst)) into dst. The bit
@@ -198,22 +186,10 @@ func (v *Vector) UnpackUint64(dst []uint64, start int) {
 //bipie:kernel
 func (v *Vector) UnpackUint32(dst []uint32, start int) {
 	v.CheckUnpack(32, start, len(dst))
-	if v.unpackFast32(dst, start) {
-		return
-	}
-	width := uint64(v.bits)
-	mask := v.Mask()
-	bitPos := uint64(start) * width
-	for i := range dst {
-		w := bitPos >> 6
-		off := bitPos & 63
-		val := v.words[w] >> off
-		if off+width > 64 {
-			val |= v.words[w+1] << (64 - off)
-		}
-		dst[i] = uint32(val & mask)
-		bitPos += width
-	}
+	head, body := v.split(4, start, len(dst))
+	unpackWindowed(v, dst[:head], start)
+	unpackBody32(dst[head:head+body], v.wordsAt(start+head), v.bits)
+	unpackWindowed(v, dst[head+body:], start+head+body)
 }
 
 // UnpackUint16 decodes values [start, start+len(dst)) into dst. The bit
@@ -222,22 +198,10 @@ func (v *Vector) UnpackUint32(dst []uint32, start int) {
 //bipie:kernel
 func (v *Vector) UnpackUint16(dst []uint16, start int) {
 	v.CheckUnpack(16, start, len(dst))
-	if v.unpackFast16(dst, start) {
-		return
-	}
-	width := uint64(v.bits)
-	mask := v.Mask()
-	bitPos := uint64(start) * width
-	for i := range dst {
-		w := bitPos >> 6
-		off := bitPos & 63
-		val := v.words[w] >> off
-		if off+width > 64 {
-			val |= v.words[w+1] << (64 - off)
-		}
-		dst[i] = uint16(val & mask)
-		bitPos += width
-	}
+	head, body := v.split(2, start, len(dst))
+	unpackWindowed(v, dst[:head], start)
+	unpackBody16(dst[head:head+body], v.wordsAt(start+head), v.bits)
+	unpackWindowed(v, dst[head+body:], start+head+body)
 }
 
 // UnpackUint8 decodes values [start, start+len(dst)) into dst. The bit width
@@ -246,20 +210,8 @@ func (v *Vector) UnpackUint16(dst []uint16, start int) {
 //bipie:kernel
 func (v *Vector) UnpackUint8(dst []uint8, start int) {
 	v.CheckUnpack(8, start, len(dst))
-	if v.unpackFast8(dst, start) {
-		return
-	}
-	width := uint64(v.bits)
-	mask := v.Mask()
-	bitPos := uint64(start) * width
-	for i := range dst {
-		w := bitPos >> 6
-		off := bitPos & 63
-		val := v.words[w] >> off
-		if off+width > 64 {
-			val |= v.words[w+1] << (64 - off)
-		}
-		dst[i] = uint8(val & mask)
-		bitPos += width
-	}
+	head, body := v.split(1, start, len(dst))
+	unpackWindowed(v, dst[:head], start)
+	unpackBody8(dst[head:head+body], v.wordsAt(start+head), v.bits)
+	unpackWindowed(v, dst[head+body:], start+head+body)
 }

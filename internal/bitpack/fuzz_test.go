@@ -5,10 +5,52 @@ import (
 	"testing"
 )
 
+// checkUnpackSweep holds the typed unpackers — head, kernel body and tail —
+// to the windowed loop for one start and the lengths 0 … 2×period+1 plus
+// everything up to the end of the vector.
+func checkUnpackSweep(t *testing.T, v *Vector, start int) {
+	t.Helper()
+	width := v.Bits()
+	lengths := []int{v.Len() - start}
+	for n := 0; n <= 2*periodLanes(width)+1 && start+n <= v.Len(); n++ {
+		lengths = append(lengths, n)
+	}
+	want := make([]uint64, v.Len()-start)
+	unpackWindowed(v, want, start)
+	for _, n := range lengths {
+		if width <= 8 {
+			checkUnpacked(t, v, start, n, want, v.UnpackUint8)
+		}
+		if width <= 16 {
+			checkUnpacked(t, v, start, n, want, v.UnpackUint16)
+		}
+		if width <= 32 {
+			checkUnpacked(t, v, start, n, want, v.UnpackUint32)
+		}
+	}
+}
+
+func checkUnpacked[T uint8 | uint16 | uint32](t *testing.T, v *Vector, start, n int, want []uint64, unpack func([]T, int)) {
+	t.Helper()
+	got := make([]T, n)
+	unpack(got, start)
+	for i, g := range got {
+		if uint64(g) != want[i] {
+			t.Fatalf("width %d start %d n %d into %T: [%d] = %d, want %d", v.Bits(), start, n, g, i, g, want[i])
+		}
+	}
+}
+
+// sweepRows is the vector length of the kernel sweeps: one batch after the
+// longest head.
+const sweepRows = 4096 + 64
+
 // FuzzBitpackRoundTrip packs arbitrary values at an arbitrary width and
 // checks every decode path — Get, UnpackUint64, the typed unpackers with
-// their word-aligned fast paths, UnpackSmallest, and FromWords
-// reconstruction — against the packed input.
+// their word-parallel kernels, UnpackSmallest, and FromWords
+// reconstruction — against the packed input. The same values, repeated to
+// a batch, then go through checkUnpackSweep at the fuzzed start's residue;
+// the seeds cover every residue of every width 1–32.
 func FuzzBitpackRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{0x01, 0x00, 0xFF})
 	f.Add(uint8(7), uint8(3), []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05})
@@ -19,6 +61,11 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 	f.Add(uint8(32), uint8(7), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add(uint8(63), uint8(4), []byte{0x80, 0x70, 0x60, 0x50, 0x40, 0x30, 0x20, 0x10})
 	f.Add(uint8(64), uint8(6), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	for width := uint8(1); width <= 32; width++ {
+		for r := 0; r < periodLanes(width); r++ {
+			f.Add(width-1, uint8(r), []byte{0xC3, 0x5A, 0x96, 0x0F, 0xF0, 0x69, 0xA5, 0x3C, byte(width), byte(r), 0x81})
+		}
+	}
 	f.Fuzz(func(t *testing.T, widthSeed, startSeed uint8, data []byte) {
 		width := widthSeed%64 + 1 // 1..64
 		mask := ^uint64(0)
@@ -99,6 +146,14 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 			if got := u.Get(i); got != vals[start+i] {
 				t.Fatalf("UnpackSmallest[%d] = %d, want %d", i, got, vals[start+i])
 			}
+		}
+
+		if n > 0 && width <= 32 {
+			batch := make([]uint64, sweepRows)
+			for i := range batch {
+				batch[i] = vals[i%n] ^ uint64(i/n)&mask
+			}
+			checkUnpackSweep(t, MustPack(batch, width), int(startSeed)%periodLanes(width))
 		}
 
 		// Serialization round trip through the raw words.

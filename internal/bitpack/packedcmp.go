@@ -1,6 +1,9 @@
 package bitpack
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Packed-domain compare kernels: evaluate value OP threshold directly on
 // the bit-packed words, writing a 0x00/0xFF byte mask per lane, without
@@ -10,38 +13,32 @@ import "math/bits"
 // frame-of-reference offset space once, and the batch kernel then runs on
 // the packed representation itself.
 //
-// Two forms are used, chosen by lane geometry:
-//
-//   - For widths that divide 64 (and fit in 32 bits) the kernel is SWAR on
-//     whole packed words. Lanes are split into even/odd 2w-bit superlanes;
-//     within a superlane the value sits in the low w bits and bit w acts as
-//     a guard. For t < 2^w, (t + 2^w) - value keeps the guard bit set iff
-//     value <= t, and the guard cannot borrow into the neighbouring
-//     superlane because the per-superlane result is always positive. One
-//     subtraction therefore compares 64/(2w) lanes at once, and the
-//     even/odd passes combine into a per-lane indicator word.
-//
-//   - For widths that do not divide 64 (lanes span word boundaries), for
-//     the head/tail lanes of a partially covered word, and for widths over
-//     32 bits, a scalar loop fuses the two-word windowed extraction (the
-//     same window Unpack* uses; Pack's +1 pad word guarantees words[w+1]
-//     exists) with a branch-free borrow/zero-test compare, so even the
-//     fallback never round-trips through an unpack buffer.
-//
-// Only LE and EQ cores exist: GE(t) = NOT LE(t-1) and NE = NOT EQ, so the
-// other two ops reuse the cores with a negated mask. Range clamping
+// One predicate form serves all four ops: lane ^ b <= a. LE(t) is
+// (a, b) = (t, 0); EQ(t) is (0, t), because x == t exactly when x^t <= 0;
+// GE(t) = NOT LE(t-1) and NE = NOT EQ negate the mask. Range clamping
 // (threshold at or beyond the width mask) resolves to constant fills
 // before any kernel runs.
+//
+// Widths with a word-parallel kernel (hasKernel: those dividing 64 and the
+// three-word period family 3, 6, 12, 24) share unpack's pieces: a chunk of
+// packed bits is spread into 8-, 16- or 32-bit lanes in a register, every
+// lane is compared against the broadcast threshold with one subtraction
+// (laneCmp.le), the per-lane indicator bits are compressed to eight
+// 0x00/0xFF bytes, and dst is overwritten or ANDed eight lanes per store.
+// Nothing is written but the mask. Every other width, and the head and tail
+// lanes around a kernel body (splitLanes), take a scalar loop that fuses
+// the two-word windowed extraction (the same window unpackWindowed uses;
+// Pack's +1 pad word guarantees words[w+1] exists) with a branch-free
+// borrow test, so even the fallback never round-trips through an unpack
+// buffer.
 
-// PackedCmpSWAR reports whether width takes the word-parallel SWAR compare
-// core. Widths that divide 64 never span a word boundary, so whole packed
-// words can be compared with a constant number of operations; every other
-// width uses the fused extract-compare scalar loop.
+// PackedCmpSWAR reports whether width has a word-parallel compare core
+// (and unpack kernel): the widths that divide 64 and the three-word period
+// family 3, 6, 12 and 24. Every other width uses the fused extract-compare
+// scalar loop.
 //
 //bipie:inline
-func PackedCmpSWAR(width uint8) bool {
-	return width <= 32 && 64%uint(width) == 0
-}
+func PackedCmpSWAR(width uint8) bool { return hasKernel(width) }
 
 // CmpLEPacked writes the byte mask of value <= t for lanes
 // [start, start+len(dst)) into dst (0xFF selected, 0x00 not). With
@@ -56,7 +53,7 @@ func (v *Vector) CmpLEPacked(dst []byte, start int, t uint64, and bool) {
 		fillKeepAll(dst, and)
 		return
 	}
-	v.packedCmpLE(dst, start, t, 0x00, and)
+	v.packedCmp(dst, start, t, 0, 0, and)
 }
 
 // CmpGEPacked writes (or ANDs, see CmpLEPacked) the byte mask of
@@ -74,7 +71,7 @@ func (v *Vector) CmpGEPacked(dst []byte, start int, t uint64, and bool) {
 		return
 	}
 	// value >= t  <=>  NOT (value <= t-1)
-	v.packedCmpLE(dst, start, t-1, 0xFF, and)
+	v.packedCmp(dst, start, t-1, 0, 0xFF, and)
 }
 
 // CmpEQPacked writes (or ANDs, see CmpLEPacked) the byte mask of
@@ -87,7 +84,7 @@ func (v *Vector) CmpEQPacked(dst []byte, start int, t uint64, and bool) {
 		fillNone(dst)
 		return
 	}
-	v.packedCmpEQ(dst, start, t, 0x00, and)
+	v.packedCmp(dst, start, 0, t, 0, and)
 }
 
 // CmpNEPacked writes (or ANDs, see CmpLEPacked) the byte mask of
@@ -100,7 +97,7 @@ func (v *Vector) CmpNEPacked(dst []byte, start int, t uint64, and bool) {
 		fillKeepAll(dst, and)
 		return
 	}
-	v.packedCmpEQ(dst, start, t, 0xFF, and)
+	v.packedCmp(dst, start, 0, t, 0xFF, and)
 }
 
 // fillKeepAll resolves a predicate that matches every lane: an AND
@@ -126,188 +123,221 @@ func fillNone(dst []byte) {
 	}
 }
 
-// packedCmpLE is the LE core behind CmpLEPacked/CmpGEPacked. neg is 0x00
-// for LE and 0xFF for its complement; t must be below the width mask.
+// packedCmp is the core behind the four Cmp*Packed kernels: the mask of
+// value^b <= a (complemented when neg is 0xFF) for lanes
+// [start, start+len(dst)), split into scalar head, kernel body and scalar
+// tail.
 //
 //bipie:kernel
-//bipie:nobce
-func (v *Vector) packedCmpLE(dst []byte, start int, t uint64, neg byte, and bool) {
+func (v *Vector) packedCmp(dst []byte, start int, a, b uint64, neg byte, and bool) {
 	ovr := byte(0xFF)
 	if and {
 		ovr = 0
 	}
-	n := len(dst)
-	if !PackedCmpSWAR(v.bits) {
-		v.scalarCmpLE(dst, 0, n, start, t, neg, ovr)
-		return
+	lane := WordBytes(v.bits)
+	head, body := v.split(lane, start, len(dst))
+	body &^= 7 // a mask store is eight lanes: two words of width 16, four of 32
+	v.scalarCmp(dst[:head], start, a, b, neg, ovr)
+	d, src := dst[head:head+body], v.wordsAt(start+head)
+	switch lane {
+	case 1:
+		cmpBody8(d, src, v.bits, newLaneCmp(lo8, 7, a, b, neg, ovr))
+	case 2:
+		cmpBody16(d, src, v.bits, newLaneCmp(lo16, 15, a, b, neg, ovr))
+	case 4:
+		cmpBody32(d, src, v.bits, newLaneCmp(lo32, 31, a, b, neg, ovr))
 	}
-	w := uint(v.bits)
-	k := int(64 / w)
-	i := swarHead(start, n, int(w))
-	if i > 0 {
-		v.scalarCmpLE(dst, 0, i, start, t, neg, ovr)
-	}
-	em, g, oem, negMask := swarCmpMasks(w, v.Mask(), neg)
-	tg := t*oem | g
-	// Walk a moving d/ws slice pair so the k-lane store loop ranges over
-	// an exactly-k reslice: the loop condition pins every bound and no
-	// per-word or per-lane bounds check survives prove.
-	d := dst[i:]
-	ws := v.words[(uint64(start+i)*uint64(w))>>6:]
-	for len(d) >= k && len(ws) > 0 {
-		x := ws[0]
-		ws = ws[1:]
-		e := x & em
-		o := (x >> w) & em
-		ind := ((tg-e)>>w)&oem | ((tg-o)>>w&oem)<<w
-		ind ^= negMask
-		lanes := d[:k]
-		for j := range lanes {
-			m := byte(-(ind & 1))
-			lanes[j] = (lanes[j] | ovr) & m
-			ind >>= w
-		}
-		d = d[k:]
-	}
-	v.scalarCmpLE(dst, n-len(d), n, start, t, neg, ovr)
+	v.scalarCmp(dst[head+body:], start+head+body, a, b, neg, ovr)
 }
 
-// packedCmpEQ is the EQ core behind CmpEQPacked/CmpNEPacked. neg is 0x00
-// for EQ and 0xFF for NE; t must fit the width mask. Equality is the AND
-// of the two one-sided guard tests: bit w of (t + 2^w) - value proves
-// value <= t, bit w of (value + 2^w) - t proves t <= value.
+// The low bit of every 8-, 16- and 32-bit lane of a word: multiplying by
+// one broadcasts a lane value.
+const (
+	lo8  = 0x0101010101010101
+	lo16 = 0x0001000100010001
+	lo32 = 0x0000000100000001
+)
+
+// laneCmp holds one compare's constants broadcast to every lane of a word:
+// h the lanes' top bits, a and b the predicate operands (ah = a|h), and the
+// negate and overwrite flags as whole-word masks.
+type laneCmp struct{ a, ah, b, h, neg, ovr uint64 }
+
+// newLaneCmp broadcasts a compare over the lanes whose low bits are ones
+// and whose top bit is bit top.
+//
+//bipie:inline
+func newLaneCmp(ones uint64, top uint, a, b uint64, neg, ovr byte) laneCmp {
+	h := ones << top
+	return laneCmp{a: a * ones, ah: a*ones | h, b: b * ones, h: h, neg: -uint64(neg & 1), ovr: -uint64(ovr & 1)}
+}
+
+// le returns, in each lane's top bit, whether lane^b <= a. With spare (the
+// values leave the lane's top bit free: every width but 8, 16 and 32) the
+// top bit is a guard: (a|h) - y keeps it exactly when y <= a, and no lane
+// borrows from its neighbour because each difference is positive. Without
+// a spare bit the same subtraction runs on the low bits only and the top
+// bits decide when they differ — the carry-safe form.
+//
+//bipie:inline
+func (k *laneCmp) le(x uint64, spare bool) uint64 {
+	y := x ^ k.b
+	if spare {
+		return (k.ah - y) & k.h
+	}
+	return (k.a&^y | ^(k.a^y)&(k.ah-y&^k.h)) & k.h
+}
+
+// store turns eight 0/1 byte indicators into 0x00/0xFF mask bytes and
+// overwrites dst[:8] with them or ANDs them in: eight lanes per store.
+//
+//bipie:inline
+func (k *laneCmp) store(dst []byte, ind uint64) {
+	m := ind*0xFF ^ k.neg
+	binary.LittleEndian.PutUint64(dst, (binary.LittleEndian.Uint64(dst)|k.ovr)&m)
+}
+
+// pack16x4 compresses the top bits of four 16-bit lanes to four 0/1 bytes.
+//
+//bipie:inline
+func pack16x4(ind uint64) uint64 {
+	t := ind >> 15
+	t = (t | t>>8) & 0x0000010100000101
+	return uint64(uint32(t | t>>16))
+}
+
+// pack32x4 compresses the top bits of the 32-bit lanes of two words (lanes
+// 0-1 in i0, 2-3 in i1) to four 0/1 bytes.
+//
+//bipie:inline
+func pack32x4(i0, i1 uint64) uint64 {
+	r := i0>>31 | i1>>15
+	return uint64(uint32(r | r>>24))
+}
+
+// cmpBody8 is the byte-lane compare core (widths 1, 2, 3, 4, 6 and 8) over
+// a kernel body: the loops of unpackBody8, with the store of each eight
+// spread lanes replaced by compare, compress and mask store.
 //
 //bipie:kernel
 //bipie:nobce
-func (v *Vector) packedCmpEQ(dst []byte, start int, t uint64, neg byte, and bool) {
-	ovr := byte(0xFF)
-	if and {
-		ovr = 0
-	}
-	n := len(dst)
-	if !PackedCmpSWAR(v.bits) {
-		v.scalarCmpEQ(dst, 0, n, start, t, neg, ovr)
-		return
-	}
-	w := uint(v.bits)
-	k := int(64 / w)
-	i := swarHead(start, n, int(w))
-	if i > 0 {
-		v.scalarCmpEQ(dst, 0, i, start, t, neg, ovr)
-	}
-	em, g, oem, negMask := swarCmpMasks(w, v.Mask(), neg)
-	tb := t * oem
-	tg := tb | g
-	// Moving-slice walk; see packedCmpLE for the BCE shape.
-	d := dst[i:]
-	ws := v.words[(uint64(start+i)*uint64(w))>>6:]
-	for len(d) >= k && len(ws) > 0 {
-		x := ws[0]
-		ws = ws[1:]
-		e := x & em
-		o := (x >> w) & em
-		eqe := (tg - e) & ((e | g) - tb)
-		eqo := (tg - o) & ((o | g) - tb)
-		ind := (eqe>>w)&oem | (eqo>>w&oem)<<w
-		ind ^= negMask
-		lanes := d[:k]
-		for j := range lanes {
-			m := byte(-(ind & 1))
-			lanes[j] = (lanes[j] | ovr) & m
-			ind >>= w
+func cmpBody8(d []byte, src []uint64, width uint8, k laneCmp) {
+	switch width {
+	case 8:
+		for ; len(d) >= 8 && len(src) > 0; d, src = d[8:], src[1:] {
+			k.store(d[:8], k.le(src[0], false)>>7)
 		}
-		d = d[k:]
+	case 4:
+		for ; len(d) >= 16 && len(src) > 0; d, src = d[16:], src[1:] {
+			x := src[0]
+			k.store(d[:8], k.le(spreadNibbles(uint32(x)), true)>>7)
+			k.store(d[8:16], k.le(spreadNibbles(uint32(x>>32)), true)>>7)
+		}
+	case 2:
+		for ; len(d) >= 32 && len(src) > 0; d, src = d[32:], src[1:] {
+			x := src[0]
+			k.store(d[:8], k.le(spreadCrumbs(uint16(x)), true)>>7)
+			k.store(d[8:16], k.le(spreadCrumbs(uint16(x>>16)), true)>>7)
+			k.store(d[16:24], k.le(spreadCrumbs(uint16(x>>32)), true)>>7)
+			k.store(d[24:32], k.le(spreadCrumbs(uint16(x>>48)), true)>>7)
+		}
+	case 1:
+		for ; len(d) >= 64 && len(src) > 0; d, src = d[64:], src[1:] {
+			x := src[0]
+			k.store(d[:8], k.le(spreadBits(uint8(x)), true)>>7)
+			k.store(d[8:16], k.le(spreadBits(uint8(x>>8)), true)>>7)
+			k.store(d[16:24], k.le(spreadBits(uint8(x>>16)), true)>>7)
+			k.store(d[24:32], k.le(spreadBits(uint8(x>>24)), true)>>7)
+			k.store(d[32:40], k.le(spreadBits(uint8(x>>32)), true)>>7)
+			k.store(d[40:48], k.le(spreadBits(uint8(x>>40)), true)>>7)
+			k.store(d[48:56], k.le(spreadBits(uint8(x>>48)), true)>>7)
+			k.store(d[56:64], k.le(spreadBits(uint8(x>>56)), true)>>7)
+		}
+	case 6:
+		for ; len(d) >= 32 && len(src) >= 3; d, src = d[32:], src[3:] {
+			c0, c1, c2, c3 := chunks48(src[0], src[1], src[2])
+			k.store(d[:8], k.le(spread8(c0), true)>>7)
+			k.store(d[8:16], k.le(spread8(c1), true)>>7)
+			k.store(d[16:24], k.le(spread8(c2), true)>>7)
+			k.store(d[24:32], k.le(spread8(c3), true)>>7)
+		}
+	case 3:
+		for ; len(d) >= 64 && len(src) >= 3; d, src = d[64:], src[3:] {
+			var c [4]uint64
+			c[0], c[1], c[2], c[3] = chunks48(src[0], src[1], src[2])
+			for q, i := d[:64], 0; len(q) >= 16; q, i = q[16:], i+1 {
+				x := spread4(c[i&3])
+				k.store(q[:8], k.le(spreadNibbles(uint32(x)), true)>>7)
+				k.store(q[8:16], k.le(spreadNibbles(uint32(x>>32)), true)>>7)
+			}
+		}
 	}
-	v.scalarCmpEQ(dst, n-len(d), n, start, t, neg, ovr)
 }
 
-// swarHead returns how many leading lanes (at most n) must take the scalar
-// path before lane start+i begins exactly on a word boundary. Widths here
-// divide 64, so the bit offset of any lane is a multiple of w and the head
-// length is exact.
-//
-//bipie:inline
-func swarHead(start, n, w int) int {
-	rem := (start * w) & 63
-	if rem == 0 {
-		return 0
-	}
-	head := (64 - rem) / w
-	if head > n {
-		head = n
-	}
-	return head
-}
-
-// swarCmpMasks builds the superlane constants for a compare pass over one
-// packed word: em selects the value bits of even 2w-superlanes, g is the
-// per-superlane guard bit (bit w), oem marks superlane bases, and negMask
-// flips every lane indicator when neg is set.
-//
-//bipie:inline
-func swarCmpMasks(w uint, mask uint64, neg byte) (em, g, oem, negMask uint64) {
-	for off := uint(0); off < 64; off += 2 * w {
-		em |= mask << off
-		g |= 1 << (off + w)
-		oem |= 1 << off
-	}
-	if neg != 0 {
-		negMask = oem | oem<<w
-	}
-	return em, g, oem, negMask
-}
-
-// scalarCmpLE compares lanes [start+lo, start+hi) against t with the fused
-// two-word windowed extraction, writing into dst[lo:hi]. The compare is
-// branch-free: the borrow of t - value is 1 exactly when value > t. The
-// one dst[lo:hi] reslice check and the bit-position-driven word loads
-// (words[w], pad word words[w+1]) are the only bounds checks; the mask
-// stores range over the reslice check-free.
+// cmpBody16 is the 16-bit-lane compare core (widths 12 and 16): two lane
+// words make the eight lanes of one mask store.
 //
 //bipie:kernel
 //bipie:nobce
-func (v *Vector) scalarCmpLE(dst []byte, lo, hi, start int, t uint64, neg, ovr byte) {
+func cmpBody16(d []byte, src []uint64, width uint8, k laneCmp) {
+	switch width {
+	case 16:
+		for ; len(d) >= 8 && len(src) >= 2; d, src = d[8:], src[2:] {
+			k.store(d[:8], pack16x4(k.le(src[0], false))|pack16x4(k.le(src[1], false))<<32)
+		}
+	case 12:
+		for ; len(d) >= 16 && len(src) >= 3; d, src = d[16:], src[3:] {
+			c0, c1, c2, c3 := chunks48(src[0], src[1], src[2])
+			k.store(d[:8], pack16x4(k.le(spread16(c0), true))|pack16x4(k.le(spread16(c1), true))<<32)
+			k.store(d[8:16], pack16x4(k.le(spread16(c2), true))|pack16x4(k.le(spread16(c3), true))<<32)
+		}
+	}
+}
+
+// cmpBody32 is the 32-bit-lane compare core (widths 24 and 32): four lane
+// words make the eight lanes of one mask store.
+//
+//bipie:kernel
+//bipie:nobce
+func cmpBody32(d []byte, src []uint64, width uint8, k laneCmp) {
+	switch width {
+	case 32:
+		for ; len(d) >= 8 && len(src) >= 4; d, src = d[8:], src[4:] {
+			lo := pack32x4(k.le(src[0], false), k.le(src[1], false))
+			k.store(d[:8], lo|pack32x4(k.le(src[2], false), k.le(src[3], false))<<32)
+		}
+	case 24:
+		for ; len(d) >= 8 && len(src) >= 3; d, src = d[8:], src[3:] {
+			c0, c1, c2, c3 := chunks48(src[0], src[1], src[2])
+			lo := pack32x4(k.le(spread32(c0), true), k.le(spread32(c1), true))
+			k.store(d[:8], lo|pack32x4(k.le(spread32(c2), true), k.le(spread32(c3), true))<<32)
+		}
+	}
+}
+
+// scalarCmp compares lanes [start, start+len(dst)) with the fused two-word
+// windowed extraction. The compare is branch-free: the borrow of
+// a - (value^b) is 1 exactly when value^b > a. The bit-position-driven
+// word loads (words[w], pad word words[w+1]) are the only bounds checks;
+// the mask stores range over dst check-free.
+//
+//bipie:kernel
+//bipie:nobce
+func (v *Vector) scalarCmp(dst []byte, start int, a, b uint64, neg, ovr byte) {
 	width := uint64(v.bits)
 	mask := v.Mask()
 	words := v.words
-	bitPos := uint64(start+lo) * width
-	d := dst[lo:hi]
-	for i := range d {
+	bitPos := uint64(start) * width
+	keep := ^neg
+	for i := range dst {
 		w := bitPos >> 6
 		off := bitPos & 63
 		val := words[w] >> off
 		if off+width > 64 {
 			val |= words[w+1] << (64 - off)
 		}
-		_, borrow := bits.Sub64(t, val&mask, 0)
-		m := (byte(borrow) - 1) ^ neg
-		d[i] = (d[i] | ovr) & m
-		bitPos += width
-	}
-}
-
-// scalarCmpEQ is scalarCmpLE's equality twin: the zero test of value XOR t
-// folds to a mask through the sign bit of (d | -d). Same BCE shape as
-// scalarCmpLE.
-//
-//bipie:kernel
-//bipie:nobce
-func (v *Vector) scalarCmpEQ(dst []byte, lo, hi, start int, t uint64, neg, ovr byte) {
-	width := uint64(v.bits)
-	mask := v.Mask()
-	words := v.words
-	bitPos := uint64(start+lo) * width
-	d := dst[lo:hi]
-	for i := range d {
-		w := bitPos >> 6
-		off := bitPos & 63
-		val := words[w] >> off
-		if off+width > 64 {
-			val |= words[w+1] << (64 - off)
-		}
-		dd := val&mask ^ t
-		m := (byte((dd|-dd)>>63) - 1) ^ neg
-		d[i] = (d[i] | ovr) & m
+		_, borrow := bits.Sub64(a, val&mask^b, 0)
+		dst[i] = (dst[i] | ovr) & (byte(-borrow) ^ keep)
 		bitPos += width
 	}
 }

@@ -54,12 +54,12 @@ func randomVector(rng *rand.Rand, width uint8, n int) *Vector {
 	return MustPack(vals, width)
 }
 
-// TestPackedCmpSWAR pins the SWAR eligibility predicate: word-parallel
-// compare requires lanes that tile 64-bit words exactly and leave room for
-// the guard bit in a 2w superlane.
+// TestPackedCmpSWAR pins which widths have a word-parallel compare core:
+// those that tile a 64-bit word exactly and the three-word period family.
 func TestPackedCmpSWAR(t *testing.T) {
+	kernel := map[uint8]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true, 3: true, 6: true, 12: true, 24: true}
 	for w := uint8(1); w <= 64; w++ {
-		want := w <= 32 && 64%uint(w) == 0
+		want := kernel[w]
 		if got := PackedCmpSWAR(w); got != want {
 			t.Errorf("PackedCmpSWAR(%d) = %v, want %v", w, got, want)
 		}
@@ -115,12 +115,71 @@ func TestPackedCmpClustered(t *testing.T) {
 	}
 }
 
+// cmpEdgeThresholds are the thresholds around both ends of a width's
+// domain, mask+1 taking the clamp paths.
+func cmpEdgeThresholds(mask uint64) []uint64 {
+	return []uint64{0, 1, mask / 2, mask - 1, mask, mask + 1}
+}
+
+// checkPackedCmpSweep holds the kernels to compare-after-windowed-unpack at
+// one start, overwriting and ANDing into a non-trivial incoming mask: all
+// four ops at every edge threshold over 2×period+1 lanes (head, body and
+// tail), then kernel op at thr over the lengths 0 … 2×period+1 and
+// everything up to the end of the vector.
+func checkPackedCmpSweep(t *testing.T, rng *rand.Rand, v *Vector, start, op int, thr uint64) {
+	t.Helper()
+	rest := v.Len() - start
+	vals := make([]uint64, rest)
+	unpackWindowed(v, vals, start)
+	init := make([]byte, rest)
+	for i := range init {
+		init[i] = byte(-(rng.Uint64() & 1))
+	}
+	dst := make([]byte, rest)
+	check := func(op int, thr uint64, n int) {
+		for _, and := range []bool{false, true} {
+			copy(dst[:n], init)
+			packedCmpOps[op].run(v, dst[:n], start, thr, and)
+			for i, got := range dst[:n] {
+				want := byte(0)
+				if packedCmpOps[op].ref(vals[i], thr) && (!and || init[i] != 0) {
+					want = 0xFF
+				}
+				if got != want {
+					t.Fatalf("%s width=%d start=%d n=%d t=%d and=%v lane %d (val %d): got %#x want %#x",
+						packedCmpOps[op].name, v.Bits(), start, n, thr, and, i, vals[i], got, want)
+				}
+			}
+		}
+	}
+	span := min(2*periodLanes(v.Bits())+1, rest)
+	for _, edge := range cmpEdgeThresholds(v.Mask()) {
+		for o := range packedCmpOps {
+			check(o, edge, span)
+		}
+	}
+	for n := 0; n <= span; n++ {
+		check(op, thr, n)
+	}
+	check(op, thr, rest)
+}
+
+// FuzzPackedCmp checks one fuzzed kernel call against the Get oracle, then
+// sweeps a batch at the fuzzed start's residue (checkPackedCmpSweep); the
+// seeds cover every residue of every width 1–32, rotating the swept op and
+// threshold.
 func FuzzPackedCmp(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint16(0), uint16(100), uint64(50), uint8(0))
 	f.Add(uint64(2), uint8(8), uint16(63), uint16(4096), uint64(0), uint8(5))
 	f.Add(uint64(3), uint8(32), uint16(1), uint16(65), uint64(1<<31), uint8(2))
 	f.Add(uint64(4), uint8(64), uint16(9000), uint16(1), ^uint64(0), uint8(7))
 	f.Add(uint64(5), uint8(13), uint16(4095), uint16(8193), uint64(8191), uint8(3))
+	for width := uint8(1); width <= 32; width++ {
+		for r := 0; r < periodLanes(width); r++ {
+			edges := cmpEdgeThresholds(widthMask(width))
+			f.Add(uint64(width)<<8|uint64(r), width-1, uint16(r), uint16(4096), edges[r%len(edges)], uint8(r/len(edges)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, width uint8, start16, n16 uint16, thr uint64, mode uint8) {
 		width = width%64 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -136,13 +195,16 @@ func FuzzPackedCmp(f *testing.F) {
 		op := int(mode) % len(packedCmpOps)
 		and := mode&4 != 0
 		checkPackedCmp(t, rng, v, op, start, n, thr, and)
+		if width <= 32 {
+			checkPackedCmpSweep(t, rng, randomVector(rng, width, sweepRows), start%periodLanes(width), op, thr)
+		}
 	})
 }
 
 func TestPackedCmpAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dst := make([]byte, 4096)
-	for _, width := range []uint8{7, 8, 33} { // scalar-spanning, SWAR, wide fallback
+	for _, width := range []uint8{7, 8, 12, 24, 33} { // scalar-spanning, dividing, period family, wide fallback
 		v := randomVector(rng, width, 8192)
 		thr := widthMask(width) / 2
 		for _, op := range packedCmpOps {
@@ -162,7 +224,7 @@ func TestPackedCmpAllocFree(t *testing.T) {
 func BenchmarkPackedCmp(b *testing.B) {
 	rng := rand.New(rand.NewSource(74))
 	dst := make([]byte, 4096)
-	for _, width := range []uint8{4, 7, 8, 13, 16, 21, 32} {
+	for _, width := range []uint8{4, 6, 7, 8, 12, 13, 16, 21, 24, 32} {
 		v := randomVector(rng, width, 8192)
 		thr := widthMask(width) / 2
 		b.Run(fmt.Sprintf("bits%d/packed", width), func(b *testing.B) {

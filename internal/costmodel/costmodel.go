@@ -19,7 +19,6 @@ package costmodel
 
 import (
 	"fmt"
-	"sort"
 
 	"bipie/internal/agg"
 	"bipie/internal/bitpack"
@@ -100,46 +99,39 @@ func (p *Profile) kernel(name string) (float64, bool) {
 	return v, ok && v > 0
 }
 
-// kernelAt interpolates a per-width probe family (prefix "unpack" or
-// "packedcmp") at an unprobed width: linear between the nearest probed
-// widths, clamped at the ends. Returns ok=false on uncalibrated profiles.
+// kernelAt returns a per-width probe family's figure (prefix "unpack" or
+// "packedcmp") at a packed width. Up to denseProbeWidth every width is
+// probed, because each either has a word-parallel kernel or takes the
+// windowed loop and its neighbours say nothing about which: a profile
+// without the figure has no answer (ok=false, as on uncalibrated profiles)
+// rather than a guess. Above it one windowed loop serves every width and
+// an unprobed one is interpolated linearly between the nearest probed
+// widths, clamped at the ends.
 func (p *Profile) kernelAt(prefix string, width uint8) (float64, bool) {
-	if !p.calibrated() {
-		return 0, false
+	if v, ok := p.kernel(fmt.Sprintf("%s.w%d", prefix, width)); ok || width <= denseProbeWidth {
+		return v, ok
 	}
-	if v, ok := p.kernel(fmt.Sprintf("%s.w%d", prefix, width)); ok {
-		return v, true
-	}
-	// Collect the probed widths of this family once per call; probe sets
-	// are small (≲25 entries) and this path only runs at plan time.
-	type pt struct {
-		w uint8
-		v float64
-	}
-	var pts []pt
-	for _, w := range probeWidths {
-		if v, ok := p.kernel(fmt.Sprintf("%s.w%d", prefix, w)); ok {
-			pts = append(pts, pt{w, v})
+	// The nearest probed widths at or above denseProbeWidth on either side.
+	var loW, hiW uint8
+	var loV, hiV float64
+	for _, w := range probeWidths { // ascending
+		v, ok := p.kernel(fmt.Sprintf("%s.w%d", prefix, w))
+		if !ok || w < denseProbeWidth {
+			continue
 		}
-	}
-	if len(pts) == 0 {
-		return 0, false
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].w < pts[j].w })
-	if width <= pts[0].w {
-		return pts[0].v, true
-	}
-	if width >= pts[len(pts)-1].w {
-		return pts[len(pts)-1].v, true
-	}
-	for i := 1; i < len(pts); i++ {
-		if width <= pts[i].w {
-			lo, hi := pts[i-1], pts[i]
-			t := float64(width-lo.w) / float64(hi.w-lo.w)
-			return lo.v + t*(hi.v-lo.v), true
+		if w > width {
+			hiW, hiV = w, v
+			break
 		}
+		loW, loV = w, v
 	}
-	return pts[len(pts)-1].v, true
+	switch {
+	case loW == 0:
+		return hiV, hiW != 0
+	case hiW == 0:
+		return loV, true
+	}
+	return loV + float64(width-loW)/float64(hiW-loW)*(hiV-loV), true
 }
 
 // Static per-kernel figures: nominal cycles/row used only when a static

@@ -90,24 +90,56 @@ func TestKernelAtInterpolates(t *testing.T) {
 	p := &Profile{
 		Source: "test",
 		Kernels: map[string]float64{
-			"unpack.w8":  1.0,
-			"unpack.w16": 3.0,
+			"unpack.w8":  0.3,
+			"unpack.w16": 0.6,
+			"unpack.w40": 1.0,
+			"unpack.w56": 3.0,
 		},
 	}
-	v, ok := p.kernelAt("unpack", 12)
+	v, ok := p.kernelAt("unpack", 48)
 	if !ok || math.Abs(v-2.0) > 1e-9 {
-		t.Fatalf("interpolated w12 = %v ok=%v, want 2.0", v, ok)
+		t.Fatalf("interpolated w48 = %v ok=%v, want 2.0", v, ok)
 	}
 	// End clamping both ways.
-	if v, _ := p.kernelAt("unpack", 4); v != 1.0 {
+	if v, _ := p.kernelAt("unpack", 36); v != 1.0 {
 		t.Fatalf("below-range clamp = %v, want 1.0", v)
 	}
 	if v, _ := p.kernelAt("unpack", 64); v != 3.0 {
 		t.Fatalf("above-range clamp = %v, want 3.0", v)
 	}
 	// Exact hits bypass interpolation.
-	if v, _ := p.kernelAt("unpack", 16); v != 3.0 {
-		t.Fatalf("exact w16 = %v, want 3.0", v)
+	if v, _ := p.kernelAt("unpack", 56); v != 3.0 {
+		t.Fatalf("exact w56 = %v, want 3.0", v)
+	}
+	if v, _ := p.kernelAt("unpack", 16); v != 0.6 {
+		t.Fatalf("exact w16 = %v, want 0.6", v)
+	}
+	// In the dense range a kernel width's neighbours say nothing about an
+	// unprobed width: no answer, so the caller falls back to static.
+	if v, ok := p.kernelAt("unpack", 12); ok {
+		t.Fatalf("unprobed w12 answered %v from its neighbours", v)
+	}
+	if got := p.UnpackCyclesPerRow(12); got != staticUnpackPerRow {
+		t.Fatalf("UnpackCyclesPerRow(12) = %v, want the static %v", got, staticUnpackPerRow)
+	}
+	if _, ok := p.kernelAt("packedcmp", 48); ok {
+		t.Fatal("a family with no probes answered")
+	}
+}
+
+// TestProbeWidthsDense pins the probed width set: every width the packed
+// kernels distinguish, then the sparse tail, ascending as kernelAt needs.
+func TestProbeWidthsDense(t *testing.T) {
+	for i, w := range probeWidths {
+		if i > 0 && w <= probeWidths[i-1] {
+			t.Fatalf("probeWidths not ascending at %d: %v", i, probeWidths)
+		}
+		if i < denseProbeWidth && int(w) != i+1 {
+			t.Fatalf("probeWidths[%d] = %d, want every width to %d", i, w, denseProbeWidth)
+		}
+	}
+	if last := probeWidths[len(probeWidths)-1]; last != 64 {
+		t.Fatalf("probeWidths ends at %d, want 64", last)
 	}
 }
 

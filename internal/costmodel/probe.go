@@ -69,12 +69,22 @@ const (
 // and reports the median run.
 const probeMinTime = 120 * time.Microsecond
 
+// denseProbeWidth is the width up to which the unpack/packedcmp families
+// probe every packed width: bitpack has a word-parallel kernel for some of
+// them (1, 2, 3, 4, 6, 8, 12, 16, 24, 32) and the windowed loop for the
+// rest, a 3-4× step between neighbours that no interpolation survives.
+const denseProbeWidth = 32
+
 // probeWidths is the packed-width set the unpack/packedcmp families
-// measure directly; UnpackCyclesPerRow interpolates between them. Dense
-// through the SWAR-friendly low widths (including the measured w=16
-// anomaly and its neighbors), sparser above 32 where unpacking is a near
-// word copy.
-var probeWidths = []uint8{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 16, 17, 20, 24, 28, 32, 40, 48, 56, 64}
+// measure, ascending: every width to denseProbeWidth, then sparse, where
+// one windowed loop serves all widths and kernelAt interpolates.
+var probeWidths = func() []uint8 {
+	ws := make([]uint8, 0, denseProbeWidth+4)
+	for w := uint8(1); w <= denseProbeWidth; w++ {
+		ws = append(ws, w)
+	}
+	return append(ws, 40, 48, 56, 64)
+}()
 
 // cmpMaskWordSizes are the unpacked word sizes of the compare-mask,
 // compact, and gather probe families.

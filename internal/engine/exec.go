@@ -465,10 +465,11 @@ func (e *execState) processAll(b colstore.Batch, special bool) {
 	sp := e.plan
 	groups := e.groupBuf[:b.N]
 	t0 := e.traceStart()
-	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups)
+	var selVec sel.ByteVec
 	if special {
-		sel.ApplySpecialGroup(groups, e.selVec[:b.N], uint8(sp.special))
+		selVec = e.selVec[:b.N]
 	}
+	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, selVec, uint8(sp.special))
 	e.traceEnd(obs.PhaseGroupMap, t0, b.N)
 
 	// Run-summable slots aggregate on the encoded runs; their batches are
@@ -504,7 +505,7 @@ func (e *execState) processIndexed(b colstore.Batch, gather bool) {
 	vec := e.selVec[:b.N]
 	groups := e.groupBuf[:b.N]
 	t0 := e.traceStart()
-	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups)
+	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, nil, 0)
 	e.traceEnd(obs.PhaseGroupMap, t0, b.N)
 	t0 = e.traceStart()
 	k := sel.CompactU8(e.compGroups[:b.N], groups, vec)

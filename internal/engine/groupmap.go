@@ -114,26 +114,30 @@ func (m *groupMapper) groups() int { return m.numGroups }
 
 // mapBatch fills dst[0:n] with the combined group id of rows
 // [start, start+n), using the caller's scratch for intermediate vectors.
+// With a non-nil selVec, rows it rejects get the special group id instead
+// (paper §4.3), blended in the same pass that folds in the last column.
 //
 //bipie:kernel
-func (m *groupMapper) mapBatch(sc *mapScratch, start, n int, dst []uint8) {
+func (m *groupMapper) mapBatch(sc *mapScratch, start, n int, dst []uint8, selVec sel.ByteVec, special uint8) {
+	dst = dst[:n]
 	if len(m.cols) == 0 {
-		for i := 0; i < n; i++ {
+		for i := range dst {
 			dst[i] = 0
 		}
-		return
+	} else {
+		m.colIDs(sc, 0, start, n, dst)
 	}
-	m.colIDs(sc, 0, start, n, dst)
-	if len(m.cols) == 1 {
-		return
-	}
-	s := sc.ids[:n]
-	for c := 1; c < len(m.cols); c++ {
-		m.colIDs(sc, c, start, n, s)
-		card := uint8(m.cols[c].card)
-		for i := 0; i < n; i++ {
-			dst[i] = dst[i]*card + s[i]
+	last := len(m.cols) - 1
+	for c := 1; c <= last; c++ {
+		m.colIDs(sc, c, start, n, sc.ids)
+		blend := selVec
+		if c < last {
+			blend = nil
 		}
+		sel.CombineGroups(dst, sc.ids[:n], uint8(m.cols[c].card), blend, special)
+	}
+	if last < 1 && selVec != nil {
+		sel.ApplySpecialGroup(dst, selVec, special)
 	}
 }
 

@@ -44,7 +44,7 @@ type Directive struct {
 	// module root, slash-separated.
 	File string
 	// Func is the compiler's display name for the function:
-	// "(*Vector).unpackFast8" for pointer-receiver methods, "Type.Name"
+	// "(*Vector).scalarCmp" for pointer-receiver methods, "Type.Name"
 	// for value receivers, a bare name for functions.
 	Func string
 	// Arg is the noescape identifier; empty for the other kinds.

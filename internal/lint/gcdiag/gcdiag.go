@@ -23,7 +23,7 @@
 //	//bipie:inline
 //	    In a function's doc comment: the function must stay inlinable ("can
 //	    inline" in the -m stream). Helpers on kernel hot paths (putU64, the
-//	    spread* bit-spreaders, swarHead) lose their entire benefit if an
+//	    spread* bit-spreaders, laneCmp.le) lose their entire benefit if an
 //	    edit pushes them over the inline budget.
 //
 // Enforcement is zero-new, not zero-total: a checked-in baseline file

@@ -41,9 +41,18 @@ var laneShiftAmounts = map[int]bool{
 //     8-bit kernel — that is how 8-bit lanes widen into 16-bit
 //     accumulators — but an 8-bit-periodic mask in a 16-bit kernel is a
 //     copy-paste bug);
+//   - every run of ones in such a mask must lie inside one lane or cover
+//     whole lanes: the unpack kernels' spread steps legally use masks of
+//     twice their lane width (0x003F003F003F003F selects the low 6-bit
+//     field of every other byte), but a 16-bit spread's 0x0FFF0FFF0FFF0FFF
+//     pasted into the byte-lane spread leaves fields across byte
+//     boundaries;
 //   - constant shift distances with lane meaning (multiples of 8, or
 //     width-1 high-bit extractions) must be a multiple of the lane width or
-//     exactly width-1.
+//     exactly width-1 — unless the shifted value goes, through ORs only,
+//     into an AND with a mask literal: that is a spread step moving a field
+//     to its lane (c<<8&0x00FFFFFF00000000), and the mask, checked as
+//     above, says where it lands.
 //
 // Width-64 suffixes (CompactU64, putU64) have no sub-word lane structure
 // and are not checked.
@@ -125,6 +134,7 @@ func checkMaskDecls(pass *Pass, d *ast.GenDecl) {
 }
 
 func checkSWARBody(pass *Pass, fn *ast.FuncDecl, width int) {
+	masked := maskedShifts(pass, fn.Body)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -143,9 +153,11 @@ func checkSWARBody(pass *Pass, fn *ast.FuncDecl, width int) {
 			}
 			if p := bitPeriod(v); p < 64 && p%width != 0 {
 				pass.Reportf(n.Pos(), "mask %s has a %d-bit-periodic pattern, inconsistent with %d-bit lanes in %s", n.Value, p, width, fn.Name.Name)
+			} else if lo, hi, bad := straddlingRun(v, width); bad {
+				pass.Reportf(n.Pos(), "mask %s has a run of ones over bits [%d,%d) that straddles a %d-bit lane boundary in %s", n.Value, lo, hi, width, fn.Name.Name)
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.SHL || n.Op == token.SHR {
+			if (n.Op == token.SHL || n.Op == token.SHR) && !masked[n] {
 				checkShift(pass, fn, n.Y, width)
 			}
 		case *ast.AssignStmt:
@@ -171,6 +183,57 @@ func checkShift(pass *Pass, fn *ast.FuncDecl, amount ast.Expr, width int) {
 	if s%width != 0 && s != width-1 {
 		pass.Reportf(amount.Pos(), "shift by %d crosses %d-bit lane boundaries in %s (want a multiple of %d, or %d for the lane high bit)", s, width, fn.Name.Name, width, width-1)
 	}
+}
+
+// maskedShifts collects the shift expressions of body whose value reaches,
+// through ORs and parentheses only, an AND with a constant mask wider than
+// a byte: field moves whose landing place the mask pins.
+func maskedShifts(pass *Pass, body *ast.BlockStmt) map[*ast.BinaryExpr]bool {
+	masked := map[*ast.BinaryExpr]bool{}
+	var mark func(e ast.Expr)
+	mark = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			mark(e.X)
+		case *ast.BinaryExpr:
+			switch e.Op {
+			case token.OR:
+				mark(e.X)
+				mark(e.Y)
+			case token.SHL, token.SHR:
+				masked[e] = true
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if and, ok := n.(*ast.BinaryExpr); ok && and.Op == token.AND {
+			if v, ok := constUint64(pass, and.Y); ok && v > 0xFF {
+				mark(and.X)
+			} else if v, ok := constUint64(pass, and.X); ok && v > 0xFF {
+				mark(and.Y)
+			}
+		}
+		return true
+	})
+	return masked
+}
+
+// straddlingRun finds a maximal run of ones [lo, hi) in v that neither lies
+// inside one width-bit lane nor covers whole lanes.
+func straddlingRun(v uint64, width int) (lo, hi int, bad bool) {
+	for lo < 64 {
+		if v>>lo&1 == 0 {
+			lo++
+			continue
+		}
+		for hi = lo; hi < 64 && v>>hi&1 == 1; hi++ {
+		}
+		if lo/width != (hi-1)/width && (lo%width != 0 || hi%width != 0) {
+			return lo, hi, true
+		}
+		lo = hi
+	}
+	return 0, 0, false
 }
 
 // constUint64 evaluates e as a constant uint64 if possible.

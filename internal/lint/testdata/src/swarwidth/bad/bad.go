@@ -33,3 +33,9 @@ func Add16(x, y uint64) uint64 {
 func Spread16(x uint64) uint64 {
 	return (x << 24) | (x >> 16) // want `shift by 24 crosses 16-bit lane boundaries`
 }
+
+// Spread8 was pasted from the 16-bit spread: its last mask keeps 12-bit
+// fields, which run across byte-lane boundaries.
+func Spread8(t uint64) uint64 {
+	return t&0x003F003F003F003F | t<<2&0x0FFF0FFF0FFF0FFF // want `run of ones over bits \[0,12\) that straddles a 8-bit lane boundary`
+}

@@ -79,3 +79,50 @@ func TimedSum16(vals []uint64, t0 int64, phaseID8 uint8) uint64 {
 	_ = phaseID8
 	return s
 }
+
+// Spread32, Spread16 and Spread8 mirror bitpack's three-word period chain:
+// each step moves the upper field of every lane pair into its own lane.
+// The step's masks repeat every two lanes and its shift crosses a lane
+// boundary by design; the mask says where the field lands, so neither is
+// flagged.
+func Spread32(c uint64) uint64 {
+	return c&0x0000000000FFFFFF | c<<8&0x00FFFFFF00000000
+}
+
+func Spread16(c uint64) uint64 {
+	t := Spread32(c)
+	return t&0x00000FFF00000FFF | t<<4&0x0FFF00000FFF0000
+}
+
+func Spread8(c uint64) uint64 {
+	t := Spread16(c)
+	return t&0x003F003F003F003F | t<<2&0x3F003F003F003F00
+}
+
+// SpreadNibbles8 reaches its mask through an OR: still a masked field move,
+// and runs that cover whole byte lanes are consistent with byte lanes.
+func SpreadNibbles8(x uint32) uint64 {
+	t := uint64(x)
+	t = (t | t<<16) & 0x0000FFFF0000FFFF
+	t = (t | t<<8) & 0x00FF00FF00FF00FF
+	return (t | t<<4) & 0x0F0F0F0F0F0F0F0F
+}
+
+// UnpackPeriod8 is a three-word period body: the constant cross-word
+// shifts that cut 192 bits into 48-bit chunks are whole bytes and must not
+// be flagged, in byte or in 16-bit lanes.
+func UnpackPeriod8(dst []uint64, w0, w1, w2 uint64) {
+	_ = dst[3]
+	dst[0] = Spread8(w0)
+	dst[1] = Spread8(w0>>48 | w1<<16)
+	dst[2] = Spread8(w1>>32 | w2<<32)
+	dst[3] = Spread8(w2 >> 16)
+}
+
+func UnpackPeriod16(dst []uint64, w0, w1, w2 uint64) {
+	_ = dst[3]
+	dst[0] = Spread16(w0)
+	dst[1] = Spread16(w0>>48 | w1<<16)
+	dst[2] = Spread16(w1>>32 | w2<<32)
+	dst[3] = Spread16(w2 >> 16)
+}

@@ -286,6 +286,65 @@ func TestApplySpecialGroup(t *testing.T) {
 	ApplySpecialGroup(nil, nil, 4)
 }
 
+// TestCombineGroups holds the word-wide combine and blend byte-identical to
+// the byte loop: every pair of cardinalities whose product fits the id
+// space (up to 255 groups beside the special one), lengths around the
+// eight-row word, combine alone, blend alone and both fused, and every
+// special id.
+func TestCombineGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(182))
+	const maxN = 41
+	g, ids, mask := make([]uint8, maxN), make([]uint8, maxN), NewByteVec(maxN)
+	got, want := make([]uint8, maxN), make([]uint8, maxN)
+	check := func(cardA, cardB int, special uint8) {
+		t.Helper()
+		for i := range g {
+			g[i], ids[i] = uint8(rng.Intn(cardA)), uint8(rng.Intn(cardB))
+			mask[i] = uint8(-(rng.Intn(2)))
+		}
+		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 40, maxN} {
+			for mode := 0; mode < 3; mode++ { // combine, blend, both
+				useIDs, useSel := ids[:n], mask[:n]
+				if mode == 1 {
+					useIDs = nil
+				}
+				if mode == 0 {
+					useSel = nil
+				}
+				for i := 0; i < n; i++ {
+					w := g[i]
+					if useIDs != nil {
+						w = w*uint8(cardB) + ids[i]
+					}
+					if useSel != nil && mask[i] == 0 {
+						w = special
+					}
+					want[i] = w
+				}
+				copy(got, g)
+				CombineGroups(got[:n], useIDs, uint8(cardB), useSel, special)
+				if !reflect.DeepEqual(got[:n], want[:n]) {
+					t.Fatalf("cards %d×%d special %d n %d mode %d:\n got %v\nwant %v", cardA, cardB, special, n, mode, got[:n], want[:n])
+				}
+				if !reflect.DeepEqual(got[n:], g[n:]) {
+					t.Fatalf("cards %d×%d n %d mode %d: wrote past n", cardA, cardB, n, mode)
+				}
+			}
+		}
+	}
+	for cardA := 1; cardA <= 255; cardA++ {
+		for cardB := 1; cardA*cardB <= 255; cardB++ {
+			check(cardA, cardB, uint8(cardA*cardB))
+		}
+	}
+	for special := 0; special <= 255; special++ {
+		check(1+special%15, 1+special%17, uint8(special))
+	}
+	if n := testing.AllocsPerRun(20, func() { CombineGroups(got, ids, 3, mask, 9) }); n != 0 {
+		t.Errorf("CombineGroups allocates %v times per call", n)
+	}
+}
+
 func TestApplySpecialGroupAllAndNone(t *testing.T) {
 	groups := []uint8{5, 6, 7}
 	ApplySpecialGroup(groups, ByteVec{0xFF, 0xFF, 0xFF}, 9)

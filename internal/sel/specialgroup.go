@@ -1,5 +1,7 @@
 package sel
 
+import "encoding/binary"
+
 // Selection by Special Group Assignment (paper §4.3) fuses filtering into
 // grouping: instead of removing rejected rows, every rejected row is
 // assigned one extra, otherwise-unused group id. The aggregation strategy
@@ -13,21 +15,51 @@ package sel
 const MaxGroups = 256
 
 // ApplySpecialGroup rewrites the group id map in place: positions where sel
-// is zero get the special group id. groups and sel must have equal length
+// is zero get the special group id. groups must be at least as long as sel
 // and special must fit in a byte, which bounds usable groups at
 // MaxGroups-1 when a filter is fused this way.
 //
-// The rewrite is branch-free: out = (g AND sel) OR (special AND NOT sel),
-// exactly the blend a SIMD implementation performs with the 0x00/0xFF mask.
+//bipie:kernel
+func ApplySpecialGroup(groups []uint8, sel ByteVec, special uint8) {
+	CombineGroups(groups[:len(sel)], nil, 0, sel, special)
+}
+
+// CombineGroups is the group mapper's one pass over the group id map,
+// eight rows per 64-bit word. With ids it folds one more group-by column
+// into the map, groups[i] = groups[i]*card + ids[i]: every combined id fits
+// a byte, so no lane of the word-wide multiply-add carries into the next.
+// With sel it then assigns the special group to the rejected rows, the
+// branch-free blend out = (g AND sel) OR (special AND NOT sel) a SIMD
+// implementation performs with the 0x00/0xFF mask. ids and sel are each nil
+// or as long as groups.
 //
-// The one g := groups[:len(sel)] reslice check is all that survives
-// prove; the blend loop itself is bounds-check-free.
+// The moving slices pin every word access to a length test (which doubles
+// as the nil test), so neither loop keeps a bounds check.
 //
 //bipie:kernel
 //bipie:nobce
-func ApplySpecialGroup(groups []uint8, sel ByteVec, special uint8) {
-	g := groups[:len(sel)]
-	for i, m := range sel {
-		g[i] = g[i]&m | special&^m
+func CombineGroups(groups, ids []uint8, card uint8, sel ByteVec, special uint8) {
+	c, sp := uint64(card), 0x0101010101010101*uint64(special)
+	for ; len(groups) >= 8; groups = groups[8:] {
+		x := binary.LittleEndian.Uint64(groups)
+		if len(ids) >= 8 {
+			x = x*c + binary.LittleEndian.Uint64(ids)
+			ids = ids[8:]
+		}
+		if len(sel) >= 8 {
+			m := binary.LittleEndian.Uint64(sel)
+			x = x&m | sp&^m
+			sel = sel[8:]
+		}
+		binary.LittleEndian.PutUint64(groups, x)
+	}
+	for i, g := range groups {
+		if i < len(ids) {
+			g = g*card + ids[i]
+		}
+		if i < len(sel) {
+			g = g&sel[i] | special&^sel[i]
+		}
+		groups[i] = g
 	}
 }
