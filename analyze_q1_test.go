@@ -73,12 +73,12 @@ func TestExplainAnalyzeQ1Coverage(t *testing.T) {
 func TestExplainAnalyzeQ1Golden(t *testing.T) {
 	// The golden pins the report's *shape*, so the strategy column must not
 	// depend on what this machine's calibration happens to measure (race
-	// instrumentation alone can flip a close Scalar/Sort call): run it
+	// instrumentation alone can flip a close call between two strategies): run it
 	// under the deterministic static profile.
 	rep := analyzeQ1(t, bipie.Options{CostProfile: bipie.StaticCostModel()})
 	got := normalizeReport(rep.Format())
 	want := normalizeReport(`segment  rows     groups  special  strategy  model  sumwords   pushed  packed  residual  runsums  domains
-0        524288  6  true  Scalar  8.5  1,4,4,8,1  1  1  false  0  packed
+0        524288  6  true  Multi  4.8  1,4,4,8,1  1  1  false  0  packed
 
 rows:     524288 scanned, 515000 selected (98.2%)
 wall:     8ms over 1 unit(s) — 30.0 cycles/row at 2.1 GHz
@@ -89,15 +89,15 @@ phases (cycles/row over scanned rows):
   decode     10.0  33.0%  (128 calls)
   selection  0.3   0.5%  (128 calls)
   group-map  3.5   6.0%  (128 calls)
-  aggregate  9.0   30.0%  (260 calls)
+  aggregate  6.0   35.0%  (260 calls)
   merge      0.0   0.0%  (2 calls)
   traced total  30.0  99.0% of measured
 strategies (aggregate phase, cycles/row):
-  Scalar  assumed 8.5  measured 4.5  over 524288 rows in 1 unit(s)
+  Multi  assumed 4.8  measured 6.0  over 524288 rows in 1 unit(s)
 model (cycles per phase-touched row):
   encoded-filter  predicted 1.0  measured 1.1  error 10.0%
   decode          predicted 9.0  measured 10.0  error 10.0%
-  aggregate       predicted 8.5  measured 4.5  error 88.0%
+  aggregate       predicted 4.8  measured 6.0  error 18.0%
 spans:    1770 captured, 0 dropped
 `)
 	if got != want {

@@ -141,13 +141,13 @@ func printTable3() {
 
 func printTable4(rows int) {
 	fmt.Println("== Table 4: Multi-Aggregate SUM (cycles/row/sum), 32 groups ==")
-	fmt.Printf("%-16s %-6s %-12s %-12s\n", "sizes (bytes)", "sums", "this repo", "paper")
+	fmt.Printf("%-16s %-6s %-10s %-12s %-12s\n", "sizes (bytes)", "sums", "row words", "this repo", "paper")
 	for _, r := range bench.Table4(rows) {
 		sizes := make([]string, len(r.Sizes))
 		for i, s := range r.Sizes {
 			sizes[i] = fmt.Sprint(s)
 		}
-		fmt.Printf("%-16s %-6d %-12.2f %-12.2f\n", strings.Join(sizes, "-"), len(r.Sizes), r.CyclesPerRowSum, r.PaperCycles)
+		fmt.Printf("%-16s %-6d %-10d %-12.2f %-12.2f\n", strings.Join(sizes, "-"), len(r.Sizes), r.RowWords, r.CyclesPerRowSum, r.PaperCycles)
 	}
 	fmt.Println()
 }

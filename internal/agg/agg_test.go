@@ -406,15 +406,99 @@ func TestSortBasedPrepareReuse(t *testing.T) {
 	}
 }
 
+// runMulti accumulates one batch through a fresh MultiAgg and returns its
+// counts and sums.
+func runMulti(t *testing.T, numGroups, skip int, ws []int, groups []uint8, cols []*bitpack.Unpacked) ([]int64, [][]int64) {
+	t.Helper()
+	m, err := NewMultiAgg(numGroups, skip, ws)
+	if err != nil {
+		t.Fatalf("layout %v rejected: %v", ws, err)
+	}
+	m.Accumulate(groups, cols)
+	sums := make([][]int64, len(ws))
+	for c := range sums {
+		sums[c] = make([]int64, numGroups)
+	}
+	m.AddSums(sums)
+	counts := make([]int64, numGroups)
+	m.AddCounts(counts)
+	return counts, sums
+}
+
+// oldMultiFits is the admission rule of the 256-bit register row the
+// carrier layout replaced: 4- and 8-byte inputs took a word, narrower ones
+// half a word, four words in all.
+func oldMultiFits(ws []int) bool {
+	words, halves := 0, 0
+	for _, w := range ws {
+		if w >= 4 {
+			words++
+		} else {
+			halves++
+		}
+	}
+	return len(ws) > 0 && words+(halves+1)/2 <= 4
+}
+
 func TestMultiAggLayouts(t *testing.T) {
-	// The paper's Table 4 size mixes (in bytes) plus edge layouts.
+	// The paper's Table 4 size mixes (in bytes), the benchmark ladder's and
+	// Q1's shapes, edge layouts — and every list the old rule accepted, as
+	// multisets in two slot orders.
 	layouts := [][]int{
 		{8, 2}, {8, 4, 1}, {8, 8, 4, 2}, {8, 4, 4, 2, 2}, {4, 4, 2, 2, 2},
-		{1}, {2}, {4}, {8}, {1, 1}, {1, 1, 1, 1, 1, 1, 1, 1},
+		{4, 4, 4, 4}, {1, 4, 4, 8, 1}, {1, 4, 1}, {8, 8, 8, 8},
+		{1}, {2}, {4}, {8}, {1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2, 2, 2},
 	}
+	sizes := []int{1, 2, 4, 8}
+	var enum func(from int, ws []int)
+	enum = func(from int, ws []int) {
+		if len(ws) > 0 {
+			if !oldMultiFits(ws) {
+				return
+			}
+			up := append([]int(nil), ws...)
+			down := make([]int, len(ws))
+			for i, w := range ws {
+				down[len(ws)-1-i] = w
+			}
+			layouts = append(layouts, up, down)
+		}
+		for k := from; k < len(sizes); k++ {
+			enum(k, append(ws, sizes[k]))
+		}
+	}
+	enum(0, nil)
+
 	rng := rand.New(rand.NewSource(39))
 	for _, ws := range layouts {
-		n := 5000
+		l, err := NewMultiLayout(7, -1, ws)
+		if err != nil {
+			t.Fatalf("layout %v rejected: %v", ws, err)
+		}
+		// The no-carry guard: every narrow field is its lane plus fieldSpare
+		// bits, fields of one word are disjoint, and word 0's stay under the
+		// count. swarwidth cannot see these shifts (they are plan-time
+		// values, not constants in a width-named kernel), so this is it.
+		var used [maxRowWords]uint64
+		used[0] = (1<<countBits - 1) << countShift
+		for c, s := range l.slots {
+			if s.word >= l.RowWords() {
+				t.Fatalf("layout %v: slot %d in word %d of %d", ws, c, s.word, l.RowWords())
+			}
+			if ws[c] < 4 && s.bits < uint(8*ws[c]+16) {
+				t.Fatalf("layout %v: slot %d has %d bits for a %d-byte lane", ws, c, s.bits, ws[c])
+			}
+			if ws[c] >= 4 && (s.bits != 64 || s.shift != 0 || s.word < l.ncarrier) {
+				t.Fatalf("layout %v: wide slot %d does not own a word: %+v", ws, c, s)
+			}
+			field := (uint64(1)<<s.bits - 1) << s.shift
+			if s.shift+s.bits > 64 || used[s.word]&field != 0 {
+				t.Fatalf("layout %v: slot %d overlaps: %+v", ws, c, s)
+			}
+			used[s.word] |= field
+		}
+
+		n := 300 + rng.Intn(2*tileRows)
 		groups := make([]uint8, n)
 		for i := range groups {
 			groups[i] = uint8(rng.Intn(7))
@@ -422,7 +506,7 @@ func TestMultiAggLayouts(t *testing.T) {
 		raw := make([][]uint64, len(ws))
 		cols := make([]*bitpack.Unpacked, len(ws))
 		for c, w := range ws {
-			width := uint8(w*8 - 1)
+			width := uint8(w * 8)
 			if w == 8 {
 				width = 40 // keep 8-byte sums comfortably inside int64
 			}
@@ -433,58 +517,81 @@ func TestMultiAggLayouts(t *testing.T) {
 			}
 			cols[c] = bitpack.MustPack(raw[c], width).UnpackSmallest(nil, 0, n)
 		}
-		_, want := refAgg(groups, raw, 7)
-		m, err := NewMultiAgg(7, -1, ws)
-		if err != nil {
-			t.Fatalf("layout %v rejected: %v", ws, err)
-		}
-		m.Accumulate(groups, cols)
-		got := make([][]int64, len(ws))
-		for c := range got {
-			got[c] = make([]int64, 7)
-		}
-		m.AddSums(got)
+		wantCounts, want := refAgg(groups, raw, 7)
+		gotCounts, got := runMulti(t, 7, -1, ws, groups, cols)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("layout %v mismatch", ws)
+			t.Fatalf("layout %v sums mismatch", ws)
+		}
+		if !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Fatalf("layout %v counts %v want %v", ws, gotCounts, wantCounts)
 		}
 	}
 }
 
 func TestMultiAggRejectsOverflowingRow(t *testing.T) {
-	// Five 8-byte slots cannot fit a 256-bit row.
+	// Five 8-byte slots plus the carrier are six words.
 	if _, err := NewMultiAgg(4, -1, []int{8, 8, 8, 8, 8}); err == nil {
 		t.Fatal("expected row-overflow error")
 	}
-	// Nine 1-byte slots → 9 halves → 5 words > 4.
-	if _, err := NewMultiAgg(4, -1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}); err == nil {
-		t.Fatal("expected row-overflow error for nine halves")
+	// Eleven 1-byte fields: two beside the count, then two a word → six.
+	if _, err := NewMultiAgg(4, -1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}); err == nil {
+		t.Fatal("expected row-overflow error for eleven byte fields")
 	}
-	// Four 8-byte slots exactly fill the row.
+	// Four 8-byte slots and the count-only carrier exactly fill the row.
 	if _, err := NewMultiAgg(4, -1, []int{8, 8, 8, 8}); err != nil {
 		t.Fatal("four wide slots should fit")
+	}
+	if multiFits([]int{8, 8, 8, 8, 8}) || !multiFits([]int{8, 8, 8, 8}) || multiFits(nil) {
+		t.Fatal("multiFits disagrees with the layout")
 	}
 }
 
 func TestMultiAggFlushBoundary(t *testing.T) {
-	// Push 2-byte max values past the 65535-row flush boundary; any missed
-	// flush overflows a 32-bit slot and corrupts its word neighbor.
+	// Push lane maxima past the 65535-row flush boundary; any missed flush
+	// overflows a field and corrupts its word neighbor. Once as one batch,
+	// where the boundary falls inside a tile, and once a row at a time, where
+	// it falls between two Accumulate calls.
 	n := 70000
 	groups := make([]uint8, n)
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = 65535
+	ws := []int{1, 2, 1}
+	cols := make([]*bitpack.Unpacked, len(ws))
+	for c, w := range ws {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = 1<<(8*w) - 1
+		}
+		cols[c] = bitpack.MustPack(vals, uint8(8*w)).UnpackSmallest(nil, 0, n)
 	}
-	cols := []*bitpack.Unpacked{bitpack.MustPack(vals, 16).UnpackSmallest(nil, 0, n)}
-	m, err := NewMultiAgg(1, -1, []int{2})
+	check := func(how string, m *MultiAgg) {
+		t.Helper()
+		got := [][]int64{make([]int64, 1), make([]int64, 1), make([]int64, 1)}
+		counts := make([]int64, 1)
+		m.AddSums(got)
+		m.AddCounts(counts)
+		for c, w := range ws {
+			if want := int64(n) * (1<<(8*w) - 1); got[c][0] != want {
+				t.Fatalf("%s: flush boundary: sum %d = %d want %d", how, c, got[c][0], want)
+			}
+		}
+		if counts[0] != int64(n) {
+			t.Fatalf("%s: flush boundary: count %d want %d", how, counts[0], n)
+		}
+	}
+	m, err := NewMultiAgg(1, -1, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Accumulate(groups, cols)
-	got := [][]int64{make([]int64, 1)}
-	m.AddSums(got)
-	if got[0][0] != int64(n)*65535 {
-		t.Fatalf("flush boundary: %d want %d", got[0][0], int64(n)*65535)
+	check("one batch", m)
+
+	one := make([]*bitpack.Unpacked, len(ws))
+	for c, w := range ws {
+		one[c] = bitpack.MustPack([]uint64{1<<(8*w) - 1}, uint8(8*w)).UnpackSmallest(nil, 0, 1)
 	}
+	for i := 0; i < n; i++ {
+		m.Accumulate(groups[:1], one)
+	}
+	check("row at a time", m)
 }
 
 func TestMultiAggExplicitFlush(t *testing.T) {
@@ -520,29 +627,30 @@ func TestMultiAggExplicitFlush(t *testing.T) {
 }
 
 func TestMultiAggPairedHalvesIsolation(t *testing.T) {
-	// Two 2-byte columns share one accumulator word; max values in one
-	// must never bleed into the other.
-	n := 60000
+	// Fields that share a carrier word — two byte fields under the count in
+	// word 0, two 2-byte fields in word 1 — must never bleed into each other
+	// or into the count, with one of each pair at its lane maximum for more
+	// than a whole flush interval.
+	n := maxRowsBetweenFlushes + 5000
 	groups := make([]uint8, n)
-	hi := make([]uint64, n)
-	lo := make([]uint64, n)
-	for i := range hi {
-		hi[i] = 65535
-		lo[i] = 0
+	ws := []int{2, 1, 2, 1, 2}
+	top := []uint64{65535, 255, 0, 0, 65535}
+	cols := make([]*bitpack.Unpacked, len(ws))
+	for c, w := range ws {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = top[c]
+		}
+		cols[c] = bitpack.MustPack(vals, uint8(8*w)).UnpackSmallest(nil, 0, n)
 	}
-	cols := []*bitpack.Unpacked{
-		bitpack.MustPack(hi, 16).UnpackSmallest(nil, 0, n),
-		bitpack.MustPack(lo, 16).UnpackSmallest(nil, 0, n),
+	counts, got := runMulti(t, 1, -1, ws, groups, cols)
+	for c := range ws {
+		if got[c][0] != int64(n)*int64(top[c]) {
+			t.Fatalf("fields bled: %v", got)
+		}
 	}
-	m, err := NewMultiAgg(1, -1, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Accumulate(groups, cols)
-	got := [][]int64{make([]int64, 1), make([]int64, 1)}
-	m.AddSums(got)
-	if got[0][0] != int64(n)*65535 || got[1][0] != 0 {
-		t.Fatalf("halves bled: %v", got)
+	if counts[0] != int64(n) {
+		t.Fatalf("count %d want %d", counts[0], n)
 	}
 }
 
@@ -577,13 +685,24 @@ func TestMultiAggSpecialGroup(t *testing.T) {
 }
 
 func TestMultiAggRowWords(t *testing.T) {
-	m, _ := NewMultiAgg(1, -1, []int{8, 2})
-	if m.RowWords() != 2 {
-		t.Fatalf("8-2 layout rows=%d", m.RowWords())
-	}
-	m, _ = NewMultiAgg(1, -1, []int{2, 2})
-	if m.RowWords() != 1 {
-		t.Fatalf("2-2 layout rows=%d", m.RowWords())
+	for _, tc := range []struct {
+		ws    []int
+		words int
+	}{
+		{[]int{8, 2}, 2},          // carrier {count, 2-byte field} + one value word
+		{[]int{1, 1}, 1},          // both byte fields ride under the count
+		{[]int{2, 2}, 2},          // the second 2-byte field opens a carrier word
+		{[]int{1, 4, 4, 8, 1}, 4}, // Q1
+		{[]int{4, 4, 4, 4}, 5},    // a count-only carrier plus four value words
+		{[]int{2, 2, 2, 2, 2, 2, 2, 2}, 5},
+	} {
+		m, err := NewMultiAgg(1, -1, tc.ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.RowWords() != tc.words {
+			t.Fatalf("%v layout rows=%d want %d", tc.ws, m.RowWords(), tc.words)
+		}
 	}
 }
 
@@ -598,15 +717,24 @@ func TestStrategyChoose(t *testing.T) {
 	if got := Choose(p, nil); got != StrategyInRegister {
 		t.Errorf("2g/1B/1sum: %v", got)
 	}
-	// Count-only with two groups → in-register.
+	// Count-only: every strategy's estimate is the COUNT pass alone, and the
+	// tie stays with scalar (the engine picks the count kernel by domain).
 	p = Params{Groups: 2, Sums: 0, MaxWordSize: 1, Selectivity: 1}
-	if got := Choose(p, nil); got != StrategyInRegister {
+	if got := Choose(p, nil); got != StrategyScalar {
 		t.Errorf("count-only 2g: %v", got)
 	}
-	// Larger group domains → the specialized scalar row loop wins on SWAR.
+	// Larger group domains → one walk with the count in the carrier beats
+	// the scalar row loop plus its COUNT pass.
 	p = Params{Groups: 32, Sums: 2, MaxWordSize: 4, WordSizes: []int{4, 4}, Selectivity: 1}
-	if got := Choose(p, nil); got != StrategyScalar {
+	if got := Choose(p, nil); got != StrategyMultiAggregate {
 		t.Errorf("32g/4B: %v", got)
+	}
+	// Q1's five inputs, and the serving mix's three.
+	for _, ws := range [][]int{{1, 4, 4, 8, 1}, {1, 4, 1}} {
+		p = Params{Groups: 7, Sums: len(ws), MaxWordSize: 8, WordSizes: ws, Selectivity: 1}
+		if got := Choose(p, nil); got != StrategyMultiAggregate {
+			t.Errorf("7g/%v: %v", ws, got)
+		}
 	}
 	// In-register is never chosen where it is unsupported.
 	p = Params{Groups: 64, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}, Selectivity: 1}
@@ -638,14 +766,28 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestEstimateCostShapes(t *testing.T) {
-	// In-register cost grows linearly with groups.
+	// In-register cost grows linearly with groups (both domains are past
+	// in-register counting, so the COUNT term is the same flat one).
 	p := Params{Sums: 1, MaxWordSize: 1}
 	p.Groups = 4
 	c4 := EstimateCost(StrategyInRegister, p, nil)
 	p.Groups = 32
 	c32 := EstimateCost(StrategyInRegister, p, nil)
-	if c32 <= c4*6 {
-		t.Errorf("in-register not ~linear in groups: %v vs %v", c4, c32)
+	if perGroup := (c32 - c4) / 28; perGroup < 0.99*staticCost.InRegPerGroup1 || perGroup > 1.01*staticCost.InRegPerGroup1 {
+		t.Errorf("in-register not linear in groups: %v vs %v", c4, c32)
+	}
+	// The strategies that count in their own pass carry no COUNT term; the
+	// others carry the kernel the engine runs for the domain.
+	p = Params{Groups: 2, Sums: 0}
+	if got, want := EstimateCost(StrategyScalar, p, nil), 2*staticCost.CountInRegPerGroup; got != want {
+		t.Errorf("count-only scalar at 2 groups = %v, want %v", got, want)
+	}
+	p.Groups = 7
+	if got := EstimateCost(StrategyInRegister, Params{Groups: 7, Sums: 0, MaxWordSize: 1}, nil); got != staticCost.CountScalar {
+		t.Errorf("count-only in-register at 7 groups = %v, want %v", got, staticCost.CountScalar)
+	}
+	if got := EstimateCost(StrategyMultiAggregate, p, nil); got != staticCost.MultiFixed {
+		t.Errorf("count-only multi = %v, want the walk alone %v", got, staticCost.MultiFixed)
 	}
 	// Multi-aggregate per-sum cost falls with more sums.
 	p = Params{Groups: 32, MaxWordSize: 4}

@@ -22,8 +22,8 @@ func TestMultiLayoutStateReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMultiLayout: %v", err)
 	}
-	if got := layout.RowWords(); got < 1 || got > regWords {
-		t.Fatalf("RowWords = %d, want within [1, %d]", got, regWords)
+	if got := layout.RowWords(); got < 1 || got > maxRowWords {
+		t.Fatalf("RowWords = %d, want within [1, %d]", got, maxRowWords)
 	}
 
 	run := func(m *MultiAgg) [][]int64 {
@@ -53,17 +53,17 @@ func TestMultiLayoutStateReuse(t *testing.T) {
 	}
 }
 
-// TestNewMultiLayoutRejectsOverflow checks the 256-bit row bound is
+// TestNewMultiLayoutRejectsOverflow checks the accumulator-row bound is
 // enforced at layout (plan) time, before any accumulator exists.
 func TestNewMultiLayoutRejectsOverflow(t *testing.T) {
 	if _, err := NewMultiLayout(4, -1, []int{8, 8, 8, 8, 8}); err == nil {
-		t.Fatal("five 64-bit slots fit a 256-bit row?")
+		t.Fatal("five 64-bit slots and a carrier fit a five-word row?")
 	}
 	if _, err := NewMultiLayout(4, -1, []int{8, 8, 8, 8}); err != nil {
 		t.Fatalf("four 64-bit slots rejected: %v", err)
 	}
 	if _, err := NewMultiLayout(4, -1, []int{1, 2, 1, 2, 1, 2, 1, 2}); err != nil {
-		t.Fatalf("eight 32-bit slots rejected: %v", err)
+		t.Fatalf("eight narrow fields rejected: %v", err)
 	}
 }
 

@@ -18,8 +18,9 @@ const (
 	// StrategyInRegister keeps per-group accumulators in register lanes
 	// (§5.3); best for few groups and narrow values.
 	StrategyInRegister
-	// StrategyMultiAggregate packs all sums of one row into a register row
-	// (§5.4); best for many aggregates, insensitive to width and groups.
+	// StrategyMultiAggregate adds all sums of one row, and its count, to one
+	// accumulator row per group in a single pass (§5.4); best for many
+	// aggregates, insensitive to width and groups.
 	StrategyMultiAggregate
 )
 
@@ -81,8 +82,8 @@ type CostProfile struct {
 	// ~20 cycles/row at 1 sum, ~15/sum at 4).
 	SortFixed  float64 `json:"sort_fixed"`
 	SortPerSum float64 `json:"sort_per_sum"`
-	// MultiFixed and MultiPerSum model transpose plus one load-add-store
-	// per row word (Table 4 measured: 8.6 total at 2 sums, 14 at 5).
+	// MultiFixed and MultiPerSum model the walk over the group ids with its
+	// carrier word, row count included, plus one load-add-store per sum.
 	MultiFixed  float64 `json:"multi_fixed"`
 	MultiPerSum float64 `json:"multi_per_sum"`
 	// ScalarPerSum is the specialized row-at-a-time update cost
@@ -92,7 +93,19 @@ type CostProfile struct {
 	// probe existed) means ScalarPerSum.
 	ScalarPerSum      float64 `json:"scalar_per_sum"`
 	ScalarMixedPerSum float64 `json:"scalar_mixed_per_sum"`
+	// CountScalar and CountInRegPerGroup price the separate COUNT(*) pass the
+	// scalar and in-register strategies run beside their sums: the
+	// two-array scalar count, flat in groups, or in-register counting per
+	// group up to InRegisterCountMaxGroups. Sort-based and multi-aggregate
+	// count inside their own pass.
+	CountScalar        float64 `json:"count_scalar"`
+	CountInRegPerGroup float64 `json:"count_in_reg_per_group"`
 }
+
+// InRegisterCountMaxGroups is the domain size up to which in-register
+// counting beats the multi-array scalar count on SWAR lanes (see
+// cmd/bipie-bench fig2 and fig5).
+const InRegisterCountMaxGroups = 3
 
 // StaticCost returns the hand-fit constants the chooser used before
 // machine calibration existed — kept as the deterministic fallback and the
@@ -104,11 +117,14 @@ func StaticCost() CostProfile {
 		InRegPerGroup4: 1.98,
 		SortFixed:      7,
 		SortPerSum:     13,
-		MultiFixed:     5.1,
-		MultiPerSum:    1.8,
+		MultiFixed:     1.3,
+		MultiPerSum:    0.7,
 		ScalarPerSum:   1.7,
 
 		ScalarMixedPerSum: 1.7,
+
+		CountScalar:        1.1,
+		CountInRegPerGroup: 0.5,
 	}
 }
 
@@ -140,37 +156,44 @@ func (cp *CostProfile) InRegPerGroup(wordSize int) (float64, bool) {
 const inf = 1e30
 
 // EstimateCost returns the modeled aggregation cost per processed row of
-// running strategy s under p, using cp's coefficients (nil means the
-// static profile). Exported so the engine can combine it with selection
-// costs when making the joint per-segment choice. An in-register estimate
-// for an unsupported word size returns a huge sentinel cost: the strategy
-// cannot run there, so no finite number is honest.
+// running strategy s under p — its sums and the row count every query
+// needs — using cp's coefficients (nil means the static profile). Exported
+// so the engine can combine it with selection costs when making the joint
+// per-segment choice. An in-register estimate for an unsupported word size
+// returns a huge sentinel cost: the strategy cannot run there, so no finite
+// number is honest.
 func EstimateCost(s Strategy, p Params, cp *CostProfile) float64 {
 	if cp == nil {
 		cp = &staticCost
 	}
-	sums := p.Sums
-	if sums == 0 {
-		sums = 1 // count-only queries still do one accumulation pass
-	}
+	sums := float64(p.Sums)
 	switch s {
 	case StrategyInRegister:
 		perGroup, ok := cp.InRegPerGroup(p.MaxWordSize)
 		if !ok {
 			return inf
 		}
-		return perGroup * float64(p.Groups) * float64(sums)
+		return perGroup*float64(p.Groups)*sums + cp.countCost(p.Groups)
 	case StrategySortBased:
-		return cp.SortFixed + cp.SortPerSum*float64(sums)
+		return cp.SortFixed + cp.SortPerSum*sums
 	case StrategyMultiAggregate:
-		return cp.MultiFixed + cp.MultiPerSum*float64(sums)
+		return cp.MultiFixed + cp.MultiPerSum*sums
 	default:
 		perSum := cp.ScalarPerSum
 		if cp.ScalarMixedPerSum > 0 && mixedWords(p.WordSizes) {
 			perSum = cp.ScalarMixedPerSum
 		}
-		return perSum * float64(sums)
+		return perSum*sums + cp.countCost(p.Groups)
 	}
+}
+
+// countCost is the COUNT(*) pass of the strategies that do not count in
+// their own: the kernel the engine picks for a domain of the given size.
+func (cp *CostProfile) countCost(groups int) float64 {
+	if groups <= InRegisterCountMaxGroups {
+		return cp.CountInRegPerGroup * float64(groups)
+	}
+	return cp.CountScalar
 }
 
 func mixedWords(wordSizes []int) bool {
@@ -202,7 +225,12 @@ func Choose(p Params, cp *CostProfile) Strategy {
 			best, bestCost = StrategySortBased, c
 		}
 	}
-	if p.Sums >= 1 && multiFits(p.WordSizes) {
+	// One sum has no other to share the walk with: its row is the carrier
+	// and one word, the two read-modify-writes a row the scalar sum and its
+	// COUNT pass also make, and the model's gap between the two is narrower
+	// than one calibration resolves — the plan would follow the noise. Such
+	// plans are left to the other strategies.
+	if p.Sums >= 2 && multiFits(p.WordSizes) {
 		if c := EstimateCost(StrategyMultiAggregate, p, cp); c < bestCost {
 			best, bestCost = StrategyMultiAggregate, c
 		}
@@ -214,19 +242,12 @@ func Choose(p Params, cp *CostProfile) Strategy {
 // byte-wide group id domain.
 const MaxSortGroups = 256
 
-// multiFits reports whether the expanded aggregate row fits the 256-bit
-// register row (§5.4's applicability condition).
+// multiFits reports whether the aggregate inputs get an accumulator-row
+// layout (§5.4's applicability condition); the layout builder is the rule.
 func multiFits(wordSizes []int) bool {
 	if len(wordSizes) == 0 {
 		return false
 	}
-	words, halves := 0, 0
-	for _, ws := range wordSizes {
-		if ws >= 4 {
-			words++
-		} else {
-			halves++
-		}
-	}
-	return words+(halves+1)/2 <= regWords
+	_, err := NewMultiLayout(0, -1, wordSizes)
+	return err == nil
 }

@@ -13,31 +13,30 @@ func TestChooseCrossoverPerturbation(t *testing.T) {
 	base := StaticCost()
 
 	t.Run("many-sum region cascades as kernels slow down", func(t *testing.T) {
-		// At 6 one-byte sums over 64 groups the static profile prices scalar
-		// at 1.7·6=10.2, multi at 5.1+1.8·6=15.9, sort at 7+13·6=85 — scalar
-		// wins the whole region (our SWAR scalar loop is fast enough that
-		// multi and sort never win statically). On a machine whose scalar
-		// loop is 10× slower, multi's amortized fixed cost takes the region;
-		// if its multi unit is also 10× slower, sort finally earns the
-		// region the paper's Figure 10 gives it.
+		// At 6 one-byte sums over 64 groups the static profile prices multi
+		// at 1.3+0.7·6=5.5, scalar at
+		// 1.7·6+1.1=11.3 with its COUNT pass, sort at 7+13·6=85 — multi wins
+		// the region. On a machine whose multi unit is 20× slower the scalar
+		// loop takes it; if its scalar loop is also 10× slower, sort finally
+		// earns the region the paper's Figure 10 gives it.
 		p := Params{Groups: 64, Sums: 6, MaxWordSize: 1, WordSizes: []int{1, 1, 1, 1, 1, 1}}
-		if got := Choose(p, &base); got != StrategyScalar {
-			t.Fatalf("static: %v, want Scalar", got)
+		if got := Choose(p, &base); got != StrategyMultiAggregate {
+			t.Fatalf("static: %v, want Multi", got)
 		}
-		slowScalar := base
-		slowScalar.ScalarPerSum *= 10 // 102
-		if got := Choose(p, &slowScalar); got != StrategyMultiAggregate {
-			t.Fatalf("10x scalar: %v, want Multi", got)
+		slowMulti := base
+		slowMulti.MultiFixed *= 20
+		slowMulti.MultiPerSum *= 20 // 110
+		if got := Choose(p, &slowMulti); got != StrategyScalar {
+			t.Fatalf("20x multi: %v, want Scalar", got)
 		}
-		alsoSlowMulti := slowScalar
-		alsoSlowMulti.MultiFixed *= 10
-		alsoSlowMulti.MultiPerSum *= 10 // 159
-		if got := Choose(p, &alsoSlowMulti); got != StrategySortBased {
-			t.Fatalf("10x multi on top: %v, want Sort", got)
+		alsoSlowScalar := slowMulti
+		alsoSlowScalar.ScalarPerSum *= 10 // 103.1
+		if got := Choose(p, &alsoSlowScalar); got != StrategySortBased {
+			t.Fatalf("10x scalar on top: %v, want Sort", got)
 		}
-		alsoSlowSort := alsoSlowMulti
+		alsoSlowSort := alsoSlowScalar
 		alsoSlowSort.SortFixed *= 3
-		alsoSlowSort.SortPerSum *= 3 // 255 — back above scalar's 102
+		alsoSlowSort.SortPerSum *= 3 // 255 — back above scalar's 103
 		if got := Choose(p, &alsoSlowSort); got == StrategySortBased {
 			t.Fatalf("3x sort on top: still Sort")
 		}
@@ -46,7 +45,8 @@ func TestChooseCrossoverPerturbation(t *testing.T) {
 	t.Run("faster in-register grows its group range", func(t *testing.T) {
 		// Fig 8's in-register region ends where per-group cost overtakes the
 		// flat alternatives. Statically, 1 one-byte sum over G groups costs
-		// 0.6·G in-register vs 1.7 scalar → in-register wins only to G=2.
+		// 0.6·G in-register vs 1.7 scalar (the COUNT pass is the same on
+		// both sides) → in-register wins only to G=2.
 		p := Params{Groups: 4, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}}
 		if got := Choose(p, &base); got == StrategyInRegister {
 			t.Fatalf("static 4g: in-register should already have lost")
@@ -65,9 +65,16 @@ func TestChooseCrossoverPerturbation(t *testing.T) {
 	})
 
 	t.Run("slower scalar hands single-sum queries to in-register", func(t *testing.T) {
+		// One byte sum over 4 groups: scalar 1.7+1.1 = 2.8, in-register
+		// 0.6·4+1.1 = 3.5. Multi-aggregate would be priced at 1.3+0.7 = 2.0,
+		// but a single sum has nothing to share the walk with and never plans
+		// there, whatever the profile says.
 		p := Params{Groups: 4, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}}
+		if got := Choose(p, &base); got != StrategyScalar {
+			t.Fatalf("static at 4g: %v, want Scalar", got)
+		}
 		slowScalar := base
-		slowScalar.ScalarPerSum *= 3 // 5.1 vs in-register 2.4
+		slowScalar.ScalarPerSum *= 3 // 6.2 vs in-register 3.5
 		if got := Choose(p, &slowScalar); got != StrategyInRegister {
 			t.Fatalf("3x scalar at 4g: %v, want Register", got)
 		}
@@ -113,7 +120,7 @@ func TestEstimateCostRejectsUnsupportedWidth(t *testing.T) {
 // before that probe existed (zero) falls back to the uniform one.
 func TestEstimateCostScalarMixedWidths(t *testing.T) {
 	cp := StaticCost()
-	cp.ScalarPerSum, cp.ScalarMixedPerSum = 1.5, 2.5
+	cp.ScalarPerSum, cp.ScalarMixedPerSum, cp.CountScalar = 1.5, 2.5, 0
 	uniform := Params{Groups: 6, Sums: 3, MaxWordSize: 4, WordSizes: []int{4, 4, 4}}
 	mixed := Params{Groups: 6, Sums: 3, MaxWordSize: 8, WordSizes: []int{1, 4, 8}}
 	if got := EstimateCost(StrategyScalar, uniform, &cp); got != 4.5 {

@@ -60,9 +60,16 @@ func TestTable4Smoke(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("rows=%d", len(rows))
 	}
-	for _, r := range rows {
+	// The carrier layout of each mix: word 0 takes the count and the first
+	// 1- or 2-byte field, further 2-byte fields pair up in later carrier
+	// words, and every 4- or 8-byte input owns a word.
+	words := []int{2, 3, 4, 5, 4}
+	for i, r := range rows {
 		if r.CyclesPerRowSum <= 0 {
 			t.Fatalf("bad measurement: %+v", r)
+		}
+		if r.RowWords != words[i] {
+			t.Fatalf("%v: accumulator row has %d words, want %d", r.Sizes, r.RowWords, words[i])
 		}
 	}
 }

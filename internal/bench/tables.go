@@ -109,6 +109,7 @@ func Table3() []Table3Row {
 // Table4Row is one multi-aggregate size-mix measurement (paper Table 4).
 type Table4Row struct {
 	Sizes           []int
+	RowWords        int // 64-bit words of the accumulator row, carrier included
 	CyclesPerRowSum float64
 	PaperCycles     float64
 }
@@ -152,7 +153,7 @@ func Table4(rows int) []Table4Row {
 			m.Accumulate(groups, cols)
 			m.Flush()
 		})
-		out = append(out, Table4Row{Sizes: tc.sizes, CyclesPerRowSum: c / float64(sums), PaperCycles: tc.paper})
+		out = append(out, Table4Row{Sizes: tc.sizes, RowWords: m.RowWords(), CyclesPerRowSum: c / float64(sums), PaperCycles: tc.paper})
 	}
 	return out
 }

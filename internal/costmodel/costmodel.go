@@ -45,7 +45,7 @@ type Machine struct {
 // per-scanned-row figure becomes per-selected-row): cached and archived
 // profiles with a different version are discarded rather than silently
 // misread.
-const FormatVersion = 2
+const FormatVersion = 3
 
 type Profile struct {
 	// Source records how the profile was obtained: "calibrated", "static",

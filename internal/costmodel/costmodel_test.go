@@ -27,6 +27,13 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 	if !p.valid() {
 		t.Fatalf("calibrated profile invalid: %+v", p.Agg)
 	}
+	// A profile from before the COUNT pass was priced has no figure for it,
+	// and a strategy priced without its count would win every comparison.
+	old := *p
+	old.Agg.CountScalar = 0
+	if old.valid() {
+		t.Fatal("a profile without the COUNT coefficients passed validation")
+	}
 	for _, w := range probeWidths {
 		for _, fam := range []string{"unpack", "packedcmp"} {
 			if v, ok := p.kernelAt(fam, w); !ok || v <= 0 || math.IsNaN(v) {
@@ -54,30 +61,32 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 func TestProbesAllocFree(t *testing.T) {
 	ps := newProbeSet()
 	probes := map[string]func(){
-		"unpack.w5":      func() { ps.runUnpack(5) },
-		"unpack.w64":     func() { ps.runUnpack(64) },
-		"packedcmp.w1":   func() { ps.runPackedCmp(1) },
-		"packedcmp.w17":  func() { ps.runPackedCmp(17) },
-		"cmpmask.w2":     func() { ps.runCmpMask(2) },
-		"rle.cmpspans":   ps.runRLECmpSpans,
-		"rle.cmpspans.w": ps.runRLECmpSpansWindow,
-		"rle.sumspans":   ps.runRLESumSpans,
-		"sel.applyspans": ps.runApplySpans,
-		"sel.compactidx": ps.runCompactIndices,
-		"sel.compact.w4": func() { ps.runCompact(4) },
-		"sel.gather.w4":  func() { ps.runGather(4) },
-		"delta.decode":   ps.runDeltaDecode,
-		"dict.bitmap":    ps.runDictBitmap,
-		"agg.inreg.w1":   func() { ps.runInReg(1) },
-		"agg.sort.fixed": ps.runSortPrepare,
-		"agg.sort.sum":   ps.runSortSum,
-		"agg.multi1":     ps.runMulti1,
-		"agg.multi4":     ps.runMulti4,
-		"agg.scalar":     ps.runScalarSum,
-		"agg.scalar.mix": ps.runScalarSumMixed,
-		"sumexpr.add.w1": func() { ps.runSumExpr(ps.sumAdd[1]) },
-		"sumexpr.mul.w8": func() { ps.runSumExpr(ps.sumMul[8]) },
-		"sumexpr.div":    func() { ps.runSumExpr(ps.sumDiv) },
+		"unpack.w5":       func() { ps.runUnpack(5) },
+		"unpack.w64":      func() { ps.runUnpack(64) },
+		"packedcmp.w1":    func() { ps.runPackedCmp(1) },
+		"packedcmp.w17":   func() { ps.runPackedCmp(17) },
+		"cmpmask.w2":      func() { ps.runCmpMask(2) },
+		"rle.cmpspans":    ps.runRLECmpSpans,
+		"rle.cmpspans.w":  ps.runRLECmpSpansWindow,
+		"rle.sumspans":    ps.runRLESumSpans,
+		"sel.applyspans":  ps.runApplySpans,
+		"sel.compactidx":  ps.runCompactIndices,
+		"sel.compact.w4":  func() { ps.runCompact(4) },
+		"sel.gather.w4":   func() { ps.runGather(4) },
+		"delta.decode":    ps.runDeltaDecode,
+		"dict.bitmap":     ps.runDictBitmap,
+		"agg.inreg.w1":    func() { ps.runInReg(1) },
+		"agg.sort.fixed":  ps.runSortPrepare,
+		"agg.sort.sum":    ps.runSortSum,
+		"agg.multi1":      ps.runMulti1,
+		"agg.multi4":      ps.runMulti4,
+		"agg.scalar":      ps.runScalarSum,
+		"agg.scalar.mix":  ps.runScalarSumMixed,
+		"agg.count":       ps.runCountScalar,
+		"agg.count.inreg": ps.runCountInReg,
+		"sumexpr.add.w1":  func() { ps.runSumExpr(ps.sumAdd[1]) },
+		"sumexpr.mul.w8":  func() { ps.runSumExpr(ps.sumMul[8]) },
+		"sumexpr.div":     func() { ps.runSumExpr(ps.sumDiv) },
 	}
 	for name, fn := range probes {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"bipie/internal/agg"
@@ -41,6 +42,8 @@ import (
 //	agg.sort.fixed        bucket-sort Prepare                cycles/row
 //	agg.sort.persum       sorted-order packed sum            cycles/row/sum
 //	agg.multi.fixed/.persum  multi-aggregate Accumulate fit  cycles/row
+//	agg.count.scalar      two-array scalar COUNT(*)          cycles/row
+//	agg.count.inreg.pergroup  in-register COUNT(*)           cycles/row/group
 //	agg.scalar.persum     row-at-a-time scalar sum           cycles/row/sum
 //	agg.scalar.mixed      the same over mixed word sizes     cycles/row/sum
 //	sumexpr.add.w<S>      sum-expression add into an S-byte lane   cycles/row
@@ -475,6 +478,16 @@ func (ps *probeSet) runMulti4() {
 }
 
 //bipie:kernel
+func (ps *probeSet) runCountScalar() {
+	agg.ScalarCountMulti(ps.groups64, ps.sums64)
+}
+
+//bipie:kernel
+func (ps *probeSet) runCountInReg() {
+	agg.InRegisterCount(ps.groups4, inRegProbeGroups, ps.sums4)
+}
+
+//bipie:kernel
 func (ps *probeSet) runScalarSum() {
 	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.cols1, ps.sumAcc1)
 }
@@ -510,6 +523,43 @@ func measureN(units, reps int, fn func()) float64 {
 			fn()
 		}
 	}).CyclesPerRow()
+}
+
+// aggProbe is one aggregation probe body and how many calls of it make one
+// timed run.
+type aggProbe struct {
+	reps int
+	fn   func()
+}
+
+// probeRounds is how many runs of each probe measureTogether takes.
+const probeRounds = 9
+
+// measureTogether times the probes in turn, one run each, round after
+// round, and returns each probe's median run in cycles/row. agg.Choose
+// compares these figures with each other, so they must come from the same
+// stretch of time: a slow spell of the machine — a neighbour, a sibling
+// test process — then falls on every probe alike and leaves their ratios
+// standing, where back-to-back measureN calls give each probe its own
+// stretch and a spell that covers one and not its rival moves the border
+// between them.
+func measureTogether(units int, probes []aggProbe) []float64 {
+	runs := make([][probeRounds]time.Duration, len(probes))
+	for r := 0; r < probeRounds; r++ {
+		for i, pr := range probes {
+			start := time.Now()
+			for k := 0; k < pr.reps; k++ {
+				pr.fn()
+			}
+			runs[i][r] = time.Since(start)
+		}
+	}
+	out := make([]float64, len(probes))
+	for i, pr := range probes {
+		slices.Sort(runs[i][:])
+		out[i] = perfstat.CyclesPerRow(runs[i][probeRounds/2], units*pr.reps)
+	}
+	return out
 }
 
 // floorCost keeps fitted coefficients strictly positive: a probe that
@@ -571,16 +621,19 @@ func Calibrate() *Profile {
 	p.Kernels["sumexpr.div"] = measure(probeRows, func() { ps.runSumExpr(ps.sumDiv) })
 
 	// Aggregation coefficients, fitted into the agg.CostProfile shape.
-	inReg1 := measureN(probeRows, 2, func() { ps.runInReg(1) }) / inRegProbeGroups
-	inReg2 := measureN(probeRows, 2, func() { ps.runInReg(2) }) / inRegProbeGroups
-	inReg4 := measureN(probeRows, 2, func() { ps.runInReg(4) }) / inRegProbeGroups
-	sortFixed := measure(probeRows, ps.runSortPrepare)
-	sortPerSum := measureN(probeRows, 2, ps.runSortSum)
-	multi1 := measureN(probeRows, 2, ps.runMulti1)
-	multi4 := measureN(probeRows, 2, ps.runMulti4)
+	c := measureTogether(probeRows, []aggProbe{
+		{2, func() { ps.runInReg(1) }}, {2, func() { ps.runInReg(2) }}, {2, func() { ps.runInReg(4) }},
+		{1, ps.runSortPrepare}, {2, ps.runSortSum},
+		{2, ps.runMulti1}, {2, ps.runMulti4},
+		{4, ps.runScalarSum}, {2, ps.runScalarSumMixed},
+		{4, ps.runCountScalar}, {4, ps.runCountInReg},
+	})
+	inReg1, inReg2, inReg4 := c[0]/inRegProbeGroups, c[1]/inRegProbeGroups, c[2]/inRegProbeGroups
+	sortFixed, sortPerSum := c[3], c[4]
+	multi1, multi4 := c[5], c[6]
 	multiPerSum := floorCost((multi4 - multi1) / 3)
-	scalarPerSum := measureN(probeRows, 4, ps.runScalarSum)
-	scalarMixed := measureN(probeRows, 2, ps.runScalarSumMixed) / float64(len(ps.colsMixed))
+	scalarPerSum, scalarMixed := c[7], c[8]/float64(len(ps.colsMixed))
+	countScalar, countInReg := c[9], c[10]/inRegProbeGroups
 	p.Agg = agg.CostProfile{
 		InRegPerGroup1:    floorCost(inReg1),
 		InRegPerGroup2:    floorCost(inReg2),
@@ -591,6 +644,9 @@ func Calibrate() *Profile {
 		MultiPerSum:       multiPerSum,
 		ScalarPerSum:      floorCost(scalarPerSum),
 		ScalarMixedPerSum: floorCost(scalarMixed),
+
+		CountScalar:        floorCost(countScalar),
+		CountInRegPerGroup: floorCost(countInReg),
 	}
 	for k, v := range p.Kernels {
 		p.Kernels[k] = floorCost(v)

@@ -168,17 +168,26 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 		modelNum[pl.Strategy] += pl.ModelCyclesPerRow * float64(pl.Rows)
 		modelDen[pl.Strategy] += float64(pl.Rows)
 	}
+	// Both sides per row the strategy's kernels processed; the phase-wide
+	// aggregate model weights them by those rows, so its measured figure
+	// times its Rows is the phase's total.
+	var aPred, aMeas float64
+	var aRows int64
 	for _, g := range trace.Groups() {
+		ps := g.Phases[obs.PhaseAggregate]
 		sc := StrategyCost{
 			Strategy:             g.Label,
 			Units:                g.Units,
 			Rows:                 g.Rows,
-			MeasuredCyclesPerRow: g.Phases[obs.PhaseAggregate].CyclesPerRow(),
+			MeasuredCyclesPerRow: ps.CyclesPerRow(),
 		}
 		if d := modelDen[g.Label]; d > 0 {
 			sc.AssumedCyclesPerRow = modelNum[g.Label] / d
 		}
 		rep.Strategies = append(rep.Strategies, sc)
+		aPred += sc.AssumedCyclesPerRow * float64(ps.Rows)
+		aMeas += sc.MeasuredCyclesPerRow * float64(ps.Rows)
+		aRows += ps.Rows
 	}
 
 	// Model error per phase: the calibrated prediction against the traced
@@ -205,22 +214,11 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	if stats.Gather+stats.Compact == 0 {
 		planModel(obs.PhaseDecode, func(pl SegmentPlan) float64 { return pl.DecodeModelCyclesPerRow })
 	}
-	var aPred, aMeas, aDen float64
-	var aRows int64
-	for _, sc := range rep.Strategies {
-		if sc.Rows == 0 || sc.MeasuredCyclesPerRow <= 0 {
-			continue
-		}
-		aPred += sc.AssumedCyclesPerRow * float64(sc.Rows)
-		aMeas += sc.MeasuredCyclesPerRow * float64(sc.Rows)
-		aDen += float64(sc.Rows)
-		aRows += sc.Rows
-	}
-	if aDen > 0 {
+	if aRows > 0 && aMeas > 0 {
 		rep.Model = append(rep.Model, ModelPhase{
 			Phase:                 obs.PhaseAggregate.String(),
-			PredictedCyclesPerRow: aPred / aDen,
-			MeasuredCyclesPerRow:  aMeas / aDen,
+			PredictedCyclesPerRow: aPred / float64(aRows),
+			MeasuredCyclesPerRow:  aMeas / float64(aRows),
 			Rows:                  aRows,
 		})
 	}

@@ -474,19 +474,14 @@ func (e *execState) processAll(b colstore.Batch, special bool) {
 
 	// Run-summable slots aggregate on the encoded runs; their batches are
 	// always full (the run path is only enabled for unfiltered
-	// single-group segments).
+	// single-group segments). The phase's two intervals are one pass over
+	// the batch: its rows are credited once, when the second closes.
 	t0 = e.traceStart()
 	for _, i := range sp.runIdx {
 		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
 	}
-
-	if sp.strategy == agg.StrategySortBased {
-		e.sorter.Prepare(groups, nil)
-		e.sorter.AddCounts(e.counts)
-	} else {
-		e.countGroups(groups)
-	}
-	e.traceEnd(obs.PhaseAggregate, t0, b.N)
+	e.countGroups(groups, nil)
+	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
 	cols := e.evalValues(b, valuesFull, b.N)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
@@ -523,13 +518,8 @@ func (e *execState) processIndexed(b colstore.Batch, gather bool) {
 	}
 	e.traceEnd(obs.PhaseSelection, t0, b.N)
 	t0 = e.traceStart()
-	if sortBased {
-		e.sorter.Prepare(comp, e.idx)
-		e.sorter.AddCounts(e.counts)
-	} else {
-		e.countGroups(comp)
-	}
-	e.traceEnd(obs.PhaseAggregate, t0, k)
+	e.countGroups(comp, e.idx)
+	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
 	var cols []*bitpack.Unpacked
 	switch {
@@ -546,23 +536,25 @@ func (e *execState) processIndexed(b colstore.Batch, gather bool) {
 	e.traceEnd(obs.PhaseAggregate, t0, k)
 }
 
-// inRegisterCountMaxGroups is the domain size up to which in-register
-// counting beats the multi-array scalar count on SWAR lanes (measured:
-// ~0.6 cycles/row per group for the former, ~1.3 flat for the latter; see
-// cmd/bipie-bench fig2 and fig5).
-const inRegisterCountMaxGroups = 3
-
-// countGroups runs the COUNT(*) kernel over a group id vector. Q1 uses
-// in-register counting even when sums go through multi-aggregate (paper
-// §6.3), so the count kernel is chosen independently of the sum strategy;
-// the threshold reflects this implementation's measured crossover rather
-// than the paper's 32-lane one.
+// countGroups counts a batch's rows per group, the way the segment's sum
+// strategy provides: sort-based aggregation counts while it buckets the rows
+// (idx are their batch positions, nil for a whole batch), multi-aggregate
+// carries the count as a field of its accumulator row and needs no pass
+// here, and the others run a COUNT(*) kernel — in-register for the smallest
+// domains, the threshold being this implementation's measured crossover
+// rather than the paper's 32-lane one.
 //
 //bipie:kernel
-func (e *execState) countGroups(groups []uint8) {
-	if e.plan.domain <= inRegisterCountMaxGroups {
+func (e *execState) countGroups(groups []uint8, idx sel.IndexVec) {
+	switch {
+	case e.plan.strategy == agg.StrategySortBased:
+		e.sorter.Prepare(groups, idx)
+		e.sorter.AddCounts(e.counts)
+	case e.plan.strategy == agg.StrategyMultiAggregate:
+		// counted in Accumulate
+	case e.plan.domain <= agg.InRegisterCountMaxGroups:
 		agg.InRegisterCount(groups, e.plan.domain, e.counts)
-	} else {
+	default:
 		agg.ScalarCountMulti(groups, e.counts)
 	}
 }
@@ -705,6 +697,7 @@ func (e *execState) finalize() []Row {
 			}
 		}
 		e.multi.AddSums(dst)
+		e.multi.AddCounts(e.counts)
 	}
 	// The kernels aggregated each slot's node vector; fold the rest of its
 	// term ±node + Add back per group — the sign and Add per contributing
