@@ -552,6 +552,21 @@ func buildSweepTable(b *testing.B) *bipie.Table {
 	return tbl
 }
 
+// scanStats runs q once and returns what that scan did — the counters the
+// encoded-domain sweeps below check their path against and report.
+func scanStats(b *testing.B, tbl *bipie.Table, q *engine.Query, opts engine.Options) engine.ScanStats {
+	b.Helper()
+	p, err := engine.Prepare(tbl, q, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, st, err := p.RunTraced(context.Background(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkSelectivitySweep runs the pushed predicate `col < sel*2^20` at
 // selectivities from 0.1% to 99% with the packed-domain machinery on
 // ("opt") and off ("seed", the pre-packed-kernel configuration), on both
@@ -579,12 +594,7 @@ func BenchmarkSelectivitySweep(b *testing.B) {
 					// One instrumented run pins the counters (and guards
 					// against the encoder flipping the column off the
 					// bit-packed path, which would disable pushdown).
-					var st engine.ScanStats
-					opts := v.opts
-					opts.CollectStats = &st
-					if _, err := engine.Run(tbl, q, opts); err != nil {
-						b.Fatal(err)
-					}
+					st := scanStats(b, tbl, q, v.opts)
 					if v.name == "opt" && st.PackedKernelBatches+st.BatchesSkipped == 0 {
 						b.Fatalf("column %q not on the packed path: %+v", col, st)
 					}
@@ -643,12 +653,7 @@ func BenchmarkRLESelectivitySweep(b *testing.B) {
 			b.Run(fmt.Sprintf("sel=%g/%s", s, v.name), func(b *testing.B) {
 				// One instrumented run guards the span path (and catches
 				// the encoder ever taking "rate" off RLE).
-				var st engine.ScanStats
-				opts := v.opts
-				opts.CollectStats = &st
-				if _, err := engine.Run(tbl, q, opts); err != nil {
-					b.Fatal(err)
-				}
+				st := scanStats(b, tbl, q, v.opts)
 				if v.name == "opt" && st.RunSpanBatches == 0 {
 					b.Fatalf("span pipeline did not engage: %+v", st)
 				}
@@ -711,12 +716,7 @@ func BenchmarkDictFilter(b *testing.B) {
 		q := &engine.Query{Aggregates: aggs, Filter: p.pred}
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/%s", p.name, v.name), func(b *testing.B) {
-				var st engine.ScanStats
-				opts := v.opts
-				opts.CollectStats = &st
-				if _, err := engine.Run(tbl, q, opts); err != nil {
-					b.Fatal(err)
-				}
+				st := scanStats(b, tbl, q, v.opts)
 				if v.name == "opt" && st.DictFilterBatches == 0 {
 					b.Fatalf("dict-domain filter did not engage: %+v", st)
 				}
@@ -788,45 +788,6 @@ func BenchmarkAblationSkewedGroups(b *testing.B) {
 		b.Run(fmt.Sprintf("skew%.1f/multi", skew), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				agg.ScalarCountMulti(d.GroupIDs, counts)
-			}
-			reportCycles(b, benchRows)
-		})
-	}
-}
-
-// BenchmarkTracerOverhead prices the scan tracer on TPC-H Q1. The
-// disabled sub-benchmark is the acceptance gate: with Options.Trace nil
-// the nil-checked phase hooks must cost within noise of the untraced
-// baseline (≤2%, one predictable branch per phase boundary). The enabled
-// variants show the full price of phase totals and of per-batch span
-// capture.
-func BenchmarkTracerOverhead(b *testing.B) {
-	tbl, err := tpch.Generate(tpch.GenOptions{Rows: benchRows, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name  string
-		trace *bipie.ScanTrace
-	}{
-		{"disabled", nil},
-		{"enabled", bipie.NewScanTrace(0)},
-		{"enabled-spans", bipie.NewScanTrace(4096)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			p, err := engine.Prepare(tbl, tpch.Q1(), engine.Options{Trace: bc.trace, Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if _, err := p.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(ctx); err != nil {
-					b.Fatal(err)
-				}
 			}
 			reportCycles(b, benchRows)
 		})

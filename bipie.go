@@ -143,10 +143,13 @@ func ParseSQL(src string) (*Query, string, error) {
 func Run(t *Table, q *Query, opts Options) (*Result, error) { return engine.Run(t, q, opts) }
 
 // Prepared is a query compiled against a table: an immutable, shareable
-// plan per segment plus a pool of per-scan execution state. One Prepared
-// serves any number of goroutines calling Run concurrently, with zero
-// steady-state allocation on the scan path. New rows stay visible — each
-// Run re-lists the table's segments and plans unseen ones on demand.
+// plan per segment plus a pool of per-scan execution state. It executes two
+// ways: RunTraced(ctx, trace) returns the result with that scan's own
+// ScanStats (and, given a ScanTrace, its per-phase attribution), Run(ctx)
+// the result alone. One Prepared serves any number of goroutines calling
+// either concurrently, with zero steady-state allocation on the scan path.
+// New rows stay visible — each execution re-lists the table's segments and
+// plans unseen ones on demand.
 type Prepared = engine.Prepared
 
 // Prepare compiles a query against a table for repeated or concurrent
@@ -224,10 +227,11 @@ func ExplainAnalyze(t *Table, q *Query, opts Options) (*AnalyzeReport, error) {
 	return engine.ExplainAnalyze(t, q, opts)
 }
 
-// ScanTrace collects per-phase cycle attribution for one scan; point
-// Options.Trace at one to trace a Run. The zero of attribution cost: a scan
-// with Options.Trace nil takes the untraced path — no clock reads, no
-// allocation, one predictable branch per phase boundary.
+// ScanTrace collects per-phase cycle attribution for one scan; hand one to
+// Prepared.RunTraced to trace that execution. The zero of attribution cost:
+// a scan without one (Run, or RunTraced with a nil trace) takes the
+// untraced path — no clock reads, no allocation, one predictable branch per
+// phase boundary.
 type ScanTrace = obs.ScanTrace
 
 // PhaseStat is one phase's accumulated nanoseconds, rows, and interval
@@ -258,7 +262,7 @@ type HavingCond = engine.HavingCond
 
 // ScanStats records a scan's runtime decisions (per-batch selection
 // methods, per-segment strategies, elimination, measured selectivity);
-// populate via Options.CollectStats.
+// every Prepared.RunTraced call returns its own by value.
 type ScanStats = engine.ScanStats
 
 // RunNaive executes a query with a classical row-at-a-time hash

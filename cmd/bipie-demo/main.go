@@ -99,9 +99,6 @@ func main() {
 
 	for qi, q := range queries {
 		fmt.Printf("\n=== query %d ===\n", qi+1)
-		var stats engine.ScanStats
-		opts := opts
-		opts.CollectStats = &stats
 		// Prepare/Run split: planning happens once, outside the timed
 		// region, as a serving tier would amortize it.
 		p, err := engine.Prepare(tbl, q, opts)
@@ -109,7 +106,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		fast, err := p.Run(context.Background())
+		fast, stats, err := p.RunTraced(context.Background(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

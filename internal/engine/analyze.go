@@ -115,9 +115,8 @@ func ExplainAnalyze(t *table.Table, q *Query, opts Options) (*AnalyzeReport, err
 }
 
 // ExplainAnalyze executes the prepared query once with tracing enabled and
-// reports the measured cost breakdown. It collects into private trace and
-// stats targets, so it is safe alongside concurrent Runs and leaves
-// Options.CollectStats and Options.Trace untouched.
+// reports the measured cost breakdown. Like every execution it owns its
+// trace and its stats, so it is safe alongside concurrent Runs.
 func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	plans, err := p.Explain()
 	if err != nil {
@@ -126,12 +125,12 @@ func (p *Prepared) ExplainAnalyze(ctx context.Context) (*AnalyzeReport, error) {
 	// Warm up with one untraced pass so the measured run sees steady
 	// state — pooled exec buffers built and pages faulted in — the same
 	// regime the benchmarks report. The diagnostic costs one extra scan.
-	if _, _, err := p.runScan(ctx, nil, nil); err != nil {
+	if _, err := p.Run(ctx); err != nil {
 		return nil, err
 	}
 	trace := obs.NewScanTrace(analyzeSpanCap)
 	start := time.Now()
-	res, stats, err := p.runScan(ctx, trace, nil)
+	res, stats, err := p.RunTraced(ctx, trace)
 	if err != nil {
 		return nil, err
 	}

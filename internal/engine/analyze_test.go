@@ -232,19 +232,12 @@ func TestRunWithTraceFillsStatsPhases(t *testing.T) {
 	tbl := buildTable(t, rng, 20000, 4, 6000)
 	q := analyzeQuery()
 
-	var plain ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &plain}); err != nil {
-		t.Fatal(err)
-	}
+	_, plain := runTraced(t, tbl, q, Options{}, nil)
 	if plain.Phases != nil {
 		t.Fatalf("untraced scan filled Phases: %+v", plain.Phases)
 	}
 
-	var stats ScanStats
-	trace := obs.NewScanTrace(0)
-	if _, err := Run(tbl, q, Options{CollectStats: &stats, Trace: trace}); err != nil {
-		t.Fatal(err)
-	}
+	_, stats := runTraced(t, tbl, q, Options{}, obs.NewScanTrace(0))
 	if len(stats.Phases) != int(obs.NumPhases) {
 		t.Fatalf("traced scan Phases len = %d, want %d", len(stats.Phases), obs.NumPhases)
 	}

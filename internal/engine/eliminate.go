@@ -17,7 +17,11 @@ func canEliminate(seg *colstore.Segment, p expr.Pred) bool {
 		// A conjunction rejects everything if either side does.
 		return canEliminate(seg, t.L) || canEliminate(seg, t.R)
 	case expr.Cmp:
-		return cmpRejectsAll(seg, t)
+		// The pushdown clamp against the column's segment bounds, read for
+		// its verdict alone: the comparison rejects the segment exactly when
+		// it clamps to pushNone.
+		_, op, _, ok := clampSegCmp(t, seg)
+		return ok && op == pushNone
 	case expr.StrIn:
 		// A positive membership test rejects the segment when none of the
 		// sought values occur in its dictionary — the dictionary plays the
@@ -35,38 +39,6 @@ func canEliminate(seg *colstore.Segment, p expr.Pred) bool {
 			}
 		}
 		return true
-	default:
-		return false
-	}
-}
-
-func cmpRejectsAll(seg *colstore.Segment, c expr.Cmp) bool {
-	name, ok := expr.IsCol(c.L)
-	if !ok {
-		return false
-	}
-	rc, ok := expr.Fold(c.R).(expr.Const)
-	if !ok {
-		return false
-	}
-	mn, mx, err := seg.IntBounds(name)
-	if err != nil {
-		return false
-	}
-	v := rc.V
-	switch c.Op {
-	case expr.OpLE: // col <= v rejects all when min > v
-		return mn > v
-	case expr.OpLT:
-		return mn >= v
-	case expr.OpGE:
-		return mx < v
-	case expr.OpGT:
-		return mx <= v
-	case expr.OpEQ:
-		return v < mn || v > mx
-	case expr.OpNE: // rejects all only when every value equals v
-		return mn == v && mx == v
 	default:
 		return false
 	}

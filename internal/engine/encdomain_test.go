@@ -198,11 +198,7 @@ func TestSpanAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st ScanStats
-		got, err := Run(tbl, q, Options{CollectStats: &st})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, st := runTraced(t, tbl, q, Options{}, nil)
 		assertSameResult(t, fmt.Sprintf("span thr=%d", thr), got, want)
 		if st.RunSpanBatches == 0 {
 			t.Fatalf("thr=%d: span path never engaged: %+v", thr, st)
@@ -221,11 +217,7 @@ func TestSpanAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ScanStats
-	got, err := Run(tbl, q, Options{CollectStats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := runTraced(t, tbl, q, Options{}, nil)
 	assertSameResult(t, "span conj", got, want)
 	if st.RunSpanBatches == 0 {
 		t.Fatalf("conjunction: span path never engaged: %+v", st)
@@ -239,11 +231,7 @@ func TestSpanAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = ScanStats{}
-	got, err = Run(tbl, q, Options{CollectStats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st = runTraced(t, tbl, q, Options{}, nil)
 	assertSameResult(t, "span after delete", got, want)
 }
 

@@ -54,23 +54,6 @@ type Options struct {
 	// the residual path instead of the endpoint-pruning pushdown. For
 	// ablation.
 	DisableDeltaDomain bool
-	// CollectStats, when non-nil, receives the scan's runtime decisions:
-	// per-batch selection choices, per-segment strategies, elimination
-	// counts, measured selectivity. Each execution overwrites the target,
-	// so concurrent Run calls on one Prepared see interleaved garbage
-	// unless CollectStats is nil; point it at stats only for single-scan
-	// diagnostics.
-	CollectStats *ScanStats
-	// Trace, when non-nil, turns on per-phase cycle attribution: every
-	// scan unit gets a tracer and the per-phase totals (and, with
-	// ScanTrace.SpanCap > 0, per-batch spans) merge into the target. Each
-	// execution resets the target, so like CollectStats it is meaningful
-	// for one scan at a time — though unlike CollectStats the ScanTrace is
-	// internally locked, so concurrent Runs interleave without racing.
-	// Nil (the default) keeps the scan on the untraced path: one
-	// predictable branch per phase boundary, no allocation, no clock
-	// reads.
-	Trace *obs.ScanTrace
 	// CostProfile overrides the cost model driving strategy decisions
 	// (aggregation strategy, packed-vs-unpack filtering, the selection
 	// crossover). Nil means the process-wide profile from
@@ -132,38 +115,25 @@ func Run(t *table.Table, q *Query, opts Options) (*Result, error) {
 // partials. Cancelling ctx stops the scan between batch ranges and returns
 // ctx's error.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
-	res, _, err := p.runScan(ctx, p.opts.Trace, p.opts.CollectStats)
+	res, _, err := p.RunTraced(ctx, nil)
 	return res, err
 }
 
-// RunStats executes the prepared query like Run and additionally returns
-// the scan's statistics by value. Unlike Options.CollectStats — which
-// aliases one shared target across every execution of the Prepared —
-// each RunStats call receives its own copy, so any number of concurrent
+// RunTraced is the scan driver; Run is its untraced, stats-dropping form.
+// It returns the scan's statistics by value, so any number of concurrent
 // callers (the serving layer reports rows scanned per request) each see
-// exactly their own scan's numbers.
-func (p *Prepared) RunStats(ctx context.Context) (*Result, ScanStats, error) {
-	return p.runScan(ctx, p.opts.Trace, p.opts.CollectStats)
-}
-
-// RunTraced executes the prepared query with per-phase cycle attribution
-// collected into the caller's ScanTrace, and returns the scan statistics
-// by value (Phases filled from the trace). Unlike Options.Trace — which
-// aliases one shared target across every execution — each caller owns its
-// trace, so concurrent requests each get exactly their own scan's
-// attribution: the serving layer attaches a pooled ScanTrace per request
-// and journals the per-phase breakdown. trace must be non-nil; SpanCap 0
-// keeps the per-unit cost to one Tracer allocation (no span buffers).
+// exactly their own scan's numbers. Process-wide metrics (obs.Default())
+// are always fed.
+//
+// A non-nil trace turns on per-phase cycle attribution: the trace is reset,
+// every scan unit gets a tracer, the per-phase totals (and, with
+// ScanTrace.SpanCap > 0, per-batch spans; SpanCap 0 keeps the per-unit cost
+// to one Tracer allocation) merge into it, and ScanStats.Phases is filled
+// from it. The caller owns the trace — the serving layer attaches a pooled
+// ScanTrace per request and journals the per-phase breakdown. A nil trace
+// keeps the scan on the untraced path: one predictable branch per phase
+// boundary, no allocation, no clock reads.
 func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result, ScanStats, error) {
-	return p.runScan(ctx, trace, nil)
-}
-
-// runScan is the scan driver behind Run and ExplainAnalyze: it takes
-// explicit trace and stats targets (either may be nil) so a diagnostic
-// execution can collect into private targets without mutating the shared
-// Options, and returns the collected stats by value. Process-wide metrics
-// (obs.Default()) are always fed.
-func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *ScanStats) (*Result, ScanStats, error) {
 	var stats ScanStats
 	metricScansStarted.Inc()
 	if trace != nil {
@@ -172,7 +142,6 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 	planStart := time.Now()
 	segments, _ := p.segments()
 	plans := make([]*segPlan, 0, len(segments))
-	eliminated := 0
 	for _, seg := range segments {
 		sp, err := p.planFor(seg)
 		if err != nil {
@@ -180,7 +149,7 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 			return nil, stats, err
 		}
 		if sp.eliminated {
-			eliminated++
+			stats.SegmentsEliminated++
 			continue
 		}
 		plans = append(plans, sp)
@@ -190,10 +159,7 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 		trace.Add(obs.PhasePlan, time.Since(planStart), 0)
 	}
 	stats.SegmentsScanned = len(plans)
-	stats.SegmentsEliminated = eliminated
-	if statsOut != nil {
-		*statsOut = stats
-	}
+	stats.Strategies = make(map[string]int)
 
 	workers := resolveWorkers(p.opts.Parallelism)
 
@@ -252,14 +218,11 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 			if trace != nil {
 				e.trace = trace.StartUnit(u.plan.strategy.String())
 			}
-			if err := e.scanBatches(ctx, u.batches); err != nil {
-				errs[i] = err
-				unitNanos[i] = int64(time.Since(start))
-				return
+			if errs[i] = e.scanBatches(ctx, u.batches); errs[i] == nil {
+				t0 := e.traceStart()
+				partials[i] = e.finalize()
+				e.traceEnd(obs.PhaseMerge, t0, 0)
 			}
-			t0 := e.traceStart()
-			partials[i] = e.finalize()
-			e.traceEnd(obs.PhaseMerge, t0, 0)
 			unitNanos[i] = int64(time.Since(start))
 		}(i, u)
 	}
@@ -273,18 +236,15 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 		}
 	}
 	for i, e := range execs {
-		if e == nil {
-			continue
-		}
 		if firstErr == nil {
-			stats.merge(&e.stats, units[i].plan.strategy)
-			recordUnitMetrics(units[i].plan.strategy, unitNanos[i], e.stats.rowsTotal)
+			stats.add(&e.stats)
+			stats.Strategies[units[i].plan.strategy.String()]++
+			recordUnitMetrics(units[i].plan.strategy, unitNanos[i], e.stats.RowsTotal)
 		}
 		if e.trace != nil {
-			trace.EndUnit(e.trace, unitNanos[i], e.stats.rowsTotal)
-			e.trace = nil
+			trace.EndUnit(e.trace, unitNanos[i], e.stats.RowsTotal)
 		}
-		e.release()
+		e.release() // resets the state, detaching the tracer
 	}
 	if firstErr != nil {
 		metricScanErrors.Inc()
@@ -297,9 +257,6 @@ func (p *Prepared) runScan(ctx context.Context, trace *obs.ScanTrace, statsOut *
 		stats.Phases = trace.PhaseSlice()
 	}
 	recordScanMetrics(&stats)
-	if statsOut != nil {
-		*statsOut = stats
-	}
 	return res, stats, nil
 }
 

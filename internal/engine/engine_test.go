@@ -575,10 +575,7 @@ func TestGroupDomainBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "256 groups forced special", got, want)
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st := runTraced(t, tbl, q, Options{}, nil)
 	if st.SpecialGroup != 0 {
 		t.Fatalf("special group used with a full id space: %+v", st)
 	}

@@ -44,10 +44,12 @@ type execState struct {
 	predScratch  []predScratch // per pushed conjunct domain-specific scratch
 	// Span-path buffers (allocated only for spanAgg plans): the running
 	// span intersection, the current conjunct's spans, and the intersect
-	// target that swaps with the accumulator.
+	// target that swaps with the accumulator; spans is the filter stage's
+	// result for the current batch, a view of whichever of the two holds it.
 	spanAcc    []sel.Span
 	spanEval   []sel.Span
 	spanTmp    []sel.Span
+	spans      []sel.Span
 	selVec     sel.ByteVec
 	groupBuf   []uint8
 	compGroups []uint8
@@ -68,8 +70,9 @@ type execState struct {
 	strIDs         map[string][]uint8
 	env            expr.Env
 
-	// stats counts this unit's batch outcomes, merged by the driver.
-	stats unitStats
+	// stats counts this unit's batch outcomes; the driver sums the units
+	// after the workers finish, so the hot loop touches no shared state.
+	stats ScanStats
 
 	// trace, when non-nil, receives per-phase timings through the
 	// nil-checked hooks in trace.go. The driver attaches a fresh per-unit
@@ -90,22 +93,6 @@ type predScratch struct {
 	i64      []int64
 	diffs    []uint64
 	spans    []sel.Span
-}
-
-// domainFlag maps a predicate's evaluation domain onto the stats flag the
-// batch accumulates, so ScanStats can attribute batches to the encoded
-// paths that actually ran.
-func domainFlag(d predDomain) noteFlags {
-	switch d {
-	case domPacked:
-		return flagPacked
-	case domRLE:
-		return flagRLERun
-	case domDict:
-		return flagDict
-	default:
-		return 0
-	}
 }
 
 // newExecState allocates the full mutable state for one execution of sp.
@@ -206,7 +193,7 @@ func (e *execState) reset() {
 	if e.multi != nil {
 		e.multi.Reset()
 	}
-	e.stats = unitStats{}
+	e.stats = ScanStats{}
 	e.trace = nil
 }
 
@@ -216,7 +203,8 @@ func (e *execState) release() {
 	e.plan.pool.Put(e)
 }
 
-// scanBatches processes a contiguous batch range, checking for cancellation
+// scanBatches runs the batch pipeline (paper §3: filter → selection → group
+// map → aggregate) over a contiguous batch range, checking for cancellation
 // between batches — the driver's cancellation points, one per 4096 rows.
 //
 //bipie:kernel
@@ -225,8 +213,16 @@ func (e *execState) scanBatches(ctx context.Context, batches []colstore.Batch) e
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := e.processBatch(b); err != nil {
+		if b.N == 0 {
+			continue
+		}
+		e.traceBatch(b.Start)
+		how, selected, err := e.filterBatch(b)
+		if err != nil {
 			return err
+		}
+		if selected > 0 {
+			e.aggregateBatch(b, how, selected)
 		}
 	}
 	return nil
@@ -267,55 +263,84 @@ func (e *execState) decodeFilterCols(b colstore.Batch) error {
 	return nil
 }
 
-//bipie:kernel
-func (e *execState) processBatch(b colstore.Batch) error {
-	if b.N == 0 {
-		return nil
-	}
-	sp := e.plan
-	e.traceBatch(b.Start)
-	noFilter := !sp.hasFilter && sp.seg.DeletedRows() == 0
-	if noFilter && sp.opts.ForceSelection == nil {
-		e.stats.note(b.N, b.N, 0, true, 0)
-		e.processAll(b, false)
-		return nil
-	}
-	if sp.spanAgg {
-		return e.processSpans(b)
-	}
+// selection is a batch's filter-stage outcome as the aggregate stage
+// consumes it: which operator, if any, removes the rejected rows.
+type selection uint8
 
-	// Pushed conjuncts evaluate in their encoded domains first; the
-	// residual predicate (if any) evaluates on decoded data and ANDs in.
-	// Each conjunct is refined against the encoding's batch metadata first:
-	// a proven all-rejecting conjunct skips the batch before any kernel
-	// touches data, and a proven all-matching one drops out of the
-	// conjunction.
+const (
+	selWhole   selection = iota // every row survives; no selection operator runs
+	selSpecial                  // selection byte vector fused into the group map (paper §4.3)
+	selGather                   // fused unpack of the selected positions only (paper §4.2)
+	selCompact                  // full unpack, then physical compaction (paper §4.1)
+	selSpans                    // spanAgg plans: run-aligned spans, no row ever materialized
+)
+
+// filterBatch is the pipeline's filter stage. Pushed conjuncts evaluate in
+// their encoded domains first; the residual predicate (if any) evaluates on
+// decoded data and ANDs in; deleted rows drop out last. Each conjunct is
+// refined against the encoding's batch metadata first: a proven
+// all-rejecting conjunct skips the batch before any kernel touches data,
+// and a proven all-matching one drops out of the conjunction. The result is
+// the row mask e.selVec[:b.N] — or, for spanAgg plans, the span list
+// e.spans: every live conjunct emits run-aligned spans and the spans
+// intersect in span space, so no selection vector, no unpack, no per-row
+// work happens at all and the batch costs O(runs + spans), which is what
+// buys the low-selectivity speedup the paper gets from operating on run
+// boundaries instead of rows. filterBatch records the batch in e.stats and
+// returns how many rows survive and how the aggregate stage selects them.
+//
+//bipie:kernel
+func (e *execState) filterBatch(b colstore.Batch) (selection, int, error) {
+	sp := e.plan
 	vec := e.selVec[:b.N]
+	acc, tmp := e.spanAcc, e.spanTmp
+	nAcc := 0
 	filled := false
-	var flags noteFlags
+	var domains domainSet
+	if sp.spanAgg {
+		domains = 1 << domRLE
+	}
 	for i, pp := range sp.pushed {
 		t0 := e.traceStart()
-		op := pp.batchOp(b)
+		op := pp.planOp()
+		if !op.constant() && !sp.opts.DisableZoneMaps {
+			op = pp.batchOp(b)
+		}
 		e.traceEnd(obs.PhaseZoneMap, t0, b.N)
 		if op == pushNone {
 			// Distinguish a zone-map skip from a predicate the plan already
 			// proved constant against segment metadata.
-			e.stats.noteSkipped(b.N, pp.planOp() != pushNone)
-			return nil
+			e.stats.note(b.N, 0, selWhole, 0)
+			if pp.planOp() != pushNone {
+				e.stats.BatchesSkipped++
+			}
+			return selWhole, 0, nil
 		}
 		if op == pushAll {
 			continue
 		}
 		t0 = e.traceStart()
-		pp.eval(b, vec, !filled, &e.predScratch[i])
+		switch {
+		case !sp.spanAgg:
+			pp.eval(b, vec, !filled, &e.predScratch[i])
+			domains |= 1 << pp.domain()
+		case !filled:
+			nAcc = sp.spanPreds[i].evalSpans(b, acc)
+		default:
+			k := sp.spanPreds[i].evalSpans(b, e.spanEval)
+			nAcc = sel.IntersectSpans(tmp, acc[:nAcc], e.spanEval[:k])
+			acc, tmp = tmp, acc
+		}
 		e.traceEnd(obs.PhaseEncodedFilter, t0, b.N)
-		flags |= domainFlag(pp.domain())
 		filled = true
+		if sp.spanAgg && nAcc == 0 {
+			break
+		}
 	}
 	if e.filter != nil {
 		t0 := e.traceStart()
 		if err := e.decodeFilterCols(b); err != nil {
-			return err
+			return selWhole, 0, err
 		}
 		e.traceEnd(obs.PhaseDecode, t0, b.N)
 		t0 = e.traceStart()
@@ -331,209 +356,156 @@ func (e *execState) processBatch(b colstore.Batch) error {
 		e.traceEnd(obs.PhaseSelection, t0, b.N)
 		filled = true
 	}
-	if !filled {
-		// Every pushed conjunct resolved to pushAll and no residual
-		// remains: the batch is metadata-proven fully selected.
-		if sp.seg.DeletedRows() == 0 && sp.opts.ForceSelection == nil {
-			e.stats.note(b.N, b.N, 0, true, 0)
-			e.processAll(b, false)
-			return nil
-		}
-		for i := range vec {
-			vec[i] = sel.Selected
-		}
-	}
-	t0 := e.traceStart()
-	sp.seg.ApplyDeletes(vec, b.Start)
-	selected := vec.CountSelected()
-	e.traceEnd(obs.PhaseSelection, t0, b.N)
-	if selected == 0 {
-		e.stats.note(b.N, 0, 0, false, flags)
-		return nil
-	}
-	if selected == b.N && sp.opts.ForceSelection == nil {
-		e.stats.note(b.N, b.N, 0, true, flags)
-		e.processAll(b, false)
-		return nil
-	}
 
-	method := e.chooseSelection(float64(selected) / float64(b.N))
-	e.stats.note(b.N, selected, method, false, flags)
-	switch method {
-	case sel.MethodSpecialGroup:
-		e.processAll(b, true)
-	case sel.MethodGather:
-		e.processIndexed(b, true)
-	default:
-		e.processIndexed(b, false)
-	}
-	return nil
-}
-
-// processSpans is the fully encoded batch pipeline for spanAgg plans:
-// every live conjunct emits run-aligned spans, the spans intersect in span
-// space, and the surviving spans drive COUNT and the RLE run-domain sums —
-// no selection vector, no unpack, no per-row work at all. Cost per batch
-// is O(runs + spans), which is what buys the low-selectivity speedup the
-// paper gets from operating on run boundaries instead of rows.
-//
-//bipie:kernel
-func (e *execState) processSpans(b colstore.Batch) error {
-	sp := e.plan
-	acc, tmp := e.spanAcc, e.spanTmp
-	nAcc := 0
-	filled := false
-	for i, pp := range sp.pushed {
-		t0 := e.traceStart()
-		op := pp.batchOp(b)
-		e.traceEnd(obs.PhaseZoneMap, t0, b.N)
-		if op == pushNone {
-			e.stats.noteSkipped(b.N, pp.planOp() != pushNone)
-			return nil
-		}
-		if op == pushAll {
-			continue
-		}
-		t0 = e.traceStart()
-		if !filled {
-			nAcc = sp.spanPreds[i].evalSpans(b, acc)
-			filled = true
+	// With nothing evaluated — no filter at all, or every pushed conjunct
+	// resolved to pushAll and no residual remains — the batch is
+	// metadata-proven fully selected. It still needs a mask when rows are
+	// deleted or a forced method must run over it; a span plan (which has
+	// neither) takes the one span covering it.
+	forced := sp.opts.ForceSelection != nil
+	how, selected := selWhole, b.N
+	switch {
+	case sp.spanAgg:
+		how = selSpans
+		if filled {
+			selected = sel.SpanRows(acc[:nAcc])
 		} else {
-			k := sp.spanPreds[i].evalSpans(b, e.spanEval)
-			nAcc = sel.IntersectSpans(tmp, acc[:nAcc], e.spanEval[:k])
-			acc, tmp = tmp, acc
+			acc[0], nAcc = sel.Span{End: int32(b.N)}, 1
 		}
-		e.traceEnd(obs.PhaseEncodedFilter, t0, b.N)
-		if nAcc == 0 {
-			e.stats.noteSpans(b.N, 0)
-			return nil
+		e.spans = acc[:nAcc]
+	case filled || forced || sp.seg.DeletedRows() != 0:
+		if !filled {
+			for i := range vec {
+				vec[i] = sel.Selected
+			}
 		}
-	}
-	if !filled {
-		// Every conjunct resolved to pushAll: the batch is fully selected,
-		// and the run sums cover it with SumRange.
-		e.stats.noteSpans(b.N, b.N)
-		e.counts[0] += int64(b.N)
 		t0 := e.traceStart()
-		for _, i := range sp.spanIdx {
-			e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
+		sp.seg.ApplyDeletes(vec, b.Start)
+		selected = vec.CountSelected()
+		e.traceEnd(obs.PhaseSelection, t0, b.N)
+		if selected > 0 && (selected < b.N || forced) {
+			how = e.chooseSelection(float64(selected) / float64(b.N))
 		}
-		e.traceEnd(obs.PhaseAggregate, t0, b.N)
-		return nil
 	}
-	selected := sel.SpanRows(acc[:nAcc])
-	e.stats.noteSpans(b.N, selected)
-	e.counts[0] += int64(selected)
-	t0 := e.traceStart()
-	for _, i := range sp.spanIdx {
-		e.sumAcc[i][0] += sp.sums[i].rle.SumSpans(b.Start, acc[:nAcc])
-	}
-	e.traceEnd(obs.PhaseAggregate, t0, selected)
-	return nil
+	e.stats.note(b.N, selected, how, domains)
+	return how, selected, nil
 }
 
 // chooseSelection picks a selection method for one batch from measured
 // selectivity (paper §3) — the one specialization decision that stays at
 // exec time, because it depends on data the plan cannot see.
-func (e *execState) chooseSelection(selectivity float64) sel.Method {
+func (e *execState) chooseSelection(selectivity float64) selection {
 	sp := e.plan
+	var m sel.Method
 	if sp.opts.ForceSelection != nil {
-		m := *sp.opts.ForceSelection
+		m = *sp.opts.ForceSelection
 		if m == sel.MethodSpecialGroup && sp.special < 0 {
 			m = sel.MethodCompact
 		}
-		return m
+	} else {
+		// The gather/compact crossover was resolved at plan time from the cost
+		// profile (static anchors or calibrated kernel balance).
+		m = sel.ChooseAt(selectivity, sp.selCrossover, sp.special >= 0)
+		if sp.strategy == agg.StrategySortBased && m == sel.MethodCompact {
+			// Sort-based aggregation consumes a selection index vector and
+			// gathers from raw packed columns; physical compaction would force
+			// a full unpack it never needs (paper §5.2).
+			m = sel.MethodGather
+		}
 	}
-	// The gather/compact crossover was resolved at plan time from the cost
-	// profile (static anchors or calibrated kernel balance).
-	m := sel.ChooseAt(selectivity, sp.selCrossover, sp.special >= 0)
-	if sp.strategy == agg.StrategySortBased && m == sel.MethodCompact {
-		// Sort-based aggregation consumes a selection index vector and
-		// gathers from raw packed columns; physical compaction would force
-		// a full unpack it never needs (paper §5.2).
-		m = sel.MethodGather
+	switch m {
+	case sel.MethodSpecialGroup:
+		return selSpecial
+	case sel.MethodGather:
+		return selGather
+	default:
+		return selCompact
 	}
-	return m
 }
 
-// processAll aggregates every row of the batch. With special=true the
-// selection byte vector is fused into the group map first (paper §4.3);
-// otherwise the batch is unfiltered.
+// aggregateBatch is the pipeline's aggregate stage: group map → count →
+// decode → sum over the rows the filter stage left, removed the way how
+// says. Whole and special-group batches aggregate every row — with
+// selSpecial the selection byte vector is fused into the group map first, so
+// rejected rows land in the special slot; gather and compaction aggregate
+// only the selected rows; a span batch never maps a group or loads a value —
+// its one group's COUNT is the span row total and its sums are the RLE
+// columns' run-domain sums over the spans.
 //
 //bipie:kernel
-func (e *execState) processAll(b colstore.Batch, special bool) {
+func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int) {
 	sp := e.plan
-	groups := e.groupBuf[:b.N]
-	t0 := e.traceStart()
-	var selVec sel.ByteVec
-	if special {
-		selVec = e.selVec[:b.N]
+	if how == selSpans {
+		e.counts[0] += int64(selected)
+		t0 := e.traceStart()
+		for _, i := range sp.spanIdx {
+			e.sumAcc[i][0] += sp.sums[i].rle.SumSpans(b.Start, e.spans)
+		}
+		e.traceEnd(obs.PhaseAggregate, t0, selected)
+		return
 	}
-	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, selVec, uint8(sp.special))
+	groups := e.groupBuf[:b.N]
+	var fused sel.ByteVec
+	if how == selSpecial {
+		fused = e.selVec[:b.N]
+	}
+	t0 := e.traceStart()
+	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, fused, uint8(sp.special))
 	e.traceEnd(obs.PhaseGroupMap, t0, b.N)
 
+	// k rows reach the kernels, their values loaded the batch's own way —
+	// except that sort-based aggregation consumes a selection index vector:
+	// its sorted indices address batch rows, so packed columns are gathered
+	// straight from their packed form and expression inputs are evaluated
+	// over the whole batch.
+	sortBased := sp.strategy == agg.StrategySortBased
+	var idx sel.IndexVec
+	if how == selGather || how == selCompact {
+		groups, idx = e.compactSelected(groups, how == selGather || sortBased)
+	}
+	k := len(groups)
+	load, loaded := how, k
+	if sortBased {
+		load, loaded = selWhole, b.N
+	}
+
 	// Run-summable slots aggregate on the encoded runs; their batches are
-	// always full (the run path is only enabled for unfiltered
-	// single-group segments). The phase's two intervals are one pass over
-	// the batch: its rows are credited once, when the second closes.
+	// always whole (the run path is only enabled for unfiltered single-group
+	// segments). The phase's two intervals are one pass over the batch: its
+	// rows are credited once, when the second closes.
 	t0 = e.traceStart()
 	for _, i := range sp.runIdx {
 		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
 	}
-	e.countGroups(groups, nil)
+	e.countGroups(groups, idx)
 	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
-	cols := e.evalValues(b, valuesFull, b.N)
+	cols := e.evalValues(b, load, loaded)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
 	e.applySums(groups, cols, b.Start)
-	e.traceEnd(obs.PhaseAggregate, t0, b.N)
+	e.traceEnd(obs.PhaseAggregate, t0, k)
 }
 
-// processIndexed aggregates only selected rows, removed either by gather
-// selection (fused unpack of selected positions, paper §4.2) or by physical
-// compaction (full unpack then compact, paper §4.1).
+// compactSelected is the selection operator of gather and compaction: the
+// group ids of the rows e.selVec keeps, moved to the front of compGroups,
+// and — when the kernels will address rows by position — those positions in
+// e.idx. It is a function of its own so the two inlined compaction loops
+// keep their cursors in registers: spelled out inside aggregateBatch, one
+// of them is spilled and its loop runs at half speed.
 //
 //bipie:kernel
-func (e *execState) processIndexed(b colstore.Batch, gather bool) {
-	sp := e.plan
-	vec := e.selVec[:b.N]
-	groups := e.groupBuf[:b.N]
+func (e *execState) compactSelected(groups []uint8, positions bool) ([]uint8, sel.IndexVec) {
+	vec := e.selVec[:len(groups)]
 	t0 := e.traceStart()
-	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, nil, 0)
-	e.traceEnd(obs.PhaseGroupMap, t0, b.N)
-	t0 = e.traceStart()
-	k := sel.CompactU8(e.compGroups[:b.N], groups, vec)
-	e.traceEnd(obs.PhaseSelection, t0, b.N)
-	comp := e.compGroups[:k]
-
-	// Sort-based aggregation consumes a selection index vector: its sorted
-	// indices address batch rows, so packed columns are gathered straight
-	// from their packed form and expression inputs are evaluated over the
-	// whole batch.
-	sortBased := sp.strategy == agg.StrategySortBased
-	t0 = e.traceStart()
-	if gather || sortBased {
+	if positions {
 		e.idx = sel.CompactIndices(e.idx, vec)
 	}
-	e.traceEnd(obs.PhaseSelection, t0, b.N)
+	e.traceEnd(obs.PhaseSelection, t0, len(vec))
 	t0 = e.traceStart()
-	e.countGroups(comp, e.idx)
-	e.traceEnd(obs.PhaseAggregate, t0, 0)
-	t0 = e.traceStart()
-	var cols []*bitpack.Unpacked
-	switch {
-	case sortBased:
-		cols = e.evalValues(b, valuesFull, b.N)
-	case gather:
-		cols = e.evalValues(b, valuesGather, k)
-	default:
-		cols = e.evalValues(b, valuesCompact, k)
-	}
-	e.traceEnd(obs.PhaseDecode, t0, b.N)
-	t0 = e.traceStart()
-	e.applySums(comp, cols, b.Start)
-	e.traceEnd(obs.PhaseAggregate, t0, k)
+	k := sel.CompactU8(e.compGroups[:len(vec)], groups, vec)
+	e.traceEnd(obs.PhaseSelection, t0, len(vec))
+	return e.compGroups[:k], e.idx
 }
 
 // countGroups counts a batch's rows per group, the way the segment's sum
@@ -559,19 +531,10 @@ func (e *execState) countGroups(groups []uint8, idx sel.IndexVec) {
 	}
 }
 
-// valueMode is how a batch's sum-input vectors are loaded: every row, or
-// only the selected ones — gathered at the positions in e.idx (paper §4.2)
-// or unpacked in full and physically compacted (paper §4.1).
-type valueMode uint8
-
-const (
-	valuesFull valueMode = iota
-	valuesGather
-	valuesCompact
-)
-
-// evalValues runs the plan's sum-expression program for one batch. The mode
-// only decides how the leaves load — each column is unpacked once, however
+// evalValues runs the plan's sum-expression program for one batch. load
+// only decides how the leaves load — every row, or only the selected ones,
+// gathered at the positions in e.idx (selGather) or unpacked in full and
+// physically compacted (selCompact); each column is unpacked once, however
 // many inputs read it — and every operator then runs over the k loaded
 // rows, so under gather and compaction expressions are never evaluated for
 // rows the filter rejected. Every node's vector was allocated at its lane
@@ -579,7 +542,7 @@ const (
 // indexed by sum slot.
 //
 //bipie:kernel
-func (e *execState) evalValues(b colstore.Batch, mode valueMode, k int) []*bitpack.Unpacked {
+func (e *execState) evalValues(b colstore.Batch, load selection, k int) []*bitpack.Unpacked {
 	sp := e.plan
 	for _, i := range sp.evalOrder {
 		buf, leaf := e.nodeBufs[i], sp.progLeaves[i]
@@ -587,13 +550,13 @@ func (e *execState) evalValues(b colstore.Batch, mode valueMode, k int) []*bitpa
 		case leaf.bp == nil && leaf.col == nil:
 			sp.prog.Eval(e.nodeBufs, i, k)
 		case leaf.bp == nil:
-			e.loadDecoded(buf, e.leafI64[i][:b.N], leaf.col, b, mode)
-		case mode == valuesFull:
-			leaf.bp.Packed().UnpackSmallest(buf, b.Start, b.N)
-		case mode == valuesGather:
+			e.loadDecoded(buf, e.leafI64[i][:b.N], leaf.col, b, load)
+		case load == selGather:
 			sel.GatherIndices(buf, leaf.bp.Packed(), b.Start, e.idx)
-		default:
+		case load == selCompact:
 			sel.CompactSelect(buf, leaf.bp.Packed(), b.Start, b.N, e.selVec[:b.N])
+		default:
+			leaf.bp.Packed().UnpackSmallest(buf, b.Start, b.N)
 		}
 	}
 	return e.colViews
@@ -605,9 +568,9 @@ func (e *execState) evalValues(b colstore.Batch, mode valueMode, k int) []*bitpa
 //
 //bipie:kernel
 //bipie:nobce
-func (e *execState) loadDecoded(buf *bitpack.Unpacked, vals []int64, col encoding.IntColumn, b colstore.Batch, mode valueMode) {
+func (e *execState) loadDecoded(buf *bitpack.Unpacked, vals []int64, col encoding.IntColumn, b colstore.Batch, load selection) {
 	col.Decode(vals, b.Start)
-	if mode == valuesGather {
+	if load == selGather {
 		buf.Resize(len(e.idx))
 		dst := buf.U64[:len(e.idx)]
 		for j, ix := range e.idx {
@@ -620,7 +583,7 @@ func (e *execState) loadDecoded(buf *bitpack.Unpacked, vals []int64, col encodin
 	for j, v := range vals {
 		dst[j] = uint64(v)
 	}
-	if mode == valuesCompact {
+	if load == selCompact {
 		buf.Resize(sel.CompactU64(dst, dst, e.selVec[:b.N]))
 	}
 }

@@ -112,7 +112,7 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 			if pp.domain() == domPacked {
 				out.PackedFilters++
 			}
-			if op := pp.planOp(); op != pushAll && op != pushNone {
+			if !pp.planOp().constant() {
 				live++
 			}
 			out.PushedDomains = append(out.PushedDomains, pp.strategyLabel())

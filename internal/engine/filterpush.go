@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/costmodel"
@@ -45,6 +47,11 @@ const (
 	pushNone // metadata proves no row matches
 )
 
+// constant reports whether the op is a metadata-proven outcome. Such a
+// conjunct has no kernel to run, no batch metadata to consult and no
+// modelled cost; callers test for it once, so no predicate type has to.
+func (op pushOp) constant() bool { return op >= pushAll }
+
 // predDomain classifies where a pushed predicate evaluates, for stats and
 // Explain.
 type predDomain uint8
@@ -64,9 +71,9 @@ const (
 type pushedPred interface {
 	// planOp is the plan-level op after clamping against segment metadata.
 	planOp() pushOp
-	// batchOp refines the op for one batch against the encoding's
-	// batch-granularity metadata (zone maps, run bounds, monotone
-	// endpoints): the same clamping the planner does against segment
+	// batchOp refines a non-constant planOp for one batch against the
+	// encoding's batch-granularity metadata (zone maps, run bounds,
+	// monotone endpoints): the same clamp the planner runs against segment
 	// min/max, replayed per batch. pushNone skips the batch without
 	// touching data; pushAll drops this conjunct from the conjunction.
 	batchOp(b colstore.Batch) pushOp
@@ -84,16 +91,17 @@ type pushedPred interface {
 	// dict-const, delta-prune.
 	strategyLabel() string
 	// modelCost is the cost model's predicted cycles per evaluated row of
-	// one eval() call, under the given profile. Plan-time only; feeds
-	// SegmentPlan.FilterModelCyclesPerRow and the ExplainAnalyze model-error
-	// report.
+	// one eval() call of a non-constant conjunct, under the given profile.
+	// Plan-time only; feeds SegmentPlan.FilterModelCyclesPerRow and the
+	// ExplainAnalyze model-error report.
 	modelCost(prof *costmodel.Profile) float64
 }
 
 // spanPred is implemented by pushed predicates that can emit their result
 // as run-aligned selection spans instead of a row mask — the contract the
-// run-domain aggregation path (exec.processSpans) requires of every
-// conjunct so a batch's filter and sums both stay in the encoded domain.
+// run-domain aggregation path (the spanAgg side of exec.filterBatch)
+// requires of every conjunct so a batch's filter and sums both stay in the
+// encoded domain.
 type spanPred interface {
 	pushedPred
 	// evalSpans writes the qualifying rows of a batch as sorted, disjoint,
@@ -140,34 +148,50 @@ func splitPushdown(p expr.Pred, seg *colstore.Segment, opts *Options) ([]pushedP
 // hand-measured rule (≤32 bits except exactly 16, where unpacking is a
 // straight word copy — BenchmarkPackedCmp).
 
+// clampSegCmp reads a comparison against a segment's metadata. It matches
+// the one shape metadata can decide and the encoded domains can evaluate —
+// a bare integer column against a constant-foldable right-hand side — and
+// returns the column with the clamp of the comparison against its bounds.
+func clampSegCmp(c expr.Cmp, seg *colstore.Segment) (encoding.IntColumn, pushOp, int64, bool) {
+	name, ok := expr.IsCol(c.L)
+	if !ok {
+		return nil, 0, 0, false
+	}
+	rc, ok := expr.Fold(c.R).(expr.Const)
+	if !ok {
+		return nil, 0, 0, false
+	}
+	col, err := seg.IntCol(name)
+	if err != nil {
+		return nil, 0, 0, false
+	}
+	op, t, ok := clampCmp(c.Op, rc.V, col.Min(), col.Max())
+	return col, op, t, ok
+}
+
 // pushCmp translates col OP const into the column's encoded domain,
 // clamping against the column's min/max metadata. Which domain depends on
 // the encoding the segment chose for the column.
 func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pushedPred, bool) {
-	name, ok := expr.IsCol(c.L)
+	col, op, t, ok := clampSegCmp(c, seg)
 	if !ok {
-		return nil, false
-	}
-	rc, ok := expr.Fold(c.R).(expr.Const)
-	if !ok {
-		return nil, false
-	}
-	col, err := seg.IntCol(name)
-	if err != nil {
 		return nil, false
 	}
 	switch tc := col.(type) {
 	case *encoding.BitPackColumn:
-		return pushBitpackCmp(tc, c.Op, rc.V, opts)
+		pp := &bitpackPred{bp: tc, op: op}
+		if !op.constant() {
+			// A live threshold lies inside [Ref, Max], so its frame-of-reference
+			// offset is the non-negative difference.
+			pp.threshold = uint64(t - tc.Ref())
+		}
+		pp.packed = !opts.DisablePackedFilter && opts.profile().UsePackedCmp(tc.Width())
+		return pp, true
 	case *encoding.RLEColumn:
 		if opts.DisableRLEDomain {
 			return nil, false
 		}
-		op, t, ok := clampValueCmp(c.Op, rc.V, tc.Min(), tc.Max())
-		if !ok {
-			return nil, false
-		}
-		return &rlePred{col: tc, op: op, threshold: t, zones: !opts.DisableZoneMaps}, true
+		return &rlePred{col: tc, op: op, threshold: t}, true
 	case *encoding.DeltaColumn:
 		if opts.DisableDeltaDomain {
 			return nil, false
@@ -178,74 +202,53 @@ func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pushedPred, bool
 		if asc, desc := tc.Monotonic(); !asc && !desc {
 			return nil, false
 		}
-		op, t, ok := clampValueCmp(c.Op, rc.V, tc.Min(), tc.Max())
-		if !ok {
-			return nil, false
-		}
-		return &deltaPred{col: tc, op: op, threshold: t, zones: !opts.DisableZoneMaps}, true
+		return &deltaPred{col: tc, op: op, threshold: t}, true
 	default:
 		return nil, false
 	}
 }
 
-// clampValueCmp normalizes col OP v against [mn, mx] metadata in value
-// space — the RLE/delta analogue of the bit-packed offset-space clamping:
-// strict comparisons shift onto inclusive ones (with the int64 edge
-// guards), and thresholds outside the column's range collapse to the
-// constant outcomes.
-func clampValueCmp(op expr.CmpOp, v, mn, mx int64) (pushOp, int64, bool) {
+// clampCmp decides col OP v against the column's [mn, mx] metadata in value
+// space: strict comparisons shift onto inclusive ones (with the int64 edge
+// guards) and the clamp does the rest, so thresholds outside the range — or
+// any threshold against a single-valued range — collapse to the constant
+// outcomes. The returned threshold is the inclusive one. Segment elimination
+// keeps only the pushNone verdict; pushdown keeps the op and threshold
+// (bit-packed columns subtract Ref, their mn, to reach offset space).
+func clampCmp(op expr.CmpOp, v, mn, mx int64) (pushOp, int64, bool) {
+	var p pushOp
 	switch op {
-	case expr.OpLE, expr.OpLT:
-		if op == expr.OpLT {
-			if v == -1<<63 {
-				return pushNone, 0, true
-			}
-			v--
-		}
-		switch {
-		case v >= mx:
-			return pushAll, 0, true
-		case v < mn:
+	case expr.OpLE:
+		p = pushLE
+	case expr.OpLT:
+		if v == math.MinInt64 {
 			return pushNone, 0, true
-		default:
-			return pushLE, v, true
 		}
-	case expr.OpGE, expr.OpGT:
-		if op == expr.OpGT {
-			if v == 1<<63-1 {
-				return pushNone, 0, true
-			}
-			v++
-		}
-		switch {
-		case v <= mn:
-			return pushAll, 0, true
-		case v > mx:
+		p, v = pushLE, v-1
+	case expr.OpGE:
+		p = pushGE
+	case expr.OpGT:
+		if v == math.MaxInt64 {
 			return pushNone, 0, true
-		default:
-			return pushGE, v, true
 		}
+		p, v = pushGE, v+1
 	case expr.OpEQ:
-		if v < mn || v > mx {
-			return pushNone, 0, true
-		}
-		return pushEQ, v, true
+		p = pushEQ
 	case expr.OpNE:
-		if v < mn || v > mx {
-			return pushAll, 0, true
-		}
-		return pushNE, v, true
+		p = pushNE
 	default:
 		return 0, 0, false
 	}
+	return clamp(p, v, mn, mx), v, true
 }
 
-// refineOp replays the planner's threshold clamping at batch granularity:
-// given a batch's value bounds, a comparison collapses to pushAll/pushNone
-// when the bounds prove it, and passes through otherwise. Instantiated at
-// uint64 for offset-space (bitpack) predicates and int64 for value-space
-// (RLE, delta) ones.
-func refineOp[T int64 | uint64](op pushOp, t, mn, mx T) pushOp {
+// clamp is the engine's one "comparison against bounds" decision: given the
+// bounds [mn, mx] of the rows in question — a segment's column at plan
+// time, a batch's zone at scan time — a comparison collapses to
+// pushAll/pushNone when the bounds prove it, and passes through otherwise.
+// Instantiated at uint64 for offset-space (bitpack zone maps) and int64 for
+// value-space bounds.
+func clamp[T int64 | uint64](op pushOp, t, mn, mx T) pushOp {
 	switch op {
 	case pushLE:
 		if mx <= t {
@@ -265,7 +268,7 @@ func refineOp[T int64 | uint64](op pushOp, t, mn, mx T) pushOp {
 		if t < mn || t > mx {
 			return pushNone
 		}
-		if mn == mx { // single-valued zone range equal to t
+		if mn == mx { // single-valued range equal to t
 			return pushAll
 		}
 	case pushNE:
@@ -289,75 +292,13 @@ type bitpackPred struct {
 	op        pushOp
 	threshold uint64 // in offset space
 	packed    bool   // evaluate with the packed-domain compare kernels
-	zones     bool   // consult the column's zone maps per batch
-}
-
-// pushBitpackCmp translates col OP const into offset space, clamping
-// against the column's min/max metadata.
-func pushBitpackCmp(bp *encoding.BitPackColumn, op expr.CmpOp, v int64, opts *Options) (pushedPred, bool) {
-	ref, max := bp.Ref(), bp.Max()
-	pp := &bitpackPred{bp: bp}
-	switch op {
-	case expr.OpLE, expr.OpLT:
-		if op == expr.OpLT {
-			if v == -1<<63 {
-				pp.op = pushNone
-				return pp, true
-			}
-			v--
-		}
-		switch {
-		case v >= max:
-			pp.op = pushAll
-		case v < ref:
-			pp.op = pushNone
-		default:
-			pp.op, pp.threshold = pushLE, uint64(v-ref)
-		}
-	case expr.OpGE, expr.OpGT:
-		if op == expr.OpGT {
-			if v == 1<<63-1 {
-				pp.op = pushNone
-				return pp, true
-			}
-			v++
-		}
-		switch {
-		case v <= ref:
-			pp.op = pushAll
-		case v > max:
-			pp.op = pushNone
-		default:
-			pp.op, pp.threshold = pushGE, uint64(v-ref)
-		}
-	case expr.OpEQ:
-		if v < ref || v > max {
-			pp.op = pushNone
-		} else {
-			pp.op, pp.threshold = pushEQ, uint64(v-ref)
-		}
-	case expr.OpNE:
-		if v < ref || v > max {
-			pp.op = pushAll
-		} else {
-			pp.op, pp.threshold = pushNE, uint64(v-ref)
-		}
-	default:
-		return nil, false
-	}
-	pp.packed = !opts.DisablePackedFilter && opts.profile().UsePackedCmp(bp.Width())
-	pp.zones = !opts.DisableZoneMaps
-	return pp, true
 }
 
 func (pp *bitpackPred) planOp() pushOp { return pp.op }
 
 func (pp *bitpackPred) batchOp(b colstore.Batch) pushOp {
-	if !pp.zones || pp.op == pushAll || pp.op == pushNone {
-		return pp.op
-	}
 	mn, mx := pp.bp.ZoneBounds(b.Start, b.N)
-	return refineOp(pp.op, pp.threshold, mn, mx)
+	return clamp(pp.op, pp.threshold, mn, mx)
 }
 
 //bipie:kernel
@@ -383,7 +324,7 @@ func (pp *bitpackPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *p
 	t := pp.threshold
 	switch buf.WordSize {
 	case 1:
-		cmpMaskBytes(vec, buf.U8, uint8(t), pp.op, first)
+		cmpMaskWords(vec, buf.U8, uint8(t), pp.op, first)
 	case 2:
 		cmpMaskWords(vec, buf.U16, uint16(t), pp.op, first)
 	case 4:
@@ -413,9 +354,6 @@ func (pp *bitpackPred) strategyLabel() string {
 }
 
 func (pp *bitpackPred) modelCost(prof *costmodel.Profile) float64 {
-	if pp.op == pushAll || pp.op == pushNone {
-		return 0
-	}
 	// All four live ops run one compare core (GE and NE reuse the LE/EQ
 	// cores with a negated mask), so one figure per path covers them.
 	w := pp.bp.Width()
@@ -433,7 +371,6 @@ type rlePred struct {
 	col       *encoding.RLEColumn
 	op        pushOp
 	threshold int64
-	zones     bool // consult per-batch run bounds
 }
 
 // runCmpOf maps a non-constant pushOp onto the encoding package's
@@ -454,11 +391,8 @@ func runCmpOf(op pushOp) encoding.RunCmp {
 func (pp *rlePred) planOp() pushOp { return pp.op }
 
 func (pp *rlePred) batchOp(b colstore.Batch) pushOp {
-	if !pp.zones || pp.op == pushAll || pp.op == pushNone {
-		return pp.op
-	}
 	mn, mx := pp.col.ZoneBounds(b.Start, b.N)
-	return refineOp(pp.op, pp.threshold, mn, mx)
+	return clamp(pp.op, pp.threshold, mn, mx)
 }
 
 //bipie:kernel
@@ -481,9 +415,6 @@ func (pp *rlePred) domain() predDomain { return domRLE }
 func (pp *rlePred) strategyLabel() string { return "rle-run" }
 
 func (pp *rlePred) modelCost(prof *costmodel.Profile) float64 {
-	if pp.op == pushAll || pp.op == pushNone {
-		return 0
-	}
 	// Run-domain work amortizes over the column's average run length; the
 	// mask expansion (skipped on the span-aggregation path, where spans are
 	// consumed directly) pays per row.
@@ -692,7 +623,7 @@ func (pp *dictPred) initScratch(sc *predScratch) {
 func (pp *dictPred) domain() predDomain { return domDict }
 
 func (pp *dictPred) strategyLabel() string {
-	if pp.op == pushAll || pp.op == pushNone {
+	if pp.op.constant() {
 		return "dict-const"
 	}
 	switch pp.mode {
@@ -708,9 +639,6 @@ func (pp *dictPred) strategyLabel() string {
 }
 
 func (pp *dictPred) modelCost(prof *costmodel.Profile) float64 {
-	if pp.op == pushAll || pp.op == pushNone {
-		return 0
-	}
 	w := pp.ids.Bits()
 	switch pp.mode {
 	case dictRange:
@@ -734,20 +662,16 @@ type deltaPred struct {
 	col       *encoding.DeltaColumn
 	op        pushOp
 	threshold int64
-	zones     bool
 }
 
 func (pp *deltaPred) planOp() pushOp { return pp.op }
 
 func (pp *deltaPred) batchOp(b colstore.Batch) pushOp {
-	if !pp.zones || pp.op == pushAll || pp.op == pushNone {
-		return pp.op
-	}
 	mn, mx, ok := pp.col.RangeBounds(b.Start, b.N)
 	if !ok {
 		return pp.op
 	}
-	return refineOp(pp.op, pp.threshold, mn, mx)
+	return clamp(pp.op, pp.threshold, mn, mx)
 }
 
 //bipie:kernel
@@ -768,9 +692,6 @@ func (pp *deltaPred) domain() predDomain { return domDelta }
 func (pp *deltaPred) strategyLabel() string { return "delta-prune" }
 
 func (pp *deltaPred) modelCost(prof *costmodel.Profile) float64 {
-	if pp.op == pushAll || pp.op == pushNone {
-		return 0
-	}
 	// Boundary batches decode then compare as int64 words; interior batches
 	// resolve from endpoints, which batchOp accounts for by never calling
 	// eval there.
@@ -779,12 +700,6 @@ func (pp *deltaPred) modelCost(prof *costmodel.Profile) float64 {
 
 // ---------------------------------------------------------------------------
 // Mask kernels shared by the unpack and delta paths.
-
-// cmpMaskBytes is the byte-lane compare kernel; split from the generic one
-// so the most common instantiation stays monomorphic in profiles.
-func cmpMaskBytes(vec sel.ByteVec, vals []uint8, t uint8, op pushOp, first bool) {
-	cmpMaskWords(vec, vals, t, op, first)
-}
 
 // cmpMaskWords writes (or ANDs) the 0x00/0xFF mask of vals[i] OP t into
 // vec, branch-free per row. The int64 instantiation serves value-space

@@ -88,6 +88,177 @@ func TestPackedPushdownAblation(t *testing.T) {
 	}
 }
 
+// cmpHolds is the row-at-a-time meaning of x OP v.
+func cmpHolds(op expr.CmpOp, x, v int64) bool {
+	switch op {
+	case expr.OpLT:
+		return x < v
+	case expr.OpLE:
+		return x <= v
+	case expr.OpGT:
+		return x > v
+	case expr.OpGE:
+		return x >= v
+	case expr.OpEQ:
+		return x == v
+	default: // expr.OpNE
+		return x != v
+	}
+}
+
+// pushHolds is the meaning of a live pushOp: x OP t on inclusive thresholds,
+// in value space (int64) or frame-of-reference offset space (uint64).
+func pushHolds[T int64 | uint64](op pushOp, x, t T) bool {
+	switch op {
+	case pushLE:
+		return x <= t
+	case pushGE:
+		return x >= t
+	case pushEQ:
+		return x == t
+	default: // pushNE
+		return x != t
+	}
+}
+
+// verdict is what a comparison does to a set of rows: keeps all of them,
+// none of them, or some.
+func verdict(kept, n int) pushOp {
+	switch kept {
+	case n:
+		return pushAll
+	case 0:
+		return pushNone
+	default:
+		return pushLE // any live op: "mixed"
+	}
+}
+
+// agrees reports whether a clamp outcome matches a brute-force verdict: the
+// same constant, or live on both sides.
+func agrees(got, want pushOp) bool {
+	if got.constant() || want.constant() {
+		return got == want
+	}
+	return true
+}
+
+// TestClampAgreement holds the one compare-vs-bounds decision to brute
+// force. Over a column holding every value of [mn, mx], the clamp's outcome
+// for each operator and threshold must be exactly what evaluating the
+// comparison row by row says — all, none, or mixed — in value space, in
+// offset space (the uint64 instantiation the bit-packed zone maps use, also
+// against every sub-zone of the range), as the pushdown's plan op, and as
+// the segment-elimination verdict; and a live outcome's inclusive threshold
+// must select the very rows the original comparison does.
+func TestClampAgreement(t *testing.T) {
+	ops := []expr.CmpOp{expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE, expr.OpEQ, expr.OpNE}
+	ranges := [][2]int64{
+		{0, 99},
+		{7, 7},     // single-valued
+		{-50, -10}, // negative Ref
+		{-5, 5},
+		{-3, -3}, // single-valued, negative Ref
+		{math.MinInt64, math.MinInt64 + 3},
+		{math.MaxInt64 - 3, math.MaxInt64},
+	}
+	for _, r := range ranges {
+		mn, mx := r[0], r[1]
+		size := int(mx-mn) + 1
+		// Every value of the range, scrambled so no encoding is favoured
+		// (7919 is prime, so the stride visits all of them).
+		tbl := mustTable(t, 512, 1<<20, func(i int) (string, int64) {
+			return "k", mn + int64(i*7919%size)
+		})
+		seg := tbl.Segments()[0]
+		thresholds := []int64{math.MinInt64, mn, mn + (mx-mn)/2, mx, math.MaxInt64}
+		if mn > math.MinInt64 {
+			thresholds = append(thresholds, mn-1)
+		}
+		if mx < math.MaxInt64 {
+			thresholds = append(thresholds, mx+1)
+		}
+		for _, op := range ops {
+			for _, v := range thresholds {
+				label := fmt.Sprintf("[%d,%d] %v %d", mn, mx, op, v)
+				kept := 0
+				for x := mn; ; x++ {
+					if cmpHolds(op, x, v) {
+						kept++
+					}
+					if x == mx {
+						break
+					}
+				}
+				want := verdict(kept, size)
+
+				got, thr, ok := clampCmp(op, v, mn, mx)
+				if !ok {
+					t.Fatalf("%s: clamp declined a comparison operator", label)
+				}
+				if !agrees(got, want) {
+					t.Errorf("%s: clamp says %d, brute force %d (pushAll=%d pushNone=%d)", label, got, want, pushAll, pushNone)
+					continue
+				}
+
+				pred := expr.Cmp{Op: op, L: expr.Col("v"), R: expr.Int(v)}
+				if elim := canEliminate(seg, pred); elim != (want == pushNone) {
+					t.Errorf("%s: canEliminate = %v, brute force rejects %d of %d", label, elim, size-kept, size)
+				}
+				pp, ok := pushCmp(pred, seg, &Options{})
+				if !ok {
+					t.Fatalf("%s: comparison did not push", label)
+				}
+				if pp.planOp() != got {
+					t.Errorf("%s: pushdown planned op %d, clamp says %d", label, pp.planOp(), got)
+				}
+				if got.constant() {
+					continue
+				}
+
+				// A live outcome: same rows in value space and, after
+				// subtracting Ref, in offset space; and against every
+				// sub-zone the offset-space clamp is again what the zone's
+				// rows say.
+				off := uint64(thr - mn)
+				for x := mn; ; x++ {
+					if pushHolds(got, x, thr) != cmpHolds(op, x, v) {
+						t.Errorf("%s: value %d: inclusive form disagrees in value space", label, x)
+					}
+					if pushHolds(got, uint64(x-mn), off) != cmpHolds(op, x, v) {
+						t.Errorf("%s: value %d: inclusive form disagrees in offset space", label, x)
+					}
+					if x == mx {
+						break
+					}
+				}
+				for zlo := mn; zlo <= mx; zlo++ {
+					zkept := 0
+					for zhi := zlo; zhi <= mx; zhi++ {
+						if cmpHolds(op, zhi, v) {
+							zkept++
+						}
+						zwant := verdict(zkept, int(zhi-zlo)+1)
+						zgot := clamp(got, off, uint64(zlo-mn), uint64(zhi-mn))
+						if !agrees(zgot, zwant) {
+							t.Errorf("%s: zone [%d,%d]: offset-space clamp says %d, brute force %d", label, zlo, zhi, zgot, zwant)
+						}
+						if vgot := clamp(got, thr, zlo, zhi); vgot != zgot {
+							t.Errorf("%s: zone [%d,%d]: value-space clamp says %d, offset-space %d", label, zlo, zhi, vgot, zgot)
+						}
+						if zhi == math.MaxInt64 {
+							break
+						}
+					}
+					if zlo == math.MaxInt64 {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSplitPushdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	tbl := buildTable(t, rng, 1000, 2, 1000)

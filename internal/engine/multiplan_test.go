@@ -68,8 +68,6 @@ func TestMultiPlanCountsMatchNaive(t *testing.T) {
 		{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate), ForceSelection: ForceSel(sel.MethodCompact)},
 	} {
 		label := "sel=" + fmtPtr(opts.ForceSelection)
-		var stats ScanStats
-		opts.CollectStats = &stats
 		plans, err := Explain(tbl, q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -79,10 +77,7 @@ func TestMultiPlanCountsMatchNaive(t *testing.T) {
 				t.Fatalf("%s: segment %d planned %s, want Multi", label, pl.Segment, pl.Strategy)
 			}
 		}
-		got, err := Run(tbl, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, stats := runTraced(t, tbl, q, opts, nil)
 		assertSameResult(t, label, got, want)
 		if stats.RowsSelected >= stats.RowsTotal || stats.Batches < 4 {
 			t.Fatalf("%s: stats %+v: the scan did not filter", label, stats)

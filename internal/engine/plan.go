@@ -94,7 +94,6 @@ type segPlan struct {
 	modelCost   float64          // agg.EstimateCost of the chosen strategy, for actual-vs-assumed reporting
 	multiLayout *agg.MultiLayout // slot layout when strategy is multi-aggregate
 
-	hasFilter     bool
 	pushed        []pushedPred // conjuncts evaluated in their column's encoded domain
 	residual      expr.Pred    // predicate AST compiled per exec, nil if fully pushed
 	filterCols    []string     // integer columns the residual reads
@@ -346,7 +345,6 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// conjunct pushed (and in which domain) decides whether the span-domain
 	// aggregation path can claim the RLE sum slots.
 	if q.Filter != nil {
-		sp.hasFilter = true
 		sp.pushed, sp.residual = splitPushdown(q.Filter, seg, opts)
 		if sp.residual != nil {
 			sp.filterCols = sp.residual.Columns()
@@ -359,32 +357,24 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// emit run-aligned spans, a single real group, and only RLE-backed SUM
 	// slots. Deletes, forced methods, and residuals all fall back to the
 	// row-mask pipeline.
-	spanOK := sp.hasFilter && sp.residual == nil && len(sp.pushed) > 0 &&
+	spanOK := sp.residual == nil && len(sp.pushed) > 0 &&
 		!opts.DisableRLEDomain && sp.realGroups == 1 && len(sp.sums) > 0 &&
 		seg.DeletedRows() == 0 && opts.ForceSelection == nil && opts.ForceAggregation == nil
-	if spanOK {
-		for _, pp := range sp.pushed {
-			if _, ok := pp.(spanPred); !ok && pp.planOp() != pushAll {
-				spanOK = false
-				break
-			}
-		}
+	for i := range sp.sums {
+		spanOK = spanOK && sp.sums[i].kind == Sum && sp.sums[i].rle != nil
 	}
 	if spanOK {
-		for i := range sp.sums {
-			if sp.sums[i].kind != Sum || sp.sums[i].rle == nil {
-				spanOK = false
-				break
-			}
-		}
-	}
-	sp.spanAgg = spanOK
-	if sp.spanAgg {
-		sp.spanPreds = make([]spanPred, len(sp.pushed))
+		spanPreds := make([]spanPred, len(sp.pushed))
 		for i, pp := range sp.pushed {
-			if s, ok := pp.(spanPred); ok {
-				sp.spanPreds[i] = s
+			s, ok := pp.(spanPred)
+			if !ok && pp.planOp() != pushAll {
+				spanOK = false
+				break
 			}
+			spanPreds[i] = s
+		}
+		if spanOK {
+			sp.spanAgg, sp.spanPreds = true, spanPreds
 		}
 	}
 
@@ -476,7 +466,9 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// assumed vs measured cycles/row per strategy.
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
 	for _, pp := range sp.pushed {
-		sp.filterModel += pp.modelCost(prof)
+		if !pp.planOp().constant() {
+			sp.filterModel += pp.modelCost(prof)
+		}
 	}
 	sp.materialize = make([]bool, len(sp.sums))
 	for _, i := range sp.sumIdx {

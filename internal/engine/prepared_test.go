@@ -289,11 +289,11 @@ func TestPreparedRunCancelled(t *testing.T) {
 	assertSameResult(t, "after cancel", got, want)
 }
 
-// TestPreparedRunStats pins RunStats's per-caller contract: the result
-// matches Run, and each concurrent caller gets its own stats copy with
-// the scan's true row counts — unlike Options.CollectStats, which
-// aliases one shared target across executions.
-func TestPreparedRunStats(t *testing.T) {
+// TestPreparedPerCallStats pins RunTraced's per-caller contract on the
+// untraced path: the result matches Run, and each concurrent caller gets
+// its own stats copy with the scan's true row counts — there is no shared
+// target an execution could alias.
+func TestPreparedPerCallStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	tbl := buildTable(t, rng, 20000, 4, 6000)
 	q := &Query{
@@ -322,7 +322,7 @@ func TestPreparedRunStats(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, st, err := p.RunStats(context.Background())
+			res, st, err := p.RunTraced(context.Background(), nil)
 			if err != nil {
 				errs[g] = err
 				return

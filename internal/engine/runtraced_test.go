@@ -10,9 +10,8 @@ import (
 )
 
 // RunTraced is the serving layer's execution entry point: each call runs
-// under the caller's own ScanTrace (reset per run) rather than the shared
-// Options.Trace, so concurrent requests each get their own per-phase
-// attribution.
+// under the caller's own ScanTrace (reset per run), so concurrent requests
+// each get their own per-phase attribution.
 func TestRunTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(161))
 	tbl := buildTable(t, rng, 20000, 4, 5000)

@@ -2,21 +2,22 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
-	"bipie/internal/agg"
 	"bipie/internal/obs"
 	"bipie/internal/perfstat"
-	"bipie/internal/sel"
 )
 
 // ScanStats records what a scan actually did: how many segments were
 // eliminated by metadata, which selection method each batch chose from its
 // measured selectivity, and which aggregation strategy each segment ran.
 // It makes the paper's runtime adaptivity (§3: per-segment strategy,
-// per-batch selection) observable and testable. Populate by setting
-// Options.CollectStats.
+// per-batch selection) observable and testable. Every Prepared.RunTraced
+// call returns its own by value. It is also the scan's one working record:
+// units count their batches into private ones, the driver sums them, and
+// the process-wide metrics derive from that sum.
 type ScanStats struct {
 	// SegmentsScanned and SegmentsEliminated partition the segment list.
 	SegmentsScanned    int
@@ -62,9 +63,8 @@ type ScanStats struct {
 	// split across workers counts once per unit).
 	Strategies map[string]int
 	// Phases is the per-phase cycle attribution, indexed by obs.Phase,
-	// filled only when the scan ran with Options.Trace set (nil
-	// otherwise). Nanos/Rows/Calls per phase; convert to cycles with
-	// perfstat.
+	// filled only when the scan ran under a ScanTrace (nil otherwise).
+	// Nanos/Rows/Calls per phase; convert to cycles with perfstat.
 	Phases []obs.PhaseStat
 }
 
@@ -82,29 +82,26 @@ func (s *ScanStats) AvgSelectivity() float64 {
 	return float64(s.RowsSelected) / float64(s.RowsTotal)
 }
 
-// merge folds one scan unit's local counters in.
-func (s *ScanStats) merge(u *unitStats, strategy agg.Strategy) {
-	s.Batches += u.batches
-	s.NoSelection += u.noSelection
-	s.Gather += u.gather
-	s.Compact += u.compact
-	s.SpecialGroup += u.special
-	s.EmptyBatches += u.empty
-	s.BatchesSkipped += u.zoneSkipped
-	s.PackedKernelBatches += u.packed
-	s.RLEFilterBatches += u.rleRun
-	s.DictFilterBatches += u.dict
-	s.RunSpanBatches += u.spanBatches
-	s.RunSkippedRows += u.runSkipped
-	for i := range u.selHist {
-		s.SelectivityHist[i] += u.selHist[i]
+// add folds one scan unit's batch counters in. The driver owns the segment
+// counts, Strategies and Phases, which no unit writes.
+func (s *ScanStats) add(u *ScanStats) {
+	s.Batches += u.Batches
+	s.NoSelection += u.NoSelection
+	s.Gather += u.Gather
+	s.Compact += u.Compact
+	s.SpecialGroup += u.SpecialGroup
+	s.EmptyBatches += u.EmptyBatches
+	s.BatchesSkipped += u.BatchesSkipped
+	s.PackedKernelBatches += u.PackedKernelBatches
+	s.RLEFilterBatches += u.RLEFilterBatches
+	s.DictFilterBatches += u.DictFilterBatches
+	s.RunSpanBatches += u.RunSpanBatches
+	s.RunSkippedRows += u.RunSkippedRows
+	for i, c := range u.SelectivityHist {
+		s.SelectivityHist[i] += c
 	}
-	s.RowsTotal += u.rowsTotal
-	s.RowsSelected += u.rowsSelected
-	if s.Strategies == nil {
-		s.Strategies = make(map[string]int)
-	}
-	s.Strategies[strategy.String()]++
+	s.RowsTotal += u.RowsTotal
+	s.RowsSelected += u.RowsSelected
 }
 
 // Format renders the stats for the demo tools.
@@ -146,106 +143,53 @@ func (s *ScanStats) Format() string {
 	for name, n := range s.Strategies {
 		strategies = append(strategies, fmt.Sprintf("%s×%d", name, n))
 	}
+	sort.Strings(strategies) // map order would reshuffle the line run to run
 	if len(strategies) > 0 {
 		fmt.Fprintf(&b, "strategy: %s\n", strings.Join(strategies, ", "))
 	}
 	return b.String()
 }
 
-// unitStats is the per-scan-unit counter block, merged under Run's control
-// after workers finish, so the hot loop touches no shared state.
-type unitStats struct {
-	batches      int64
-	noSelection  int64
-	gather       int64
-	compact      int64
-	special      int64
-	empty        int64
-	zoneSkipped  int64
-	packed       int64
-	rleRun       int64
-	dict         int64
-	spanBatches  int64
-	runSkipped   int64
-	selHist      [SelBuckets]int64
-	rowsTotal    int64
-	rowsSelected int64
-}
+// domainSet is the set of encoded domains whose kernels ran for a batch,
+// bit 1<<d per predDomain d; one batch can set several (a conjunction over
+// mixed encodings).
+type domainSet uint8
 
-// noteFlags records which encoded-domain paths contributed to a batch's
-// filter; one batch can set several (a conjunction over mixed encodings).
-type noteFlags uint8
-
-const (
-	flagPacked noteFlags = 1 << iota // packed-domain SWAR compare ran
-	flagRLERun                       // RLE run-domain span evaluation ran
-	flagDict                         // dict-code-space filter ran
-)
-
-// note records a processed batch's outcome. n is positive: processBatch
-// returns before counting an empty batch window.
-func (u *unitStats) note(n, selected int, method sel.Method, whole bool, flags noteFlags) {
-	u.batches++
-	u.rowsTotal += int64(n)
-	u.rowsSelected += int64(selected)
-	if flags&flagPacked != 0 {
-		u.packed++
+// note records one batch window's outcome: n rows seen (positive — the scan
+// loop never counts an empty window), selected of them surviving the filter
+// stage by way of how, with the conjuncts evaluated in domains. A batch
+// resolved whole from metadata, before any kernel ran, is (n, 0, selWhole,
+// 0). Span batches never choose a selection method — no row-level selection
+// exists to classify — so by design they leave the gather/compact/special
+// partition untouched and count under RunSpanBatches instead.
+func (s *ScanStats) note(n, selected int, how selection, domains domainSet) {
+	s.Batches++
+	s.RowsTotal += int64(n)
+	s.RowsSelected += int64(selected)
+	if domains&(1<<domPacked) != 0 {
+		s.PackedKernelBatches++
 	}
-	if flags&flagRLERun != 0 {
-		u.rleRun++
+	if domains&(1<<domRLE) != 0 {
+		s.RLEFilterBatches++
 	}
-	if flags&flagDict != 0 {
-		u.dict++
+	if domains&(1<<domDict) != 0 {
+		s.DictFilterBatches++
 	}
-	bucket := selected * SelBuckets / n
-	if bucket >= SelBuckets {
-		bucket = SelBuckets - 1
+	s.SelectivityHist[min(selected*SelBuckets/n, SelBuckets-1)]++
+	if how == selSpans {
+		s.RunSpanBatches++
+		s.RunSkippedRows += int64(n - selected)
 	}
-	u.selHist[bucket]++
 	switch {
 	case selected == 0:
-		u.empty++
-	case whole:
-		u.noSelection++
-	case method == sel.MethodGather:
-		u.gather++
-	case method == sel.MethodCompact:
-		u.compact++
-	default:
-		u.special++
-	}
-}
-
-// noteSkipped records a batch resolved whole from metadata, without any
-// kernel running: zone reports whether a zone map (rather than plan-level
-// clamping) proved the skip.
-func (u *unitStats) noteSkipped(n int, zone bool) {
-	u.batches++
-	u.rowsTotal += int64(n)
-	u.empty++
-	u.selHist[0]++
-	if zone {
-		u.zoneSkipped++
-	}
-}
-
-// noteSpans records a batch resolved entirely on the run-domain span path.
-// Span batches never choose a selection method — no row-level selection
-// exists to classify — so the gather/compact/special partition is left
-// untouched by design; they count under RunSpanBatches instead.
-func (u *unitStats) noteSpans(n, selected int) {
-	u.batches++
-	u.rowsTotal += int64(n)
-	u.rowsSelected += int64(selected)
-	u.rleRun++
-	u.spanBatches++
-	u.runSkipped += int64(n - selected)
-	bucket := selected * SelBuckets / n
-	if bucket >= SelBuckets {
-		bucket = SelBuckets - 1
-	}
-	u.selHist[bucket]++
-	if selected == 0 {
-		u.empty++
+		s.EmptyBatches++
+	case how == selWhole:
+		s.NoSelection++
+	case how == selGather:
+		s.Gather++
+	case how == selCompact:
+		s.Compact++
+	case how == selSpecial:
+		s.SpecialGroup++
 	}
 }

@@ -1,13 +1,30 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"bipie/internal/expr"
+	"bipie/internal/obs"
 	"bipie/internal/table"
 )
+
+// runTraced is the one-shot Prepare + RunTraced the stats tests share: the
+// result, and the statistics that one scan owns. trace may be nil.
+func runTraced(t testing.TB, tbl *table.Table, q *Query, opts Options, trace *obs.ScanTrace) (*Result, ScanStats) {
+	t.Helper()
+	p, err := Prepare(tbl, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, st, err := p.RunTraced(context.Background(), trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
 
 // ScanStats must reflect the scan's actual runtime decisions: selectivity
 // drives the per-batch selection choice exactly as the paper's adaptivity
@@ -21,10 +38,7 @@ func TestScanStatsAdaptivity(t *testing.T) {
 	}
 
 	// No filter: every batch processes whole.
-	var st ScanStats
-	if _, err := Run(tbl, base, Options{CollectStats: &st, Parallelism: 1}); err != nil {
-		t.Fatal(err)
-	}
+	_, st := runTraced(t, tbl, base, Options{Parallelism: 1}, nil)
 	if st.SegmentsScanned != 4 || st.SegmentsEliminated != 0 {
 		t.Fatalf("segments: %+v", st)
 	}
@@ -41,10 +55,7 @@ func TestScanStatsAdaptivity(t *testing.T) {
 	// Very selective filter (~2%): gather everywhere.
 	q := *base
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(2))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st = runTraced(t, tbl, &q, Options{}, nil)
 	if st.Gather == 0 || st.SpecialGroup != 0 {
 		t.Fatalf("selective filter: %+v", st)
 	}
@@ -67,20 +78,14 @@ func TestScanStatsAdaptivity(t *testing.T) {
 
 	// Barely-filtering predicate (~95%): special group everywhere.
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(95))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st = runTraced(t, tbl, &q, Options{}, nil)
 	if st.SpecialGroup == 0 || st.Gather != 0 {
 		t.Fatalf("high selectivity: %+v", st)
 	}
 
 	// Filter rejecting everything in one segment range via elimination.
 	q.Filter = expr.Lt(expr.Col("d"), expr.Int(-1))
-	st = ScanStats{}
-	if _, err := Run(tbl, &q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st = runTraced(t, tbl, &q, Options{}, nil)
 	if st.SegmentsEliminated != 4 || st.SegmentsScanned != 0 {
 		t.Fatalf("elimination: %+v", st)
 	}
@@ -101,10 +106,7 @@ func TestScanStatsEmptyBatches(t *testing.T) {
 		Aggregates: []Aggregate{CountStar()},
 		Filter:     expr.Lt(expr.Col("v"), expr.Int(100)), // only rows in the first batch
 	}
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st := runTraced(t, tbl, q, Options{}, nil)
 	if st.EmptyBatches == 0 {
 		t.Fatalf("expected empty batches: %+v", st)
 	}
@@ -128,11 +130,7 @@ func TestScanStatsZoneSkip(t *testing.T) {
 		Aggregates: []Aggregate{CountStar()},
 		Filter:     expr.Lt(expr.Col("v"), expr.Int(100)), // only batch 0 can match
 	}
-	var st ScanStats
-	got, err := Run(tbl, q, Options{CollectStats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := runTraced(t, tbl, q, Options{}, nil)
 	if st.Batches != 4 || st.BatchesSkipped != 3 || st.EmptyBatches != 3 {
 		t.Fatalf("zone skips: %+v", st)
 	}
@@ -150,17 +148,13 @@ func TestScanStatsZoneSkip(t *testing.T) {
 		{DisablePackedFilter: true},
 		{DisableZoneMaps: true, DisablePackedFilter: true},
 	} {
-		opts.CollectStats = &ScanStats{}
-		ablated, err := Run(tbl, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ablated, ast := runTraced(t, tbl, q, opts, nil)
 		assertSameResult(t, "ablation", ablated, got)
-		if opts.DisableZoneMaps && opts.CollectStats.BatchesSkipped != 0 {
-			t.Fatalf("zone maps disabled but batches skipped: %+v", opts.CollectStats)
+		if opts.DisableZoneMaps && ast.BatchesSkipped != 0 {
+			t.Fatalf("zone maps disabled but batches skipped: %+v", ast)
 		}
-		if opts.DisablePackedFilter && opts.CollectStats.PackedKernelBatches != 0 {
-			t.Fatalf("packed kernels disabled but counted: %+v", opts.CollectStats)
+		if opts.DisablePackedFilter && ast.PackedKernelBatches != 0 {
+			t.Fatalf("packed kernels disabled but counted: %+v", ast)
 		}
 	}
 }
@@ -189,14 +183,23 @@ func TestScanStatsZeroRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &Query{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar()}}
-	var st ScanStats
-	if _, err := Run(tbl, q, Options{CollectStats: &st}); err != nil {
-		t.Fatal(err)
-	}
+	_, st := runTraced(t, tbl, q, Options{}, nil)
 	if st.RowsTotal != 0 {
 		t.Fatalf("empty table scanned rows: %+v", st)
 	}
 	if out := st.Format(); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Fatalf("empty-table Format leaks non-finite values:\n%s", out)
+	}
+}
+
+// The strategy line renders in name order, not map order: a scan whose
+// segments ran two strategies must print the same line every time.
+func TestScanStatsFormatStrategyOrder(t *testing.T) {
+	st := ScanStats{Strategies: map[string]int{"Scalar": 3, "Multi": 1}}
+	const want = "strategy: Multi×1, Scalar×3\n"
+	for i := 0; i < 32; i++ {
+		if out := st.Format(); !strings.HasSuffix(out, want) {
+			t.Fatalf("render %d ends\n%s\nwant it to end\n%s", i, out, want)
+		}
 	}
 }

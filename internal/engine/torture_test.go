@@ -35,23 +35,23 @@ func TestTortureDifferential(t *testing.T) {
 				// parallel scan — with -race this pins that tracing does
 				// not perturb results and that concurrent units merging
 				// into one ScanTrace are race-free.
-				combos := []Options{
+				combos := []struct {
+					opts  Options
+					trace *obs.ScanTrace
+				}{
 					{},
-					{
+					{opts: Options{
 						ForceSelection:   []*sel.Method{nil, ForceSel(sel.MethodGather), ForceSel(sel.MethodCompact), ForceSel(sel.MethodSpecialGroup)}[rng.Intn(4)],
 						ForceAggregation: []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyMultiAggregate)}[rng.Intn(4)],
 						Parallelism:      1 + rng.Intn(4),
-					},
+					}},
 					{
-						Trace:       obs.NewScanTrace(64),
-						Parallelism: 2 + rng.Intn(3),
+						opts:  Options{Parallelism: 2 + rng.Intn(3)},
+						trace: obs.NewScanTrace(64),
 					},
 				}
-				for ci, opts := range combos {
-					got, err := Run(tbl, q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for ci, c := range combos {
+					got, _ := runTraced(t, tbl, q, c.opts, c.trace)
 					assertSameResult(t, fmt.Sprintf("q%d combo%d", qi, ci), got, want)
 				}
 			}

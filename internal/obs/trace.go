@@ -68,10 +68,10 @@ type UnitGroup struct {
 
 // A ScanTrace collects one scan's phase attribution: the merge target for
 // per-unit Tracers plus driver-side phases. The engine resets it at every
-// scan start (the same overwrite-per-run contract as Options.CollectStats:
-// point one ScanTrace at one scan at a time for meaningful numbers), but
-// all mutation is mutex-guarded, so concurrent scans sharing a ScanTrace
-// are race-free — they interleave, they do not corrupt.
+// scan start, so hand one ScanTrace to one Prepared.RunTraced call at a time
+// for meaningful numbers; all mutation is mutex-guarded, so concurrent
+// scans sharing a ScanTrace are race-free — they interleave, they do not
+// corrupt.
 //
 // SpanCap bounds the per-unit span buffer; 0 records phase totals only.
 type ScanTrace struct {

@@ -66,12 +66,9 @@ type Config struct {
 	// its last \analyze trace). Nil serves a 404 explaining how to get
 	// one.
 	TraceSource func() *obs.ScanTrace
-	// Engine configures Prepare for every served query. Trace and
-	// CollectStats must stay nil: both alias one target across
-	// executions, which concurrent serving would race on. (Per-request
+	// Engine configures Prepare for every served query. Per-request
 	// tracing is built in: every execution runs under its own pooled
-	// ScanTrace and the per-phase breakdown lands in the request
-	// journal.)
+	// ScanTrace and the per-phase breakdown lands in the request journal.
 	Engine engine.Options
 }
 
