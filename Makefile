@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRLEDomainFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDictDomainFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSumExpr -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzPredProgram -fuzztime $(FUZZTIME)
 
 ## calibrate: fit the cost model on this machine — prints the profile JSON
 ## and writes the per-signature cache file every later bipie process reuses

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
 	"strings"
 	"sync"
@@ -298,6 +302,33 @@ func TestScanSurfaceIsClosed(t *testing.T) {
 			t.Errorf("bipie.Options.%s is a %v: one target aliased across every execution of a Prepared", f.Name, f.Type)
 		}
 	}
+}
+
+// Package expr has one evaluator — the typed program — beside the row
+// interpreter the oracle reads. A second compiler would arrive as an
+// exported Compile* function, an Env to feed it, or a func-typed evaluator;
+// any of them has to change this test first.
+func TestExprSurfaceIsClosed(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/expr", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil || pkgs["expr"] == nil {
+		t.Fatalf("parse internal/expr: %v", err)
+	}
+	ast.Inspect(pkgs["expr"], func(n ast.Node) bool {
+		switch d := n.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() && strings.HasPrefix(d.Name.Name, "Compile") {
+				t.Errorf("expr exports %s: a second compiler", d.Name.Name)
+			}
+			return false
+		case *ast.TypeSpec:
+			if _, isFunc := d.Type.(*ast.FuncType); d.Name.IsExported() && (isFunc || d.Name.Name == "Env" || strings.HasPrefix(d.Name.Name, "Compile")) {
+				t.Errorf("expr exports type %s: a closure evaluator's surface", d.Name.Name)
+			}
+		}
+		return true
+	})
 }
 
 // Row helpers on the public alias types.

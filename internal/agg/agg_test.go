@@ -80,11 +80,6 @@ func TestScalarSumVariants(t *testing.T) {
 			if !reflect.DeepEqual(got, want[0]) {
 				t.Fatalf("ScalarSum w=%d n=%d: %v vs %v", width, n, got, want[0])
 			}
-			got2 := make([]int64, 8)
-			ScalarSumMulti(groups, cols[0], got2)
-			if !reflect.DeepEqual(got2, want[0]) {
-				t.Fatalf("ScalarSumMulti w=%d n=%d", width, n)
-			}
 		}
 	}
 }

@@ -78,30 +78,3 @@ func maxTyped[T uint8 | uint16 | uint32 | uint64](groups []uint8, vals []T, maxs
 		}
 	}
 }
-
-// MinInt64 and MaxInt64 are the signed extremum updates for expression
-// outputs (which may be negative, unlike unpacked offsets).
-//
-//bipie:kernel
-//bipie:nobce
-func MinInt64(groups []uint8, vals []int64, mins []int64) {
-	vs := vals[:len(groups)]
-	for i, g := range groups {
-		if vs[i] < mins[g] {
-			mins[g] = vs[i]
-		}
-	}
-}
-
-// MaxInt64 is the signed maximum update.
-//
-//bipie:kernel
-//bipie:nobce
-func MaxInt64(groups []uint8, vals []int64, maxs []int64) {
-	vs := vals[:len(groups)]
-	for i, g := range groups {
-		if vs[i] > maxs[g] {
-			maxs[g] = vs[i]
-		}
-	}
-}

@@ -59,40 +59,3 @@ func TestScalarMinMaxEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestMinMaxInt64Equivalence checks the signed extremum kernels (used for
-// expression outputs, which may be negative) against a naive loop.
-func TestMinMaxInt64Equivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	const numGroups = 8
-	n := 2048
-	vals := make([]int64, n)
-	groups := make([]uint8, n)
-	for i := range vals {
-		vals[i] = rng.Int63n(1<<40) - 1<<39 // mixed signs
-		groups[i] = uint8(rng.Intn(numGroups))
-	}
-	wantMin := make([]int64, numGroups)
-	wantMax := make([]int64, numGroups)
-	InitMin(wantMin)
-	InitMax(wantMax)
-	for i, g := range groups {
-		if vals[i] < wantMin[g] {
-			wantMin[g] = vals[i]
-		}
-		if vals[i] > wantMax[g] {
-			wantMax[g] = vals[i]
-		}
-	}
-	gotMin := make([]int64, numGroups)
-	gotMax := make([]int64, numGroups)
-	InitMin(gotMin)
-	InitMax(gotMax)
-	MinInt64(groups, vals, gotMin)
-	MaxInt64(groups, vals, gotMax)
-	for g := 0; g < numGroups; g++ {
-		if gotMin[g] != wantMin[g] || gotMax[g] != wantMax[g] {
-			t.Fatalf("group %d: got (%d,%d) want (%d,%d)", g, gotMin[g], gotMax[g], wantMin[g], wantMax[g])
-		}
-	}
-}

@@ -86,63 +86,6 @@ func ScalarSum(groups []uint8, vals *bitpack.Unpacked, sums []int64) {
 	}
 }
 
-// ScalarSumMulti is ScalarSum with the two-array round-robin unroll of
-// §5.1, avoiding same-address update stalls for small group counts.
-//
-//bipie:kernel
-//bipie:nobce
-func ScalarSumMulti(groups []uint8, vals *bitpack.Unpacked, sums []int64) {
-	// Group ids are bytes, so 256 fixed stack slots always suffice.
-	var s1Arr, s2Arr [256]int64
-	s1, s2 := s1Arr[:len(sums)], s2Arr[:len(sums)]
-	n := len(groups)
-	switch vals.WordSize {
-	case 1:
-		vs := vals.U8[:n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			s1[groups[i]] += int64(vs[i])
-			s2[groups[i+1]] += int64(vs[i+1])
-		}
-		if i < n {
-			s1[groups[i]] += int64(vs[i])
-		}
-	case 2:
-		vs := vals.U16[:n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			s1[groups[i]] += int64(vs[i])
-			s2[groups[i+1]] += int64(vs[i+1])
-		}
-		if i < n {
-			s1[groups[i]] += int64(vs[i])
-		}
-	case 4:
-		vs := vals.U32[:n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			s1[groups[i]] += int64(vs[i])
-			s2[groups[i+1]] += int64(vs[i+1])
-		}
-		if i < n {
-			s1[groups[i]] += int64(vs[i])
-		}
-	default:
-		vs := vals.U64[:n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			s1[groups[i]] += int64(vs[i])
-			s2[groups[i+1]] += int64(vs[i+1])
-		}
-		if i < n {
-			s1[groups[i]] += int64(vs[i])
-		}
-	}
-	for g := range sums {
-		sums[g] += s1[g] + s2[g]
-	}
-}
-
 // ScalarSumColumnAtATime computes several sums by fully processing one
 // aggregate column before moving to the next (§5.1's first multi-sum
 // layout). sums[c] is the per-group sums of cols[c]. The paper measures

@@ -23,22 +23,14 @@ func canEliminate(seg *colstore.Segment, p expr.Pred) bool {
 		_, op, _, ok := clampSegCmp(t, seg)
 		return ok && op == pushNone
 	case expr.StrIn:
-		// A positive membership test rejects the segment when none of the
-		// sought values occur in its dictionary — the dictionary plays the
-		// role min/max metadata plays for integer columns.
-		if t.Negate {
-			return false
-		}
+		// The dictionary plays the role min/max metadata plays for integer
+		// columns: the segment goes when none of its codes qualifies.
 		col, err := seg.StrCol(t.Col)
 		if err != nil {
 			return false
 		}
-		for _, v := range t.Values {
-			if _, ok := col.IDOf(v); ok {
-				return false
-			}
-		}
-		return true
+		_, selected := strMembers(t, col)
+		return selected == 0
 	default:
 		return false
 	}

@@ -42,17 +42,17 @@ type Options struct {
 	DisablePackedFilter bool
 	// DisableRLEDomain keeps comparisons on RLE columns out of the run
 	// domain: no run-span filter evaluation, no span-path aggregation;
-	// such predicates fall back to the residual decode-then-compare path.
-	// For ablation.
+	// such predicates become residual leaves — the column decoded into
+	// the 8-byte lane, then the typed compare-to-mask. For ablation.
 	DisableRLEDomain bool
-	// DisableDictDomain keeps string predicates out of dictionary-code
-	// space: StrIn/StrEq filters evaluate as residual predicates on
-	// unpacked id vectors instead of pre-evaluating against the
-	// dictionary. For ablation.
+	// DisableDictDomain keeps string predicates out of the packed
+	// dictionary-code kernels: StrIn/StrEq filters become residual
+	// leaves — the ids unpacked at their smallest word, then a lookup in
+	// the plan's membership table. For ablation.
 	DisableDictDomain bool
-	// DisableDeltaDomain keeps comparisons on monotonic delta columns on
-	// the residual path instead of the endpoint-pruning pushdown. For
-	// ablation.
+	// DisableDeltaDomain keeps comparisons on monotonic delta columns off
+	// the endpoint-pruning pushdown: they become residual leaves, decoded
+	// and compared like a non-monotonic delta column's. For ablation.
 	DisableDeltaDomain bool
 	// CostProfile overrides the cost model driving strategy decisions
 	// (aggregation strategy, packed-vs-unpack filtering, the selection

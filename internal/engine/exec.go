@@ -7,24 +7,17 @@ import (
 	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/encoding"
-	"bipie/internal/expr"
 	"bipie/internal/obs"
 	"bipie/internal/sel"
 )
 
-// execState is the mutable half of a scan: every batch buffer, accumulator,
-// and compiled predicate one execution of a segPlan needs. It is built once
-// per pool entry and recycled across executions, so a steady-state scan
-// performs no heap allocation — the discipline bipievet's hotalloc analyzer
-// enforces on the methods below.
-//
-// The compiled residual predicate lives here, not in the plan: compiled
-// closures capture evaluation scratch (and StrIn predicates bind their
-// dictionary-id masks lazily to the first segment they see), so sharing
-// them across concurrent scans would race. Each exec state compiles its
-// own from the plan's AST; pooling amortizes the cost. Aggregate inputs
-// need no such thing — the plan's sum-expression program is immutable and
-// shared, and only its vectors live here.
+// execState is the mutable half of a scan: every batch buffer and
+// accumulator one execution of a segPlan needs. It is built once per pool
+// entry and recycled across executions, so a steady-state scan performs no
+// heap allocation — the discipline bipievet's hotalloc analyzer enforces on
+// the methods below. Nothing compiled lives here: the plan's programs — the
+// aggregate inputs' and the residual predicate's — are immutable and
+// shared, and only their vectors are per execution.
 type execState struct {
 	plan *segPlan
 
@@ -36,12 +29,12 @@ type execState struct {
 	multi  *agg.MultiAgg
 	sorter *agg.SortBased
 
-	// Compiled per exec from the plan's AST.
-	filter expr.CompiledPred // residual predicate, nil if fully pushed
-
 	// Reusable batch buffers.
-	residScratch sel.ByteVec   // residual result, ANDed into the pushed mask
-	predScratch  []predScratch // per pushed conjunct domain-specific scratch
+	predScratch []predScratch // per pushed conjunct domain-specific scratch
+	// The residual predicate's node vectors and the mask vectors its tree
+	// needs beside the batch's own (plans with a residual only).
+	residBufs progBufs
+	masks     []sel.ByteVec
 	// Span-path buffers (allocated only for spanAgg plans): the running
 	// span intersection, the current conjunct's spans, and the intersect
 	// target that swaps with the accumulator; spans is the filter stage's
@@ -54,21 +47,16 @@ type execState struct {
 	groupBuf   []uint8
 	compGroups []uint8
 	idx        sel.IndexVec
-	// nodeBufs holds one lane-typed vector per node of the plan's
-	// sum-expression program; colViews points each sum slot at its node's
-	// vector (nil for slots that never materialize), and leafI64 is the
-	// decode scratch of the leaves that are not bit-packed.
-	nodeBufs []*bitpack.Unpacked
+	// progBufs holds the vectors of the plan's sum-expression program;
+	// colViews points each sum slot at its node's vector (nil for slots
+	// that never materialize).
+	progBufs
 	colViews []*bitpack.Unpacked
-	leafI64  [][]int64
 	// Sum-kind subset views, used when MIN/MAX slots interleave with sums.
 	sumColsScratch []*bitpack.Unpacked
 	sumAccScratch  [][]int64
 	scalarScratch  agg.ScalarScratch
 	mapScratch     mapScratch
-	decoded        map[string][]int64
-	strIDs         map[string][]uint8
-	env            expr.Env
 
 	// stats counts this unit's batch outcomes; the driver sums the units
 	// after the workers finish, so the hot loop touches no shared state.
@@ -105,9 +93,12 @@ func newExecState(sp *segPlan) *execState {
 		e.sumAcc[i] = make([]int64, sp.domain)
 	}
 	if sp.residual != nil {
-		e.filter = expr.CompilePred(sp.residual)
-		if len(sp.pushed) > 0 {
-			e.residScratch = sel.NewByteVec(colstore.BatchRows)
+		e.residBufs = newProgBufs(&sp.residual.boundProg)
+		// One more than the tree needs: behind pushed conjuncts the root
+		// evaluates beside the batch's mask, not into it.
+		e.masks = make([]sel.ByteVec, 1+sp.residual.root.scratch())
+		for i := range e.masks {
+			e.masks[i] = sel.NewByteVec(colstore.BatchRows)
 		}
 	}
 	e.predScratch = make([]predScratch, len(sp.pushed))
@@ -126,15 +117,7 @@ func newExecState(sp *segPlan) *execState {
 	e.compGroups = make([]uint8, colstore.BatchRows)
 	if !sp.eliminated {
 		e.mapScratch = sp.mapper.newScratch()
-		e.nodeBufs = make([]*bitpack.Unpacked, sp.prog.Len())
-		e.leafI64 = make([][]int64, sp.prog.Len())
-		for _, i := range sp.evalOrder {
-			nd := sp.prog.Node(i)
-			e.nodeBufs[i] = bitpack.NewUnpacked(uint8(8*nd.Word), colstore.BatchRows)
-			if nd.Op == expr.SumLeafDecoded {
-				e.leafI64[i] = make([]int64, colstore.BatchRows)
-			}
-		}
+		e.progBufs = newProgBufs(&sp.boundProg)
 		e.colViews = make([]*bitpack.Unpacked, len(sp.sums))
 		for i, si := range sp.sums {
 			if sp.materialize[i] {
@@ -151,19 +134,6 @@ func newExecState(sp *segPlan) *execState {
 	}
 	if sp.strategy == agg.StrategySortBased {
 		e.sorter = agg.NewSortBased(sp.domain, sp.special)
-	}
-	e.decoded = make(map[string][]int64)
-	e.strIDs = make(map[string][]uint8)
-	e.env = expr.Env{
-		Get:       func(name string) []int64 { return e.decoded[name] },
-		GetStrIDs: func(name string) []uint8 { return e.strIDs[name] },
-		LookupStrID: func(col, value string) (uint64, bool) {
-			sc, err := sp.seg.StrCol(col)
-			if err != nil {
-				return 0, false
-			}
-			return sc.IDOf(value)
-		},
 	}
 	e.reset()
 	return e
@@ -217,48 +187,9 @@ func (e *execState) scanBatches(ctx context.Context, batches []colstore.Batch) e
 			continue
 		}
 		e.traceBatch(b.Start)
-		how, selected, err := e.filterBatch(b)
-		if err != nil {
-			return err
-		}
-		if selected > 0 {
+		if how, selected := e.filterBatch(b); selected > 0 {
 			e.aggregateBatch(b, how, selected)
 		}
-	}
-	return nil
-}
-
-// decodeFilterCols materializes the columns the residual predicate reads —
-// integer columns decoded to int64, dictionary columns to their id vectors —
-// for one batch into the expression environment, reusing buffers.
-//
-//bipie:kernel
-func (e *execState) decodeFilterCols(b colstore.Batch) error {
-	for _, name := range e.plan.filterCols {
-		col, err := e.plan.seg.IntCol(name)
-		if err != nil {
-			return err
-		}
-		buf := e.decoded[name]
-		if cap(buf) < b.N {
-			buf = make([]int64, colstore.BatchRows) //bipie:allow hotalloc — first touch per column, reused for every later batch
-		}
-		buf = buf[:b.N]
-		col.Decode(buf, b.Start)
-		e.decoded[name] = buf
-	}
-	for _, name := range e.plan.filterStrCols {
-		col, err := e.plan.seg.StrCol(name)
-		if err != nil {
-			return err
-		}
-		buf := e.strIDs[name]
-		if cap(buf) < b.N {
-			buf = make([]uint8, colstore.BatchRows) //bipie:allow hotalloc — first touch per column, reused for every later batch
-		}
-		buf = buf[:b.N]
-		col.IDs().UnpackUint8(buf, b.Start)
-		e.strIDs[name] = buf
 	}
 	return nil
 }
@@ -276,8 +207,9 @@ const (
 )
 
 // filterBatch is the pipeline's filter stage. Pushed conjuncts evaluate in
-// their encoded domains first; the residual predicate (if any) evaluates on
-// decoded data and ANDs in; deleted rows drop out last. Each conjunct is
+// their encoded domains first; the residual predicate (if any) evaluates its
+// value program over the whole batch, turns it into a mask and ANDs in;
+// deleted rows drop out last. Each conjunct is
 // refined against the encoding's batch metadata first: a proven
 // all-rejecting conjunct skips the batch before any kernel touches data,
 // and a proven all-matching one drops out of the conjunction. The result is
@@ -290,7 +222,7 @@ const (
 // returns how many rows survive and how the aggregate stage selects them.
 //
 //bipie:kernel
-func (e *execState) filterBatch(b colstore.Batch) (selection, int, error) {
+func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	sp := e.plan
 	vec := e.selVec[:b.N]
 	acc, tmp := e.spanAcc, e.spanTmp
@@ -314,7 +246,7 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int, error) {
 			if pp.planOp() != pushNone {
 				e.stats.BatchesSkipped++
 			}
-			return selWhole, 0, nil
+			return selWhole, 0
 		}
 		if op == pushAll {
 			continue
@@ -337,21 +269,18 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int, error) {
 			break
 		}
 	}
-	if e.filter != nil {
+	if rp := sp.residual; rp != nil {
 		t0 := e.traceStart()
-		if err := e.decodeFilterCols(b); err != nil {
-			return selWhole, 0, err
-		}
+		e.evalProgram(&rp.boundProg, &e.residBufs, b, selWhole, b.N)
 		e.traceEnd(obs.PhaseDecode, t0, b.N)
 		t0 = e.traceStart()
-		if !filled {
-			e.filter(&e.env, b.N, vec)
-		} else {
-			scratch := e.residScratch[:b.N]
-			e.filter(&e.env, b.N, scratch)
-			for i := range vec {
-				vec[i] &= scratch[i]
-			}
+		mask := vec
+		if filled {
+			mask = e.masks[0][:b.N]
+		}
+		e.evalMask(rp.root, mask, 1)
+		if filled {
+			vec.And(mask)
 		}
 		e.traceEnd(obs.PhaseSelection, t0, b.N)
 		filled = true
@@ -388,7 +317,7 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int, error) {
 		}
 	}
 	e.stats.note(b.N, selected, how, domains)
-	return how, selected, nil
+	return how, selected
 }
 
 // chooseSelection picks a selection method for one batch from measured
@@ -480,10 +409,10 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	e.countGroups(groups, idx)
 	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
-	cols := e.evalValues(b, load, loaded)
+	e.evalProgram(&sp.boundProg, &e.progBufs, b, load, loaded)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
-	e.applySums(groups, cols, b.Start)
+	e.applySums(groups, e.colViews, b.Start)
 	e.traceEnd(obs.PhaseAggregate, t0, k)
 }
 
@@ -531,35 +460,33 @@ func (e *execState) countGroups(groups []uint8, idx sel.IndexVec) {
 	}
 }
 
-// evalValues runs the plan's sum-expression program for one batch. load
-// only decides how the leaves load — every row, or only the selected ones,
-// gathered at the positions in e.idx (selGather) or unpacked in full and
-// physically compacted (selCompact); each column is unpacked once, however
-// many inputs read it — and every operator then runs over the k loaded
-// rows, so under gather and compaction expressions are never evaluated for
-// rows the filter rejected. Every node's vector was allocated at its lane
-// in newExecState, so the kernels fill it in place. The returned views are
-// indexed by sum slot.
+// evalProgram runs one of the plan's sum-expression programs — the
+// aggregate inputs' or the residual predicate's — for one batch into its
+// vectors. load only decides how the leaves load — every row, or only the
+// selected ones, gathered at the positions in e.idx (selGather) or unpacked
+// in full and physically compacted (selCompact); each column is unpacked
+// once, however many expressions read it — and every operator then runs
+// over the k loaded rows, so under gather and compaction expressions are
+// never evaluated for rows the filter rejected. Every node's vector was
+// allocated at its lane in newExecState, so the kernels fill it in place.
 //
 //bipie:kernel
-func (e *execState) evalValues(b colstore.Batch, load selection, k int) []*bitpack.Unpacked {
-	sp := e.plan
-	for _, i := range sp.evalOrder {
-		buf, leaf := e.nodeBufs[i], sp.progLeaves[i]
+func (e *execState) evalProgram(bp *boundProg, pb *progBufs, b colstore.Batch, load selection, k int) {
+	for _, i := range bp.evalOrder {
+		buf, leaf := pb.nodeBufs[i], bp.progLeaves[i]
 		switch {
-		case leaf.bp == nil && leaf.col == nil:
-			sp.prog.Eval(e.nodeBufs, i, k)
-		case leaf.bp == nil:
-			e.loadDecoded(buf, e.leafI64[i][:b.N], leaf.col, b, load)
+		case leaf.packed == nil && leaf.col == nil:
+			bp.prog.Eval(pb.nodeBufs, i, k)
+		case leaf.packed == nil:
+			e.loadDecoded(buf, pb.leafI64[i][:b.N], leaf.col, b, load)
 		case load == selGather:
-			sel.GatherIndices(buf, leaf.bp.Packed(), b.Start, e.idx)
+			sel.GatherIndices(buf, leaf.packed, b.Start, e.idx)
 		case load == selCompact:
-			sel.CompactSelect(buf, leaf.bp.Packed(), b.Start, b.N, e.selVec[:b.N])
+			sel.CompactSelect(buf, leaf.packed, b.Start, b.N, e.selVec[:b.N])
 		default:
-			leaf.bp.Packed().UnpackSmallest(buf, b.Start, b.N)
+			leaf.packed.UnpackSmallest(buf, b.Start, b.N)
 		}
 	}
-	return e.colViews
 }
 
 // loadDecoded fills a leaf vector from a column that is not bit-packed: a
@@ -634,8 +561,8 @@ func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked, start in
 		e.multi.Accumulate(groups, sumCols)
 	case agg.StrategySortBased:
 		for k, i := range sp.sumIdx {
-			if bp := sp.sums[i].bp; bp != nil {
-				e.sorter.SumPacked(bp.Packed(), start, sumAcc[k])
+			if packed := sp.sums[i].packed; packed != nil {
+				e.sorter.SumPacked(packed, start, sumAcc[k])
 			} else {
 				e.sorter.SumUnpacked(sumCols[k], sumAcc[k])
 			}

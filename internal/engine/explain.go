@@ -39,9 +39,9 @@ type SegmentPlan struct {
 	// Zero when nothing live is pushed.
 	FilterModelCyclesPerRow float64
 	// DecodeModelCyclesPerRow is the cost model's predicted decode cost —
-	// Σ unpack(width) over the columns the sum inputs (and any residual
-	// predicate) read, plus one typed pass per sum-expression operator —
-	// in cycles per row of one timed decode pass over a batch whose values
+	// Σ unpack(width) over the columns the sum inputs and the residual
+	// predicate read, plus one typed pass per operator of either's program
+	// — in cycles per row of one timed decode pass over a batch whose values
 	// load in full. Batches that gather or compact load fewer rows and
 	// cost less. Zero when the plan decodes nothing.
 	DecodeModelCyclesPerRow float64
@@ -49,7 +49,11 @@ type SegmentPlan struct {
 	// encoded domain; PackedFilters counts how many of those run the
 	// packed-domain SWAR compare kernels (the rest evaluate per run, in
 	// dict-code space, by delta pruning, or unpack then compare);
-	// ResidualFilter reports whether a residual predicate remains.
+	// ResidualFilter reports whether a residual predicate remains: what no
+	// encoded domain could take (an OR tree, column-vs-column, a comparison
+	// over arithmetic), evaluated as a typed narrow-word program over the
+	// unpacked columns and combined into the mask after the pushed
+	// conjuncts. A residual that metadata proves true does not count.
 	PushedFilters  int
 	PackedFilters  int
 	ResidualFilter bool

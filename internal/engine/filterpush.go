@@ -30,8 +30,8 @@ import (
 //     checkpoint replays) to feed the zone-style keep-all/keep-none
 //     pruning, decoding only boundary batches.
 //
-// Whatever cannot be pushed remains a residual predicate for the compiled
-// expression evaluator, ANDed afterwards.
+// Whatever cannot be pushed remains a residual predicate (predprog.go),
+// ANDed afterwards.
 
 // pushOp is the normalized comparison of a pushed predicate: after
 // constant translation only o <= t, o >= t, o == t, o != t remain, plus
@@ -150,12 +150,16 @@ func splitPushdown(p expr.Pred, seg *colstore.Segment, opts *Options) ([]pushedP
 
 // clampSegCmp reads a comparison against a segment's metadata. It matches
 // the one shape metadata can decide and the encoded domains can evaluate —
-// a bare integer column against a constant-foldable right-hand side — and
-// returns the column with the clamp of the comparison against its bounds.
+// a bare integer column against a constant-foldable other side, in either
+// order — and returns the column with the clamp of the comparison against
+// its bounds.
 func clampSegCmp(c expr.Cmp, seg *colstore.Segment) (encoding.IntColumn, pushOp, int64, bool) {
 	name, ok := expr.IsCol(c.L)
-	if !ok {
-		return nil, 0, 0, false
+	if !ok { // const OP col reads as col OP' const
+		c = expr.Cmp{Op: c.Op.Mirror(), L: c.R, R: c.L}
+		if name, ok = expr.IsCol(c.L); !ok {
+			return nil, 0, 0, false
+		}
 	}
 	rc, ok := expr.Fold(c.R).(expr.Const)
 	if !ok {
@@ -198,7 +202,7 @@ func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pushedPred, bool
 		}
 		// Only monotonic delta columns push: they are the ones whose batch
 		// bounds come from two endpoint lookups. Non-monotonic columns gain
-		// nothing over the residual decode path.
+		// nothing over the residual's decode-then-compare.
 		if asc, desc := tc.Monotonic(); !asc && !desc {
 			return nil, false
 		}
@@ -320,18 +324,7 @@ func (pp *bitpackPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *p
 		return
 	}
 	sc.unpacked = pp.bp.Packed().UnpackSmallest(sc.unpacked, b.Start, b.N)
-	buf := sc.unpacked
-	t := pp.threshold
-	switch buf.WordSize {
-	case 1:
-		cmpMaskWords(vec, buf.U8, uint8(t), pp.op, first)
-	case 2:
-		cmpMaskWords(vec, buf.U16, uint16(t), pp.op, first)
-	case 4:
-		cmpMaskWords(vec, buf.U32, uint32(t), pp.op, first)
-	default:
-		cmpMaskWords(vec, buf.U64, t, pp.op, first)
-	}
+	cmpMaskLanes(vec, sc.unpacked, pp.threshold, pp.op, first)
 }
 
 func (pp *bitpackPred) initScratch(sc *predScratch) {
@@ -489,11 +482,31 @@ type dictPred struct {
 	mask   [256]byte // dictBitmap: 0xFF for qualifying codes
 }
 
-// pushStrIn pre-evaluates a StrIn predicate against this segment's
-// dictionary: every value resolves to its id (absent values match
-// nothing), negation complements within the dictionary, and the resulting
-// id set clamps to a constant, collapses to a point/range comparison, or
-// becomes a bitmap.
+// strMembers pre-evaluates a StrIn predicate against a dictionary: every
+// value resolves to its id (absent values match nothing) and negation
+// complements within the dictionary. It returns the 0x00/0xFF membership
+// mask over the dictionary's codes and how many of them qualify.
+func strMembers(s expr.StrIn, col *encoding.DictColumn) (member []byte, selected int) {
+	member = make([]byte, col.Cardinality())
+	for _, v := range s.Values {
+		if id, ok := col.IDOf(v); ok {
+			member[id] = sel.Selected
+		}
+	}
+	for i := range member {
+		if s.Negate {
+			member[i] = ^member[i]
+		}
+		if member[i] != 0 {
+			selected++
+		}
+	}
+	return member, selected
+}
+
+// pushStrIn reduces a StrIn predicate to this segment's dict-code space:
+// the qualifying id set clamps to a constant, collapses to a point/range
+// comparison, or becomes a bitmap.
 func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, bool) {
 	if opts.DisableDictDomain {
 		return nil, false
@@ -504,27 +517,11 @@ func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, 
 	}
 	card := col.Cardinality()
 	if card > 256 {
-		// The engine's group and id kernels assume uint8 code space; wider
-		// dictionaries stay on the residual path.
+		// dictPred's bitmap indexes a 256-entry table with uint8 ids; a
+		// wider dictionary is a residual leaf, its ids at their own word.
 		return nil, false
 	}
-	var member [256]bool
-	selected := 0
-	for _, v := range s.Values {
-		if id, ok := col.IDOf(v); ok && !member[id] {
-			member[id] = true
-			selected++
-		}
-	}
-	if s.Negate {
-		selected = 0
-		for i := 0; i < card; i++ {
-			member[i] = !member[i]
-			if member[i] {
-				selected++
-			}
-		}
-	}
+	member, selected := strMembers(s, col)
 	pp := &dictPred{ids: col.IDs()}
 	switch {
 	case selected == 0:
@@ -535,10 +532,10 @@ func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, 
 		return pp, true
 	}
 	lo, hi := 0, card-1
-	for !member[lo] {
+	for member[lo] == 0 {
 		lo++
 	}
-	for !member[hi] {
+	for member[hi] == 0 {
 		hi--
 	}
 	pp.op = pushEQ // non-constant sentinel; eval dispatches on mode
@@ -557,17 +554,13 @@ func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, 
 		}
 	case selected == card-1: // exactly one code missing
 		gap := lo
-		for member[gap] {
+		for member[gap] != 0 {
 			gap++
 		}
 		pp.mode, pp.lo = dictNE, uint64(gap)
 	default:
 		pp.mode = dictBitmap
-		for i := 0; i < card; i++ {
-			if member[i] {
-				pp.mask[i] = byte(sel.Selected)
-			}
-		}
+		copy(pp.mask[:], member)
 	}
 	return pp, true
 }
@@ -699,7 +692,24 @@ func (pp *deltaPred) modelCost(prof *costmodel.Profile) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Mask kernels shared by the unpack and delta paths.
+// Mask kernels shared by the unpack and delta paths and the residual
+// predicate's comparisons.
+
+// cmpMaskLanes is cmpMaskWords over an unpacked vector, at its word size.
+//
+//bipie:kernel
+func cmpMaskLanes(vec sel.ByteVec, buf *bitpack.Unpacked, t uint64, op pushOp, first bool) {
+	switch buf.WordSize {
+	case 1:
+		cmpMaskWords(vec, buf.U8, uint8(t), op, first)
+	case 2:
+		cmpMaskWords(vec, buf.U16, uint16(t), op, first)
+	case 4:
+		cmpMaskWords(vec, buf.U32, uint32(t), op, first)
+	default:
+		cmpMaskWords(vec, buf.U64, t, op, first)
+	}
+}
 
 // cmpMaskWords writes (or ANDs) the 0x00/0xFF mask of vals[i] OP t into
 // vec, branch-free per row. The int64 instantiation serves value-space

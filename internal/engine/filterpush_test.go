@@ -148,9 +148,13 @@ func agrees(got, want pushOp) bool {
 // for each operator and threshold must be exactly what evaluating the
 // comparison row by row says — all, none, or mixed — in value space, in
 // offset space (the uint64 instantiation the bit-packed zone maps use, also
-// against every sub-zone of the range), as the pushdown's plan op, and as
-// the segment-elimination verdict; and a live outcome's inclusive threshold
-// must select the very rows the original comparison does.
+// against every sub-zone of the range), as the pushdown's plan op, as the
+// segment-elimination verdict, and as the residual program's plan-time
+// verdict for the comparison in either operand order (where it is a
+// difference node against a threshold, or two int64 sides when the
+// difference could wrap); and a live outcome's inclusive threshold must
+// select the very rows the original comparison does, as must the residual's
+// mask.
 func TestClampAgreement(t *testing.T) {
 	ops := []expr.CmpOp{expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE, expr.OpEQ, expr.OpNE}
 	ranges := [][2]int64{
@@ -211,6 +215,42 @@ func TestClampAgreement(t *testing.T) {
 				}
 				if pp.planOp() != got {
 					t.Errorf("%s: pushdown planned op %d, clamp says %d", label, pp.planOp(), got)
+				}
+				mirrored := expr.Cmp{Op: op.Mirror(), L: expr.Int(v), R: expr.Col("v")}
+				for _, resid := range []expr.Cmp{pred, mirrored} {
+					rp, err := compileResidual(resid, seg, false)
+					if err != nil {
+						t.Fatalf("%s: residual %s: %v", label, resid, err)
+					}
+					rgot := pushLE // live
+					switch {
+					case rp == nil:
+						rgot = pushAll
+					case rp.root.kind == maskNone:
+						rgot = pushNone
+					}
+					if !agrees(rgot, want) || rgot.constant() != got.constant() {
+						t.Errorf("%s: residual %s folds to %d, brute force %d", label, resid, rgot, want)
+					}
+				}
+				// NOT TRUE folds away and leaves the comparison alone under an
+				// OR, which no conjunct pushes through: the residual's rows.
+				q := &Query{Aggregates: []Aggregate{CountStar()}, Filter: expr.OrP(mirrored, expr.NotP(expr.True()))}
+				res, err := Run(tbl, q, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var rows, scanned int64
+				for i := 0; i < 512; i++ {
+					if cmpHolds(op, mn+int64(i*7919%size), v) {
+						rows++
+					}
+				}
+				if len(res.Rows) > 0 {
+					scanned = res.Rows[0].Stats[0].Count
+				}
+				if scanned != rows {
+					t.Errorf("%s: residual keeps %d rows, brute force %d", label, scanned, rows)
 				}
 				if got.constant() {
 					continue

@@ -4,14 +4,15 @@ import (
 	"strconv"
 
 	"bipie/internal/colstore"
-	"bipie/internal/encoding"
 	"bipie/internal/expr"
 	"bipie/internal/table"
 )
 
 // RunNaive executes the same query shape with a classical row-at-a-time
-// plan: decode every referenced column, evaluate the filter per row with a
-// branch, and aggregate through a hash table keyed on the group values. It
+// plan: decode every referenced column, interpret the filter and the
+// aggregate inputs per row straight off the expression trees
+// (expr.HoldsRow, expr.EvalRow — none of the scan's programs or kernels),
+// and aggregate through a hash table keyed on the group values. It
 // is the "previous implementation" baseline BIPie is measured against
 // (paper §3: "specialization of operators allows BIPie to outperform the
 // previous implementation") and the differential-testing oracle for the
@@ -26,34 +27,15 @@ func RunNaive(t *table.Table, q *Query) (*Result, error) {
 	}
 	groups := make(map[string]*cell)
 
-	sumEvals := make([]func(env *expr.Env, row int) int64, 0, len(q.Aggregates))
-	for _, a := range q.Aggregates {
-		if a.Kind == Count {
-			sumEvals = append(sumEvals, nil)
-			continue
-		}
-		sumEvals = append(sumEvals, compileRowExpr(a.Arg))
-	}
-
-	// Columns to decode per segment.
-	needed := map[string]struct{}{}
+	// Integer columns to decode per segment: whatever the filter, the
+	// aggregates or the grouping reads.
+	needed := append([]string(nil), q.GroupBy...)
 	if q.Filter != nil {
-		for _, c := range q.Filter.Columns() {
-			needed[c] = struct{}{}
-		}
+		needed = append(needed, q.Filter.Columns()...)
 	}
 	for _, a := range q.Aggregates {
 		if a.Arg != nil {
-			for _, c := range a.Arg.Columns() {
-				needed[c] = struct{}{}
-			}
-		}
-	}
-
-	strNeeded := map[string]struct{}{}
-	if q.Filter != nil {
-		for _, c := range expr.StrColumns(q.Filter) {
-			strNeeded[c] = struct{}{}
+			needed = append(needed, a.Arg.Columns()...)
 		}
 	}
 
@@ -62,76 +44,28 @@ func RunNaive(t *table.Table, q *Query) (*Result, error) {
 		allSegments = append(append([]*colstore.Segment(nil), allSegments...), ms)
 	}
 	for _, seg := range allSegments {
-		seg := seg
-		decoded := make(map[string][]int64, len(needed))
-		for name := range needed {
-			col, err := seg.IntCol(name)
-			if err != nil {
-				return nil, err
+		r := &naiveRow{seg: seg, decoded: make(map[string][]int64, len(needed))}
+		for _, name := range needed {
+			if col, err := seg.IntCol(name); err == nil && r.decoded[name] == nil && seg.Rows() > 0 {
+				r.decoded[name] = make([]int64, seg.Rows())
+				col.Decode(r.decoded[name], 0)
 			}
-			buf := make([]int64, seg.Rows())
-			if seg.Rows() > 0 {
-				col.Decode(buf, 0)
-			}
-			decoded[name] = buf
 		}
-		strIDs := make(map[string][]uint8, len(strNeeded))
-		for name := range strNeeded {
-			col, err := seg.StrCol(name)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]uint8, seg.Rows())
-			if seg.Rows() > 0 {
-				col.IDs().UnpackUint8(buf, 0)
-			}
-			strIDs[name] = buf
-		}
-		groupCols := make([]*rowStrCol, len(q.GroupBy))
-		for i, name := range q.GroupBy {
-			if col, err := seg.StrCol(name); err == nil {
-				groupCols[i] = &rowStrCol{col: col}
+		for r.row = 0; r.row < seg.Rows(); r.row++ {
+			if seg.IsDeleted(r.row) {
 				continue
 			}
-			intc, err := seg.IntCol(name)
-			if err != nil {
-				return nil, err
+			if q.Filter != nil && !expr.HoldsRow(q.Filter, r) {
+				continue
 			}
-			groupCols[i] = &rowStrCol{col: intKeyCol{c: intc}}
-		}
-		row := -1
-		env := &expr.Env{
-			Get: func(name string) []int64 {
-				return decoded[name][row : row+1]
-			},
-			GetStrIDs: func(name string) []uint8 {
-				return strIDs[name][row : row+1]
-			},
-			LookupStrID: func(col, value string) (uint64, bool) {
-				sc, err := seg.StrCol(col)
-				if err != nil {
-					return 0, false
+			// Integer keys render as decimal strings, as the fused engine's do.
+			keys := make([]string, len(q.GroupBy))
+			for i, name := range q.GroupBy {
+				if vals, ok := r.decoded[name]; ok {
+					keys[i] = strconv.FormatInt(vals[r.row], 10)
+				} else {
+					keys[i] = r.Str(name)
 				}
-				return sc.IDOf(value)
-			},
-		}
-		// Compiled string predicates bind to the dictionaries of the first
-		// environment they evaluate against, so the filter is compiled per
-		// segment.
-		var filterEval func(env *expr.Env, row int) bool
-		if q.Filter != nil {
-			filterEval = compileRowPred(q.Filter)
-		}
-		for row = 0; row < seg.Rows(); row++ {
-			if seg.IsDeleted(row) {
-				continue
-			}
-			if filterEval != nil && !filterEval(env, row) {
-				continue
-			}
-			keys := make([]string, len(groupCols))
-			for i, gc := range groupCols {
-				keys[i] = gc.col.Get(row)
 			}
 			k := groupKey(keys)
 			c, ok := groups[k]
@@ -142,10 +76,10 @@ func RunNaive(t *table.Table, q *Query) (*Result, error) {
 			for ai := range q.Aggregates {
 				first := c.stats[ai].Count == 0
 				c.stats[ai].Count++
-				if sumEvals[ai] == nil {
+				if q.Aggregates[ai].Kind == Count {
 					continue
 				}
-				v := sumEvals[ai](env, row)
+				v := expr.EvalRow(q.Aggregates[ai].Arg, r)
 				switch q.Aggregates[ai].Kind {
 				case Min:
 					if first || v < c.stats[ai].Sum {
@@ -174,30 +108,20 @@ func RunNaive(t *table.Table, q *Query) (*Result, error) {
 	return res, nil
 }
 
-type rowStrCol struct{ col interface{ Get(int) string } }
-
-// intKeyCol renders integer group-by keys the same way the fused engine
-// does (decimal strings), so both engines produce identical key tuples.
-type intKeyCol struct{ c encoding.IntColumn }
-
-func (k intKeyCol) Get(i int) string { return strconv.FormatInt(k.c.Get(i), 10) }
-
-// compileRowExpr interprets an expression one row at a time — deliberately
-// the slow classical path.
-func compileRowExpr(e expr.Expr) func(env *expr.Env, row int) int64 {
-	compiled := expr.CompileExpr(e)
-	out := make([]int64, 1)
-	return func(env *expr.Env, _ int) int64 {
-		compiled(env, 1, out)
-		return out[0]
-	}
+// naiveRow is one row of a segment as the row interpreter reads it: integer
+// columns decoded in full up front, strings looked up in the dictionary.
+type naiveRow struct {
+	seg     *colstore.Segment
+	decoded map[string][]int64
+	row     int
 }
 
-func compileRowPred(p expr.Pred) func(env *expr.Env, row int) bool {
-	compiled := expr.CompilePred(p)
-	out := make([]byte, 1)
-	return func(env *expr.Env, _ int) bool {
-		compiled(env, 1, out)
-		return out[0] != 0
+func (r *naiveRow) Int(col string) int64 { return r.decoded[col][r.row] }
+
+func (r *naiveRow) Str(col string) string {
+	c, err := r.seg.StrCol(col)
+	if err != nil {
+		panic(err) // validate checked every column the query names
 	}
+	return c.Get(r.row)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bipie/internal/agg"
+	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/encoding"
 	"bipie/internal/expr"
@@ -22,8 +23,8 @@ import (
 //     proven word sizes, the per-segment aggregation strategy — computed
 //     once and shared by any number of concurrent executions.
 //   - execState (exec.go): the mutable per-scan state — selection vectors,
-//     value vectors, accumulators, the compiled residual predicate — pooled
-//     per plan so steady-state execution allocates nothing.
+//     value vectors, mask vectors, accumulators — pooled per plan so
+//     steady-state execution allocates nothing.
 //   - execute (engine.go): the thin driver that splits segments into work
 //     units, borrows exec states, threads context cancellation between
 //     batch ranges, and merges partials.
@@ -35,17 +36,11 @@ import (
 // for a bit-packed column, the narrowest proven word for an expression —
 // and finalize folds sign and constant back per group.
 type sumInput struct {
-	kind     AggKind                 // Sum (also for Avg numerators), Min, or Max
-	term     expr.SumTerm            // Node < 0: a literal input, no vector at all
-	bp       *encoding.BitPackColumn // node is a packed leaf: the sort path sums it still packed
-	rle      *encoding.RLEColumn     // input is a bare RLE column: run-level paths may apply
-	wordSize int                     // lane of the node's vector; 0 for a literal
-}
-
-// progLeaf is the column behind a leaf node of the sum-expression program.
-type progLeaf struct {
-	bp  *encoding.BitPackColumn // SumLeafPacked
-	col encoding.IntColumn      // SumLeafDecoded
+	kind     AggKind             // Sum (also for Avg numerators), Min, or Max
+	term     expr.SumTerm        // Node < 0: a literal input, no vector at all
+	packed   *bitpack.Vector     // node is a packed leaf: the sort path sums it still packed
+	rle      *encoding.RLEColumn // input is a bare RLE column: run-level paths may apply
+	wordSize int                 // lane of the node's vector; 0 for a literal
 }
 
 // segPlan is the immutable execution plan of one query over one segment:
@@ -80,24 +75,18 @@ type segPlan struct {
 	materialize []bool // whether a slot needs per-row value vectors
 	aggSlot     []int  // aggregate index → sum slot, -1 for COUNT
 
-	// prog is the sum-expression program every slot's term points into;
-	// progLeaves resolves its leaf nodes (parallel to the nodes, zero for
-	// operators) and evalOrder lists the nodes the value-vector paths
-	// evaluate per batch, operands first — under the sort strategy only
-	// what the expression slots reach, since packed leaves are gathered
-	// straight from their packed form.
-	prog       *expr.SumProgram
-	progLeaves []progLeaf
-	evalOrder  []int
+	// boundProg is the sum-expression program every slot's term points
+	// into; its evalOrder is what the value-vector paths evaluate per batch
+	// — under the sort strategy only what the expression slots reach, since
+	// packed leaves are gathered straight from their packed form.
+	boundProg
 
 	strategy    agg.Strategy
 	modelCost   float64          // agg.EstimateCost of the chosen strategy, for actual-vs-assumed reporting
 	multiLayout *agg.MultiLayout // slot layout when strategy is multi-aggregate
 
-	pushed        []pushedPred // conjuncts evaluated in their column's encoded domain
-	residual      expr.Pred    // predicate AST compiled per exec, nil if fully pushed
-	filterCols    []string     // integer columns the residual reads
-	filterStrCols []string     // dictionary columns the residual reads (StrIn)
+	pushed   []pushedPred // conjuncts evaluated in their column's encoded domain
+	residual *predProg    // what did not push, nil if fully pushed
 
 	// spanAgg marks the fully encoded fast path: every filter conjunct
 	// pushed as run-aligned spans (or proven pushAll), every aggregate a
@@ -119,9 +108,9 @@ type segPlan struct {
 	filterModel float64
 	// decodeModel is the model's predicted decode cost in cycles per row of
 	// a batch whose values load in full — Σ unpack(width) over the leaves
-	// evalOrder reads plus Σ operator nodes, and the residual predicate's
-	// column decodes — and decodePasses how many timed decode passes
-	// (residual columns, sum inputs) such a batch makes.
+	// plus Σ operator nodes, of the sum inputs' program and the residual
+	// predicate's alike — and decodePasses how many timed decode passes
+	// (residual values, sum inputs) such a batch makes.
 	decodeModel  float64
 	decodePasses int
 
@@ -172,6 +161,13 @@ func Prepare(t *table.Table, q *Query, opts Options) (*Prepared, error) {
 func prepare(t *table.Table, q *Query, opts Options, wideLanes bool) (*Prepared, error) {
 	if err := q.validate(t); err != nil {
 		return nil, err
+	}
+	if q.Filter != nil {
+		// Every NOT moves onto its leaves once, here, so the planner only
+		// ever meets positive conjunctions: NOT v <= 5 pushes as v > 5.
+		pushed := *q
+		pushed.Filter = expr.PushNot(q.Filter)
+		q = &pushed
 	}
 	p := &Prepared{t: t, q: q, opts: opts, wideLanes: wideLanes, plans: make(map[*colstore.Segment]*segPlan)}
 	segments, _ := p.segments()
@@ -268,19 +264,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// structurally equal inputs share one slot (AVG reuses SUM's), equal
 	// sub-expressions one node, and every node gets the narrowest word the
 	// columns' min/max metadata proves.
-	cols := map[string]encoding.IntColumn{}
-	builder := expr.NewSumBuilder(func(name string) (expr.SumLeaf, error) {
-		col, err := seg.IntCol(name)
-		if err != nil {
-			return expr.SumLeaf{}, err
-		}
-		cols[name] = col
-		lf := expr.SumLeaf{Min: col.Min(), Max: col.Max()}
-		if bp, ok := col.(*encoding.BitPackColumn); ok {
-			lf.Width = bp.Width()
-		}
-		return lf, nil
-	}, wideLanes)
+	builder := newSegBuilder(seg, wideLanes)
 	sp.aggSlot = make([]int, len(q.Aggregates))
 	type slotKey struct {
 		kind AggKind
@@ -303,7 +287,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		if name, ok := expr.IsCol(a.Arg); ok && key.kind == Sum {
 			// A plain column's sum carries the §2.1 overflow proof;
 			// expressions are outside it and wrap as Go does.
-			if bp, ok := cols[name].(*encoding.BitPackColumn); ok {
+			if bp, ok := builder.cols[name].col.(*encoding.BitPackColumn); ok {
 				if err := proveNoOverflow(bp, seg.Rows(), name); err != nil {
 					return nil, err
 				}
@@ -317,17 +301,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		}
 		sp.aggSlot[i] = slot
 	}
-	sp.prog = builder.Program()
-	sp.progLeaves = make([]progLeaf, sp.prog.Len())
-	for i := range sp.progLeaves {
-		switch col := cols[sp.prog.Node(i).Col].(type) {
-		case nil: // an operator node
-		case *encoding.BitPackColumn:
-			sp.progLeaves[i].bp = col
-		default:
-			sp.progLeaves[i].col = col
-		}
-	}
+	sp.boundProg = builder.bind()
 	for i := range sp.sums {
 		si := &sp.sums[i]
 		if si.term.IsConst() {
@@ -335,7 +309,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		}
 		leaf := sp.progLeaves[si.term.Node]
 		si.wordSize = sp.prog.Node(si.term.Node).Word
-		si.bp = leaf.bp
+		si.packed = leaf.packed
 		if rle, ok := leaf.col.(*encoding.RLEColumn); ok && si.kind == Sum && si.term == (expr.SumTerm{Node: si.term.Node}) {
 			si.rle = rle
 		}
@@ -345,10 +319,11 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// conjunct pushed (and in which domain) decides whether the span-domain
 	// aggregation path can claim the RLE sum slots.
 	if q.Filter != nil {
-		sp.pushed, sp.residual = splitPushdown(q.Filter, seg, opts)
-		if sp.residual != nil {
-			sp.filterCols = sp.residual.Columns()
-			sp.filterStrCols = expr.StrColumns(sp.residual)
+		var residual expr.Pred
+		if sp.pushed, residual = splitPushdown(q.Filter, seg, opts); residual != nil {
+			if sp.residual, err = compileResidual(residual, seg, wideLanes); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -488,67 +463,30 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	for i, si := range sp.sums {
 		if sp.materialize[i] {
 			live[si.term.Node] = true
-			sortLive[si.term.Node] = si.bp == nil
+			sortLive[si.term.Node] = si.packed == nil
 		}
 	}
-	for i := len(live) - 1; i >= 0; i-- {
-		nd := sp.prog.Node(i)
-		switch nd.Op {
+	sp.evalOrder = reach(sp.prog, live)
+	for _, i := range sp.evalOrder {
+		switch nd := sp.prog.Node(i); nd.Op {
 		case expr.SumLeafPacked:
-			if live[i] {
-				sp.maxBits = max(sp.maxBits, nd.Width)
-			}
+			sp.maxBits = max(sp.maxBits, nd.Width)
 		case expr.SumLeafDecoded:
-			if live[i] {
-				sp.maxBits = 64
-			}
-		default:
-			for _, t := range [2]expr.SumTerm{nd.L, nd.R} {
-				if !t.IsConst() {
-					live[t.Node] = live[t.Node] || live[i]
-					sortLive[t.Node] = sortLive[t.Node] || sortLive[i]
-				}
-			}
+			sp.maxBits = 64
 		}
 	}
 	if sp.strategy == agg.StrategySortBased {
-		live = sortLive
-	}
-	for i, on := range live {
-		if on {
-			sp.evalOrder = append(sp.evalOrder, i)
-		}
+		sp.evalOrder = reach(sp.prog, sortLive)
 	}
 	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
 
-	decodeCost := func(col encoding.IntColumn) float64 {
-		if bp, ok := col.(*encoding.BitPackColumn); ok {
-			return prof.UnpackCyclesPerRow(bp.Width())
-		}
-		return prof.DeltaDecodeCyclesPerRow() // stands in for RLE decode too
-	}
-	for _, i := range sp.evalOrder {
-		if nd := sp.prog.Node(i); cols[nd.Col] != nil {
-			sp.decodeModel += decodeCost(cols[nd.Col])
-		} else {
-			sp.decodeModel += prof.SumExprCyclesPerRow(nd.Op, nd.Word)
-		}
-	}
+	sp.decodeModel = sp.decodeCost(prof)
 	if len(sp.evalOrder) > 0 {
 		sp.decodePasses++
 	}
 	if sp.residual != nil {
+		sp.decodeModel += sp.residual.decodeCost(prof)
 		sp.decodePasses++
-		for _, name := range sp.filterCols {
-			if col, err := seg.IntCol(name); err == nil {
-				sp.decodeModel += decodeCost(col)
-			}
-		}
-		for _, name := range sp.filterStrCols {
-			if col, err := seg.StrCol(name); err == nil {
-				sp.decodeModel += prof.UnpackCyclesPerRow(col.IDs().Bits())
-			}
-		}
 	}
 	return sp, nil
 }

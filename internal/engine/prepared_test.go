@@ -90,7 +90,7 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 			},
 			Filter: expr.AndP(
 				expr.Lt(expr.Col("d"), expr.Int(37)),
-				expr.Ge(expr.Add(expr.Col("a"), expr.Col("d")), expr.Int(20)),
+				expr.OrP(expr.Ge(expr.Add(expr.Col("a"), expr.Col("d")), expr.Int(20)), expr.StrEq("g", "k01")),
 			),
 		},
 	}

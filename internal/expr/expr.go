@@ -1,19 +1,21 @@
 // Package expr models the generated-code layer of the scan (paper §3): all
 // scalar expressions in a query — filter predicates, grouping expressions,
 // and aggregate inputs — are "compiled" ahead of execution. Where MemSQL
-// emits LLVM machine code, this package composes specialized Go closures;
-// both share the contract the paper calls essential for low compile time:
-// generated functions always operate on decoded column data, batch at a
-// time, never on encodings.
-//
-// Two evaluators live here. Filter predicates (and the row-at-a-time
-// oracle) compile to the closure trees below, int64 throughout. Aggregate
-// inputs compile to sum-expression programs (sumprog.go): typed vector
+// emits LLVM machine code, this package compiles a segment's expressions
+// into sum-expression programs (sumprog.go): straight-line typed vector
 // operations over the unpacked column words, each node in the narrowest
-// word segment metadata proves it fits.
+// word segment metadata proves it fits. Aggregate inputs and the values
+// residual filter comparisons read go through that one evaluator; the
+// engine turns a comparison's node into a selection mask.
 //
-// Values are int64 throughout. Fixed-point quantities (TPC-H prices,
-// discounts) are represented as scaled integers by the schema layer.
+// The paper's generated code always operates on decoded int64 data; here
+// only a node whose range is negative or unprovable takes the int64 lane.
+// The row interpreter in row.go is the other reading of the same trees —
+// one row at a time, wrapping int64 throughout — kept free of any code the
+// programs use so the naive oracle checks them independently.
+//
+// Fixed-point quantities (TPC-H prices, discounts) are represented as
+// scaled integers by the schema layer.
 package expr
 
 import (
@@ -126,137 +128,6 @@ func IsCol(e Expr) (string, bool) {
 		return c.Name, true
 	}
 	return "", false
-}
-
-// Env supplies decoded batch columns to compiled expressions. Get returns
-// the decoded values of an integer column for the current batch; the slice
-// is valid until the next batch. GetStrIDs and LookupStrID serve StrIn
-// predicates on dictionary columns: the unpacked id vector for the batch,
-// and value→id resolution against the current segment's dictionary. The
-// string fields may be nil for queries without string predicates.
-type Env struct {
-	Get         func(name string) []int64
-	GetStrIDs   func(name string) []uint8
-	LookupStrID func(col, value string) (uint64, bool)
-}
-
-// Compiled is a vectorized expression evaluator: it fills out[0:n] with the
-// expression value for each of the batch's first n rows.
-type Compiled func(env *Env, n int, out []int64)
-
-// CompileExpr builds the closure tree for e. Constant subtrees are folded
-// at compile time, mirroring the query compiler's constant folding.
-func CompileExpr(e Expr) Compiled {
-	e = Fold(e)
-	switch t := e.(type) {
-	case Const:
-		v := t.V
-		return func(_ *Env, n int, out []int64) {
-			for i := 0; i < n; i++ {
-				out[i] = v
-			}
-		}
-	case ColRef:
-		name := t.Name
-		return func(env *Env, n int, out []int64) {
-			copy(out[:n], env.Get(name))
-		}
-	case Neg:
-		inner := CompileExpr(t.E)
-		return func(env *Env, n int, out []int64) {
-			inner(env, n, out)
-			for i := 0; i < n; i++ {
-				out[i] = -out[i]
-			}
-		}
-	case Bin:
-		// Constant right operands are frequent (price * (1-discount) folds
-		// partially; literal scale factors fold fully) and get specialized
-		// loops without the scratch buffer.
-		if rc, ok := Fold(t.R).(Const); ok {
-			return compileBinConst(t.Op, CompileExpr(t.L), rc.V)
-		}
-		lf, rf := CompileExpr(t.L), CompileExpr(t.R)
-		op := t.Op
-		// The scratch buffer lives in the closure: compiled expressions are
-		// per-scanner, so reuse across batches is safe and keeps the batch
-		// loop allocation-free.
-		var scratch []int64
-		return func(env *Env, n int, out []int64) {
-			if cap(scratch) < n {
-				scratch = make([]int64, n)
-			}
-			lf(env, n, out)
-			rf(env, n, scratch[:n])
-			applyBin(op, out, scratch, n)
-		}
-	default:
-		panic(fmt.Sprintf("expr: unknown node %T", e))
-	}
-}
-
-func compileBinConst(op BinOp, lf Compiled, rv int64) Compiled {
-	switch op {
-	case OpAdd:
-		return func(env *Env, n int, out []int64) {
-			lf(env, n, out)
-			for i := 0; i < n; i++ {
-				out[i] += rv
-			}
-		}
-	case OpSub:
-		return func(env *Env, n int, out []int64) {
-			lf(env, n, out)
-			for i := 0; i < n; i++ {
-				out[i] -= rv
-			}
-		}
-	case OpMul:
-		return func(env *Env, n int, out []int64) {
-			lf(env, n, out)
-			for i := 0; i < n; i++ {
-				out[i] *= rv
-			}
-		}
-	default: // OpDiv
-		return func(env *Env, n int, out []int64) {
-			lf(env, n, out)
-			if rv == 0 {
-				for i := 0; i < n; i++ {
-					out[i] = 0
-				}
-				return
-			}
-			for i := 0; i < n; i++ {
-				out[i] /= rv
-			}
-		}
-	}
-}
-
-func applyBin(op BinOp, out, r []int64, n int) {
-	switch op {
-	case OpAdd:
-		for i := 0; i < n; i++ {
-			out[i] += r[i]
-		}
-	case OpSub:
-		for i := 0; i < n; i++ {
-			out[i] -= r[i]
-		}
-	case OpMul:
-		for i := 0; i < n; i++ {
-			out[i] *= r[i]
-		}
-	default: // OpDiv: guarded, zero divisor yields zero
-		for i := 0; i < n; i++ {
-			if r[i] == 0 {
-				out[i] = 0
-			} else {
-				out[i] /= r[i]
-			}
-		}
-	}
 }
 
 // Fold performs constant folding on e, returning a simplified tree.

@@ -4,21 +4,128 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"bipie/internal/sel"
+	"bipie/internal/bitpack"
 )
 
-func testEnv(cols map[string][]int64) *Env {
-	return &Env{Get: func(name string) []int64 { return cols[name] }}
+// rowAt is row j of a set of test columns, as the row interpreter reads it.
+type rowAt struct {
+	ints map[string][]int64
+	strs map[string][]string
+	j    int
+}
+
+func (r rowAt) Int(col string) int64  { return r.ints[col][r.j] }
+func (r rowAt) Str(col string) string { return r.strs[col][r.j] }
+
+// dataCols wraps explicit values as test columns, metadata taken from the
+// data: bit-packed, except that a name starting with "dec" is a column that
+// decodes to int64 (as RLE and delta do).
+func dataCols(ints map[string][]int64) map[string]*testCol {
+	cols := map[string]*testCol{}
+	for name, vals := range ints {
+		lo, hi := vals[0], vals[0]
+		for _, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		cols[name] = &testCol{leaf: SumLeaf{Min: lo, Max: hi, Width: bitpack.BitsFor(uint64(hi - lo))}, vals: vals}
+		if strings.HasPrefix(name, "dec") {
+			cols[name].leaf.Width = 0
+		}
+	}
+	return cols
+}
+
+// evalBoth evaluates e over the columns both ways — row by row through the
+// interpreter, and as a typed program — requires them to agree, and returns
+// the values.
+func evalBoth(t *testing.T, e Expr, ints map[string][]int64, n int) []int64 {
+	t.Helper()
+	cols := dataCols(ints)
+	b := NewSumBuilder(leafOf(cols), false)
+	term, err := b.Term(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := evalProgram(b.Program(), cols, n)
+	out := make([]int64, n)
+	for j := range out {
+		out[j] = EvalRow(e, rowAt{ints: ints, j: j})
+		if got := termValue(term, bufs, j); got != out[j] {
+			t.Fatalf("%s row %d: program %d, interpreter %d", e, j, got, out[j])
+		}
+	}
+	return out
+}
+
+// holdsBoth evaluates p over the columns both ways — HoldsRow on the tree as
+// written and on its NOT-free form, and with every comparison compiled by
+// SumBuilder.Compare and read back off the program's vectors — requires
+// them to agree, and returns the rows p keeps.
+func holdsBoth(t *testing.T, p Pred, ints map[string][]int64, strs map[string][]string, n int) []bool {
+	t.Helper()
+	cols := dataCols(ints)
+	out := make([]bool, n)
+	for j := range out {
+		r := rowAt{ints: ints, strs: strs, j: j}
+		out[j] = HoldsRow(p, r)
+		if HoldsRow(PushNot(p), r) != out[j] {
+			t.Fatalf("%s row %d: PushNot gives %s, which disagrees", p, j, PushNot(p))
+		}
+		if got := holdsCompiled(t, p, cols, r, n); got != out[j] {
+			t.Fatalf("%s row %d: compiled %v, interpreter %v", p, j, got, out[j])
+		}
+	}
+	return out
+}
+
+// holdsCompiled is p at one row with its comparisons read off a compiled
+// program: a SumCmp's sides are bare nodes or literals, compared as int64.
+func holdsCompiled(t *testing.T, p Pred, cols map[string]*testCol, r rowAt, n int) bool {
+	t.Helper()
+	switch tt := p.(type) {
+	case And:
+		return holdsCompiled(t, tt.L, cols, r, n) && holdsCompiled(t, tt.R, cols, r, n)
+	case Or:
+		return holdsCompiled(t, tt.L, cols, r, n) || holdsCompiled(t, tt.R, cols, r, n)
+	case Not:
+		return !holdsCompiled(t, tt.P, cols, r, n)
+	case Cmp:
+		b := NewSumBuilder(leafOf(cols), false)
+		sc, err := b.Compare(tt.Op, tt.L, tt.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range []SumTerm{sc.L, sc.R} {
+			if side != (SumTerm{Node: side.Node}) && !side.IsConst() {
+				t.Fatalf("%s: compiled side %+v is neither a bare node nor a literal", tt, side)
+			}
+		}
+		bufs := evalProgram(b.Program(), cols, n)
+		return predRef(sc.Op, termValue(sc.L, bufs, r.j), termValue(sc.R, bufs, r.j))
+	default:
+		return HoldsRow(p, r)
+	}
+}
+
+func masks(keep []bool) []byte {
+	out := make([]byte, len(keep))
+	for i, k := range keep {
+		if k {
+			out[i] = 0xFF
+		}
+	}
+	return out
 }
 
 func TestCompileExprBasics(t *testing.T) {
-	env := testEnv(map[string][]int64{
+	cols := map[string][]int64{
 		"a": {1, 2, 3, 4},
 		"b": {10, 20, 30, 40},
-	})
+	}
 	cases := []struct {
 		e    Expr
 		want []int64
@@ -38,24 +145,22 @@ func TestCompileExprBasics(t *testing.T) {
 		{Mul(Col("b"), Sub(Int(100), Col("a"))), []int64{990, 1960, 2910, 3840}},
 	}
 	for _, c := range cases {
-		out := make([]int64, 4)
-		CompileExpr(c.e)(env, 4, out)
-		if !reflect.DeepEqual(out, c.want) {
+		if out := evalBoth(t, c.e, cols, 4); !reflect.DeepEqual(out, c.want) {
 			t.Errorf("%s = %v, want %v", c.e, out, c.want)
 		}
 	}
 }
 
 func TestDivByZeroGuards(t *testing.T) {
-	env := testEnv(map[string][]int64{"a": {6, 7}, "z": {0, 3}})
-	out := make([]int64, 2)
-	CompileExpr(Div(Col("a"), Col("z")))(env, 2, out)
-	if out[0] != 0 || out[1] != 2 {
+	cols := map[string][]int64{"a": {6, 7}, "z": {0, 3}, "m": {math.MinInt64, -1}}
+	if out := evalBoth(t, Div(Col("a"), Col("z")), cols, 2); out[0] != 0 || out[1] != 2 {
 		t.Fatalf("vector div: %v", out)
 	}
-	CompileExpr(Div(Col("a"), Int(0)))(env, 2, out)
-	if out[0] != 0 || out[1] != 0 {
+	if out := evalBoth(t, Div(Col("a"), Int(0)), cols, 2); out[0] != 0 || out[1] != 0 {
 		t.Fatalf("const div by zero: %v", out)
+	}
+	if out := evalBoth(t, Div(Col("m"), Int(-1)), cols, 2); out[0] != math.MinInt64 || out[1] != 1 {
+		t.Fatalf("MinInt64 / -1 must wrap: %v", out)
 	}
 }
 
@@ -141,95 +246,117 @@ func predRef(op CmpOp, a, b int64) bool {
 }
 
 func TestCompilePredAllOpsConstRHS(t *testing.T) {
-	vals := []int64{-5, -1, 0, 1, 3, 7, math.MaxInt64, math.MinInt64}
-	env := testEnv(map[string][]int64{"x": vals})
-	for _, op := range []CmpOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE} {
-		for _, rv := range []int64{-1, 0, 3, math.MinInt64, math.MaxInt64} {
-			p := Cmp{Op: op, L: Col("x"), R: Int(rv)}
-			out := make(sel.ByteVec, len(vals))
-			CompilePred(p)(env, len(vals), out)
-			for i, v := range vals {
-				want := byte(0)
-				if predRef(op, v, rv) {
-					want = 0xFF
-				}
-				if out[i] != want {
-					t.Fatalf("%s with x=%d rv=%d: got %x want %x", p, v, rv, out[i], want)
+	// One column spanning all of int64, one narrow: the first forces the
+	// int64 compare of two separately evaluated sides, the second lets the
+	// difference fold into one node against one threshold.
+	for _, vals := range [][]int64{
+		{-5, -1, 0, 1, 3, 7, math.MaxInt64, math.MinInt64},
+		{-5, -1, 0, 1, 3, 7},
+	} {
+		cols := map[string][]int64{"x": vals}
+		for _, op := range []CmpOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE} {
+			for _, rv := range []int64{-1, 0, 3, math.MinInt64, math.MaxInt64} {
+				for _, p := range []Cmp{{Op: op, L: Col("x"), R: Int(rv)}, {Op: op, L: Int(rv), R: Col("x")}} {
+					out := holdsBoth(t, p, cols, nil, len(vals))
+					for i, v := range vals {
+						want := predRef(op, v, rv)
+						if p.R != Int(rv) {
+							want = predRef(op, rv, v)
+						}
+						if out[i] != want {
+							t.Fatalf("%s with x=%d: got %v want %v", p, v, out[i], want)
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
+// Constants may not cross a comparison whose sides can wrap: the compiled
+// form must wrap exactly where the interpreter does.
+func TestCompareKeepsWrapAround(t *testing.T) {
+	cols := map[string][]int64{"x": {0, 1, 5, 10}, "y": {math.MaxInt64 - 3, math.MaxInt64, math.MinInt64, -1},
+		"dec": {1 << 41, 1<<41 + 9, 1<<41 + 70, 1<<41 + 99}}
+	for _, p := range []Pred{
+		// The difference fits int64 but the two literals' sum does not.
+		Lt(Add(Col("x"), Int(7)), Sub(Col("dec"), Int(math.MaxInt64))),
+		Ge(Sub(Int(-7), Col("x")), Sub(Int(math.MaxInt64), Col("dec"))),
+		Le(Add(Col("x"), Int(math.MaxInt64)), Int(math.MaxInt64)),
+		Gt(Sub(Col("y"), Int(math.MaxInt64)), Int(-5)),
+		Lt(Add(Col("y"), Col("x")), Col("y")),
+		Ge(Mul(Col("y"), Int(2)), Col("x")),
+		Eq(Sub(Col("x"), Col("y")), Negate(Col("y"))),
+		Ne(Int(math.MinInt64), Negate(Col("y"))),
+	} {
+		holdsBoth(t, p, cols, nil, 4)
+	}
+}
+
 func TestCompilePredVectorRHS(t *testing.T) {
-	env := testEnv(map[string][]int64{
+	cols := map[string][]int64{
 		"a": {1, 5, 3, 3},
 		"b": {2, 4, 3, 1},
-	})
-	out := make(sel.ByteVec, 4)
-	CompilePred(Lt(Col("a"), Col("b")))(env, 4, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0xFF, 0, 0, 0}) {
+	}
+	if out := masks(holdsBoth(t, Lt(Col("a"), Col("b")), cols, nil, 4)); !reflect.DeepEqual(out, []byte{0xFF, 0, 0, 0}) {
 		t.Fatalf("a<b: %v", out)
 	}
-	CompilePred(Eq(Col("a"), Col("b")))(env, 4, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0, 0, 0xFF, 0}) {
+	if out := masks(holdsBoth(t, Eq(Col("a"), Col("b")), cols, nil, 4)); !reflect.DeepEqual(out, []byte{0, 0, 0xFF, 0}) {
 		t.Fatalf("a=b: %v", out)
 	}
 }
 
 func TestCompilePredLogic(t *testing.T) {
-	env := testEnv(map[string][]int64{"x": {1, 2, 3, 4, 5}})
-	out := make(sel.ByteVec, 5)
-	CompilePred(AndP(Ge(Col("x"), Int(2)), Le(Col("x"), Int(4))))(env, 5, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0, 0xFF, 0xFF, 0xFF, 0}) {
+	cols := map[string][]int64{"x": {1, 2, 3, 4, 5}}
+	eval := func(p Pred) []byte { return masks(holdsBoth(t, p, cols, nil, 5)) }
+	if out := eval(AndP(Ge(Col("x"), Int(2)), Le(Col("x"), Int(4)))); !reflect.DeepEqual(out, []byte{0, 0xFF, 0xFF, 0xFF, 0}) {
 		t.Fatalf("range: %v", out)
 	}
-	CompilePred(OrP(Lt(Col("x"), Int(2)), Gt(Col("x"), Int(4))))(env, 5, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0xFF, 0, 0, 0, 0xFF}) {
+	if out := eval(OrP(Lt(Col("x"), Int(2)), Gt(Col("x"), Int(4)))); !reflect.DeepEqual(out, []byte{0xFF, 0, 0, 0, 0xFF}) {
 		t.Fatalf("or: %v", out)
 	}
-	CompilePred(NotP(Eq(Col("x"), Int(3))))(env, 5, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0xFF, 0xFF, 0, 0xFF, 0xFF}) {
+	if out := eval(NotP(Eq(Col("x"), Int(3)))); !reflect.DeepEqual(out, []byte{0xFF, 0xFF, 0, 0xFF, 0xFF}) {
 		t.Fatalf("not: %v", out)
 	}
-	CompilePred(True())(env, 5, out)
-	if out.CountSelected() != 5 {
-		t.Fatal("true pred")
+	if out := eval(True()); !reflect.DeepEqual(out, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) {
+		t.Fatalf("true: %v", out)
+	}
+	if out := eval(NotP(True())); !reflect.DeepEqual(out, []byte{0, 0, 0, 0, 0}) {
+		t.Fatalf("not true: %v", out)
 	}
 }
 
-// Property: compiled evaluation matches direct recursive interpretation.
-func TestQuickCompiledMatchesInterpreted(t *testing.T) {
-	var interp func(e Expr, a, b int64) int64
-	interp = func(e Expr, a, b int64) int64 {
-		switch tt := e.(type) {
-		case Const:
-			return tt.V
-		case ColRef:
-			if tt.Name == "a" {
-				return a
+func TestPushNot(t *testing.T) {
+	cases := []struct{ in, want Pred }{
+		{NotP(Le(Col("v"), Int(5))), Gt(Col("v"), Int(5))},
+		{NotP(NotP(Eq(Col("v"), Int(5)))), Eq(Col("v"), Int(5))},
+		{NotP(StrEq("s", "x")), StrNe("s", "x")},
+		{NotP(AndP(Lt(Col("a"), Col("b")), StrInSet("s", "x", "y"))),
+			OrP(Ge(Col("a"), Col("b")), StrIn{Col: "s", Values: []string{"x", "y"}, Negate: true})},
+		{NotP(OrP(Ne(Col("a"), Int(1)), NotP(Ge(Col("b"), Int(2))))), AndP(Eq(Col("a"), Int(1)), Ge(Col("b"), Int(2)))},
+		{NotP(True()), Ne(Int(0), Int(0))},
+		{AndP(True(), Le(Col("v"), Int(5))), AndP(True(), Le(Col("v"), Int(5)))},
+	}
+	for _, c := range cases {
+		if got := PushNot(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("PushNot(%s) = %s, want %s", c.in, got, c.want)
+		}
+	}
+	for op := OpEQ; op <= OpGE; op++ {
+		for _, xy := range [][2]int64{{1, 2}, {2, 2}, {3, 2}} {
+			x, y := xy[0], xy[1]
+			if predRef(op.Mirror(), y, x) != predRef(op, x, y) {
+				t.Errorf("Mirror of op %d wrong at %d, %d", op, x, y)
 			}
-			return b
-		case Neg:
-			return -interp(tt.E, a, b)
-		case Bin:
-			l, r := interp(tt.L, a, b), interp(tt.R, a, b)
-			switch tt.Op {
-			case OpAdd:
-				return l + r
-			case OpSub:
-				return l - r
-			case OpMul:
-				return l * r
-			default:
-				if r == 0 {
-					return 0
-				}
-				return l / r
+			if predRef(op.Complement(), x, y) == predRef(op, x, y) {
+				t.Errorf("Complement of op %d wrong at %d, %d", op, x, y)
 			}
 		}
-		return 0
 	}
+}
+
+// Property: the typed program matches the row interpreter on random trees.
+func TestQuickCompiledMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	var genExpr func(depth int) Expr
 	genExpr = func(depth int) Expr {
@@ -251,16 +378,9 @@ func TestQuickCompiledMatchesInterpreted(t *testing.T) {
 	}
 
 	f := func(av, bv int64) bool {
-		a, b := av%1000, bv%1000
-		env := testEnv(map[string][]int64{"a": {a}, "b": {b}})
+		cols := map[string][]int64{"a": {av % 1000}, "b": {bv % 1000}}
 		for trial := 0; trial < 20; trial++ {
-			e := genExpr(4)
-			out := make([]int64, 1)
-			CompileExpr(e)(env, 1, out)
-			if out[0] != interp(e, a, b) {
-				t.Logf("expr %s a=%d b=%d: compiled %d interp %d", e, a, b, out[0], interp(e, a, b))
-				return false
-			}
+			evalBoth(t, genExpr(4), cols, 1)
 		}
 		return true
 	}

@@ -1,14 +1,10 @@
 package expr
 
-import (
-	"fmt"
+import "fmt"
 
-	"bipie/internal/sel"
-)
-
-// Pred is a boolean predicate tree over int64 expressions. Compiled
-// predicates write selection byte vectors in the 0x00/0xFF convention
-// (paper §4) so their output feeds the selection operators directly.
+// Pred is a boolean predicate tree over int64 expressions. The engine
+// evaluates it into selection byte vectors in the 0x00/0xFF convention
+// (paper §4) so the result feeds the selection operators directly.
 type Pred interface {
 	// Columns reports the referenced column names, each once.
 	Columns() []string
@@ -28,6 +24,13 @@ const (
 	OpGT
 	OpGE
 )
+
+// Mirror returns the operator with its operands exchanged: x op y holds
+// exactly when y op.Mirror() x does.
+func (op CmpOp) Mirror() CmpOp { return [...]CmpOp{OpEQ, OpNE, OpGT, OpGE, OpLT, OpLE}[op] }
+
+// Complement returns the operator that holds exactly when op does not.
+func (op CmpOp) Complement() CmpOp { return [...]CmpOp{OpNE, OpEQ, OpGE, OpGT, OpLE, OpLT}[op] }
 
 // Cmp compares two scalar expressions.
 type Cmp struct {
@@ -110,224 +113,40 @@ func (TruePred) Columns() []string { return nil }
 // String implements Pred.
 func (TruePred) String() string { return "TRUE" }
 
-// CompiledPred fills sel[0:n] with 0xFF for rows where the predicate holds
-// and 0x00 elsewhere.
-type CompiledPred func(env *Env, n int, out sel.ByteVec)
+// PushNot returns p without a NOT, each pushed down onto the leaves it
+// governs: AND and OR exchange under De Morgan, a comparison takes the
+// complementary operator (exact on a total order, wrapping or not), a
+// string set flips Negate, and NOT TRUE is spelled 0 <> 0.
+func PushNot(p Pred) Pred { return pushNot(p, false) }
 
-// CompilePred builds the closure tree for p. Comparisons against a constant
-// right-hand side — the dominant filter shape in analytics (col <= literal)
-// — get specialized branch-free loops.
-func CompilePred(p Pred) CompiledPred {
+func pushNot(p Pred, neg bool) Pred {
 	switch t := p.(type) {
-	case TruePred:
-		return func(_ *Env, n int, out sel.ByteVec) {
-			for i := 0; i < n; i++ {
-				out[i] = sel.Selected
-			}
-		}
-	case Cmp:
-		if rc, ok := Fold(t.R).(Const); ok {
-			// col <op> literal — the dominant analytics filter shape —
-			// reads the decoded column in place with no copy.
-			if name, isCol := IsCol(t.L); isCol {
-				return compileCmpColConst(t.Op, name, rc.V)
-			}
-			return compileCmpConst(t.Op, CompileExpr(t.L), rc.V)
-		}
-		lf := CompileExpr(t.L)
-		rf := CompileExpr(t.R)
-		op := t.Op
-		var l, r []int64
-		return func(env *Env, n int, out sel.ByteVec) {
-			if cap(l) < n {
-				l = make([]int64, n)
-				r = make([]int64, n)
-			}
-			lf(env, n, l[:n])
-			rf(env, n, r[:n])
-			for i := 0; i < n; i++ {
-				out[i] = cmpMask(op, l[i], r[i])
-			}
-		}
-	case And:
-		lf, rf := CompilePred(t.L), CompilePred(t.R)
-		var scratch sel.ByteVec
-		return func(env *Env, n int, out sel.ByteVec) {
-			if cap(scratch) < n {
-				scratch = make(sel.ByteVec, n)
-			}
-			lf(env, n, out)
-			rf(env, n, scratch[:n])
-			for i := 0; i < n; i++ {
-				out[i] &= scratch[i]
-			}
-		}
-	case Or:
-		lf, rf := CompilePred(t.L), CompilePred(t.R)
-		var scratch sel.ByteVec
-		return func(env *Env, n int, out sel.ByteVec) {
-			if cap(scratch) < n {
-				scratch = make(sel.ByteVec, n)
-			}
-			lf(env, n, out)
-			rf(env, n, scratch[:n])
-			for i := 0; i < n; i++ {
-				out[i] |= scratch[i]
-			}
-		}
 	case Not:
-		inner := CompilePred(t.P)
-		return func(env *Env, n int, out sel.ByteVec) {
-			inner(env, n, out)
-			for i := 0; i < n; i++ {
-				out[i] = ^out[i]
-			}
+		return pushNot(t.P, !neg)
+	case And:
+		l, r := pushNot(t.L, neg), pushNot(t.R, neg)
+		if neg {
+			return Or{L: l, R: r}
 		}
+		return And{L: l, R: r}
+	case Or:
+		l, r := pushNot(t.L, neg), pushNot(t.R, neg)
+		if neg {
+			return And{L: l, R: r}
+		}
+		return Or{L: l, R: r}
+	}
+	if !neg {
+		return p
+	}
+	switch t := p.(type) {
+	case Cmp:
+		t.Op = t.Op.Complement()
+		return t
 	case StrIn:
-		return compileStrIn(t)
-	default:
-		panic(fmt.Sprintf("expr: unknown predicate %T", p))
+		t.Negate = !t.Negate
+		return t
+	default: // TruePred
+		return Ne(Int(0), Int(0))
 	}
-}
-
-// compileCmpColConst is compileCmpConst specialized to a bare column
-// left-hand side: the mask loop reads the decoded batch column in place.
-func compileCmpColConst(op CmpOp, name string, rv int64) CompiledPred {
-	const minInt64 = -1 << 63
-	return func(env *Env, n int, out sel.ByteVec) {
-		l := env.Get(name)[:n]
-		switch op {
-		case OpLE:
-			for i := 0; i < n; i++ {
-				out[i] = leMask(l[i], rv)
-			}
-		case OpLT:
-			if rv == minInt64 {
-				zero(out, n)
-				return
-			}
-			for i := 0; i < n; i++ {
-				out[i] = leMask(l[i], rv-1)
-			}
-		case OpGE:
-			if rv == minInt64 {
-				fill(out, n)
-				return
-			}
-			for i := 0; i < n; i++ {
-				out[i] = ^leMask(l[i], rv-1)
-			}
-		case OpGT:
-			for i := 0; i < n; i++ {
-				out[i] = ^leMask(l[i], rv)
-			}
-		case OpEQ:
-			for i := 0; i < n; i++ {
-				out[i] = eqMask(l[i], rv)
-			}
-		default: // OpNE
-			for i := 0; i < n; i++ {
-				out[i] = ^eqMask(l[i], rv)
-			}
-		}
-	}
-}
-
-func compileCmpConst(op CmpOp, lf Compiled, rv int64) CompiledPred {
-	// Rewrite strict/negated forms into <= and = so only two mask loops
-	// exist; the rv-1 rewrite guards the MinInt64 wraparound.
-	const minInt64 = -1 << 63
-	var scratch []int64
-	return func(env *Env, n int, out sel.ByteVec) {
-		if cap(scratch) < n {
-			scratch = make([]int64, n)
-		}
-		l := scratch[:n]
-		lf(env, n, l)
-		switch op {
-		case OpLE:
-			for i := 0; i < n; i++ {
-				out[i] = leMask(l[i], rv)
-			}
-		case OpLT:
-			if rv == minInt64 { // x < MinInt64 is never true
-				zero(out, n)
-				return
-			}
-			for i := 0; i < n; i++ {
-				out[i] = leMask(l[i], rv-1)
-			}
-		case OpGE:
-			if rv == minInt64 { // x >= MinInt64 is always true
-				fill(out, n)
-				return
-			}
-			for i := 0; i < n; i++ {
-				out[i] = ^leMask(l[i], rv-1)
-			}
-		case OpGT:
-			for i := 0; i < n; i++ {
-				out[i] = ^leMask(l[i], rv)
-			}
-		case OpEQ:
-			for i := 0; i < n; i++ {
-				out[i] = eqMask(l[i], rv)
-			}
-		default: // OpNE
-			for i := 0; i < n; i++ {
-				out[i] = ^eqMask(l[i], rv)
-			}
-		}
-	}
-}
-
-func zero(out sel.ByteVec, n int) {
-	for i := 0; i < n; i++ {
-		out[i] = 0
-	}
-}
-
-func fill(out sel.ByteVec, n int) {
-	for i := 0; i < n; i++ {
-		out[i] = sel.Selected
-	}
-}
-
-// leMask returns 0xFF when a <= b and 0x00 otherwise. The comparison
-// compiles to a flag-setting instruction rather than a branch, keeping the
-// filter loop's instruction stream independent of the data.
-func leMask(a, b int64) byte {
-	if a <= b {
-		return 0xFF
-	}
-	return 0
-}
-
-func eqMask(a, b int64) byte {
-	if a == b {
-		return 0xFF
-	}
-	return 0
-}
-
-func cmpMask(op CmpOp, a, b int64) byte {
-	var ok bool
-	switch op {
-	case OpEQ:
-		ok = a == b
-	case OpNE:
-		ok = a != b
-	case OpLT:
-		ok = a < b
-	case OpLE:
-		ok = a <= b
-	case OpGT:
-		ok = a > b
-	default:
-		ok = a >= b
-	}
-	if ok {
-		return 0xFF
-	}
-	return 0
 }

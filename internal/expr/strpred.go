@@ -4,26 +4,23 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"bipie/internal/sel"
 )
 
 // StrIn is a predicate over a dictionary-encoded string column: the row is
 // selected when the column's value is (or, negated, is not) one of Values.
 //
-// It is evaluated directly on encoded data, never on strings, via one of
-// two paths. When the predicate is a top-level conjunct, the engine pushes
-// it down at plan time: the value set is pre-evaluated against the
-// segment's sorted dictionary once (values absent from the dictionary
-// match nothing), and the qualifying id set collapses to a constant, a
+// The engine evaluates it on encoded data, never on strings: at plan time
+// the value set is pre-evaluated against the segment's sorted dictionary
+// once (values absent from the dictionary match nothing) into a qualifying
+// id set. As a top-level conjunct that set collapses to a constant, a
 // packed id comparison or range, or a 256-entry bitmap over the packed id
 // vector — never unpacking ids for the point and range shapes. Otherwise
-// (under OR/NOT, or with the dict domain disabled) the compiled residual
-// evaluator below resolves ids lazily per segment and filters by mask
-// lookup over the unpacked id vector. Both are the dictionary analogue of
-// the paper's integer filters on encoded columns (§3: "dictionary encoding
-// already provides the injective mapping from column values to small
-// integers").
+// (under OR, with the dict domain disabled, or over a dictionary wider than
+// a byte) it is a leaf of the residual predicate: the ids unpack to their
+// smallest word and index a membership table as long as the dictionary.
+// Both are the dictionary analogue of the paper's integer filters on
+// encoded columns (§3: "dictionary encoding already provides the injective
+// mapping from column values to small integers").
 type StrIn struct {
 	Col    string
 	Values []string
@@ -89,36 +86,4 @@ func StrColumns(p Pred) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// compileStrIn builds the encoded-data evaluator for a StrIn node. Value →
-// id resolution happens lazily through the environment on first use, so a
-// compiled predicate binds to the dictionaries of the segment whose
-// environment it first sees; the engine compiles one predicate per segment
-// scanner, which guarantees exactly that.
-func compileStrIn(p StrIn) CompiledPred {
-	sels := byte(sel.Selected)
-	var mask [256]byte
-	resolved := false
-	return func(env *Env, n int, out sel.ByteVec) {
-		if !resolved {
-			hit, miss := sels, byte(0)
-			if p.Negate {
-				hit, miss = 0, sels
-			}
-			for i := range mask {
-				mask[i] = miss
-			}
-			for _, v := range p.Values {
-				if id, ok := env.LookupStrID(p.Col, v); ok {
-					mask[id] = hit
-				}
-			}
-			resolved = true
-		}
-		ids := env.GetStrIDs(p.Col)
-		for i := 0; i < n; i++ {
-			out[i] = mask[ids[i]]
-		}
-	}
 }

@@ -3,83 +3,39 @@ package expr
 import (
 	"reflect"
 	"testing"
-
-	"bipie/internal/sel"
 )
 
-// strEnv builds an Env over one string column with the given per-row ids
-// and a fixed value→id mapping.
-func strEnv(ids []uint8, mapping map[string]uint64) *Env {
-	return &Env{
-		GetStrIDs: func(string) []uint8 { return ids },
-		LookupStrID: func(_, v string) (uint64, bool) {
-			id, ok := mapping[v]
-			return id, ok
-		},
-	}
-}
-
 func TestCompileStrIn(t *testing.T) {
-	ids := []uint8{0, 1, 2, 1, 0}
-	mapping := map[string]uint64{"a": 0, "b": 1, "c": 2}
+	strs := map[string][]string{"g": {"a", "b", "c", "b", "a"}}
 	cases := []struct {
 		p    Pred
-		want sel.ByteVec
+		want []byte
 	}{
-		{StrEq("g", "b"), sel.ByteVec{0, 0xFF, 0, 0xFF, 0}},
-		{StrNe("g", "b"), sel.ByteVec{0xFF, 0, 0xFF, 0, 0xFF}},
-		{StrInSet("g", "a", "c"), sel.ByteVec{0xFF, 0, 0xFF, 0, 0xFF}},
-		{StrInSet("g", "missing"), sel.ByteVec{0, 0, 0, 0, 0}},
-		{StrIn{Col: "g", Values: []string{"missing"}, Negate: true}, sel.ByteVec{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+		{StrEq("g", "b"), []byte{0, 0xFF, 0, 0xFF, 0}},
+		{StrNe("g", "b"), []byte{0xFF, 0, 0xFF, 0, 0xFF}},
+		{StrInSet("g", "a", "c"), []byte{0xFF, 0, 0xFF, 0, 0xFF}},
+		{StrInSet("g", "missing"), []byte{0, 0, 0, 0, 0}},
+		{StrIn{Col: "g", Values: []string{"missing"}, Negate: true}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
 	}
 	for _, c := range cases {
-		out := make(sel.ByteVec, len(ids))
-		CompilePred(c.p)(strEnv(ids, mapping), len(ids), out)
-		if !reflect.DeepEqual(out, c.want) {
+		if out := masks(holdsBoth(t, c.p, nil, strs, 5)); !reflect.DeepEqual(out, c.want) {
 			t.Errorf("%s: got %v want %v", c.p, out, c.want)
 		}
 	}
 }
 
-func TestStrInResolutionCachedPerCompile(t *testing.T) {
-	lookups := 0
-	env := &Env{
-		GetStrIDs: func(string) []uint8 { return []uint8{0} },
-		LookupStrID: func(_, _ string) (uint64, bool) {
-			lookups++
-			return 0, true
-		},
-	}
-	compiled := CompilePred(StrEq("g", "x"))
-	out := make(sel.ByteVec, 1)
-	compiled(env, 1, out)
-	compiled(env, 1, out)
-	compiled(env, 1, out)
-	if lookups != 1 {
-		t.Fatalf("lookups=%d, want resolution cached after first batch", lookups)
-	}
-}
-
 func TestStrInComposition(t *testing.T) {
-	ids := []uint8{0, 1, 0, 1}
-	mapping := map[string]uint64{"a": 0, "b": 1}
-	env := strEnv(ids, mapping)
-	env.Get = func(string) []int64 { return []int64{5, 5, 9, 9} }
+	strs := map[string][]string{"g": {"a", "b", "a", "b"}}
+	ints := map[string][]int64{"x": {5, 5, 9, 9}}
+	eval := func(p Pred) []byte { return masks(holdsBoth(t, p, ints, strs, 4)) }
 
-	p := AndP(StrEq("g", "a"), Lt(Col("x"), Int(7)))
-	out := make(sel.ByteVec, 4)
-	CompilePred(p)(env, 4, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0xFF, 0, 0, 0}) {
+	if out := eval(AndP(StrEq("g", "a"), Lt(Col("x"), Int(7)))); !reflect.DeepEqual(out, []byte{0xFF, 0, 0, 0}) {
 		t.Fatalf("and: %v", out)
 	}
-	p = OrP(StrEq("g", "b"), Ge(Col("x"), Int(9)))
-	CompilePred(p)(env, 4, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0, 0xFF, 0xFF, 0xFF}) {
+	if out := eval(OrP(StrEq("g", "b"), Ge(Col("x"), Int(9)))); !reflect.DeepEqual(out, []byte{0, 0xFF, 0xFF, 0xFF}) {
 		t.Fatalf("or: %v", out)
 	}
-	p = NotP(StrEq("g", "a"))
-	CompilePred(p)(env, 4, out)
-	if !reflect.DeepEqual(out, sel.ByteVec{0, 0xFF, 0, 0xFF}) {
+	if out := eval(NotP(StrEq("g", "a"))); !reflect.DeepEqual(out, []byte{0, 0xFF, 0, 0xFF}) {
 		t.Fatalf("not: %v", out)
 	}
 }

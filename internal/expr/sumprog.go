@@ -7,13 +7,13 @@ import (
 	"bipie/internal/bitpack"
 )
 
-// Sum-expression programs. Aggregate inputs do not go through the int64
-// closure tree of CompileExpr: a whole query's inputs are compiled, once
-// per (query × segment), into one straight-line program of typed vector
-// operations whose leaves are the unpacked column vectors the scan
-// materializes anyway and whose every node is assigned the narrowest
-// unsigned word that segment metadata proves it fits (paper §2.2: stay on
-// the smallest unpacked word). The same evaluator serves every case — a
+// Sum-expression programs. A whole query's aggregate inputs — and,
+// separately, the two sides of every comparison its residual filter keeps —
+// are compiled, once per (query × segment), into one straight-line program
+// of typed vector operations whose leaves are the unpacked column vectors
+// the scan materializes anyway and whose every node is assigned the
+// narrowest unsigned word that segment metadata proves it fits (paper §2.2:
+// stay on the smallest unpacked word). The same evaluator serves every case — a
 // node whose range is negative, unprovable, or produced by a division simply
 // takes the widest lane, where unsigned arithmetic modulo 2^64 is bit for
 // bit Go's wrapping int64 arithmetic.
@@ -142,6 +142,9 @@ func NewSumBuilder(leaf func(name string) (SumLeaf, error), wide bool) *SumBuild
 	return &SumBuilder{leaf: leaf, wide: wide, cols: map[string]SumTerm{}, ops: map[opKey]int{}}
 }
 
+// Node returns node i of the program under construction.
+func (b *SumBuilder) Node(i int) SumNode { return b.nodes[i] }
+
 // Program freezes the nodes built so far.
 func (b *SumBuilder) Program() *SumProgram {
 	return &SumProgram{nodes: append([]SumNode(nil), b.nodes...)}
@@ -197,6 +200,55 @@ func (b *SumBuilder) OrderedTerm(e Expr) (SumTerm, error) {
 		return t, nil
 	}
 	return SumTerm{Node: b.op(SumAdd, t, constTerm(0), false)}, nil
+}
+
+// SumCmp is a comparison compiled onto program nodes: the int64 value of L
+// against that of R, both bare — a node's vector as it stands, or a literal.
+// A literal R is a threshold for L's vector, to be clamped against the
+// node's [Lo, Hi] (a literal L: both sides folded). A node R means nothing
+// proved the two sides' difference free of wrap-around: both vectors sit in
+// the 8-byte lane, to be compared as int64.
+type SumCmp struct {
+	Op   CmpOp
+	L, R SumTerm
+}
+
+// Compare compiles l op r. Where the intervals prove l - r cannot wrap, the
+// comparison is that difference against zero — shared sub-expressions,
+// frames of reference and literals of both sides folded into one term, the
+// term's sign and constant then moved across the operator — so one node in
+// its narrowest lane meets one threshold. Equality always may: l = r
+// exactly when l - r is 0 modulo 2^64. An ordering that can wrap may not
+// (x + MaxInt64 <= MaxInt64 is not x <= 0); its sides evaluate on their own.
+func (b *SumBuilder) Compare(op CmpOp, l, r Expr) (SumCmp, error) {
+	lt, err := b.Term(l)
+	if err != nil {
+		return SumCmp{}, err
+	}
+	rt, err := b.Term(r)
+	if err != nil {
+		return SumCmp{}, err
+	}
+	eq := op == OpEQ || op == OpNE
+	if eq || !b.interval(lt).add(b.interval(rt).neg()).full() {
+		// The difference fits int64, and d is it modulo 2^64. A literal d is
+		// therefore exact; so is ±x + c once x's range shows that sum cannot
+		// wrap either, which is what lets c cross the operator.
+		d := b.add(lt, rt.negated())
+		switch exact := eq || !b.interval(d).full(); {
+		case d.IsConst():
+			return SumCmp{Op: op, L: d, R: constTerm(0)}, nil
+		case exact && d.Neg: // -x + c op 0: x against c from the other side
+			return SumCmp{Op: op.Mirror(), L: SumTerm{Node: d.Node}, R: constTerm(d.Add)}, nil
+		case exact && (eq || d.Add != math.MinInt64):
+			return SumCmp{Op: op, L: SumTerm{Node: d.Node}, R: constTerm(-d.Add)}, nil
+		}
+	}
+	lt, rt = b.int64Operand(lt), b.int64Operand(rt)
+	if lt.IsConst() {
+		lt, rt, op = rt, lt, op.Mirror()
+	}
+	return SumCmp{Op: op, L: lt, R: rt}, nil
 }
 
 func (b *SumBuilder) column(name string) (SumTerm, error) {

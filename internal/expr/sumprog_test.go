@@ -122,8 +122,9 @@ func randExpr(rng *rand.Rand, names []string, depth int) Expr {
 }
 
 // TestSumProgramMatchesCompileExpr holds the typed program — narrow lanes
-// and the all-int64 ablation alike — bit-identical to the int64 closure
-// evaluator on random trees over columns whose ranges sit on the word edges.
+// and the all-int64 ablation alike — bit-identical to the row interpreter
+// (the closure compiler the name remembers is gone) on random trees over
+// columns whose ranges sit on the word edges.
 func TestSumProgramMatchesCompileExpr(t *testing.T) {
 	const n = 97
 	rng := rand.New(rand.NewSource(15))
@@ -143,11 +144,16 @@ func TestSumProgramMatchesCompileExpr(t *testing.T) {
 	for name := range cols {
 		names = append(names, name)
 	}
-	env := &Env{Get: func(name string) []int64 { return cols[name].vals }}
+	ints := map[string][]int64{}
+	for name, c := range cols {
+		ints[name] = c.vals
+	}
 	want := make([]int64, n)
 	for trial := 0; trial < 600; trial++ {
 		e := randExpr(rng, names, 1+rng.Intn(4))
-		CompileExpr(e)(env, n, want)
+		for j := range want {
+			want[j] = EvalRow(e, rowAt{ints: ints, j: j})
+		}
 		for _, wide := range []bool{false, true} {
 			b := NewSumBuilder(leafOf(cols), wide)
 			term, err := b.Term(e)
@@ -162,10 +168,10 @@ func TestSumProgramMatchesCompileExpr(t *testing.T) {
 			bufs := evalProgram(p, cols, n)
 			for j := range want {
 				if got := termValue(term, bufs, j); got != want[j] {
-					t.Fatalf("%s wide=%v row %d: term %d, closures %d", e, wide, j, got, want[j])
+					t.Fatalf("%s wide=%v row %d: term %d, interpreter %d", e, wide, j, got, want[j])
 				}
 				if got := termValue(ord, bufs, j); got != want[j] {
-					t.Fatalf("%s wide=%v row %d: ordered term %d, closures %d", e, wide, j, got, want[j])
+					t.Fatalf("%s wide=%v row %d: ordered term %d, interpreter %d", e, wide, j, got, want[j])
 				}
 			}
 			if ord.Neg {

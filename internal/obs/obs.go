@@ -43,11 +43,12 @@ const (
 	// RLE run-span evaluation, dict-code filters, and delta compares.
 	PhaseEncodedFilter
 	// PhaseDecode is column materialization: unpacking packed values,
-	// decoding filter inputs, gathering or compacting sum inputs.
+	// loading and evaluating the residual predicate's value program,
+	// gathering or compacting sum inputs.
 	PhaseDecode
-	// PhaseSelection is selection-vector work on decoded data: residual
-	// predicate evaluation, delete application, survivor counting, and
-	// selection-vector compaction.
+	// PhaseSelection is selection-vector work: the residual predicate's
+	// compare-to-mask and mask combination, delete application, survivor
+	// counting, and selection-vector compaction.
 	PhaseSelection
 	// PhaseGroupMap is group-id mapping (and special-group fusion).
 	PhaseGroupMap

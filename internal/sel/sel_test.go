@@ -75,6 +75,23 @@ func TestCountSelectedNonCanonicalBytes(t *testing.T) {
 	}
 }
 
+// And and Or combine masks a word at a time; every length around the word
+// boundary, and a longer right-hand side, must match the byte loop.
+func TestByteVecAndOr(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n <= 41; n++ {
+		a, b := randSel(rng, n, 0.5), randSel(rng, n+n%3, 0.5)
+		and, or := append(ByteVec(nil), a...), append(ByteVec(nil), a...)
+		and.And(b)
+		or.Or(b)
+		for i := range a {
+			if and[i] != a[i]&b[i] || or[i] != a[i]|b[i] {
+				t.Fatalf("n=%d row %d: and %x or %x of %x, %x", n, i, and[i], or[i], a[i], b[i])
+			}
+		}
+	}
+}
+
 func TestCompactIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{0, 1, 13, 4096} {

@@ -8,7 +8,11 @@
 //bipie:kernelpkg
 package sel
 
-import "bipie/internal/simd"
+import (
+	"encoding/binary"
+
+	"bipie/internal/simd"
+)
 
 // ByteVec is a selection byte vector (paper §4): one byte per row, 0x00 for
 // rows removed by the filter (or deleted), 0xFF for selected rows. The
@@ -51,6 +55,33 @@ func (v ByteVec) CountSelected() int {
 		}
 	}
 	return n
+}
+
+// And intersects v with o in place, eight rows per 64-bit word — how the
+// masks of a predicate's conjuncts combine. o is at least as long as v.
+//
+//bipie:kernel
+//bipie:nobce
+func (v ByteVec) And(o ByteVec) {
+	for ; len(v) >= 8 && len(o) >= 8; v, o = v[8:], o[8:] {
+		binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)&binary.LittleEndian.Uint64(o))
+	}
+	for i := 0; i < len(v) && i < len(o); i++ {
+		v[i] &= o[i]
+	}
+}
+
+// Or unites v with o in place, the disjunction counterpart of And.
+//
+//bipie:kernel
+//bipie:nobce
+func (v ByteVec) Or(o ByteVec) {
+	for ; len(v) >= 8 && len(o) >= 8; v, o = v[8:], o[8:] {
+		binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)|binary.LittleEndian.Uint64(o))
+	}
+	for i := 0; i < len(v) && i < len(o); i++ {
+		v[i] |= o[i]
+	}
 }
 
 // Selectivity returns the fraction of rows selected, in [0, 1].

@@ -106,6 +106,41 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// A string predicate on a dictionary wider than a byte is served, not a
+// panic in a scan goroutine that takes the process down; and the server
+// keeps serving afterwards.
+func TestWideDictionaryQueryServes(t *testing.T) {
+	tbl, err := table.New(table.Schema{{Name: "s", Type: table.String}, {Name: "x", Type: table.Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := tbl.AppendRow(fmt.Sprintf("k%03d", i%300), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Flush()
+	srv := New(map[string]*table.Table{"t": tbl}, Config{Registry: obs.NewRegistry()})
+	for _, src := range []string{
+		"SELECT count(*) FROM t WHERE s IN ('k001')",
+		"SELECT count(*) FROM t WHERE s <> 'k001' OR x < 5",
+		"SELECT count(*) FROM t",
+	} {
+		w := postQuery(t, srv, QueryRequest{Query: src})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", src, w.Code, w.Body.String())
+		}
+	}
+	var resp QueryResponse
+	w := postQuery(t, srv, QueryRequest{Query: "SELECT count(*) FROM t WHERE s IN ('k001')"})
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Rows) != 1 || resp.Rows[0][0].(float64) != 10 {
+		t.Fatalf("rows %v, want one count of 10", resp.Rows)
+	}
+}
+
 // TestQueryErrors maps failure classes to statuses: method, body, parse,
 // unknown table, plan.
 func TestQueryErrors(t *testing.T) {

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -190,6 +192,60 @@ func TestParsedQueryExecutes(t *testing.T) {
 	}
 	if got.AggNames[1] != "dbl" {
 		t.Fatalf("alias lost: %v", got.AggNames)
+	}
+}
+
+// A string predicate on a dictionary with more than 256 codes scans: its ids
+// no longer fit the byte the pushed bitmap indexes, so it is a residual
+// leaf at its own word — and the oracle compares strings, not ids. (Both
+// sides used to panic unpacking 9-bit ids into bytes.)
+func TestWideDictionaryStringPredicates(t *testing.T) {
+	tbl, err := table.New(table.Schema{
+		{Name: "s", Type: table.String},
+		{Name: "x", Type: table.Int64},
+	}, table.WithSegmentRows(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 9000; i++ {
+		_ = tbl.AppendRow(fmt.Sprintf("k%03d", rng.Intn(300)), rng.Int63n(100))
+	}
+	tbl.Flush()
+	if col, _ := tbl.Segments()[0].StrCol("s"); col.Cardinality() <= 256 {
+		t.Fatalf("dictionary has %d codes, want more than 256", col.Cardinality())
+	}
+	for _, where := range []string{
+		"s = 'k001'",
+		"s <> 'k001'",
+		"s IN ('k001')",
+		"s IN ('k001', 'k150', 'k299', 'absent')",
+		"s NOT IN ('k001', 'k150')",
+		"s = 'absent'",
+		"s = 'k001' OR x < 5",
+		"NOT (s = 'k001' OR s = 'k002') AND x < 50",
+	} {
+		st, err := Parse("SELECT count(*), sum(x) FROM t WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := engine.RunNaive(tbl, st.Query)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", where, err)
+		}
+		for _, opts := range []engine.Options{{}, {DisableDictDomain: true, DisableElimination: true}} {
+			p, err := engine.Prepare(tbl, st.Query, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			got, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if got.Format() != want.Format() {
+				t.Errorf("%s:\n%s\noracle:\n%s", where, got.Format(), want.Format())
+			}
+		}
 	}
 }
 
