@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke bench bench-json bench-smoke calibrate serve-smoke obs-smoke
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate serve-smoke obs-smoke
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
 ## compiler-diagnostic gate, and the repository benchmark at toy sizes
@@ -80,19 +80,3 @@ serve-smoke:
 obs-smoke:
 	$(GO) run ./cmd/bipie-bench serve -rows 200000 -c 64 -duration 2s -obs-check
 	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HandlerModeHighConcurrency' ./internal/obs ./internal/serve ./internal/loadgen
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-## bench-json: archive the headline numbers (TPC-H Q1 cycles/row, the
-## concurrent-serving benchmark, and the encoded-domain selectivity sweeps
-## — packed, RLE span, and dict-code filtering) as BENCH_<date>.json for
-## cross-commit diffs
-bench-json:
-	$(GO) test -run '^$$' -bench 'Table5TPCHQ1|ConcurrentQ1|SelectivitySweep|DictFilter' -timeout 30m . \
-		| $(GO) run ./cmd/bench2json -out BENCH_$$(date +%Y-%m-%d).json
-
-## bench-smoke: compile and run every benchmark once — catches bit-rot in
-## benchmark-only code without paying for real measurement
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -8,12 +8,16 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
 	"bipie"
+	"bipie/internal/bench"
 )
 
 // The public façade is one-line re-exports; this test walks the whole
@@ -300,6 +304,66 @@ func TestScanSurfaceIsClosed(t *testing.T) {
 		switch f := ot.Field(i); f.Type {
 		case reflect.TypeOf((*bipie.ScanStats)(nil)), reflect.TypeOf((*bipie.ScanTrace)(nil)):
 			t.Errorf("bipie.Options.%s is a %v: one target aliased across every execution of a Prepared", f.Name, f.Type)
+		}
+	}
+}
+
+// The paper evaluation has one list of experiments: internal/bench's
+// registry. DESIGN.md's per-experiment index names exactly its ids (the
+// command's usage text is generated from it and checked in
+// cmd/bipie-bench), and a testing.B benchmark cited in the docs exists in
+// the tree — a deleted harness cannot live on as a command that no longer
+// runs.
+func TestEvaluationDocsMatchRegistry(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	_, index, ok := strings.Cut(read("DESIGN.md"), "\n## Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no per-experiment index")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	var indexed []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(index, -1) {
+		indexed = append(indexed, m[1])
+	}
+	var registered []string
+	for _, e := range bench.Experiments() {
+		registered = append(registered, e.ID)
+	}
+	if got, want := fmt.Sprint(indexed), fmt.Sprint(registered); got != want {
+		t.Errorf("DESIGN.md indexes %s\nthe registry holds  %s", got, want)
+	}
+
+	defined := map[string]bool{}
+	funcDecl := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range funcDecl.FindAllStringSubmatch(read(path), -1) {
+				defined[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`Benchmark[A-Z]\w+`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		for _, name := range cited.FindAllString(read(doc), -1) {
+			if !defined[name] {
+				t.Errorf("%s cites %s, which no _test.go file defines", doc, name)
+			}
 		}
 	}
 }

@@ -22,8 +22,7 @@ import (
 // mixed-query load (Q1, a Q6-shaped filtered sum, a string-dict filter)
 // at a query server — an in-process one over a generated lineitem table
 // by default, or an already-running endpoint via -url — and reports
-// client-observed p50/p99 latency and scans/sec, both as a human summary
-// and as a bench2json-compatible result line on stdout.
+// client-observed p50/p99 latency and scans/sec.
 //
 // It doubles as the CI smoke gate: the process exits non-zero when no
 // query succeeded or any reply was a 5xx/transport failure.
@@ -69,9 +68,6 @@ func runServe(args []string) {
 	}
 	sum.Publish(obs.Default())
 	fmt.Print(sum.Format())
-	// The bench2json-compatible line: pipe stdout into bench2json to
-	// archive serving runs next to the kernel benchmarks.
-	fmt.Printf("%s\n", sum.BenchLine(fmt.Sprintf("BenchmarkServeLoad/mixed-%d", *conc)))
 
 	if *obsCheck {
 		if err := obsSmoke(cfg.URL); err != nil {

@@ -32,14 +32,6 @@ import (
 // borrow test, so even the fallback never round-trips through an unpack
 // buffer.
 
-// PackedCmpSWAR reports whether width has a word-parallel compare core
-// (and unpack kernel): the widths that divide 64 and the three-word period
-// family 3, 6, 12 and 24. Every other width uses the fused extract-compare
-// scalar loop.
-//
-//bipie:inline
-func PackedCmpSWAR(width uint8) bool { return hasKernel(width) }
-
 // CmpLEPacked writes the byte mask of value <= t for lanes
 // [start, start+len(dst)) into dst (0xFF selected, 0x00 not). With
 // and=false dst is overwritten; with and=true the mask is ANDed into dst,

@@ -60,8 +60,8 @@ func TestPackedCmpSWAR(t *testing.T) {
 	kernel := map[uint8]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true, 3: true, 6: true, 12: true, 24: true}
 	for w := uint8(1); w <= 64; w++ {
 		want := kernel[w]
-		if got := PackedCmpSWAR(w); got != want {
-			t.Errorf("PackedCmpSWAR(%d) = %v, want %v", w, got, want)
+		if got := hasKernel(w); got != want {
+			t.Errorf("hasKernel(%d) = %v, want %v", w, got, want)
 		}
 	}
 }

@@ -53,9 +53,6 @@ func (s *Segment) Rows() int { return s.n }
 // DeletedRows returns how many rows are marked deleted.
 func (s *Segment) DeletedRows() int { return s.nDel }
 
-// LiveRows returns rows not marked deleted.
-func (s *Segment) LiveRows() int { return s.n - s.nDel }
-
 // Columns returns the column names in schema order.
 func (s *Segment) Columns() []string { return s.order }
 
@@ -165,33 +162,4 @@ func (s *Segment) Batches() []Batch {
 		batches = append(batches, Batch{Start: start, N: n})
 	}
 	return batches
-}
-
-// IntBounds returns the min/max metadata of an integer column, used for
-// segment elimination: when a filter on the column can be shown to reject
-// the whole range, the segment is skipped without scanning (paper §2.1).
-func (s *Segment) IntBounds(name string) (mn, mx int64, err error) {
-	c, err := s.IntCol(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.Min(), c.Max(), nil
-}
-
-// IntZoneBounds returns the batch-granularity min/max metadata of an
-// integer column over rows [start, start+n) in value space — the zone-map
-// refinement of IntBounds that lets a scan skip individual batches the way
-// IntBounds skips whole segments. ok is false when the column is not
-// bit-packed (other encodings carry no zone maps).
-func (s *Segment) IntZoneBounds(name string, start, n int) (mn, mx int64, ok bool) {
-	c, err := s.IntCol(name)
-	if err != nil {
-		return 0, 0, false
-	}
-	bp, isBP := c.(*encoding.BitPackColumn)
-	if !isBP {
-		return 0, 0, false
-	}
-	omn, omx := bp.ZoneBounds(start, n)
-	return bp.Ref() + int64(omn), bp.Ref() + int64(omx), true
 }

@@ -26,7 +26,7 @@ func buildSegment(t *testing.T, n int) *Segment {
 
 func TestSegmentBasics(t *testing.T) {
 	s := buildSegment(t, 10000)
-	if s.Rows() != 10000 || s.LiveRows() != 10000 || s.DeletedRows() != 0 {
+	if s.Rows() != 10000 || s.DeletedRows() != 0 {
 		t.Fatal("row counts")
 	}
 	if len(s.Columns()) != 2 || s.Columns()[0] != "x" || s.Columns()[1] != "g" {
@@ -76,7 +76,7 @@ func TestDeletes(t *testing.T) {
 	s.MarkDeleted(999)
 	s.MarkDeleted(500)
 	s.MarkDeleted(500) // idempotent
-	if s.DeletedRows() != 3 || s.LiveRows() != 997 {
+	if s.DeletedRows() != 3 {
 		t.Fatalf("deleted=%d", s.DeletedRows())
 	}
 	if !s.IsDeleted(0) || !s.IsDeleted(999) || s.IsDeleted(1) {
@@ -135,59 +135,6 @@ func TestBatchesExactMultiple(t *testing.T) {
 	s := buildSegment(t, 2*BatchRows)
 	if got := len(s.Batches()); got != 2 {
 		t.Fatalf("batches=%d", got)
-	}
-}
-
-func TestIntBounds(t *testing.T) {
-	s := buildSegment(t, 1000)
-	mn, mx, err := s.IntBounds("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn != 0 || mx != 96 {
-		t.Fatalf("bounds=%d,%d", mn, mx)
-	}
-	if _, _, err := s.IntBounds("g"); err == nil {
-		t.Fatal("expected error for string column bounds")
-	}
-}
-
-func TestIntZoneBounds(t *testing.T) {
-	// Clustered values so each batch-sized zone has distinct bounds.
-	n := 3 * BatchRows
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i/BatchRows)*1000 + int64(uint32(i)*2654435761%500)
-	}
-	s := NewSegment(n)
-	if err := s.AddInt("x", encoding.NewBitPack(vals)); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Batches() {
-		mn, mx, ok := s.IntZoneBounds("x", b.Start, b.N)
-		if !ok {
-			t.Fatalf("batch %d: no zone bounds (column not bit-packed?)", b.Start)
-		}
-		base := int64(b.Start/BatchRows) * 1000
-		if mn < base || mx >= base+500 {
-			t.Fatalf("batch %d: [%d,%d] outside [%d,%d)", b.Start, mn, mx, base, base+500)
-		}
-		// The batch bounds must contain every value of the batch.
-		for i := b.Start; i < b.Start+b.N; i++ {
-			if vals[i] < mn || vals[i] > mx {
-				t.Fatalf("row %d: value %d outside zone bounds [%d,%d]", i, vals[i], mn, mx)
-			}
-		}
-	}
-	// Columns without zone maps (RLE here) and unknown columns report !ok.
-	if err := s.AddInt("r", encoding.NewRLE(make([]int64, n))); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.IntZoneBounds("r", 0, BatchRows); ok {
-		t.Fatal("RLE column reported zone bounds")
-	}
-	if _, _, ok := s.IntZoneBounds("missing", 0, BatchRows); ok {
-		t.Fatal("missing column reported zone bounds")
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 // Profile selection and persistence. The resolution order of Active():
 //
 //  1. BIPIE_COSTMODEL=static        → the static profile, no probes run
-//  2. BIPIE_COSTMODEL=<path>        → load that file (Profile JSON or a
-//     bench2json archive with a cost_model record); fatal to ignore a
-//     profile the user named, so a bad file falls back to static loudly
-//     via stderr rather than silently calibrating
+//  2. BIPIE_COSTMODEL=<path>        → load that Profile JSON file; fatal
+//     to ignore a profile the user named, so a bad file falls back to
+//     static loudly via stderr rather than silently calibrating
 //  3. cache file for this machine's signature → reuse
 //  4. run Calibrate(), write the cache file best-effort
 //
@@ -96,13 +95,8 @@ func (p *Profile) Save(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// benchWrapper is the slice of a bench2json archive LoadFile understands.
-type benchWrapper struct {
-	CostModel *Profile `json:"cost_model"`
-}
-
-// LoadFile reads a profile from either a bare Profile JSON file or a
-// bench2json BENCH_*.json archive carrying a cost_model record.
+// LoadFile reads a profile JSON file: what Save writes and what
+// `bipie-bench calibrate` prints.
 func LoadFile(path string) (*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -111,11 +105,6 @@ func LoadFile(path string) (*Profile, error) {
 	var p Profile
 	if err := json.Unmarshal(data, &p); err == nil && p.valid() {
 		return &p, nil
-	}
-	var w benchWrapper
-	if err := json.Unmarshal(data, &w); err == nil && w.CostModel.valid() {
-		w.CostModel.Source = "bench"
-		return w.CostModel, nil
 	}
 	return nil, fmt.Errorf("costmodel: %s holds no usable profile", path)
 }

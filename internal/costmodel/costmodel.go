@@ -11,9 +11,9 @@
 //
 // A Profile is computed lazily once per process (~tens of milliseconds),
 // cached on disk keyed by a machine signature (GOARCH, core count,
-// bucketed Hz — the same facts bench2json archives), and loadable from an
-// archived BENCH_*.json so old benchmark numbers stay interpretable on the
-// machine that produced them. Static() reproduces the pre-calibration
+// bucketed Hz), and loadable from a saved profile (BIPIE_COSTMODEL=<path>)
+// so old benchmark numbers stay interpretable under the model that
+// produced them. Static() reproduces the pre-calibration
 // constants exactly, as a deterministic fallback and an ablation baseline.
 package costmodel
 
@@ -25,10 +25,11 @@ import (
 	"bipie/internal/expr"
 )
 
-// Machine is the signature of the hardware a profile was fitted on —
-// mirrors the machine record cmd/bench2json emits, plus the architecture.
-// Hz is bucketed (hzBucket) before keying the cache so boost-clock jitter
-// between runs does not force pointless recalibration.
+// Machine is the signature of the hardware a profile was fitted on: the
+// clock estimate and core count the repository benchmark's start-up line
+// also records, plus the architecture. Hz is bucketed (hzBucket) before
+// keying the cache so boost-clock jitter between runs does not force
+// pointless recalibration.
 type Machine struct {
 	HzEstimate float64 `json:"hz_estimate"`
 	Cores      int     `json:"cores"`
@@ -48,8 +49,8 @@ type Machine struct {
 const FormatVersion = 3
 
 type Profile struct {
-	// Source records how the profile was obtained: "calibrated", "static",
-	// "cache", or "bench" (loaded from an archived BENCH_*.json).
+	// Source records how the profile was obtained: "calibrated", "static"
+	// or "cache".
 	Source string `json:"source"`
 	// Format is the FormatVersion the profile was fitted under.
 	Format int `json:"format"`
@@ -145,7 +146,6 @@ const (
 	staticCmpMaskPerRow    = 0.8
 	staticRLEPerRun        = 6.0
 	staticRLEFixedPerCall  = 150.0
-	staticSumSpanPerRun    = 4.0
 	staticApplySpanPerRow  = 0.6 // per selected row
 	staticDeltaPerRow      = 2.5
 	staticDictBitmapPerRow = 1.6
@@ -221,14 +221,6 @@ func (p *Profile) RLECmpSpansFixedCycles() float64 {
 	return staticRLEFixedPerCall
 }
 
-// RLESumSpansCyclesPerRun is the span-sum cost per qualifying run.
-func (p *Profile) RLESumSpansCyclesPerRun() float64 {
-	if v, ok := p.kernel("rle.sumspans"); ok {
-		return v
-	}
-	return staticSumSpanPerRun
-}
-
 // ApplySpansCyclesPerSelRow is the span→row-mask expansion cost per
 // *selected* row. Zeroing the gaps between spans compiles to memclr and is
 // nearly free; stamping the qualifying ranges with the selected marker is
@@ -286,7 +278,7 @@ func (p *Profile) SumExprCyclesPerRow(op expr.SumOp, wordSize int) float64 {
 // full unpack plus a compact pass on every row regardless of selectivity,
 // gather pays an index-compaction per row plus an indexed unpack per
 // selected row — the crossover is where the two lines meet. Static
-// profiles interpolate the paper's Figure 7 anchors (sel.DefaultCrossover).
+// profiles interpolate the paper's Figure 7 anchors (defaultCrossover).
 func (p *Profile) GatherCompactCrossover(bits uint8) float64 {
 	if p.calibrated() {
 		ws := bitpack.WordBytes(bits)
@@ -316,9 +308,10 @@ func clampCrossover(s float64) float64 {
 	return s
 }
 
-// defaultCrossover mirrors sel's static Figure-7 interpolation. Duplicated
-// (two expressions of one measured table) rather than imported: sel is a
-// kernel package and stays free of model dependencies.
+// defaultCrossover is the static policy: linear interpolation between the
+// paper's Figure 7 anchors, 2% at 4 bits and 38% at 21 bits. The crossover
+// moves right as width grows because a full unpack touches more work per
+// row while gather's indexed reads touch the same cache lines either way.
 func defaultCrossover(bits uint8) float64 {
 	const (
 		loBits, loSel = 4.0, 0.02

@@ -1,23 +1,14 @@
 package costmodel
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"bipie/internal/bitpack"
 	"bipie/internal/expr"
+	"bipie/internal/sel"
 )
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
 
 func TestCalibrateProducesValidProfile(t *testing.T) {
 	p := Calibrate()
@@ -43,7 +34,7 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 	}
 	for _, name := range []string{
 		"cmpmask.w1", "cmpmask.w2", "cmpmask.w4", "cmpmask.w8",
-		"rle.cmpspans", "rle.cmpspans.fixed", "rle.sumspans",
+		"rle.cmpspans", "rle.cmpspans.fixed",
 		"sel.applyspans", "sel.compactidx",
 		"sel.compact.w1", "sel.compact.w8", "sel.gather.w1", "sel.gather.w8",
 		"delta.decode", "dict.bitmap",
@@ -68,7 +59,6 @@ func TestProbesAllocFree(t *testing.T) {
 		"cmpmask.w2":      func() { ps.runCmpMask(2) },
 		"rle.cmpspans":    ps.runRLECmpSpans,
 		"rle.cmpspans.w":  ps.runRLECmpSpansWindow,
-		"rle.sumspans":    ps.runRLESumSpans,
 		"sel.applyspans":  ps.runApplySpans,
 		"sel.compactidx":  ps.runCompactIndices,
 		"sel.compact.w4":  func() { ps.runCompact(4) },
@@ -295,25 +285,45 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadFileBenchArchive(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	p := Calibrate()
-	wrapped := struct {
-		Machine   Machine  `json:"machine"`
-		CostModel *Profile `json:"cost_model"`
-	}{Machine: p.Machine, CostModel: p}
-	if err := writeJSON(path, wrapped); err != nil {
-		t.Fatal(err)
+// TestChooseAtStaticCrossover pins the selection policy a static profile
+// yields: sel.ChooseAt fed the Figure-7 interpolation.
+func TestChooseAtStaticCrossover(t *testing.T) {
+	choose := func(s float64, bits uint8, fused bool) sel.Method {
+		return sel.ChooseAt(s, Static().GatherCompactCrossover(bits), fused)
 	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		s     float64
+		bits  uint8
+		fused bool
+		want  sel.Method
+	}{
+		{"low sel is gather regardless of fusion", 0.01, 14, true, sel.MethodGather},
+		{"high sel fused is special group", 0.95, 14, true, sel.MethodSpecialGroup},
+		{"high sel unfused falls back to compact", 0.95, 14, false, sel.MethodCompact},
+		{"mid sel is compact", 0.5, 14, false, sel.MethodCompact},
+		// The crossover moves right with width (Figure 7: 2% and 38%).
+		{"30% at 4 bits is compact", 0.30, 4, false, sel.MethodCompact},
+		{"30% at 21 bits is still gather", 0.30, 21, false, sel.MethodGather},
+	} {
+		if got := choose(tc.s, tc.bits, tc.fused); got != tc.want {
+			t.Errorf("%s: %v", tc.name, got)
+		}
 	}
-	if got.Source != "bench" {
-		t.Fatalf("source = %q, want bench", got.Source)
-	}
-	if got.Agg != p.Agg {
-		t.Fatal("agg coefficients lost through bench archive")
+}
+
+// TestCrossoverAnchors: the static crossover is monotone in width and
+// stays inside the clamp band.
+func TestCrossoverAnchors(t *testing.T) {
+	prev := 0.0
+	for b := uint8(1); b <= 64; b++ {
+		c := defaultCrossover(b)
+		if c < prev {
+			t.Fatalf("crossover not monotone at %d bits", b)
+		}
+		if c < 0.01 || c > 0.60 {
+			t.Fatalf("crossover out of clamp at %d bits: %v", b, c)
+		}
+		prev = c
 	}
 }

@@ -31,7 +31,6 @@ import (
 //	packedcmp.w<N>        packed-domain SWAR compare         cycles/row
 //	cmpmask.w<S>          compare→0x00/0xFF mask, S-byte     cycles/row
 //	rle.cmpspans          run-domain compare                 cycles/run
-//	rle.sumspans          span sum                           cycles/qualifying run
 //	sel.applyspans        span→row-mask expansion            cycles/row
 //	sel.compactidx        selection→index compaction         cycles/row
 //	sel.compact.w<S>      physical value compaction          cycles/row
@@ -121,9 +120,8 @@ type probeSet struct {
 	rleThresh int64
 	spans     []sel.Span
 	nSpans    int
-	qualSpans []sel.Span // CmpSpans output used by the sum probe
+	qualSpans []sel.Span // CmpSpans output the ApplySpans probe expands
 	nQual     int
-	qualRuns  int
 	qualRows  int
 
 	delta  *encoding.DeltaColumn
@@ -233,7 +231,6 @@ func newProbeSet() *probeSet {
 	ps.qualSpans = make([]sel.Span, probeRows/2+1)
 	ps.nQual = ps.rle.CmpSpans(ps.qualSpans, encoding.RunLE, ps.rleThresh, 0, probeRows)
 	ps.qualRows = sel.SpanRows(ps.qualSpans[:ps.nQual])
-	ps.qualRuns = ps.qualRows / probeRunLen
 
 	deltaVals := make([]int64, probeRows)
 	for i := range deltaVals {
@@ -345,36 +342,17 @@ func (ps *probeSet) runPackedCmp(w uint8) {
 	ps.packed[w].CmpLEPacked(ps.mask, 0, ps.thresh[w], false)
 }
 
-// cmpMaskLE mirrors the engine's branch-free compare-into-mask loop
-// (engine.cmpMaskWords, unexported there; replicated because engine sits
-// above this package in the import graph). The loop shape — one pre-slice,
-// conditional-move mask stores — matches, so the measured figure transfers.
-//
-//bipie:kernel
-//bipie:nobce
-func cmpMaskLE[T uint8 | uint16 | uint32 | uint64](vec []byte, vals []T, t T) {
-	n := len(vec)
-	vals = vals[:n]
-	for i := 0; i < n; i++ {
-		m := byte(0)
-		if vals[i] <= t {
-			m = 0xFF
-		}
-		vec[i] = m
-	}
-}
-
 //bipie:kernel
 func (ps *probeSet) runCmpMask(ws int) {
 	switch ws {
 	case 1:
-		cmpMaskLE(ps.mask, ps.u8, 127)
+		sel.CmpMaskWords(ps.mask, ps.u8, 127, sel.CmpLE, true)
 	case 2:
-		cmpMaskLE(ps.mask, ps.u16, 1<<15)
+		sel.CmpMaskWords(ps.mask, ps.u16, 1<<15, sel.CmpLE, true)
 	case 4:
-		cmpMaskLE(ps.mask, ps.u32, 1<<31)
+		sel.CmpMaskWords(ps.mask, ps.u32, 1<<31, sel.CmpLE, true)
 	default:
-		cmpMaskLE(ps.mask, ps.u64, 1<<63)
+		sel.CmpMaskWords(ps.mask, ps.u64, 1<<63, sel.CmpLE, true)
 	}
 }
 
@@ -391,11 +369,6 @@ const cmpSpansWindowRows = 256
 //bipie:kernel
 func (ps *probeSet) runRLECmpSpansWindow() {
 	ps.nSpans = ps.rle.CmpSpans(ps.spans, encoding.RunLE, ps.rleThresh, 0, cmpSpansWindowRows)
-}
-
-//bipie:kernel
-func (ps *probeSet) runRLESumSpans() {
-	ps.sums64[0] += ps.rle.SumSpans(0, ps.qualSpans[:ps.nQual])
 }
 
 //bipie:kernel
@@ -606,7 +579,6 @@ func Calibrate() *Profile {
 	winCycles := measureN(1, 256, ps.runRLECmpSpansWindow)
 	p.Kernels["rle.cmpspans.fixed"] = floorCost(
 		winCycles - float64(cmpSpansWindowRows/probeRunLen)*p.Kernels["rle.cmpspans"])
-	p.Kernels["rle.sumspans"] = measureN(ps.qualRuns, 16, ps.runRLESumSpans)
 	// ApplySpans cost tracks the rows it stamps selected, not the rows it
 	// clears (those compile to memclr); fit it per qualifying row.
 	p.Kernels["sel.applyspans"] = measureN(ps.qualRows, 8, ps.runApplySpans)

@@ -38,25 +38,6 @@ func NewBitPack(values []int64) *BitPackColumn {
 	return c
 }
 
-// NewBitPackRaw wraps already-offset unsigned values with a given reference;
-// used by the dictionary encoder (ids have reference 0) and by workload
-// generators that construct columns at an exact bit width.
-func NewBitPackRaw(offsets []uint64, width uint8, ref int64) *BitPackColumn {
-	mx := ref
-	if len(offsets) > 0 {
-		var m uint64
-		for _, o := range offsets {
-			if o > m {
-				m = o
-			}
-		}
-		mx = ref + int64(m)
-	}
-	c := &BitPackColumn{ref: ref, max: mx, packed: bitpack.MustPack(offsets, width)}
-	c.zoneMin, c.zoneMax = zonesFromOffsets(offsets)
-	return c
-}
-
 // zonesFromOffsets computes per-zone min/max over the pre-pack offsets.
 func zonesFromOffsets(offsets []uint64) (mn, mx []uint64) {
 	nz := (len(offsets) + ZoneRows - 1) / ZoneRows

@@ -147,16 +147,6 @@ func TestBitPackWidthAndRef(t *testing.T) {
 	}
 }
 
-func TestNewBitPackRaw(t *testing.T) {
-	c := NewBitPackRaw([]uint64{0, 5, 2}, 7, 10)
-	if c.Width() != 7 || c.Min() != 10 || c.Max() != 15 {
-		t.Fatalf("raw: width=%d min=%d max=%d", c.Width(), c.Min(), c.Max())
-	}
-	if c.Get(1) != 15 {
-		t.Fatalf("Get(1)=%d", c.Get(1))
-	}
-}
-
 func TestRLERuns(t *testing.T) {
 	c := NewRLE([]int64{1, 1, 1, 2, 2, 3})
 	if c.Runs() != 3 {

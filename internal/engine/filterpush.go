@@ -39,13 +39,17 @@ import (
 type pushOp uint8
 
 const (
-	pushLE pushOp = iota
-	pushGE
-	pushEQ
-	pushNE
-	pushAll  // metadata proves every row matches
-	pushNone // metadata proves no row matches
+	pushLE   = pushOp(sel.CmpLE)
+	pushGE   = pushOp(sel.CmpGE)
+	pushEQ   = pushOp(sel.CmpEQ)
+	pushNE   = pushOp(sel.CmpNE)
+	pushAll  = pushNE + 1 // metadata proves every row matches
+	pushNone = pushNE + 2 // metadata proves no row matches
 )
+
+// cmp is the live comparison as the sel mask kernels spell it; the four
+// non-constant ops share their values with sel.CmpOp.
+func (op pushOp) cmp() sel.CmpOp { return sel.CmpOp(op) }
 
 // constant reports whether the op is a metadata-proven outcome. Such a
 // conjunct has no kernel to run, no batch metadata to consult and no
@@ -324,7 +328,7 @@ func (pp *bitpackPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *p
 		return
 	}
 	sc.unpacked = pp.bp.Packed().UnpackSmallest(sc.unpacked, b.Start, b.N)
-	cmpMaskLanes(vec, sc.unpacked, pp.threshold, pp.op, first)
+	sel.CmpMaskLanes(vec, sc.unpacked, pp.threshold, pp.op.cmp(), first)
 }
 
 func (pp *bitpackPred) initScratch(sc *predScratch) {
@@ -672,7 +676,7 @@ func (pp *deltaPred) batchOp(b colstore.Batch) pushOp {
 func (pp *deltaPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
 	vals := sc.i64[:b.N]
 	pp.col.DecodeWith(vals, b.Start, sc.diffs)
-	cmpMaskWords(vec, vals, pp.threshold, pp.op, first)
+	sel.CmpMaskWords(vec, vals, pp.threshold, pp.op.cmp(), first)
 }
 
 func (pp *deltaPred) initScratch(sc *predScratch) {
@@ -689,96 +693,4 @@ func (pp *deltaPred) modelCost(prof *costmodel.Profile) float64 {
 	// resolve from endpoints, which batchOp accounts for by never calling
 	// eval there.
 	return prof.DeltaDecodeCyclesPerRow() + prof.CmpMaskCyclesPerRow(8)
-}
-
-// ---------------------------------------------------------------------------
-// Mask kernels shared by the unpack and delta paths and the residual
-// predicate's comparisons.
-
-// cmpMaskLanes is cmpMaskWords over an unpacked vector, at its word size.
-//
-//bipie:kernel
-func cmpMaskLanes(vec sel.ByteVec, buf *bitpack.Unpacked, t uint64, op pushOp, first bool) {
-	switch buf.WordSize {
-	case 1:
-		cmpMaskWords(vec, buf.U8, uint8(t), op, first)
-	case 2:
-		cmpMaskWords(vec, buf.U16, uint16(t), op, first)
-	case 4:
-		cmpMaskWords(vec, buf.U32, uint32(t), op, first)
-	default:
-		cmpMaskWords(vec, buf.U64, t, op, first)
-	}
-}
-
-// cmpMaskWords writes (or ANDs) the 0x00/0xFF mask of vals[i] OP t into
-// vec, branch-free per row. The int64 instantiation serves value-space
-// (delta) predicates; comparison semantics are identical.
-//
-//bipie:nobce
-func cmpMaskWords[T uint8 | uint16 | uint32 | uint64 | int64](vec sel.ByteVec, vals []T, t T, op pushOp, first bool) {
-	n := len(vec)
-	// One reslice up front pins len(vals) to n, so every compare loop
-	// below runs without per-row bounds checks on either side.
-	vals = vals[:n]
-	if first {
-		switch op {
-		case pushLE:
-			for i := 0; i < n; i++ {
-				vec[i] = leMaskT(vals[i], t)
-			}
-		case pushGE:
-			for i := 0; i < n; i++ {
-				vec[i] = ^ltMaskT(vals[i], t)
-			}
-		case pushEQ:
-			for i := 0; i < n; i++ {
-				vec[i] = eqMaskT(vals[i], t)
-			}
-		default: // pushNE
-			for i := 0; i < n; i++ {
-				vec[i] = ^eqMaskT(vals[i], t)
-			}
-		}
-		return
-	}
-	switch op {
-	case pushLE:
-		for i := 0; i < n; i++ {
-			vec[i] &= leMaskT(vals[i], t)
-		}
-	case pushGE:
-		for i := 0; i < n; i++ {
-			vec[i] &= ^ltMaskT(vals[i], t)
-		}
-	case pushEQ:
-		for i := 0; i < n; i++ {
-			vec[i] &= eqMaskT(vals[i], t)
-		}
-	default: // pushNE
-		for i := 0; i < n; i++ {
-			vec[i] &= ^eqMaskT(vals[i], t)
-		}
-	}
-}
-
-func leMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
-	if a <= b {
-		return 0xFF
-	}
-	return 0
-}
-
-func ltMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
-	if a < b {
-		return 0xFF
-	}
-	return 0
-}
-
-func eqMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
-	if a == b {
-		return 0xFF
-	}
-	return 0
 }

@@ -327,13 +327,13 @@ func (e *execState) evalMask(nd *maskNode, out sel.ByteVec, depth int) {
 			out.Or(tmp)
 		}
 	case maskCmp:
-		cmpMaskLanes(out, bufs[nd.a], uint64(nd.t), nd.op, true)
+		sel.CmpMaskLanes(out, bufs[nd.a], uint64(nd.t), nd.op.cmp(), true)
 	case maskCmpSigned:
 		var b []uint64
 		if nd.b >= 0 {
 			b = bufs[nd.b].U64
 		}
-		cmpMaskSigned(out, bufs[nd.a].U64, b, nd.t, nd.neg)
+		sel.CmpMaskSigned(out, bufs[nd.a].U64, b, nd.t, nd.neg)
 	case maskMember:
 		switch buf := bufs[nd.a]; buf.WordSize {
 		case 1:
@@ -347,27 +347,6 @@ func (e *execState) evalMask(nd *maskNode, out sel.ByteVec, depth int) {
 		}
 	default: // maskNone
 		clear(out)
-	}
-}
-
-// cmpMaskSigned writes the mask of int64(a[i]) <= y into vec, y being
-// int64(b[i]) or, b nil, t; neg 0xFF complements it. It orders the 8-byte
-// lane where a node may be negative: against a threshold, or against the
-// other side of a comparison whose difference could wrap.
-//
-//bipie:kernel
-//bipie:nobce
-func cmpMaskSigned(vec sel.ByteVec, a, b []uint64, t int64, neg byte) {
-	a = a[:len(vec)]
-	if b == nil {
-		for i, x := range a {
-			vec[i] = leMaskT(int64(x), t) ^ neg
-		}
-		return
-	}
-	b = b[:len(vec)]
-	for i, x := range a {
-		vec[i] = leMaskT(int64(x), int64(b[i])) ^ neg
 	}
 }
 

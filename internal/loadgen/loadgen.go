@@ -367,25 +367,6 @@ func (s *Summary) Publish(r *obs.Registry) {
 	r.Counter("loadgen.errors").Add(s.Errors)
 }
 
-// BenchLine renders the summary as one `go test -bench`-shaped result
-// line (name, iterations, value/unit pairs) so `bipie-bench serve |
-// bench2json` archives serving runs next to the kernel benchmarks.
-func (s *Summary) BenchLine(name string) string {
-	// The worst-request ID rides along in decimal: bench2json stores
-	// values as float64, and request IDs are 53-bit by construction so
-	// the round-trip is exact. 0 means no successful request to name.
-	var worst uint64
-	if id, err := obs.ParseRequestID(s.WorstID); err == nil {
-		worst = id
-	}
-	return fmt.Sprintf("%s \t%d\t%.3f p50-ms\t%.3f p99-ms\t%.1f scans/sec\t%.0f rows/sec\t%d rejected\t%d timeouts\t%d req-errors\t%d worst-req-id",
-		name, s.OK,
-		float64(s.P50)/float64(time.Millisecond),
-		float64(s.P99)/float64(time.Millisecond),
-		s.ScansPerSec(), s.RowsPerSec(),
-		s.Rejected, s.Timeouts, s.Errors, worst)
-}
-
 // Format renders the human-readable report.
 func (s *Summary) Format() string {
 	var b strings.Builder

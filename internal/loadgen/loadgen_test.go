@@ -184,30 +184,3 @@ func TestMixesParse(t *testing.T) {
 		}
 	}
 }
-
-// TestBenchLine keeps the output consumable by bench2json: name starts
-// with Benchmark, and fields form name + iterations + value/unit pairs.
-// The admission outcomes and the worst request ride along so archived
-// runs record rejects/timeouts/errors and name their slowest request.
-func TestBenchLine(t *testing.T) {
-	sum := &Summary{
-		OK: 1234, Elapsed: time.Second, P50: time.Millisecond, P99: 4 * time.Millisecond,
-		Rejected: 7, Timeouts: 3, Errors: 1, WorstID: "1f40000000beef",
-	}
-	line := sum.BenchLine("BenchmarkServeLoad/mixed-256")
-	fields := strings.Fields(line)
-	if !strings.HasPrefix(fields[0], "Benchmark") {
-		t.Fatalf("line %q does not start with a Benchmark name", line)
-	}
-	if len(fields)%2 != 0 {
-		t.Fatalf("line %q has %d fields, want even (name+iters+pairs)", line, len(fields))
-	}
-	if fields[1] != "1234" {
-		t.Fatalf("iterations field %q, want 1234", fields[1])
-	}
-	for _, pair := range []string{"7 rejected", "3 timeouts", "1 req-errors", "8796093022256879 worst-req-id"} {
-		if !strings.Contains(line, pair) {
-			t.Errorf("line %q is missing %q", line, pair)
-		}
-	}
-}

@@ -392,11 +392,6 @@ func (r *Registry) CounterWith(name string, labels ...string) *Counter {
 	return r.Counter(SeriesKey(name, labels...))
 }
 
-// GaugeWith returns the gauge for name with the given label pairs.
-func (r *Registry) GaugeWith(name string, labels ...string) *Gauge {
-	return r.Gauge(SeriesKey(name, labels...))
-}
-
 // HistogramWith returns the histogram for name with the given label pairs,
 // creating it with bounds on first use.
 func (r *Registry) HistogramWith(name string, bounds []float64, labels ...string) *Histogram {

@@ -36,27 +36,6 @@ func (m Method) String() string {
 	}
 }
 
-// gatherCompactCrossover returns the selectivity above which compaction
-// outperforms gather for a column packed at the given bit width. The
-// anchors come from the paper's Figure 7 measurements: 2% at 4 bits and 38%
-// at 21 bits, with the crossover moving right as width grows because a full
-// unpack touches more work per row while gather's indexed reads touch the
-// same cache lines either way. Linear interpolation between the anchors.
-func gatherCompactCrossover(bits uint8) float64 {
-	const (
-		loBits, loSel = 4.0, 0.02
-		hiBits, hiSel = 21.0, 0.38
-	)
-	t := loSel + (float64(bits)-loBits)*(hiSel-loSel)/(hiBits-loBits)
-	if t < 0.01 {
-		t = 0.01
-	}
-	if t > 0.60 {
-		t = 0.60
-	}
-	return t
-}
-
 // specialGroupThreshold is the selectivity at or above which fusing the
 // filter into the group map beats removing rows: nearly all rows survive,
 // so sequential streaming with one wasted group out-runs indexed reads
@@ -64,20 +43,15 @@ func gatherCompactCrossover(bits uint8) float64 {
 // 8–10 grids show it winning from roughly 60–70% upward).
 const specialGroupThreshold = 0.65
 
-// Choose picks a selection strategy for one batch. selectivity is the
-// measured fraction of selected rows, bits the packed width of the widest
-// column that must be selected, and fusedAggregation reports whether the
-// downstream aggregation can consume a special-group id map (it cannot when
-// the query has no GROUP BY aggregation, or the group domain is already at
-// MaxGroups so no id is free).
-func Choose(selectivity float64, bits uint8, fusedAggregation bool) Method {
-	return ChooseAt(selectivity, gatherCompactCrossover(bits), fusedAggregation)
-}
-
-// ChooseAt is Choose with an explicit gather/compact crossover, for callers
-// whose crossover comes from a calibrated cost model rather than the static
-// Figure-7 interpolation. The special-group rule is unchanged: it competes
-// on streaming-vs-indexed access, not decode throughput, so the measured
+// ChooseAt picks a selection strategy for one batch. selectivity is the
+// measured fraction of selected rows, crossover the selectivity above which
+// compaction beats gather at the packed width of the widest selected column
+// (costmodel.Profile.GatherCompactCrossover: solved from calibrated probes,
+// or the static Figure-7 interpolation), and fusedAggregation reports
+// whether the downstream aggregation can consume a special-group id map (it
+// cannot when the query has no GROUP BY aggregation, or the group domain is
+// already at MaxGroups so no id is free). The special-group rule competes on
+// streaming-vs-indexed access, not decode throughput, so its measured
 // threshold carries across machines.
 func ChooseAt(selectivity, crossover float64, fusedAggregation bool) Method {
 	if fusedAggregation && selectivity >= specialGroupThreshold {

@@ -92,6 +92,64 @@ func TestByteVecAndOr(t *testing.T) {
 	}
 }
 
+// The compare-to-mask kernels against the comparison spelled per row: every
+// op at every word size, written over or ANDed into a prior mask, and the
+// signed form against a threshold and against a second vector.
+func TestCmpMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	holds := func(a, b int64, op CmpOp) bool {
+		return map[CmpOp]bool{CmpLE: a <= b, CmpGE: a >= b, CmpEQ: a == b, CmpNE: a != b}[op]
+	}
+	const n = 67
+	for _, width := range []uint8{3, 8, 11, 16, 21, 32, 40} {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() & (1<<width - 1) >> uint(rng.Intn(int(width)))
+		}
+		buf := bitpack.MustPack(vals, width).UnpackSmallest(nil, 0, n)
+		thr := vals[rng.Intn(n)]
+		for _, op := range []CmpOp{CmpLE, CmpGE, CmpEQ, CmpNE} {
+			for _, first := range []bool{true, false} {
+				prior := randSel(rng, n, 0.5)
+				got := append(ByteVec(nil), prior...)
+				CmpMaskLanes(got, buf, thr, op, first)
+				for i, v := range vals {
+					want := byte(0)
+					if holds(int64(v), int64(thr), op) && (first || prior[i] != 0) {
+						want = Selected
+					}
+					if got[i] != want {
+						t.Fatalf("width %d op %d first %v row %d: %d vs %d gave %x", width, op, first, i, v, thr, got[i])
+					}
+				}
+			}
+		}
+	}
+	a, b := make([]uint64, n), make([]uint64, n)
+	for i := range a {
+		a[i], b[i] = uint64(rng.Int63n(200)-100), uint64(rng.Int63n(200)-100)
+	}
+	for _, neg := range []byte{0, 0xFF} {
+		vsThreshold, vsVector := make(ByteVec, n), make(ByteVec, n)
+		CmpMaskSigned(vsThreshold, a, nil, -7, neg)
+		CmpMaskSigned(vsVector, a, b, 0, neg)
+		for i := range a {
+			if (vsThreshold[i] != 0) != (holds(int64(a[i]), -7, CmpLE) != (neg != 0)) {
+				t.Fatalf("signed neg %x row %d: %d <= -7 gave %x", neg, i, int64(a[i]), vsThreshold[i])
+			}
+			if (vsVector[i] != 0) != (holds(int64(a[i]), int64(b[i]), CmpLE) != (neg != 0)) {
+				t.Fatalf("signed neg %x row %d: %d <= %d gave %x", neg, i, int64(a[i]), int64(b[i]), vsVector[i])
+			}
+		}
+	}
+	// The delta path's value-space instantiation orders negatives.
+	got := make(ByteVec, 3)
+	CmpMaskWords(got, []int64{-5, 0, 5}, -1, CmpLE, true)
+	if !reflect.DeepEqual(got, ByteVec{0xFF, 0, 0}) {
+		t.Fatalf("int64 words: %x", got)
+	}
+}
+
 func TestCompactIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{0, 1, 13, 4096} {
@@ -374,47 +432,8 @@ func TestApplySpecialGroupAllAndNone(t *testing.T) {
 	}
 }
 
-func TestChoose(t *testing.T) {
-	// Low selectivity → gather regardless of fusion.
-	if got := Choose(0.01, 14, true); got != MethodGather {
-		t.Errorf("low sel: %v", got)
-	}
-	// Selectivity near 1 with fused aggregation → special group.
-	if got := Choose(0.95, 14, true); got != MethodSpecialGroup {
-		t.Errorf("high sel fused: %v", got)
-	}
-	// Without fusion, high selectivity falls back to compact.
-	if got := Choose(0.95, 14, false); got != MethodCompact {
-		t.Errorf("high sel unfused: %v", got)
-	}
-	// Medium selectivity → compact.
-	if got := Choose(0.5, 14, false); got != MethodCompact {
-		t.Errorf("mid sel: %v", got)
-	}
-	// Crossover moves right with width: 30% selectivity is compact at 4
-	// bits but still gather at 21 bits (Figure 7: crossovers 2% and 38%).
-	if got := Choose(0.30, 4, false); got != MethodCompact {
-		t.Errorf("30%%/4b: %v", got)
-	}
-	if got := Choose(0.30, 21, false); got != MethodGather {
-		t.Errorf("30%%/21b: %v", got)
-	}
-}
-
 func TestChooseAt(t *testing.T) {
-	// Choose is ChooseAt at the static Figure-7 crossover: equivalent at
-	// every width and selectivity.
-	for _, bits := range []uint8{1, 4, 8, 14, 21, 32, 64} {
-		for s := 0.0; s <= 1.0; s += 0.05 {
-			for _, fused := range []bool{false, true} {
-				want := Choose(s, bits, fused)
-				if got := ChooseAt(s, gatherCompactCrossover(bits), fused); got != want {
-					t.Fatalf("ChooseAt(%v, xover(%d), %v) = %v, Choose = %v", s, bits, fused, got, want)
-				}
-			}
-		}
-	}
-	// A calibrated crossover moves the gather/compact border without
+	// The crossover moves the gather/compact border without
 	// touching the special-group rule.
 	if got := ChooseAt(0.30, 0.50, false); got != MethodGather {
 		t.Errorf("below calibrated crossover: %v", got)
@@ -424,27 +443,6 @@ func TestChooseAt(t *testing.T) {
 	}
 	if got := ChooseAt(0.95, 0.50, true); got != MethodSpecialGroup {
 		t.Errorf("special-group rule drifted: %v", got)
-	}
-}
-
-func TestCrossoverAnchors(t *testing.T) {
-	if got := gatherCompactCrossover(4); got < 0.015 || got > 0.025 {
-		t.Errorf("4-bit crossover=%v", got)
-	}
-	if got := gatherCompactCrossover(21); got < 0.35 || got > 0.41 {
-		t.Errorf("21-bit crossover=%v", got)
-	}
-	// Monotonically non-decreasing in width and clamped.
-	prev := 0.0
-	for b := uint8(1); b <= 64; b++ {
-		c := gatherCompactCrossover(b)
-		if c < prev {
-			t.Fatalf("crossover not monotone at %d bits", b)
-		}
-		if c < 0.01 || c > 0.60 {
-			t.Fatalf("crossover out of clamp at %d bits: %v", b, c)
-		}
-		prev = c
 	}
 }
 

@@ -11,6 +11,7 @@ package sel
 import (
 	"encoding/binary"
 
+	"bipie/internal/bitpack"
 	"bipie/internal/simd"
 )
 
@@ -82,6 +83,130 @@ func (v ByteVec) Or(o ByteVec) {
 	for i := 0; i < len(v) && i < len(o); i++ {
 		v[i] |= o[i]
 	}
+}
+
+// CmpOp is the comparison of a compare-to-mask kernel: after constant
+// translation every pushed or residual comparison is one of these four.
+type CmpOp uint8
+
+const (
+	CmpLE CmpOp = iota
+	CmpGE
+	CmpEQ
+	CmpNE
+)
+
+// CmpMaskLanes is CmpMaskWords over an unpacked vector, at its word size.
+//
+//bipie:kernel
+func CmpMaskLanes(vec ByteVec, buf *bitpack.Unpacked, t uint64, op CmpOp, first bool) {
+	switch buf.WordSize {
+	case 1:
+		CmpMaskWords(vec, buf.U8, uint8(t), op, first)
+	case 2:
+		CmpMaskWords(vec, buf.U16, uint16(t), op, first)
+	case 4:
+		CmpMaskWords(vec, buf.U32, uint32(t), op, first)
+	default:
+		CmpMaskWords(vec, buf.U64, t, op, first)
+	}
+}
+
+// CmpMaskWords writes (or ANDs) the 0x00/0xFF mask of vals[i] OP t into
+// vec — the one compare-to-mask loop behind the unpack and delta filter
+// paths, the residual predicate's leaves, the cost model's cmpmask probes
+// and Figure 7's unpack-then-compare column. The int64 instantiation serves
+// value-space (delta) predicates; comparison semantics are identical. The
+// per-row `if` compiles to a data-dependent branch, not a flag-to-mask
+// sequence, so the loop mispredicts near 50% selectivity.
+//
+//bipie:nobce
+func CmpMaskWords[T uint8 | uint16 | uint32 | uint64 | int64](vec ByteVec, vals []T, t T, op CmpOp, first bool) {
+	n := len(vec)
+	// One reslice up front pins len(vals) to n, so every compare loop
+	// below runs without per-row bounds checks on either side.
+	vals = vals[:n]
+	if first {
+		switch op {
+		case CmpLE:
+			for i := 0; i < n; i++ {
+				vec[i] = leMaskT(vals[i], t)
+			}
+		case CmpGE:
+			for i := 0; i < n; i++ {
+				vec[i] = ^ltMaskT(vals[i], t)
+			}
+		case CmpEQ:
+			for i := 0; i < n; i++ {
+				vec[i] = eqMaskT(vals[i], t)
+			}
+		default: // CmpNE
+			for i := 0; i < n; i++ {
+				vec[i] = ^eqMaskT(vals[i], t)
+			}
+		}
+		return
+	}
+	switch op {
+	case CmpLE:
+		for i := 0; i < n; i++ {
+			vec[i] &= leMaskT(vals[i], t)
+		}
+	case CmpGE:
+		for i := 0; i < n; i++ {
+			vec[i] &= ^ltMaskT(vals[i], t)
+		}
+	case CmpEQ:
+		for i := 0; i < n; i++ {
+			vec[i] &= eqMaskT(vals[i], t)
+		}
+	default: // CmpNE
+		for i := 0; i < n; i++ {
+			vec[i] &= ^eqMaskT(vals[i], t)
+		}
+	}
+}
+
+// CmpMaskSigned writes the mask of int64(a[i]) <= y into vec, y being
+// int64(b[i]) or, b nil, t; neg 0xFF complements it. It orders the 8-byte
+// lane where a value may be negative: against a threshold, or against the
+// other side of a comparison whose difference could wrap.
+//
+//bipie:kernel
+//bipie:nobce
+func CmpMaskSigned(vec ByteVec, a, b []uint64, t int64, neg byte) {
+	a = a[:len(vec)]
+	if b == nil {
+		for i, x := range a {
+			vec[i] = leMaskT(int64(x), t) ^ neg
+		}
+		return
+	}
+	b = b[:len(vec)]
+	for i, x := range a {
+		vec[i] = leMaskT(int64(x), int64(b[i])) ^ neg
+	}
+}
+
+func leMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
+	if a <= b {
+		return 0xFF
+	}
+	return 0
+}
+
+func ltMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
+	if a < b {
+		return 0xFF
+	}
+	return 0
+}
+
+func eqMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
+	if a == b {
+		return 0xFF
+	}
+	return 0
 }
 
 // Selectivity returns the fraction of rows selected, in [0, 1].

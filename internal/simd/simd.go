@@ -96,20 +96,6 @@ func Add8(x, y uint64) uint64 {
 	return (x&^hi8 + y&^hi8) ^ ((x ^ y) & hi8)
 }
 
-// Add16 adds 4 two-byte lanes independently with wraparound per lane.
-//
-//bipie:kernel
-func Add16(x, y uint64) uint64 {
-	return (x&^hi16 + y&^hi16) ^ ((x ^ y) & hi16)
-}
-
-// Add32 adds 2 four-byte lanes independently with wraparound per lane.
-//
-//bipie:kernel
-func Add32(x, y uint64) uint64 {
-	return (x&^hi32 + y&^hi32) ^ ((x ^ y) & hi32)
-}
-
 // Sub8 subtracts each byte lane of y from x independently with wraparound.
 //
 //bipie:kernel
@@ -141,31 +127,6 @@ func SumLanes16(x uint64) uint64 {
 //bipie:kernel
 func SumLanes32(x uint64) uint64 {
 	return (x & 0xFFFFFFFF) + (x >> 32)
-}
-
-// Lane8 extracts byte lane i (0 = least significant) of x.
-//
-//bipie:kernel
-func Lane8(x uint64, i int) uint8 { return uint8(x >> (8 * uint(i))) }
-
-// Lane16 extracts two-byte lane i of x.
-//
-//bipie:kernel
-func Lane16(x uint64, i int) uint16 { return uint16(x >> (16 * uint(i))) }
-
-// Lane32 extracts four-byte lane i of x.
-//
-//bipie:kernel
-func Lane32(x uint64, i int) uint32 { return uint32(x >> (32 * uint(i))) }
-
-// Movemask8 returns an 8-bit mask with bit i set when byte lane i of x has
-// its high bit set (the SWAR analogue of PMOVMSKB). Lane masks produced by
-// CmpEq8 are 0x00/0xFF, so this collapses them to one bit per lane.
-//
-//bipie:kernel
-func Movemask8(x uint64) uint8 {
-	// Gather the 8 high bits into the top byte.
-	return uint8((x & hi8) * 0x0002040810204081 >> 56)
 }
 
 // ZeroByteCount returns how many of the 8 byte lanes of x are exactly zero.

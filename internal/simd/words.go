@@ -11,13 +11,6 @@ func LoadBytes(b []byte, off int) uint64 {
 	return binary.LittleEndian.Uint64(b[off : off+8])
 }
 
-// StoreBytes stores the 8 byte lanes of w into b starting at off.
-//
-//bipie:kernel
-func StoreBytes(b []byte, off int, w uint64) {
-	binary.LittleEndian.PutUint64(b[off:off+8], w)
-}
-
 // LoadUint16x4 loads 4 consecutive uint16 values starting at v[off] as one
 // word of 4 two-byte lanes.
 //

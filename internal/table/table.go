@@ -305,12 +305,3 @@ func (t *Table) HasColumn(name string, typ ColType) bool {
 	i, ok := t.byName[name]
 	return ok && t.schema[i].Type == typ
 }
-
-// ColumnType returns the type of a column.
-func (t *Table) ColumnType(name string) (ColType, bool) {
-	i, ok := t.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return t.schema[i].Type, true
-}

@@ -161,10 +161,4 @@ func TestColumnLookups(t *testing.T) {
 	if !tbl.HasColumn("g", String) || tbl.HasColumn("g", Int64) || tbl.HasColumn("zz", Int64) {
 		t.Fatal("HasColumn")
 	}
-	if typ, ok := tbl.ColumnType("x"); !ok || typ != Int64 {
-		t.Fatal("ColumnType x")
-	}
-	if _, ok := tbl.ColumnType("zz"); ok {
-		t.Fatal("ColumnType zz")
-	}
 }
