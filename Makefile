@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzBitpackRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzPackedCmp -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzEncodingRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzChooseInt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzReadSegment -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)

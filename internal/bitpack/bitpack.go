@@ -67,48 +67,6 @@ func widthMask(width uint8) uint64 {
 	return 1<<width - 1
 }
 
-// Pack packs values using width bits per value. It validates once, up
-// front — width must be in [1, 64] and every value must fit in width bits
-// (an OR-fold over the input, itself branch-free) — and then runs a
-// check-free packing loop. Callers that computed width from the data's
-// maximum (BitsFor) can use MustPack instead.
-func Pack(values []uint64, width uint8) (*Vector, error) {
-	if width < 1 || width > MaxBits {
-		return nil, fmt.Errorf("bitpack: width %d out of range [1,64]", width)
-	}
-	mask := widthMask(width)
-	var all uint64
-	for _, v := range values {
-		all |= v
-	}
-	if all&^mask != 0 {
-		return nil, fmt.Errorf("bitpack: values do not fit in %d bits (high bits %#x)", width, all&^mask)
-	}
-	totalBits := uint64(len(values)) * uint64(width)
-	words := make([]uint64, (totalBits+63)/64+1) // +1 pad word simplifies 2-word reads
-	for i, v := range values {
-		bitPos := uint64(i) * uint64(width)
-		w := bitPos >> 6
-		off := bitPos & 63
-		words[w] |= v << off
-		if off+uint64(width) > 64 {
-			words[w+1] |= v >> (64 - off)
-		}
-	}
-	return &Vector{bits: width, n: len(values), words: words}, nil
-}
-
-// MustPack is Pack for callers whose width provably fits the data (it was
-// computed from the data's maximum); a failure is a programming error, so
-// it panics instead of returning an error.
-func MustPack(values []uint64, width uint8) *Vector {
-	v, err := Pack(values, width)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // FromWords reconstructs a Vector from its raw representation; words must
 // include the trailing pad word produced by Pack. It is used when decoding a
 // serialized segment.
@@ -116,8 +74,8 @@ func FromWords(words []uint64, width uint8, n int) (*Vector, error) {
 	if width < 1 || width > MaxBits {
 		return nil, fmt.Errorf("bitpack: width %d out of range [1,64]", width)
 	}
-	need := (uint64(n)*uint64(width)+63)/64 + 1
-	if uint64(len(words)) < need {
+	need := WordsFor(n, width)
+	if len(words) < need {
 		return nil, fmt.Errorf("bitpack: need %d words for %d values of %d bits, have %d", need, n, width, len(words))
 	}
 	return &Vector{bits: width, n: n, words: words}, nil

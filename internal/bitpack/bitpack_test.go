@@ -91,6 +91,24 @@ func TestPackErrors(t *testing.T) {
 	}
 }
 
+// A Packer that was fed fewer or more values than it declared must not hand
+// out a vector.
+func TestPackerMiscount(t *testing.T) {
+	for _, fed := range []int{2, 4} {
+		p, err := NewPacker(3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Append(make([]uint64, fed))
+		if _, err := p.Vector(); err == nil {
+			t.Fatalf("Vector after %d of 3 values: no error", fed)
+		}
+	}
+	if _, err := NewPacker(1, 0); err == nil {
+		t.Fatal("expected error for width 0")
+	}
+}
+
 func TestPackPanicsOnOverflow(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package bitpack
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -41,16 +42,63 @@ func checkUnpacked[T uint8 | uint16 | uint32](t *testing.T, v *Vector, start, n 
 	}
 }
 
+// packReference is the pack loop Pack had before it built each word in a
+// register: a read-modify-write of words[w] per value. It is the oracle for
+// packBody's words, as unpackWindowed is for the unpack kernels.
+func packReference(values []uint64, width uint8) []uint64 {
+	words := make([]uint64, WordsFor(len(values), width))
+	for i, v := range values {
+		bitPos := uint64(i) * uint64(width)
+		w := bitPos >> 6
+		off := bitPos & 63
+		words[w] |= v << off
+		if off+uint64(width) > 64 {
+			words[w+1] |= v >> (64 - off)
+		}
+	}
+	return words
+}
+
+// checkPackWords holds Pack, and a Packer fed the same values in two blocks
+// cut at split (so the second block starts at any bit offset), to the
+// reference loop's words.
+func checkPackWords(t *testing.T, vals []uint64, width uint8, split int) {
+	t.Helper()
+	want := packReference(vals, width)
+	p, err := NewPacker(len(vals), width)
+	if err != nil {
+		t.Fatalf("NewPacker(%d, %d): %v", len(vals), width, err)
+	}
+	p.Append(vals[:split])
+	p.Append(vals[split:])
+	blocks, err := p.Vector()
+	if err != nil {
+		t.Fatalf("Packer.Vector, width %d split %d: %v", width, split, err)
+	}
+	for name, got := range map[string][]uint64{"Pack": MustPack(vals, width).Words(), "Packer": blocks.Words()} {
+		if len(got) != len(want) {
+			t.Fatalf("%s width %d n %d: %d words, reference has %d", name, width, len(vals), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s width %d n %d split %d: word %d = %#x, reference %#x", name, width, len(vals), split, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // sweepRows is the vector length of the kernel sweeps: one batch after the
 // longest head.
 const sweepRows = 4096 + 64
 
 // FuzzBitpackRoundTrip packs arbitrary values at an arbitrary width and
-// checks every decode path — Get, UnpackUint64, the typed unpackers with
-// their word-parallel kernels, UnpackSmallest, and FromWords
-// reconstruction — against the packed input. The same values, repeated to
-// a batch, then go through checkUnpackSweep at the fuzzed start's residue;
-// the seeds cover every residue of every width 1–32.
+// checks the packed words against the reference loop, the error for a
+// value that does not fit, and every decode path — Get, UnpackUint64, the
+// typed unpackers with their word-parallel kernels, UnpackSmallest, and
+// FromWords reconstruction — against the packed input. The same values,
+// repeated to a batch, are then packed in two blocks cut at the fuzzed
+// start's residue and go through checkUnpackSweep at it; the seeds cover
+// every residue of every width 1–64.
 func FuzzBitpackRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{0x01, 0x00, 0xFF})
 	f.Add(uint8(7), uint8(3), []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05})
@@ -61,7 +109,7 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 	f.Add(uint8(32), uint8(7), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add(uint8(63), uint8(4), []byte{0x80, 0x70, 0x60, 0x50, 0x40, 0x30, 0x20, 0x10})
 	f.Add(uint8(64), uint8(6), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	for width := uint8(1); width <= 32; width++ {
+	for width := uint8(1); width <= 64; width++ {
 		for r := 0; r < periodLanes(width); r++ {
 			f.Add(width-1, uint8(r), []byte{0xC3, 0x5A, 0x96, 0x0F, 0xF0, 0x69, 0xA5, 0x3C, byte(width), byte(r), 0x81})
 		}
@@ -102,6 +150,17 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 			start = int(startSeed) % n // misaligned starts exercise fastunpack's fallback
 		}
 		m := n - start
+		checkPackWords(t, vals, width, start)
+
+		// One value a bit too wide: rejected, naming the stray bit.
+		if n > 0 && width < 64 {
+			wide := append([]uint64(nil), vals...)
+			wide[start] |= 1 << width
+			want := fmt.Sprintf("bitpack: values do not fit in %d bits (high bits %#x)", width, uint64(1)<<width)
+			if _, err := Pack(wide, width); err == nil || err.Error() != want {
+				t.Fatalf("Pack of a %d-bit value at width %d: error %v, want %q", width+1, width, err, want)
+			}
+		}
 
 		u64 := make([]uint64, m)
 		v.UnpackUint64(u64, start)
@@ -148,12 +207,17 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 			}
 		}
 
-		if n > 0 && width <= 32 {
+		if n > 0 {
 			batch := make([]uint64, sweepRows)
 			for i := range batch {
 				batch[i] = vals[i%n] ^ uint64(i/n)&mask
 			}
-			checkUnpackSweep(t, MustPack(batch, width), int(startSeed)%periodLanes(width))
+			residue := int(startSeed) % periodLanes(width)
+			checkPackWords(t, batch, width, residue)
+			checkPackWords(t, batch, width, 4096+residue)
+			if width <= 32 {
+				checkUnpackSweep(t, MustPack(batch, width), residue)
+			}
 		}
 
 		// Serialization round trip through the raw words.

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -35,6 +37,7 @@ func FuzzReadSegment(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BIPS"))
+	f.Add(oversizedHeaderSegment())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg, err := ReadSegment(bytes.NewReader(data))
@@ -68,4 +71,24 @@ func FuzzReadSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oversizedHeaderSegment is a well-formed, correctly checksummed segment of
+// one bit-packed column that stops after the column's header, which claims
+// 2^31 values of 64 bits in 2^31+1 words: 16 GiB the file does not hold. The
+// reader must fail on the missing payload, not allocate on the claim.
+func oversizedHeaderSegment() []byte {
+	le := binary.LittleEndian
+	b := append([]byte{}, segMagic[:]...)
+	b = le.AppendUint32(b, segVersion)
+	b = le.AppendUint64(b, 1<<31) // rows
+	b = le.AppendUint32(b, 1)     // columns
+	b = le.AppendUint32(b, 1)     // name length
+	b = append(b, 'a', colTypeInt, uint8(encoding.KindBitPack))
+	b = le.AppendUint64(b, 0) // ref
+	b = le.AppendUint64(b, 0) // max
+	b = append(b, 64)         // width
+	b = le.AppendUint64(b, 1<<31)
+	b = le.AppendUint64(b, 1<<31+1)
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }

@@ -26,68 +26,65 @@ type BitPackColumn struct {
 const ZoneRows = 4096
 
 // NewBitPack encodes values with frame-of-reference bit packing.
-func NewBitPack(values []int64) *BitPackColumn {
-	mn, mx := minMax(values)
-	width := bitpack.BitsFor(uint64(mx - mn))
-	offsets := make([]uint64, len(values))
-	for i, v := range values {
-		offsets[i] = uint64(v - mn)
-	}
-	c := &BitPackColumn{ref: mn, max: mx, packed: bitpack.MustPack(offsets, width)}
-	c.zoneMin, c.zoneMax = zonesFromOffsets(offsets)
+func NewBitPack(values []int64) *BitPackColumn { return newBitPack(values, scanInts(values)) }
+
+// newBitPack packs v - min a block at a time, straight from values, folding
+// each block into its zone's bounds while the offsets are in hand.
+func newBitPack(values []int64, st intStats) *BitPackColumn {
+	c := &BitPackColumn{ref: st.min, max: st.max}
+	c.zoneMin, c.zoneMax = newZones(len(values))
+	c.packed = packBlocks(len(values), st.bitPackWidth(), func(block []uint64, start int) {
+		for i, v := range values[start : start+len(block)] {
+			block[i] = uint64(v - st.min)
+		}
+		foldZone(c.zoneMin, c.zoneMax, start, block)
+	})
 	return c
 }
 
-// zonesFromOffsets computes per-zone min/max over the pre-pack offsets.
-func zonesFromOffsets(offsets []uint64) (mn, mx []uint64) {
-	nz := (len(offsets) + ZoneRows - 1) / ZoneRows
-	mn = make([]uint64, nz)
-	mx = make([]uint64, nz)
-	for z := 0; z < nz; z++ {
-		lo := z * ZoneRows
-		hi := lo + ZoneRows
-		if hi > len(offsets) {
-			hi = len(offsets)
-		}
-		zmn, zmx := offsets[lo], offsets[lo]
-		for _, o := range offsets[lo+1 : hi] {
-			if o < zmn {
-				zmn = o
-			}
-			if o > zmx {
-				zmx = o
-			}
-		}
-		mn[z], mx[z] = zmn, zmx
-	}
-	return mn, mx
+// newZones allocates the zone-bound arrays of an n-row column.
+func newZones(n int) (mn, mx []uint64) {
+	nz := (n + ZoneRows - 1) / ZoneRows
+	return make([]uint64, nz), make([]uint64, nz)
 }
 
-// rebuildZones recomputes the zone bounds from the packed words, used when a
-// column is reconstructed from its serialized form. Load-time only, so the
-// scalar Get path is fine.
+// foldZone is the zone builder, at encode time and at load alike: it widens
+// the bounds of the zone holding rows [start, start+len(block)) to cover
+// block, their packed offsets. Blocks arrive in row order and never
+// straddle a zone, so the block at a zone's first row opens its bounds.
+func foldZone[T uint8 | uint16 | uint32 | uint64](zoneMin, zoneMax []uint64, start int, block []T) {
+	// Compared as uint64 whatever the lane: the compiler has a conditional
+	// move for words, and only branches for bytes.
+	mn, mx := uint64(block[0]), uint64(block[0])
+	for _, v := range block[1:] {
+		mn, mx = min(mn, uint64(v)), max(mx, uint64(v))
+	}
+	z := start / ZoneRows
+	if start%ZoneRows != 0 {
+		mn, mx = min(mn, zoneMin[z]), max(mx, zoneMax[z])
+	}
+	zoneMin[z], zoneMax[z] = mn, mx
+}
+
+// rebuildZones recomputes the zone bounds from the packed words when a
+// column is reconstructed from its serialized form: each block is unpacked
+// to its smallest word and handed to the zone builder encode uses.
 func (c *BitPackColumn) rebuildZones() {
 	n := c.packed.Len()
-	nz := (n + ZoneRows - 1) / ZoneRows
-	c.zoneMin = make([]uint64, nz)
-	c.zoneMax = make([]uint64, nz)
-	for z := 0; z < nz; z++ {
-		lo := z * ZoneRows
-		hi := lo + ZoneRows
-		if hi > n {
-			hi = n
+	c.zoneMin, c.zoneMax = newZones(n)
+	var u *bitpack.Unpacked
+	for start := 0; start < n; start += blockRows {
+		u = c.packed.UnpackSmallest(u, start, min(blockRows, n-start))
+		switch u.WordSize {
+		case 1:
+			foldZone(c.zoneMin, c.zoneMax, start, u.U8)
+		case 2:
+			foldZone(c.zoneMin, c.zoneMax, start, u.U16)
+		case 4:
+			foldZone(c.zoneMin, c.zoneMax, start, u.U32)
+		default:
+			foldZone(c.zoneMin, c.zoneMax, start, u.U64)
 		}
-		zmn, zmx := c.packed.Get(lo), c.packed.Get(lo)
-		for i := lo + 1; i < hi; i++ {
-			o := c.packed.Get(i)
-			if o < zmn {
-				zmn = o
-			}
-			if o > zmx {
-				zmx = o
-			}
-		}
-		c.zoneMin[z], c.zoneMax[z] = zmn, zmx
 	}
 }
 

@@ -30,43 +30,49 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // NewDelta delta-encodes values.
-func NewDelta(values []int64) *DeltaColumn {
-	c := &DeltaColumn{n: len(values)}
-	c.mn, c.mx = minMax(values)
-	if len(values) == 0 {
-		c.deltas = bitpack.MustPack(nil, 1)
-		c.rebuildMono()
-		return c
-	}
-	diffs := make([]uint64, len(values)-1)
-	var maxDiff uint64
-	for i := 1; i < len(values); i++ {
-		d := zigzag(values[i] - values[i-1])
-		diffs[i-1] = d
-		if d > maxDiff {
-			maxDiff = d
+func NewDelta(values []int64) *DeltaColumn { return newDelta(values, scanInts(values)) }
+
+// newDelta packs the zig-zag differences as it computes them, straight from
+// values; width, bounds and monotonicity come from the statistics pass.
+func newDelta(values []int64, st intStats) *DeltaColumn {
+	c := &DeltaColumn{n: len(values), mn: st.min, mx: st.max, asc: st.asc, desc: st.desc}
+	c.deltas = packBlocks(max(len(values)-1, 0), st.deltaWidth(), func(block []uint64, start int) {
+		prev := values[start]
+		for i, v := range values[start+1 : start+1+len(block)] {
+			block[i] = zigzag(v - prev)
+			prev = v
+		}
+	})
+	if len(values) > 0 {
+		c.checkpoints = make([]int64, 0, (len(values)+deltaBlock-1)/deltaBlock)
+		for k := 0; k < len(values); k += deltaBlock {
+			c.checkpoints = append(c.checkpoints, values[k])
 		}
 	}
-	c.deltas = bitpack.MustPack(diffs, bitpack.BitsFor(maxDiff))
-	for k := 0; k*deltaBlock < len(values); k++ {
-		c.checkpoints = append(c.checkpoints, values[k*deltaBlock])
-	}
-	c.rebuildMono()
 	return c
 }
 
-// rebuildMono derives the monotonicity flags from the packed delta signs.
-// It is derived data, like the bit-packed column's zone maps: computed at
-// encode time and recomputed after deserialization, never serialized.
+// rebuildMono derives the monotonicity flags of a deserialized column by
+// replaying its values a block of deltas at a time. It is derived data, like
+// the bit-packed column's zone maps: never serialized. Consecutive values
+// are compared, not delta signs: a delta that wraps int64 has the wrong
+// sign.
+//
+//bipie:noescape diffs
 func (c *DeltaColumn) rebuildMono() {
 	asc, desc := true, true
-	for i, n := 0, c.deltas.Len(); i < n && (asc || desc); i++ {
-		d := unzigzag(c.deltas.Get(i))
-		if d < 0 {
-			asc = false
-		}
-		if d > 0 {
-			desc = false
+	if c.n > 0 {
+		v := c.checkpoints[0]
+		n := c.deltas.Len()
+		var diffs [blockRows]uint64
+		for start := 0; start < n && (asc || desc); start += blockRows {
+			block := diffs[:min(blockRows, n-start)]
+			c.deltas.UnpackUint64(block, start)
+			for _, d := range block {
+				next := v + unzigzag(d)
+				asc, desc = asc && next >= v, desc && next <= v
+				v = next
+			}
 		}
 	}
 	c.asc, c.desc = asc, desc

@@ -1,7 +1,10 @@
 package encoding
 
 import (
+	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"bipie/internal/bitpack"
 )
@@ -17,27 +20,105 @@ type DictColumn struct {
 	ids  *bitpack.Vector
 }
 
-// NewDict dictionary-encodes values.
+const (
+	// dictScanMax is the dictionary size up to which firstSeen finds a value
+	// by scanning; past it a map takes over. Low-cardinality columns (flags,
+	// statuses) never leave the scan.
+	dictScanMax = 8
+	// shortKeyLen is the longest string shortKey represents exactly.
+	shortKeyLen = 7
+)
+
+// shortKey maps a string of at most shortKeyLen bytes to a word, one to
+// one: the bytes, big-endian, under a byte holding the length.
+func shortKey(s string) uint64 {
+	k := uint64(len(s))
+	for i := 0; i < len(s); i++ {
+		k = k<<8 | uint64(s[i])
+	}
+	return k
+}
+
+// firstSeen hands out provisional dictionary ids in first-seen order, at
+// most one lookup per row. While the dictionary is tiny and its strings are
+// short, a lookup compares the value's shortKey with every key in the
+// table, without a data-dependent branch (a random three-valued flag column
+// mispredicts every other compare-and-exit otherwise). Beyond that it is a
+// map lookup, skipped when the row repeats the previous one.
+type firstSeen struct {
+	values []string            // values[id]
+	keys   [dictScanMax]uint64 // shortKey(values[id]), while index is nil
+	index  map[string]uint32   // value -> id, once the table is scanned no longer
+	last   uint32              // the id handed out last
+}
+
+func (f *firstSeen) id(v string) uint32 {
+	if f.index == nil {
+		if len(v) <= shortKeyLen {
+			k, hit := shortKey(v), -1
+			for j, kj := range f.keys[:len(f.values)] {
+				if kj == k {
+					hit = j
+				}
+			}
+			if hit >= 0 {
+				return uint32(hit)
+			}
+			if len(f.values) < dictScanMax {
+				f.keys[len(f.values)] = k
+				f.values = append(f.values, v)
+				return uint32(len(f.values) - 1)
+			}
+		}
+		f.index = make(map[string]uint32, 4*dictScanMax)
+		for j, s := range f.values {
+			f.index[s] = uint32(j)
+		}
+	}
+	if len(f.values) > 0 && f.values[f.last] == v {
+		return f.last
+	}
+	id, ok := f.index[v]
+	if !ok {
+		if uint64(len(f.values)) >= math.MaxUint32 {
+			panic("encoding: dictionary exceeds 2^32 entries")
+		}
+		id = uint32(len(f.values))
+		f.values = append(f.values, v)
+		f.index[v] = id
+	}
+	f.last = id
+	return id
+}
+
+// NewDict dictionary-encodes values. Rows get provisional ids in first-seen
+// order (firstSeen); sorting the distinct values yields the permutation to
+// sort-order ids, applied as the ids are packed.
 func NewDict(values []string) *DictColumn {
-	seen := make(map[string]struct{}, 16)
-	for _, v := range values {
-		seen[v] = struct{}{}
-	}
-	dict := make([]string, 0, len(seen))
-	for v := range seen {
-		dict = append(dict, v)
-	}
-	sort.Strings(dict)
-	idOf := make(map[string]uint64, len(dict))
-	for i, v := range dict {
-		idOf[v] = uint64(i)
-	}
-	ids := make([]uint64, len(values))
+	var seen firstSeen
+	prov := make([]uint32, len(values))
 	for i, v := range values {
-		ids[i] = idOf[v]
+		prov[i] = seen.id(v)
+	}
+	first := seen.values
+
+	order := make([]uint32, len(first)) // order[sorted id] = provisional id
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(first[a], first[b]) })
+	dict := make([]string, len(first))
+	rank := make([]uint32, len(first)) // rank[provisional id] = sorted id
+	for i, p := range order {
+		dict[i], rank[p] = first[p], uint32(i)
 	}
 	width := bitpack.BitsFor(uint64(max(len(dict)-1, 0)))
-	return &DictColumn{dict: dict, ids: bitpack.MustPack(ids, width)}
+	ids := packBlocks(len(values), width, func(block []uint64, start int) {
+		for i, p := range prov[start : start+len(block)] {
+			block[i] = uint64(rank[p])
+		}
+	})
+	return &DictColumn{dict: dict, ids: ids}
 }
 
 // Kind reports KindDict.

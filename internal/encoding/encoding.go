@@ -3,13 +3,22 @@
 // signed ranges pack tightly), run-length encoding, delta encoding, and
 // dictionary encoding for strings.
 //
-// An encoding is chosen per column per segment by ChooseInt/EncodeString,
-// based on the two factors the paper names: size of the compressed data and
+// An integer column's encoding is chosen per segment by ChooseInt, based on
+// the two factors the paper names: size of the compressed data and
 // usefulness for query execution (bit packing is what the fast aggregation
-// kernels consume directly, so it wins ties).
+// kernels consume directly, so it wins ties). String columns are always
+// dictionary-encoded (NewDict).
+//
+// The write path reads a column twice: one statistics pass (scanInts) from
+// which every encoding's size follows exactly, then one pass that builds
+// the winner straight from the source values.
 package encoding
 
-import "fmt"
+import (
+	"fmt"
+
+	"bipie/internal/bitpack"
+)
 
 // Kind identifies a column encoding.
 type Kind uint8
@@ -65,19 +74,123 @@ type IntColumn interface {
 	SizeBytes() int
 }
 
+// intStats is what one pass over a column tells the encoders: enough to
+// size each integer encoding exactly, and to build any of them without
+// deriving bounds, run count or monotonicity again.
+type intStats struct {
+	n        int
+	min, max int64
+	// runs is the number of maximal runs of equal values.
+	runs int
+	// deltaOr is the OR of the zig-zag deltas NewDelta packs, computed with
+	// the same wrapping subtraction; its highest set bit is the largest
+	// delta's, which is all the delta width needs.
+	deltaOr uint64
+	// asc and desc report a nondecreasing / nonincreasing column. They
+	// compare values, not delta signs: a difference that wraps int64 has
+	// the wrong sign.
+	asc, desc bool
+}
+
+// scanInts is the statistics pass.
+//
+//bipie:kernel
+//bipie:nobce
+func scanInts(values []int64) intStats {
+	st := intStats{n: len(values), asc: true, desc: true}
+	if len(values) == 0 {
+		return st
+	}
+	prev := values[0]
+	mn, mx := prev, prev
+	// steps counts the rows that differ from their predecessor, rises those
+	// that exceed it; the rest of the steps are falls.
+	var steps, rises int
+	var deltaOr uint64
+	for _, v := range values[1:] {
+		mn, mx = min(mn, v), max(mx, v)
+		deltaOr |= zigzag(v - prev)
+		if v != prev {
+			steps++
+		}
+		if v > prev {
+			rises++
+		}
+		prev = v
+	}
+	st.min, st.max, st.runs, st.deltaOr = mn, mx, steps+1, deltaOr
+	st.asc, st.desc = rises == steps, rises == 0
+	return st
+}
+
+// bitPackWidth and deltaWidth are the bit widths NewBitPack and NewDelta
+// pack at.
+func (st intStats) bitPackWidth() uint8 { return bitpack.BitsFor(uint64(st.max - st.min)) }
+func (st intStats) deltaWidth() uint8   { return bitpack.BitsFor(st.deltaOr) }
+
+// bitPackBytes, rleBytes and deltaBytes are SizeBytes() of the column each
+// constructor would build, computed without building it.
+func (st intStats) bitPackBytes() int { return bitpack.WordsFor(st.n, st.bitPackWidth())*8 + 16 }
+func (st intStats) rleBytes() int     { return st.runs*16 + 16 }
+func (st intStats) deltaBytes() int {
+	return bitpack.WordsFor(max(st.n-1, 0), st.deltaWidth())*8 + (st.n+deltaBlock-1)/deltaBlock*8 + 16
+}
+
 // ChooseInt encodes values with whichever supported integer encoding
 // produces the smallest footprint, breaking ties in favor of bit packing
-// (most useful to the scan kernels), then RLE, then delta.
+// (most useful to the scan kernels), then RLE, then delta. The footprints
+// come from the statistics pass; only the winner is built.
 func ChooseInt(values []int64) IntColumn {
-	bp := NewBitPack(values)
-	candidates := []IntColumn{bp, NewRLE(values), NewDelta(values)}
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		if c.SizeBytes() < best.SizeBytes() {
-			best = c
-		}
+	st := scanInts(values)
+	kind, size := KindBitPack, st.bitPackBytes()
+	if s := st.rleBytes(); s < size {
+		kind, size = KindRLE, s
 	}
-	return best
+	if s := st.deltaBytes(); s < size {
+		kind = KindDelta
+	}
+	switch kind {
+	case KindRLE:
+		return newRLE(values, st)
+	case KindDelta:
+		return newDelta(values, st)
+	default:
+		return newBitPack(values, st)
+	}
+}
+
+// blockRows is how many rows the encoders stage at a time on their way into
+// a packed vector: small enough that the source rows and the staged values
+// share the L1 cache, a multiple of 64 so every block starts on a word
+// boundary of the packed vector (bitpack.Packer), and a divisor of ZoneRows
+// so no block straddles a zone.
+const blockRows = 512
+
+const _ = -uint(ZoneRows%blockRows) - uint(blockRows%64) // both must be 0
+
+// packBlocks bit-packs n values that fill produces a block at a time:
+// fill(block, start) writes the values of rows [start, start+len(block))
+// into block, and is called for consecutive blocks of blockRows rows (the
+// last may be short). The encoders compute their packed values (offsets,
+// deltas, ids) straight from the source column this way, so no full-length
+// intermediate exists. width must hold every value; it was derived from the
+// same data.
+func packBlocks(n int, width uint8, fill func(block []uint64, start int)) *bitpack.Vector {
+	p, err := bitpack.NewPacker(n, width)
+	if err != nil {
+		panic(err)
+	}
+	block := make([]uint64, min(n, blockRows))
+	for start := 0; start < n; start += blockRows {
+		b := block[:min(blockRows, n-start)]
+		fill(b, start)
+		p.Append(b)
+	}
+	v, err := p.Vector()
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // DecodeAll fully materializes a column; a convenience for tests, result
@@ -88,22 +201,6 @@ func DecodeAll(c IntColumn) []int64 {
 		c.Decode(out, 0)
 	}
 	return out
-}
-
-func minMax(values []int64) (mn, mx int64) {
-	if len(values) == 0 {
-		return 0, 0
-	}
-	mn, mx = values[0], values[0]
-	for _, v := range values[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }
 
 func checkDecodeRange(n, start, dstLen int) {

@@ -19,17 +19,23 @@ type RLEColumn struct {
 }
 
 // NewRLE run-length encodes values.
-func NewRLE(values []int64) *RLEColumn {
-	c := &RLEColumn{}
-	c.mn, c.mx = minMax(values)
+func NewRLE(values []int64) *RLEColumn { return newRLE(values, scanInts(values)) }
+
+// newRLE cuts values into runs; the statistics pass counted them, so both
+// arrays are allocated once at their final size.
+func newRLE(values []int64, st intStats) *RLEColumn {
+	c := &RLEColumn{mn: st.min, mx: st.max}
+	if st.runs == 0 {
+		return c
+	}
+	c.values = make([]int64, 0, st.runs)
+	c.ends = make([]int, 0, st.runs)
 	for i := 0; i < len(values); {
-		j := i + 1
-		for j < len(values) && values[j] == values[i] {
-			j++
+		v := values[i]
+		for i++; i < len(values) && values[i] == v; i++ {
 		}
-		c.values = append(c.values, values[i])
-		c.ends = append(c.ends, j)
-		i = j
+		c.values = append(c.values, v)
+		c.ends = append(c.ends, i)
 	}
 	return c
 }

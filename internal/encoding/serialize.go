@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"bipie/internal/bitpack"
 )
@@ -49,7 +51,8 @@ func readI64(r io.Reader) (int64, error) {
 }
 
 // maxSerializedElems caps per-column element counts read from untrusted
-// input so a corrupt length cannot drive an enormous allocation.
+// input. It bounds what a header may claim, not what a reader allocates:
+// readWords grows its result only as the bytes arrive.
 const maxSerializedElems = 1 << 31
 
 func checkCount(n uint64, what string) error {
@@ -59,7 +62,68 @@ func checkCount(n uint64, what string) error {
 	return nil
 }
 
-func writePacked(w io.Writer, v *bitpack.Vector) error {
+const (
+	// wireChunk is how many 8-byte elements cross the staging buffer per
+	// Read or Write call.
+	wireChunk = 1 << 10
+	// wireUpfront is the most elements (or string bytes) a reader allocates
+	// on a header's word alone; past it the result doubles as data arrives,
+	// so a truncated or hostile input costs at most this much.
+	wireUpfront = 1 << 17
+)
+
+// wire moves slices of 8-byte little-endian elements between a stream and
+// memory through one staging buffer, reused across the chunks and slices of
+// a column — in place of binary.Read/Write, which reflect on every call and
+// stage each slice whole.
+type wire struct{ buf []byte }
+
+// word is an element wire moves: every column payload is one of these.
+type word interface{ ~int | ~int64 | ~uint64 }
+
+func (c *wire) chunk(elems int) []byte {
+	if c.buf == nil {
+		c.buf = make([]byte, 8*wireChunk)
+	}
+	return c.buf[:8*elems]
+}
+
+func writeWords[T word](c *wire, w io.Writer, vals []T) error {
+	for len(vals) > 0 {
+		k := min(len(vals), wireChunk)
+		buf := c.chunk(k)
+		for i, v := range vals[:k] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		vals = vals[k:]
+	}
+	return nil
+}
+
+// readWords reads n elements. n comes from an untrusted header; the caller
+// has bounded it (checkCount) and, where the format allows, tied it to the
+// column's other fields first.
+func readWords[T word](c *wire, r io.Reader, n uint64) ([]T, error) {
+	out := make([]T, 0, min(n, wireUpfront))
+	for uint64(len(out)) < n {
+		k := int(min(n-uint64(len(out)), wireChunk))
+		buf := c.chunk(k)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		at := len(out)
+		out = slices.Grow(out, k)[:at+k]
+		for i := range out[at:] {
+			out[at+i] = T(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+	}
+	return out, nil
+}
+
+func writePacked(c *wire, w io.Writer, v *bitpack.Vector) error {
 	if err := writeU8(w, v.Bits()); err != nil {
 		return err
 	}
@@ -70,10 +134,10 @@ func writePacked(w io.Writer, v *bitpack.Vector) error {
 	if err := writeU64(w, uint64(len(words))); err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, words)
+	return writeWords(c, w, words)
 }
 
-func readPacked(r io.Reader) (*bitpack.Vector, error) {
+func readPacked(c *wire, r io.Reader) (*bitpack.Vector, error) {
 	bits, err := readU8(r)
 	if err != nil {
 		return nil, err
@@ -89,11 +153,16 @@ func readPacked(r io.Reader) (*bitpack.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCount(nw, "packed word"); err != nil {
-		return nil, err
+	// The word count is implied by (n, bits); hold the header to it before
+	// reading a single word on its say-so.
+	if bits < 1 || bits > bitpack.MaxBits {
+		return nil, fmt.Errorf("encoding: packed width %d out of range [1,64]", bits)
 	}
-	words := make([]uint64, nw)
-	if err := binary.Read(r, binary.LittleEndian, words); err != nil {
+	if want := uint64(bitpack.WordsFor(int(n), bits)); nw != want {
+		return nil, fmt.Errorf("encoding: %d packed words for %d values of %d bits, want %d", nw, n, bits, want)
+	}
+	words, err := readWords[uint64](c, r, nw)
+	if err != nil {
 		return nil, err
 	}
 	return bitpack.FromWords(words, bits, int(n))
@@ -105,6 +174,7 @@ func WriteIntColumn(w io.Writer, col IntColumn) error {
 	if err := writeU8(w, uint8(col.Kind())); err != nil {
 		return err
 	}
+	var wr wire
 	switch c := col.(type) {
 	case *BitPackColumn:
 		if err := writeI64(w, c.ref); err != nil {
@@ -113,7 +183,7 @@ func WriteIntColumn(w io.Writer, col IntColumn) error {
 		if err := writeI64(w, c.max); err != nil {
 			return err
 		}
-		return writePacked(w, c.packed)
+		return writePacked(&wr, w, c.packed)
 	case *RLEColumn:
 		if err := writeI64(w, c.mn); err != nil {
 			return err
@@ -124,14 +194,10 @@ func WriteIntColumn(w io.Writer, col IntColumn) error {
 		if err := writeU64(w, uint64(len(c.values))); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, c.values); err != nil {
+		if err := writeWords(&wr, w, c.values); err != nil {
 			return err
 		}
-		ends := make([]int64, len(c.ends))
-		for i, e := range c.ends {
-			ends[i] = int64(e)
-		}
-		return binary.Write(w, binary.LittleEndian, ends)
+		return writeWords(&wr, w, c.ends)
 	case *DeltaColumn:
 		if err := writeU64(w, uint64(c.n)); err != nil {
 			return err
@@ -145,10 +211,10 @@ func WriteIntColumn(w io.Writer, col IntColumn) error {
 		if err := writeU64(w, uint64(len(c.checkpoints))); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, c.checkpoints); err != nil {
+		if err := writeWords(&wr, w, c.checkpoints); err != nil {
 			return err
 		}
-		return writePacked(w, c.deltas)
+		return writePacked(&wr, w, c.deltas)
 	default:
 		return fmt.Errorf("encoding: cannot serialize column kind %v", col.Kind())
 	}
@@ -160,6 +226,7 @@ func ReadIntColumn(r io.Reader) (IntColumn, error) {
 	if err != nil {
 		return nil, err
 	}
+	var wr wire
 	switch Kind(kind) {
 	case KindBitPack:
 		ref, err := readI64(r)
@@ -170,7 +237,7 @@ func ReadIntColumn(r io.Reader) (IntColumn, error) {
 		if err != nil {
 			return nil, err
 		}
-		packed, err := readPacked(r)
+		packed, err := readPacked(&wr, r)
 		if err != nil {
 			return nil, err
 		}
@@ -193,21 +260,19 @@ func ReadIntColumn(r io.Reader) (IntColumn, error) {
 		if err := checkCount(nruns, "run"); err != nil {
 			return nil, err
 		}
-		values := make([]int64, nruns)
-		if err := binary.Read(r, binary.LittleEndian, values); err != nil {
+		values, err := readWords[int64](&wr, r, nruns)
+		if err != nil {
 			return nil, err
 		}
-		rawEnds := make([]int64, nruns)
-		if err := binary.Read(r, binary.LittleEndian, rawEnds); err != nil {
+		ends, err := readWords[int](&wr, r, nruns)
+		if err != nil {
 			return nil, err
 		}
-		ends := make([]int, nruns)
-		prev := int64(0)
-		for i, e := range rawEnds {
+		prev := 0
+		for i, e := range ends {
 			if e <= prev {
 				return nil, fmt.Errorf("encoding: RLE run ends not strictly increasing at run %d", i)
 			}
-			ends[i] = int(e)
 			prev = e
 		}
 		return &RLEColumn{values: values, ends: ends, mn: mn, mx: mx}, nil
@@ -231,23 +296,19 @@ func ReadIntColumn(r io.Reader) (IntColumn, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkCount(ncp, "checkpoint"); err != nil {
-			return nil, err
+		if want := (n + deltaBlock - 1) / deltaBlock; ncp != want {
+			return nil, fmt.Errorf("encoding: delta checkpoint count %d, want %d", ncp, want)
 		}
-		checkpoints := make([]int64, ncp)
-		if err := binary.Read(r, binary.LittleEndian, checkpoints); err != nil {
-			return nil, err
-		}
-		deltas, err := readPacked(r)
+		checkpoints, err := readWords[int64](&wr, r, ncp)
 		if err != nil {
 			return nil, err
 		}
-		want := (int(n) + deltaBlock - 1) / deltaBlock
-		if n == 0 {
-			want = 0
+		deltas, err := readPacked(&wr, r)
+		if err != nil {
+			return nil, err
 		}
-		if len(checkpoints) != want {
-			return nil, fmt.Errorf("encoding: delta checkpoint count %d, want %d", len(checkpoints), want)
+		if want := max(int(n)-1, 0); deltas.Len() != want {
+			return nil, fmt.Errorf("encoding: %d deltas for %d values, want %d", deltas.Len(), n, want)
 		}
 		c := &DeltaColumn{n: int(n), deltas: deltas, checkpoints: checkpoints, mn: mn, mx: mx}
 		c.rebuildMono() // monotonicity flags are derived data, not serialized
@@ -275,7 +336,8 @@ func WriteDictColumn(w io.Writer, col *DictColumn) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return writePacked(w, col.ids)
+	var wr wire
+	return writePacked(&wr, w, col.ids)
 }
 
 // ReadDictColumn deserializes a column written by WriteDictColumn.
@@ -287,8 +349,10 @@ func ReadDictColumn(r io.Reader) (*DictColumn, error) {
 	if err := checkCount(uint64(nd), "dictionary entry"); err != nil {
 		return nil, err
 	}
-	dict := make([]string, nd)
-	for i := range dict {
+	// Like readWords: entries and their bytes are allocated as they arrive,
+	// never on the header's word alone.
+	dict := make([]string, 0, min(nd, wireUpfront))
+	for range nd {
 		sl, err := readU32(r)
 		if err != nil {
 			return nil, err
@@ -296,13 +360,18 @@ func ReadDictColumn(r io.Reader) (*DictColumn, error) {
 		if err := checkCount(uint64(sl), "string byte"); err != nil {
 			return nil, err
 		}
-		buf := make([]byte, sl)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		var sb strings.Builder
+		sb.Grow(int(min(sl, wireUpfront)))
+		if _, err := io.CopyN(&sb, r, int64(sl)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		dict[i] = string(buf)
+		dict = append(dict, sb.String())
 	}
-	ids, err := readPacked(r)
+	var wr wire
+	ids, err := readPacked(&wr, r)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -126,6 +128,46 @@ func TestReadTruncatedEverywhere(t *testing.T) {
 			if _, err := ReadIntColumn(bytes.NewReader(raw[:cut])); err == nil {
 				t.Fatalf("%v: prefix of %d/%d bytes accepted", col.Kind(), cut, len(raw))
 			}
+		}
+	}
+}
+
+// packedHeader is a bit-packed column up to its payload: kind, ref, max,
+// width, value count, word count.
+func packedHeader(bits uint8, n, nw uint64) []byte {
+	le := binary.LittleEndian
+	raw := append(le.AppendUint64(le.AppendUint64([]byte{uint8(KindBitPack)}, 0), 0), bits)
+	return le.AppendUint64(le.AppendUint64(raw, n), nw)
+}
+
+// A header of a few bytes must not make the reader allocate gigabytes: a
+// count that disagrees with the column's other fields is rejected outright,
+// and one that agrees is believed only as far as the bytes go.
+func TestHeaderCannotDriveAllocation(t *testing.T) {
+	le := binary.LittleEndian
+	readInt := func(raw []byte) error { _, err := ReadIntColumn(bytes.NewReader(raw)); return err }
+	readDict := func(raw []byte) error { _, err := ReadDictColumn(bytes.NewReader(raw)); return err }
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		read func([]byte) error
+	}{
+		{"2^31 words for 3 values", packedHeader(8, 3, 1<<31), readInt},
+		{"16 GiB of words, consistent with 2^31 values", packedHeader(64, 1<<31, 1<<31+1), readInt},
+		{"width 0", packedHeader(0, 1<<31, 1), readInt},
+		{"2^31 runs", le.AppendUint64(append([]byte{uint8(KindRLE)}, make([]byte, 16)...), 1<<31), readInt},
+		{"2^31 dictionary entries", le.AppendUint32(nil, 1<<31), readDict},
+		{"dictionary entry of 2^31 bytes", le.AppendUint32(le.AppendUint32(nil, 1), 1<<31), readDict},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(c.raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: a %d-byte input allocated %d MiB", c.name, len(c.raw), grew>>20)
 		}
 	}
 }
