@@ -113,6 +113,11 @@ func TestPublicSurface(t *testing.T) {
 	if !strings.Contains(bipie.FormatPlans(plans), "8,1,1,1,1") {
 		t.Fatalf("FormatPlans lost the sumwords column:\n%s", bipie.FormatPlans(plans))
 	}
+	// No input is a product the multi-aggregate walk computes: the one
+	// expression divides, and the plan may not even be multi-aggregate.
+	if plans[0].WalkedSums != nil {
+		t.Fatalf("WalkedSums = %v, want none", plans[0].WalkedSums)
+	}
 	if plans[0].DecodeModelCyclesPerRow <= 0 {
 		t.Fatal("plan carries no decode prediction")
 	}

@@ -52,6 +52,9 @@ type execState struct {
 	// that never materialize).
 	progBufs
 	colViews []*bitpack.Unpacked
+	// multiCols is what a multi-aggregate plan's Accumulate reads: the
+	// vectors of the plan's multiInputs nodes, nil for a walked product.
+	multiCols []*bitpack.Unpacked
 	// Sum-kind subset views, used when MIN/MAX slots interleave with sums.
 	sumColsScratch []*bitpack.Unpacked
 	sumAccScratch  [][]int64
@@ -131,6 +134,12 @@ func newExecState(sp *segPlan) *execState {
 	}
 	if sp.multiLayout != nil {
 		e.multi = sp.multiLayout.NewState()
+		e.multiCols = make([]*bitpack.Unpacked, len(sp.multiInputs))
+		for j, n := range sp.multiInputs {
+			if n >= 0 {
+				e.multiCols[j] = e.nodeBufs[n]
+			}
+		}
 	}
 	if sp.strategy == agg.StrategySortBased {
 		e.sorter = agg.NewSortBased(sp.domain, sp.special)
@@ -516,7 +525,9 @@ func (e *execState) loadDecoded(buf *bitpack.Unpacked, vals []int64, col encodin
 }
 
 // applySums feeds aligned (groups, values) vectors to the segment's sum
-// strategy; MIN/MAX inputs always take the scalar extremum kernel. The
+// strategy; MIN/MAX inputs always take the scalar extremum kernel.
+// Multi-aggregate reads its own input list, e.multiCols, where walked
+// products have no vector and their operands do. The
 // sort-based strategy, whose sorter was already prepared with this batch's
 // rows, reads whole-batch vectors through its sorted indices instead, and
 // bit-packed columns straight from their packed form at segment row start.
@@ -535,6 +546,10 @@ func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked, start in
 		}
 	}
 	if len(sp.sumIdx) == 0 {
+		return
+	}
+	if sp.strategy == agg.StrategyMultiAggregate {
+		e.multi.Accumulate(groups, e.multiCols)
 		return
 	}
 	sumCols, sumAcc := cols, e.sumAcc
@@ -557,8 +572,6 @@ func (e *execState) applySums(groups []uint8, cols []*bitpack.Unpacked, start in
 				agg.InRegisterSum32(groups, col.U32, sp.domain, sumAcc[k])
 			}
 		}
-	case agg.StrategyMultiAggregate:
-		e.multi.Accumulate(groups, sumCols)
 	case agg.StrategySortBased:
 		for k, i := range sp.sumIdx {
 			if packed := sp.sums[i].packed; packed != nil {

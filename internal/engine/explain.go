@@ -67,6 +67,11 @@ type SegmentPlan struct {
 	// column, the narrowest word segment metadata proves an expression
 	// fits, 8 for the int64 lane, 0 for a literal that needs no vector.
 	SumWordSizes []int
+	// WalkedSums, parallel to SumWordSizes, marks the inputs the
+	// multi-aggregate walk computes per row from their operands — product
+	// words — so no vector of them is ever stored; FormatPlans prints them
+	// with a ×. Nil when the plan has none.
+	WalkedSums []bool
 	// RunLevelSums counts SUM slots aggregated at RLE run granularity —
 	// the unfiltered whole-segment path and the span-filtered path both
 	// count, since neither decodes a row.
@@ -128,8 +133,14 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 			out.DecodeModelCyclesPerRow = sp.decodeModel / float64(sp.decodePasses)
 		}
 		out.ResidualFilter = sp.residual != nil
-		for _, si := range sp.sums {
+		for i, si := range sp.sums {
 			out.SumWordSizes = append(out.SumWordSizes, si.wordSize)
+			if si.walked {
+				if out.WalkedSums == nil {
+					out.WalkedSums = make([]bool, len(sp.sums))
+				}
+				out.WalkedSums[i] = true
+			}
 		}
 		out.RunLevelSums = len(sp.runIdx) + len(sp.spanIdx)
 		plans = append(plans, out)
@@ -141,7 +152,7 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 // tools.
 func FormatPlans(plans []SegmentPlan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-10s %-8s %-9s %-10s %-8s %-10s %-8s %-8s %-9s %-8s %s\n",
+	fmt.Fprintf(&b, "%-8s %-10s %-8s %-9s %-10s %-8s %-12s %-8s %-8s %-9s %-8s %s\n",
 		"segment", "rows", "groups", "special", "strategy", "model", "sumwords", "pushed", "packed", "residual", "runsums", "domains")
 	for _, p := range plans {
 		name := fmt.Sprint(p.Segment)
@@ -158,13 +169,17 @@ func FormatPlans(plans []SegmentPlan) string {
 		}
 		words := "-"
 		for i, w := range p.SumWordSizes {
+			word := strconv.Itoa(w)
+			if i < len(p.WalkedSums) && p.WalkedSums[i] {
+				word += "×"
+			}
 			if i == 0 {
-				words = strconv.Itoa(w)
+				words = word
 			} else {
-				words += "," + strconv.Itoa(w)
+				words += "," + word
 			}
 		}
-		fmt.Fprintf(&b, "%-8s %-10d %-8d %-9v %-10s %-8.1f %-10s %-8d %-8d %-9v %-8d %s\n",
+		fmt.Fprintf(&b, "%-8s %-10d %-8d %-9v %-10s %-8.1f %-12s %-8d %-8d %-9v %-8d %s\n",
 			name, p.Rows, p.Groups, p.SpecialGroup, p.Strategy, p.ModelCyclesPerRow, words,
 			p.PushedFilters, p.PackedFilters, p.ResidualFilter, p.RunLevelSums, domains)
 	}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"bipie/internal/agg"
 	"bipie/internal/expr"
 	"bipie/internal/table"
 )
@@ -70,18 +72,25 @@ func TestPreparedConcurrentTorture(t *testing.T) {
 
 // TestPreparedZeroAllocSteadyState pins the contract the exec-state pool
 // exists for: once an exec state is warm, scanning batches performs zero
-// heap allocations, for both the unfiltered fast path and the
-// selection-heavy path. (Result assembly — finalize and the merge — is
-// per-scan, not per-batch, and allocates by design.)
+// heap allocations, for the unfiltered fast path, the selection-heavy path
+// and a multi-aggregate walk that computes Q1-shaped products itself.
+// (Result assembly — finalize and the merge — is per-scan, not per-batch,
+// and allocates by design.)
 func TestPreparedZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	tbl := buildTable(t, rng, 20000, 4, 6000)
-	queries := map[string]*Query{
-		"unfiltered": {
+	dc := expr.Mul(expr.Col("c"), expr.Sub(expr.Int(100), expr.Col("d")))
+	for _, tc := range []struct {
+		name  string
+		q     *Query
+		opts  Options
+		walks bool
+	}{
+		{name: "unfiltered", q: &Query{
 			GroupBy:    []string{"g"},
 			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("a")), SumOf(expr.Col("b"))},
-		},
-		"filtered": {
+		}},
+		{name: "filtered", q: &Query{
 			GroupBy: []string{"g"},
 			Aggregates: []Aggregate{
 				CountStar(),
@@ -92,11 +101,15 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 				expr.Lt(expr.Col("d"), expr.Int(37)),
 				expr.OrP(expr.Ge(expr.Add(expr.Col("a"), expr.Col("d")), expr.Int(20)), expr.StrEq("g", "k01")),
 			),
-		},
-	}
-	for name, q := range queries {
-		t.Run(name, func(t *testing.T) {
-			p, err := Prepare(tbl, q, Options{})
+		}},
+		{name: "walked products", q: &Query{
+			GroupBy:    []string{"g"},
+			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("c")), SumOf(dc), SumOf(expr.Mul(dc, expr.Add(expr.Int(100), expr.Col("a"))))},
+			Filter:     expr.Lt(expr.Col("d"), expr.Int(90)),
+		}, opts: Options{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate)}, walks: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Prepare(tbl, tc.q, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,6 +122,9 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 				}
 				if sp.eliminated {
 					continue
+				}
+				if walks := slices.ContainsFunc(sp.sums, func(si sumInput) bool { return si.walked }); walks != tc.walks {
+					t.Fatalf("segment %d: walks products %v, want %v", si, walks, tc.walks)
 				}
 				e := sp.getExec()
 				batches := seg.Batches()

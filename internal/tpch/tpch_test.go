@@ -1,12 +1,18 @@
 package tpch
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bipie/internal/agg"
+	"bipie/internal/costmodel"
+	"bipie/internal/encoding"
 	"bipie/internal/engine"
+	"bipie/internal/loadgen"
 	"bipie/internal/sel"
+	"bipie/internal/sql"
 )
 
 func TestDayConstants(t *testing.T) {
@@ -188,6 +194,55 @@ func TestQ1PlansFiveNarrowSumSlots(t *testing.T) {
 	for _, pl := range plans {
 		if !reflect.DeepEqual(pl.SumWordSizes, want) {
 			t.Errorf("segment %d: sum words %v, want %v", pl.Segment, pl.SumWordSizes, want)
+		}
+	}
+}
+
+// Q1's two products are computed in the multi-aggregate walk: disc_price
+// from price and discount, charge chained on it with tax. The batch then
+// evaluates only the four leaves — the static profile's decode prediction
+// is their four unpacks and no operator pass — and the serving mix's Q1,
+// which sums disc_price alone, walks that one product.
+func TestQ1WalksItsProducts(t *testing.T) {
+	tbl, err := Generate(GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{CostProfile: costmodel.Static()}
+	plans, err := engine.Explain(tbl, Q1(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpacks := 0.0
+	for _, name := range []string{ColQuantity, ColExtendedPrice, ColDiscount, ColTax} {
+		col, err := tbl.Segments()[0].IntCol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpacks += opts.CostProfile.UnpackCyclesPerRow(col.(*encoding.BitPackColumn).Width())
+	}
+	for _, pl := range plans {
+		if want := []bool{false, false, true, true, false}; !reflect.DeepEqual(pl.WalkedSums, want) {
+			t.Errorf("segment %d: walked sums %v, want %v", pl.Segment, pl.WalkedSums, want)
+		}
+		if math.Abs(pl.DecodeModelCyclesPerRow-unpacks) > 1e-9 {
+			t.Errorf("segment %d: decode model %.3f cycles/row, the four unpacks are %.3f", pl.Segment, pl.DecodeModelCyclesPerRow, unpacks)
+		}
+	}
+	if !strings.Contains(engine.FormatPlans(plans), "1,4,4×,8×,1") {
+		t.Errorf("FormatPlans does not mark the walked products:\n%s", engine.FormatPlans(plans))
+	}
+
+	st, err := sql.Parse(loadgen.TPCHMix("lineitem")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plans, err = engine.Explain(tbl, st.Query, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range plans {
+		if want := []bool{false, true, false}; pl.Strategy != "Multi" || !reflect.DeepEqual(pl.WalkedSums, want) {
+			t.Errorf("serving-mix Q1 segment %d: %s, walked sums %v, want Multi %v", pl.Segment, pl.Strategy, pl.WalkedSums, want)
 		}
 	}
 }
