@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate serve-smoke obs-smoke
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate serve-smoke obs-smoke census
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
 ## compiler-diagnostic gate, and the repository benchmark at toy sizes
@@ -81,3 +81,30 @@ serve-smoke:
 obs-smoke:
 	$(GO) run ./cmd/bipie-bench serve -rows 200000 -c 64 -duration 2s -obs-check
 	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HandlerModeHighConcurrency' ./internal/obs ./internal/serve ./internal/loadgen
+
+## census: the instantiation census — symbols and text bytes of each
+## per-lane kernel family in bipie-serve (go tool nm -size), then the text
+## total; informational (EXPERIMENTS.md "Instantiation census" has the
+## before/after and which workload reaches each shape). A family whose loops
+## were inlined is counted by the symbol that holds them.
+CENSUS_BIN ?= $(or $(TMPDIR),/tmp)/bipie-serve.census
+CENSUS_FAMILIES = \
+	'expr evalVV/evalVC operator loops=^bipie/internal/expr\.eval(VV|VC)\[' \
+	'expr dispatch (SumProgram.Eval)=^bipie/internal/expr\.\(\*SumProgram\)\.Eval$$' \
+	'agg accumulate*/addRows* read walks=^bipie/internal/agg\.(accumulate|addRows)' \
+	'agg addProducts (accumulate1P)=^bipie/internal/agg\.\(\*MultiLayout\)\.addProducts$$' \
+	'agg buildCarrier (packFields)=^bipie/internal/agg\.buildCarrier$$' \
+	'agg rowAtATimeTyped=^bipie/internal/agg\.rowAtATimeTyped\[' \
+	'agg ScalarMin/Max (minTyped/maxTyped)=^bipie/internal/agg\.Scalar(Min|Max)$$' \
+	'agg InRegisterSum8/16/32=^bipie/internal/agg\.InRegisterSum(8|16|32)$$' \
+	'sel CmpMaskWords=^bipie/internal/sel\.CmpMaskWords\[' \
+	'bitpack unpackBody*=^bipie/internal/bitpack\.unpackBody' \
+	'bitpack cmpBody*=^bipie/internal/bitpack\.cmpBody'
+census:
+	@$(GO) build -o $(CENSUS_BIN) ./cmd/bipie-serve
+	@$(GO) tool nm -size $(CENSUS_BIN) > $(CENSUS_BIN).nm
+	@for f in $(CENSUS_FAMILIES); do \
+		name="$${f%%=*}" re="$${f#*=}" awk '$$3 ~ /^[Tt]$$/ && $$4 ~ ENVIRON["re"] { n++; b += $$2 } \
+			END { printf "%-40s %4d symbols %8d bytes\n", ENVIRON["name"], n, b }' $(CENSUS_BIN).nm; \
+	done
+	@awk '$$3 ~ /^[Tt]$$/ { b += $$2 } END { printf "%-40s %4s         %8d bytes\n", "bipie-serve text symbols", "", b }' $(CENSUS_BIN).nm

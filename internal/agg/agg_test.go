@@ -437,11 +437,11 @@ func oldMultiFits(ws []int) bool {
 
 func TestMultiAggLayouts(t *testing.T) {
 	// The paper's Table 4 size mixes (in bytes), the benchmark ladder's and
-	// Q1's shapes, edge layouts — and every list the old rule accepted, as
-	// multisets in two slot orders.
+	// Q1's shapes, edge layouts, 4-byte slots ahead of 8-byte ones — and
+	// every list the old rule accepted, as multisets in two slot orders.
 	layouts := [][]int{
 		{8, 2}, {8, 4, 1}, {8, 8, 4, 2}, {8, 4, 4, 2, 2}, {4, 4, 2, 2, 2},
-		{4, 4, 4, 4}, {1, 4, 4, 8, 1}, {1, 4, 1}, {8, 8, 8, 8},
+		{4, 4, 4, 4}, {1, 4, 4, 8, 1}, {1, 4, 1}, {8, 8, 8, 8}, {4, 8}, {1, 4, 8, 4},
 		{1}, {2}, {4}, {8}, {1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2, 2, 2},
 	}
 	sizes := []int{1, 2, 4, 8}
@@ -492,6 +492,14 @@ func TestMultiAggLayouts(t *testing.T) {
 				t.Fatalf("layout %v: slot %d overlaps: %+v", ws, c, s)
 			}
 			used[s.word] |= field
+		}
+		// Whole words go 8-byte first: addRows has a loop per count of each.
+		for c, s := range l.slots {
+			for d, u := range l.slots {
+				if ws[c] == 8 && ws[d] == 4 && s.word > u.word {
+					t.Fatalf("layout %v: 8-byte slot %d in word %d, after 4-byte slot %d in word %d", ws, c, s.word, d, u.word)
+				}
+			}
 		}
 
 		n := 300 + rng.Intn(2*tileRows)

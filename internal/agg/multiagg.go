@@ -23,9 +23,10 @@ import (
 // itself stays below 2^16. Narrow fields that outgrow word 0 open further
 // carrier words (two fields each). Carrier words are the only thing
 // materialized: a typed pass builds them per tile from the narrow columns,
-// two at a time. Every 4- or 8-byte input owns a whole word and is read
-// straight from its unpacked vector by the accumulate loop; 8-byte inputs
-// sum modulo 2^64, which is int64's wrapping sum.
+// two at a time. Every 4- or 8-byte input owns a whole word, 8-byte words
+// before 4-byte ones, and is read straight from its unpacked vector by the
+// accumulate loop; 8-byte inputs sum modulo 2^64, which is int64's wrapping
+// sum.
 //
 // Up to two wide words may instead be product words (Product): the walk
 // computes a multiplication of the engine's sum-expression program per row,
@@ -99,7 +100,7 @@ type MultiLayout struct {
 type walkShape uint8
 
 const (
-	// walkRead reads every word from a vector (addRows1).
+	// walkRead reads every word from a vector (addRows).
 	walkRead walkShape = iota
 	// walk1P is the carrier, then one product on a base no column sums —
 	// the serving mix's Q1 (accumulate1P).
@@ -158,14 +159,22 @@ func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Prod
 	if l.walk, err = walkOf(wordSizes, products); err != nil {
 		return nil, err
 	}
-	// Narrow fields fill carrier words from bit 0 up, 1-byte inputs first:
-	// word 0 has 48 bits under the count — two byte fields or one 2-byte
-	// field — and any two fields fit a later word, so this order wastes no
-	// word.
+	// One lane order for the whole row. Narrow fields fill carrier words
+	// from bit 0 up, 1-byte inputs first: word 0 has 48 bits under the count
+	// — two byte fields or one 2-byte field — and any two fields fit a later
+	// word, so this order wastes no word. Then every column read whole owns
+	// a word, 8-byte ones first, so the walk has one loop per count of each
+	// (addRows); in walk2RC the one column left read is the first product's
+	// base.
 	used, limit := uint(0), uint(countShift)
-	for _, size := range [2]int{1, 2} {
+	for _, size := range [4]int{1, 2, 8, 4} {
 		for c, ws := range wordSizes {
-			if ws != size {
+			switch {
+			case ws != size || slices.ContainsFunc(products, func(p Product) bool { return p.Col == c }):
+				continue
+			case ws >= 4:
+				l.slots[c] = maSlot{word: l.ncarrier + len(l.wide), bits: 64}
+				l.wide = append(l.wide, c)
 				continue
 			}
 			bits := uint(8*ws + fieldSpare)
@@ -190,13 +199,6 @@ func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Prod
 	}
 	if l.walk != walkRead && l.ncarrier > 1 {
 		return nil, fmt.Errorf("agg: products over %v: the walk runs with one carrier word, the narrow columns need %d", wordSizes, l.ncarrier)
-	}
-	// In walk2RC the one column left read is the first product's base.
-	for c, ws := range wordSizes {
-		if ws >= 4 && !slices.ContainsFunc(products, func(p Product) bool { return p.Col == c }) {
-			l.slots[c] = maSlot{word: l.ncarrier + len(l.wide), bits: 64}
-			l.wide = append(l.wide, c)
-		}
 	}
 	sign := uint64(1)
 	for j, p := range products {
@@ -347,21 +349,24 @@ func (m *MultiAgg) Accumulate(groups []uint8, cols []*bitpack.Unpacked) {
 		if l.walk != walkRead {
 			l.addProducts(m.acc, groups[off:off+n], m.carrier[0][:n], cols, off)
 		} else {
-			var rest [maxRowWords - 1]wideCol
-			k := 0
-			for w := 1; w < l.ncarrier; w++ {
-				rest[k].u64 = m.carrier[w][:n]
-				k++
+			// Further carrier words and 8-byte columns, then 4-byte ones.
+			var w [maxRowWords - 1][]uint64
+			var h [maxRowWords - 1][]uint32
+			nw, nh := 0, 0
+			for cw := 1; cw < l.ncarrier; cw++ {
+				w[nw] = m.carrier[cw][:n]
+				nw++
 			}
 			for _, c := range l.wide {
 				if col := cols[c]; col.WordSize == 4 {
-					rest[k].u32 = col.U32[off : off+n]
+					h[nh] = col.U32[off : off+n]
+					nh++
 				} else {
-					rest[k].u64 = col.U64[off : off+n]
+					w[nw] = col.U64[off : off+n]
+					nw++
 				}
-				k++
 			}
-			addRows1(m.acc, groups[off:off+n], m.carrier[0][:n], rest[:k])
+			addRows(m.acc, groups[off:off+n], m.carrier[0][:n], w[:nw], h[:nh])
 		}
 		off += n
 		if m.rowsIn += n; m.rowsIn == maxRowsBetweenFlushes {
@@ -403,15 +408,8 @@ func packFields[A, B narrowWord](dst []uint64, a []A, b []B, mulB, inc uint64) {
 // wideWord is the element type of a column that owns an accumulator word.
 type wideWord interface{ uint32 | uint64 }
 
-// wideCol is one word of the row after word 0, as the accumulate loop reads
-// it: a 4-byte column, or an 8-byte one — which a further carrier word is.
-type wideCol struct {
-	u32 []uint32
-	u64 []uint64
-}
-
 // addProducts adds a tile's rows with the loop of the layout's walk shape.
-// It is a function of its own, like addRows1, so the 1P loop inlined here
+// It is a function of its own, like addRows, so the 1P loop inlined here
 // has the registers that Accumulate's tile loop would otherwise hold: inlined
 // into Accumulate it reloads three values from the stack every row.
 func (l *MultiLayout) addProducts(acc *accRows, groups []uint8, c []uint64, cols []*bitpack.Unpacked, off int) {
@@ -427,51 +425,42 @@ func (l *MultiLayout) addProducts(acc *accRows, groups []uint8, c []uint64, cols
 	}
 }
 
-// addRows1..4 peel the row's words off one at a time, so the accumulate
-// loop is instantiated per word count and per 4-/8-byte choice of each word
-// after the carrier: 1+2+4+8+16 = 31 loops, not one per combination of all
-// four input sizes.
-func addRows1(acc *accRows, groups []uint8, c []uint64, rest []wideCol) {
-	switch {
-	case len(rest) == 0:
+// addRows runs the walk of a row whose words after the carrier c are the
+// 8-byte words w, then the 4-byte words h — the layout's order, so the
+// accumulate loop is instantiated once per (len(w), len(h)): 15 loops, not
+// one per 4-/8-byte choice of each word.
+func addRows(acc *accRows, groups []uint8, c []uint64, w [][]uint64, h [][]uint32) {
+	switch 10*len(w) + len(h) { // tens: 8-byte words, units: 4-byte ones
+	case 0:
 		accumulate1(acc, groups, c)
-	case rest[0].u32 != nil:
-		addRows2(acc, groups, c, rest[0].u32, rest[1:])
+	case 1:
+		accumulate2(acc, groups, c, h[0])
+	case 10:
+		accumulate2(acc, groups, c, w[0])
+	case 2:
+		accumulate3(acc, groups, c, h[0], h[1])
+	case 11:
+		accumulate3(acc, groups, c, w[0], h[0])
+	case 20:
+		accumulate3(acc, groups, c, w[0], w[1])
+	case 3:
+		accumulate4(acc, groups, c, h[0], h[1], h[2])
+	case 12:
+		accumulate4(acc, groups, c, w[0], h[0], h[1])
+	case 21:
+		accumulate4(acc, groups, c, w[0], w[1], h[0])
+	case 30:
+		accumulate4(acc, groups, c, w[0], w[1], w[2])
+	case 4:
+		accumulate5(acc, groups, c, h[0], h[1], h[2], h[3])
+	case 13:
+		accumulate5(acc, groups, c, w[0], h[0], h[1], h[2])
+	case 22:
+		accumulate5(acc, groups, c, w[0], w[1], h[0], h[1])
+	case 31:
+		accumulate5(acc, groups, c, w[0], w[1], w[2], h[0])
 	default:
-		addRows2(acc, groups, c, rest[0].u64, rest[1:])
-	}
-}
-
-func addRows2[A wideWord](acc *accRows, groups []uint8, c []uint64, a []A, rest []wideCol) {
-	switch {
-	case len(rest) == 0:
-		accumulate2(acc, groups, c, a)
-	case rest[0].u32 != nil:
-		addRows3(acc, groups, c, a, rest[0].u32, rest[1:])
-	default:
-		addRows3(acc, groups, c, a, rest[0].u64, rest[1:])
-	}
-}
-
-func addRows3[A, B wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B, rest []wideCol) {
-	switch {
-	case len(rest) == 0:
-		accumulate3(acc, groups, c, a, b)
-	case rest[0].u32 != nil:
-		addRows4(acc, groups, c, a, b, rest[0].u32, rest[1:])
-	default:
-		addRows4(acc, groups, c, a, b, rest[0].u64, rest[1:])
-	}
-}
-
-func addRows4[A, B, C wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B, d []C, rest []wideCol) {
-	switch {
-	case len(rest) == 0:
-		accumulate4(acc, groups, c, a, b, d)
-	case rest[0].u32 != nil:
-		accumulate5(acc, groups, c, a, b, d, rest[0].u32)
-	default:
-		accumulate5(acc, groups, c, a, b, d, rest[0].u64)
+		accumulate5(acc, groups, c, w[0], w[1], w[2], w[3])
 	}
 }
 
@@ -481,10 +470,13 @@ func addRows4[A, B, C wideWord](acc *accRows, groups []uint8, c []uint64, a []A,
 // bounds-checked. Consecutive rows of one group queue behind each other's
 // stores as they do in the scalar row loops, but a row's words are separate
 // chains that overlap; a second block for alternate rows measured no gain
-// on Q1's shape.
+// on Q1's shape. Each is a frame of its own (accumulate5 is past the inlining
+// budget anyway), so its loop's registers follow from its arguments alone,
+// not from the dispatch around it.
 
 //bipie:kernel
 //bipie:nobce
+//go:noinline
 func accumulate1(acc *accRows, groups []uint8, c []uint64) {
 	c = c[:len(groups)]
 	for i, g := range groups {
@@ -494,6 +486,7 @@ func accumulate1(acc *accRows, groups []uint8, c []uint64) {
 
 //bipie:kernel
 //bipie:nobce
+//go:noinline
 func accumulate2[A wideWord](acc *accRows, groups []uint8, c []uint64, a []A) {
 	c, a = c[:len(groups)], a[:len(groups)]
 	for i, g := range groups {
@@ -505,6 +498,7 @@ func accumulate2[A wideWord](acc *accRows, groups []uint8, c []uint64, a []A) {
 
 //bipie:kernel
 //bipie:nobce
+//go:noinline
 func accumulate3[A, B wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B) {
 	c, a, b = c[:len(groups)], a[:len(groups)], b[:len(groups)]
 	for i, g := range groups {
@@ -517,6 +511,7 @@ func accumulate3[A, B wideWord](acc *accRows, groups []uint8, c []uint64, a []A,
 
 //bipie:kernel
 //bipie:nobce
+//go:noinline
 func accumulate4[A, B, C wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B, d []C) {
 	c, a, b, d = c[:len(groups)], a[:len(groups)], b[:len(groups)], d[:len(groups)]
 	for i, g := range groups {

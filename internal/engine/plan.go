@@ -563,11 +563,8 @@ func (sp *segPlan) multiPlan(wordSizes []int) (*agg.MultiLayout, []int, error) {
 		if nd.Op != expr.SumMul || nd.L.IsConst() || nd.R.IsConst() || users[inputs[k]] != readers {
 			return x, y, false
 		}
-		x, y = nd.L, nd.R
-		if prog.Node(y.Node).Word != 1 {
-			x, y = y, x
-		}
-		return x, y, prog.Node(y.Node).Word == 1
+		// The wider operand is always the left one, so a 1-byte factor is R.
+		return nd.L, nd.R, prog.Node(nd.R.Node).Word == 1
 	}
 	// in is inputs with the products' slots -1 and their operands no slot
 	// supplies appended.

@@ -193,6 +193,7 @@ func (c *predCase) check(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertSameResult(t, label, got, want)
+			assertLaneOrder(t, label, p)
 		}
 	}
 }
@@ -226,9 +227,10 @@ func FuzzPredProgram(f *testing.F) {
 
 // The generator must reach what the fuzz target claims to cover: every
 // integer encoding, a dictionary on each side of 256 codes, residual plans
-// with narrow, unsigned 8-byte and int64 comparisons, and membership leaves.
+// with narrow, unsigned 8-byte and int64 comparisons, membership leaves, and
+// arithmetic over narrow RLE and delta leaves.
 func TestPredCasesCoverEncodingsAndKernels(t *testing.T) {
-	kinds := map[encoding.Kind]bool{}
+	kinds, widened := map[encoding.Kind]bool{}, map[encoding.Kind]bool{}
 	masks := map[maskKind]bool{}
 	lanes := map[int]bool{}
 	cards := map[bool]bool{}
@@ -267,12 +269,18 @@ func TestPredCasesCoverEncodingsAndKernels(t *testing.T) {
 			}
 			if sp.residual != nil {
 				walk(sp.residual, sp.residual.root)
+				widenedLeaves(&sp.residual.boundProg, widened)
 			}
 		}
 	}
 	for _, k := range []encoding.Kind{encoding.KindBitPack, encoding.KindRLE, encoding.KindDelta} {
 		if !kinds[k] {
 			t.Errorf("no generated column is %v-encoded", k)
+		}
+	}
+	for _, k := range []encoding.Kind{encoding.KindRLE, encoding.KindDelta} {
+		if !widened[k] {
+			t.Errorf("no generated comparison computes over a narrow %v-encoded leaf", k)
 		}
 	}
 	for _, k := range []maskKind{maskCmp, maskCmpSigned, maskMember, maskAnd, maskOr} {

@@ -94,8 +94,8 @@ func sumExprColumn(rng *rand.Rand, n int) []int64 {
 			}
 			vals[i] = v
 		}
-	case 1: // delta: sorted with small steps from a large base
-		v := int64(1)<<41 + rng.Int63n(1000)
+	case 1: // delta: sorted with small steps from a large base, or from a small one (a narrow range)
+		v := []int64{1 << 41, 0}[rng.Intn(2)] + rng.Int63n(1000)
 		for i := range vals {
 			v += rng.Int63n(4)
 			vals[i] = v
@@ -174,6 +174,59 @@ func (c *sumExprCase) check(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertSameResult(t, label+": "+describeQuery(c.q), got, want)
+			assertLaneOrder(t, label, p)
+		}
+	}
+}
+
+// assertLaneOrder holds every program p compiled — aggregate inputs and
+// residual predicate alike — to the lane order the kernels exist for: an
+// operator no narrower than its operands, a commutative one's left operand
+// no narrower than its right, literals right (lane 0).
+func assertLaneOrder(t *testing.T, label string, p *Prepared) {
+	t.Helper()
+	for _, sp := range p.plans {
+		progs := []*expr.SumProgram{sp.prog}
+		if sp.residual != nil {
+			progs = append(progs, sp.residual.prog)
+		}
+		for _, prog := range progs {
+			lane := func(t expr.SumTerm) int {
+				if t.IsConst() {
+					return 0
+				}
+				return prog.Node(t.Node).Word
+			}
+			for i := 0; prog != nil && i < prog.Len(); i++ {
+				nd := prog.Node(i)
+				if nd.Op == expr.SumLeafPacked || nd.Op == expr.SumLeafDecoded {
+					continue
+				}
+				if l, r := lane(nd.L), lane(nd.R); l > nd.Word || r > nd.Word || nd.Op != expr.SumDiv && l < max(r, 1) {
+					t.Fatalf("%s: node %d %+v in lane %d reads lanes %d and %d", label, i, nd, nd.Word, l, r)
+				}
+			}
+		}
+	}
+}
+
+// widenedLeaves records the encoding of every RLE or delta leaf of bp whose
+// range is narrow and that an operator reads: the shape where the operator
+// takes the leaf's 8-byte lane although its own range would fit a narrower
+// one.
+func widenedLeaves(bp *boundProg, seen map[encoding.Kind]bool) {
+	for i := 0; i < bp.prog.Len(); i++ {
+		nd := bp.prog.Node(i)
+		if nd.Op == expr.SumLeafPacked || nd.Op == expr.SumLeafDecoded || nd.Lo < 0 || nd.Hi > math.MaxUint32 {
+			continue
+		}
+		for _, t := range [2]expr.SumTerm{nd.L, nd.R} {
+			if t.IsConst() {
+				continue
+			}
+			if leaf := bp.prog.Node(t.Node); leaf.Op == expr.SumLeafDecoded && leaf.Lo >= 0 && leaf.Hi <= math.MaxUint32 {
+				seen[bp.progLeaves[t.Node].col.Kind()] = true
+			}
 		}
 	}
 }
@@ -369,10 +422,18 @@ func TestWalkedProductsFollowTheRule(t *testing.T) {
 // The generator must actually reach what the fuzz target claims to cover:
 // all three integer encodings, and plans that mix narrow and int64 lanes.
 func TestSumExprCasesCoverEncodingsAndLanes(t *testing.T) {
-	kinds := map[encoding.Kind]bool{}
+	kinds, widened := map[encoding.Kind]bool{}, map[encoding.Kind]bool{}
 	words := map[int]bool{}
 	for seed := int64(0); seed < 24; seed++ {
 		c, err := newSumExprCase(seed, 1+int(seed%4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := Explain(c.tbl, c.q, Options{})
+		if err != nil {
+			continue // the overflow proof refused a plain column
+		}
+		p, err := Prepare(c.tbl, c.q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,10 +445,11 @@ func TestSumExprCasesCoverEncodingsAndLanes(t *testing.T) {
 				}
 				kinds[col.Kind()] = true
 			}
-		}
-		plans, err := Explain(c.tbl, c.q, Options{})
-		if err != nil {
-			continue // the overflow proof refused a plain column
+			sp, err := p.planFor(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			widenedLeaves(&sp.boundProg, widened)
 		}
 		for _, pl := range plans {
 			for _, w := range pl.SumWordSizes {
@@ -398,6 +460,11 @@ func TestSumExprCasesCoverEncodingsAndLanes(t *testing.T) {
 	for _, k := range []encoding.Kind{encoding.KindBitPack, encoding.KindRLE, encoding.KindDelta} {
 		if !kinds[k] {
 			t.Errorf("no generated column is %v-encoded", k)
+		}
+	}
+	for _, k := range []encoding.Kind{encoding.KindRLE, encoding.KindDelta} {
+		if !widened[k] {
+			t.Errorf("no generated operator reads a narrow %v-encoded leaf", k)
 		}
 	}
 	for _, w := range []int{1, 2, 4, 8} {

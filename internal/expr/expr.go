@@ -21,7 +21,6 @@ package expr
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Expr is a scalar expression tree evaluating to an int64 per row.
@@ -163,6 +162,3 @@ func Fold(e Expr) Expr {
 		return e
 	}
 }
-
-// FormatColumns renders a column list for diagnostics.
-func FormatColumns(cols []string) string { return strings.Join(cols, ", ") }

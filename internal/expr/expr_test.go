@@ -223,9 +223,6 @@ func TestStrings(t *testing.T) {
 	if p.String() != want {
 		t.Errorf("pred: %s want %s", p, want)
 	}
-	if FormatColumns([]string{"a", "b"}) != "a, b" {
-		t.Error("FormatColumns")
-	}
 }
 
 func predRef(op CmpOp, a, b int64) bool {

@@ -4,11 +4,12 @@ import "bipie/internal/bitpack"
 
 // The program's operator kernels: one tight loop per (operation, destination
 // lane, operand lanes), instantiated by the compiler from three generic
-// bodies — the counterpart of the paper's template-generated operators.
-// An operand narrower than the destination is zero-extended (narrow lanes
-// hold exact non-negative values), a wider one truncated (exact modulo the
-// destination word), so every loop computes its node modulo 2^(8·lane); the
-// builder's range proof is what makes that the exact value in a narrow lane.
+// bodies — the counterpart of the paper's template-generated operators — for
+// the shapes the builder's lane order admits (SumBuilder.op): destination ≥
+// left ≥ right. A narrower operand is zero-extended (narrow lanes hold exact
+// non-negative values), so every loop computes its node modulo 2^(8·lane);
+// the builder's range proof is what makes that the exact value in a narrow
+// lane.
 
 // word is a lane's element type.
 type word interface {
@@ -24,11 +25,13 @@ func (p *SumProgram) Eval(bufs []*bitpack.Unpacked, i, n int) {
 	dst := bufs[i]
 	dst.Resize(n)
 	var a, b *bitpack.Unpacked
+	r := 0 // the right operand's lane, 0 for a literal
 	if !nd.L.IsConst() {
 		a = bufs[nd.L.Node]
 	}
 	if !nd.R.IsConst() {
 		b = bufs[nd.R.Node]
+		r = b.WordSize
 	}
 	if nd.Op == SumDiv {
 		// The builder hands division bare lane-8 operands or literals.
@@ -42,57 +45,70 @@ func (p *SumProgram) Eval(bufs []*bitpack.Unpacked, i, n int) {
 		}
 		return
 	}
-	switch dst.WordSize {
-	case 1:
-		evalInto(nd, dst.U8, a, b)
-	case 2:
-		evalInto(nd, dst.U16, a, b)
-	case 4:
-		evalInto(nd, dst.U32, a, b)
-	default:
-		evalInto(nd, dst.U64, a, b)
-	}
-}
-
-// evalInto and evalLeft peel the operand lanes off one at a time so the
-// three-way specialization is spelled with twelve cases, not sixty-four.
-// Sums and products keep literals on the right, so a is never nil.
-func evalInto[D word](nd *SumNode, dst []D, a, b *bitpack.Unpacked) {
-	if b == nil {
-		switch a.WordSize {
-		case 1:
-			evalVC(nd, dst, a.U8)
-		case 2:
-			evalVC(nd, dst, a.U16)
-		case 4:
-			evalVC(nd, dst, a.U32)
-		default:
-			evalVC(nd, dst, a.U64)
-		}
-		return
-	}
-	switch a.WordSize {
-	case 1:
-		evalLeft(nd, dst, a.U8, b)
-	case 2:
-		evalLeft(nd, dst, a.U16, b)
-	case 4:
-		evalLeft(nd, dst, a.U32, b)
-	default:
-		evalLeft(nd, dst, a.U64, b)
-	}
-}
-
-func evalLeft[D, A word](nd *SumNode, dst []D, a []A, b *bitpack.Unpacked) {
-	switch b.WordSize {
-	case 1:
-		evalVV(nd, dst, a, b.U8)
-	case 2:
-		evalVV(nd, dst, a, b.U16)
-	case 4:
-		evalVV(nd, dst, a, b.U32)
-	default:
-		evalVV(nd, dst, a, b.U64)
+	// One case per instantiation — 20 evalVV, 10 evalVC — keyed by its lanes
+	// as hex digits: destination, left, right. Sums and products keep
+	// literals on the right, so a is never nil.
+	switch dst.WordSize<<8 | a.WordSize<<4 | r {
+	case 0x110:
+		evalVC(nd, dst.U8, a.U8)
+	case 0x111:
+		evalVV(nd, dst.U8, a.U8, b.U8)
+	case 0x210:
+		evalVC(nd, dst.U16, a.U8)
+	case 0x211:
+		evalVV(nd, dst.U16, a.U8, b.U8)
+	case 0x220:
+		evalVC(nd, dst.U16, a.U16)
+	case 0x221:
+		evalVV(nd, dst.U16, a.U16, b.U8)
+	case 0x222:
+		evalVV(nd, dst.U16, a.U16, b.U16)
+	case 0x410:
+		evalVC(nd, dst.U32, a.U8)
+	case 0x411:
+		evalVV(nd, dst.U32, a.U8, b.U8)
+	case 0x420:
+		evalVC(nd, dst.U32, a.U16)
+	case 0x421:
+		evalVV(nd, dst.U32, a.U16, b.U8)
+	case 0x422:
+		evalVV(nd, dst.U32, a.U16, b.U16)
+	case 0x440:
+		evalVC(nd, dst.U32, a.U32)
+	case 0x441:
+		evalVV(nd, dst.U32, a.U32, b.U8)
+	case 0x442:
+		evalVV(nd, dst.U32, a.U32, b.U16)
+	case 0x444:
+		evalVV(nd, dst.U32, a.U32, b.U32)
+	case 0x810:
+		evalVC(nd, dst.U64, a.U8)
+	case 0x811:
+		evalVV(nd, dst.U64, a.U8, b.U8)
+	case 0x820:
+		evalVC(nd, dst.U64, a.U16)
+	case 0x821:
+		evalVV(nd, dst.U64, a.U16, b.U8)
+	case 0x822:
+		evalVV(nd, dst.U64, a.U16, b.U16)
+	case 0x840:
+		evalVC(nd, dst.U64, a.U32)
+	case 0x841:
+		evalVV(nd, dst.U64, a.U32, b.U8)
+	case 0x842:
+		evalVV(nd, dst.U64, a.U32, b.U16)
+	case 0x844:
+		evalVV(nd, dst.U64, a.U32, b.U32)
+	case 0x880:
+		evalVC(nd, dst.U64, a.U64)
+	case 0x881:
+		evalVV(nd, dst.U64, a.U64, b.U8)
+	case 0x882:
+		evalVV(nd, dst.U64, a.U64, b.U16)
+	case 0x884:
+		evalVV(nd, dst.U64, a.U64, b.U32)
+	default: // 0x888
+		evalVV(nd, dst.U64, a.U64, b.U64)
 	}
 }
 

@@ -82,7 +82,8 @@ func (t SumTerm) bare() SumTerm { return SumTerm{Node: t.Node, Neg: t.Neg} }
 // node's value as the int64 Go's wrapping arithmetic would compute; Word is
 // the lane — the unsigned word size in bytes — its vector is stored in.
 // A narrow lane (Word < 8) is only ever assigned to a node with
-// 0 ≤ Lo ≤ Hi < 2^(8·Word), so a narrow vector holds exact values.
+// 0 ≤ Lo ≤ Hi < 2^(8·Word), so a narrow vector holds exact values. An
+// operator's lane is never below its operands' (SumBuilder.op).
 type SumNode struct {
 	Op     SumOp
 	Col    string  // leaves: the column read
@@ -280,8 +281,10 @@ func (b *SumBuilder) column(name string) (SumTerm, error) {
 // op returns the node computing l op r, sharing an existing one when the
 // same operation was already built. wide forces the 8-byte lane.
 func (b *SumBuilder) op(op SumOp, l, r SumTerm, wide bool) int {
-	if op != SumDiv && !r.IsConst() && (l.IsConst() || termLess(r, l)) {
-		l, r = r, l // commutative: one canonical operand order, literals on the right
+	// Commutative operands in one canonical order: the wider lane left, so
+	// literals (lane 0) right, then termLess.
+	if ll, lr := b.lane(l), b.lane(r); op != SumDiv && (lr > ll || lr == ll && termLess(r, l)) {
+		l, r = r, l
 	}
 	wide = wide || b.wide
 	key := opKey{op, l, r, wide}
@@ -298,13 +301,21 @@ func (b *SumBuilder) op(op SumOp, l, r SumTerm, wide bool) int {
 	default:
 		iv = li.div(ri)
 	}
-	word := laneFor(iv)
+	word := max(laneFor(iv), b.lane(l), b.lane(r))
 	if wide {
 		word = 8
 	}
 	b.nodes = append(b.nodes, SumNode{Op: op, L: l, R: r, Lo: iv.lo, Hi: iv.hi, Word: word})
 	b.ops[key] = len(b.nodes) - 1
 	return len(b.nodes) - 1
+}
+
+// lane is the word of t's node, 0 for a literal.
+func (b *SumBuilder) lane(t SumTerm) int {
+	if t.IsConst() {
+		return 0
+	}
+	return b.nodes[t.Node].Word
 }
 
 func termLess(a, b SumTerm) bool {

@@ -178,25 +178,52 @@ func TestSumProgramMatchesCompileExpr(t *testing.T) {
 				t.Fatalf("%s: ordered term is negated", e)
 			}
 			for i := 0; i < p.Len(); i++ {
-				checkNode(t, p.Node(i), bufs[i], e)
+				checkNode(t, p, i, bufs[i], e)
 			}
 		}
 	}
 }
 
-// checkNode asserts the proof the lane choice rests on: every value of the
-// node lies in its [Lo, Hi], and a narrow lane is only used for a range
-// that fits it.
-func checkNode(t *testing.T, nd SumNode, buf *bitpack.Unpacked, e Expr) {
+// checkNode asserts the proof the lane choice rests on: every value of
+// node i lies in its [Lo, Hi], and a narrow lane is only used for a range
+// that fits it — and the lane order the kernels are instantiated for: an
+// operator no narrower than its operands, a commutative one's left operand
+// no narrower than its right, literals right.
+func checkNode(t *testing.T, p *SumProgram, i int, buf *bitpack.Unpacked, e Expr) {
 	t.Helper()
+	nd := p.Node(i)
 	if nd.Word < 8 && (nd.Lo < 0 || uint64(nd.Hi) >= 1<<(8*nd.Word)) {
 		t.Fatalf("%s: lane %d for range [%d, %d]", e, nd.Word, nd.Lo, nd.Hi)
+	}
+	if err := laneOrder(p, i); err != nil {
+		t.Fatalf("%s: %v", e, err)
 	}
 	for j := 0; j < buf.Len(); j++ {
 		if v := int64(buf.Get(j)); v < nd.Lo || v > nd.Hi {
 			t.Fatalf("%s: node value %d outside proven [%d, %d]", e, v, nd.Lo, nd.Hi)
 		}
 	}
+}
+
+// laneOrder reports how node i breaks the lane order Eval dispatches on.
+func laneOrder(p *SumProgram, i int) error {
+	nd := p.Node(i)
+	if nd.Op == SumLeafPacked || nd.Op == SumLeafDecoded {
+		return nil
+	}
+	lane := func(t SumTerm) int {
+		if t.IsConst() {
+			return 0
+		}
+		return p.Node(t.Node).Word
+	}
+	switch l, r := lane(nd.L), lane(nd.R); {
+	case l > nd.Word || r > nd.Word:
+		return fmt.Errorf("node %d in lane %d reads lanes %d and %d", i, nd.Word, l, r)
+	case nd.Op != SumDiv && l < max(r, 1):
+		return fmt.Errorf("node %d: left lane %d, right lane %d (0 a literal)", i, l, r)
+	}
+	return nil
 }
 
 func TestSumIntervalLanes(t *testing.T) {
@@ -223,9 +250,9 @@ func TestSumIntervalLanes(t *testing.T) {
 		{Mul(Mul(Col("price"), Sub(Int(100), Col("disc"))), Add(Int(100), Col("tax"))), 8, 90000 * 90 * 100, 10494950 * 100 * 108},
 		{Mul(Col("a"), Col("neg")), 8, -60, 60},                       // negative range: int64 lane
 		{Mul(Col("huge"), Col("a")), 8, math.MinInt64, math.MaxInt64}, // may wrap: unknown
-		{Add(Col("run"), Col("a")), 1, 0, 24},                         // decoded leaf, narrow sum
+		{Add(Col("run"), Col("a")), 8, 0, 24},                         // narrow sum, but never below an operand's lane
 		{Div(Col("price"), Col("a")), 8, 0, 10494950},                 // division: int64 lane
-		{Add(Div(Col("a"), Int(4)), Col("a")), 1, 0, 18},              // narrows again above it
+		{Add(Div(Col("a"), Int(4)), Col("a")), 8, 0, 18},              // and so is what reads it
 	}
 	for _, c := range cases {
 		b := NewSumBuilder(leafOf(cols), false)

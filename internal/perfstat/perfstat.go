@@ -122,15 +122,6 @@ type Measurement struct {
 // CyclesPerRow reports the measurement in the paper's unit.
 func (m Measurement) CyclesPerRow() float64 { return CyclesPerRow(m.Elapsed, m.Rows) }
 
-// CyclesPerRowPerSum divides further by the aggregate count, the unit of
-// the paper's multi-aggregate tables (cycles/row/sum).
-func (m Measurement) CyclesPerRowPerSum(sums int) float64 {
-	if sums == 0 {
-		return m.CyclesPerRow()
-	}
-	return m.CyclesPerRow() / float64(sums)
-}
-
 // Time runs fn over rows input rows repeatedly until at least minDuration
 // has elapsed, then reports the median single-run measurement — the paper
 // reports medians of repeated runs (§6).

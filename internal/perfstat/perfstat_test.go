@@ -33,11 +33,8 @@ func TestMeasurementUnits(t *testing.T) {
 	if perRow <= 0 {
 		t.Fatal("non-positive cycles/row")
 	}
-	if got := m.CyclesPerRowPerSum(4); got != perRow/4 {
-		t.Fatalf("per-sum division: %v vs %v", got, perRow/4)
-	}
-	if got := m.CyclesPerRowPerSum(0); got != perRow {
-		t.Fatal("zero sums should not divide")
+	if want := CyclesPerRow(m.Elapsed, m.Rows); perRow != want {
+		t.Fatalf("Measurement.CyclesPerRow = %v, want %v", perRow, want)
 	}
 }
 
