@@ -95,6 +95,7 @@ CENSUS_FAMILIES = \
 	'agg addProducts (accumulate1P)=^bipie/internal/agg\.\(\*MultiLayout\)\.addProducts$$' \
 	'agg buildCarrier (packFields)=^bipie/internal/agg\.buildCarrier$$' \
 	'agg rowAtATimeTyped=^bipie/internal/agg\.rowAtATimeTyped\[' \
+	'agg reduceSum=^bipie/internal/agg\.reduceSum\[' \
 	'agg ScalarMin/Max (minTyped/maxTyped)=^bipie/internal/agg\.Scalar(Min|Max)$$' \
 	'agg InRegisterSum8/16/32=^bipie/internal/agg\.InRegisterSum(8|16|32)$$' \
 	'sel CmpMaskWords=^bipie/internal/sel\.CmpMaskWords\[' \

@@ -224,7 +224,7 @@ func TestPublicSurface(t *testing.T) {
 
 	// Forced strategies through the public constants.
 	for _, m := range []bipie.SelectionMethod{bipie.SelectionGather, bipie.SelectionCompact, bipie.SelectionSpecialGroup} {
-		for _, s := range []bipie.AggregationStrategy{bipie.AggregationScalar, bipie.AggregationSortBased, bipie.AggregationInRegister, bipie.AggregationMulti} {
+		for _, s := range []bipie.AggregationStrategy{bipie.AggregationScalar, bipie.AggregationSortBased, bipie.AggregationInRegister, bipie.AggregationMulti, bipie.AggregationReduce} {
 			forced, err := bipie.Run(tbl, q, bipie.Options{
 				ForceSelection:   bipie.ForceSelection(m),
 				ForceAggregation: bipie.ForceAggregation(s),

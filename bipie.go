@@ -344,12 +344,15 @@ const (
 // Options.ForceAggregation.
 type AggregationStrategy = agg.Strategy
 
-// Aggregation strategies (paper §5).
+// Aggregation strategies (paper §5), and the one-group reduction every
+// query without GROUP BY plans (forced onto a grouped plan, it degrades to
+// scalar).
 const (
 	AggregationScalar     = agg.StrategyScalar
 	AggregationSortBased  = agg.StrategySortBased
 	AggregationInRegister = agg.StrategyInRegister
 	AggregationMulti      = agg.StrategyMultiAggregate
+	AggregationReduce     = agg.StrategyReduce
 )
 
 // ForceSelection wraps a selection method for Options.

@@ -107,7 +107,7 @@ func TestForcedStrategiesPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []bipie.SelectionMethod{bipie.SelectionGather, bipie.SelectionCompact, bipie.SelectionSpecialGroup} {
-		for _, s := range []bipie.AggregationStrategy{bipie.AggregationScalar, bipie.AggregationSortBased, bipie.AggregationInRegister, bipie.AggregationMulti} {
+		for _, s := range []bipie.AggregationStrategy{bipie.AggregationScalar, bipie.AggregationSortBased, bipie.AggregationInRegister, bipie.AggregationMulti, bipie.AggregationReduce} {
 			got, err := bipie.Run(tbl, q, bipie.Options{
 				ForceSelection:   bipie.ForceSelection(m),
 				ForceAggregation: bipie.ForceAggregation(s),

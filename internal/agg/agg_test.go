@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,6 +82,30 @@ func TestScalarSumVariants(t *testing.T) {
 				t.Fatalf("ScalarSum w=%d n=%d: %v vs %v", width, n, got, want[0])
 			}
 		}
+	}
+}
+
+// ReduceSum is the one-group sum: every word size, every length around its
+// four-value step, and an 8-byte lane whose total wraps modulo 2⁶⁴ as the
+// row loops' int64 accumulators do.
+func TestReduceSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, width := range []uint8{7, 14, 23, 40, 64} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095} {
+			groups, raw, cols := makeInput(rng, n, 1, 1, width)
+			_, want := refAgg(groups, raw, 1)
+			if got := ReduceSum(cols[0]); got != want[0][0] {
+				t.Fatalf("w=%d (%d-byte lane) n=%d: %d, want %d", width, cols[0].WordSize, n, got, want[0][0])
+			}
+		}
+	}
+	wrap := []uint64{math.MaxUint64, 1 << 63, 1<<63 + 5, 2, math.MaxUint64 - 1, 9}
+	var want int64
+	for _, v := range wrap {
+		want += int64(v)
+	}
+	if got := ReduceSum(bitpack.MustPack(wrap, 64).UnpackSmallest(nil, 0, len(wrap))); got != want {
+		t.Fatalf("wrapping 8-byte lane: %d, want %d", got, want)
 	}
 }
 
@@ -945,13 +970,33 @@ func TestStrategyChoose(t *testing.T) {
 	if got := Choose(p, nil); got == StrategyMultiAggregate {
 		t.Errorf("oversized row: multi chosen")
 	}
+	// One group reduces, whatever the sums, their words and the profile —
+	// even one whose reduction is priced above every rival — and no larger
+	// domain ever does.
+	slowReduce := StaticCost()
+	slowReduce.ReducePerSum = 100
+	for _, ws := range [][]int{nil, {4}, {1, 4, 4, 8, 1}, {8}} {
+		maxWS := 1
+		for _, w := range ws {
+			maxWS = max(maxWS, w)
+		}
+		p = Params{Sums: len(ws), MaxWordSize: maxWS, WordSizes: ws, Selectivity: 1}
+		for _, cp := range []*CostProfile{nil, &slowReduce} {
+			for _, g := range []int{1, 2, 3, 7, 64, 256} {
+				p.Groups = g
+				if got := Choose(p, cp); (got == StrategyReduce) != (g == 1) {
+					t.Errorf("%dg/%v: %v", g, ws, got)
+				}
+			}
+		}
+	}
 }
 
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{
 		StrategyScalar: "Scalar", StrategySortBased: "Sort",
 		StrategyInRegister: "Register", StrategyMultiAggregate: "Multi",
-		Strategy(99): "Unknown",
+		StrategyReduce: "Reduce", Strategy(99): "Unknown",
 	}
 	for s, want := range names {
 		if s.String() != want {
@@ -983,6 +1028,13 @@ func TestEstimateCostShapes(t *testing.T) {
 	}
 	if got := EstimateCost(StrategyMultiAggregate, p, nil); got != staticCost.MultiFixed {
 		t.Errorf("count-only multi = %v, want the walk alone %v", got, staticCost.MultiFixed)
+	}
+	// The reduction's COUNT is one add a batch: it prices its sums alone.
+	if got := EstimateCost(StrategyReduce, Params{Groups: 1}, nil); got != 0 {
+		t.Errorf("count-only reduce = %v, want 0", got)
+	}
+	if got, want := EstimateCost(StrategyReduce, Params{Groups: 1, Sums: 3, MaxWordSize: 4}, nil), 3*staticCost.ReducePerSum; got != want {
+		t.Errorf("3-sum reduce = %v, want %v", got, want)
 	}
 	// Multi-aggregate per-sum cost falls with more sums.
 	p = Params{Groups: 32, MaxWordSize: 4}

@@ -104,6 +104,16 @@ func TestQuickStrategiesEquivalent(t *testing.T) {
 			}
 		}
 
+		// The one-group reduction, when there is one group.
+		if sh.numGroups == 1 {
+			for c, col := range cols {
+				if ReduceSum(col) != wantSums[c][0] {
+					t.Log("reduce mismatch")
+					return false
+				}
+			}
+		}
+
 		// Multi-aggregate, when the row fits.
 		if m, err := NewMultiAgg(sh.numGroups, -1, wordSizes); err == nil {
 			m.Accumulate(groups, cols)

@@ -1,6 +1,7 @@
 // Package agg implements BIPie's grouped aggregation strategies (paper §5):
 // the naive scalar method, Sort-Based SUM aggregation, In-Register
-// aggregation, and Multi-Aggregate SUM aggregation. Each strategy is optimal
+// aggregation, and Multi-Aggregate SUM aggregation — plus the one-group
+// reduction, which has no group ids at all. Each strategy is optimal
 // for a different region of the (groups, aggregates, bit width, selectivity)
 // parameter space; the engine's Aggregate Processor picks between them at
 // run time (paper §3).

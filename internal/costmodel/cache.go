@@ -121,7 +121,7 @@ func (p *Profile) valid() bool {
 	for _, v := range []float64{
 		a.InRegPerGroup1, a.InRegPerGroup2, a.InRegPerGroup4,
 		a.SortFixed, a.SortPerSum, a.MultiFixed, a.MultiPerSum, a.ScalarPerSum,
-		a.CountScalar, a.CountInRegPerGroup,
+		a.CountScalar, a.CountInRegPerGroup, a.ReducePerSum,
 	} {
 		if v <= 0 {
 			return false

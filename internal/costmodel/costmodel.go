@@ -43,10 +43,11 @@ type Machine struct {
 // need to special-case.
 // FormatVersion identifies the coefficient semantics a serialized profile
 // was fitted under. Bump it whenever a probe's unit changes (e.g. a
-// per-scanned-row figure becomes per-selected-row): cached and archived
+// per-scanned-row figure becomes per-selected-row) or a coefficient is
+// added (4: agg.CostProfile.ReducePerSum): cached and archived
 // profiles with a different version are discarded rather than silently
 // misread.
-const FormatVersion = 3
+const FormatVersion = 4
 
 type Profile struct {
 	// Source records how the profile was obtained: "calibrated", "static"

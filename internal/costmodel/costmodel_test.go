@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bipie/internal/agg"
 	"bipie/internal/bitpack"
 	"bipie/internal/expr"
 	"bipie/internal/sel"
@@ -24,6 +25,22 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 	old.Agg.CountScalar = 0
 	if old.valid() {
 		t.Fatal("a profile without the COUNT coefficients passed validation")
+	}
+	// Nor may a profile from before the one-group reduction was probed; one
+	// group reduces under the fitted profile as under the static one, and
+	// no larger domain does.
+	old = *p
+	old.Agg.ReducePerSum = 0
+	if old.valid() {
+		t.Fatal("a profile without the reduce coefficient passed validation")
+	}
+	for _, prof := range []*Profile{Static(), p} {
+		for _, g := range []int{1, 2, 7} {
+			params := agg.Params{Groups: g, Sums: 1, MaxWordSize: 4, WordSizes: []int{4}, Selectivity: 1}
+			if got := agg.Choose(params, prof.AggCost()); (got == agg.StrategyReduce) != (g == 1) {
+				t.Errorf("%s profile, %d groups: %v", prof.Source, g, got)
+			}
+		}
 	}
 	for _, w := range probeWidths {
 		for _, fam := range []string{"unpack", "packedcmp"} {
@@ -74,6 +91,7 @@ func TestProbesAllocFree(t *testing.T) {
 		"agg.scalar.mix":  ps.runScalarSumMixed,
 		"agg.count":       ps.runCountScalar,
 		"agg.count.inreg": ps.runCountInReg,
+		"agg.reduce":      ps.runReduce,
 		"sumexpr.add.w1":  func() { ps.runSumExpr(ps.sumAdd[1]) },
 		"sumexpr.mul.w8":  func() { ps.runSumExpr(ps.sumMul[8]) },
 		"sumexpr.div":     func() { ps.runSumExpr(ps.sumDiv) },

@@ -45,6 +45,7 @@ import (
 //	agg.count.inreg.pergroup  in-register COUNT(*)           cycles/row/group
 //	agg.scalar.persum     row-at-a-time scalar sum           cycles/row/sum
 //	agg.scalar.mixed      the same over mixed word sizes     cycles/row/sum
+//	agg.reduce            one-group register sum, 4-byte     cycles/row/sum
 //	sumexpr.add.w<S>      sum-expression add into an S-byte lane   cycles/row
 //	sumexpr.mul.w<S>      sum-expression multiply, likewise        cycles/row
 //	sumexpr.div           sum-expression int64 divide              cycles/row
@@ -143,6 +144,7 @@ type probeSet struct {
 	cols4     []*bitpack.Unpacked
 	sumAcc1   [][]int64
 	scScratch agg.ScalarScratch
+	reduced   int64 // the reduce probe's result, kept so the call has a use
 
 	// The mixed-width scalar probe sums Q1's shape: two byte columns, two
 	// 4-byte ones, one 8-byte one.
@@ -471,6 +473,11 @@ func (ps *probeSet) runScalarSumMixed() {
 }
 
 //bipie:kernel
+func (ps *probeSet) runReduce() {
+	ps.reduced = agg.ReduceSum(ps.valsU32)
+}
+
+//bipie:kernel
 func (ps *probeSet) runSumExpr(node int) {
 	ps.sumProg.Eval(ps.sumBufs, node, probeRows)
 }
@@ -599,6 +606,7 @@ func Calibrate() *Profile {
 		{2, ps.runMulti1}, {2, ps.runMulti4},
 		{4, ps.runScalarSum}, {2, ps.runScalarSumMixed},
 		{4, ps.runCountScalar}, {4, ps.runCountInReg},
+		{8, ps.runReduce},
 	})
 	inReg1, inReg2, inReg4 := c[0]/inRegProbeGroups, c[1]/inRegProbeGroups, c[2]/inRegProbeGroups
 	sortFixed, sortPerSum := c[3], c[4]
@@ -606,6 +614,7 @@ func Calibrate() *Profile {
 	multiPerSum := floorCost((multi4 - multi1) / 3)
 	scalarPerSum, scalarMixed := c[7], c[8]/float64(len(ps.colsMixed))
 	countScalar, countInReg := c[9], c[10]/inRegProbeGroups
+	reducePerSum := c[11]
 	p.Agg = agg.CostProfile{
 		InRegPerGroup1:    floorCost(inReg1),
 		InRegPerGroup2:    floorCost(inReg2),
@@ -619,6 +628,8 @@ func Calibrate() *Profile {
 
 		CountScalar:        floorCost(countScalar),
 		CountInRegPerGroup: floorCost(countInReg),
+
+		ReducePerSum: floorCost(reducePerSum),
 	}
 	for k, v := range p.Kernels {
 		p.Kernels[k] = floorCost(v)

@@ -131,13 +131,17 @@ func TestAllAggregationStrategies(t *testing.T) {
 		{GroupBy: []string{"g"}, Aggregates: []Aggregate{SumOf(expr.Col("a")), SumOf(expr.Col("b")), SumOf(expr.Col("c"))}},
 		{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("b"))},
 			Filter: expr.Ge(expr.Col("d"), expr.Int(40))},
+		// One group: Reduce unforced, every other strategy over the
+		// special group it reserves when forced.
+		{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("a")), SumOf(expr.Col("c"))},
+			Filter: expr.Ge(expr.Col("d"), expr.Int(40))},
 	}
 	for qi, q := range queries {
 		want, err := RunNaive(tbl, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyInRegister, agg.StrategyMultiAggregate} {
+		for _, st := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyInRegister, agg.StrategyMultiAggregate, agg.StrategyReduce} {
 			got, err := Run(tbl, q, Options{ForceAggregation: ForceAgg(st)})
 			if err != nil {
 				t.Fatal(err)
@@ -394,7 +398,7 @@ func TestResultFormat(t *testing.T) {
 // combinations must always match the naive oracle.
 func TestDifferentialRandomized(t *testing.T) {
 	selMethods := []*sel.Method{nil, ForceSel(sel.MethodGather), ForceSel(sel.MethodCompact), ForceSel(sel.MethodSpecialGroup)}
-	strategies := []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyInRegister), ForceAgg(agg.StrategyMultiAggregate)}
+	strategies := []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyInRegister), ForceAgg(agg.StrategyMultiAggregate), ForceAgg(agg.StrategyReduce)}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		n := 2000 + rng.Intn(6000)

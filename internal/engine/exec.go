@@ -116,8 +116,10 @@ func newExecState(sp *segPlan) *execState {
 		e.spanTmp = make([]sel.Span, colstore.BatchRows/2+1)
 	}
 	e.selVec = sel.NewByteVec(colstore.BatchRows)
-	e.groupBuf = make([]uint8, colstore.BatchRows)
-	e.compGroups = make([]uint8, colstore.BatchRows)
+	if sp.strategy != agg.StrategyReduce {
+		e.groupBuf = make([]uint8, colstore.BatchRows)
+		e.compGroups = make([]uint8, colstore.BatchRows)
+	}
 	if !sp.eliminated {
 		e.mapScratch = sp.mapper.newScratch()
 		e.progBufs = newProgBufs(&sp.boundProg)
@@ -368,7 +370,8 @@ func (e *execState) chooseSelection(selectivity float64) selection {
 // rejected rows land in the special slot; gather and compaction aggregate
 // only the selected rows; a span batch never maps a group or loads a value —
 // its one group's COUNT is the span row total and its sums are the RLE
-// columns' run-domain sums over the spans.
+// columns' run-domain sums over the spans — and a Reduce plan maps no group
+// either (reduceBatch).
 //
 //bipie:kernel
 func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int) {
@@ -380,6 +383,10 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 			e.sumAcc[i][0] += sp.sums[i].rle.SumSpans(b.Start, e.spans)
 		}
 		e.traceEnd(obs.PhaseAggregate, t0, selected)
+		return
+	}
+	if sp.strategy == agg.StrategyReduce {
+		e.reduceBatch(b, how, selected)
 		return
 	}
 	groups := e.groupBuf[:b.N]
@@ -422,6 +429,34 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
 	e.applySums(groups, e.colViews, b.Start)
+	e.traceEnd(obs.PhaseAggregate, t0, k)
+}
+
+// reduceBatch is the aggregate stage of a Reduce plan: one group and no
+// group ids, so nothing is mapped, compacted beside the values or counted
+// per row. The k rows the filter kept are the batch's COUNT; the leaves load
+// the batch's own way — only a gathered load needs the kept rows' positions
+// — and each SUM slot adds one register reduction of its vector.
+//
+//bipie:kernel
+func (e *execState) reduceBatch(b colstore.Batch, how selection, k int) {
+	sp := e.plan
+	if how == selGather && len(sp.evalOrder) > 0 {
+		t0 := e.traceStart()
+		e.idx = sel.CompactIndices(e.idx, e.selVec[:b.N])
+		e.traceEnd(obs.PhaseSelection, t0, b.N)
+	}
+	t0 := e.traceStart()
+	e.evalProgram(&sp.boundProg, &e.progBufs, b, how, k)
+	e.traceEnd(obs.PhaseDecode, t0, b.N)
+	t0 = e.traceStart()
+	e.counts[0] += int64(k)
+	for _, i := range sp.runIdx {
+		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
+	}
+	for _, i := range sp.sumIdx {
+		e.sumAcc[i][0] += agg.ReduceSum(e.colViews[i])
+	}
 	e.traceEnd(obs.PhaseAggregate, t0, k)
 }
 

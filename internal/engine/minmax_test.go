@@ -40,6 +40,11 @@ func TestMinMaxMatchesNaive(t *testing.T) {
 			},
 			Filter: expr.Ge(expr.Col("d"), expr.Int(20)),
 		},
+		{
+			// One group with an extremum: not reduced, even when forced.
+			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("b")), MinOf(expr.Col("c"))},
+			Filter:     expr.Lt(expr.Col("d"), expr.Int(60)),
+		},
 	}
 	for qi, q := range queries {
 		want, err := RunNaive(tbl, q)
@@ -47,7 +52,7 @@ func TestMinMaxMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sm := range []*sel.Method{nil, ForceSel(sel.MethodGather), ForceSel(sel.MethodCompact), ForceSel(sel.MethodSpecialGroup)} {
-			for _, st := range []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyInRegister), ForceAgg(agg.StrategyMultiAggregate)} {
+			for _, st := range []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyInRegister), ForceAgg(agg.StrategyMultiAggregate), ForceAgg(agg.StrategyReduce)} {
 				got, err := Run(tbl, q, Options{ForceSelection: sm, ForceAggregation: st})
 				if err != nil {
 					t.Fatal(err)

@@ -69,8 +69,8 @@ type segPlan struct {
 
 	mapper     *groupMapper
 	realGroups int // group domain from metadata
-	domain     int // realGroups plus the special group slot when usable
-	special    int // special group id, or -1
+	domain     int // group ids the kernels see: realGroups, plus the special group when reserved
+	special    int // special group id, or -1: no filter, no free id, or a Reduce plan (no ids at all)
 
 	sums        []sumInput
 	sumIdx      []int  // slots with kind Sum, fed to the sum strategy kernels
@@ -361,15 +361,6 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		}
 	}
 
-	// The special group is usable when the byte id space has a free slot;
-	// the strategy choice below may further rule it out.
-	sp.special = -1
-	sp.domain = sp.realGroups
-	if q.Filter != nil && sp.realGroups+1 <= sel.MaxGroups {
-		sp.special = sp.realGroups
-		sp.domain = sp.realGroups + 1
-	}
-
 	// Choose the aggregation strategy for the whole segment from metadata
 	// (paper §3: per segment, from max groups and aggregate shape). Only
 	// SUM inputs participate — MIN/MAX always run the scalar extremum
@@ -418,6 +409,18 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	}
 	sp.evalOrder = reach(sp.prog, live)
 
+	// A plan with one real group and no extremum has no group ids at all
+	// (agg.StrategyReduce), so it fuses no special group either. Every other
+	// plan — grouped, with a MIN/MAX slot (the extremum kernels index by
+	// group id), or forced onto another strategy — reserves one when the
+	// query filters and the byte id space has a free slot.
+	force := opts.ForceAggregation
+	reduce := sp.realGroups == 1 && len(sp.extIdx) == 0 && (force == nil || *force == agg.StrategyReduce)
+	sp.special, sp.domain = -1, sp.realGroups
+	if !reduce && q.Filter != nil && sp.realGroups+1 <= sel.MaxGroups {
+		sp.special, sp.domain = sp.realGroups, sp.realGroups+1
+	}
+
 	params := agg.Params{
 		Groups:      sp.domain,
 		Sums:        len(sp.sumIdx),
@@ -426,8 +429,8 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		Selectivity: 1,
 	}
 	prof := opts.profile()
-	if opts.ForceAggregation != nil {
-		sp.strategy = *opts.ForceAggregation
+	if force != nil {
+		sp.strategy = *force
 	} else {
 		sp.strategy = agg.Choose(params, prof.AggCost())
 	}
@@ -460,6 +463,13 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		// never materializes per-row value vectors, which the extremum
 		// kernels need; queries mixing SUM with MIN/MAX run scalar.
 		if len(sp.sumIdx) == 0 || sp.domain > agg.MaxSortGroups || len(sp.extIdx) > 0 {
+			sp.strategy = agg.StrategyScalar
+		}
+	case agg.StrategyReduce:
+		// Forced onto a grouped plan, or chosen for one-group MIN/MAX, which
+		// the reduction does not compute: the scalar loop over the domain
+		// reserved above.
+		if !reduce {
 			sp.strategy = agg.StrategyScalar
 		}
 	case agg.StrategyScalar:

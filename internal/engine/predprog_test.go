@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bipie/internal/agg"
 	"bipie/internal/costmodel"
 	"bipie/internal/encoding"
 	"bipie/internal/expr"
@@ -158,13 +159,15 @@ func (g *predGen) strings(format string, card int) []string {
 }
 
 // predOptions is every ablation switch alone, all of them together, and
-// none, each on one worker and on several.
+// none, then the one-group reduction forced and the scalar loop it
+// replaces, each on one worker and on several.
 func predOptions() []Options {
 	combos := []Options{
 		{},
 		{DisableZoneMaps: true}, {DisablePackedFilter: true}, {DisableRLEDomain: true},
 		{DisableDictDomain: true}, {DisableDeltaDomain: true}, {DisableElimination: true},
 		oracleOpts(),
+		{ForceAggregation: ForceAgg(agg.StrategyReduce)}, {ForceAggregation: ForceAgg(agg.StrategyScalar)},
 	}
 	for _, o := range combos {
 		o.Parallelism = 1

@@ -72,8 +72,9 @@ func TestPreparedConcurrentTorture(t *testing.T) {
 
 // TestPreparedZeroAllocSteadyState pins the contract the exec-state pool
 // exists for: once an exec state is warm, scanning batches performs zero
-// heap allocations, for the unfiltered fast path, the selection-heavy path
-// and a multi-aggregate walk that computes Q1-shaped products itself.
+// heap allocations, for the unfiltered fast path, the selection-heavy path,
+// a multi-aggregate walk that computes Q1-shaped products itself and the
+// one-group reduction, whose gathered batches compact positions alone.
 // (Result assembly — finalize and the merge — is per-scan, not per-batch,
 // and allocates by design.)
 func TestPreparedZeroAllocSteadyState(t *testing.T) {
@@ -107,6 +108,10 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("c")), SumOf(dc), SumOf(expr.Mul(dc, expr.Add(expr.Int(100), expr.Col("a"))))},
 			Filter:     expr.Lt(expr.Col("d"), expr.Int(90)),
 		}, opts: Options{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate)}, walks: true},
+		{name: "reduced", q: &Query{
+			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("a")), SumOf(expr.Mul(expr.Col("a"), expr.Col("d")))},
+			Filter:     expr.Lt(expr.Col("d"), expr.Int(37)),
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Prepare(tbl, tc.q, tc.opts)
@@ -125,6 +130,9 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 				}
 				if walks := slices.ContainsFunc(sp.sums, func(si sumInput) bool { return si.walked }); walks != tc.walks {
 					t.Fatalf("segment %d: walks products %v, want %v", si, walks, tc.walks)
+				}
+				if reduces := sp.strategy == agg.StrategyReduce; reduces != (tc.q.GroupBy == nil) {
+					t.Fatalf("segment %d: plans %v", si, sp.strategy)
 				}
 				e := sp.getExec()
 				batches := seg.Batches()

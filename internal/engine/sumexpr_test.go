@@ -153,7 +153,7 @@ func (c *sumExprCase) check(t *testing.T) {
 	}
 	combos := []Options{{}}
 	for _, m := range []sel.Method{sel.MethodGather, sel.MethodCompact, sel.MethodSpecialGroup} {
-		for _, s := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyInRegister, agg.StrategyMultiAggregate} {
+		for _, s := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyInRegister, agg.StrategyMultiAggregate, agg.StrategyReduce} {
 			combos = append(combos, Options{ForceSelection: ForceSel(m), ForceAggregation: ForceAgg(s)})
 		}
 	}

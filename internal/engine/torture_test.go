@@ -42,7 +42,7 @@ func TestTortureDifferential(t *testing.T) {
 					{},
 					{opts: Options{
 						ForceSelection:   []*sel.Method{nil, ForceSel(sel.MethodGather), ForceSel(sel.MethodCompact), ForceSel(sel.MethodSpecialGroup)}[rng.Intn(4)],
-						ForceAggregation: []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyMultiAggregate)}[rng.Intn(4)],
+						ForceAggregation: []*agg.Strategy{nil, ForceAgg(agg.StrategyScalar), ForceAgg(agg.StrategySortBased), ForceAgg(agg.StrategyMultiAggregate), ForceAgg(agg.StrategyReduce)}[rng.Intn(5)],
 						Parallelism:      1 + rng.Intn(4),
 					}},
 					{

@@ -48,9 +48,12 @@ const specialGroupThreshold = 0.65
 // compaction beats gather at the packed width of the widest selected column
 // (costmodel.Profile.GatherCompactCrossover: solved from calibrated probes,
 // or the static Figure-7 interpolation), and fusedAggregation reports
-// whether the downstream aggregation can consume a special-group id map (it
-// cannot when the query has no GROUP BY aggregation, or the group domain is
-// already at MaxGroups so no id is free). The special-group rule competes on
+// whether the plan reserved a special group id to fuse the selection into.
+// A plan with one group and no MIN/MAX — every query without GROUP BY —
+// has no group ids at all (agg.StrategyReduce) and reserves none, nor does
+// a plan whose group domain is already at MaxGroups. A strategy forced onto
+// a one-group plan, or one that must map ids for MIN/MAX, reserves one as
+// a grouped plan does. The special-group rule competes on
 // streaming-vs-indexed access, not decode throughput, so its measured
 // threshold carries across machines.
 func ChooseAt(selectivity, crossover float64, fusedAggregation bool) Method {

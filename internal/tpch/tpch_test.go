@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"bipie/internal/encoding"
 	"bipie/internal/engine"
 	"bipie/internal/loadgen"
+	"bipie/internal/obs"
 	"bipie/internal/sel"
 	"bipie/internal/sql"
 )
@@ -161,7 +163,7 @@ func TestQ1AllStrategyCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []sel.Method{sel.MethodGather, sel.MethodCompact, sel.MethodSpecialGroup} {
-		for _, s := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyMultiAggregate} {
+		for _, s := range []agg.Strategy{agg.StrategyScalar, agg.StrategySortBased, agg.StrategyMultiAggregate, agg.StrategyReduce} {
 			got, err := RunQ1(tbl, engine.Options{ForceSelection: engine.ForceSel(m), ForceAggregation: engine.ForceAgg(s)})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", m, s, err)
@@ -243,6 +245,74 @@ func TestQ1WalksItsProducts(t *testing.T) {
 	for _, pl := range plans {
 		if want := []bool{false, true, false}; pl.Strategy != "Multi" || !reflect.DeepEqual(pl.WalkedSums, want) {
 			t.Errorf("serving-mix Q1 segment %d: %s, walked sums %v, want Multi %v", pl.Segment, pl.Strategy, pl.WalkedSums, want)
+		}
+	}
+}
+
+// Every query without GROUP BY the benchmark runs plans the one-group
+// reduction: filter_scan's four lineitem shapes (packed3 is the serving
+// mix's Q6, dict_in its dict query), serve_light's count shape and the
+// ingest check Explain as Reduce with no special group, and a traced scan
+// of each maps no group id. The grouped plans, and one group with an
+// extremum, keep the strategies they had.
+func TestUngroupedPlansReduce(t *testing.T) {
+	tbl, err := Generate(GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := loadgen.TPCHMix("lineitem")
+	opts := engine.Options{CostProfile: costmodel.Static()}
+	for _, tc := range []struct{ sql, strategy string }{
+		{mix[1], "Reduce"},
+		{"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30", "Reduce"},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 30000 AND l_orderkey < 30655", "Reduce"},
+		{mix[2], "Reduce"},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30", "Reduce"},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem", "Reduce"},
+		{mix[0], "Multi"},
+		{"SELECT min(l_quantity), count(*) FROM lineitem WHERE l_shipdate <= 2436", "Scalar"},
+	} {
+		st, err := sql.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := engine.Prepare(tbl, st.Query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := p.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for _, pl := range plans {
+			if pl.Eliminated {
+				continue
+			}
+			live++
+			grouped := tc.strategy != "Reduce"
+			if pl.Strategy != tc.strategy || pl.SpecialGroup != (grouped && st.Query.Filter != nil) {
+				t.Errorf("%s: segment %d plans %s, special %v", tc.sql, pl.Segment, pl.Strategy, pl.SpecialGroup)
+			}
+		}
+		if live == 0 {
+			t.Fatalf("%s: every segment eliminated", tc.sql)
+		}
+		_, stats, err := p.RunTraced(context.Background(), obs.NewScanTrace(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls := stats.Phases[obs.PhaseGroupMap].Calls; (calls == 0) != (tc.strategy == "Reduce") {
+			t.Errorf("%s: %d group-map calls", tc.sql, calls)
+		}
+	}
+	plans, err := engine.Explain(tbl, Q1(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range plans {
+		if pl.Strategy != "Multi" || !pl.SpecialGroup {
+			t.Errorf("Q1 segment %d plans %s, special %v", pl.Segment, pl.Strategy, pl.SpecialGroup)
 		}
 	}
 }
