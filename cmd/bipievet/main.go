@@ -2,7 +2,7 @@
 // over the repository:
 //
 //	go run ./cmd/bipievet ./...
-//	go run ./cmd/bipievet ./internal/simd ./internal/agg
+//	go run ./cmd/bipievet ./internal/bitpack ./internal/agg
 //
 // It prints one line per finding (file:line:col: message [analyzer]) and
 // exits 1 when anything is flagged, 2 on load/type-check errors, 0 when

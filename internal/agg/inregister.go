@@ -1,6 +1,10 @@
 package agg
 
-import "bipie/internal/simd"
+import (
+	"encoding/binary"
+
+	"bipie/internal/bitpack"
+)
 
 // In-Register aggregation (paper §5.3) keeps intermediate results entirely
 // in registers: one "virtual array" register per group, whose lanes hold
@@ -75,22 +79,22 @@ func InRegisterCount(groups []uint8, numGroups int, counts []int64) {
 	var totalsArr [InRegisterMaxGroups]int64
 	acc, bcast, totals := accArr[:m], bcastArr[:m], totalsArr[:m]
 	for g := range bcast {
-		bcast[g] = simd.Broadcast8(uint8(g))
+		bcast[g] = bitpack.Broadcast8(uint8(g))
 	}
 	flush := func() {
 		for g := range acc {
 			// Lanes hold -count (masks add 0xFF = -1); negate, then sum.
-			totals[g] += int64(simd.SumLanes8(simd.Sub8(0, acc[g])))
+			totals[g] += int64(bitpack.SumLanes8(bitpack.Sub8(0, acc[g])))
 			acc[g] = 0
 		}
 	}
 	steps := 0
 	gs := groups
-	for len(gs) >= simd.Lanes8 {
-		v := simd.LoadBytes(gs, 0)
-		gs = gs[simd.Lanes8:]
+	for len(gs) >= bitpack.Lanes8 {
+		v := binary.LittleEndian.Uint64(gs)
+		gs = gs[bitpack.Lanes8:]
 		for g := 0; g < m; g++ {
-			acc[g] = simd.Add8(acc[g], simd.CmpEq8(v, bcast[g]))
+			acc[g] = bitpack.Add8(acc[g], bitpack.CmpEq8(v, bcast[g]))
 		}
 		if steps++; steps == countFlushSteps {
 			flush()
@@ -129,22 +133,22 @@ func InRegisterSum8(groups []uint8, vals []uint8, numGroups int, sums []int64) {
 	var accLoArr, accHiArr, bcastArr [InRegisterMaxGroups]uint64
 	accLo, accHi, bcast := accLoArr[:numGroups], accHiArr[:numGroups], bcastArr[:numGroups]
 	for g := range bcast {
-		bcast[g] = simd.Broadcast8(uint8(g))
+		bcast[g] = bitpack.Broadcast8(uint8(g))
 	}
 	flush := func() {
 		for g := 0; g < numGroups; g++ {
-			sums[g] += int64(simd.SumLanes16(accLo[g]) + simd.SumLanes16(accHi[g]))
+			sums[g] += int64(bitpack.SumLanes16(accLo[g]) + bitpack.SumLanes16(accHi[g]))
 			accLo[g], accHi[g] = 0, 0
 		}
 	}
 	steps := 0
 	gs, vs := groups, vals[:len(groups)]
-	for len(gs) >= simd.Lanes8 && len(vs) >= simd.Lanes8 {
-		gv := simd.LoadBytes(gs, 0)
-		vv := simd.LoadBytes(vs, 0)
-		gs, vs = gs[simd.Lanes8:], vs[simd.Lanes8:]
+	for len(gs) >= bitpack.Lanes8 && len(vs) >= bitpack.Lanes8 {
+		gv := binary.LittleEndian.Uint64(gs)
+		vv := binary.LittleEndian.Uint64(vs)
+		gs, vs = gs[bitpack.Lanes8:], vs[bitpack.Lanes8:]
 		for g := 0; g < numGroups; g++ {
-			mv := vv & simd.CmpEq8(gv, bcast[g])
+			mv := vv & bitpack.CmpEq8(gv, bcast[g])
 			// Flushing before any 16-bit lane can exceed 65535 makes plain
 			// adds carry-free, i.e. identical to lane-wise SIMD adds.
 			accLo[g] += mv & loHalf
@@ -175,25 +179,25 @@ func InRegisterSum16(groups []uint8, vals []uint16, numGroups int, sums []int64)
 	var accLoArr, accHiArr, bcastArr [InRegisterMaxGroups]uint64
 	accLo, accHi, bcast := accLoArr[:numGroups], accHiArr[:numGroups], bcastArr[:numGroups]
 	for g := range bcast {
-		bcast[g] = simd.Broadcast16(uint16(g))
+		bcast[g] = bitpack.Broadcast16(uint16(g))
 	}
 	flush := func() {
 		for g := 0; g < numGroups; g++ {
-			sums[g] += int64(simd.SumLanes32(accLo[g]) + simd.SumLanes32(accHi[g]))
+			sums[g] += int64(bitpack.SumLanes32(accLo[g]) + bitpack.SumLanes32(accHi[g]))
 			accLo[g], accHi[g] = 0, 0
 		}
 	}
 	steps := 0
 	gs, vs := groups, vals[:len(groups)]
-	for len(gs) >= simd.Lanes16 && len(vs) >= simd.Lanes16 {
+	for len(gs) >= bitpack.Lanes16 && len(vs) >= bitpack.Lanes16 {
 		// Widen 4 group ids to 16-bit lanes to compare against values'
 		// lane geometry (the paper's kernels are generated per layout by
 		// the template engine; this is the 2-byte instantiation).
 		gv := uint64(gs[0]) | uint64(gs[1])<<16 | uint64(gs[2])<<32 | uint64(gs[3])<<48
-		vv := simd.LoadUint16x4(vs, 0)
-		gs, vs = gs[simd.Lanes16:], vs[simd.Lanes16:]
+		vv := bitpack.Load16x4(vs)
+		gs, vs = gs[bitpack.Lanes16:], vs[bitpack.Lanes16:]
 		for g := 0; g < numGroups; g++ {
-			mv := vv & simd.CmpEq16(gv, bcast[g])
+			mv := vv & bitpack.CmpEq16(gv, bcast[g])
 			accLo[g] += mv & loHalf
 			accHi[g] += mv >> 16 & loHalf
 		}
@@ -222,15 +226,15 @@ func InRegisterSum32(groups []uint8, vals []uint32, numGroups int, sums []int64)
 	var accLoArr, accHiArr, bcastArr [InRegisterMaxGroups]uint64
 	accLo, accHi, bcast := accLoArr[:numGroups], accHiArr[:numGroups], bcastArr[:numGroups]
 	for g := range bcast {
-		bcast[g] = simd.Broadcast32(uint32(g))
+		bcast[g] = bitpack.Broadcast32(uint32(g))
 	}
 	gs, vs := groups, vals[:len(groups)]
-	for len(gs) >= simd.Lanes32 && len(vs) >= simd.Lanes32 {
+	for len(gs) >= bitpack.Lanes32 && len(vs) >= bitpack.Lanes32 {
 		gv := uint64(gs[0]) | uint64(gs[1])<<32
-		vv := simd.LoadUint32x2(vs, 0)
-		gs, vs = gs[simd.Lanes32:], vs[simd.Lanes32:]
+		vv := bitpack.Load32x2(vs)
+		gs, vs = gs[bitpack.Lanes32:], vs[bitpack.Lanes32:]
 		for g := 0; g < numGroups; g++ {
-			mv := vv & simd.CmpEq32(gv, bcast[g])
+			mv := vv & bitpack.CmpEq32(gv, bcast[g])
 			accLo[g] += mv & 0xFFFFFFFF
 			accHi[g] += mv >> 32
 		}

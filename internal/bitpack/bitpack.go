@@ -7,6 +7,9 @@
 // values of the declared bit width fit in; the paper calls this out as
 // important for performance because it maximizes SIMD lane counts downstream.
 //
+// It is also the one home of lane words: the paper's Vector Toolbox (§3,
+// lanes.go) sits beside the period kernels' spread and compare steps.
+//
 // Validation happens once at the API boundary (Pack returns an error,
 // MustPack and CheckUnpack panic); the pack and unpack inner loops are
 // branch-free with respect to the data, which bipievet's nopanic and

@@ -161,7 +161,7 @@ func spreadBits(x uint8) uint64 {
 	t := uint64(x)
 	t = (t | t<<28) & 0x0000000F0000000F
 	t = (t | t<<14) & 0x0003000300030003
-	t = (t | t<<7) & 0x0101010101010101
+	t = (t | t<<7) & lo8
 	return t
 }
 
@@ -183,6 +183,19 @@ func put16x4(dst []uint16, x uint64) {
 func put32x2(dst []uint32, x uint64) {
 	_ = dst[1]
 	dst[0], dst[1] = uint32(x), uint32(x>>32)
+}
+
+// Load16x4 and Load32x2 invert put16x4 and put32x2: they load v's first
+// four 16-bit or two 32-bit values as one word of lanes.
+//
+//bipie:kernel
+func Load16x4(v []uint16) uint64 {
+	return uint64(v[0]) | uint64(v[1])<<16 | uint64(v[2])<<32 | uint64(v[3])<<48
+}
+
+//bipie:kernel
+func Load32x2(v []uint32) uint64 {
+	return uint64(v[0]) | uint64(v[1])<<32
 }
 
 // unpackBody8 decodes a kernel body (see splitLanes) of a width-1/2/3/4/6/8

@@ -142,14 +142,6 @@ func (v *Vector) packedCmp(dst []byte, start int, a, b uint64, neg byte, and boo
 	v.scalarCmp(dst[head+body:], start+head+body, a, b, neg, ovr)
 }
 
-// The low bit of every 8-, 16- and 32-bit lane of a word: multiplying by
-// one broadcasts a lane value.
-const (
-	lo8  = 0x0101010101010101
-	lo16 = 0x0001000100010001
-	lo32 = 0x0000000100000001
-)
-
 // laneCmp holds one compare's constants broadcast to every lane of a word:
 // h the lanes' top bits, a and b the predicate operands (ah = a|h), and the
 // negate and overwrite flags as whole-word masks.

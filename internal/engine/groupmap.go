@@ -137,7 +137,7 @@ func (m *groupMapper) mapBatch(sc *mapScratch, start, n int, dst []uint8, selVec
 		sel.CombineGroups(dst, sc.ids[:n], uint8(m.cols[c].card), blend, special)
 	}
 	if last < 1 && selVec != nil {
-		sel.ApplySpecialGroup(dst, selVec, special)
+		sel.CombineGroups(dst[:len(selVec)], nil, 0, selVec, special)
 	}
 }
 

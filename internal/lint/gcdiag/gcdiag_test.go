@@ -25,7 +25,7 @@ func TestParseDiagnosticsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Fact{
-		{File: "internal/simd/simd.go", Line: 20, Col: 6, Kind: CanInline, Detail: "LoadBytes"},
+		{File: "internal/sel/compact.go", Line: 41, Col: 6, Kind: CanInline, Detail: "grow"},
 		{File: "internal/bitpack/fastunpack.go", Line: 110, Col: 6, Kind: CanInline, Detail: "spreadNibbles"},
 		{File: "internal/bitpack/vector.go", Line: 88, Col: 6, Kind: CanInline, Detail: "(*Vector).Get"},
 		{File: "internal/bitpack/fastunpack.go", Line: 145, Col: 6, Kind: CannotInline, Detail: "putU64: function too complex: cost 90 exceeds budget 80"},

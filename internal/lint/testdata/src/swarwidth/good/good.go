@@ -16,11 +16,12 @@ func Broadcast8(b uint8) uint64 { return uint64(b) * lo8 }
 // HighBits8 extracts each lane's high bit: shift by width-1 is legal.
 func HighBits8(x uint64) uint64 { return (x >> 7) & lo8 }
 
-// CmpEq16 uses masks matching its lane width.
-func CmpEq16(x, y uint64) uint64 {
-	v := x ^ y
-	return (v - lo16) &^ v & hi16
-}
+// zeroLanes is width-free, as bitpack's zero-lane detector is: the lanes'
+// top bits arrive as h, and its name carries no width to check.
+func zeroLanes(t, h uint64) uint64 { return ^((t&^h + ^h) | t | ^h) }
+
+// CmpEq16 hands the detector the top bits of its own lane width.
+func CmpEq16(x, y uint64) uint64 { return (zeroLanes(x^y, hi16) >> 15) * 0xFFFF }
 
 // Sum8 widens 8-bit lanes through a 16-bit-periodic mask — the legal
 // accumulator-widening idiom (wider periods divide evenly into narrower
@@ -37,8 +38,8 @@ func Extract32(words []uint64, bitPos uint64) uint64 {
 	return words[bitPos>>6] >> (bitPos & 63)
 }
 
-// LoadUint16x4 ends in a digit that is not a lane width and is unchecked.
-func LoadUint16x4(v []uint16) uint64 {
+// Load16x4 ends in a digit that is not a lane width and is unchecked.
+func Load16x4(v []uint16) uint64 {
 	return uint64(v[0]) | uint64(v[1])<<16 | uint64(v[2])<<32 | uint64(v[3])<<48
 }
 

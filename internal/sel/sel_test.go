@@ -46,6 +46,16 @@ func TestNewByteVecAllSelected(t *testing.T) {
 	}
 }
 
+// TestNewByteVecPadsToWord checks the capacity is the length rounded up to
+// a whole 8-lane word.
+func TestNewByteVecPadsToWord(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {1, 8}, {7, 8}, {8, 8}, {9, 16}, {4096, 4096}} {
+		if got := cap(NewByteVec(c[0])); got != c[1] {
+			t.Errorf("cap(NewByteVec(%d)) = %d want %d", c[0], got, c[1])
+		}
+	}
+}
+
 func TestCountSelectedAndSelectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{0, 1, 7, 8, 9, 100, 4096} {
@@ -54,13 +64,6 @@ func TestCountSelectedAndSelectivity(t *testing.T) {
 			want := len(selectedRef(v))
 			if got := v.CountSelected(); got != want {
 				t.Fatalf("n=%d s=%v: count=%d want %d", n, s, got, want)
-			}
-			if n == 0 {
-				if v.Selectivity() != 1 {
-					t.Fatal("empty selectivity")
-				}
-			} else if got := v.Selectivity(); got != float64(want)/float64(n) {
-				t.Fatalf("selectivity=%v", got)
 			}
 		}
 	}
@@ -349,16 +352,30 @@ func TestQuickGatherMatchesCompact(t *testing.T) {
 	}
 }
 
+// TestApplySpecialGroup runs the blend alone, as the group mapper runs it
+// for one group-by column: rejected rows take the special id.
 func TestApplySpecialGroup(t *testing.T) {
 	groups := []uint8{0, 1, 2, 3, 0, 1, 2, 3}
 	sel := ByteVec{0xFF, 0, 0xFF, 0, 0xFF, 0xFF, 0, 0}
-	ApplySpecialGroup(groups, sel, 4)
+	CombineGroups(groups[:len(sel)], nil, 0, sel, 4)
 	want := []uint8{0, 4, 2, 4, 0, 1, 4, 4}
 	if !reflect.DeepEqual(groups, want) {
 		t.Fatalf("groups=%v want %v", groups, want)
 	}
 	// Empty input is a no-op.
-	ApplySpecialGroup(nil, nil, 4)
+	CombineGroups(nil, nil, 0, nil, 4)
+}
+
+func TestApplySpecialGroupAllAndNone(t *testing.T) {
+	groups := []uint8{5, 6, 7}
+	CombineGroups(groups, nil, 0, ByteVec{0xFF, 0xFF, 0xFF}, 9)
+	if !reflect.DeepEqual(groups, []uint8{5, 6, 7}) {
+		t.Fatal("all selected should not change groups")
+	}
+	CombineGroups(groups, nil, 0, ByteVec{0, 0, 0}, 9)
+	if !reflect.DeepEqual(groups, []uint8{9, 9, 9}) {
+		t.Fatal("none selected should set all special")
+	}
 }
 
 // TestCombineGroups holds the word-wide combine and blend byte-identical to
@@ -417,18 +434,6 @@ func TestCombineGroups(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { CombineGroups(got, ids, 3, mask, 9) }); n != 0 {
 		t.Errorf("CombineGroups allocates %v times per call", n)
-	}
-}
-
-func TestApplySpecialGroupAllAndNone(t *testing.T) {
-	groups := []uint8{5, 6, 7}
-	ApplySpecialGroup(groups, ByteVec{0xFF, 0xFF, 0xFF}, 9)
-	if !reflect.DeepEqual(groups, []uint8{5, 6, 7}) {
-		t.Fatal("all selected should not change groups")
-	}
-	ApplySpecialGroup(groups, ByteVec{0, 0, 0}, 9)
-	if !reflect.DeepEqual(groups, []uint8{9, 9, 9}) {
-		t.Fatal("none selected should set all special")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 
 	"bipie/internal/bitpack"
-	"bipie/internal/simd"
 )
 
 // ByteVec is a selection byte vector (paper §4): one byte per row, 0x00 for
@@ -27,7 +26,7 @@ const Selected byte = 0xFF
 // NewByteVec allocates an all-selected vector of n rows, padded to a whole
 // 8-lane word so kernels can always load full words.
 func NewByteVec(n int) ByteVec {
-	v := make(ByteVec, simd.PadToWord(n))
+	v := make(ByteVec, (n+7)&^7)
 	for i := 0; i < n; i++ {
 		v[i] = Selected
 	}
@@ -39,15 +38,18 @@ func NewByteVec(n int) ByteVec {
 // strategy per batch (paper §3). It processes 8 lanes per step.
 //
 // The moving-slice walk keeps both the word loop and the byte tail free
-// of bounds checks (the loop conditions pin every access).
+// of bounds checks (the loop conditions pin every access). It stays out of
+// line so its loop's registers follow from its argument alone, not from
+// the engine's batch filter around it.
 //
 //bipie:kernel
 //bipie:nobce
+//go:noinline
 func (v ByteVec) CountSelected() int {
 	n := 0
 	d := v
 	for len(d) >= 8 {
-		n += simd.NonZeroByteCount(simd.LoadBytes(d, 0))
+		n += bitpack.NonZeroByteCount(binary.LittleEndian.Uint64(d))
 		d = d[8:]
 	}
 	for _, b := range d {
@@ -207,14 +209,6 @@ func eqMaskT[T uint8 | uint16 | uint32 | uint64 | int64](a, b T) byte {
 		return 0xFF
 	}
 	return 0
-}
-
-// Selectivity returns the fraction of rows selected, in [0, 1].
-func (v ByteVec) Selectivity() float64 {
-	if len(v) == 0 {
-		return 1
-	}
-	return float64(v.CountSelected()) / float64(len(v))
 }
 
 // IndexVec is a selection index vector (paper §4): the ordinal positions of

@@ -1,6 +1,10 @@
 package sel
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"bipie/internal/bitpack"
+)
 
 // Run-domain selection spans. RLE predicates resolve a comparison once per
 // run and describe the qualifying rows as half-open row intervals instead of
@@ -44,7 +48,7 @@ func SpanRows(spans []Span) int {
 //bipie:kernel
 //bipie:nobce
 func ApplySpans(vec ByteVec, spans []Span, first bool) {
-	const selectedWord = 0x0101010101010101 * uint64(Selected)
+	selectedWord := bitpack.Broadcast8(Selected)
 	row := 0
 	for _, s := range spans {
 		gap := vec[row:s.Start]

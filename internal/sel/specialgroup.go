@@ -1,6 +1,10 @@
 package sel
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"bipie/internal/bitpack"
+)
 
 // Selection by Special Group Assignment (paper §4.3) fuses filtering into
 // grouping: instead of removing rejected rows, every rejected row is
@@ -13,16 +17,6 @@ import "encoding/binary"
 // MaxGroups is the largest group-id domain supported by the byte-wide group
 // id map (paper §2.2 assumes at most 256 unique group-by values).
 const MaxGroups = 256
-
-// ApplySpecialGroup rewrites the group id map in place: positions where sel
-// is zero get the special group id. groups must be at least as long as sel
-// and special must fit in a byte, which bounds usable groups at
-// MaxGroups-1 when a filter is fused this way.
-//
-//bipie:kernel
-func ApplySpecialGroup(groups []uint8, sel ByteVec, special uint8) {
-	CombineGroups(groups[:len(sel)], nil, 0, sel, special)
-}
 
 // CombineGroups is the group mapper's one pass over the group id map,
 // eight rows per 64-bit word. With ids it folds one more group-by column
@@ -39,7 +33,7 @@ func ApplySpecialGroup(groups []uint8, sel ByteVec, special uint8) {
 //bipie:kernel
 //bipie:nobce
 func CombineGroups(groups, ids []uint8, card uint8, sel ByteVec, special uint8) {
-	c, sp := uint64(card), 0x0101010101010101*uint64(special)
+	c, sp := uint64(card), bitpack.Broadcast8(special)
 	for ; len(groups) >= 8; groups = groups[8:] {
 		x := binary.LittleEndian.Uint64(groups)
 		if len(ids) >= 8 {
