@@ -52,6 +52,7 @@ trace-race:
 fuzz-smoke:
 	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzBitpackRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzPackedCmp -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzFusedGroups -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzEncodingRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzChooseInt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
@@ -91,16 +92,17 @@ CENSUS_BIN ?= $(or $(TMPDIR),/tmp)/bipie-serve.census
 CENSUS_FAMILIES = \
 	'expr evalVV/evalVC operator loops=^bipie/internal/expr\.eval(VV|VC)\[' \
 	'expr dispatch (SumProgram.Eval)=^bipie/internal/expr\.\(\*SumProgram\)\.Eval$$' \
-	'agg accumulate*/addRows* read walks=^bipie/internal/agg\.(accumulate|addRows)' \
-	'agg addProducts (accumulate1P)=^bipie/internal/agg\.\(\*MultiLayout\)\.addProducts$$' \
-	'agg buildCarrier (packFields)=^bipie/internal/agg\.buildCarrier$$' \
+	'agg accumulate*/addRows* walks=^bipie/internal/agg\.(accumulate|addRows)' \
+	'agg addProducts=^bipie/internal/agg\.\(\*MultiLayout\)\.addProducts$$' \
+	'agg buildCarrier (packFields, read walk)=^bipie/internal/agg\.buildCarrier$$' \
 	'agg rowAtATimeTyped=^bipie/internal/agg\.rowAtATimeTyped\[' \
 	'agg reduceSum=^bipie/internal/agg\.reduceSum\[' \
 	'agg ScalarMin/Max (minTyped/maxTyped)=^bipie/internal/agg\.Scalar(Min|Max)$$' \
 	'agg InRegisterSum8/16/32=^bipie/internal/agg\.InRegisterSum(8|16|32)$$' \
 	'sel CmpMaskWords=^bipie/internal/sel\.CmpMaskWords\[' \
 	'bitpack unpackBody*=^bipie/internal/bitpack\.unpackBody' \
-	'bitpack cmpBody*=^bipie/internal/bitpack\.cmpBody'
+	'bitpack cmpBody*=^bipie/internal/bitpack\.cmpBody' \
+	'bitpack groupsBody (fused)=^bipie/internal/bitpack\.groupsBody$$'
 census:
 	@$(GO) build -o $(CENSUS_BIN) ./cmd/bipie-serve
 	@$(GO) tool nm -size $(CENSUS_BIN) > $(CENSUS_BIN).nm

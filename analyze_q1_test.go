@@ -87,8 +87,6 @@ phases (cycles/row over scanned rows):
   zone-map   0.1   0.1%  (128 calls)
   encoded-filter  4.0  7.0%  (128 calls)
   decode     10.0  33.0%  (128 calls)
-  selection  0.3   0.5%  (128 calls)
-  group-map  3.5   6.0%  (128 calls)
   aggregate  6.0   35.0%  (260 calls)
   merge      0.0   0.0%  (2 calls)
   traced total  30.0  99.0% of measured

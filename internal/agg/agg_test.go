@@ -556,14 +556,15 @@ func TestMultiAggLayouts(t *testing.T) {
 		}
 		checkProductLayouts(t, rng, ws, l, groups, raw, cols, ran, refused)
 	}
-	// Both walks ran, and products over a second carrier word, beside
-	// another read word, or on a base the shape does not have were refused.
+	// Both walks ran, and products beside another read word, on a base the
+	// shape does not have, or beside narrow columns the carrier cannot hold
+	// with the factor were refused.
 	for _, s := range []walkShape{walk1P, walk2RC} {
 		if !ran[s] {
 			t.Errorf("no layout ran product walk %d", s)
 		}
 	}
-	for _, why := range []string{"carrier", "one product, summed base", "one product, another wide word", "pair, base of its own", "pair, another wide word"} {
+	for _, why := range []string{"one product, summed base", "one product, another wide word", "pair, base of its own", "pair, another wide word", "factor carrier"} {
 		if !refused[why] {
 			t.Errorf("no layout refused products for %q", why)
 		}
@@ -572,12 +573,14 @@ func TestMultiAggLayouts(t *testing.T) {
 
 // checkProductLayouts makes every wide column of ws a product word — on a
 // base vector of its own, on each other 4-byte column as its base, and with
-// each 8-byte column chained on it — and holds NewProductLayout to the two
-// walk shapes: what it admits must run the shape the rule names and match
-// refAgg over the materialized products; the rest must be refused, counted
-// in refused by reason. A 4-byte product's operands keep it exact in its
-// lane, bounding a base column where it has one; an 8-byte one is negated
-// both sides and wraps.
+// each 8-byte column chained on it, the first factor a vector of its own or
+// each byte column the row sums — and holds NewProductLayout to the two
+// walk shapes and the carrier they build: what it admits must run the shape
+// the rule names, carry the factor at bit 0 and match refAgg over the
+// materialized products; the rest must be refused, counted in refused by
+// reason. A 4-byte product's operands keep it exact in its lane, bounding a
+// base column where it has one; an 8-byte one is negated both sides and
+// wraps.
 func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLayout, groups []uint8, raw [][]uint64, cols []*bitpack.Unpacked, ran map[walkShape]bool, refused map[string]bool) {
 	t.Helper()
 	n := len(groups)
@@ -587,7 +590,7 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 			wide++
 		}
 	}
-	var sets [][]Product
+	var shapes [][]Product
 	for a, wa := range ws {
 		if wa < 4 {
 			continue
@@ -599,12 +602,26 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 			}
 		}
 		for _, base := range bases {
-			sets = append(sets, []Product{{Col: a, X: base}})
+			shapes = append(shapes, []Product{{Col: a, X: base}})
 			for c, wc := range ws {
 				if wc == 8 && c != a && c != base {
-					sets = append(sets, []Product{{Col: a, X: base}, {Col: c, NegX: c%2 == 0}})
+					shapes = append(shapes, []Product{{Col: a, X: base}, {Col: c, NegX: c%2 == 0}})
 				}
 			}
+		}
+	}
+	factors := []int{-1}
+	for c, w := range ws {
+		if w == 1 {
+			factors = append(factors, c)
+		}
+	}
+	var sets [][]Product
+	for _, shape := range shapes {
+		for _, y := range factors {
+			set := append([]Product(nil), shape...)
+			set[0].Y = y
+			sets = append(sets, set)
 		}
 	}
 	for _, set := range sets {
@@ -635,8 +652,12 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 				p.X = len(in)
 				in = append(in, bitpack.MustPack(xs, 32).UnpackSmallest(nil, 0, n))
 			}
-			p.Y = len(in)
-			in = append(in, bitpack.MustPack(ys, 8).UnpackSmallest(nil, 0, n))
+			if j == 0 && p.Y >= 0 { // a byte column the row sums
+				ys = raw[p.Y]
+			} else {
+				p.Y = len(in)
+				in = append(in, bitpack.MustPack(ys, 8).UnpackSmallest(nil, 0, n))
+			}
 			vals := make([]uint64, n)
 			for i := range vals {
 				x := prev[i]
@@ -647,13 +668,19 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 			}
 			want[p.Col], prev = vals, vals
 		}
-		// The rule, written out: one carrier word, and either a lone wide
-		// word that is a product on a base of its own, or three that are a
-		// base, a product on it and one chained on that.
+		// The rule, written out: either a lone wide word that is a product
+		// on a base of its own, or three that are a base, a product on it
+		// and one chained on that; and one carrier word, holding the first
+		// factor and at most one byte column beside it.
+		beside, narrowOK := 0, true
+		for c, w := range ws {
+			if w < 4 && c != set[0].Y {
+				beside++
+				narrowOK = narrowOK && w == 1
+			}
+		}
 		shape, why := walkRead, ""
 		switch {
-		case plain.ncarrier > 1:
-			why = "carrier"
 		case len(set) == 1 && !ownBase:
 			why = "one product, summed base"
 		case len(set) == 1 && wide > 1:
@@ -666,6 +693,9 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 			why = "pair, another wide word"
 		default:
 			shape = walk2RC
+		}
+		if shape != walkRead && (!narrowOK || beside > 1) {
+			shape, why = walkRead, "factor carrier"
 		}
 		l, err := NewProductLayout(7, -1, ws, set)
 		if (err == nil) != (shape != walkRead) {
@@ -690,6 +720,11 @@ func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLay
 		}
 		if !ownBase && l.slots[set[0].X].word != read-1 {
 			t.Fatalf("layout %v products %+v: the base is not the last read word", ws, set)
+		}
+		for c, w := range ws {
+			if s := l.slots[c]; w == 1 && (s.word != 0 || s.bits != byteField || (s.shift == 0) != (c == set[0].Y) || s.shift%byteField != 0) {
+				t.Fatalf("layout %v products %+v: byte column %d in %+v, want the factor at bit 0 and the other at %d", ws, set, c, s, byteField)
+			}
 		}
 		m := l.NewState()
 		m.Accumulate(groups, in)
@@ -726,6 +761,8 @@ func TestProductLayoutRejectsMalformed(t *testing.T) {
 		{q1, []Product{{Col: 2, X: 1, Y: 0}}},                                      // one product, summed base
 		{[]int{1, 4, 8}, []Product{{Col: 1, X: 3, Y: 0}}},                          // one product beside a read word
 		{[]int{1, 1, 2, 4}, []Product{{Col: 3, X: 4, Y: 0}}},                       // a second carrier word
+		{[]int{2, 4}, []Product{{Col: 1, X: 2, Y: 3}}},                             // a 2-byte field beside the factor
+		{[]int{1, 1, 4}, []Product{{Col: 2, X: 3, Y: 4}}},                          // two byte columns beside the factor
 		{[]int{1, 4, 4, 8, 4, 1}, []Product{{Col: 2, X: 1, Y: 0}, {Col: 3, Y: 5}}}, // a pair beside a read word
 	} {
 		if _, err := NewProductLayout(4, -1, c.ws, c.prods); err == nil {
@@ -770,48 +807,73 @@ func TestMultiAggFlushBoundary(t *testing.T) {
 	// Push lane maxima past the 65535-row flush boundary; any missed flush
 	// overflows a field and corrupts its word neighbor. Once as one batch,
 	// where the boundary falls inside a tile, and once a row at a time, where
-	// it falls between two Accumulate calls.
-	n := 70000
-	groups := make([]uint8, n)
-	ws := []int{1, 2, 1}
-	cols := make([]*bitpack.Unpacked, len(ws))
-	for c, w := range ws {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = 1<<(8*w) - 1
-		}
-		cols[c] = bitpack.MustPack(vals, uint8(8*w)).UnpackSmallest(nil, 0, n)
+	// it falls between two Accumulate calls: for the read walk's carrier
+	// tile and for both product walks, whose carrier holds a byte column and
+	// the factor (and, in the serving mix's 1P row, only those).
+	const n = 70000
+	const x = math.MaxUint32 / 255 // a base whose product with a byte factor tops its 4-byte lane
+	type input struct {
+		size int    // 0: a product's column, which the walk does not read
+		v    uint64 // the value on every row
 	}
-	check := func(how string, m *MultiAgg) {
-		t.Helper()
-		got := [][]int64{make([]int64, 1), make([]int64, 1), make([]int64, 1)}
-		counts := make([]int64, 1)
-		m.AddSums(got)
-		m.AddCounts(counts)
-		for c, w := range ws {
-			if want := int64(n) * (1<<(8*w) - 1); got[c][0] != want {
-				t.Fatalf("%s: flush boundary: sum %d = %d want %d", how, c, got[c][0], want)
+	for _, c := range []struct {
+		ws    []int
+		prods []Product
+		in    []input // the columns' vectors, then those only products read
+		want  []int64 // each column's value on every row
+	}{
+		{ws: []int{1, 2, 1}, in: []input{{1, 255}, {2, 65535}, {1, 255}}, want: []int64{255, 65535, 255}},
+		{ws: []int{1, 4, 1}, prods: []Product{{Col: 1, X: 3, Y: 2}},
+			in: []input{{1, 255}, {}, {1, 255}, {4, x}}, want: []int64{255, x * 255, 255}},
+		{ws: []int{1, 4, 4, 8, 1}, prods: []Product{{Col: 2, X: 1, Y: 4}, {Col: 3, Y: 5}},
+			in: []input{{1, 255}, {4, x}, {}, {}, {1, 255}, {1, 255}}, want: []int64{255, x, x * 255, x * 255 * 255, 255}},
+	} {
+		l, err := NewProductLayout(1, -1, c.ws, c.prods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (l.walk == walkRead) != (c.prods == nil) {
+			t.Fatalf("%v %+v: walk %d", c.ws, c.prods, l.walk)
+		}
+		batch, one := make([]*bitpack.Unpacked, len(c.in)), make([]*bitpack.Unpacked, len(c.in))
+		for i, in := range c.in {
+			if in.size == 0 {
+				continue
+			}
+			vals := make([]uint64, n)
+			for r := range vals {
+				vals[r] = in.v
+			}
+			batch[i] = bitpack.MustPack(vals, uint8(8*in.size)).UnpackSmallest(nil, 0, n)
+			one[i] = bitpack.MustPack(vals[:1], uint8(8*in.size)).UnpackSmallest(nil, 0, 1)
+		}
+		check := func(how string, m *MultiAgg) {
+			t.Helper()
+			got := make([][]int64, len(c.ws))
+			for col := range got {
+				got[col] = make([]int64, 1)
+			}
+			counts := make([]int64, 1)
+			m.AddSums(got)
+			m.AddCounts(counts)
+			for col, v := range c.want {
+				if got[col][0] != n*v {
+					t.Fatalf("%v %s: flush boundary: sum %d = %d want %d", c.ws, how, col, got[col][0], n*v)
+				}
+			}
+			if counts[0] != n {
+				t.Fatalf("%v %s: flush boundary: count %d want %d", c.ws, how, counts[0], n)
 			}
 		}
-		if counts[0] != int64(n) {
-			t.Fatalf("%s: flush boundary: count %d want %d", how, counts[0], n)
+		groups := make([]uint8, n)
+		m := l.NewState()
+		m.Accumulate(groups, batch)
+		check("one batch", m)
+		for i := 0; i < n; i++ {
+			m.Accumulate(groups[:1], one)
 		}
+		check("row at a time", m)
 	}
-	m, err := NewMultiAgg(1, -1, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Accumulate(groups, cols)
-	check("one batch", m)
-
-	one := make([]*bitpack.Unpacked, len(ws))
-	for c, w := range ws {
-		one[c] = bitpack.MustPack([]uint64{1<<(8*w) - 1}, uint8(8*w)).UnpackSmallest(nil, 0, 1)
-	}
-	for i := 0; i < n; i++ {
-		m.Accumulate(groups[:1], one)
-	}
-	check("row at a time", m)
 }
 
 func TestMultiAggExplicitFlush(t *testing.T) {

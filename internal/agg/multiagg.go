@@ -21,18 +21,21 @@ import (
 // arrive, each adding at most 2^lane-1 to a field, so a field's running sum
 // stays below 2^(lane+16) and never carries into its neighbour; the count
 // itself stays below 2^16. Narrow fields that outgrow word 0 open further
-// carrier words (two fields each). Carrier words are the only thing
-// materialized: a typed pass builds them per tile from the narrow columns,
-// two at a time. Every 4- or 8-byte input owns a whole word, 8-byte words
-// before 4-byte ones, and is read straight from its unpacked vector by the
-// accumulate loop; 8-byte inputs sum modulo 2^64, which is int64's wrapping
-// sum.
+// carrier words (two fields each). Every 4- or 8-byte input owns a whole
+// word, 8-byte words before 4-byte ones, and is read straight from its
+// unpacked vector by the accumulate loop; 8-byte inputs sum modulo 2^64,
+// which is int64's wrapping sum. The read walk (walkRead) materializes
+// only its carrier words: a typed pass builds them per tile from the narrow
+// columns, two at a time, and the walk reads them back.
 //
 // Up to two wide words may instead be product words (Product): the walk
 // computes a multiplication of the engine's sum-expression program per row,
 // in registers, from the vectors the batch loaded anyway, so the product is
 // never stored only to be loaded again. The walk has exactly the two shapes
-// the benchmark's queries run (walkShape).
+// the benchmark's queries run (walkShape), and both build their one carrier
+// word in registers too: the first product's 1-byte factor at bit 0, where
+// the product takes it back out, and a byte column right above it — so
+// these walks materialize nothing.
 //
 // The strategy is split along the engine's plan/exec line: MultiLayout is
 // the immutable field assignment, computed once per (query × segment) from
@@ -53,8 +56,12 @@ const (
 	// of lane maxima sum below 2^(lane+fieldSpare), and count them below
 	// 2^countBits (paper §5.4's 65536-row bound).
 	maxRowsBetweenFlushes = 1<<fieldSpare - 1
-	// tileRows bounds the carrier scratch so it stays cache-resident.
+	// tileRows bounds the read walk's carrier scratch so it stays
+	// cache-resident.
 	tileRows = 2048
+	// byteField is the width of a 1-byte input's field, and so where a
+	// carrier's second byte field starts.
+	byteField = 8 + fieldSpare
 )
 
 // maSlot places one aggregate input in the accumulator row: a bit field of
@@ -70,10 +77,11 @@ type maSlot struct {
 // maCarrier names the (at most two) narrow inputs a carrier word is built
 // from: a's field starts at bit 0, b's right above it, at the bit mulB has
 // set. A word with one field lists it twice with mulB = 1, which ORs to
-// itself.
+// itself. A product walk's one carrier (carryFactor) always has a, the
+// factor, at bit 0; a and b may be inputs no slot reads.
 type maCarrier struct {
 	word   int
-	a, b   int // column indices
+	a, b   int // inputs of Accumulate's cols
 	wa, wb int // their word sizes, 1 or 2
 	mulB   uint64
 	inc    uint64 // word 0 counts the row: 1<<countShift, else 0
@@ -145,12 +153,13 @@ func NewMultiLayout(numGroups, skipGroup int, wordSizes []int) (*MultiLayout, er
 }
 
 // NewProductLayout is NewMultiLayout with some 4- or 8-byte columns computed
-// by the walk (Product), in one of the walk's two shapes: every narrow
-// column in word 0, then either one product on a base no column sums
-// (walk1P), or a 4-byte column, a product on it and a second on the first
-// (walk2RC). Any other set of products is an error, and the caller
-// materializes them instead. A product column still owns a whole word, so
-// the row is as long as without products.
+// by the walk (Product), in one of the walk's two shapes: word 0 holding the
+// first product's factor and at most one byte column beside it
+// (carryFactor), then either one product on a base no column sums (walk1P),
+// or a 4-byte column, a product on it and a second on the first (walk2RC).
+// Any other set of products is an error, and the caller materializes them
+// instead. A product column still owns a whole word, so the row is as long
+// as without products.
 //
 //bipie:allow hotalloc — plan-time constructor: runs once per (query, segment), never in a scan loop
 func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Product) (*MultiLayout, error) {
@@ -197,8 +206,10 @@ func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Prod
 			used += bits
 		}
 	}
-	if l.walk != walkRead && l.ncarrier > 1 {
-		return nil, fmt.Errorf("agg: products over %v: the walk runs with one carrier word, the narrow columns need %d", wordSizes, l.ncarrier)
+	if l.walk != walkRead {
+		if err := l.carryFactor(wordSizes, products[0].Y); err != nil {
+			return nil, err
+		}
 	}
 	sign := uint64(1)
 	for j, p := range products {
@@ -246,6 +257,38 @@ func walkOf(wordSizes []int, products []Product) (walkShape, error) {
 		"after narrow columns, or, after narrow columns and a 4-byte one, a product on it and a second on the first", products, wordSizes)
 }
 
+// carryFactor lays out word 0 of a product walk as the carrier the walk
+// builds in registers: the first product's factor y at bit 0, where the
+// walk takes its low byte back out for the multiply, so y is loaded once,
+// and a byte column right above it. A factor no column sums still rides
+// there, in a field no slot reads, and with no byte column beside it the
+// factor fills the second field too; both sum to at most
+// maxRowsBetweenFlushes × 255, inside their 24 bits. A carrier with
+// anything else — a 2-byte field, or two byte columns beside a factor of
+// their own — needs a third field or a wider one, and is an error.
+//
+//bipie:allow hotalloc — plan-time check: NewProductLayout's, never in a scan loop
+func (l *MultiLayout) carryFactor(wordSizes []int, y int) error {
+	b := y
+	for c, ws := range wordSizes {
+		switch {
+		case ws >= 4 || c == y:
+		case ws != 1 || b != y:
+			return fmt.Errorf("agg: products over %v: the walk's carrier holds factor %d and at most one byte column beside it", wordSizes, y)
+		default:
+			b = c
+		}
+	}
+	if y < len(wordSizes) {
+		l.slots[y] = maSlot{bits: byteField}
+	}
+	if b != y {
+		l.slots[b] = maSlot{shift: byteField, bits: byteField}
+	}
+	l.carriers = []maCarrier{{a: y, b: b, wa: 1, wb: 1, mulB: 1 << byteField, inc: 1 << countShift}}
+	return nil
+}
+
 // signOf is ±1 modulo 2^64.
 func signOf(neg bool) uint64 {
 	if neg {
@@ -265,15 +308,18 @@ func (l *MultiLayout) RowWords() int { return l.ncarrier + len(l.wide) + len(l.p
 //bipie:allow hotalloc — constructor: pooled by the engine, allocations here are the setup the hot loops reuse
 func (l *MultiLayout) NewState() *MultiAgg {
 	m := &MultiAgg{
-		layout:  l,
-		acc:     new(accRows),
-		counts:  make([]int64, l.numGroups),
-		sums:    make([][]int64, len(l.slots)),
-		carrier: make([][]uint64, l.ncarrier),
+		layout: l,
+		acc:    new(accRows),
+		counts: make([]int64, l.numGroups),
+		sums:   make([][]int64, len(l.slots)),
 	}
 	for c := range m.sums {
 		m.sums[c] = make([]int64, l.numGroups)
 	}
+	if l.walk != walkRead {
+		return m // the product walks build their carrier in registers
+	}
+	m.carrier = make([][]uint64, l.ncarrier)
 	for w := range m.carrier {
 		m.carrier[w] = make([]uint64, tileRows)
 	}
@@ -291,16 +337,17 @@ func (l *MultiLayout) NewState() *MultiAgg {
 type accRows [256][maxRowWords]uint64
 
 // MultiAgg is the per-scan execution state of a multi-aggregate plan:
-// accumulator-row partial sums per group, the widened 64-bit totals, and
-// one tile of carrier words. One MultiAgg belongs to exactly one scan at a
-// time.
+// accumulator-row partial sums per group, the widened 64-bit totals, and,
+// for the read walk, one tile of carrier words. One MultiAgg belongs to
+// exactly one scan at a time.
 type MultiAgg struct {
 	layout *MultiLayout
 	acc    *accRows
 	rowsIn int       // rows accumulated since the last flush
 	counts []int64   // counts[group], flushed totals
 	sums   [][]int64 // sums[col][group], flushed totals
-	// carrier[w] holds one tile of carrier word w, reused across tiles.
+	// carrier[w] holds one tile of carrier word w, reused across tiles; nil
+	// for a product walk.
 	carrier [][]uint64
 }
 
@@ -332,23 +379,24 @@ func (m *MultiAgg) RowWords() int { return m.layout.RowWords() }
 
 // Accumulate adds a batch: groups[i] is the group id of row i and cols[c]
 // holds the values of aggregate c, batch-aligned with groups — and, past
-// the aggregate columns, any vector only a product word reads. Per tile it
-// builds the carrier words, then walks the group ids once, adding the whole
-// row — count, narrow fields, in-place wide values and products — to the
-// group's accumulator row.
+// the aggregate columns, any vector only a product word reads. It walks the
+// group ids once, adding the whole row — count, narrow fields, in-place wide
+// values and products — to the group's accumulator row; the read walk
+// builds each tile's carrier words first.
 //
 //bipie:kernel
 func (m *MultiAgg) Accumulate(groups []uint8, cols []*bitpack.Unpacked) {
 	l := m.layout
 	for off := 0; off < len(groups); {
-		n := min(len(groups)-off, tileRows, maxRowsBetweenFlushes-m.rowsIn)
-		for i := range l.carriers {
-			cw := &l.carriers[i]
-			buildCarrier(m.carrier[cw.word][:n], cw, cols[cw.a], cols[cw.b], off)
-		}
+		n := min(len(groups)-off, maxRowsBetweenFlushes-m.rowsIn)
 		if l.walk != walkRead {
-			l.addProducts(m.acc, groups[off:off+n], m.carrier[0][:n], cols, off)
+			l.addProducts(m.acc, groups[off:off+n], cols, off)
 		} else {
+			n = min(n, tileRows)
+			for i := range l.carriers {
+				cw := &l.carriers[i]
+				buildCarrier(m.carrier[cw.word][:n], cw, cols[cw.a], cols[cw.b], off)
+			}
 			// Further carrier words and 8-byte columns, then 4-byte ones.
 			var w [maxRowWords - 1][]uint64
 			var h [maxRowWords - 1][]uint32
@@ -408,20 +456,20 @@ func packFields[A, B narrowWord](dst []uint64, a []A, b []B, mulB, inc uint64) {
 // wideWord is the element type of a column that owns an accumulator word.
 type wideWord interface{ uint32 | uint64 }
 
-// addProducts adds a tile's rows with the loop of the layout's walk shape.
-// It is a function of its own, like addRows, so the 1P loop inlined here
-// has the registers that Accumulate's tile loop would otherwise hold: inlined
-// into Accumulate it reloads three values from the stack every row.
-func (l *MultiLayout) addProducts(acc *accRows, groups []uint8, c []uint64, cols []*bitpack.Unpacked, off int) {
+// addProducts adds rows with the loop of the layout's walk shape, handing
+// it word 0's two carrier columns — the factor first — and the base. Like
+// addRows it keeps the dispatch out of Accumulate, and each walk is a frame
+// of its own, so its loop's registers follow from its arguments alone.
+func (l *MultiLayout) addProducts(acc *accRows, groups []uint8, cols []*bitpack.Unpacked, off int) {
 	end := off + len(groups)
-	p := &l.prods[0]
-	x, y := cols[p.x].U32[off:end], cols[p.y].U8[off:end]
+	cw, p := &l.carriers[0], &l.prods[0]
+	y, b, x := cols[cw.a].U8[off:end], cols[cw.b].U8[off:end], cols[p.x].U32[off:end]
 	switch l.walk {
 	case walk1P:
-		accumulate1P(acc, groups, c, x, y, p.ax, p.ay)
+		accumulate1P(acc, groups, y, b, x, p.ax, p.ay)
 	case walk2RC:
 		q := &l.prods[1]
-		accumulate2RC(acc, groups, c, x, y, cols[q.y].U8[off:end], p.ax, p.ay, q.ay)
+		accumulate2RC(acc, groups, y, b, x, cols[q.y].U8[off:end], p.ax, p.ay, q.ay)
 	}
 }
 
@@ -540,33 +588,40 @@ func accumulate5[A, B, C, D wideWord](acc *accRows, groups []uint8, c []uint64, 
 // accumulate1P and accumulate2RC are the walk of the two product shapes
 // (walkShape): the carrier, then one product on a base of its own; or the
 // carrier, a 4-byte word that is also the product's base — loaded once for
-// both — the product and a second chained on it. A product is two adds and
-// a multiply in registers — ALU slots the walk's read-modify-writes leave
-// idle — and no load beyond its factor byte. The loops count down to zero,
-// so no register holds the length: with the vectors and addends of
-// accumulate2RC that keeps the loop free of stack reloads.
+// both — the product and a second chained on it. Each row builds its
+// carrier in registers from factor y and byte column b (carryFactor) and
+// takes the factor back out of its low byte for the multiply: kept live
+// beside the carrier, y costs a register the loop does not have, and is
+// reloaded from the stack every row; and a factor at bit 0 needs no shift
+// to come back out. A product is two adds and a multiply in registers —
+// ALU slots the walk's read-modify-writes leave idle — and no load beyond
+// its factor byte. The loops count down to zero, so no register holds the
+// length: with the vectors and addends of accumulate2RC that keeps the loop
+// free of stack reloads.
 
 //bipie:kernel
 //bipie:nobce
-func accumulate1P(acc *accRows, groups []uint8, c []uint64, x []uint32, y []uint8, ax, ay uint64) {
-	c, x, y = c[:len(groups)], x[:len(groups)], y[:len(groups)]
+func accumulate1P(acc *accRows, groups []uint8, y, b []uint8, x []uint32, ax, ay uint64) {
+	y, b, x = y[:len(groups)], b[:len(groups)], x[:len(groups)]
 	for i := len(groups) - 1; i >= 0; i-- {
 		row := &acc[groups[i]]
-		row[0] += c[i]
-		row[1] += (uint64(x[i]) + ax) * (uint64(y[i]) + ay)
+		c := uint64(y[i]) | uint64(b[i])<<byteField | 1<<countShift
+		row[0] += c
+		row[1] += (uint64(x[i]) + ax) * (uint64(uint8(c)) + ay)
 	}
 }
 
 //bipie:kernel
 //bipie:nobce
-func accumulate2RC(acc *accRows, groups []uint8, c []uint64, x []uint32, y, z []uint8, ax, ay, az uint64) {
-	c, x, y, z = c[:len(groups)], x[:len(groups)], y[:len(groups)], z[:len(groups)]
+func accumulate2RC(acc *accRows, groups []uint8, y, b []uint8, x []uint32, z []uint8, ax, ay, az uint64) {
+	y, b, x, z = y[:len(groups)], b[:len(groups)], x[:len(groups)], z[:len(groups)]
 	for i := len(groups) - 1; i >= 0; i-- {
 		row := &acc[groups[i]]
-		row[0] += c[i]
+		c := uint64(y[i]) | uint64(b[i])<<byteField | 1<<countShift
+		row[0] += c
 		xi := uint64(x[i])
 		row[1] += xi
-		p := (xi + ax) * (uint64(y[i]) + ay)
+		p := (xi + ax) * (uint64(uint8(c)) + ay)
 		row[2] += p
 		row[3] += p * (uint64(z[i]) + az)
 	}

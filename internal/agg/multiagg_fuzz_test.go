@@ -166,11 +166,13 @@ type productBase struct {
 var productEdges = []int64{0, 1, -1, 100, -7, 90000, 1 << 40, math.MinInt64, math.MaxInt64}
 
 // fuzzProducts draws a row of one of the two walk shapes, in shuffled
-// column order: narrow columns that fit word 0 and a 4- or 8-byte product
-// on a base vector of its own (walk1P); or the narrow columns, a 4-byte
-// base column, a 4- or 8-byte product on it and an 8-byte one chained on
-// that (walk2RC). Each factor is a 1-byte vector, a column of the row or
-// not, and each operand comes with or without sign and constant. New
+// column order: byte columns the walk's carrier holds beside the first
+// factor and a 4- or 8-byte product on a base vector of its own (walk1P);
+// or those columns, a 4-byte base column, a 4- or 8-byte product on it and
+// an 8-byte one chained on that (walk2RC). Each factor is a 1-byte vector,
+// a column of the row or not — the first one of the row's two byte columns
+// when it has two, since the carrier has room for one beside it — and each
+// operand comes with or without sign and constant. New
 // inputs go after the columns; sizes are their word sizes. An 8-byte
 // product takes any constants and wraps modulo 2^64. A 4-byte one must
 // hold its exact value, as the engine only gives a product that lane when
@@ -179,7 +181,7 @@ var productEdges = []int64{0, 1, -1, 100, -7, 90000, 1 << 40, math.MinInt64, mat
 // lane edge.
 func fuzzProducts(rng *rand.Rand) ([]int, []Product, []int, productBase) {
 	shape := [][]int{{4 << rng.Intn(2)}, {4, 4 << rng.Intn(2), 8}}[rng.Intn(2)] // [base,] product[, chained]
-	row := append([][]int{{}, {1}, {2}, {1, 1}}[rng.Intn(4)], shape...)
+	row := append([][]int{{}, {1}, {1, 1}}[rng.Intn(3)], shape...)
 	perm := rng.Perm(len(row)) // row[i] is column perm[i]
 	ws := make([]int, len(row))
 	for i, c := range perm {
@@ -204,6 +206,10 @@ func fuzzProducts(rng *rand.Rand) ([]int, []Product, []int, productBase) {
 		p.X, p.Col = wide[0], wide[1]
 	}
 	p.Y = input(1)
+	if len(row)-len(shape) == 2 && p.Y >= len(ws) {
+		sizes = sizes[:len(sizes)-1]
+		p.Y = perm[rng.Intn(2)]
+	}
 	var base productBase
 	if ws[p.Col] == 8 {
 		p.AddX, p.AddY = productEdges[rng.Intn(len(productEdges))], productEdges[rng.Intn(len(productEdges))]

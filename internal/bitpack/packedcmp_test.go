@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -201,6 +202,114 @@ func FuzzPackedCmp(f *testing.F) {
 	})
 }
 
+// threePassGroups is CmpLEGroups as the scan runs every batch the fused
+// pass does not: CmpLEPacked's mask, the kept rows counted off it, both id
+// columns unpacked into bytes, then folded and blended row by row.
+func threePassGroups(v, hi, lo *Vector, start int, t uint64, special uint8) (mask, groups []byte, kept int) {
+	mask, groups, ids := make([]byte, GroupsRows), make([]byte, GroupsRows), make([]byte, GroupsRows)
+	v.CmpLEPacked(mask, start, t, false)
+	hi.UnpackUint8(groups, start)
+	lo.UnpackUint8(ids, start)
+	for i, m := range mask {
+		groups[i] = groups[i]*2 + ids[i]
+		if m == 0 {
+			groups[i] = special
+		} else {
+			kept++
+		}
+	}
+	return mask, groups, kept
+}
+
+// checkCmpGroups holds one CmpLEGroups call to threePassGroups: mask bytes,
+// group bytes and the kept count.
+func checkCmpGroups(t *testing.T, v, hi, lo *Vector, start int, thr uint64, special uint8) {
+	t.Helper()
+	wantMask, wantGroups, wantKept := threePassGroups(v, hi, lo, start, thr, special)
+	var mask, groups [GroupsRows]byte
+	kept := v.CmpLEGroups(&mask, &groups, start, thr, hi, lo, special)
+	if kept != wantKept || !bytes.Equal(mask[:], wantMask) || !bytes.Equal(groups[:], wantGroups) {
+		for i := range mask {
+			if mask[i] != wantMask[i] || groups[i] != wantGroups[i] {
+				t.Fatalf("start %d t %d special %d: lane %d mask %#x group %d, want %#x %d (kept %d, want %d)",
+					start, thr, special, i, mask[i], groups[i], wantMask[i], wantGroups[i], kept, wantKept)
+			}
+		}
+		t.Fatalf("start %d t %d special %d: kept %d, want %d", start, thr, special, kept, wantKept)
+	}
+}
+
+// groupColumns draws the two id columns of a CmpLEGroups call over rows
+// lanes: 2-bit ids and 1-bit ones.
+func groupColumns(rng *rand.Rand, rows int) (hi, lo *Vector) {
+	h, l := make([]uint64, rows), make([]uint64, rows)
+	for i := range h {
+		h[i], l[i] = uint64(rng.Intn(4)), uint64(rng.Intn(2))
+	}
+	return MustPack(h, 2), MustPack(l, 1)
+}
+
+// FuzzFusedGroups holds CmpLEGroups to the three passes it replaces
+// (threePassGroups) beside FuzzPackedCmp, on its one shape: a batch at a
+// fuzzed word-aligned start — not only at multiples of the batch — of a
+// vector that is not a whole number of batches, at the fuzzed threshold and
+// at every threshold edge. The seeds run every edge and special ids across
+// the byte (sel's TestCombineGroups runs every special id).
+func FuzzFusedGroups(f *testing.F) {
+	for special := 0; special < 256; special += 15 {
+		for r, edge := range cmpEdgeThresholds(widthMask(12)) {
+			f.Add(uint64(special)<<8|uint64(r), uint16(r*7), edge, uint8(special))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, start16 uint16, thr uint64, special uint8) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		total := 2*GroupsRows + int(seed%GroupsRows)
+		v := randomVector(rng, 12, total)
+		hi, lo := groupColumns(rng, total)
+		start := int(start16) % ((total-GroupsRows)/64 + 1) * 64
+		checkCmpGroups(t, v, hi, lo, start, thr%(v.Mask()+2), special)
+		for _, edge := range cmpEdgeThresholds(v.Mask()) {
+			checkCmpGroups(t, v, hi, lo, start, edge, special)
+		}
+	})
+}
+
+// TestCmpLEGroupsShape pins the one shape CmpLEGroups runs: GroupsKernel
+// names it, and CheckGroups refuses any other width, a start off a word
+// boundary and a batch past the end of a vector.
+func TestCmpLEGroupsShape(t *testing.T) {
+	for _, c := range []struct {
+		cmp, hi, lo, card uint8
+		want              bool
+	}{{12, 2, 1, 2, true}, {12, 2, 1, 1, false}, {12, 1, 1, 2, false}, {12, 2, 2, 2, false}, {11, 2, 1, 2, false}, {24, 2, 1, 2, false}} {
+		if got := GroupsKernel(c.cmp, c.hi, c.lo, c.card); got != c.want {
+			t.Errorf("GroupsKernel(%d, %d, %d, %d) = %v, want %v", c.cmp, c.hi, c.lo, c.card, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(75))
+	v := randomVector(rng, 12, 3*GroupsRows)
+	hi, lo := groupColumns(rng, 3*GroupsRows)
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	if panics(func() { v.CheckGroups(GroupsRows+64, hi, lo) }) {
+		t.Errorf("CheckGroups refuses Q1's shape at a word-aligned start")
+	}
+	for name, f := range map[string]func(){
+		"unaligned start": func() { v.CheckGroups(32, hi, lo) },
+		"past the end":    func() { v.CheckGroups(2*GroupsRows+64, hi, lo) },
+		"hi 1 bit":        func() { v.CheckGroups(0, lo, lo) },
+		"lo 2 bits":       func() { v.CheckGroups(0, hi, hi) },
+		"compare 7 bits":  func() { randomVector(rng, 7, GroupsRows).CheckGroups(0, hi, lo) },
+	} {
+		if !panics(f) {
+			t.Errorf("CheckGroups accepts %s", name)
+		}
+	}
+}
+
 func TestPackedCmpAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dst := make([]byte, 4096)
@@ -215,6 +324,13 @@ func TestPackedCmpAllocFree(t *testing.T) {
 				t.Errorf("Cmp%sPacked width %d: %v allocs/run, want 0", op.name, width, n)
 			}
 		}
+	}
+	// The fused pass, on its one shape.
+	v := randomVector(rng, 12, 8192)
+	hi, lo := groupColumns(rng, 8192)
+	var mask, groups [GroupsRows]byte
+	if n := testing.AllocsPerRun(50, func() { v.CmpLEGroups(&mask, &groups, 4096, 100, hi, lo, 6) }); n != 0 {
+		t.Errorf("CmpLEGroups: %v allocs/run, want 0", n)
 	}
 }
 

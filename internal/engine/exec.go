@@ -60,6 +60,10 @@ type execState struct {
 	sumAccScratch  [][]int64
 	scalarScratch  agg.ScalarScratch
 	mapScratch     mapScratch
+	// mapped marks a batch whose group ids the filter stage's fused pass
+	// already wrote into groupBuf, the special one blended in: the
+	// aggregate stage maps none.
+	mapped bool
 
 	// stats counts this unit's batch outcomes; the driver sums the units
 	// after the workers finish, so the hot loop touches no shared state.
@@ -224,7 +228,9 @@ const (
 // refined against the encoding's batch metadata first: a proven
 // all-rejecting conjunct skips the batch before any kernel touches data,
 // and a proven all-matching one drops out of the conjunction. The result is
-// the row mask e.selVec[:b.N] — or, for spanAgg plans, the span list
+// the row mask e.selVec[:b.N] — with a fused plan's pass also the batch's
+// group ids, blended, and its kept count (fusedFilter, e.mapped) — or, for
+// spanAgg plans, the span list
 // e.spans: every live conjunct emits run-aligned spans and the spans
 // intersect in span space, so no selection vector, no unpack, no per-row
 // work happens at all and the batch costs O(runs + spans), which is what
@@ -237,8 +243,9 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	sp := e.plan
 	vec := e.selVec[:b.N]
 	acc, tmp := e.spanAcc, e.spanTmp
-	nAcc := 0
+	nAcc, kept := 0, 0
 	filled := false
+	e.mapped = false
 	var domains domainSet
 	if sp.spanAgg {
 		domains = 1 << domRLE
@@ -264,6 +271,10 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 		}
 		t0 = e.traceStart()
 		switch {
+		case sp.fused != nil && b.N == bitpack.GroupsRows && sp.seg.DeletedRows() == 0:
+			// The plan's one live conjunct, with the group map riding along.
+			kept, e.mapped = sp.fused.eval(b, vec, e.groupBuf[:b.N]), true
+			domains |= 1 << domPacked
 		case !sp.spanAgg:
 			pp.eval(b, vec, !filled, &e.predScratch[i])
 			domains |= 1 << pp.domain()
@@ -313,6 +324,13 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 			acc[0], nAcc = sel.Span{End: int32(b.N)}, 1
 		}
 		e.spans = acc[:nAcc]
+	case e.mapped:
+		// The fused pass counted the kept rows and left neither deletes nor
+		// a forced method to apply.
+		selected = kept
+		if selected > 0 && selected < b.N {
+			how = e.chooseSelection(float64(selected) / float64(b.N))
+		}
 	case filled || forced || sp.seg.DeletedRows() != 0:
 		if !filled {
 			for i := range vec {
@@ -390,13 +408,15 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 		return
 	}
 	groups := e.groupBuf[:b.N]
-	var fused sel.ByteVec
-	if how == selSpecial {
-		fused = e.selVec[:b.N]
+	if !e.mapped {
+		var blend sel.ByteVec
+		if how == selSpecial {
+			blend = e.selVec[:b.N]
+		}
+		t0 := e.traceStart()
+		sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, blend, uint8(sp.special))
+		e.traceEnd(obs.PhaseGroupMap, t0, b.N)
 	}
-	t0 := e.traceStart()
-	sp.mapper.mapBatch(&e.mapScratch, b.Start, b.N, groups, fused, uint8(sp.special))
-	e.traceEnd(obs.PhaseGroupMap, t0, b.N)
 
 	// k rows reach the kernels, their values loaded the batch's own way —
 	// except that sort-based aggregation consumes a selection index vector:
@@ -418,7 +438,7 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	// always whole (the run path is only enabled for unfiltered single-group
 	// segments). The phase's two intervals are one pass over the batch: its
 	// rows are credited once, when the second closes.
-	t0 = e.traceStart()
+	t0 := e.traceStart()
 	for _, i := range sp.runIdx {
 		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
 	}

@@ -360,6 +360,64 @@ func (pp *bitpackPred) modelCost(prof *costmodel.Profile) float64 {
 	return prof.UnpackCmpCyclesPerRow(w)
 }
 
+// fusedFilter is the filter stage of the plan shape TPC-H Q1 and the
+// serving mix's Q1 run: one live conjunct, a packed <= on a bit-packed
+// column, two group-by columns whose ids are packed vectors, a reserved
+// special group, and the widths bitpack.CmpLEGroups runs. One pass per
+// whole batch writes the row mask, the group ids with the special one
+// blended in, and the kept count, so the filter stage counts no mask and
+// the aggregate stage maps no group (execState.mapped). Every other shape
+// runs the three passes it replaces, and so does a batch of this one that a
+// zone map keeps whole, that has deleted rows, or that ends its segment
+// short of a whole batch.
+type fusedFilter struct {
+	pred    *bitpackPred
+	hi, lo  *bitpack.Vector // the group-by columns' ids: the group is hi·2 + lo
+	special uint8
+}
+
+// The fused pass runs over whole batches only.
+const _ = uint(colstore.BatchRows-bitpack.GroupsRows) + uint(bitpack.GroupsRows-colstore.BatchRows)
+
+// newFusedFilter returns the fused pass of a plan that has the shape, or
+// nil.
+func newFusedFilter(sp *segPlan) *fusedFilter {
+	if sp.special < 0 || sp.residual != nil || sp.spanAgg || sp.opts.ForceSelection != nil || len(sp.mapper.cols) != 2 {
+		return nil
+	}
+	var live *bitpackPred
+	for _, pp := range sp.pushed {
+		if pp.planOp() == pushAll {
+			continue
+		}
+		bp, ok := pp.(*bitpackPred)
+		if live != nil || !ok || !bp.packed || bp.op != pushLE {
+			return nil
+		}
+		live = bp
+	}
+	hi, lo, card := sp.mapper.packedIDs(0), sp.mapper.packedIDs(1), sp.mapper.cols[1].card
+	if live == nil || hi == nil || lo == nil || !bitpack.GroupsKernel(live.bp.Width(), hi.Bits(), lo.Bits(), uint8(card)) {
+		return nil
+	}
+	return &fusedFilter{pred: live, hi: hi, lo: lo, special: uint8(sp.special)}
+}
+
+// eval runs the fused pass over one whole batch: mask and groups are the
+// batch's row mask and group-id buffer; it returns the kept rows.
+//
+//bipie:kernel
+func (f *fusedFilter) eval(b colstore.Batch, mask sel.ByteVec, groups []uint8) int {
+	return f.pred.bp.Packed().CmpLEGroups((*[bitpack.GroupsRows]byte)(mask), (*[bitpack.GroupsRows]byte)(groups),
+		b.Start, f.pred.threshold, f.hi, f.lo, f.special)
+}
+
+// modelCost prices the pass as the three it fuses: the packed compare and
+// an unpack of each id column.
+func (f *fusedFilter) modelCost(prof *costmodel.Profile) float64 {
+	return f.pred.modelCost(prof) + prof.UnpackCyclesPerRow(f.hi.Bits()) + prof.UnpackCyclesPerRow(f.lo.Bits())
+}
+
 // ---------------------------------------------------------------------------
 // RLE columns: once-per-run evaluation into run-aligned spans.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/encoding"
 	"bipie/internal/sel"
@@ -42,16 +43,11 @@ func (m *groupMapper) newScratch() mapScratch {
 	if len(m.cols) > 1 {
 		sc.ids = make([]uint8, colstore.BatchRows)
 	}
-	for i := range m.cols {
-		gc := &m.cols[i]
-		if gc.intc == nil {
-			continue
+	for c := range m.cols {
+		if m.packedIDs(c) == nil {
+			sc.intBuf = make([]int64, colstore.BatchRows)
+			break
 		}
-		if bp, ok := gc.intc.(*encoding.BitPackColumn); ok && bp.Width() <= 8 {
-			continue
-		}
-		sc.intBuf = make([]int64, colstore.BatchRows)
-		break
 	}
 	return sc
 }
@@ -145,24 +141,33 @@ func (m *groupMapper) mapBatch(sc *mapScratch, start, n int, dst []uint8, selVec
 //
 //bipie:kernel
 func (m *groupMapper) colIDs(sc *mapScratch, c, start, n int, dst []uint8) {
+	if ids := m.packedIDs(c); ids != nil {
+		ids.UnpackUint8(dst[:n], start)
+		return
+	}
+	// Integer columns that do not bit-pack their ids decode and subtract.
 	gc := &m.cols[c]
-	if gc.str != nil {
-		gc.str.IDs().UnpackUint8(dst[:n], start)
-		return
-	}
-	// Integer path: bit-packed columns unpack their frame-of-reference
-	// offsets directly (ref == min, so the offset is the id); other
-	// encodings decode and subtract.
-	if bp, ok := gc.intc.(*encoding.BitPackColumn); ok && bp.Width() <= 8 {
-		bp.Packed().UnpackUint8(dst[:n], start)
-		return
-	}
 	buf := sc.intBuf[:n]
 	gc.intc.Decode(buf, start)
 	base := gc.base
 	for i, v := range buf {
 		dst[i] = uint8(v - base)
 	}
+}
+
+// packedIDs returns column c's ids as the packed vector colIDs unpacks —
+// dictionary ids, or the frame-of-reference offsets of an integer column
+// bit-packed in at most eight bits (its reference is its minimum, so the
+// offset is the id) — and nil for a column that decodes instead.
+func (m *groupMapper) packedIDs(c int) *bitpack.Vector {
+	gc := &m.cols[c]
+	if gc.str != nil {
+		return gc.str.IDs()
+	}
+	if bp, ok := gc.intc.(*encoding.BitPackColumn); ok && bp.Width() <= 8 {
+		return bp.Packed()
+	}
+	return nil
 }
 
 // keys decomposes a combined group id back into the group-by column

@@ -95,6 +95,9 @@ type segPlan struct {
 
 	pushed   []pushedPred // conjuncts evaluated in their column's encoded domain
 	residual *predProg    // what did not push, nil if fully pushed
+	// fused, when the plan has its shape, runs the one live conjunct and the
+	// group map as one pass (fusedFilter); nil otherwise.
+	fused *fusedFilter
 
 	// spanAgg marks the fully encoded fast path: every filter conjunct
 	// pushed as run-aligned spans (or proven pushAll), every aggregate a
@@ -479,8 +482,13 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// actually run (after degradation), so ExplainAnalyze can report
 	// assumed vs measured cycles/row per strategy.
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
+	sp.fused = newFusedFilter(sp)
 	for _, pp := range sp.pushed {
-		if !pp.planOp().constant() {
+		switch {
+		case pp.planOp().constant():
+		case sp.fused != nil: // the one live conjunct, priced with the group map it carries
+			sp.filterModel += sp.fused.modelCost(prof)
+		default:
 			sp.filterModel += pp.modelCost(prof)
 		}
 	}
@@ -532,8 +540,9 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 // and 8-byte slots: one product on a 4-byte x no slot sums (the serving
 // mix's Q1: disc_price), or a summed 4-byte x, a product on it and a
 // second on that, ±itself (Q1: price, disc_price, charge). Anything else,
-// or narrow slots that need a second carrier word, reads every input from
-// its vector as before.
+// or narrow slots the walk's one carrier word cannot hold beside the first
+// factor (agg.NewProductLayout), reads every input from its vector as
+// before.
 //
 // It returns the layout and the node behind each vector Accumulate reads:
 // one per sumIdx slot, -1 for a product, then the products' operands no

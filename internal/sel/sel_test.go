@@ -1,6 +1,7 @@
 package sel
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -382,7 +383,8 @@ func TestApplySpecialGroupAllAndNone(t *testing.T) {
 // the byte loop: every pair of cardinalities whose product fits the id
 // space (up to 255 groups beside the special one), lengths around the
 // eight-row word, combine alone, blend alone and both fused, and every
-// special id.
+// special id — then holds the fused filter pass to the three passes it
+// replaces, this one last.
 func TestCombineGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(182))
 	const maxN = 41
@@ -434,6 +436,36 @@ func TestCombineGroups(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { CombineGroups(got, ids, 3, mask, 9) }); n != 0 {
 		t.Errorf("CombineGroups allocates %v times per call", n)
+	}
+
+	// The fused pass (bitpack.CmpLEGroups) against the three passes it
+	// replaces — the packed compare, the count of its mask, both id columns
+	// unpacked, then this combine and blend — on its one shape: Q1's widths
+	// over whole batches, at batch starts and at a word-aligned start
+	// between them; every special id, the threshold at 0, inside the domain
+	// and at its top.
+	const rows = 2*4096 + 1000
+	date, flag, status := make([]uint64, rows), make([]uint64, rows), make([]uint64, rows)
+	for i := range date {
+		date[i], flag[i], status[i] = uint64(rng.Intn(4096)), uint64(rng.Intn(3)), uint64(rng.Intn(2))
+	}
+	v, hi, lo := bitpack.MustPack(date, 12), bitpack.MustPack(flag, 2), bitpack.MustPack(status, 1)
+	var fusedMask, fusedGroups [bitpack.GroupsRows]byte
+	passMask, passGroups, passIDs := NewByteVec(4096), make([]uint8, 4096), make([]uint8, 4096)
+	for special := 0; special <= 255; special++ {
+		thr := []uint64{0, 2500, 4095}[special%3]
+		for _, start := range []int{0, 4096, 64 * 70} {
+			v.CmpLEPacked(passMask, start, thr, false)
+			want := passMask.CountSelected()
+			hi.UnpackUint8(passGroups, start)
+			lo.UnpackUint8(passIDs, start)
+			CombineGroups(passGroups, passIDs, 2, passMask, uint8(special))
+			kept := v.CmpLEGroups(&fusedMask, &fusedGroups, start, thr, hi, lo, uint8(special))
+			if kept != want || !bytes.Equal(fusedMask[:], passMask) || !bytes.Equal(fusedGroups[:], passGroups) {
+				t.Fatalf("fused pass, rows [%d,+4096) t %d special %d: kept %d, want %d; mask equal %v, groups equal %v",
+					start, thr, special, kept, want, bytes.Equal(fusedMask[:], passMask), bytes.Equal(fusedGroups[:], passGroups))
+			}
+		}
 	}
 }
 
