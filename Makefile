@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bitpack -run '^$$' -fuzz FuzzFusedGroups -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzEncodingRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzChooseInt -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzDictBuilder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzReadSegment -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)

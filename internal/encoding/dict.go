@@ -91,17 +91,43 @@ func (f *firstSeen) id(v string) uint32 {
 	return id
 }
 
-// NewDict dictionary-encodes values. Rows get provisional ids in first-seen
-// order (firstSeen); sorting the distinct values yields the permutation to
-// sort-order ids, applied as the ids are packed.
-func NewDict(values []string) *DictColumn {
-	var seen firstSeen
-	prov := make([]uint32, len(values))
-	for i, v := range values {
-		prov[i] = seen.id(v)
-	}
-	first := seen.values
+// DictBuilder dictionary-encodes a string column as its rows arrive. Each
+// value is interned on arrival: rows get provisional ids in first-seen order
+// (firstSeen), and the builder keeps those ids, which hold no pointers, and
+// the distinct values, never the rows' strings. Column sorts the distinct
+// values, which yields the permutation to sort-order ids, and applies it as
+// the ids are packed. The zero value is an empty builder.
+type DictBuilder struct {
+	seen firstSeen
+	prov []uint32 // prov[row] = provisional id
+}
 
+// Append interns values, in order. The id slice grows at most once per call,
+// to at least twice its capacity, so many short appends stay linear.
+func (b *DictBuilder) Append(values []string) {
+	n := len(b.prov)
+	if cap(b.prov)-n < len(values) {
+		grown := make([]uint32, n, max(n+len(values), 2*cap(b.prov)))
+		copy(grown, b.prov)
+		b.prov = grown
+	}
+	b.prov = b.prov[:n+len(values)]
+	prov := b.prov[n:]
+	for i, v := range values {
+		prov[i] = b.seen.id(v)
+	}
+}
+
+// Add interns one value.
+func (b *DictBuilder) Add(v string) { b.prov = append(b.prov, b.seen.id(v)) }
+
+// Len reports the number of rows appended.
+func (b *DictBuilder) Len() int { return len(b.prov) }
+
+// Column encodes the rows appended so far. It leaves the builder as it was:
+// rows appended later extend it, and do not change a column already built.
+func (b *DictBuilder) Column() *DictColumn {
+	first := b.seen.values
 	order := make([]uint32, len(first)) // order[sorted id] = provisional id
 	for i := range order {
 		order[i] = uint32(i)
@@ -113,12 +139,20 @@ func NewDict(values []string) *DictColumn {
 		dict[i], rank[p] = first[p], uint32(i)
 	}
 	width := bitpack.BitsFor(uint64(max(len(dict)-1, 0)))
-	ids := packBlocks(len(values), width, func(block []uint64, start int) {
+	prov := b.prov
+	ids := packBlocks(len(prov), width, func(block []uint64, start int) {
 		for i, p := range prov[start : start+len(block)] {
 			block[i] = uint64(rank[p])
 		}
 	})
 	return &DictColumn{dict: dict, ids: ids}
+}
+
+// NewDict dictionary-encodes values: a DictBuilder run over one slice.
+func NewDict(values []string) *DictColumn {
+	var b DictBuilder
+	b.Append(values)
+	return b.Column()
 }
 
 // Kind reports KindDict.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"bipie/internal/bitpack"
@@ -259,6 +260,94 @@ func FuzzChooseInt(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, shape uint8, n uint16, seed int64) {
 		checkChooser(t, chooserColumn(shape, int(n)%(2*ZoneRows+2), seed))
+	})
+}
+
+const dictShapes = 7
+
+// dictValues generates a string column of one of the shapes the dictionary
+// builder has to get right; the last shape is raw split at '|', so the
+// fuzzer picks the strings.
+func dictValues(shape uint8, n int, seed int64, raw []byte) []string {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]string, n)
+	switch shape % dictShapes {
+	case 0: // one value
+		for i := range vals {
+			vals[i] = "x"
+		}
+	case 1: // a three-valued flag in runs
+		for i := range vals {
+			vals[i] = []string{"R", "A", "N"}[i/(1+int(seed&7))%3]
+		}
+	case 2: // a few more distinct values than the scanned table holds
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%02d", rng.Intn(dictScanMax+2))
+		}
+	case 3: // more than 256 distinct: ids leave the byte
+		for i := range vals {
+			vals[i] = fmt.Sprintf("key-%03d", rng.Intn(700))
+		}
+	case 4: // either side of the longest short key
+		keys := []string{"abcdefg", "abcdefgh", "abcdef", "abcdefg\x00", "bcdefgh"}
+		for i := range vals {
+			vals[i] = keys[rng.Intn(len(keys))]
+		}
+	case 5: // zero bytes: a short key must not confuse "" with "\x00"
+		keys := []string{"", "\x00", "\x00\x00", "a\x00", "a", "\x00a"}
+		for i := range vals {
+			vals[i] = keys[rng.Intn(len(keys))]
+		}
+	default:
+		vals = strings.Split(string(raw), "|")
+	}
+	return vals
+}
+
+// FuzzDictBuilder: a DictBuilder fed the same rows in any mix of chunks and
+// single adds builds, at every point, the column NewDict builds from the
+// rows so far; a column already built does not change as rows are appended;
+// and NewDict matches the two-map oracle.
+func FuzzDictBuilder(f *testing.F) {
+	for shape := uint8(0); shape < dictShapes; shape++ {
+		for _, n := range []int{0, 1, dictScanMax, dictScanMax + 1, 300, 4097} {
+			f.Add(shape, uint16(n), int64(shape)*31+int64(n), []byte("b|a||\x00|a|ab|abcdefgh|abcdefg"))
+		}
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, n uint16, seed int64, raw []byte) {
+		vals := dictValues(shape, int(n)%(2*ZoneRows+2), seed, raw)
+		rng := rand.New(rand.NewSource(seed))
+		type built struct {
+			rows int
+			col  *DictColumn
+		}
+		var b DictBuilder
+		var snaps []built
+		for done := 0; done < len(vals); {
+			if rng.Intn(3) == 0 {
+				b.Add(vals[done])
+				done++
+			} else {
+				k := min(rng.Intn(len(vals)/4+2), len(vals)-done)
+				b.Append(vals[done : done+k])
+				done += k
+			}
+			if b.Len() != done {
+				t.Fatalf("Len = %d after %d rows", b.Len(), done)
+			}
+			if rng.Intn(4) == 0 {
+				snaps = append(snaps, built{done, b.Column()})
+			}
+		}
+		snaps = append(snaps, built{len(vals), b.Column()})
+		for _, s := range snaps {
+			if want := NewDict(vals[:s.rows]); !reflect.DeepEqual(s.col, want) {
+				t.Fatalf("column of the first %d of %d rows differs from NewDict's: dict %q vs %q", s.rows, len(vals), s.col.dict, want.dict)
+			}
+		}
+		if got, want := NewDict(vals), oracleDict(vals); !reflect.DeepEqual(got, want) {
+			t.Fatalf("NewDict differs from the two-map oracle: dict %q vs %q", got.dict, want.dict)
+		}
 	})
 }
 

@@ -1,10 +1,10 @@
 // Package table implements the columnstore table abstraction above the
-// segment store: a schema, a mutable row-oriented region for incoming
-// writes, and sealing of the mutable region into immutable encoded segments
-// (paper §2.1). The mutable region of MemSQL is compressed into the
-// immutable region by a background task; here sealing happens when the
-// region reaches the segment row target or on an explicit Flush, which
-// keeps the library deterministic.
+// segment store: a schema, a mutable region for incoming writes, which
+// interns strings into dictionaries as they arrive, and sealing of the
+// mutable region into immutable encoded segments (paper §2.1). The mutable
+// region of MemSQL is compressed into the immutable region by a background
+// task; here sealing happens when the region reaches the segment row target
+// or on an explicit Flush, which keeps the library deterministic.
 package table
 
 import (
@@ -43,9 +43,10 @@ type Table struct {
 	segments    []*colstore.Segment
 	segmentRows int
 
-	// Mutable region, column-major for cheap sealing.
+	// Mutable region, column-major for cheap sealing. Strings are interned
+	// as they arrive, so a string column holds dictionary ids, not strings.
 	mutInts map[string][]int64
-	mutStrs map[string][]string
+	mutStrs map[string]*encoding.DictBuilder
 	mutLen  int
 
 	// mutSnap caches an encoded snapshot of the mutable region so queries
@@ -74,7 +75,7 @@ func New(schema Schema, opts ...Option) (*Table, error) {
 		byName:      make(map[string]int, len(schema)),
 		segmentRows: colstore.SegmentRows,
 		mutInts:     make(map[string][]int64),
-		mutStrs:     make(map[string][]string),
+		mutStrs:     make(map[string]*encoding.DictBuilder),
 	}
 	for i, c := range schema {
 		if c.Name == "" {
@@ -84,6 +85,9 @@ func New(schema Schema, opts ...Option) (*Table, error) {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
 		t.byName[c.Name] = i
+		if c.Type == String {
+			t.mutStrs[c.Name] = new(encoding.DictBuilder)
+		}
 	}
 	for _, o := range opts {
 		o(t)
@@ -108,7 +112,8 @@ func (t *Table) Rows() int {
 }
 
 // AppendRow appends one row; vals must match the schema order, with int64
-// for Int64 columns and string for String columns.
+// for Int64 columns and string for String columns. A rejected row leaves the
+// table as it was.
 func (t *Table) AppendRow(vals ...any) error {
 	if len(vals) != len(t.schema) {
 		return fmt.Errorf("table: row has %d values, schema has %d", len(vals), len(t.schema))
@@ -116,17 +121,20 @@ func (t *Table) AppendRow(vals ...any) error {
 	for i, c := range t.schema {
 		switch c.Type {
 		case Int64:
-			v, ok := vals[i].(int64)
-			if !ok {
+			if _, ok := vals[i].(int64); !ok {
 				return fmt.Errorf("table: column %q wants int64, got %T", c.Name, vals[i])
 			}
-			t.mutInts[c.Name] = append(t.mutInts[c.Name], v)
 		case String:
-			v, ok := vals[i].(string)
-			if !ok {
+			if _, ok := vals[i].(string); !ok {
 				return fmt.Errorf("table: column %q wants string, got %T", c.Name, vals[i])
 			}
-			t.mutStrs[c.Name] = append(t.mutStrs[c.Name], v)
+		}
+	}
+	for i, c := range t.schema {
+		if c.Type == Int64 {
+			t.mutInts[c.Name] = append(t.mutInts[c.Name], vals[i].(int64))
+		} else {
+			t.mutStrs[c.Name].Add(vals[i].(string))
 		}
 	}
 	t.mutLen++
@@ -187,7 +195,7 @@ func (t *Table) AppendColumns(ints map[string][]int64, strs map[string][]string)
 			if c.Type == Int64 {
 				t.mutInts[c.Name] = append(t.mutInts[c.Name], ints[c.Name][done:done+chunk]...)
 			} else {
-				t.mutStrs[c.Name] = append(t.mutStrs[c.Name], strs[c.Name][done:done+chunk]...)
+				t.mutStrs[c.Name].Append(strs[c.Name][done : done+chunk])
 			}
 		}
 		t.mutLen += chunk
@@ -222,7 +230,7 @@ func (t *Table) sealMutable() {
 		if c.Type == Int64 {
 			t.mutInts[c.Name] = nil
 		} else {
-			t.mutStrs[c.Name] = nil
+			t.mutStrs[c.Name] = new(encoding.DictBuilder)
 		}
 	}
 	t.segments = append(t.segments, seg)
@@ -242,7 +250,7 @@ func (t *Table) encodeMutable() *colstore.Segment {
 				panic(err) // schema invariants make this unreachable
 			}
 		case String:
-			col := encoding.NewDict(t.mutStrs[c.Name])
+			col := t.mutStrs[c.Name].Column()
 			if err := seg.AddString(c.Name, col); err != nil {
 				panic(err)
 			}
