@@ -64,10 +64,15 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSumExpr -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzPredProgram -fuzztime $(FUZZTIME)
 
-## calibrate: fit the cost model on this machine — prints the profile JSON
-## and writes the per-signature cache file every later bipie process reuses
+## calibrate: fit the cost model on this machine and replace the checked-in
+## profile every bipie process plans with. Run it on the benchmark machine
+## while it is quiet, then commit the file. The fit goes to a temp file
+## first, so a failed one leaves the checked-in profile as it was.
 calibrate:
-	$(GO) run ./cmd/bipie-bench calibrate
+	@p=internal/costmodel/profile.json && tmp=$$(mktemp $$p.XXXXXX) && \
+	if $(GO) run ./cmd/bipie-bench calibrate > $$tmp; then \
+		chmod 644 $$tmp && mv $$tmp $$p && echo "wrote $$p"; \
+	else rm -f $$tmp; exit 1; fi
 
 ## serve-smoke: start an in-process query server over a generated lineitem
 ## table, fire a short concurrent mixed burst at it over real HTTP, and

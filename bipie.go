@@ -205,9 +205,10 @@ type ModelPhase = engine.ModelPhase
 type CostProfile = costmodel.Profile
 
 // CalibrateCostModel measures the hot kernels on this machine and returns
-// a fitted profile (~tens of ms of micro-benchmarks). The engine runs this
-// lazily on first use and caches the result per machine signature; call it
-// directly to force a fresh fit.
+// a fitted profile (~tens of ms of micro-benchmarks). The engine never
+// runs it on its own: it plans with the checked-in profile, fitted the
+// same way offline. Pass the result as Options.CostProfile to plan with a
+// fresh fit.
 func CalibrateCostModel() *CostProfile { return costmodel.Calibrate() }
 
 // StaticCostModel returns the paper-derived constant cost profile — the
@@ -215,8 +216,8 @@ func CalibrateCostModel() *CostProfile { return costmodel.Calibrate() }
 func StaticCostModel() *CostProfile { return costmodel.Static() }
 
 // ActiveCostModel returns the process-wide profile queries use when
-// Options.CostProfile is nil, calibrating or loading the cache on first
-// call (BIPIE_COSTMODEL=static|<path> overrides).
+// Options.CostProfile is nil: the checked-in one, fitted offline by `make
+// calibrate`. It runs no probes.
 func ActiveCostModel() *CostProfile { return costmodel.Active() }
 
 // ExplainAnalyze plans, executes, and measures a query: the plan table of

@@ -5,9 +5,9 @@
 //	bipie-bench [-rows N] [-gridrows N] [-q1rows N] <experiment|all>
 //
 // The calibrate subcommand fits the cost model instead of running an
-// experiment: it probes the hot kernels, prints the fitted profile JSON to
-// stdout, and writes it to this machine's cache file so every later bipie
-// process starts from the fresh fit.
+// experiment: it probes the hot kernels and prints the fitted profile JSON
+// to stdout. `make calibrate` checks that output in as
+// internal/costmodel/profile.json, the profile every process plans with.
 //
 // The serve subcommand benchmarks the query-serving layer instead: it
 // fires thousands of concurrent mixed queries (via internal/loadgen) at an
@@ -127,24 +127,12 @@ func render(w io.Writer, id string, t *bench.Table) {
 	fmt.Fprintln(w)
 }
 
-// runCalibrate fits a fresh cost profile, prints it, and caches it for
-// this machine's signature so later processes skip the probes.
+// runCalibrate fits a fresh cost profile and prints it.
 func runCalibrate() {
-	p := costmodel.Calibrate()
-	data, err := json.MarshalIndent(p, "", "  ")
+	data, err := json.MarshalIndent(costmodel.Calibrate(), "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("%s\n", data)
-	path, err := costmodel.CachePath(p.Machine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate: no cache directory:", err)
-		os.Exit(1)
-	}
-	if err := p.Save(path); err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate: cache write failed:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "calibrate: wrote %s\n", path)
 }

@@ -228,7 +228,7 @@ func (s *shell) meta(line string) {
   \analyze SELECT ...    execute once with tracing: per-phase cycles/row breakdown
   \metrics               dump the process metrics registry as JSON
   \profile               show the active cost-model profile as JSON
-  \calibrate             re-probe the kernels, activate and cache the fresh profile
+  \calibrate             re-probe the kernels, activate the fresh profile for this session only
   \stats                 per-column encoding and plan-cache statistics
   \schema                column names and types
   \help                  this text`)
@@ -280,23 +280,15 @@ func (s *shell) printProfile(p *costmodel.Profile) {
 	fmt.Fprintf(s.out, "%s\n", data)
 }
 
-// calibrate re-probes the kernels, activates the fresh profile for every
-// later plan, and persists it to this machine's cache file. Cached plans
-// were chosen under the old profile, so the statement cache is dropped.
+// calibrate re-probes the kernels and activates the fresh profile for
+// every later plan of this session; nothing is written. Cached plans were
+// chosen under the old profile, so the statement cache is dropped.
 func (s *shell) calibrate() {
 	p := costmodel.Calibrate()
 	costmodel.SetActive(p)
 	s.cache.Reset()
 	s.printProfile(p)
-	path, err := costmodel.CachePath(p.Machine)
-	if err == nil {
-		err = p.Save(path)
-	}
-	if err != nil {
-		fmt.Fprintf(s.errOut, "profile active for this session but not cached: %v\n", err)
-		return
-	}
-	fmt.Fprintf(s.out, "profile activated and cached at %s\n", path)
+	fmt.Fprintln(s.out, "profile active for this session (make calibrate updates the checked-in one)")
 }
 
 // trace is the serve layer's /debug/trace source: the last \analyze

@@ -2,10 +2,8 @@ package bipie_test
 
 // Acceptance tests for the calibrated decode-throughput cost model: the
 // calibrated prediction must land near the traced measurement on the
-// filter paths it prices (TestModelErrorBound), swapping the static
-// profile in must never change results (TestStaticProfileAblation), and
-// two independent calibration passes must reach the same strategy
-// decisions (TestCalibrationDeterminism).
+// filter paths it prices (TestModelErrorBound), and swapping the static
+// profile in must never change results (TestStaticProfileAblation).
 
 import (
 	"math/rand"
@@ -37,9 +35,9 @@ func modelErrBound(t *testing.T) float64 {
 const sweepRows = 1 << 17
 
 // sweepTable builds the selectivity-sweep fixture for the packed filter
-// path: a 14-bit uniform filter column (bit-packed, SWAR-comparable, zone
-// maps useless), a 4-value group column, and a small aggregate column.
-func sweepTable(t *testing.T) *bipie.Table {
+// path: a uniform filter column of the given width (bit-packed, zone maps
+// useless), a 4-value group column, and a small aggregate column.
+func sweepTable(t *testing.T, bits uint) *bipie.Table {
 	t.Helper()
 	tbl, err := bipie.NewTable(bipie.Schema{
 		{Name: "g", Type: bipie.String},
@@ -55,7 +53,7 @@ func sweepTable(t *testing.T) *bipie.Table {
 	g := make([]string, sweepRows)
 	groups := []string{"a", "b", "c", "d"}
 	for i := range f {
-		f[i] = rng.Int63n(1 << 14)
+		f[i] = rng.Int63n(1 << bits)
 		v[i] = int64(i % 100)
 		g[i] = groups[i%4]
 	}
@@ -184,7 +182,7 @@ func TestModelErrorBound(t *testing.T) {
 	bound := modelErrBound(t)
 
 	t.Run("PackedSweep", func(t *testing.T) {
-		tbl := sweepTable(t)
+		tbl := sweepTable(t, 14)
 		plans, err := bipie.Explain(tbl, sweepQuery("f", 1<<13), bipie.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -232,35 +230,40 @@ func TestModelErrorBound(t *testing.T) {
 
 // TestStaticProfileAblation pins the model's isolation property: the cost
 // profile only picks among correct strategies, so forcing the static
-// profile must reproduce byte-identical results to the calibrated default
+// profile must reproduce byte-identical results to the checked-in default
 // on every path the sweep exercises (strategies may differ; results may
-// not). The zero-steady-state-alloc side of the acceptance criterion is
-// pinned at the scan loop in engine's TestTraceDisabledPathZeroAllocs,
-// which runs under the calibrated default.
+// not). The 16-bit sweep is the packed-compare decision the two disagree
+// on: the static width rule unpacks at exactly 16 bits, where every fit
+// measured so far compares in the packed domain. The
+// zero-steady-state-alloc side of the acceptance criterion is pinned at
+// the scan loop in engine's TestTraceDisabledPathZeroAllocs, which runs
+// under the checked-in default.
 func TestStaticProfileAblation(t *testing.T) {
 	static := bipie.StaticCostModel()
 	check := func(label string, tbl *bipie.Table, q *bipie.Query) {
 		t.Helper()
-		calibrated, err := bipie.Run(tbl, q, bipie.Options{})
+		fitted, err := bipie.Run(tbl, q, bipie.Options{})
 		if err != nil {
-			t.Fatalf("%s calibrated: %v", label, err)
+			t.Fatalf("%s checked-in: %v", label, err)
 		}
 		ablated, err := bipie.Run(tbl, q, bipie.Options{CostProfile: static})
 		if err != nil {
 			t.Fatalf("%s static: %v", label, err)
 		}
-		if !reflect.DeepEqual(calibrated.Rows, ablated.Rows) {
-			t.Errorf("%s: static-profile results differ from calibrated:\n%s\nvs\n%s",
-				label, calibrated.Format(), ablated.Format())
+		if !reflect.DeepEqual(fitted.Rows, ablated.Rows) {
+			t.Errorf("%s: static-profile results differ from checked-in:\n%s\nvs\n%s",
+				label, fitted.Format(), ablated.Format())
 		}
-		if calibrated.Format() != ablated.Format() {
+		if fitted.Format() != ablated.Format() {
 			t.Errorf("%s: formatted results differ", label)
 		}
 	}
 
-	sweep := sweepTable(t)
-	for _, pct := range []int64{10, 50, 90} {
-		check("sweep "+strconv.FormatInt(pct, 10)+"%", sweep, sweepQuery("f", (1<<14)*pct/100))
+	for _, bits := range []uint{14, 16} {
+		sweep := sweepTable(t, bits)
+		for _, pct := range []int64{10, 50, 90} {
+			check(strconv.Itoa(int(bits))+"-bit sweep "+strconv.FormatInt(pct, 10)+"%", sweep, sweepQuery("f", (1<<bits)*pct/100))
+		}
 	}
 	rle := rleTable(t)
 	check("rle", rle, sweepQuery("r", 31))
@@ -269,62 +272,4 @@ func TestStaticProfileAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("q1", q1tbl, tpch.Q1())
-
-	// The calibrated default is computed once per process, not per query:
-	// repeated Active lookups return the same profile.
-	if p1, p2 := bipie.ActiveCostModel(), bipie.ActiveCostModel(); p1 != p2 {
-		t.Error("ActiveCostModel recalibrated between calls")
-	}
-}
-
-// TestCalibrationDeterminism runs the micro-calibration twice and checks
-// both profiles drive identical strategy decisions for Q1 and a Q6-shaped
-// scan (single group, heavy filter, one SUM): fitted coefficients may
-// wobble run to run, but never enough to flip a plan on a quiet machine.
-func TestCalibrationDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs calibration twice")
-	}
-	p1 := bipie.CalibrateCostModel()
-	p2 := bipie.CalibrateCostModel()
-
-	q1tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q6 shape on the lineitem table: no grouping columns beyond a single
-	// populated group, a range filter, and one SUM.
-	q6 := &bipie.Query{
-		GroupBy:    []string{tpch.ColLineStatus},
-		Aggregates: []bipie.Aggregate{bipie.SumOf(bipie.Mul(bipie.Col(tpch.ColExtendedPrice), bipie.Col(tpch.ColDiscount)))},
-		Filter: bipie.And(
-			bipie.Ge(bipie.Col(tpch.ColDiscount), bipie.Int(2)),
-			bipie.And(
-				bipie.Le(bipie.Col(tpch.ColDiscount), bipie.Int(4)),
-				bipie.Lt(bipie.Col(tpch.ColQuantity), bipie.Int(24)),
-			),
-		),
-	}
-	for _, tc := range []struct {
-		name string
-		q    *bipie.Query
-	}{{"q1", tpch.Q1()}, {"q6", q6}} {
-		plansA, err := bipie.Explain(q1tbl, tc.q, bipie.Options{CostProfile: p1})
-		if err != nil {
-			t.Fatalf("%s run A: %v", tc.name, err)
-		}
-		plansB, err := bipie.Explain(q1tbl, tc.q, bipie.Options{CostProfile: p2})
-		if err != nil {
-			t.Fatalf("%s run B: %v", tc.name, err)
-		}
-		if len(plansA) != len(plansB) {
-			t.Fatalf("%s: plan count %d vs %d", tc.name, len(plansA), len(plansB))
-		}
-		for i := range plansA {
-			if plansA[i].Strategy != plansB[i].Strategy {
-				t.Errorf("%s segment %d: calibration runs disagree on strategy: %q vs %q",
-					tc.name, i, plansA[i].Strategy, plansB[i].Strategy)
-			}
-		}
-	}
 }

@@ -9,11 +9,11 @@
 // with perfstat's cycle conversion, fitted into a Profile the planner
 // consults instead of hand-tuned constants.
 //
-// A Profile is computed lazily once per process (~tens of milliseconds),
-// cached on disk keyed by a machine signature (GOARCH, core count,
-// bucketed Hz), and loadable from a saved profile (BIPIE_COSTMODEL=<path>)
-// so old benchmark numbers stay interpretable under the model that
-// produced them. Static() reproduces the pre-calibration
+// The figures are fitted once, offline, as the paper fits its crossovers:
+// `make calibrate` runs Calibrate() on a quiet machine and checks the
+// result in as profile.json, which Active() serves to every process. No
+// probe runs unless asked for (Calibrate, `bipie-sql`'s \calibrate, the
+// benchmark's costmodel rungs). Static() reproduces the pre-calibration
 // constants exactly, as a deterministic fallback and an ablation baseline.
 package costmodel
 
@@ -25,39 +25,34 @@ import (
 	"bipie/internal/expr"
 )
 
-// Machine is the signature of the hardware a profile was fitted on: the
+// Machine records the hardware a profile was fitted on, as provenance: the
 // clock estimate and core count the repository benchmark's start-up line
-// also records, plus the architecture. Hz is bucketed (hzBucket) before
-// keying the cache so boost-clock jitter between runs does not force
-// pointless recalibration.
+// also records, plus the architecture.
 type Machine struct {
 	HzEstimate float64 `json:"hz_estimate"`
 	Cores      int     `json:"cores"`
 	GOARCH     string  `json:"goarch"`
 }
 
+// FormatVersion identifies the coefficient semantics a serialized profile
+// was fitted under. Bump it whenever a probe's unit changes (e.g. a
+// per-scanned-row figure becomes per-selected-row) or a coefficient is
+// added (4: agg.CostProfile.ReducePerSum), and regenerate profile.json:
+// a checked-in profile with a different version is discarded for the
+// static one rather than silently misread, and TestCheckedInProfile fails.
+const FormatVersion = 4
+
 // Profile is a fitted cost model: the aggregation-strategy coefficients
 // agg.Choose consumes, plus per-kernel cycles/row figures for every
 // decision the filter and selection paths make. A nil or static profile
 // answers every query with the pre-calibration constants, so callers never
 // need to special-case.
-// FormatVersion identifies the coefficient semantics a serialized profile
-// was fitted under. Bump it whenever a probe's unit changes (e.g. a
-// per-scanned-row figure becomes per-selected-row) or a coefficient is
-// added (4: agg.CostProfile.ReducePerSum): cached and archived
-// profiles with a different version are discarded rather than silently
-// misread.
-const FormatVersion = 4
-
 type Profile struct {
 	// Source records how the profile was obtained: "calibrated", "static"
-	// or "cache".
+	// or "checked-in".
 	Source string `json:"source"`
 	// Format is the FormatVersion the profile was fitted under.
-	Format int `json:"format"`
-	// Binary fingerprints the executable that ran the probes; the lazy
-	// cache only trusts a profile fitted by the same build (see binarySig).
-	Binary  string  `json:"binary,omitempty"`
+	Format  int     `json:"format"`
 	Machine Machine `json:"machine"`
 	// Agg holds the aggregation-strategy coefficients (cycles per
 	// processed row) in the shape agg.EstimateCost evaluates.

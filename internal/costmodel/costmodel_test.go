@@ -1,8 +1,9 @@
 package costmodel
 
 import (
+	"encoding/json"
 	"math"
-	"path/filepath"
+	"sync"
 	"testing"
 
 	"bipie/internal/agg"
@@ -11,8 +12,11 @@ import (
 	"bipie/internal/sel"
 )
 
+// fit is one Calibrate() run, shared by the tests that need a fresh fit.
+var fit = sync.OnceValue(Calibrate)
+
 func TestCalibrateProducesValidProfile(t *testing.T) {
-	p := Calibrate()
+	p := fit()
 	if p.Source != "calibrated" {
 		t.Fatalf("source = %q", p.Source)
 	}
@@ -63,6 +67,65 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 	}
 	if bpr := p.BytesPerRow["unpack.w16"]; bpr != 2 {
 		t.Fatalf("unpack.w16 bytes/row = %v, want 2", bpr)
+	}
+}
+
+// TestCheckedInProfile holds profile.json to what Calibrate() writes now:
+// it parses and validates, it was fitted under the current FormatVersion
+// (a version bump must regenerate it), it names every probe a fit names,
+// and it is what Active() serves — under -race too, where a run-time fit
+// would price the instrumented kernels instead.
+func TestCheckedInProfile(t *testing.T) {
+	var p Profile
+	if err := json.Unmarshal(profileJSON, &p); err != nil {
+		t.Fatalf("profile.json: %v", err)
+	}
+	if p.Format != FormatVersion {
+		t.Fatalf("profile.json format %d, want %d: run make calibrate", p.Format, FormatVersion)
+	}
+	if !p.valid() {
+		t.Fatalf("profile.json does not validate: %+v", p.Agg)
+	}
+	f := fit()
+	for _, m := range []struct {
+		name      string
+		got, want map[string]float64
+	}{{"kernels", p.Kernels, f.Kernels}, {"bytes_per_row", p.BytesPerRow, f.BytesPerRow}} {
+		for k := range m.want {
+			if _, ok := m.got[k]; !ok {
+				t.Errorf("profile.json %s lacks %q, which a fit writes: run make calibrate", m.name, k)
+			}
+		}
+		if len(m.got) != len(m.want) {
+			t.Errorf("profile.json has %d %s, a fit writes %d: run make calibrate", len(m.got), m.name, len(m.want))
+		}
+	}
+	if src := Active().Source; src != "checked-in" {
+		t.Fatalf("Active().Source = %q, want checked-in", src)
+	}
+	// Plans read Active from every scan goroutine while a shell may swap
+	// the profile: readers see one profile or the other, never nil.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 1000; k++ {
+				if Active() == nil {
+					t.Error("Active returned nil")
+					return
+				}
+			}
+		}()
+	}
+	SetActive(Static())
+	if Active().Source != "static" {
+		t.Error("SetActive did not override the checked-in profile")
+	}
+	SetActive(nil)
+	wg.Wait()
+	if Active().Source != "checked-in" {
+		t.Fatal("SetActive(nil) did not restore the checked-in profile")
 	}
 }
 
@@ -258,49 +321,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-func TestCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "costmodel.json")
-	p := Calibrate()
-	if err := p.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameMachine(got.Machine, p.Machine) {
-		t.Fatalf("machine signature changed across save/load: %q vs %q",
-			Signature(got.Machine), Signature(p.Machine))
-	}
-	if len(got.Kernels) != len(p.Kernels) {
-		t.Fatalf("kernel count %d != %d", len(got.Kernels), len(p.Kernels))
-	}
-	for k, v := range p.Kernels {
-		if math.Abs(got.Kernels[k]-v) > 1e-9 {
-			t.Fatalf("kernel %q: %v != %v", k, got.Kernels[k], v)
-		}
-	}
-	if got.Agg != p.Agg {
-		t.Fatalf("agg coefficients changed across save/load")
-	}
-
-	// The same file read through the cache path must validate the signature.
-	t.Setenv("BIPIE_COSTMODEL_CACHE", path)
-	cached := loadCache(CurrentMachine())
-	if cached == nil {
-		t.Fatal("cache load rejected a profile for this machine")
-	}
-	if cached.Source != "cache" {
-		t.Fatalf("cache source = %q", cached.Source)
-	}
-	other := CurrentMachine()
-	other.Cores++
-	if loadCache(other) != nil {
-		t.Fatal("cache load accepted a profile from a different signature")
-	}
 }
 
 // TestChooseAtStaticCrossover pins the selection policy a static profile

@@ -22,8 +22,7 @@ import (
 // in newProbeSet, so the probe bodies themselves are alloc-free and
 // hotalloc-checked like any other kernel: a probe that allocated would
 // measure the allocator, not the kernel. Total calibration cost is
-// ~60 probes × ~150µs ≈ 10–20ms, paid once per process (or once per
-// machine, with the disk cache).
+// ~60 probes × ~150µs ≈ 10–20ms, paid only when a fit is asked for.
 //
 // Probe names and units:
 //
@@ -553,14 +552,13 @@ func floorCost(v float64) float64 {
 }
 
 // Calibrate runs the full probe pass and fits a fresh Profile. It takes
-// tens of milliseconds and allocates only probe buffers; run it once and
-// share the result (Active does both).
+// tens of milliseconds and allocates only probe buffers; `make calibrate`
+// checks its result in as the profile Active serves.
 func Calibrate() *Profile {
 	ps := newProbeSet()
 	p := &Profile{
 		Source:      "calibrated",
 		Format:      FormatVersion,
-		Binary:      binarySig(),
 		Machine:     CurrentMachine(),
 		Kernels:     make(map[string]float64, 4*len(probeWidths)),
 		BytesPerRow: make(map[string]float64, 2*len(probeWidths)),
@@ -637,7 +635,7 @@ func Calibrate() *Profile {
 	return p
 }
 
-// CurrentMachine returns this process's machine signature inputs.
+// CurrentMachine describes the machine this process runs on.
 func CurrentMachine() Machine {
 	return Machine{HzEstimate: perfstat.Hz(), Cores: perfstat.Cores(), GOARCH: runtime.GOARCH}
 }

@@ -57,14 +57,14 @@ type Options struct {
 	// CostProfile overrides the cost model driving strategy decisions
 	// (aggregation strategy, packed-vs-unpack filtering, the selection
 	// crossover). Nil means the process-wide profile from
-	// costmodel.Active() — calibrated to this machine on first use.
-	// costmodel.Static() restores the pre-calibration constants for
+	// costmodel.Active() — the checked-in profile unless SetActive replaced
+	// it. costmodel.Static() restores the pre-calibration constants for
 	// ablation and deterministic tests.
 	CostProfile *costmodel.Profile
 }
 
 // profile resolves the cost model for planning: the explicit override, or
-// the lazily calibrated machine profile.
+// the process-wide profile.
 func (o *Options) profile() *costmodel.Profile {
 	if o != nil && o.CostProfile != nil {
 		return o.CostProfile
