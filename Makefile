@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate serve-smoke obs-smoke census
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate census
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
 ## compiler-diagnostic gate, and the repository benchmark at toy sizes
@@ -41,12 +41,14 @@ gc-check:
 benchmark-smoke:
 	bash benchmark/run.sh --smoke
 
-## trace-race: the tracing-enabled torture combo and the concurrency tests
-## of the tracer/metrics registry, under the race detector (a focused
-## subset of `race`)
+## trace-race: the tracing-enabled torture combo, the concurrency tests of
+## the tracer/metrics registry, and the request journal, end-to-end
+## traceability and >=1000-in-flight serving tests, under the race
+## detector (a focused subset of `race`)
 trace-race:
 	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans' ./internal/engine
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
+	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency' ./internal/obs ./internal/serve
 
 ## fuzz-smoke: run each fuzz target briefly (FUZZTIME per target)
 fuzz-smoke:
@@ -73,21 +75,6 @@ calibrate:
 	if $(GO) run ./cmd/bipie-bench calibrate > $$tmp; then \
 		chmod 644 $$tmp && mv $$tmp $$p && echo "wrote $$p"; \
 	else rm -f $$tmp; exit 1; fi
-
-## serve-smoke: start an in-process query server over a generated lineitem
-## table, fire a short concurrent mixed burst at it over real HTTP, and
-## shut down gracefully. bipie-bench itself exits non-zero when no query
-## succeeds, any reply errors (5xx included), or shutdown fails to drain.
-serve-smoke:
-	$(GO) run ./cmd/bipie-bench serve -rows 200000 -c 128 -duration 2s
-
-## obs-smoke: the serving smoke plus the observability gate — scrape
-## /metrics in both text formats, /debug/requests, and a 1s CPU profile
-## from /debug/pprof (fail on any non-200 or empty journal), then the
-## journal/traceability/high-concurrency tests under the race detector
-obs-smoke:
-	$(GO) run ./cmd/bipie-bench serve -rows 200000 -c 64 -duration 2s -obs-check
-	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HandlerModeHighConcurrency' ./internal/obs ./internal/serve ./internal/loadgen
 
 ## census: the instantiation census — symbols and text bytes of each
 ## per-lane kernel family in bipie-serve (go tool nm -size), then the text

@@ -9,10 +9,9 @@
 // to stdout. `make calibrate` checks that output in as
 // internal/costmodel/profile.json, the profile every process plans with.
 //
-// The serve subcommand benchmarks the query-serving layer instead: it
-// fires thousands of concurrent mixed queries (via internal/loadgen) at an
-// in-process server — or a running one via -url — and reports p50/p99
-// latency and scans/sec; see runServe.
+// The serving layer is measured by the repository benchmark (bash
+// benchmark/run.sh --workload serve_mixed), not by this command, which
+// starts no server.
 //
 // Output includes the paper's measured values next to this repository's,
 // so the shape comparison (orderings, crossovers, amortization) is visible
@@ -42,12 +41,6 @@ func main() {
 	flag.IntVar(&sizes.Q1Rows, "q1rows", sizes.Q1Rows, "lineitem rows for the table5 Q1 run")
 	flag.Usage = func() { usage(flag.CommandLine.Output()); flag.PrintDefaults() }
 	flag.Parse()
-	// The serve subcommand takes its own flags after the subcommand word,
-	// so it dispatches before the single-argument check.
-	if flag.NArg() > 0 && flag.Arg(0) == "serve" {
-		runServe(flag.Args()[1:])
-		return
-	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -82,7 +75,7 @@ func main() {
 // usage lists what the command accepts; the experiment ids come from the
 // registry.
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: bipie-bench [flags] <experiment|all|calibrate|serve>")
+	fmt.Fprintln(w, "usage: bipie-bench [flags] <experiment|all|calibrate>")
 	fmt.Fprintln(w, "experiments:")
 	for _, e := range bench.Experiments() {
 		fmt.Fprintf(w, "  %-18s %s\n", e.ID, e.What)

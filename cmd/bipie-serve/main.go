@@ -1,19 +1,22 @@
-// Command bipie-serve is the standalone query server: it builds (or
-// loads) a table and serves the concurrent HTTP/JSON query endpoint with
-// admission control.
+// Command bipie-serve is the query server, the one binary that serves
+// HTTP: it builds (or loads) a table and serves the concurrent HTTP/JSON
+// query endpoint with admission control. Load is measured by the
+// repository benchmark (bash benchmark/run.sh --workload serve_mixed).
 //
 //	bipie-serve [-dataset tpch|events] [-rows N] [-load file.bip] [-addr :8080]
 //	            [-workers N] [-queue N] [-timeout 30s] [-max-timeout 5m] [-cache 64]
 //	            [-slow-query 100ms] [-journal 1024]
 //
 // Endpoints: POST /query ({"query": "SELECT ...", "timeout_ms": 500}),
-// GET /metrics (JSON by default; Prometheus or OpenMetrics text via
-// Accept), GET /healthz, GET /debug/requests (the last -journal requests
-// with per-stage timings), GET /debug/pprof/* (profiling, with executing
-// queries labeled by shape and strategy). Queries beyond the worker pool
-// wait in a bounded queue; beyond that the server answers 429. Requests
-// slower than -slow-query log a structured JSON line to stderr.
-// SIGINT/SIGTERM drain in-flight queries before the process exits.
+// GET /metrics (JSON by default; OpenMetrics text for Accept:
+// application/openmetrics-text), GET /healthz, GET /debug/requests (the
+// last -journal requests with per-stage timings; ?id=<hex>&format=trace
+// renders one request's stages as Chrome trace_event JSON), GET
+// /debug/pprof/* (profiling, with executing queries labeled by shape and
+// strategy). Queries beyond the worker pool wait in a bounded queue;
+// beyond that the server answers 429. Requests slower than -slow-query
+// log a structured JSON line to stderr. SIGINT/SIGTERM drain in-flight
+// queries before the process exits.
 package main
 
 import (

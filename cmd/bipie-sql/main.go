@@ -2,19 +2,17 @@
 // dataset (or a previously saved table file), executing the supported
 // aggregation query shape with the BIPie fused scan.
 //
-//	bipie-sql [-dataset tpch|events] [-rows N] [-load file.bip] [-save file.bip] [-http addr] ["QUERY"]
+//	bipie-sql [-dataset tpch|events] [-rows N] [-load file.bip] [-save file.bip] ["QUERY"]
 //
 // With a query argument it runs once and exits; otherwise it reads queries
-// from stdin, one per line. With -http it also serves the full query
-// endpoint (POST /query, via internal/serve), the process metrics
-// registry at /metrics, and the last \analyze trace (Chrome trace_event
-// JSON) at /debug/trace.
+// from stdin, one per line. It starts no server: bipie-serve serves the
+// same tables over HTTP.
 //
-// Queries are compiled with engine.Prepare and kept in a shared
-// thread-safe LRU (internal/serve.Cache) keyed on the statement's
-// rendered SQL, so a repeated query — from the shell or over HTTP —
-// reuses its plan and pooled scan state instead of re-planning; \stats
-// reports the cache's hit counts alongside the table statistics.
+// Queries are compiled with engine.Prepare and kept in an LRU
+// (internal/serve.Cache, the one the server uses) keyed on the
+// statement's rendered SQL, so a repeated query reuses its plan and
+// pooled scan state instead of re-planning; \stats reports the cache's
+// hit counts alongside the table statistics.
 package main
 
 import (
@@ -25,11 +23,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"bipie/internal/costmodel"
@@ -52,20 +47,15 @@ const planCacheCap = 16
 // now a reported error instead of a silent exit.
 const maxQueryLine = 4 << 20
 
-// shell is the interactive session state: the served table, the shared
-// prepared-statement cache (the HTTP endpoint uses the same one), the
-// output streams (swapped for buffers in tests), and the last \analyze
-// trace (kept for the /debug/trace endpoint, which may read it from
-// another goroutine).
+// shell is the interactive session state: the queried table, the
+// prepared-statement cache, and the output streams (swapped for buffers
+// in tests).
 type shell struct {
 	tbl    *table.Table
 	name   string
 	cache  *serve.Cache
 	out    io.Writer
 	errOut io.Writer
-
-	mu        sync.Mutex
-	lastTrace *obs.ScanTrace
 }
 
 func newShell(tbl *table.Table, name string) *shell {
@@ -73,8 +63,7 @@ func newShell(tbl *table.Table, name string) *shell {
 }
 
 // prepared returns a Prepared for the statement, from cache when the
-// rendered SQL matches a previous query (its own or one served over
-// HTTP).
+// rendered SQL matches a previous query.
 func (s *shell) prepared(st *sql.Statement) (*engine.Prepared, error) {
 	key := st.String()
 	if p := s.cache.Get(key); p != nil {
@@ -92,7 +81,6 @@ func main() {
 	rows := flag.Int("rows", 1_000_000, "rows to generate")
 	load := flag.String("load", "", "load a saved table instead of generating")
 	save := flag.String("save", "", "save the table to this file after loading/generating")
-	httpAddr := flag.String("http", "", "serve /query, /metrics and /debug/trace on this address (e.g. localhost:8080)")
 	flag.Parse()
 
 	tbl, name, err := datagen.Demo(*dataset, *rows, *load)
@@ -115,18 +103,6 @@ func main() {
 	fmt.Printf("table %q ready: %d rows, %d segments\n", name, tbl.Rows(), len(tbl.Segments()))
 	sh := newShell(tbl, name)
 	printSchema(sh.out, tbl)
-
-	if *httpAddr != "" {
-		// A bind failure surfaces here, to the shell, and the session
-		// continues without HTTP — the table the user just paid to build
-		// stays usable. (The old code log.Fatal'd from a goroutine.)
-		shutdown, err := sh.startHTTP(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-http %s unavailable: %v (continuing without HTTP)\n", *httpAddr, err)
-		} else {
-			defer shutdown()
-		}
-	}
 
 	if flag.NArg() > 0 {
 		sh.run(strings.Join(flag.Args(), " "))
@@ -167,41 +143,6 @@ func (s *shell) repl(in io.Reader) error {
 	}
 }
 
-// startHTTP serves the full serve-layer surface (/query, /metrics,
-// /debug/requests, /debug/pprof/*) next to the shell, with the shell's
-// last \analyze trace plugged in as the /debug/trace source. The listener
-// is bound synchronously so the caller sees bind errors; the server
-// itself carries header/write timeouts so a stuck client cannot pin a
-// connection forever.
-func (s *shell) startHTTP(addr string) (shutdown func(), err error) {
-	srv := serve.New(map[string]*table.Table{s.name: s.tbl}, serve.Config{
-		Cache:       s.cache, // REPL and HTTP queries share one plan cache
-		TraceSource: s.trace,
-	})
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      6 * time.Minute, // outlasts the serve layer's deadline ceiling
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(s.errOut, "http server: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(s.out, "serving /query, /metrics, /debug/requests, /debug/trace and /debug/pprof on http://%s\n", ln.Addr())
-	return func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(ctx)
-	}, nil
-}
-
 // meta handles backslash commands.
 func (s *shell) meta(line string) {
 	cmd, arg, _ := strings.Cut(line, " ")
@@ -238,8 +179,7 @@ func (s *shell) meta(line string) {
 }
 
 // analyze executes a statement once with tracing enabled and prints the
-// measured per-phase breakdown. The captured trace (per-batch spans
-// included) replaces the previous one behind /debug/trace.
+// measured per-phase breakdown.
 func (s *shell) analyze(query string) {
 	if query == "" {
 		fmt.Fprintln(s.errOut, `usage: \analyze SELECT ...`)
@@ -265,9 +205,6 @@ func (s *shell) analyze(query string) {
 		return
 	}
 	fmt.Fprint(s.out, rep.Format())
-	s.mu.Lock()
-	s.lastTrace = rep.Trace
-	s.mu.Unlock()
 }
 
 // printProfile renders a cost profile as indented JSON.
@@ -289,15 +226,6 @@ func (s *shell) calibrate() {
 	s.cache.Reset()
 	s.printProfile(p)
 	fmt.Fprintln(s.out, "profile active for this session (make calibrate updates the checked-in one)")
-}
-
-// trace is the serve layer's /debug/trace source: the last \analyze
-// trace, read under the shell lock because HTTP serves it from another
-// goroutine.
-func (s *shell) trace() *obs.ScanTrace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastTrace
 }
 
 func printSchema(w io.Writer, tbl *table.Table) {

@@ -84,7 +84,7 @@ func TestReplCleanExit(t *testing.T) {
 }
 
 // TestReplSharedPlanCache: repeating a query through the REPL hits the
-// shared serve.Cache.
+// shell's serve.Cache.
 func TestReplSharedPlanCache(t *testing.T) {
 	s, _, errOut := testShell(t)
 	const q = "SELECT country, count(*) FROM events GROUP BY country\n"

@@ -1,12 +1,12 @@
-// Prometheus and OpenMetrics text exposition for the metrics registry.
+// OpenMetrics text exposition for the metrics registry.
 //
 // The registry's native naming uses dots (serve.latency_ms) and stores
 // labeled series under canonical name{k="v"} keys (SeriesKey). Exposition
 // maps that onto the Prometheus data model: dots become underscores,
 // series sharing a base name group under one # TYPE family, histograms
-// render cumulative le buckets plus _sum/_count, and the OpenMetrics
-// variant appends each bucket's exemplar — the request-ID link from a
-// latency bucket into the request journal.
+// render cumulative le buckets plus _sum/_count, and each bucket carries
+// its exemplar — the request-ID link from a latency bucket into the
+// request journal.
 package obs
 
 import (
@@ -135,36 +135,20 @@ func joinLabels(body, extra string) string {
 	}
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): deterministic family and series ordering,
-// escaped label values, cumulative histogram buckets. Exemplars are an
-// OpenMetrics concept, so this format omits them — scrape with
-// Accept: application/openmetrics-text to get them.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.writeText(w, false)
-}
-
 // WriteOpenMetrics writes the registry in the OpenMetrics text format
-// (version 1.0.0): counters expose a _total sample, the document ends in
-// # EOF, and histogram bucket lines carry their latest exemplar as
+// (version 1.0.0): deterministic family and series ordering, escaped
+// label values, counters exposing a _total sample, cumulative histogram
+// buckets whose lines carry their latest exemplar as
 // # {request_id="<hex>"} value timestamp — the link from a latency bucket
-// back to the request journal.
+// back to the request journal — and a closing # EOF.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.writeText(w, true)
-}
-
-func (r *Registry) writeText(w io.Writer, openMetrics bool) error {
 	bw := &errWriter{w: w}
 	for _, fam := range r.families() {
 		switch fam.kind {
 		case kindCounter:
 			bw.printf("# TYPE %s counter\n", fam.name)
-			sample := fam.name
-			if openMetrics {
-				sample += "_total"
-			}
 			for _, s := range fam.series {
-				bw.printf("%s%s %d\n", sample, joinLabels(s.labels, ""), s.c.Value())
+				bw.printf("%s_total%s %d\n", fam.name, joinLabels(s.labels, ""), s.c.Value())
 			}
 		case kindGauge:
 			bw.printf("# TYPE %s gauge\n", fam.name)
@@ -174,27 +158,23 @@ func (r *Registry) writeText(w io.Writer, openMetrics bool) error {
 		case kindHistogram:
 			bw.printf("# TYPE %s histogram\n", fam.name)
 			for _, s := range fam.series {
-				writeHistogram(bw, fam.name, s, openMetrics)
+				writeHistogram(bw, fam.name, s)
 			}
 		}
 	}
-	if openMetrics {
-		bw.printf("# EOF\n")
-	}
+	bw.printf("# EOF\n")
 	return bw.err
 }
 
 // writeHistogram renders one histogram series: cumulative buckets with le
-// labels (finite bounds then +Inf), then _sum and _count.
-func writeHistogram(bw *errWriter, name string, s series, openMetrics bool) {
+// labels (finite bounds then +Inf) and their exemplars, then _sum and
+// _count.
+func writeHistogram(bw *errWriter, name string, s series) {
 	bounds := s.h.Bounds()
 	counts := s.h.Counts()
-	var exemplars map[int]Exemplar
-	if openMetrics {
-		exemplars = make(map[int]Exemplar)
-		for _, e := range s.h.Exemplars() {
-			exemplars[e.Bucket] = e
-		}
+	exemplars := make(map[int]Exemplar)
+	for _, e := range s.h.Exemplars() {
+		exemplars[e.Bucket] = e
 	}
 	cum := int64(0)
 	for i, c := range counts {

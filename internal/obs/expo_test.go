@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestWritePrometheusGolden pins the full exposition output: family
-// grouping, deterministic ordering, dotted-name sanitization, label-value
-// escaping, and cumulative histogram rendering.
+// TestWritePrometheusGolden pins the full text exposition, which /metrics
+// serves only in its OpenMetrics form: family grouping, deterministic
+// ordering, dotted-name sanitization, label-value escaping, _total counter
+// samples, cumulative histogram rendering and the closing # EOF.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve.requests").Add(7)
@@ -22,7 +23,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(100) // overflow bucket
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `# TYPE serve_inflight gauge
@@ -34,14 +35,15 @@ serve_latency_ms_bucket{le="+Inf"} 3
 serve_latency_ms_sum 105.5
 serve_latency_ms_count 3
 # TYPE serve_requests counter
-serve_requests 7
+serve_requests_total 7
 # TYPE serve_shape_requests counter
-serve_shape_requests{shape="a"} 3
-serve_shape_requests{shape="b",table="t1"} 2
-serve_shape_requests{shape="we\"ird\\pa\nth"} 1
+serve_shape_requests_total{shape="a"} 3
+serve_shape_requests_total{shape="b",table="t1"} 2
+serve_shape_requests_total{shape="we\"ird\\pa\nth"} 1
+# EOF
 `
 	if got := b.String(); got != want {
-		t.Errorf("WritePrometheus mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("WriteOpenMetrics mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -97,7 +99,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		wantBody string
 	}{
 		{"application/openmetrics-text; version=1.0.0", "application/openmetrics-text; version=1.0.0; charset=utf-8", "# EOF"},
-		{"text/plain; version=0.0.4", "text/plain; version=0.0.4; charset=utf-8", "# TYPE c counter"},
+		// There is no Prometheus 0.0.4 text: a text/plain scraper gets JSON.
+		{"text/plain; version=0.0.4", "application/json", `"c"`},
 		{"", "application/json", `"c"`},
 	}
 	for _, c := range cases {

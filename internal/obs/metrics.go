@@ -331,7 +331,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // SeriesKey builds the canonical registry key for a labeled series:
 // name{k1="v1",k2="v2"} with label keys sorted and values escaped the way
-// the Prometheus text format requires (backslash, quote, newline). Metric
+// the OpenMetrics text format requires (backslash, quote, newline). Metric
 // accessors taking label pairs resolve through it, so the same (name,
 // labels) always lands on the same series regardless of pair order.
 // Callers on a hot path should resolve their series once and keep the
@@ -365,7 +365,7 @@ func SeriesKey(name string, labels ...string) string {
 	return b.String()
 }
 
-// escapeLabelValue applies the Prometheus text-format label escapes.
+// escapeLabelValue applies the OpenMetrics text-format label escapes.
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
@@ -428,22 +428,15 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // ServeHTTP makes the registry an http.Handler serving /metrics with
 // content negotiation: Accept: application/openmetrics-text gets the
-// OpenMetrics exposition (exemplars included), any other text/plain accept
-// gets the Prometheus text format, and everything else keeps the original
-// JSON snapshot — so pre-existing JSON scrapers and `curl` keep working
-// while Prometheus and an OpenMetrics-capable scraper each negotiate their
-// native format.
+// OpenMetrics exposition (exemplars included), and everything else the
+// JSON snapshot — so JSON scrapers and `curl` keep working while an
+// OpenMetrics-capable scraper (Prometheus included) negotiates the text.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	accept := req.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/openmetrics-text"):
+	if strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		_ = r.WriteOpenMetrics(w)
-	case strings.Contains(accept, "text/plain"):
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = r.WriteJSON(w)
 }

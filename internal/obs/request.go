@@ -12,7 +12,7 @@ import (
 )
 
 // Request IDs tie one served query's artifacts together: the journal
-// entry, the slow-query log line, the Prometheus exemplar on the latency
+// entry, the slow-query log line, the OpenMetrics exemplar on the latency
 // histogram, and the wire response all carry the same ID, so a tail
 // observation on /metrics can be chased to its full stage breakdown on
 // /debug/requests without restarting the server.
@@ -258,14 +258,13 @@ func (j *Journal) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteChromeTrace dumps the journal in Chrome trace_event JSON — the
+// writeChromeTrace renders spans in Chrome trace_event JSON — the
 // request-level companion to ScanTrace.WriteChromeTrace. Each request
 // renders as one thread; its serving stages (parse, plan, queue wait,
 // execution, encode) render as complete events on a shared timebase (the
-// oldest journaled request's start), so queue-wait pileups are visible as
-// stacked bars across rows.
-func (j *Journal) WriteChromeTrace(w io.Writer) error {
-	spans := j.Snapshot()
+// oldest span's start), so queue-wait pileups are visible as stacked bars
+// across rows.
+func writeChromeTrace(w io.Writer, spans []RequestSpan) error {
 	var base time.Time
 	for i := range spans {
 		if base.IsZero() || spans[i].Start.Before(base) {
@@ -310,8 +309,10 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 
 // ServeHTTP serves the journal: the full ring (newest first) as JSON by
 // default, one request with ?id=<hex>, or the Chrome trace_event form
-// with ?format=trace — mount it at /debug/requests.
+// with ?format=trace — of the whole ring, or of one request's stages when
+// both are given. Mount it at /debug/requests.
 func (j *Journal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	trace := r.URL.Query().Get("format") == "trace"
 	if idStr := r.URL.Query().Get("id"); idStr != "" {
 		id, err := ParseRequestID(idStr)
 		if err != nil {
@@ -324,14 +325,18 @@ func (j *Journal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		if trace {
+			_ = writeChromeTrace(w, []RequestSpan{span})
+			return
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(span.toJSON())
 		return
 	}
-	if r.URL.Query().Get("format") == "trace" {
+	if trace {
 		w.Header().Set("Content-Type", "application/json")
-		_ = j.WriteChromeTrace(w)
+		_ = writeChromeTrace(w, j.Snapshot())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -160,4 +160,31 @@ func TestJournalServeHTTP(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "queue-wait") {
 		t.Fatalf("chrome trace is missing the queue-wait stage: %.200s", rec.Body)
 	}
+
+	// ?id= with ?format=trace is one request's stages as a trace.
+	j.Record(&RequestSpan{ID: 0xdef, Start: time.Now(), Status: 200, ExecNS: 1e6, TotalNS: 1e6})
+	rec = httptest.NewRecorder()
+	j.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests?id=abc&format=trace", nil))
+	var tr struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if rec.Code != 200 {
+		t.Fatalf("?id=abc&format=trace: status %d, body %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+		t.Fatalf("?id=abc&format=trace: %v", err)
+	}
+	var stages []string
+	for _, e := range tr.TraceEvents {
+		if e.Args["id"] != "abc" {
+			t.Fatalf("?id=abc&format=trace carries another request's event: %+v", e)
+		}
+		stages = append(stages, e.Name)
+	}
+	if got := strings.Join(stages, " "); got != "parse queue-wait exec" {
+		t.Fatalf("?id=abc&format=trace stages = %q, want parse queue-wait exec", got)
+	}
 }

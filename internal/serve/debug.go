@@ -1,7 +1,6 @@
-// The unified debug mux: every serving binary (bipie-serve, bipie-sql
-// -http, bipie-bench serve) mounts the same routes by serving
-// (*Server).Handler(), so the ops surface — metrics, the request journal,
-// profiling — is identical no matter how the server was started.
+// The debug mux: bipie-serve, the one serving binary, mounts these routes
+// by serving (*Server).Handler(), and the tests and the repository
+// benchmark drive the same handler.
 package serve
 
 import (
@@ -14,12 +13,11 @@ import (
 //	POST /query            — the query endpoint (Server.ServeHTTP)
 //	GET  /metrics          — content negotiated: OpenMetrics (with
 //	                         exemplars) for Accept: application/openmetrics-text,
-//	                         Prometheus 0.0.4 for Accept: text/plain,
 //	                         JSON otherwise
 //	GET  /healthz          — liveness
 //	GET  /debug/requests   — the request journal (?id=<hex> for one
-//	                         request, ?format=trace for Chrome trace_event)
-//	GET  /debug/trace      — the last captured scan trace (Config.TraceSource)
+//	                         request, ?format=trace for Chrome trace_event,
+//	                         both for one request's stages as a trace)
 //	GET  /debug/pprof/*    — net/http/pprof, with executing queries
 //	                         labeled by shape and strategy
 func (s *Server) Handler() http.Handler {
@@ -31,29 +29,10 @@ func (s *Server) Handler() http.Handler {
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	mux.Handle("/debug/requests", s.journal)
-	mux.HandleFunc("/debug/trace", s.serveTrace)
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	return mux
-}
-
-// serveTrace renders the Config.TraceSource scan trace as Chrome
-// trace_event JSON — the per-batch span view bipie-sql's \analyze
-// captures. Without a source (or before a trace exists) it 404s with an
-// explanation rather than an empty document.
-func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request) {
-	if s.traceSrc == nil {
-		http.Error(w, "no trace source configured; /debug/requests carries per-request phase totals", http.StatusNotFound)
-		return
-	}
-	tr := s.traceSrc()
-	if tr == nil {
-		http.Error(w, "no scan trace captured yet", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = tr.WriteChromeTrace(w)
 }

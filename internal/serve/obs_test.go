@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -166,34 +165,57 @@ func TestErrorResponseCarriesRequestID(t *testing.T) {
 	}
 }
 
-// TestDebugMuxRoutes pins the unified ops surface every serving binary
-// mounts.
+// TestDebugMuxRoutes pins the ops surface bipie-serve mounts: every route
+// answers 200 (a one-second CPU profile included), the journal's
+// ?id=&format=trace is the one per-request trace route, and /debug/trace
+// is gone.
 func TestDebugMuxRoutes(t *testing.T) {
 	srv, _ := newTestServer(t, 200, Config{})
 	h := srv.Handler()
-	if w := postQuery(t, h, QueryRequest{Query: "SELECT count(*) FROM events"}); w.Code != http.StatusOK {
-		t.Fatalf("query via mux: status %d", w.Code)
+	resp, err := serveQuery(h, "SELECT count(*) FROM events")
+	if err != nil {
+		t.Fatalf("query via mux: %v", err)
 	}
-	for _, path := range []string{"/healthz", "/metrics", "/debug/requests", "/debug/pprof/", "/debug/pprof/cmdline"} {
+	for _, path := range []string{"/healthz", "/metrics", "/debug/requests", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile?seconds=1"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, rec.Code)
 		}
+		if rec.Body.Len() == 0 {
+			t.Errorf("GET %s: empty body", path)
+		}
 	}
-	// /debug/trace 404s without a source...
+
 	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/requests?id="+resp.RequestID+"&format=trace", nil))
+	var tr struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /debug/requests?id=%s&format=trace: status %d: %s", resp.RequestID, rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+		t.Fatalf("per-request trace is not trace_event JSON: %v", err)
+	}
+	stages := map[string]bool{}
+	for _, e := range tr.TraceEvents {
+		if e.Args["id"] != resp.RequestID {
+			t.Fatalf("per-request trace carries another request's event: %+v", e)
+		}
+		stages[e.Name] = true
+	}
+	if !stages["exec"] || !stages["queue-wait"] {
+		t.Fatalf("per-request trace stages = %v, want queue-wait and exec", stages)
+	}
+
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
 	if rec.Code != http.StatusNotFound {
-		t.Errorf("GET /debug/trace without a source: status %d, want 404", rec.Code)
-	}
-	// ...and serves the plugged-in trace with one.
-	tr := obs.NewScanTrace(8)
-	srv2, _ := newTestServer(t, 200, Config{TraceSource: func() *obs.ScanTrace { return tr }})
-	rec = httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "traceEvents") {
-		t.Errorf("GET /debug/trace with a source: status %d body %.80s", rec.Code, rec.Body.String())
+		t.Errorf("GET /debug/trace: status %d, want 404", rec.Code)
 	}
 }
 
@@ -210,10 +232,10 @@ func TestPerShapeMetrics(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := reg.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
-	shapeLines := regexp.MustCompile(`(?m)^serve_shape_requests\{shape="[0-9a-f]{16}"\} (\d+)$`).FindAllStringSubmatch(b.String(), -1)
+	shapeLines := regexp.MustCompile(`(?m)^serve_shape_requests_total\{shape="[0-9a-f]{16}"\} (\d+)$`).FindAllStringSubmatch(b.String(), -1)
 	if len(shapeLines) != 2 {
 		t.Fatalf("want 2 per-shape request series, got %d:\n%s", len(shapeLines), b.String())
 	}
@@ -223,22 +245,5 @@ func TestPerShapeMetrics(t *testing.T) {
 	}
 	if !counts["1"] || !counts["2"] {
 		t.Fatalf("per-shape counts = %v, want one series at 1 and one at 2", shapeLines)
-	}
-}
-
-// TestDirectQueryJournals: the non-HTTP entry point journals its requests
-// the same way.
-func TestDirectQueryJournals(t *testing.T) {
-	srv, _ := newTestServer(t, 200, Config{})
-	resp, err := srv.Query(context.Background(), QueryRequest{Query: "SELECT count(*) FROM events"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := obs.ParseRequestID(resp.RequestID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := srv.Journal().Find(id); !ok {
-		t.Fatal("direct Query did not journal the request")
 	}
 }

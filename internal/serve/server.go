@@ -41,13 +41,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines; <= 0 means 5m.
 	MaxTimeout time.Duration
-	// CacheCap is the plan-cache capacity when Cache is nil; <= 0 means
-	// DefaultCacheCap.
+	// CacheCap is the plan-cache capacity; <= 0 means DefaultCacheCap.
 	CacheCap int
-	// Cache, when non-nil, is shared rather than freshly built — the
-	// bipie-sql shell passes its own so REPL and HTTP queries converge on
-	// the same plans.
-	Cache *Cache
 	// Registry receives the serving metrics; nil means obs.Default().
 	Registry *obs.Registry
 	// JournalSize is the request-journal ring capacity (the last N
@@ -61,15 +56,6 @@ type Config struct {
 	// SlowQueryLog receives the slow-query and error lines; nil means a
 	// JSON slog handler on stderr.
 	SlowQueryLog *slog.Logger
-	// TraceSource, when non-nil, backs GET /debug/trace: it returns the
-	// scan trace to render as Chrome trace_event JSON (bipie-sql plugs in
-	// its last \analyze trace). Nil serves a 404 explaining how to get
-	// one.
-	TraceSource func() *obs.ScanTrace
-	// Engine configures Prepare for every served query. Per-request
-	// tracing is built in: every execution runs under its own pooled
-	// ScanTrace and the per-phase breakdown lands in the request journal.
-	Engine engine.Options
 }
 
 // DefaultSlowQueryThreshold is the slow-query log threshold when Config
@@ -86,10 +72,12 @@ const maxShapes = 256
 const otherShape = "_other"
 
 // Server executes SQL queries over a fixed set of tables behind an
-// admission controller. It is an http.Handler (the POST /query endpoint);
-// Handler returns the full debug mux — /query, /metrics (content
-// negotiated), /healthz, /debug/requests, /debug/trace, /debug/pprof/*.
-// All methods are safe for concurrent use.
+// admission controller. It is an http.Handler (the POST /query endpoint,
+// its one query entry point); Handler returns the full debug mux —
+// /query, /metrics (content negotiated), /healthz, /debug/requests,
+// /debug/pprof/*. Every served query plans with zero engine.Options and
+// executes under its own pooled ScanTrace, whose per-phase breakdown
+// lands in the request journal. All methods are safe for concurrent use.
 type Server struct {
 	tables map[string]*table.Table
 	cache  *Cache
@@ -99,7 +87,6 @@ type Server struct {
 	queue          int
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
-	engineOpts     engine.Options
 
 	// sem holds one token per executing query; admission is the cheaper
 	// gate in front of it. inflight counts admitted requests (waiting or
@@ -117,9 +104,8 @@ type Server struct {
 
 	// journal keeps the last N RequestSpans; traces pools per-request
 	// ScanTraces so steady-state execution reuses their buffers.
-	journal  *obs.Journal
-	traces   sync.Pool
-	traceSrc func() *obs.ScanTrace
+	journal *obs.Journal
+	traces  sync.Pool
 
 	slowNS int64
 	logger *slog.Logger
@@ -158,10 +144,6 @@ func New(tables map[string]*table.Table, cfg Config) *Server {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 5 * time.Minute
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = NewCache(cfg.CacheCap)
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -179,13 +161,12 @@ func New(tables map[string]*table.Table, cfg Config) *Server {
 	}
 	return &Server{
 		tables:         tables,
-		cache:          cache,
+		cache:          NewCache(cfg.CacheCap),
 		reg:            reg,
 		workers:        cfg.Workers,
 		queue:          cfg.Queue,
 		defaultTimeout: cfg.DefaultTimeout,
 		maxTimeout:     cfg.MaxTimeout,
-		engineOpts:     cfg.Engine,
 		sem:            make(chan struct{}, cfg.Workers),
 		inflight:       reg.Gauge("serve.inflight"),
 		requests:       reg.Counter("serve.requests"),
@@ -197,15 +178,13 @@ func New(tables map[string]*table.Table, cfg Config) *Server {
 		latency:        reg.Histogram("serve.latency_ms", obs.ExpBuckets(0.05, 2, 20)),
 		journal:        obs.NewJournal(cfg.JournalSize),
 		traces:         sync.Pool{New: func() any { return obs.NewScanTrace(0) }},
-		traceSrc:       cfg.TraceSource,
 		slowNS:         slowNS,
 		logger:         logger,
 		shapes:         make(map[string]*shapeState),
 	}
 }
 
-// Cache returns the server's plan cache (shared when Config.Cache was
-// set).
+// Cache returns the server's plan cache.
 func (s *Server) Cache() *Cache { return s.cache }
 
 // Latency returns the served-request latency histogram; Quantile on it
@@ -317,27 +296,13 @@ func (s *Server) fail(w http.ResponseWriter, span *obs.RequestSpan, err error) {
 	s.finish(span, code, err.Error())
 }
 
-// Query runs one request through admission, the plan cache, and the
-// engine, journaling it like the HTTP path does (response-encode time
-// excepted). Errors carry their HTTP status via httpError; ctx is the
+// query is ServeHTTP's serving pipeline, recording each stage's wall time
+// into span as it goes: parse, admission-queue wait, plan-cache lookup
+// (or Prepare), and execution under the request's own pooled ScanTrace
+// with pprof labels attributing CPU samples to the query shape and
+// strategy. Errors carry their HTTP status via httpError; ctx is the
 // request's own context (cancelled when the client goes away), and the
 // per-request deadline is layered on top of it.
-func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	span := obs.RequestSpan{ID: obs.NewRequestID(), Start: time.Now()}
-	resp, err := s.query(ctx, req, &span)
-	if err != nil {
-		s.finish(&span, errCode(err), err.Error())
-		return nil, err
-	}
-	s.finish(&span, http.StatusOK, "")
-	return resp, nil
-}
-
-// query is the serving pipeline shared by ServeHTTP and Query, recording
-// each stage's wall time into span as it goes: parse, admission-queue
-// wait, plan-cache lookup (or Prepare), and execution under the
-// request's own pooled ScanTrace with pprof labels attributing CPU
-// samples to the query shape and strategy.
 func (s *Server) query(ctx context.Context, req QueryRequest, span *obs.RequestSpan) (*QueryResponse, error) {
 	span.SQL = req.Query
 	// Admission: one atomic increment decides; a request beyond
@@ -383,7 +348,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, span *obs.RequestS
 	p := s.cache.Get(key)
 	cached := p != nil
 	if p == nil {
-		if p, err = engine.Prepare(tbl, st.Query, s.engineOpts); err != nil {
+		if p, err = engine.Prepare(tbl, st.Query, engine.Options{}); err != nil {
 			span.PlanNS = int64(time.Since(t))
 			return nil, errf(http.StatusBadRequest, "plan: %v", err)
 		}

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,26 @@ func postQuery(t *testing.T, h http.Handler, req QueryRequest) *httptest.Respons
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
 	return w
+}
+
+// serveQuery runs one query through h and decodes the 200 reply; any other
+// status is an error carrying the reply body. It is safe to call from
+// several goroutines.
+func serveQuery(h http.Handler, src string) (*QueryResponse, error) {
+	body, err := json.Marshal(QueryRequest{Query: src})
+	if err != nil {
+		return nil, err
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		return nil, fmt.Errorf("status %d: %s", w.Code, w.Body.String())
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // TestQueryEndpoint checks the wire result matches a direct engine
@@ -256,9 +277,9 @@ func TestDeadlineExceededReturns(t *testing.T) {
 func TestConcurrentSharedPrepared(t *testing.T) {
 	srv, tbl := newTestServer(t, 20_000, Config{Workers: 4, Queue: 64})
 	const src = "SELECT country, count(*), sum(bytes) FROM events WHERE status = 200 GROUP BY country"
-	ctx := context.Background()
+	h := srv.Handler()
 
-	first, err := srv.Query(ctx, QueryRequest{Query: src})
+	first, err := serveQuery(h, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +289,7 @@ func TestConcurrentSharedPrepared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				resp, err := srv.Query(ctx, QueryRequest{Query: src})
+				resp, err := serveQuery(h, src)
 				if err != nil {
 					t.Error(err)
 					return
@@ -289,12 +310,13 @@ func TestConcurrentSharedPrepared(t *testing.T) {
 		t.Fatalf("plan cache holds %d entries for one statement", st.Len)
 	}
 
-	// Steady state: parse + cache hit + pooled scan + response assembly.
+	// Steady state: request decode + parse + cache hit + pooled scan +
+	// response encoding (and the test's own request, recorder and decode).
 	// The engine's own per-batch path is zero-alloc (pinned by its
 	// prepared tests); what remains here is per-request constant work —
 	// far below one alloc per scanned row.
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := srv.Query(ctx, QueryRequest{Query: src}); err != nil {
+		if _, err := serveQuery(h, src); err != nil {
 			t.Error(err)
 		}
 	})
@@ -303,6 +325,87 @@ func TestConcurrentSharedPrepared(t *testing.T) {
 	}
 	if allocs > float64(tbl.Rows())/10 {
 		t.Fatalf("served query allocates %.0f objects — scaling with the %d-row table", allocs, tbl.Rows())
+	}
+}
+
+// TestHandlerModeHighConcurrency is the serving acceptance check: one
+// shared server, driven in-process through Handler() (no sockets, so no
+// file-descriptor limit), holds more than 1000 requests in flight at once
+// with every reply a 200, returns its admission gauge to zero, and the
+// journal resolves the slowest request's ID to its queue and exec stages.
+func TestHandlerModeHighConcurrency(t *testing.T) {
+	const clients, perClient = 1100, 5
+	// Journal sized to the run so the slowest request is still in the ring
+	// when the test looks it up; every request here queues, so slow-query
+	// logging is off.
+	srv, _ := newTestServer(t, 2_000, Config{Queue: 4096, JournalSize: 8192, SlowQueryThreshold: -1})
+	h := srv.Handler()
+	mix := []string{
+		"SELECT country, count(*), avg(latency_ms) FROM events GROUP BY country",
+		"SELECT sum(bytes) FROM events WHERE status = 200",
+		"SELECT device, count(*) FROM events WHERE country IN ('us', 'de') GROUP BY device",
+	}
+
+	var inflight, peak atomic.Int64
+	slowest := make([]time.Duration, clients)
+	slowestID := make([]string, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perClient; i++ {
+				cur := inflight.Add(1)
+				for {
+					p := peak.Load()
+					if cur <= p || peak.CompareAndSwap(p, cur) {
+						break
+					}
+				}
+				t0 := time.Now()
+				resp, err := serveQuery(h, mix[(c+i)%len(mix)])
+				lat := time.Since(t0)
+				inflight.Add(-1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if lat > slowest[c] {
+					slowest[c], slowestID[c] = lat, resp.RequestID
+				}
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if p := peak.Load(); p < 1000 {
+		t.Fatalf("peak in-flight %d, want >= 1000", p)
+	}
+	if n := srv.InFlight(); n != 0 {
+		t.Fatalf("in-flight gauge %d after the run, want 0", n)
+	}
+
+	worst := 0
+	for c := range slowest {
+		if slowest[c] > slowest[worst] {
+			worst = c
+		}
+	}
+	id, err := obs.ParseRequestID(slowestID[worst])
+	if err != nil {
+		t.Fatalf("slowest request ID %q: %v", slowestID[worst], err)
+	}
+	span, ok := srv.Journal().Find(id)
+	if !ok {
+		t.Fatalf("slowest request %s is not in the journal", slowestID[worst])
+	}
+	if span.QueueNS <= 0 || span.ExecNS <= 0 || span.TotalNS < span.QueueNS+span.ExecNS {
+		t.Fatalf("slowest request's stages: queue %dns exec %dns total %dns", span.QueueNS, span.ExecNS, span.TotalNS)
 	}
 }
 
@@ -368,12 +471,13 @@ func TestWorkerPoolBoundsParallelism(t *testing.T) {
 	}
 	srv, _ := newTestServer(t, 50_000, Config{Workers: 2, Queue: 64})
 	const src = "SELECT country, device, count(*), sum(bytes), sum(latency_ms) FROM events GROUP BY country, device"
+	h := srv.Handler()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := srv.Query(context.Background(), QueryRequest{Query: src}); err != nil {
+			if _, err := serveQuery(h, src); err != nil {
 				t.Error(err)
 			}
 		}()
