@@ -148,8 +148,9 @@ func Run(t *Table, q *Query, opts Options) (*Result, error) { return engine.Run(
 // ScanStats (and, given a ScanTrace, its per-phase attribution), Run(ctx)
 // the result alone. One Prepared serves any number of goroutines calling
 // either concurrently, with zero steady-state allocation on the scan path.
-// New rows stay visible — each execution re-lists the table's segments and
-// plans unseen ones on demand.
+// Table writes stay visible: each execution re-lists the table's segments
+// and plans unseen ones on demand, and rows deleted after Prepare drop out
+// of the next execution, since deletes are read per batch, never planned.
 type Prepared = engine.Prepared
 
 // Prepare compiles a query against a table for repeated or concurrent

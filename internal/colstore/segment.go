@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"bipie/internal/encoding"
+	"bipie/internal/sel"
 )
 
 // SegmentRows is the target number of rows per segment ("a segment contains
@@ -131,18 +132,59 @@ func (s *Segment) IsDeleted(i int) bool {
 	return s.deleted[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// ApplyDeletes zeroes positions of deleted rows in the selection byte vector
-// sel, which covers rows [start, start+len(sel)). It is a no-op when the
-// segment has no deletes, the common case.
-func (s *Segment) ApplyDeletes(sel []byte, start int) {
-	if s.nDel == 0 {
-		return
+// HasDeletes reports whether any row of [start, start+n) is marked deleted:
+// false at once for a segment without deletes, the common case, otherwise
+// one test per bitmap word the range touches. Scans ask it per batch, so a
+// delete is a fact about the batches that hold it, never about a plan.
+func (s *Segment) HasDeletes(start, n int) bool {
+	if s.nDel == 0 || n <= 0 {
+		return false
 	}
-	for i := range sel {
-		if s.IsDeleted(start + i) {
-			sel[i] = 0
+	first, last := start>>6, (start+n-1)>>6
+	for w := first; w <= last; w++ {
+		word := s.deleted[w]
+		if w == first {
+			word &= ^uint64(0) << uint(start&63)
+		}
+		if w == last {
+			word &= ^uint64(0) >> uint(63-(start+n-1)&63)
+		}
+		if word != 0 {
+			return true
 		}
 	}
+	return false
+}
+
+// ApplyDeletes zeroes positions of deleted rows in the selection byte vector
+// vec, which covers rows [start, start+len(vec)). Scans call it only for a
+// batch HasDeletes reports.
+func (s *Segment) ApplyDeletes(vec []byte, start int) {
+	for i := range vec {
+		if s.IsDeleted(start + i) {
+			vec[i] = 0
+		}
+	}
+}
+
+// LiveSpans writes the rows of [start, start+n) that are not deleted into
+// dst as sorted, disjoint, maximal spans relative to start, and returns the
+// span count: the run-domain form of ApplyDeletes. Every two spans have a
+// deleted row between them, so dst needs room for n/2+1.
+func (s *Segment) LiveSpans(dst []sel.Span, start, n int) int {
+	k := 0
+	for i := 0; i < n; {
+		j := i
+		for j < n && !s.IsDeleted(start+j) {
+			j++
+		}
+		if j > i {
+			dst[k] = sel.Span{Start: int32(i), End: int32(j)}
+			k++
+		}
+		i = j + 1 // past the deleted row that ended the span
+	}
+	return k
 }
 
 // Batch is one scan window of rows [Start, Start+N).

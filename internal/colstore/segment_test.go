@@ -1,9 +1,11 @@
 package colstore
 
 import (
+	"math/rand"
 	"testing"
 
 	"bipie/internal/encoding"
+	"bipie/internal/sel"
 )
 
 func buildSegment(t *testing.T, n int) *Segment {
@@ -104,6 +106,54 @@ func TestApplyDeletesNoopWhenNone(t *testing.T) {
 	s.ApplyDeletes(sel, 0)
 	if sel[0] != 0xFF || sel[1] != 0xFF {
 		t.Fatal("no-op violated")
+	}
+}
+
+// TestHasDeletesAndLiveSpans holds the per-batch delete views to IsDeleted
+// over random delete sets and ranges: HasDeletes at word edges and inside
+// one word, and LiveSpans as sorted, disjoint, maximal spans covering
+// exactly the live rows.
+func TestHasDeletesAndLiveSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const n = 700
+	for trial := 0; trial < 200; trial++ {
+		s := buildSegment(t, n)
+		if trial > 0 {
+			for k := rng.Intn(1 + rng.Intn(n)); k > 0; k-- {
+				s.MarkDeleted(rng.Intn(n))
+			}
+		}
+		for r := 0; r < 20; r++ {
+			start := rng.Intn(n + 1)
+			cnt := rng.Intn(n - start + 1)
+			if r%4 == 0 {
+				start = rng.Intn(n/64) * 64 // word-aligned, as the scan's batches are
+				cnt = min(n-start, 64*(1+rng.Intn(3)))
+			}
+			hit := false
+			for i := start; i < start+cnt; i++ {
+				hit = hit || s.IsDeleted(i)
+			}
+			if got := s.HasDeletes(start, cnt); got != hit {
+				t.Fatalf("trial %d: HasDeletes(%d, %d) = %v, want %v", trial, start, cnt, got, hit)
+			}
+			dst := make([]sel.Span, cnt/2+1)
+			k := s.LiveSpans(dst, start, cnt)
+			live := make([]bool, cnt)
+			for j, sp := range dst[:k] {
+				if sp.Start >= sp.End || (j > 0 && sp.Start <= dst[j-1].End) {
+					t.Fatalf("trial %d: LiveSpans(%d, %d) = %v: not sorted, disjoint and maximal", trial, start, cnt, dst[:k])
+				}
+				for i := sp.Start; i < sp.End; i++ {
+					live[i] = true
+				}
+			}
+			for i := range live {
+				if live[i] == s.IsDeleted(start+i) {
+					t.Fatalf("trial %d: LiveSpans(%d, %d) = %v: row %d wrong", trial, start, cnt, dst[:k], start+i)
+				}
+			}
+		}
 	}
 }
 

@@ -247,34 +247,3 @@ func (c *RLEColumn) SumSpans(base int, spans []sel.Span) int64 {
 	}
 	return sum
 }
-
-// SumRange returns the sum of rows [start, start+n) computed at run
-// granularity: value × overlap per run, without decoding any row. This is
-// the run-length analogue of operating directly on encoded data — a batch
-// covered by k runs costs O(k + log runs) instead of O(batch).
-func (c *RLEColumn) SumRange(start, n int) int64 {
-	checkDecodeRange(c.Len(), start, n)
-	if n == 0 {
-		return 0
-	}
-	end := start + n
-	r := sort.SearchInts(c.ends, start+1)
-	var sum int64
-	runStart := 0
-	if r > 0 {
-		runStart = c.ends[r-1]
-	}
-	for ; r < len(c.ends) && runStart < end; r++ {
-		runEnd := c.ends[r]
-		lo, hi := runStart, runEnd
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		sum += c.values[r] * int64(hi-lo)
-		runStart = runEnd
-	}
-	return sum
-}

@@ -21,14 +21,18 @@ func runnyValues(rng *rand.Rand, n, card, maxRun int) []int64 {
 	return vals
 }
 
-// TestRLESumRangeBoundaries exercises SumRange at run boundaries: ranges
-// straddling run ends, single-run ranges, single-row ranges, empty ranges,
-// and the full column.
+// TestRLESumRangeBoundaries exercises SumSpans over one span covering a
+// whole range — the span path's sum of an unfiltered batch — at run
+// boundaries: ranges straddling run ends, single-run ranges, single-row
+// ranges, empty ranges, and the full column.
 func TestRLESumRangeBoundaries(t *testing.T) {
 	vals := []int64{5, 5, 5, -2, -2, 7, 7, 7, 7, 0, 3}
 	c := NewRLE(vals)
 	if c.Runs() != 5 {
 		t.Fatalf("runs = %d, want 5", c.Runs())
+	}
+	sumRange := func(start, n int) int64 {
+		return c.SumSpans(start, []sel.Span{{End: int32(n)}})
 	}
 	oracle := func(start, n int) int64 {
 		var s int64
@@ -45,15 +49,15 @@ func TestRLESumRangeBoundaries(t *testing.T) {
 		{0, 11}, // whole column
 	}
 	for _, tc := range cases {
-		if got, want := c.SumRange(tc[0], tc[1]), oracle(tc[0], tc[1]); got != want {
-			t.Errorf("SumRange(%d,%d) = %d, want %d", tc[0], tc[1], got, want)
+		if got, want := sumRange(tc[0], tc[1]), oracle(tc[0], tc[1]); got != want {
+			t.Errorf("SumSpans(%d, [0,%d)) = %d, want %d", tc[0], tc[1], got, want)
 		}
 	}
 	// Exhaustive sweep over every (start, n).
 	for start := 0; start <= len(vals); start++ {
 		for n := 0; start+n <= len(vals); n++ {
-			if got, want := c.SumRange(start, n), oracle(start, n); got != want {
-				t.Fatalf("SumRange(%d,%d) = %d, want %d", start, n, got, want)
+			if got, want := sumRange(start, n), oracle(start, n); got != want {
+				t.Fatalf("SumSpans(%d, [0,%d)) = %d, want %d", start, n, got, want)
 			}
 		}
 	}

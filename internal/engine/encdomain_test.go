@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -223,9 +225,9 @@ func TestSpanAggregation(t *testing.T) {
 		t.Fatalf("conjunction: span path never engaged: %+v", st)
 	}
 
-	// Deletes force the fallback: the span path requires DeletedRows()==0
-	// at plan time, and the row pipeline must take over with the same
-	// answer.
+	// Deletes keep the span path: the batch holding the deleted row
+	// intersects its spans with the segment's live spans, every batch still
+	// runs in the run domain, and the answer drops the row.
 	tbl.Segments()[0].MarkDeleted(5)
 	want, err = Run(tbl, q, oracleOpts())
 	if err != nil {
@@ -233,6 +235,9 @@ func TestSpanAggregation(t *testing.T) {
 	}
 	got, st = runTraced(t, tbl, q, Options{}, nil)
 	assertSameResult(t, "span after delete", got, want)
+	if st.RunSpanBatches != st.Batches-st.BatchesSkipped {
+		t.Fatalf("after delete: %d of %d batches (%d skipped) on the span path", st.RunSpanBatches, st.Batches, st.BatchesSkipped)
+	}
 }
 
 // TestEncodedDomainAblation sweeps every combination of the encoded-domain
@@ -279,11 +284,18 @@ func fuzzAssertSame(t *testing.T, label string, got, want *Result) {
 
 // FuzzRLEDomainFilter drives the run-domain filter (and the span
 // aggregation path) with fuzzer-shaped run structure, thresholds, and
-// operators, checking against the decode-then-filter oracle.
+// operators, or no filter at all, checking against the decode-then-filter
+// oracle. The query is Prepared first; then the rows the input marks are
+// deleted, and the same Prepared must drop them, as must the oracle.
 func FuzzRLEDomainFilter(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, int64(2), uint8(0), uint8(3))
 	f.Add([]byte{0, 0, 0, 255, 255}, int64(-1), uint8(3), uint8(1))
 	f.Add([]byte{}, int64(0), uint8(2), uint8(9))
+	// Long runs, so v encodes as RLE, with deletes in both: no filter (the
+	// unfiltered span plan), and v <= -5, which keeps the first run only.
+	runs := append(bytes.Repeat([]byte{3}, 40), bytes.Repeat([]byte{12}, 40)...)
+	f.Add(runs, int64(0), uint8(6), uint8(7))
+	f.Add(runs, int64(5), uint8(0), uint8(7))
 	f.Fuzz(func(t *testing.T, data []byte, thr int64, opSel, runScale uint8) {
 		// Derive a runny value sequence: each byte contributes a run of
 		// 1..runScale+1 copies of a small signed value.
@@ -316,7 +328,7 @@ func FuzzRLEDomainFilter(f *testing.F) {
 		tbl.Flush()
 		var pred expr.Pred
 		c, k := expr.Col("v"), expr.Int(thr%20-10)
-		switch opSel % 6 {
+		switch opSel % 7 {
 		case 0:
 			pred = expr.Le(c, k)
 		case 1:
@@ -327,19 +339,31 @@ func FuzzRLEDomainFilter(f *testing.F) {
 			pred = expr.Gt(c, k)
 		case 4:
 			pred = expr.Eq(c, k)
-		default:
+		case 5:
 			pred = expr.Ne(c, k)
 		}
 		q := &Query{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("v"))}, Filter: pred}
+		p, err := Prepare(tbl, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every input byte ≡ 3 (mod 4) deletes one row, spread by position.
+		for i, b := range data {
+			if b%4 == 3 {
+				if err := tbl.Delete((i*37 + int(b)) % len(vals)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		want, err := Run(tbl, q, oracleOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(tbl, q, Options{})
+		got, err := p.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fuzzAssertSame(t, fmt.Sprintf("rle %s", pred), got, want)
+		fuzzAssertSame(t, fmt.Sprintf("rle %v", pred), got, want)
 	})
 }
 

@@ -40,10 +40,11 @@ type Options struct {
 	// unpack-then-compare path instead of the packed-domain SWAR kernels.
 	// For ablation.
 	DisablePackedFilter bool
-	// DisableRLEDomain keeps comparisons on RLE columns out of the run
-	// domain: no run-span filter evaluation, no span-path aggregation;
-	// such predicates become residual leaves — the column decoded into
-	// the 8-byte lane, then the typed compare-to-mask. For ablation.
+	// DisableRLEDomain keeps RLE columns out of the run domain: no
+	// run-span filter evaluation and no span-path aggregation, filtered or
+	// not; such predicates become residual leaves — the column decoded
+	// into the 8-byte lane, then the typed compare-to-mask — and an RLE
+	// column's SUM decodes its rows like any other. For ablation.
 	DisableRLEDomain bool
 	// DisableDictDomain keeps string predicates out of the packed
 	// dictionary-code kernels: StrIn/StrEq filters become residual

@@ -36,9 +36,10 @@ type execState struct {
 	residBufs progBufs
 	masks     []sel.ByteVec
 	// Span-path buffers (allocated only for spanAgg plans): the running
-	// span intersection, the current conjunct's spans, and the intersect
-	// target that swaps with the accumulator; spans is the filter stage's
-	// result for the current batch, a view of whichever of the two holds it.
+	// span intersection, the current conjunct's (or the live rows') spans,
+	// and the intersect target that swaps with the accumulator; spans is
+	// the filter stage's result for the current batch, a view of whichever
+	// of the two holds it.
 	spanAcc    []sel.Span
 	spanEval   []sel.Span
 	spanTmp    []sel.Span
@@ -224,19 +225,20 @@ const (
 // filterBatch is the pipeline's filter stage. Pushed conjuncts evaluate in
 // their encoded domains first; the residual predicate (if any) evaluates its
 // value program over the whole batch, turns it into a mask and ANDs in;
-// deleted rows drop out last. Each conjunct is
-// refined against the encoding's batch metadata first: a proven
-// all-rejecting conjunct skips the batch before any kernel touches data,
-// and a proven all-matching one drops out of the conjunction. The result is
-// the row mask e.selVec[:b.N] — with a fused plan's pass also the batch's
-// group ids, blended, and its kept count (fusedFilter, e.mapped) — or, for
-// spanAgg plans, the span list
-// e.spans: every live conjunct emits run-aligned spans and the spans
-// intersect in span space, so no selection vector, no unpack, no per-row
-// work happens at all and the batch costs O(runs + spans), which is what
-// buys the low-selectivity speedup the paper gets from operating on run
-// boundaries instead of rows. filterBatch records the batch in e.stats and
-// returns how many rows survive and how the aggregate stage selects them.
+// deleted rows drop out last, read from the segment for this batch alone.
+// Each conjunct is refined against the encoding's batch metadata first: a
+// proven all-rejecting conjunct skips the batch before any kernel touches
+// data, and a proven all-matching one drops out of the conjunction. The
+// result is the row mask e.selVec[:b.N] — with a fused plan's pass also the
+// batch's group ids, blended, and its kept count (fusedFilter, e.mapped) —
+// or, for spanAgg plans, the span list e.spans: every live conjunct emits
+// run-aligned spans, the spans intersect in span space (an unfiltered batch
+// is one span), and a batch holding deleted rows intersects its live spans
+// too, so no selection vector, no unpack, no per-row work happens at all and
+// the batch costs O(runs + spans), which is what buys the low-selectivity
+// speedup the paper gets from operating on run boundaries instead of rows.
+// filterBatch records the batch in e.stats and returns how many rows survive
+// and how the aggregate stage selects them.
 //
 //bipie:kernel
 func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
@@ -246,10 +248,8 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	nAcc, kept := 0, 0
 	filled := false
 	e.mapped = false
+	dels := sp.seg.HasDeletes(b.Start, b.N)
 	var domains domainSet
-	if sp.spanAgg {
-		domains = 1 << domRLE
-	}
 	for i, pp := range sp.pushed {
 		t0 := e.traceStart()
 		op := pp.planOp()
@@ -271,7 +271,7 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 		}
 		t0 = e.traceStart()
 		switch {
-		case sp.fused != nil && b.N == bitpack.GroupsRows && sp.seg.DeletedRows() == 0:
+		case sp.fused != nil && b.N == bitpack.GroupsRows && !dels:
 			// The plan's one live conjunct, with the group map riding along.
 			kept, e.mapped = sp.fused.eval(b, vec, e.groupBuf[:b.N]), true
 			domains |= 1 << domPacked
@@ -280,6 +280,7 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 			domains |= 1 << pp.domain()
 		case !filled:
 			nAcc = sp.spanPreds[i].evalSpans(b, acc)
+			domains |= 1 << domRLE
 		default:
 			k := sp.spanPreds[i].evalSpans(b, e.spanEval)
 			nAcc = sel.IntersectSpans(tmp, acc[:nAcc], e.spanEval[:k])
@@ -311,19 +312,25 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	// With nothing evaluated — no filter at all, or every pushed conjunct
 	// resolved to pushAll and no residual remains — the batch is
 	// metadata-proven fully selected. It still needs a mask when rows are
-	// deleted or a forced method must run over it; a span plan (which has
-	// neither) takes the one span covering it.
+	// deleted or a forced method must run over it; a span plan (never
+	// forced) takes the one span covering it, less its deleted rows.
 	forced := sp.opts.ForceSelection != nil
 	how, selected := selWhole, b.N
 	switch {
 	case sp.spanAgg:
 		how = selSpans
-		if filled {
-			selected = sel.SpanRows(acc[:nAcc])
-		} else {
+		if !filled {
 			acc[0], nAcc = sel.Span{End: int32(b.N)}, 1
 		}
+		if dels && nAcc > 0 {
+			t0 := e.traceStart()
+			k := sp.seg.LiveSpans(e.spanEval, b.Start, b.N)
+			nAcc = sel.IntersectSpans(tmp, acc[:nAcc], e.spanEval[:k])
+			acc = tmp
+			e.traceEnd(obs.PhaseSelection, t0, b.N)
+		}
 		e.spans = acc[:nAcc]
+		selected = sel.SpanRows(e.spans)
 	case e.mapped:
 		// The fused pass counted the kept rows and left neither deletes nor
 		// a forced method to apply.
@@ -331,14 +338,16 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 		if selected > 0 && selected < b.N {
 			how = e.chooseSelection(float64(selected) / float64(b.N))
 		}
-	case filled || forced || sp.seg.DeletedRows() != 0:
+	case filled || forced || dels:
 		if !filled {
 			for i := range vec {
 				vec[i] = sel.Selected
 			}
 		}
 		t0 := e.traceStart()
-		sp.seg.ApplyDeletes(vec, b.Start)
+		if dels {
+			sp.seg.ApplyDeletes(vec, b.Start)
+		}
 		selected = vec.CountSelected()
 		e.traceEnd(obs.PhaseSelection, t0, b.N)
 		if selected > 0 && (selected < b.N || forced) {
@@ -397,7 +406,7 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	if how == selSpans {
 		e.counts[0] += int64(selected)
 		t0 := e.traceStart()
-		for _, i := range sp.spanIdx {
+		for i := range sp.sums {
 			e.sumAcc[i][0] += sp.sums[i].rle.SumSpans(b.Start, e.spans)
 		}
 		e.traceEnd(obs.PhaseAggregate, t0, selected)
@@ -434,14 +443,9 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 		load, loaded = selWhole, b.N
 	}
 
-	// Run-summable slots aggregate on the encoded runs; their batches are
-	// always whole (the run path is only enabled for unfiltered single-group
-	// segments). The phase's two intervals are one pass over the batch: its
-	// rows are credited once, when the second closes.
+	// The phase's two intervals are one pass over the batch: its rows are
+	// credited once, when the second closes.
 	t0 := e.traceStart()
-	for _, i := range sp.runIdx {
-		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
-	}
 	e.countGroups(groups, idx)
 	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
@@ -471,9 +475,6 @@ func (e *execState) reduceBatch(b colstore.Batch, how selection, k int) {
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
 	e.counts[0] += int64(k)
-	for _, i := range sp.runIdx {
-		e.sumAcc[i][0] += sp.sums[i].rle.SumRange(b.Start, b.N)
-	}
 	for _, i := range sp.sumIdx {
 		e.sumAcc[i][0] += agg.ReduceSum(e.colViews[i])
 	}

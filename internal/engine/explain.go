@@ -72,9 +72,8 @@ type SegmentPlan struct {
 	// words — so no vector of them is ever stored; FormatPlans prints them
 	// with a ×. Nil when the plan has none.
 	WalkedSums []bool
-	// RunLevelSums counts SUM slots aggregated at RLE run granularity —
-	// the unfiltered whole-segment path and the span-filtered path both
-	// count, since neither decodes a row.
+	// RunLevelSums counts SUM slots aggregated at RLE run granularity on
+	// the span path, filtered or not: none of them decodes a row.
 	RunLevelSums int
 	// MutableSnapshot marks the encoded snapshot of unsealed rows.
 	MutableSnapshot bool
@@ -142,7 +141,9 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 				out.WalkedSums[i] = true
 			}
 		}
-		out.RunLevelSums = len(sp.runIdx) + len(sp.spanIdx)
+		if sp.spanAgg {
+			out.RunLevelSums = len(sp.sums)
+		}
 		plans = append(plans, out)
 	}
 	return plans, nil

@@ -101,19 +101,6 @@ type pushedPred interface {
 	modelCost(prof *costmodel.Profile) float64
 }
 
-// spanPred is implemented by pushed predicates that can emit their result
-// as run-aligned selection spans instead of a row mask — the contract the
-// run-domain aggregation path (the spanAgg side of exec.filterBatch)
-// requires of every conjunct so a batch's filter and sums both stay in the
-// encoded domain.
-type spanPred interface {
-	pushedPred
-	// evalSpans writes the qualifying rows of a batch as sorted, disjoint,
-	// maximal batch-relative spans into dst and returns the span count.
-	// dst has room for b.N/2+1 spans.
-	evalSpans(b colstore.Batch, dst []sel.Span) int
-}
-
 // splitPushdown walks the top-level conjunction of p, converting pushable
 // predicates into pushedPreds against this segment's columns and returning
 // the residual predicate (nil when everything pushed).
@@ -453,10 +440,13 @@ func (pp *rlePred) batchOp(b colstore.Batch) pushOp {
 //bipie:kernel
 //bipie:nobce
 func (pp *rlePred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
-	k := pp.col.CmpSpans(sc.spans, runCmpOf(pp.op), pp.threshold, b.Start, b.N)
-	sel.ApplySpans(vec, sc.spans[:k], first)
+	sel.ApplySpans(vec, sc.spans[:pp.evalSpans(b, sc.spans)], first)
 }
 
+// evalSpans writes the qualifying rows of a batch as sorted, disjoint,
+// maximal batch-relative spans into dst and returns the span count: the
+// span path's form of eval (exec.filterBatch). dst has room for b.N/2+1
+// spans.
 func (pp *rlePred) evalSpans(b colstore.Batch, dst []sel.Span) int {
 	return pp.col.CmpSpans(dst, runCmpOf(pp.op), pp.threshold, b.Start, b.N)
 }

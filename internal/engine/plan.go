@@ -40,7 +40,7 @@ type sumInput struct {
 	kind     AggKind             // Sum (also for Avg numerators), Min, or Max
 	term     expr.SumTerm        // Node < 0: a literal input, no vector at all
 	packed   *bitpack.Vector     // node is a packed leaf: the sort path sums it still packed
-	rle      *encoding.RLEColumn // input is a bare RLE column: run-level paths may apply
+	rle      *encoding.RLEColumn // input is a bare RLE column: the span path may sum it per run
 	wordSize int                 // lane of the node's vector; 0 for a literal
 	// walked marks a product the multi-aggregate walk computes per row
 	// (agg.Product): its node is never evaluated and has no vector.
@@ -75,7 +75,6 @@ type segPlan struct {
 	sums        []sumInput
 	sumIdx      []int  // slots with kind Sum, fed to the sum strategy kernels
 	extIdx      []int  // slots with kind Min/Max, always scalar
-	runIdx      []int  // slots summed at run granularity on encoded RLE data
 	materialize []bool // whether a slot needs per-row value vectors
 	aggSlot     []int  // aggregate index → sum slot, -1 for COUNT
 
@@ -99,13 +98,13 @@ type segPlan struct {
 	// group map as one pass (fusedFilter); nil otherwise.
 	fused *fusedFilter
 
-	// spanAgg marks the fully encoded fast path: every filter conjunct
-	// pushed as run-aligned spans (or proven pushAll), every aggregate a
-	// run-summable RLE sum, one real group — so a batch's filter AND sums
-	// both complete in the run domain without materializing a single row.
+	// spanAgg marks the fully encoded fast path: no filter, or every
+	// conjunct pushed as run-aligned spans (or proven pushAll); every
+	// aggregate a bare RLE column's SUM, or COUNT; one real group — so a
+	// batch's filter AND sums both complete in the run domain without
+	// materializing a single row. Every sum slot is summed per span.
 	spanAgg   bool
-	spanPreds []spanPred // parallel to pushed; nil entries are planOp()==pushAll
-	spanIdx   []int      // sum slots aggregated via SumSpans on the span path
+	spanPreds []*rlePred // parallel to pushed; nil entries are planOp()==pushAll
 
 	maxBits uint8 // widest column word the value paths read, drives the selection crossover
 
@@ -138,9 +137,10 @@ type segPlan struct {
 // the plans read-only. The Query and Options must not be mutated after
 // Prepare.
 //
-// New rows remain visible: Run re-lists the table's segments every call,
-// plans unseen segments (including fresh mutable-region snapshots) on
-// demand, and prunes plans for segments that no longer exist.
+// Table writes remain visible. Run re-lists the table's segments every
+// call, plans unseen segments (including fresh mutable-region snapshots) on
+// demand, and prunes plans for segments that no longer exist; deletes are
+// read per batch at scan time, and no plan depends on them.
 //
 // Everything here except the mu-guarded plan cache is frozen at Prepare
 // time; immutplan (bipievet) enforces that, with the cache's two writers
@@ -204,8 +204,9 @@ func (p *Prepared) segments() ([]*colstore.Segment, int) {
 
 // planFor returns the cached plan for a segment, building and publishing it
 // on first sight. Plans are keyed by segment identity: sealed segments are
-// immutable, and the mutable region produces a fresh snapshot segment after
-// every write, so a cached plan can never go stale.
+// immutable but for their delete marks, which no plan reads, and the
+// mutable region produces a fresh snapshot segment after every write, so a
+// cached plan can never go stale.
 func (p *Prepared) planFor(seg *colstore.Segment) (*segPlan, error) {
 	p.mu.RLock()
 	sp := p.plans[seg]
@@ -339,41 +340,30 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	}
 
 	// The span-aggregation path applies when the whole batch pipeline can
-	// stay in the run domain: a fully pushed filter whose live conjuncts all
-	// emit run-aligned spans, a single real group, and only RLE-backed SUM
-	// slots. Deletes, forced methods, and residuals all fall back to the
-	// row-mask pipeline.
-	spanOK := sp.residual == nil && len(sp.pushed) > 0 &&
-		!opts.DisableRLEDomain && sp.realGroups == 1 && len(sp.sums) > 0 &&
-		seg.DeletedRows() == 0 && opts.ForceSelection == nil && opts.ForceAggregation == nil
+	// stay in the run domain: no filter, or a fully pushed one whose live
+	// conjuncts all emit run-aligned spans; a single real group; and only
+	// RLE-backed SUM slots. Forced methods and residuals fall back to the
+	// row-mask pipeline; deleted rows are a batch's live spans (filterBatch).
+	spanOK := sp.residual == nil && !opts.DisableRLEDomain && sp.realGroups == 1 && len(sp.sums) > 0 &&
+		opts.ForceSelection == nil && opts.ForceAggregation == nil
 	for i := range sp.sums {
 		spanOK = spanOK && sp.sums[i].kind == Sum && sp.sums[i].rle != nil
 	}
+	spanPreds := make([]*rlePred, len(sp.pushed))
+	for i, pp := range sp.pushed {
+		spanPreds[i], _ = pp.(*rlePred)
+		spanOK = spanOK && (spanPreds[i] != nil || pp.planOp() == pushAll)
+	}
 	if spanOK {
-		spanPreds := make([]spanPred, len(sp.pushed))
-		for i, pp := range sp.pushed {
-			s, ok := pp.(spanPred)
-			if !ok && pp.planOp() != pushAll {
-				spanOK = false
-				break
-			}
-			spanPreds[i] = s
-		}
-		if spanOK {
-			sp.spanAgg, sp.spanPreds = true, spanPreds
-		}
+		sp.spanAgg, sp.spanPreds = true, spanPreds
 	}
 
 	// Choose the aggregation strategy for the whole segment from metadata
 	// (paper §3: per segment, from max groups and aggregate shape). Only
 	// SUM inputs participate — MIN/MAX always run the scalar extremum
-	// kernel on the side, and run-summable slots bypass strategies
-	// entirely: a global (single-group, unfiltered) sum over an RLE column
-	// is computed per run on the encoded representation, never decoding a
-	// row. The condition is static per segment so every batch takes the
-	// same path.
-	runnable := sp.realGroups == 1 && q.Filter == nil && seg.DeletedRows() == 0 &&
-		opts.ForceSelection == nil && opts.ForceAggregation == nil
+	// kernel on the side, and a span plan's sums bypass strategies
+	// entirely: each is summed per run on the encoded representation, never
+	// decoding a row.
 	for i, si := range sp.sums {
 		switch {
 		case si.term.IsConst():
@@ -381,12 +371,9 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 			// group counts.
 		case si.kind != Sum:
 			sp.extIdx = append(sp.extIdx, i)
-		case runnable && si.rle != nil:
-			sp.runIdx = append(sp.runIdx, i)
 		case sp.spanAgg:
-			// spanAgg guarantees every slot here is an RLE-backed Sum; the
-			// span path sums them per qualifying run via SumSpans.
-			sp.spanIdx = append(sp.spanIdx, i)
+			// spanAgg guarantees every slot is an RLE-backed Sum; the span
+			// path sums each per qualifying run via SumSpans.
 		default:
 			sp.sumIdx = append(sp.sumIdx, i)
 		}

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"bipie/internal/agg"
+	"bipie/internal/colstore"
+	"bipie/internal/encoding"
 	"bipie/internal/expr"
 	"bipie/internal/table"
 )
@@ -284,6 +286,100 @@ func TestPreparedSeesNewRows(t *testing.T) {
 	if cached > len(segments) {
 		t.Fatalf("plan cache holds %d plans for %d live segments; stale plans not pruned", cached, len(segments))
 	}
+}
+
+// TestPreparedSeesLaterDeletes checks that a Prepared stays correct as rows
+// are deleted after it was planned: delete state is read per batch at scan
+// time, never frozen into a plan. Five shapes — the unfiltered and the
+// filtered span plan, the same two with a bit-packed sum beside the RLE one
+// (the row pipeline), and Q1's fused filter-and-group-map pass — are each
+// Prepared once over a fresh table (lateDeleteTable) and compared with
+// RunNaive after every single delete: batch and run edges first, then
+// random rows.
+func TestPreparedSeesLaterDeletes(t *testing.T) {
+	sumR := []Aggregate{CountStar(), SumOf(expr.Col("r"))}
+	mixed := []Aggregate{CountStar(), SumOf(expr.Col("r")), SumOf(expr.Col("v"))}
+	rLE10 := expr.Le(expr.Col("r"), expr.Int(10))
+	for _, sh := range []struct {
+		name  string
+		q     *Query
+		check func(sp *segPlan) bool // the plan takes the path the shape names
+	}{
+		{"unfiltered span", &Query{Aggregates: sumR}, func(sp *segPlan) bool { return sp.spanAgg }},
+		{"filtered span", &Query{Aggregates: sumR, Filter: rLE10}, func(sp *segPlan) bool { return sp.spanAgg }},
+		{"unfiltered mixed", &Query{Aggregates: mixed}, func(sp *segPlan) bool { return !sp.spanAgg }},
+		{"filtered mixed", &Query{Aggregates: mixed, Filter: rLE10}, func(sp *segPlan) bool { return !sp.spanAgg }},
+		{"fused q1", &Query{
+			GroupBy:    []string{"flag", "status"},
+			Aggregates: []Aggregate{SumOf(expr.Col("v")), CountStar()},
+			Filter:     expr.Le(expr.Col("date"), expr.Int(3000)),
+		}, func(sp *segPlan) bool { return sp.fused != nil }},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			tbl := lateDeleteTable(t)
+			p, err := Prepare(tbl, sh.q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segments, _ := p.segments()
+			for _, seg := range segments {
+				if sp, err := p.planFor(seg); err != nil || !sh.check(sp) {
+					t.Errorf("the plan does not take the path the shape names (%v)", err)
+				}
+			}
+			rng := rand.New(rand.NewSource(34))
+			deletes := []int{0, 511, 512, colstore.BatchRows - 1, colstore.BatchRows, tbl.Rows() - 1}
+			for len(deletes) < 24 {
+				deletes = append(deletes, rng.Intn(tbl.Rows()))
+			}
+			for d, row := range deletes {
+				if err := tbl.Delete(row); err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := RunNaive(tbl, sh.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, fmt.Sprintf("after delete %d (row %d)", d, row), got, want)
+			}
+		})
+	}
+}
+
+// lateDeleteTable builds one segment of two batches: an RLE column r (runs
+// of 512 over 0..15), a bit-packed v, a 12-bit bit-packed date and Q1's two
+// dictionary group-key columns, flag (3 values) and status (2).
+func lateDeleteTable(t *testing.T) *table.Table {
+	t.Helper()
+	const n = 2 * colstore.BatchRows
+	rng := rand.New(rand.NewSource(33))
+	ints := map[string][]int64{"r": make([]int64, n), "v": make([]int64, n), "date": make([]int64, n)}
+	strs := map[string][]string{"flag": make([]string, n), "status": make([]string, n)}
+	for i := 0; i < n; i++ {
+		ints["r"][i] = int64(i / 512 % 16)
+		ints["v"][i] = rng.Int63n(1 << 10)
+		ints["date"][i] = rng.Int63n(1 << 12)
+		strs["flag"][i] = []string{"A", "N", "R"}[rng.Intn(3)]
+		strs["status"][i] = []string{"F", "O"}[rng.Intn(2)]
+	}
+	tbl, err := table.New(table.Schema{
+		{Name: "flag", Type: table.String}, {Name: "status", Type: table.String},
+		{Name: "r", Type: table.Int64}, {Name: "v", Type: table.Int64}, {Name: "date", Type: table.Int64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendColumns(ints, strs); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Flush()
+	assertKind(t, tbl, "r", encoding.KindRLE)
+	assertKind(t, tbl, "v", encoding.KindBitPack)
+	return tbl
 }
 
 // TestPreparedRunCancelled checks cancellation is honoured between batch

@@ -5,12 +5,15 @@ import (
 
 	"bipie/internal/encoding"
 	"bipie/internal/expr"
+	"bipie/internal/sel"
 	"bipie/internal/table"
 )
 
 // Global sums over RLE-encoded columns aggregate at run granularity on the
 // encoded data. The result must match the naive oracle exactly, and the
-// path must only engage for unfiltered single-group scans.
+// path must only engage for single-group scans whose every sum is a bare
+// RLE column: it does for the unfiltered all-RLE query, and not for one
+// that mixes in a bit-packed sum or for a grouped, filtered one.
 func TestRLERunLevelGlobalSum(t *testing.T) {
 	tbl, err := table.New(table.Schema{
 		{Name: "g", Type: table.String},
@@ -34,31 +37,42 @@ func TestRLERunLevelGlobalSum(t *testing.T) {
 		t.Fatalf("rate encoded as %v, want rle", col.Kind())
 	}
 
-	q := &Query{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("rate")), SumOf(expr.Col("noise"))}}
-	got, err := Run(tbl, q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		label   string
+		q       *Query
+		runSums int
+	}{
+		{"rle global", &Query{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("rate")), AvgOf(expr.Col("rate"))}}, 1},
+		{"rle+packed global", &Query{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("rate")), SumOf(expr.Col("noise"))}}, 0},
+		{"rle grouped filtered", &Query{
+			GroupBy:    []string{"g"},
+			Aggregates: []Aggregate{SumOf(expr.Col("rate"))},
+			Filter:     expr.Lt(expr.Col("noise"), expr.Int(50)),
+		}, 0},
+	} {
+		got, st := runTraced(t, tbl, tc.q, Options{}, nil)
+		want, err := RunNaive(tbl, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, tc.label, got, want)
+		plans, err := Explain(tbl, tc.q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, p := range plans {
+			if p.RunLevelSums != tc.runSums {
+				t.Errorf("%s: segment %d plans %d run-level sums, want %d", tc.label, si, p.RunLevelSums, tc.runSums)
+			}
+		}
+		if wantBatches := int64(tc.runSums) * st.Batches; st.RunSpanBatches != wantBatches {
+			t.Errorf("%s: %d of %d batches on the span path, want %d", tc.label, st.RunSpanBatches, st.Batches, wantBatches)
+		}
 	}
-	want, err := RunNaive(tbl, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "rle global", got, want)
-
-	// Filtered and grouped variants must also agree (run path disengages).
-	q2 := &Query{
-		GroupBy:    []string{"g"},
-		Aggregates: []Aggregate{SumOf(expr.Col("rate"))},
-		Filter:     expr.Lt(expr.Col("noise"), expr.Int(50)),
-	}
-	got2, err := Run(tbl, q2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, _ := RunNaive(tbl, q2)
-	assertSameResult(t, "rle filtered", got2, want2)
 }
 
+// TestRLESumRange sums every range of a small RLE column as one span, the
+// way the span path sums an unfiltered batch.
 func TestRLESumRange(t *testing.T) {
 	vals := []int64{5, 5, 5, -2, -2, 7, 7, 7, 7, 0}
 	c := encoding.NewRLE(vals)
@@ -68,8 +82,8 @@ func TestRLESumRange(t *testing.T) {
 			for i := start; i < start+n; i++ {
 				want += vals[i]
 			}
-			if got := c.SumRange(start, n); got != want {
-				t.Fatalf("SumRange(%d,%d)=%d want %d", start, n, got, want)
+			if got := c.SumSpans(start, []sel.Span{{End: int32(n)}}); got != want {
+				t.Fatalf("SumSpans(%d, [0,%d))=%d want %d", start, n, got, want)
 			}
 		}
 	}

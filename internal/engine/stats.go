@@ -47,9 +47,9 @@ type ScanStats struct {
 	RLEFilterBatches  int64
 	DictFilterBatches int64
 	// RunSpanBatches counts batches that ran the fully encoded span
-	// pipeline: filter and sums both resolved at run granularity, no row
-	// ever materialized. RunSkippedRows totals the rows those batches
-	// discarded at run granularity without decoding them.
+	// pipeline: filter (if any), deletes and sums all resolved at run
+	// granularity, no row ever materialized. RunSkippedRows totals the rows
+	// those batches discarded at run granularity without decoding them.
 	RunSpanBatches int64
 	RunSkippedRows int64
 	// SelectivityHist buckets every processed batch by measured

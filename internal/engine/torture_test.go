@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,15 +19,35 @@ import (
 // string + integer group-by, string predicates, pushdown-eligible and
 // residual filters, MIN/MAX next to SUM/AVG, HAVING, LIMIT, serialization
 // round trips, and every forced strategy/selection combination — always
-// compared against the naive oracle.
+// compared against the naive oracle. Every query's Prepareds are kept across
+// a second round of deletes and compared again: no plan may depend on the
+// delete state it was built under. Two fixed queries after the random ones
+// have the span path's shape — one group, every sum the RLE column's — so
+// the later deletes reach it too.
 func TestTortureDifferential(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1000 + seed))
 			tbl := tortureTable(t, rng)
-			for qi := 0; qi < 8; qi++ {
-				q := tortureQuery(rng, qi)
+			type run struct {
+				p     *Prepared
+				trace *obs.ScanTrace
+			}
+			spanShaped := []*Query{
+				{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("runny"))}},
+				{Aggregates: []Aggregate{CountStar(), AvgOf(expr.Col("runny"))}, Filter: expr.Le(expr.Col("runny"), expr.Int(2))},
+			}
+			queries := make([]*Query, 8+len(spanShaped))
+			runs := make([][]run, len(queries))
+			for qi := range queries {
+				var q *Query
+				if qi < 8 {
+					q = tortureQuery(rng, qi)
+				} else {
+					q = spanShaped[qi-8]
+				}
+				queries[qi] = q
 				want, err := RunNaive(tbl, q)
 				if err != nil {
 					t.Fatal(err)
@@ -51,8 +72,36 @@ func TestTortureDifferential(t *testing.T) {
 					},
 				}
 				for ci, c := range combos {
-					got, _ := runTraced(t, tbl, q, c.opts, c.trace)
+					p, err := Prepare(tbl, q, c.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err := p.RunTraced(context.Background(), c.trace)
+					if err != nil {
+						t.Fatal(err)
+					}
 					assertSameResult(t, fmt.Sprintf("q%d combo%d", qi, ci), got, want)
+					if qi >= 8 && ci == 0 && st.RunSpanBatches == 0 {
+						t.Errorf("q%d: the span path never ran: %+v", qi, st)
+					}
+					runs[qi] = append(runs[qi], run{p, c.trace})
+				}
+			}
+
+			// A second round of deletes, after every Prepare: the same
+			// Prepareds must see them.
+			deleteSealed(t, rng, tbl, 20)
+			for qi, q := range queries {
+				want, err := RunNaive(tbl, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci, r := range runs[qi] {
+					got, _, err := r.p.RunTraced(context.Background(), r.trace)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameResult(t, fmt.Sprintf("q%d combo%d after later deletes", qi, ci), got, want)
 				}
 			}
 
@@ -120,16 +169,20 @@ func tortureTable(t *testing.T, rng *rand.Rand) *table.Table {
 		}
 	}
 	// Delete a few sealed rows; leave the tail unsealed.
-	for _, seg := range tbl.Segments() {
-		_ = seg
-	}
+	deleteSealed(t, rng, tbl, 20)
+	return tbl
+}
+
+// deleteSealed deletes k random sealed rows (fewer distinct ones when a
+// row is drawn twice).
+func deleteSealed(t *testing.T, rng *rand.Rand, tbl *table.Table, k int) {
+	t.Helper()
 	sealed := tbl.Rows() - tbl.MutableRows()
-	for k := 0; k < 20 && sealed > 0; k++ {
+	for ; k > 0 && sealed > 0; k-- {
 		if err := tbl.Delete(rng.Intn(sealed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tbl
 }
 
 func tortureQuery(rng *rand.Rand, qi int) *Query {

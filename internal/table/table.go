@@ -293,7 +293,10 @@ func (t *Table) MutableRows() int { return t.mutLen }
 
 // Delete marks a sealed row deleted, addressed by global row position
 // across segments in order. It returns an error for positions in the
-// mutable region or out of range.
+// mutable region or out of range. Every later scan drops the row, through
+// a Prepared made before the delete too. Delete must not run concurrently
+// with a scan of the same table: the segment's delete marks are not
+// synchronized.
 func (t *Table) Delete(row int) error {
 	if row < 0 {
 		return fmt.Errorf("table: negative row %d", row)
