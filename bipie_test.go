@@ -126,3 +126,64 @@ func TestForcedStrategiesPublic(t *testing.T) {
 		}
 	}
 }
+
+// ownPred and ownExpr are a caller's own types: Pred and Expr have only
+// exported methods, so they satisfy them.
+type ownPred struct{}
+
+func (ownPred) Columns() []string { return []string{"qty"} }
+func (ownPred) String() string    { return "own" }
+
+type ownExpr struct{}
+
+func (ownExpr) Columns() []string { return []string{"qty"} }
+func (ownExpr) String() string    { return "own" }
+
+// A node outside the closed set of Pred and Expr types is an error naming
+// its Go type from every entry point — never a panic, and never an answer
+// (NOT of one must not read as a false comparison).
+func TestUnknownNodeIsAnError(t *testing.T) {
+	tbl, err := bipie.NewTable(bipie.Schema{
+		{Name: "flag", Type: bipie.String},
+		{Name: "qty", Type: bipie.Int64},
+	}, bipie.WithSegmentRows(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := tbl.AppendRow([]string{"A", "N"}[i%2], int64(i%50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Flush()
+	count := []bipie.Aggregate{bipie.CountStar()}
+	for _, c := range []struct {
+		name, typ string
+		q         *bipie.Query
+	}{
+		{"filter", "ownPred", &bipie.Query{Aggregates: count, Filter: ownPred{}}},
+		{"not", "ownPred", &bipie.Query{Aggregates: count, Filter: bipie.Not(ownPred{})}},
+		{"sum", "ownExpr", &bipie.Query{Aggregates: []bipie.Aggregate{bipie.SumOf(bipie.Add(bipie.Col("qty"), ownExpr{}))}}},
+		{"compare", "ownExpr", &bipie.Query{Aggregates: count, Filter: bipie.Lt(ownExpr{}, bipie.Int(5))}},
+	} {
+		entries := map[string]func() error{
+			"Prepare":  func() error { _, err := bipie.Prepare(tbl, c.q, bipie.Options{}); return err },
+			"Run":      func() error { _, err := bipie.Run(tbl, c.q, bipie.Options{}); return err },
+			"Explain":  func() error { _, err := bipie.Explain(tbl, c.q, bipie.Options{}); return err },
+			"RunNaive": func() error { _, err := bipie.RunNaive(tbl, c.q); return err },
+		}
+		for entry, call := range entries {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return call()
+			}()
+			if err == nil || !strings.Contains(err.Error(), "bipie_test."+c.typ) || strings.HasPrefix(err.Error(), "panic") {
+				t.Errorf("%s through %s: error %v, want one naming bipie_test.%s", c.name, entry, err, c.typ)
+			}
+		}
+	}
+}

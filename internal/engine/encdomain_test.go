@@ -145,7 +145,8 @@ func TestEncodedDomainPushdown(t *testing.T) {
 }
 
 // TestExplainEncodedDomains pins the per-predicate strategy labels Explain
-// reports for each encoding's pushdown.
+// reports for each encoding's pushdown; a value no dictionary holds
+// eliminates the segment instead (want nil).
 func TestExplainEncodedDomains(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	tbl := buildEncodedTable(t, rng, 8000, 4, 8000)
@@ -160,17 +161,20 @@ func TestExplainEncodedDomains(t *testing.T) {
 		{expr.StrNe("g", "k01"), []string{"dict-ne"}},
 		{expr.StrInSet("g", "k00", "k01"), []string{"dict-range"}},
 		{expr.StrInSet("g", "k00", "k02"), []string{"dict-bitmap"}},
-		{expr.StrEq("g", "nope"), []string{"dict-const"}},
+		{expr.StrEq("g", "nope"), nil},
 		{expr.AndP(expr.Le(expr.Col("rate"), expr.Int(5)), expr.StrEq("g", "k00")), []string{"rle-run", "dict-eq"}},
 	}
 	for _, tc := range cases {
 		q := &Query{Aggregates: []Aggregate{CountStar()}, Filter: tc.pred}
-		plans, err := Explain(tbl, q, Options{DisableElimination: true})
+		plans, err := Explain(tbl, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(plans) == 0 {
 			t.Fatal("no plans")
+		}
+		if plans[0].Eliminated != (tc.want == nil) {
+			t.Fatalf("%s: eliminated %v, want %v", tc.pred, plans[0].Eliminated, tc.want == nil)
 		}
 		got := plans[0].PushedDomains
 		if len(got) != len(tc.want) {

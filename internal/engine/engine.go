@@ -19,14 +19,14 @@ import (
 )
 
 // Options tune a scan. The zero value gives the paper's default behaviour:
-// runtime strategy choice and one worker per CPU.
+// runtime strategy choice and one worker per CPU. Segment elimination has no
+// switch: it is the planner's own verdict on the filter, held to RunNaive.
+// The Disable* switches select the reference paths tests and ablations
+// compare the encoded ones against.
 type Options struct {
 	// Parallelism caps concurrent segment scans; 0 means GOMAXPROCS. The
 	// paper's evaluation always uses all hardware threads (§6).
 	Parallelism int
-	// DisableElimination turns off metadata-based segment elimination,
-	// useful for ablation measurements.
-	DisableElimination bool
 	// ForceSelection pins the per-batch selection method; the benchmark
 	// harness uses it to sweep the nine strategy combinations of §6.2.
 	ForceSelection *sel.Method

@@ -226,9 +226,10 @@ const (
 // their encoded domains first; the residual predicate (if any) evaluates its
 // value program over the whole batch, turns it into a mask and ANDs in;
 // deleted rows drop out last, read from the segment for this batch alone.
-// Each conjunct is refined against the encoding's batch metadata first: a
-// proven all-rejecting conjunct skips the batch before any kernel touches
-// data, and a proven all-matching one drops out of the conjunction. The
+// Every conjunct is live for the segment; each is clamped against the
+// encoding's batch metadata first (the zone maps): a proven all-rejecting
+// conjunct skips the batch before any kernel touches data, and a proven
+// all-matching one drops out of the conjunction. The
 // result is the row mask e.selVec[:b.N] — with a fused plan's pass also the
 // batch's group ids, blended, and its kept count (fusedFilter, e.mapped) —
 // or, for spanAgg plans, the span list e.spans: every live conjunct emits
@@ -251,25 +252,20 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	dels := sp.seg.HasDeletes(b.Start, b.N)
 	var domains domainSet
 	for i, pp := range sp.pushed {
-		t0 := e.traceStart()
-		op := pp.planOp()
-		if !op.constant() && !sp.opts.DisableZoneMaps {
-			op = pp.batchOp(b)
-		}
-		e.traceEnd(obs.PhaseZoneMap, t0, b.N)
-		if op == pushNone {
-			// Distinguish a zone-map skip from a predicate the plan already
-			// proved constant against segment metadata.
-			e.stats.note(b.N, 0, selWhole, 0)
-			if pp.planOp() != pushNone {
+		if !sp.opts.DisableZoneMaps {
+			t0 := e.traceStart()
+			op := pp.batchOp(b)
+			e.traceEnd(obs.PhaseZoneMap, t0, b.N)
+			if op == pushNone {
+				e.stats.note(b.N, 0, selWhole, 0)
 				e.stats.BatchesSkipped++
+				return selWhole, 0
 			}
-			return selWhole, 0
+			if op == pushAll {
+				continue
+			}
 		}
-		if op == pushAll {
-			continue
-		}
-		t0 = e.traceStart()
+		t0 := e.traceStart()
 		switch {
 		case sp.fused != nil && b.N == bitpack.GroupsRows && !dels:
 			// The plan's one live conjunct, with the group map riding along.
@@ -309,12 +305,12 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 		filled = true
 	}
 
-	// With nothing evaluated — no filter at all, or every pushed conjunct
-	// resolved to pushAll and no residual remains — the batch is
-	// metadata-proven fully selected. It still needs a mask when rows are
-	// deleted or a forced method must run over it; a span plan (never
-	// forced) takes the one span covering it, less its deleted rows.
-	forced := sp.opts.ForceSelection != nil
+	// With nothing evaluated — no live filter at all, or every pushed
+	// conjunct clamped to pushAll on the batch and no residual remains — the
+	// batch is metadata-proven fully selected. It still needs a mask when
+	// rows are deleted or a forced method must run over it; a span plan
+	// (never forced) takes the one span covering it, less its deleted rows.
+	forced := sp.forceSel != nil
 	how, selected := selWhole, b.N
 	switch {
 	case sp.spanAgg:
@@ -360,25 +356,17 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 
 // chooseSelection picks a selection method for one batch from measured
 // selectivity (paper §3) — the one specialization decision that stays at
-// exec time, because it depends on data the plan cannot see.
+// exec time, because it depends on data the plan cannot see. The plan
+// settled everything else: the method a forced plan runs, and the
+// gather/compact crossover (from the cost profile; +Inf for sort-based
+// aggregation), so this only compares.
 func (e *execState) chooseSelection(selectivity float64) selection {
 	sp := e.plan
 	var m sel.Method
-	if sp.opts.ForceSelection != nil {
-		m = *sp.opts.ForceSelection
-		if m == sel.MethodSpecialGroup && sp.special < 0 {
-			m = sel.MethodCompact
-		}
+	if sp.forceSel != nil {
+		m = *sp.forceSel
 	} else {
-		// The gather/compact crossover was resolved at plan time from the cost
-		// profile (static anchors or calibrated kernel balance).
 		m = sel.ChooseAt(selectivity, sp.selCrossover, sp.special >= 0)
-		if sp.strategy == agg.StrategySortBased && m == sel.MethodCompact {
-			// Sort-based aggregation consumes a selection index vector and
-			// gathers from raw packed columns; physical compaction would force
-			// a full unpack it never needs (paper §5.2).
-			m = sel.MethodGather
-		}
 	}
 	switch m {
 	case sel.MethodSpecialGroup:

@@ -19,8 +19,9 @@ type SegmentPlan struct {
 	Segment int
 	// Rows is the segment's row count (deleted rows included).
 	Rows int
-	// Eliminated reports metadata-based segment elimination; the remaining
-	// fields are zero when true.
+	// Eliminated reports metadata-based segment elimination: a pushed
+	// conjunct or the residual predicate is false for every row of the
+	// segment. The remaining fields are zero when true.
 	Eliminated bool
 	// Groups is the group-domain upper bound from metadata.
 	Groups int
@@ -34,9 +35,9 @@ type SegmentPlan struct {
 	// side ExplainAnalyze compares measured aggregation cost against.
 	ModelCyclesPerRow float64
 	// FilterModelCyclesPerRow is the cost model's predicted encoded-filter
-	// cost in cycles per conjunct-evaluated row, averaged over the live
-	// pushed conjuncts — the unit the encoded-filter trace phase measures.
-	// Zero when nothing live is pushed.
+	// cost in cycles per conjunct-evaluated row, averaged over the pushed
+	// conjuncts — the unit the encoded-filter trace phase measures. Zero
+	// when nothing is pushed.
 	FilterModelCyclesPerRow float64
 	// DecodeModelCyclesPerRow is the cost model's predicted decode cost —
 	// Σ unpack(width) over the columns the sum inputs and the residual
@@ -46,20 +47,22 @@ type SegmentPlan struct {
 	// cost less. Zero when the plan decodes nothing.
 	DecodeModelCyclesPerRow float64
 	// PushedFilters counts filter conjuncts evaluated in their column's
-	// encoded domain; PackedFilters counts how many of those run the
-	// packed-domain SWAR compare kernels (the rest evaluate per run, in
-	// dict-code space, by delta pruning, or unpack then compare);
-	// ResidualFilter reports whether a residual predicate remains: what no
-	// encoded domain could take (an OR tree, column-vs-column, a comparison
-	// over arithmetic), evaluated as a typed narrow-word program over the
-	// unpacked columns and combined into the mask after the pushed
-	// conjuncts. A residual that metadata proves true does not count.
+	// encoded domain — live ones only: a conjunct segment metadata proves
+	// true is dropped, and one it proves false eliminates the segment;
+	// PackedFilters counts how many of those run the packed-domain SWAR
+	// compare kernels (the rest evaluate per run, in dict-code space, by
+	// delta pruning, or unpack then compare); ResidualFilter reports whether
+	// a residual predicate remains: what no encoded domain could take (an OR
+	// tree, column-vs-column, a comparison over arithmetic), evaluated as a
+	// typed narrow-word program over the unpacked columns and combined into
+	// the mask after the pushed conjuncts. A residual that metadata proves
+	// true does not count.
 	PushedFilters  int
 	PackedFilters  int
 	ResidualFilter bool
-	// PushedDomains labels each pushed conjunct's in-domain strategy, in
-	// pushdown order: packed, unpack, rle-run, dict-eq, dict-ne,
-	// dict-range, dict-bitmap, dict-const, delta-prune.
+	// PushedDomains labels each pushed (so live) conjunct's in-domain
+	// strategy, in pushdown order: packed, unpack, rle-run, dict-eq,
+	// dict-ne, dict-range, dict-bitmap, delta-prune.
 	PushedDomains []string
 	// SumWordSizes lists, per distinct SUM/MIN/MAX input (equal inputs
 	// share one; AVG reuses SUM's), the word size in bytes of the vector
@@ -115,18 +118,14 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 		out.Strategy = sp.strategy.String()
 		out.ModelCyclesPerRow = sp.modelCost
 		out.PushedFilters = len(sp.pushed)
-		live := 0
 		for _, pp := range sp.pushed {
 			if pp.domain() == domPacked {
 				out.PackedFilters++
 			}
-			if !pp.planOp().constant() {
-				live++
-			}
 			out.PushedDomains = append(out.PushedDomains, pp.strategyLabel())
 		}
-		if live > 0 {
-			out.FilterModelCyclesPerRow = sp.filterModel / float64(live)
+		if len(sp.pushed) > 0 {
+			out.FilterModelCyclesPerRow = sp.filterModel / float64(len(sp.pushed))
 		}
 		if sp.decodePasses > 0 {
 			out.DecodeModelCyclesPerRow = sp.decodeModel / float64(sp.decodePasses)

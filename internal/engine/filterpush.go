@@ -31,11 +31,15 @@ import (
 //     pruning, decoding only boundary batches.
 //
 // Whatever cannot be pushed remains a residual predicate (predprog.go),
-// ANDed afterwards.
+// ANDed afterwards. A conjunct segment metadata decides is not pushed at
+// all: a true one drops out and a false one eliminates the segment
+// (newSegPlan), so every pushed conjunct is live.
 
 // pushOp is the normalized comparison of a pushed predicate: after
 // constant translation only o <= t, o >= t, o == t, o != t remain, plus
-// the two constant outcomes from clamping.
+// the two constant outcomes from clamping. It is also a verdict — what
+// metadata proves of a predicate over some rows: pushAll, pushNone, or a
+// live op when it proves neither.
 type pushOp uint8
 
 const (
@@ -51,9 +55,8 @@ const (
 // non-constant ops share their values with sel.CmpOp.
 func (op pushOp) cmp() sel.CmpOp { return sel.CmpOp(op) }
 
-// constant reports whether the op is a metadata-proven outcome. Such a
-// conjunct has no kernel to run, no batch metadata to consult and no
-// modelled cost; callers test for it once, so no predicate type has to.
+// constant reports whether the op is a metadata-proven outcome: a verdict
+// that settles the predicate without evaluating it.
 func (op pushOp) constant() bool { return op >= pushAll }
 
 // predDomain classifies where a pushed predicate evaluates, for stats and
@@ -68,22 +71,21 @@ const (
 	domDelta                    // monotonic delta, endpoint pruning + decode compare
 )
 
-// pushedPred is one filter conjunct evaluated in its column's encoded
-// domain. Implementations are immutable plan state — all per-batch scratch
-// comes from the caller's exec state — so one pushedPred serves concurrent
-// scans.
+// pushedPred is one live filter conjunct evaluated in its column's encoded
+// domain: segment metadata proved neither that every row passes nor that
+// none does. Implementations are immutable plan state — all per-batch
+// scratch comes from the caller's exec state — so one pushedPred serves
+// concurrent scans.
 type pushedPred interface {
-	// planOp is the plan-level op after clamping against segment metadata.
-	planOp() pushOp
-	// batchOp refines a non-constant planOp for one batch against the
-	// encoding's batch-granularity metadata (zone maps, run bounds,
-	// monotone endpoints): the same clamp the planner runs against segment
-	// min/max, replayed per batch. pushNone skips the batch without
-	// touching data; pushAll drops this conjunct from the conjunction.
+	// batchOp clamps the conjunct for one batch against the encoding's
+	// batch-granularity metadata (zone maps, run bounds, monotone
+	// endpoints): the same clamp the planner ran against segment min/max,
+	// replayed per batch. pushNone skips the batch without touching data;
+	// pushAll drops this conjunct from the conjunction.
 	batchOp(b colstore.Batch) pushOp
 	// eval writes the conjunct's 0x00/0xFF row mask for a batch whose
-	// batchOp was non-constant. With first=true it overwrites vec,
-	// otherwise it ANDs in. sc is this conjunct's exec-owned scratch.
+	// batchOp was live. With first=true it overwrites vec, otherwise it
+	// ANDs in. sc is this conjunct's exec-owned scratch.
 	eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch)
 	// initScratch sizes sc's buffers for this predicate, once per exec
 	// state, so eval itself never allocates.
@@ -92,44 +94,54 @@ type pushedPred interface {
 	domain() predDomain
 	// strategyLabel is the human-readable in-domain strategy for Explain:
 	// packed, unpack, rle-run, dict-eq, dict-ne, dict-range, dict-bitmap,
-	// dict-const, delta-prune.
+	// delta-prune.
 	strategyLabel() string
 	// modelCost is the cost model's predicted cycles per evaluated row of
-	// one eval() call of a non-constant conjunct, under the given profile.
+	// one eval() call, under the given profile.
 	// Plan-time only; feeds SegmentPlan.FilterModelCyclesPerRow and the
 	// ExplainAnalyze model-error report.
 	modelCost(prof *costmodel.Profile) float64
 }
 
-// splitPushdown walks the top-level conjunction of p, converting pushable
-// predicates into pushedPreds against this segment's columns and returning
-// the residual predicate (nil when everything pushed).
-func splitPushdown(p expr.Pred, seg *colstore.Segment, opts *Options) ([]pushedPred, expr.Pred) {
+// splitPushdown walks the top-level conjunction of p against this segment's
+// metadata. A conjunct metadata proves true drops out; one it proves false
+// refutes the whole filter, and nothing else is returned. Every other
+// conjunct becomes a live pushedPred in its column's encoded domain or stays
+// in the residual predicate (nil when nothing stays).
+func splitPushdown(p expr.Pred, seg *colstore.Segment, opts *Options) (pushed []pushedPred, residual expr.Pred, refuted bool) {
+	var pp pushedPred
+	var verdict pushOp // live unless a leaf below decides
 	switch t := p.(type) {
 	case expr.And:
-		lp, lr := splitPushdown(t.L, seg, opts)
-		rp, rr := splitPushdown(t.R, seg, opts)
-		pushed := append(lp, rp...)
+		lp, lr, lno := splitPushdown(t.L, seg, opts)
+		if lno {
+			return nil, nil, true
+		}
+		rp, rr, rno := splitPushdown(t.R, seg, opts)
 		switch {
+		case rno:
+			return nil, nil, true
 		case lr == nil:
-			return pushed, rr
+			return append(lp, rp...), rr, false
 		case rr == nil:
-			return pushed, lr
+			return append(lp, rp...), lr, false
 		default:
-			return pushed, expr.And{L: lr, R: rr}
+			return append(lp, rp...), expr.And{L: lr, R: rr}, false
 		}
 	case expr.Cmp:
-		if pp, ok := pushCmp(t, seg, opts); ok {
-			return []pushedPred{pp}, nil
-		}
-		return nil, p
+		pp, verdict = pushCmp(t, seg, opts)
 	case expr.StrIn:
-		if pp, ok := pushStrIn(t, seg, opts); ok {
-			return []pushedPred{pp}, nil
-		}
-		return nil, p
-	default:
-		return nil, p
+		pp, verdict = pushStrIn(t, seg, opts)
+	}
+	switch {
+	case verdict == pushNone:
+		return nil, nil, true
+	case verdict == pushAll:
+		return nil, nil, false
+	case pp != nil:
+		return []pushedPred{pp}, nil, false
+	default: // live, and no encoded domain takes it
+		return nil, p, false
 	}
 }
 
@@ -164,52 +176,44 @@ func clampSegCmp(c expr.Cmp, seg *colstore.Segment) (encoding.IntColumn, pushOp,
 	return col, op, t, ok
 }
 
-// pushCmp translates col OP const into the column's encoded domain,
-// clamping against the column's min/max metadata. Which domain depends on
-// the encoding the segment chose for the column.
-func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pushedPred, bool) {
+// pushCmp reads col OP const against the column's min/max metadata: the
+// verdict is its clamp (live for a comparison of any other shape). A live
+// comparison translates into the column's encoded domain — which domain
+// depends on the encoding the segment chose for the column — and pp is nil
+// only when no domain takes it.
+func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pp pushedPred, verdict pushOp) {
 	col, op, t, ok := clampSegCmp(c, seg)
-	if !ok {
-		return nil, false
+	if !ok || op.constant() {
+		return nil, op // clampSegCmp's op is zero, so live, when !ok
 	}
 	switch tc := col.(type) {
 	case *encoding.BitPackColumn:
-		pp := &bitpackPred{bp: tc, op: op}
-		if !op.constant() {
-			// A live threshold lies inside [Ref, Max], so its frame-of-reference
-			// offset is the non-negative difference.
-			pp.threshold = uint64(t - tc.Ref())
-		}
-		pp.packed = !opts.DisablePackedFilter && opts.profile().UsePackedCmp(tc.Width())
-		return pp, true
+		// A live threshold lies inside [Ref, Max], so its frame-of-reference
+		// offset is the non-negative difference.
+		pp = &bitpackPred{bp: tc, op: op, threshold: uint64(t - tc.Ref()),
+			packed: !opts.DisablePackedFilter && opts.profile().UsePackedCmp(tc.Width())}
 	case *encoding.RLEColumn:
-		if opts.DisableRLEDomain {
-			return nil, false
+		if !opts.DisableRLEDomain {
+			pp = &rlePred{col: tc, op: op, threshold: t}
 		}
-		return &rlePred{col: tc, op: op, threshold: t}, true
 	case *encoding.DeltaColumn:
-		if opts.DisableDeltaDomain {
-			return nil, false
-		}
 		// Only monotonic delta columns push: they are the ones whose batch
 		// bounds come from two endpoint lookups. Non-monotonic columns gain
 		// nothing over the residual's decode-then-compare.
-		if asc, desc := tc.Monotonic(); !asc && !desc {
-			return nil, false
+		if asc, desc := tc.Monotonic(); (asc || desc) && !opts.DisableDeltaDomain {
+			pp = &deltaPred{col: tc, op: op, threshold: t}
 		}
-		return &deltaPred{col: tc, op: op, threshold: t}, true
-	default:
-		return nil, false
 	}
+	return pp, op
 }
 
 // clampCmp decides col OP v against the column's [mn, mx] metadata in value
 // space: strict comparisons shift onto inclusive ones (with the int64 edge
 // guards) and the clamp does the rest, so thresholds outside the range — or
 // any threshold against a single-valued range — collapse to the constant
-// outcomes. The returned threshold is the inclusive one. Segment elimination
-// keeps only the pushNone verdict; pushdown keeps the op and threshold
-// (bit-packed columns subtract Ref, their mn, to reach offset space).
+// outcomes. The returned threshold is the inclusive one: a live op keeps it
+// in value space (bit-packed columns subtract Ref, their mn, to reach
+// offset space).
 func clampCmp(op expr.CmpOp, v, mn, mx int64) (pushOp, int64, bool) {
 	var p pushOp
 	switch op {
@@ -289,8 +293,6 @@ type bitpackPred struct {
 	packed    bool   // evaluate with the packed-domain compare kernels
 }
 
-func (pp *bitpackPred) planOp() pushOp { return pp.op }
-
 func (pp *bitpackPred) batchOp(b colstore.Batch) pushOp {
 	mn, mx := pp.bp.ZoneBounds(b.Start, b.N)
 	return clamp(pp.op, pp.threshold, mn, mx)
@@ -369,22 +371,12 @@ const _ = uint(colstore.BatchRows-bitpack.GroupsRows) + uint(bitpack.GroupsRows-
 // newFusedFilter returns the fused pass of a plan that has the shape, or
 // nil.
 func newFusedFilter(sp *segPlan) *fusedFilter {
-	if sp.special < 0 || sp.residual != nil || sp.spanAgg || sp.opts.ForceSelection != nil || len(sp.mapper.cols) != 2 {
+	if sp.special < 0 || sp.residual != nil || sp.spanAgg || sp.forceSel != nil || len(sp.pushed) != 1 || len(sp.mapper.cols) != 2 {
 		return nil
 	}
-	var live *bitpackPred
-	for _, pp := range sp.pushed {
-		if pp.planOp() == pushAll {
-			continue
-		}
-		bp, ok := pp.(*bitpackPred)
-		if live != nil || !ok || !bp.packed || bp.op != pushLE {
-			return nil
-		}
-		live = bp
-	}
+	live, ok := sp.pushed[0].(*bitpackPred)
 	hi, lo, card := sp.mapper.packedIDs(0), sp.mapper.packedIDs(1), sp.mapper.cols[1].card
-	if live == nil || hi == nil || lo == nil || !bitpack.GroupsKernel(live.bp.Width(), hi.Bits(), lo.Bits(), uint8(card)) {
+	if !ok || !live.packed || live.op != pushLE || hi == nil || lo == nil || !bitpack.GroupsKernel(live.bp.Width(), hi.Bits(), lo.Bits(), uint8(card)) {
 		return nil
 	}
 	return &fusedFilter{pred: live, hi: hi, lo: lo, special: uint8(sp.special)}
@@ -415,7 +407,7 @@ type rlePred struct {
 	threshold int64
 }
 
-// runCmpOf maps a non-constant pushOp onto the encoding package's
+// runCmpOf maps a live pushOp onto the encoding package's
 // run-domain comparison selector.
 func runCmpOf(op pushOp) encoding.RunCmp {
 	switch op {
@@ -429,8 +421,6 @@ func runCmpOf(op pushOp) encoding.RunCmp {
 		return encoding.RunNE
 	}
 }
-
-func (pp *rlePred) planOp() pushOp { return pp.op }
 
 func (pp *rlePred) batchOp(b colstore.Batch) pushOp {
 	mn, mx := pp.col.ZoneBounds(b.Start, b.N)
@@ -491,10 +481,8 @@ func estUniformSel(op pushOp, t, mn, mx int64) float64 {
 		s = (float64(mx) - float64(t) + 1) / rng
 	case pushEQ:
 		s = 1 / rng
-	case pushNE:
+	default: // pushNE
 		s = 1 - 1/rng
-	default:
-		return 1
 	}
 	if s < 0 {
 		return 0
@@ -528,7 +516,6 @@ const (
 // single packed compare, packed range, or bitmap lookup over uint8 ids.
 type dictPred struct {
 	ids    *bitpack.Vector
-	op     pushOp // pushAll/pushNone constants; pushEQ as the live sentinel
 	mode   dictMode
 	lo, hi uint64
 	mask   [256]byte // dictBitmap: 0xFF for qualifying codes
@@ -557,32 +544,28 @@ func strMembers(s expr.StrIn, col *encoding.DictColumn) (member []byte, selected
 }
 
 // pushStrIn reduces a StrIn predicate to this segment's dict-code space:
-// the qualifying id set clamps to a constant, collapses to a point/range
-// comparison, or becomes a bitmap.
-func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, bool) {
-	if opts.DisableDictDomain {
-		return nil, false
-	}
+// the verdict is pushNone or pushAll when no code or every code qualifies;
+// otherwise the live id set collapses to a point/range comparison or
+// becomes a bitmap.
+func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pp pushedPred, verdict pushOp) {
 	col, err := seg.StrCol(s.Col)
 	if err != nil {
-		return nil, false
-	}
-	card := col.Cardinality()
-	if card > 256 {
-		// dictPred's bitmap indexes a 256-entry table with uint8 ids; a
-		// wider dictionary is a residual leaf, its ids at their own word.
-		return nil, false
+		return nil, 0
 	}
 	member, selected := strMembers(s, col)
-	pp := &dictPred{ids: col.IDs()}
+	card := len(member)
 	switch {
 	case selected == 0:
-		pp.op = pushNone
-		return pp, true
+		return nil, pushNone
 	case selected == card:
-		pp.op = pushAll
-		return pp, true
+		return nil, pushAll
+	case opts.DisableDictDomain || card > 256:
+		// dictPred's bitmap indexes a 256-entry table with uint8 ids; a
+		// wider dictionary — any, with the domain off — is a residual
+		// leaf, its ids at their own word.
+		return nil, 0
 	}
+	dp := &dictPred{ids: col.IDs()}
 	lo, hi := 0, card-1
 	for member[lo] == 0 {
 		lo++
@@ -590,39 +573,36 @@ func pushStrIn(s expr.StrIn, seg *colstore.Segment, opts *Options) (pushedPred, 
 	for member[hi] == 0 {
 		hi--
 	}
-	pp.op = pushEQ // non-constant sentinel; eval dispatches on mode
-	pp.lo, pp.hi = uint64(lo), uint64(hi)
+	dp.lo, dp.hi = uint64(lo), uint64(hi)
 	switch {
 	case lo == hi:
-		pp.mode = dictEQ
+		dp.mode = dictEQ
 	case hi-lo+1 == selected: // contiguous id range
 		switch {
 		case lo == 0:
-			pp.mode = dictLE
+			dp.mode = dictLE
 		case hi == card-1:
-			pp.mode = dictGE
+			dp.mode = dictGE
 		default:
-			pp.mode = dictRange
+			dp.mode = dictRange
 		}
 	case selected == card-1: // exactly one code missing
 		gap := lo
 		for member[gap] != 0 {
 			gap++
 		}
-		pp.mode, pp.lo = dictNE, uint64(gap)
+		dp.mode, dp.lo = dictNE, uint64(gap)
 	default:
-		pp.mode = dictBitmap
-		copy(pp.mask[:], member)
+		dp.mode = dictBitmap
+		copy(dp.mask[:], member)
 	}
-	return pp, true
+	return dp, pushEQ // any live op: eval dispatches on mode
 }
 
-func (pp *dictPred) planOp() pushOp { return pp.op }
-
-// batchOp passes the plan op through: the id vector carries no batch-level
-// zone metadata (dictionary codes are unordered with respect to row order,
-// so zones would rarely prune anyway).
-func (pp *dictPred) batchOp(b colstore.Batch) pushOp { return pp.op }
+// batchOp is always live: the id vector carries no batch-level zone
+// metadata (dictionary codes are unordered with respect to row order, so
+// zones would rarely prune anyway).
+func (pp *dictPred) batchOp(b colstore.Batch) pushOp { return pushEQ }
 
 //bipie:kernel
 //bipie:nobce
@@ -668,9 +648,6 @@ func (pp *dictPred) initScratch(sc *predScratch) {
 func (pp *dictPred) domain() predDomain { return domDict }
 
 func (pp *dictPred) strategyLabel() string {
-	if pp.op.constant() {
-		return "dict-const"
-	}
 	switch pp.mode {
 	case dictEQ:
 		return "dict-eq"
@@ -708,8 +685,6 @@ type deltaPred struct {
 	op        pushOp
 	threshold int64
 }
-
-func (pp *deltaPred) planOp() pushOp { return pp.op }
 
 func (pp *deltaPred) batchOp(b colstore.Batch) pushOp {
 	mn, mx, ok := pp.col.RangeBounds(b.Start, b.N)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bipie/internal/expr"
@@ -43,7 +44,7 @@ func TestPushdownClampEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(tbl, q, Options{DisableElimination: true})
+		got, err := Run(tbl, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +149,13 @@ func agrees(got, want pushOp) bool {
 // for each operator and threshold must be exactly what evaluating the
 // comparison row by row says — all, none, or mixed — in value space, in
 // offset space (the uint64 instantiation the bit-packed zone maps use, also
-// against every sub-zone of the range), as the pushdown's plan op, as the
-// segment-elimination verdict, and as the residual program's plan-time
-// verdict for the comparison in either operand order (where it is a
-// difference node against a threshold, or two int64 sides when the
-// difference could wrap); and a live outcome's inclusive threshold must
-// select the very rows the original comparison does, as must the residual's
-// mask.
+// against every sub-zone of the range), as pushCmp's verdict, and as the
+// residual program's verdict for the comparison in either operand order
+// (where it is a difference node against a threshold, or two int64 sides
+// when the difference could wrap) — the one verdict segment elimination
+// reads. Each returns a predicate exactly when the comparison is live; and
+// a live outcome's inclusive threshold must select the very rows the
+// original comparison does, as must the residual's mask.
 func TestClampAgreement(t *testing.T) {
 	ops := []expr.CmpOp{expr.OpLT, expr.OpLE, expr.OpGT, expr.OpGE, expr.OpEQ, expr.OpNE}
 	ranges := [][2]int64{
@@ -206,31 +207,24 @@ func TestClampAgreement(t *testing.T) {
 				}
 
 				pred := expr.Cmp{Op: op, L: expr.Col("v"), R: expr.Int(v)}
-				if elim := canEliminate(seg, pred); elim != (want == pushNone) {
-					t.Errorf("%s: canEliminate = %v, brute force rejects %d of %d", label, elim, size-kept, size)
+				pp, pgot := pushCmp(pred, seg, &Options{})
+				if pgot != got {
+					t.Errorf("%s: pushdown verdict %d, clamp says %d", label, pgot, got)
 				}
-				pp, ok := pushCmp(pred, seg, &Options{})
-				if !ok {
-					t.Fatalf("%s: comparison did not push", label)
-				}
-				if pp.planOp() != got {
-					t.Errorf("%s: pushdown planned op %d, clamp says %d", label, pp.planOp(), got)
+				if (pp != nil) == want.constant() {
+					t.Errorf("%s: pushdown returned a predicate: %v, brute force %d", label, pp != nil, want)
 				}
 				mirrored := expr.Cmp{Op: op.Mirror(), L: expr.Int(v), R: expr.Col("v")}
 				for _, resid := range []expr.Cmp{pred, mirrored} {
-					rp, err := compileResidual(resid, seg, false)
+					rp, rgot, err := compileResidual(resid, seg, false)
 					if err != nil {
 						t.Fatalf("%s: residual %s: %v", label, resid, err)
 					}
-					rgot := pushLE // live
-					switch {
-					case rp == nil:
-						rgot = pushAll
-					case rp.root.kind == maskNone:
-						rgot = pushNone
-					}
-					if !agrees(rgot, want) || rgot.constant() != got.constant() {
+					if !agrees(rgot, want) {
 						t.Errorf("%s: residual %s folds to %d, brute force %d", label, resid, rgot, want)
+					}
+					if (rp != nil) == want.constant() {
+						t.Errorf("%s: residual %s returned a program: %v, brute force %d", label, resid, rp != nil, want)
 					}
 				}
 				// NOT TRUE folds away and leaves the comparison alone under an
@@ -306,21 +300,21 @@ func TestSplitPushdown(t *testing.T) {
 
 	// Fully pushable conjunction.
 	p := expr.AndP(expr.Le(expr.Col("d"), expr.Int(5)), expr.Ge(expr.Col("a"), expr.Int(1)))
-	pushed, resid := splitPushdown(p, seg, &Options{})
-	if len(pushed) != 2 || resid != nil {
+	pushed, resid, refuted := splitPushdown(p, seg, &Options{})
+	if len(pushed) != 2 || resid != nil || refuted {
 		t.Fatalf("pushed=%d resid=%v", len(pushed), resid)
 	}
 	// OR trees are never pushed.
 	p = expr.OrP(expr.Le(expr.Col("d"), expr.Int(5)), expr.Ge(expr.Col("a"), expr.Int(1)))
-	pushed, resid = splitPushdown(p, seg, &Options{})
-	if len(pushed) != 0 || resid == nil {
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{})
+	if len(pushed) != 0 || resid == nil || refuted {
 		t.Fatalf("OR pushed=%d", len(pushed))
 	}
 	// String equality on a dictionary column now pushes into code space,
 	// so this conjunction is fully pushed too — one packed conjunct, one
 	// dict-domain conjunct.
 	p = expr.AndP(expr.Le(expr.Col("d"), expr.Int(5)), expr.StrEq("g", "k00"))
-	pushed, resid = splitPushdown(p, seg, &Options{})
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{})
 	if len(pushed) != 2 || resid != nil {
 		t.Fatalf("dict: pushed=%d resid=%v", len(pushed), resid)
 	}
@@ -328,14 +322,120 @@ func TestSplitPushdown(t *testing.T) {
 		t.Fatalf("dict strategy = %q, want dict-eq", got)
 	}
 	// With the dict domain disabled the string predicate stays residual.
-	pushed, resid = splitPushdown(p, seg, &Options{DisableDictDomain: true})
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{DisableDictDomain: true})
 	if len(pushed) != 1 || resid == nil {
 		t.Fatalf("dict disabled: pushed=%d resid=%v", len(pushed), resid)
 	}
 	// Column-vs-column comparisons are residual.
 	p = expr.Lt(expr.Col("a"), expr.Col("b"))
-	pushed, resid = splitPushdown(p, seg, &Options{})
-	if len(pushed) != 0 || resid == nil {
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{})
+	if len(pushed) != 0 || resid == nil || refuted {
 		t.Fatal("col-vs-col pushed")
 	}
+	// A conjunct metadata proves true drops out; one it proves false
+	// refutes the filter whatever else it holds.
+	p = expr.AndP(expr.Le(expr.Col("d"), expr.Int(1000)), expr.Lt(expr.Col("d"), expr.Int(50)))
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{})
+	if len(pushed) != 1 || resid != nil || refuted {
+		t.Fatalf("true conjunct: pushed=%d resid=%v refuted=%v", len(pushed), resid, refuted)
+	}
+	p = expr.AndP(expr.Lt(expr.Col("a"), expr.Col("b")), expr.Gt(expr.Col("d"), expr.Int(1000)))
+	pushed, resid, refuted = splitPushdown(p, seg, &Options{})
+	if len(pushed) != 0 || resid != nil || !refuted {
+		t.Fatalf("false conjunct: pushed=%d resid=%v refuted=%v", len(pushed), resid, refuted)
+	}
+}
+
+// Segment metadata reaches one verdict on a filter, however the filter
+// spells it: an OR of two refuted leaves, a refuted comparison over
+// arithmetic and a dictionary miss ORed with a refuted comparison all
+// eliminate every segment before a batch is read, exactly as a refuted
+// top-level conjunct does. A conjunct metadata proves true is dropped, not
+// pushed.
+func TestRefutedFilterEliminates(t *testing.T) {
+	tbl := mustTable(t, 16384, 4096, func(i int) (string, int64) {
+		return fmt.Sprintf("k%d", i%3), int64(i * 7919 % 100) // every segment holds v in [0, 99]
+	})
+	v := expr.Col("v")
+	segments := len(tbl.Segments())
+	for _, f := range []expr.Pred{
+		expr.OrP(expr.Gt(v, expr.Int(1000)), expr.Lt(v, expr.Int(-5))),
+		expr.Gt(expr.Add(v, expr.Int(1)), expr.Int(1000)),
+		expr.OrP(expr.StrEq("g", "nope"), expr.Gt(v, expr.Int(1000))),
+	} {
+		q := &Query{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar(), SumOf(v)}, Filter: f}
+		plans, err := Explain(tbl, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plans {
+			if !p.Eliminated {
+				t.Errorf("%s: segment %d not eliminated: %+v", f, p.Segment, p)
+			}
+		}
+		got, st := runTraced(t, tbl, q, Options{}, nil)
+		if st.SegmentsEliminated != segments || st.SegmentsScanned != 0 || st.Batches != 0 {
+			t.Errorf("%s: %d of %d segments eliminated, %d scanned, %d batches", f, st.SegmentsEliminated, segments, st.SegmentsScanned, st.Batches)
+		}
+		want, err := RunNaive(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, f.String(), got, want)
+	}
+
+	q := &Query{Aggregates: []Aggregate{CountStar()}, Filter: expr.AndP(expr.Le(v, expr.Int(1000)), expr.Lt(v, expr.Int(50)))}
+	plans, err := Explain(tbl, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range plans {
+		if p.PushedFilters != 1 || p.PackedFilters != 1 || !slices.Equal(p.PushedDomains, []string{"packed"}) {
+			t.Errorf("%s: segment %d pushes %d (%d packed) %v, want the one live conjunct", q.Filter, p.Segment, p.PushedFilters, p.PackedFilters, p.PushedDomains)
+		}
+	}
+	got, err := Run(tbl, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunNaive(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, q.Filter.String(), got, want)
+}
+
+// A filter metadata proves true for a segment plans like no filter: no
+// special group is reserved, and the strategy is the unfiltered query's.
+func TestProvenFilterPlansUnfiltered(t *testing.T) {
+	tbl := mustTable(t, 16384, 4096, func(i int) (string, int64) {
+		return fmt.Sprintf("k%d", i%3), int64(i * 7919 % 100)
+	})
+	v := expr.Col("v")
+	base := Query{GroupBy: []string{"g"}, Aggregates: []Aggregate{CountStar(), SumOf(v)}}
+	unfiltered, err := Explain(tbl, &base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := base
+	q.Filter = expr.AndP(expr.AndP(expr.Ge(v, expr.Int(0)), expr.Le(v, expr.Int(1000))), expr.StrInSet("g", "k0", "k1", "k2"))
+	plans, err := Explain(tbl, &q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		if p.SpecialGroup || p.Strategy != unfiltered[i].Strategy || p.PushedFilters != 0 || p.ResidualFilter {
+			t.Errorf("segment %d: special %v, strategy %s (unfiltered %s), %d pushed, residual %v",
+				i, p.SpecialGroup, p.Strategy, unfiltered[i].Strategy, p.PushedFilters, p.ResidualFilter)
+		}
+	}
+	got, err := Run(tbl, &q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunNaive(tbl, &q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, q.Filter.String(), got, want)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -70,7 +71,7 @@ type segPlan struct {
 	mapper     *groupMapper
 	realGroups int // group domain from metadata
 	domain     int // group ids the kernels see: realGroups, plus the special group when reserved
-	special    int // special group id, or -1: no filter, no free id, or a Reduce plan (no ids at all)
+	special    int // special group id, or -1: no live filter, no free id, or a Reduce plan (no ids at all)
 
 	sums        []sumInput
 	sumIdx      []int  // slots with kind Sum, fed to the sum strategy kernels
@@ -92,28 +93,35 @@ type segPlan struct {
 	// products' operands no slot supplies.
 	multiInputs []int
 
+	// The filter as metadata leaves it: only live conjuncts, each pushed
+	// into its column's encoded domain or part of the residual.
 	pushed   []pushedPred // conjuncts evaluated in their column's encoded domain
-	residual *predProg    // what did not push, nil if fully pushed
+	residual *predProg    // what did not push, nil if nothing live remains
 	// fused, when the plan has its shape, runs the one live conjunct and the
 	// group map as one pass (fusedFilter); nil otherwise.
 	fused *fusedFilter
 
-	// spanAgg marks the fully encoded fast path: no filter, or every
-	// conjunct pushed as run-aligned spans (or proven pushAll); every
-	// aggregate a bare RLE column's SUM, or COUNT; one real group — so a
-	// batch's filter AND sums both complete in the run domain without
-	// materializing a single row. Every sum slot is summed per span.
+	// spanAgg marks the fully encoded fast path: no live filter, or every
+	// conjunct pushed as run-aligned spans; every aggregate a bare RLE
+	// column's SUM, or COUNT; one real group — so a batch's filter AND sums
+	// both complete in the run domain without materializing a single row.
+	// Every sum slot is summed per span.
 	spanAgg   bool
-	spanPreds []*rlePred // parallel to pushed; nil entries are planOp()==pushAll
+	spanPreds []*rlePred // parallel to pushed
 
 	maxBits uint8 // widest column word the value paths read, drives the selection crossover
 
 	// selCrossover is the gather/compact selectivity crossover at maxBits,
 	// resolved once at plan time from the active cost profile so the
 	// per-batch selection choice is a comparison, not a model evaluation.
+	// A sort-based plan never compacts (paper §5.2): its crossover is +Inf.
 	selCrossover float64
+	// forceSel is Options.ForceSelection as this plan can run it: a forced
+	// special group degrades to compaction when none is reserved. Nil lets
+	// the batch's selectivity choose.
+	forceSel *sel.Method
 	// filterModel is the model's predicted encoded-filter cost in cycles
-	// per evaluated row, summed over live pushed conjuncts (each batch that
+	// per evaluated row, summed over the pushed conjuncts (each batch that
 	// is not zone-collapsed evaluates each of them once).
 	filterModel float64
 	// decodeModel is the model's predicted decode cost in cycles per row of
@@ -256,17 +264,35 @@ func (sp *segPlan) getExec() *execState {
 }
 
 // newSegPlan makes every metadata-time decision for one (query, segment)
-// pair: group mapping, aggregate resolution, overflow proofs, special-group
-// reservation, strategy choice, and filter pushdown. It allocates no scan
-// buffers — that is newExecState's job.
+// pair: filter pushdown and segment elimination, group mapping, aggregate
+// resolution, overflow proofs, special-group reservation and strategy
+// choice. It allocates no scan buffers — that is newExecState's job.
 func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) (*segPlan, error) {
 	sp := &segPlan{seg: seg, q: q, opts: opts}
 	sp.pool.New = func() any { return newExecState(sp) }
-	if !opts.DisableElimination && q.Filter != nil && canEliminate(seg, q.Filter) {
-		sp.eliminated = true
-		return sp, nil
-	}
+
+	// The filter first: segment metadata's one verdict on it (paper §2.1,
+	// "segment elimination during query processing"). splitPushdown settles
+	// every conjunct metadata decides, compileResidual folds what did not
+	// push; either refuting the filter eliminates the segment, and what
+	// survives both is live.
 	var err error
+	if q.Filter != nil {
+		var rest expr.Pred
+		var refuted bool
+		if sp.pushed, rest, refuted = splitPushdown(q.Filter, seg, opts); rest != nil && !refuted {
+			var verdict pushOp
+			if sp.residual, verdict, err = compileResidual(rest, seg, wideLanes); err != nil {
+				return nil, err
+			}
+			refuted = verdict == pushNone
+		}
+		if refuted {
+			sp.pushed, sp.eliminated = nil, true
+			return sp, nil
+		}
+	}
+
 	if sp.mapper, err = newGroupMapper(seg, q.GroupBy); err != nil {
 		return nil, err
 	}
@@ -327,20 +353,8 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		}
 	}
 
-	// Split the filter before the sum-slot routing below: whether every
-	// conjunct pushed (and in which domain) decides whether the span-domain
-	// aggregation path can claim the RLE sum slots.
-	if q.Filter != nil {
-		var residual expr.Pred
-		if sp.pushed, residual = splitPushdown(q.Filter, seg, opts); residual != nil {
-			if sp.residual, err = compileResidual(residual, seg, wideLanes); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	// The span-aggregation path applies when the whole batch pipeline can
-	// stay in the run domain: no filter, or a fully pushed one whose live
+	// stay in the run domain: no live filter, or a fully pushed one whose
 	// conjuncts all emit run-aligned spans; a single real group; and only
 	// RLE-backed SUM slots. Forced methods and residuals fall back to the
 	// row-mask pipeline; deleted rows are a batch's live spans (filterBatch).
@@ -352,7 +366,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	spanPreds := make([]*rlePred, len(sp.pushed))
 	for i, pp := range sp.pushed {
 		spanPreds[i], _ = pp.(*rlePred)
-		spanOK = spanOK && (spanPreds[i] != nil || pp.planOp() == pushAll)
+		spanOK = spanOK && spanPreds[i] != nil
 	}
 	if spanOK {
 		sp.spanAgg, sp.spanPreds = true, spanPreds
@@ -402,13 +416,21 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// A plan with one real group and no extremum has no group ids at all
 	// (agg.StrategyReduce), so it fuses no special group either. Every other
 	// plan — grouped, with a MIN/MAX slot (the extremum kernels index by
-	// group id), or forced onto another strategy — reserves one when the
-	// query filters and the byte id space has a free slot.
+	// group id), or forced onto another strategy — reserves one when a live
+	// filter remains and the byte id space has a free slot: a filter
+	// metadata proves true plans like no filter at all.
 	force := opts.ForceAggregation
 	reduce := sp.realGroups == 1 && len(sp.extIdx) == 0 && (force == nil || *force == agg.StrategyReduce)
 	sp.special, sp.domain = -1, sp.realGroups
-	if !reduce && q.Filter != nil && sp.realGroups+1 <= sel.MaxGroups {
+	if !reduce && (len(sp.pushed) > 0 || sp.residual != nil) && sp.realGroups+1 <= sel.MaxGroups {
 		sp.special, sp.domain = sp.realGroups, sp.realGroups+1
+	}
+	if f := opts.ForceSelection; f != nil {
+		m := *f
+		if m == sel.MethodSpecialGroup && sp.special < 0 {
+			m = sel.MethodCompact
+		}
+		sp.forceSel = &m
 	}
 
 	params := agg.Params{
@@ -469,13 +491,11 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// actually run (after degradation), so ExplainAnalyze can report
 	// assumed vs measured cycles/row per strategy.
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
-	sp.fused = newFusedFilter(sp)
-	for _, pp := range sp.pushed {
-		switch {
-		case pp.planOp().constant():
-		case sp.fused != nil: // the one live conjunct, priced with the group map it carries
-			sp.filterModel += sp.fused.modelCost(prof)
-		default:
+	if sp.fused = newFusedFilter(sp); sp.fused != nil {
+		// The one conjunct, priced with the group map it carries.
+		sp.filterModel = sp.fused.modelCost(prof)
+	} else {
+		for _, pp := range sp.pushed {
 			sp.filterModel += pp.modelCost(prof)
 		}
 	}
@@ -499,10 +519,14 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 			sp.maxBits = 64
 		}
 	}
+	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
 	if sp.strategy == agg.StrategySortBased {
 		sp.evalOrder = reach(sp.prog, sortLive)
+		// Sort-based aggregation consumes a selection index vector and
+		// gathers from raw packed columns; physical compaction would force a
+		// full unpack it never needs (paper §5.2).
+		sp.selCrossover = math.Inf(1)
 	}
-	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
 
 	sp.decodeModel = sp.decodeCost(prof)
 	if len(sp.evalOrder) > 0 {

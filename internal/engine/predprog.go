@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"bipie/internal/bitpack"
 	"bipie/internal/colstore"
 	"bipie/internal/costmodel"
@@ -124,7 +126,6 @@ const (
 	maskMember                    // dictionary ids through a membership table
 	maskAnd
 	maskOr
-	maskNone // the whole predicate folded to false; only ever the root
 )
 
 // maskNode is one node of the residual predicate's mask tree; immutable
@@ -157,7 +158,6 @@ func (nd *maskNode) markValues(live []bool) {
 	case maskAnd, maskOr:
 		nd.l.markValues(live)
 		nd.r.markValues(live)
-	case maskNone:
 	default:
 		live[nd.a] = true
 		if nd.kind == maskCmpSigned && nd.b >= 0 {
@@ -173,28 +173,26 @@ type predProg struct {
 	root *maskNode
 }
 
-// compileResidual compiles p against seg. A nil result means the predicate
-// folded to true against segment metadata and nothing is left to evaluate.
-func compileResidual(p expr.Pred, seg *colstore.Segment, wideLanes bool) (*predProg, error) {
+// compileResidual compiles p against seg and returns metadata's verdict on
+// it: when that is pushAll or pushNone nothing is left to evaluate and the
+// program is nil (newSegPlan eliminates the segment on pushNone); otherwise
+// the verdict is a live op and the program evaluates p.
+func compileResidual(p expr.Pred, seg *colstore.Segment, wideLanes bool) (*predProg, pushOp, error) {
 	sb := newSegBuilder(seg, wideLanes)
 	root, verdict, err := sb.compile(p)
-	switch {
-	case err != nil:
-		return nil, err
-	case verdict == pushAll:
-		return nil, nil
-	case verdict == pushNone:
-		root = &maskNode{kind: maskNone}
+	if err != nil || root == nil {
+		return nil, verdict, err
 	}
 	pp := &predProg{boundProg: sb.bind(), root: root}
 	live := make([]bool, pp.prog.Len())
 	root.markValues(live)
 	pp.evalOrder = reach(pp.prog, live)
-	return pp, nil
+	return pp, verdict, nil
 }
 
-// compile returns p's mask node, or — when metadata decides p for the whole
-// segment — no node and the verdict pushAll or pushNone.
+// compile returns p's mask node and a live verdict (zero), or — when
+// metadata decides p for the whole segment — no node and the verdict
+// pushAll or pushNone.
 func (sb *segBuilder) compile(p expr.Pred) (*maskNode, pushOp, error) {
 	switch t := p.(type) {
 	case expr.TruePred:
@@ -222,7 +220,7 @@ func (sb *segBuilder) compile(p expr.Pred) (*maskNode, pushOp, error) {
 		ids, err := sb.Term(expr.Col(t.Col))
 		return &maskNode{kind: maskMember, a: ids.Node, member: member}, 0, err
 	default:
-		panic("engine: unknown predicate node")
+		return nil, 0, fmt.Errorf("engine: unknown predicate node %T", p)
 	}
 }
 
@@ -345,8 +343,6 @@ func (e *execState) evalMask(nd *maskNode, out sel.ByteVec, depth int) {
 		default:
 			memberMask(out, buf.U64, nd.member)
 		}
-	default: // maskNone
-		clear(out)
 	}
 }
 

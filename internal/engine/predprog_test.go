@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bipie/internal/agg"
@@ -165,7 +166,7 @@ func predOptions() []Options {
 	combos := []Options{
 		{},
 		{DisableZoneMaps: true}, {DisablePackedFilter: true}, {DisableRLEDomain: true},
-		{DisableDictDomain: true}, {DisableDeltaDomain: true}, {DisableElimination: true},
+		{DisableDictDomain: true}, {DisableDeltaDomain: true},
 		oracleOpts(),
 		{ForceAggregation: ForceAgg(agg.StrategyReduce)}, {ForceAggregation: ForceAgg(agg.StrategyScalar)},
 	}
@@ -219,6 +220,9 @@ func FuzzPredProgram(f *testing.F) {
 		f.Add(int64(100+i), uint8(i%4), c[0], c[1])
 		f.Add(int64(200+i), uint8(i%4), c[0], c[1])
 	}
+	for _, c := range refutedPredSeeds {
+		f.Add(c.seed, c.depth, int64(0), int64(0))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, depth uint8, lc, rc int64) {
 		c, err := newPredCase(seed, 1+int(depth%4), lc, rc)
 		if err != nil {
@@ -226,6 +230,42 @@ func FuzzPredProgram(f *testing.F) {
 		}
 		c.check(t)
 	})
+}
+
+// refutedPredSeeds are FuzzPredProgram seeds whose filter folds to false
+// through an OR in every segment: the generated side is refuted by segment
+// metadata, and so is the pinned comparison x + 0 against x - 0.
+var refutedPredSeeds = []struct {
+	seed  int64
+	depth uint8
+	shape string
+}{
+	{260, 0, "two refuted leaves: a < -9223372036854775197 OR b <> b"},
+	{122, 0, `a dictionary miss: w = "absent" OR d <> d`},
+	{203, 0, `a dictionary miss and two refuted leaves: w = "absent" OR c > c OR a <> a`},
+}
+
+// The refuted seeds mean what they say: under every option set each of
+// their segments is eliminated, and the answer is RunNaive's (no rows).
+func TestRefutedPredSeedsEliminate(t *testing.T) {
+	for _, s := range refutedPredSeeds {
+		c, err := newPredCase(s.seed, 1+int(s.depth%4), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range predOptions() {
+			plans, err := Explain(c.tbl, c.q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				if !p.Eliminated {
+					t.Errorf("%s (%v, %+v): segment %d scanned", s.shape, c.q.Filter, opts, p.Segment)
+				}
+			}
+		}
+		c.check(t)
+	}
 }
 
 // The generator must reach what the fuzz target claims to cover: every
@@ -273,6 +313,20 @@ func TestPredCasesCoverEncodingsAndKernels(t *testing.T) {
 			if sp.residual != nil {
 				walk(sp.residual, sp.residual.root)
 				widenedLeaves(&sp.residual.boundProg, widened)
+			}
+			for _, pp := range sp.pushed { // every pushed conjunct is live
+				var op pushOp
+				switch pp := pp.(type) {
+				case *bitpackPred:
+					op = pp.op
+				case *rlePred:
+					op = pp.op
+				case *deltaPred:
+					op = pp.op
+				}
+				if op.constant() {
+					t.Errorf("seed %d: %s pushed with the constant op %d", seed, pp.strategyLabel(), op)
+				}
 			}
 		}
 	}
@@ -423,6 +477,24 @@ func TestResidualPhasesAndModel(t *testing.T) {
 	for _, pl := range rep.Plans {
 		if math.Abs(pl.DecodeModelCyclesPerRow-want) > 1e-9 {
 			t.Errorf("decode model %.4f, want %.4f", pl.DecodeModelCyclesPerRow, want)
+		}
+	}
+}
+
+// ownNode is a caller's own Pred and Expr.
+type ownNode struct{}
+
+func (ownNode) Columns() []string { return nil }
+func (ownNode) String() string    { return "own" }
+
+// Query.validate rejects a node outside the closed set before planning, but
+// the compilers behind it answer one with an error too, never a panic.
+func TestCompileUnknownNodeErrors(t *testing.T) {
+	tbl := mustTable(t, 100, 1<<20, func(i int) (string, int64) { return "k", int64(i) })
+	seg := tbl.Segments()[0]
+	for _, p := range []expr.Pred{ownNode{}, expr.OrP(expr.Lt(expr.Col("v"), expr.Int(5)), ownNode{}), expr.Lt(ownNode{}, expr.Int(5))} {
+		if _, _, err := compileResidual(p, seg, false); err == nil || !strings.Contains(err.Error(), "engine.ownNode") {
+			t.Errorf("%s: error %v, want one naming engine.ownNode", p, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -172,7 +173,11 @@ func (r *Row) Avg(i int) float64 {
 	return float64(r.Stats[i].Sum) / float64(r.Stats[i].Count)
 }
 
-// validate resolves and checks the query against the table schema.
+// validate resolves and checks the query against the table schema. Every
+// expression and predicate node must be one the planner and the row
+// interpreter know: Expr and Pred have only exported methods, so a caller's
+// own type satisfies them, and it is rejected here, before anything walks
+// the trees.
 func (q *Query) validate(t *table.Table) error {
 	if len(q.Aggregates) == 0 {
 		return fmt.Errorf("engine: query needs at least one aggregate")
@@ -189,6 +194,9 @@ func (q *Query) validate(t *table.Table) error {
 		if a.Arg == nil {
 			return fmt.Errorf("engine: aggregate %d has no argument", i)
 		}
+		if err := checkExpr(a.Arg); err != nil {
+			return err
+		}
 		for _, c := range a.Arg.Columns() {
 			if !t.HasColumn(c, table.Int64) {
 				return fmt.Errorf("engine: aggregate input column %q is not an integer column", c)
@@ -196,6 +204,9 @@ func (q *Query) validate(t *table.Table) error {
 		}
 	}
 	if q.Filter != nil {
+		if err := checkPred(q.Filter); err != nil {
+			return err
+		}
 		for _, c := range q.Filter.Columns() {
 			if !t.HasColumn(c, table.Int64) {
 				return fmt.Errorf("engine: filter column %q is not an integer column", c)
@@ -216,6 +227,36 @@ func (q *Query) validate(t *table.Table) error {
 		return fmt.Errorf("engine: negative LIMIT %d", q.Limit)
 	}
 	return nil
+}
+
+// checkExpr and checkPred reject a tree holding a node outside the closed
+// set of expression and predicate types.
+func checkExpr(e expr.Expr) error {
+	switch t := e.(type) {
+	case expr.ColRef, expr.Const:
+		return nil
+	case expr.Neg:
+		return checkExpr(t.E)
+	case expr.Bin:
+		return errors.Join(checkExpr(t.L), checkExpr(t.R))
+	}
+	return fmt.Errorf("engine: unknown expression node %T", e)
+}
+
+func checkPred(p expr.Pred) error {
+	switch t := p.(type) {
+	case expr.TruePred, expr.StrIn:
+		return nil
+	case expr.Cmp:
+		return errors.Join(checkExpr(t.L), checkExpr(t.R))
+	case expr.And:
+		return errors.Join(checkPred(t.L), checkPred(t.R))
+	case expr.Or:
+		return errors.Join(checkPred(t.L), checkPred(t.R))
+	case expr.Not:
+		return checkPred(t.P)
+	}
+	return fmt.Errorf("engine: unknown predicate node %T", p)
 }
 
 // aggKinds lists the aggregate functions in query order.

@@ -33,9 +33,11 @@ type ScanStats struct {
 	// EmptyBatches counts batches whose filter rejected every row,
 	// zone-map skips included.
 	EmptyBatches int64
-	// BatchesSkipped counts batches skipped whole because a pushed
-	// conjunct's zone map proved no row can match — batch-granularity
-	// elimination, resolved from metadata before any kernel ran.
+	// BatchesSkipped counts zone-map skips only: batches skipped whole
+	// because a pushed conjunct's batch metadata proved no row can match —
+	// batch-granularity elimination, resolved before any kernel ran. A
+	// segment whose metadata refutes the filter is eliminated instead and
+	// counts no batch at all.
 	BatchesSkipped int64
 	// PackedKernelBatches counts batches where at least one pushed
 	// conjunct ran a packed-domain compare kernel (no unpack).

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"bipie/internal/agg"
+	"bipie/internal/costmodel"
 	"bipie/internal/expr"
 	"bipie/internal/obs"
+	"bipie/internal/sel"
 	"bipie/internal/table"
 )
 
@@ -201,5 +204,45 @@ func TestScanStatsFormatStrategyOrder(t *testing.T) {
 		if out := st.Format(); !strings.HasSuffix(out, want) {
 			t.Fatalf("render %d ends\n%s\nwant it to end\n%s", i, out, want)
 		}
+	}
+}
+
+// The plan settles what a batch selects with beyond its measured
+// selectivity, and the per-method counts show it: a sort-based plan gathers
+// where another compacts, a method forced onto it runs as forced, and a
+// forced special group compacts on a plan that reserves none.
+func TestSelectionSettledByPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(161))
+	tbl := buildTable(t, rng, 40000, 8, 10000)
+	grouped := &Query{
+		GroupBy:    []string{"g"},
+		Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("a"))},
+		Filter:     expr.Lt(expr.Col("d"), expr.Int(60)), // ~60 %: compaction's range
+	}
+	ungrouped := &Query{Aggregates: grouped.Aggregates, Filter: grouped.Filter}
+	sortBased := ForceAgg(agg.StrategySortBased)
+	for _, c := range []struct {
+		name                     string
+		q                        *Query
+		opts                     Options
+		gather, compact, special bool
+	}{
+		{"chosen", grouped, Options{ForceAggregation: ForceAgg(agg.StrategyScalar)}, false, true, false},
+		{"sort-based", grouped, Options{ForceAggregation: sortBased}, true, false, false},
+		{"sort-based, compact forced", grouped, Options{ForceAggregation: sortBased, ForceSelection: ForceSel(sel.MethodCompact)}, false, true, false},
+		{"sort-based, special forced", grouped, Options{ForceAggregation: sortBased, ForceSelection: ForceSel(sel.MethodSpecialGroup)}, false, false, true},
+		{"no special group, special forced", ungrouped, Options{ForceSelection: ForceSel(sel.MethodSpecialGroup)}, false, true, false},
+	} {
+		c.opts.CostProfile = costmodel.Static() // pins the crossover
+		got, st := runTraced(t, tbl, c.q, c.opts, nil)
+		if (st.Gather > 0) != c.gather || (st.Compact > 0) != c.compact || (st.SpecialGroup > 0) != c.special ||
+			st.Gather+st.Compact+st.SpecialGroup != st.Batches {
+			t.Errorf("%s: %d batches: %d gather, %d compact, %d special group", c.name, st.Batches, st.Gather, st.Compact, st.SpecialGroup)
+		}
+		want, err := RunNaive(tbl, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, c.name, got, want)
 	}
 }

@@ -12,9 +12,11 @@ import (
 // The engine evaluates it on encoded data, never on strings: at plan time
 // the value set is pre-evaluated against the segment's sorted dictionary
 // once (values absent from the dictionary match nothing) into a qualifying
-// id set. As a top-level conjunct that set collapses to a constant, a
-// packed id comparison or range, or a 256-entry bitmap over the packed id
-// vector — never unpacking ids for the point and range shapes. Otherwise
+// id set. An empty or full set is metadata's verdict on the segment (the
+// predicate is false or true for every row, and never evaluated). As a
+// top-level conjunct any other set collapses to a packed id comparison or
+// range, or a 256-entry bitmap over the packed id vector — never unpacking
+// ids for the point and range shapes. Otherwise
 // (under OR, with the dict domain disabled, or over a dictionary wider than
 // a byte) it is a leaf of the residual predicate: the ids unpack to their
 // smallest word and index a membership table as long as the dictionary.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -184,7 +185,7 @@ func (b *SumBuilder) Term(e Expr) (SumTerm, error) {
 			return b.div(l, r), nil
 		}
 	default:
-		panic("expr: unknown node in sum expression")
+		return SumTerm{}, fmt.Errorf("expr: unknown node %T in sum expression", e)
 	}
 }
 

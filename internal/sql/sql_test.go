@@ -233,7 +233,7 @@ func TestWideDictionaryStringPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", where, err)
 		}
-		for _, opts := range []engine.Options{{}, {DisableDictDomain: true, DisableElimination: true}} {
+		for _, opts := range []engine.Options{{}, {DisableDictDomain: true}} {
 			p, err := engine.Prepare(tbl, st.Query, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", where, err)
