@@ -2,14 +2,19 @@ package bipie_test
 
 // Acceptance tests for the calibrated decode-throughput cost model: the
 // calibrated prediction must land near the traced measurement on the
-// filter paths it prices (TestModelErrorBound), and swapping the static
-// profile in must never change results (TestStaticProfileAblation).
+// filter paths it prices (TestModelErrorBound), swapping the static
+// profile in must never change results (TestStaticProfileAblation), the
+// selection decisions read no profile (TestSelectionIgnoresProfile), and
+// a supplied profile that would misprice plans is refused
+// (TestCostProfileValidated).
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"bipie"
@@ -190,8 +195,8 @@ func TestModelErrorBound(t *testing.T) {
 		if len(plans) == 0 || plans[0].PushedFilters != 1 {
 			t.Fatalf("sweep filter was not pushed: %+v", plans)
 		}
-		if bipie.ActiveCostModel().UsePackedCmp(14) && plans[0].PackedFilters != 1 {
-			t.Fatalf("profile prefers packed compare at 14 bits but plan ran %v", plans[0].PushedDomains)
+		if plans[0].PackedFilters != 1 {
+			t.Fatalf("14-bit filter did not compare packed words: %v", plans[0].PushedDomains)
 		}
 		for _, pct := range []int64{10, 25, 40, 50, 60, 75, 90} {
 			threshold := (1 << 14) * pct / 100
@@ -229,15 +234,14 @@ func TestModelErrorBound(t *testing.T) {
 }
 
 // TestStaticProfileAblation pins the model's isolation property: the cost
-// profile only picks among correct strategies, so forcing the static
-// profile must reproduce byte-identical results to the checked-in default
-// on every path the sweep exercises (strategies may differ; results may
-// not). The 16-bit sweep is the packed-compare decision the two disagree
-// on: the static width rule unpacks at exactly 16 bits, where every fit
-// measured so far compares in the packed domain. The
-// zero-steady-state-alloc side of the acceptance criterion is pinned at
-// the scan loop in engine's TestTraceDisabledPathZeroAllocs, which runs
-// under the checked-in default.
+// profile only picks among correct aggregation strategies, so forcing the
+// static profile must reproduce byte-identical results to the checked-in
+// default on every path the sweep exercises (strategies may differ;
+// results may not). The 14- and 16-bit sweeps cover both word-parallel
+// and windowed packed compares. The zero-steady-state-alloc side of the
+// acceptance criterion is pinned at the scan loop in engine's
+// TestTraceDisabledPathZeroAllocs, which runs under the checked-in
+// default.
 func TestStaticProfileAblation(t *testing.T) {
 	static := bipie.StaticCostModel()
 	check := func(label string, tbl *bipie.Table, q *bipie.Query) {
@@ -272,4 +276,122 @@ func TestStaticProfileAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("q1", q1tbl, tpch.Q1())
+}
+
+// scaledProfile copies the checked-in profile with every packed-compare
+// figure multiplied by ten and every other kernel figure divided by ten:
+// a fit that would flip both selection decisions if either read one.
+func scaledProfile() *bipie.CostProfile {
+	p := *bipie.ActiveCostModel()
+	p.Kernels = make(map[string]float64, len(p.Kernels))
+	for k, v := range bipie.ActiveCostModel().Kernels {
+		if strings.HasPrefix(k, "packedcmp.") {
+			p.Kernels[k] = v * 10
+		} else {
+			p.Kernels[k] = v / 10
+		}
+	}
+	return &p
+}
+
+// TestSelectionIgnoresProfile pins the two selection decisions as rules
+// that read no cost profile: a pushed comparison runs on packed words up
+// to 32 bits and unpacks above, and gather gives way to compaction at the
+// Figure-7 crossover, under the static, the checked-in and a scaled
+// profile alike.
+func TestSelectionIgnoresProfile(t *testing.T) {
+	profiles := map[string]*bipie.CostProfile{
+		"static": bipie.StaticCostModel(), "checked-in": bipie.ActiveCostModel(), "scaled": scaledProfile(),
+	}
+	for _, bits := range []uint{12, 16, 24, 33, 40} {
+		tbl := sweepTable(t, bits)
+		q := sweepQuery("f", 1<<(bits-1))
+		want := "packed"
+		if bits > 32 {
+			want = "unpack"
+		}
+		for name, prof := range profiles {
+			plans, err := bipie.Explain(tbl, q, bipie.Options{CostProfile: prof})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pl := range plans {
+				if !reflect.DeepEqual(pl.PushedDomains, []string{want}) {
+					t.Errorf("%d bits, %s profile: pushed domains %v, want [%s]", bits, name, pl.PushedDomains, want)
+				}
+			}
+		}
+	}
+
+	// filter_scan's dict_in shape: about half the rows of the 24-bit price
+	// column, above the 44 % crossover at 24 bits on every batch.
+	tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 18, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &bipie.Query{
+		Aggregates: []bipie.Aggregate{bipie.CountStar(), bipie.SumOf(bipie.Col("l_extendedprice"))},
+		Filter:     bipie.StrIn("l_returnflag", "A", "R"),
+	}
+	naive, err := bipie.RunNaive(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prof := range profiles {
+		p, err := bipie.Prepare(tbl, q, bipie.Options{CostProfile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := p.RunTraced(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Compact == 0 || st.Gather != 0 || st.SpecialGroup != 0 || st.NoSelection != 0 {
+			t.Errorf("%s profile: %d gather, %d compact, %d special-group, %d whole batches; want all compact",
+				name, st.Gather, st.Compact, st.SpecialGroup, st.NoSelection)
+		}
+		if res.Format() != naive.Format() {
+			t.Errorf("%s profile: result differs from RunNaive:\n%s\nvs\n%s", name, res.Format(), naive.Format())
+		}
+	}
+}
+
+// TestCostProfileValidated: a supplied profile fitted under another
+// format, or with an aggregation coefficient that would price its
+// strategy as free, is refused by Prepare, Explain and Run, naming the
+// field; the static, checked-in and freshly fitted profiles plan.
+func TestCostProfileValidated(t *testing.T) {
+	tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tpch.Q1()
+	oldFormat, freeReduce := *bipie.StaticCostModel(), *bipie.StaticCostModel()
+	oldFormat.Format = 3
+	freeReduce.Agg.ReducePerSum = 0
+	for _, tc := range []struct {
+		name  string
+		prof  *bipie.CostProfile
+		field string
+	}{
+		{"zero", &bipie.CostProfile{}, "Format"},
+		{"format 3", &oldFormat, "Format"},
+		{"free reduce", &freeReduce, "ReducePerSum"},
+		{"static", bipie.StaticCostModel(), ""},
+		{"checked-in", bipie.ActiveCostModel(), ""},
+		{"calibrated", bipie.CalibrateCostModel(), ""},
+	} {
+		opts := bipie.Options{CostProfile: tc.prof}
+		_, errPrepare := bipie.Prepare(tbl, q, opts)
+		_, errExplain := bipie.Explain(tbl, q, opts)
+		_, errRun := bipie.Run(tbl, q, opts)
+		for entry, err := range map[string]error{"Prepare": errPrepare, "Explain": errExplain, "Run": errRun} {
+			switch {
+			case tc.field == "" && err != nil:
+				t.Errorf("%s profile: %s: %v", tc.name, entry, err)
+			case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+				t.Errorf("%s profile: %s returned %v, want an error naming %s", tc.name, entry, err, tc.field)
+			}
+		}
+	}
 }

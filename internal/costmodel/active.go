@@ -3,6 +3,7 @@ package costmodel
 import (
 	_ "embed"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -14,26 +15,36 @@ import (
 //go:embed profile.json
 var profileJSON []byte
 
-// valid reports whether a decoded profile is usable: the current
-// coefficient format, calibrated kernels, plus strictly positive
-// aggregation coefficients (a zero coefficient would price a strategy as
-// free and poison every comparison).
-func (p *Profile) valid() bool {
-	if !p.calibrated() || p.Format != FormatVersion {
-		return false
+// Check reports why a profile cannot plan, naming the field: a Format
+// other than FormatVersion, or an aggregation coefficient that is not
+// strictly positive (a zero one would price its strategy as free and
+// poison every comparison). Static(), Calibrate() and the checked-in
+// profile pass; the engine refuses a supplied profile that does not.
+func (p *Profile) Check() error {
+	if p.Format != FormatVersion {
+		return fmt.Errorf("costmodel: profile Format %d, want %d", p.Format, FormatVersion)
 	}
 	a := &p.Agg
-	for _, v := range []float64{
-		a.InRegPerGroup1, a.InRegPerGroup2, a.InRegPerGroup4,
-		a.SortFixed, a.SortPerSum, a.MultiFixed, a.MultiPerSum, a.ScalarPerSum,
-		a.CountScalar, a.CountInRegPerGroup, a.ReducePerSum,
+	for _, c := range []struct {
+		field string
+		v     float64
+	}{
+		{"InRegPerGroup1", a.InRegPerGroup1}, {"InRegPerGroup2", a.InRegPerGroup2},
+		{"InRegPerGroup4", a.InRegPerGroup4}, {"SortFixed", a.SortFixed}, {"SortPerSum", a.SortPerSum},
+		{"MultiFixed", a.MultiFixed}, {"MultiPerSum", a.MultiPerSum}, {"ScalarPerSum", a.ScalarPerSum},
+		{"CountScalar", a.CountScalar}, {"CountInRegPerGroup", a.CountInRegPerGroup},
+		{"ReducePerSum", a.ReducePerSum},
 	} {
-		if v <= 0 {
-			return false
+		if !(c.v > 0) {
+			return fmt.Errorf("costmodel: profile Agg.%s = %v, want > 0", c.field, c.v)
 		}
 	}
-	return true
+	return nil
 }
+
+// valid reports whether a decoded profile can stand in for the checked-in
+// one: it passes Check and carries calibrated kernels.
+func (p *Profile) valid() bool { return p.calibrated() && p.Check() == nil }
 
 // checkedIn parses the embedded profile once. A file that does not parse
 // or validate yields the static profile; TestCheckedInProfile keeps such a

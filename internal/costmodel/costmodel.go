@@ -1,13 +1,17 @@
 // Package costmodel calibrates the engine's cost model to the machine it
-// runs on. BIPie's strategy decisions — which aggregation kernel wins,
-// whether a pushed comparison runs on packed words or unpacked ones, where
-// the gather/compact selection crossover sits — all reduce to comparing
+// runs on. BIPie's aggregation-strategy decision — which kernel wins for a
+// plan's group count, sum count and word sizes — reduces to comparing
 // per-kernel cycles/row figures. The paper fit those figures on one
 // machine; the decode-throughput-law framing (PAPERS.md) says they are a
 // property of the hardware, measurable in microseconds. So this package
 // measures them: short alloc-free probes of the actual hot kernels, timed
-// with perfstat's cycle conversion, fitted into a Profile the planner
-// consults instead of hand-tuned constants.
+// with perfstat's cycle conversion, fitted into a Profile that agg.Choose
+// consults instead of hand-tuned constants. The filter and decode probes
+// price the plan's predictions (Explain's model cost, ExplainAnalyze's
+// model error); they decide nothing. The two selection decisions are
+// rules that read no profile: a pushed comparison runs on packed words up
+// to 32 bits (engine.pushCmp), and gather gives way to compaction at
+// sel.Crossover.
 //
 // The figures are fitted once, offline, as the paper fits its crossovers:
 // `make calibrate` runs Calibrate() on a quiet machine and checks the
@@ -43,10 +47,10 @@ type Machine struct {
 const FormatVersion = 4
 
 // Profile is a fitted cost model: the aggregation-strategy coefficients
-// agg.Choose consumes, plus per-kernel cycles/row figures for every
-// decision the filter and selection paths make. A nil or static profile
-// answers every query with the pre-calibration constants, so callers never
-// need to special-case.
+// agg.Choose consumes, plus per-kernel cycles/row figures that price the
+// filter and decode phases of a plan. A nil or static profile answers
+// every query with the pre-calibration constants, so callers never need
+// to special-case.
 type Profile struct {
 	// Source records how the profile was obtained: "calibrated", "static"
 	// or "checked-in".
@@ -58,8 +62,9 @@ type Profile struct {
 	// processed row) in the shape agg.EstimateCost evaluates.
 	Agg agg.CostProfile `json:"agg"`
 	// Kernels maps probe names (see probe.go) to measured cycles/row —
-	// cycles/run for the RLE probes, cycles/gathered-row for gather. Nil
-	// means uncalibrated: every accessor falls back to its static answer.
+	// cycles/run for the RLE probes, cycles/selected-row for span
+	// expansion. Nil means uncalibrated: every accessor falls back to its
+	// static answer.
 	Kernels map[string]float64 `json:"kernels,omitempty"`
 	// BytesPerRow maps the same probe names to the bytes each kernel
 	// touches per row — packed width/8 for decode kernels — recorded so a
@@ -67,10 +72,11 @@ type Profile struct {
 	BytesPerRow map[string]float64 `json:"bytes_per_row,omitempty"`
 }
 
-// Static returns the pre-calibration cost model: agg.StaticCost constants,
-// the measured-once usePackedCmp width rule, the Figure-7 selection
-// crossover interpolation. It is deterministic across machines and is the
-// ablation baseline TestStaticProfileAblation holds results against.
+// Static returns the pre-calibration cost model: the agg.StaticCost
+// constants and nominal kernel figures. It is deterministic across
+// machines, is the profile the repository benchmark pins, and is the
+// ablation baseline of agg.Choose that TestStaticProfileAblation holds
+// results against.
 func Static() *Profile {
 	return &Profile{Source: "static", Format: FormatVersion, Agg: agg.StaticCost()}
 }
@@ -133,9 +139,8 @@ func (p *Profile) kernelAt(prefix string, width uint8) (float64, bool) {
 
 // Static per-kernel figures: nominal cycles/row used only when a static
 // profile must still produce a filter-cost prediction (for Explain
-// surfaces). The decision rules of a static profile never consult these —
-// UsePackedCmp and GatherCompactCrossover answer from the original
-// hand-measured policies.
+// surfaces). No decision consults them: the filter domains and the
+// selection crossover are rules that read no profile.
 const (
 	staticUnpackPerRow     = 1.1
 	staticPackedCmpPerRow  = 0.9
@@ -180,22 +185,6 @@ func (p *Profile) CmpMaskCyclesPerRow(wordSize int) float64 {
 // width: fast unpack plus the mask kernel at the unpacked word size.
 func (p *Profile) UnpackCmpCyclesPerRow(width uint8) float64 {
 	return p.UnpackCyclesPerRow(width) + p.CmpMaskCyclesPerRow(bitpack.WordBytes(width))
-}
-
-// UsePackedCmp decides packed-domain compare vs unpack-then-compare for a
-// pushed predicate on a width-bit column. Calibrated profiles compare the
-// two measured paths directly; static profiles answer with the original
-// hand-measured width rule (≤32 bits except exactly 16, where unpacking is
-// a straight word copy).
-func (p *Profile) UsePackedCmp(width uint8) bool {
-	if p.calibrated() {
-		pc, ok1 := p.kernelAt("packedcmp", width)
-		up, ok2 := p.kernelAt("unpack", width)
-		if ok1 && ok2 {
-			return pc < up+p.CmpMaskCyclesPerRow(bitpack.WordBytes(width))
-		}
-	}
-	return width <= 32 && width != 16
 }
 
 // RLECmpSpansCyclesPerRun is the run-domain comparison cost per run.
@@ -266,52 +255,4 @@ func (p *Profile) SumExprCyclesPerRow(op expr.SumOp, wordSize int) float64 {
 		}
 	}
 	return staticSumExprPerRow
-}
-
-// GatherCompactCrossover returns the selectivity above which physical
-// compaction beats gather for a column packed at the given width.
-// Calibrated profiles solve the measured cost balance: compaction pays a
-// full unpack plus a compact pass on every row regardless of selectivity,
-// gather pays an index-compaction per row plus an indexed unpack per
-// selected row — the crossover is where the two lines meet. Static
-// profiles interpolate the paper's Figure 7 anchors (defaultCrossover).
-func (p *Profile) GatherCompactCrossover(bits uint8) float64 {
-	if p.calibrated() {
-		ws := bitpack.WordBytes(bits)
-		unpack, ok1 := p.kernelAt("unpack", bits)
-		compact, ok2 := p.kernel(fmt.Sprintf("sel.compact.w%d", ws))
-		compIdx, ok3 := p.kernel("sel.compactidx")
-		gather, ok4 := p.kernel(fmt.Sprintf("sel.gather.w%d", ws))
-		if ok1 && ok2 && ok3 && ok4 && gather > 0 {
-			// compIdx + s·gather = unpack + compact  ⇒  s*
-			s := (unpack + compact - compIdx) / gather
-			return clampCrossover(s)
-		}
-	}
-	return defaultCrossover(bits)
-}
-
-// clampCrossover bounds the solved crossover to the same [1%, 60%] band
-// the static policy uses: outside it the model is extrapolating past any
-// regime the probes measured.
-func clampCrossover(s float64) float64 {
-	if s < 0.01 {
-		return 0.01
-	}
-	if s > 0.60 {
-		return 0.60
-	}
-	return s
-}
-
-// defaultCrossover is the static policy: linear interpolation between the
-// paper's Figure 7 anchors, 2% at 4 bits and 38% at 21 bits. The crossover
-// moves right as width grows because a full unpack touches more work per
-// row while gather's indexed reads touch the same cache lines either way.
-func defaultCrossover(bits uint8) float64 {
-	const (
-		loBits, loSel = 4.0, 0.02
-		hiBits, hiSel = 21.0, 0.38
-	)
-	return clampCrossover(loSel + (float64(bits)-loBits)*(hiSel-loSel)/(hiBits-loBits))
 }

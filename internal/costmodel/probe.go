@@ -31,9 +31,6 @@ import (
 //	cmpmask.w<S>          compare→0x00/0xFF mask, S-byte     cycles/row
 //	rle.cmpspans          run-domain compare                 cycles/run
 //	sel.applyspans        span→row-mask expansion            cycles/row
-//	sel.compactidx        selection→index compaction         cycles/row
-//	sel.compact.w<S>      physical value compaction          cycles/row
-//	sel.gather.w<S>       indexed unpack of selected rows    cycles/selected row
 //	delta.decode          delta checkpoint-replay decode     cycles/row
 //	dict.bitmap           id unpack + 256-entry mask lookup  cycles/row
 //	agg.inreg.pergroup.w<S>  in-register sum                 cycles/row/group
@@ -88,8 +85,8 @@ var probeWidths = func() []uint8 {
 	return append(ws, 40, 48, 56, 64)
 }()
 
-// cmpMaskWordSizes are the unpacked word sizes of the compare-mask,
-// compact, and gather probe families.
+// cmpMaskWordSizes are the unpacked word sizes of the compare-mask probe
+// family.
 var cmpMaskWordSizes = []int{1, 2, 4, 8}
 
 // probeSet owns every buffer the probes touch. Building it performs all
@@ -100,21 +97,12 @@ type probeSet struct {
 	unpacked [65]*bitpack.Unpacked // by width, warmed
 	thresh   [65]uint64            // mid-domain compare threshold by width
 
-	mask     sel.ByteVec
-	halfMask sel.ByteVec // pseudorandom ~50% selected
-	idx      sel.IndexVec
-	nIdx     int
+	mask sel.ByteVec
 
-	u8    []uint8
-	u16   []uint16
-	u32   []uint32
-	u64   []uint64
-	out8  []uint8
-	out16 []uint16
-	out32 []uint32
-	out64 []uint64
-
-	gatherBuf [9]*bitpack.Unpacked // by word size, warmed
+	u8  []uint8
+	u16 []uint16
+	u32 []uint32
+	u64 []uint64
 
 	rle       *encoding.RLEColumn
 	rleThresh int64
@@ -191,35 +179,17 @@ func newProbeSet() *probeSet {
 	}
 
 	ps.mask = sel.NewByteVec(probeRows)
-	ps.halfMask = sel.NewByteVec(probeRows)
-	for i := range ps.halfMask {
-		if r.next()&1 == 1 {
-			ps.halfMask[i] = sel.Selected
-		}
-	}
-	ps.idx = make(sel.IndexVec, probeRows)
-	ps.idx = sel.CompactIndices(ps.idx, ps.halfMask) // warm + fix nIdx
-	ps.nIdx = len(ps.idx)
 
 	ps.u8 = make([]uint8, probeRows)
 	ps.u16 = make([]uint16, probeRows)
 	ps.u32 = make([]uint32, probeRows)
 	ps.u64 = make([]uint64, probeRows)
-	ps.out8 = make([]uint8, probeRows)
-	ps.out16 = make([]uint16, probeRows)
-	ps.out32 = make([]uint32, probeRows)
-	ps.out64 = make([]uint64, probeRows)
 	for i := 0; i < probeRows; i++ {
 		v := r.next()
 		ps.u8[i] = uint8(v)
 		ps.u16[i] = uint16(v)
 		ps.u32[i] = uint32(v)
 		ps.u64[i] = v
-	}
-
-	for _, ws := range cmpMaskWordSizes {
-		w := uint8(ws * 8)
-		ps.gatherBuf[ws] = sel.GatherIndices(nil, ps.packed[w], 0, ps.idx) // warm
 	}
 
 	rleVals := make([]int64, probeRows)
@@ -378,32 +348,6 @@ func (ps *probeSet) runApplySpans() {
 }
 
 //bipie:kernel
-func (ps *probeSet) runCompactIndices() {
-	ps.idx = ps.idx[:probeRows]
-	ps.idx = sel.CompactIndices(ps.idx, ps.halfMask)
-}
-
-//bipie:kernel
-func (ps *probeSet) runCompact(ws int) {
-	switch ws {
-	case 1:
-		sel.CompactU8(ps.out8, ps.u8, ps.halfMask)
-	case 2:
-		sel.CompactU16(ps.out16, ps.u16, ps.halfMask)
-	case 4:
-		sel.CompactU32(ps.out32, ps.u32, ps.halfMask)
-	default:
-		sel.CompactU64(ps.out64, ps.u64, ps.halfMask)
-	}
-}
-
-//bipie:kernel
-func (ps *probeSet) runGather(ws int) {
-	w := uint8(ws * 8)
-	ps.gatherBuf[ws] = sel.GatherIndices(ps.gatherBuf[ws], ps.packed[w], 0, ps.idx)
-}
-
-//bipie:kernel
 func (ps *probeSet) runDeltaDecode() {
 	ps.delta.DecodeWith(ps.i64buf, 0, ps.diffs)
 }
@@ -486,7 +430,7 @@ func (ps *probeSet) runSumExpr(node int) {
 
 // measure times one probe body and reports the median run in cycles/unit,
 // where units is the per-run denominator (rows for most probes, runs for
-// the RLE ones, selected rows for gather).
+// the RLE ones, selected rows for span expansion).
 func measure(units int, fn func()) float64 {
 	return perfstat.Time(units, probeMinTime, fn).CyclesPerRow()
 }
@@ -573,8 +517,6 @@ func Calibrate() *Profile {
 	for _, ws := range cmpMaskWordSizes {
 		ws := ws
 		p.Kernels[fmt.Sprintf("cmpmask.w%d", ws)] = measureN(probeRows, 4, func() { ps.runCmpMask(ws) })
-		p.Kernels[fmt.Sprintf("sel.compact.w%d", ws)] = measureN(probeRows, 4, func() { ps.runCompact(ws) })
-		p.Kernels[fmt.Sprintf("sel.gather.w%d", ws)] = measureN(ps.nIdx, 4, func() { ps.runGather(ws) })
 	}
 	p.Kernels["rle.cmpspans"] = measureN(probeRows/probeRunLen, 8, ps.runRLECmpSpans)
 	// Per-call fixed cost of a span comparison: time a window short enough
@@ -587,7 +529,6 @@ func Calibrate() *Profile {
 	// ApplySpans cost tracks the rows it stamps selected, not the rows it
 	// clears (those compile to memclr); fit it per qualifying row.
 	p.Kernels["sel.applyspans"] = measureN(ps.qualRows, 8, ps.runApplySpans)
-	p.Kernels["sel.compactidx"] = measureN(probeRows, 2, ps.runCompactIndices)
 	p.Kernels["delta.decode"] = measureN(probeRows, 2, ps.runDeltaDecode)
 	p.Kernels["dict.bitmap"] = measureN(probeRows, 4, ps.runDictBitmap)
 	for _, lane := range sumExprLanes {

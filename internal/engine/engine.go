@@ -55,12 +55,13 @@ type Options struct {
 	// the endpoint-pruning pushdown: they become residual leaves, decoded
 	// and compared like a non-monotonic delta column's. For ablation.
 	DisableDeltaDomain bool
-	// CostProfile overrides the cost model driving strategy decisions
-	// (aggregation strategy, packed-vs-unpack filtering, the selection
-	// crossover). Nil means the process-wide profile from
-	// costmodel.Active() — the checked-in profile unless SetActive replaced
-	// it. costmodel.Static() restores the pre-calibration constants for
-	// ablation and deterministic tests.
+	// CostProfile overrides the cost model that chooses the aggregation
+	// strategy and prices the plan's model costs; the filter domains and
+	// the selection crossover are rules that read no profile. Nil means
+	// the process-wide profile from costmodel.Active() — the checked-in
+	// profile unless SetActive replaced it. costmodel.Static() restores
+	// the pre-calibration constants for ablation and deterministic tests.
+	// Prepare refuses a profile that fails Profile.Check.
 	CostProfile *costmodel.Profile
 }
 

@@ -358,8 +358,8 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 // selectivity (paper §3) — the one specialization decision that stays at
 // exec time, because it depends on data the plan cannot see. The plan
 // settled everything else: the method a forced plan runs, and the
-// gather/compact crossover (from the cost profile; +Inf for sort-based
-// aggregation), so this only compares.
+// gather/compact crossover (sel.Crossover at the widest evaluated column;
+// +Inf for sort-based aggregation), so this only compares.
 func (e *execState) chooseSelection(selectivity float64) selection {
 	sp := e.plan
 	var m sel.Method

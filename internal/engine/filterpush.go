@@ -145,12 +145,6 @@ func splitPushdown(p expr.Pred, seg *colstore.Segment, opts *Options) (pushed []
 	}
 }
 
-// The packed-vs-unpack policy lives in the cost profile now
-// (costmodel.Profile.UsePackedCmp): calibrated profiles compare the two
-// measured paths per width, static profiles reproduce the original
-// hand-measured rule (≤32 bits except exactly 16, where unpacking is a
-// straight word copy — BenchmarkPackedCmp).
-
 // clampSegCmp reads a comparison against a segment's metadata. It matches
 // the one shape metadata can decide and the encoded domains can evaluate —
 // a bare integer column against a constant-foldable other side, in either
@@ -176,6 +170,12 @@ func clampSegCmp(c expr.Cmp, seg *colstore.Segment) (encoding.IntColumn, pushOp,
 	return col, op, t, ok
 }
 
+// maxPackedCmpBits is the widest bit-packed column a pushed comparison
+// evaluates on packed words (paper §4); a wider one unpacks and compares.
+// The packedcmp/unpack/cmpmask probes price the two paths, and every fit
+// has the packed compare ahead at 1–32 bits and behind at 40 bits and up.
+const maxPackedCmpBits = 32
+
 // pushCmp reads col OP const against the column's min/max metadata: the
 // verdict is its clamp (live for a comparison of any other shape). A live
 // comparison translates into the column's encoded domain — which domain
@@ -191,7 +191,7 @@ func pushCmp(c expr.Cmp, seg *colstore.Segment, opts *Options) (pp pushedPred, v
 		// A live threshold lies inside [Ref, Max], so its frame-of-reference
 		// offset is the non-negative difference.
 		pp = &bitpackPred{bp: tc, op: op, threshold: uint64(t - tc.Ref()),
-			packed: !opts.DisablePackedFilter && opts.profile().UsePackedCmp(tc.Width())}
+			packed: !opts.DisablePackedFilter && tc.Width() <= maxPackedCmpBits}
 	case *encoding.RLEColumn:
 		if !opts.DisableRLEDomain {
 			pp = &rlePred{col: tc, op: op, threshold: t}

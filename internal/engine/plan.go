@@ -111,9 +111,9 @@ type segPlan struct {
 
 	maxBits uint8 // widest column word the value paths read, drives the selection crossover
 
-	// selCrossover is the gather/compact selectivity crossover at maxBits,
-	// resolved once at plan time from the active cost profile so the
-	// per-batch selection choice is a comparison, not a model evaluation.
+	// selCrossover is the gather/compact selectivity crossover at maxBits
+	// (sel.Crossover), resolved once at plan time so the per-batch
+	// selection choice is a comparison.
 	// A sort-based plan never compacts (paper §5.2): its crossover is +Inf.
 	selCrossover float64
 	// forceSel is Options.ForceSelection as this plan can run it: a forced
@@ -180,6 +180,11 @@ func Prepare(t *table.Table, q *Query, opts Options) (*Prepared, error) {
 func prepare(t *table.Table, q *Query, opts Options, wideLanes bool) (*Prepared, error) {
 	if err := q.validate(t); err != nil {
 		return nil, err
+	}
+	if opts.CostProfile != nil {
+		if err := opts.CostProfile.Check(); err != nil {
+			return nil, fmt.Errorf("engine: CostProfile: %w", err)
+		}
 	}
 	if q.Filter != nil {
 		// Every NOT moves onto its leaves once, here, so the planner only
@@ -507,10 +512,10 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		sp.materialize[i] = true
 	}
 
-	// The widest column word a batch evaluates prices the gather/compact
-	// crossover — the packed width of a bit-packed column, the full 64 bits
-	// of one that decodes to int64 — whichever strategy ends up consuming
-	// the vectors.
+	// The widest column word a batch evaluates places the gather/compact
+	// crossover — the packed width of a bit-packed column, the full 64
+	// bits of one that decodes to int64 — whichever strategy ends up
+	// consuming the vectors.
 	for _, i := range sp.evalOrder {
 		switch nd := sp.prog.Node(i); nd.Op {
 		case expr.SumLeafPacked:
@@ -519,7 +524,7 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 			sp.maxBits = 64
 		}
 	}
-	sp.selCrossover = prof.GatherCompactCrossover(sp.maxBits)
+	sp.selCrossover = sel.Crossover(sp.maxBits)
 	if sp.strategy == agg.StrategySortBased {
 		sp.evalOrder = reach(sp.prog, sortLive)
 		// Sort-based aggregation consumes a selection index vector and

@@ -542,7 +542,7 @@ func TestMaxBitsFromProgramColumns(t *testing.T) {
 		if sp.maxBits != c.want {
 			t.Errorf("%s: maxBits %d, want %d", c.agg.Name, sp.maxBits, c.want)
 		}
-		if want := sp.opts.profile().GatherCompactCrossover(c.want); sp.selCrossover != want {
+		if want := sel.Crossover(c.want); sp.selCrossover != want {
 			t.Errorf("%s: crossover %v, want %v", c.agg.Name, sp.selCrossover, want)
 		}
 	}

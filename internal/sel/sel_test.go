@@ -2,6 +2,7 @@ package sel
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -473,13 +474,63 @@ func TestChooseAt(t *testing.T) {
 	// The crossover moves the gather/compact border without
 	// touching the special-group rule.
 	if got := ChooseAt(0.30, 0.50, false); got != MethodGather {
-		t.Errorf("below calibrated crossover: %v", got)
+		t.Errorf("below the crossover: %v", got)
 	}
 	if got := ChooseAt(0.30, 0.10, false); got != MethodCompact {
-		t.Errorf("above calibrated crossover: %v", got)
+		t.Errorf("above the crossover: %v", got)
 	}
 	if got := ChooseAt(0.95, 0.50, true); got != MethodSpecialGroup {
 		t.Errorf("special-group rule drifted: %v", got)
+	}
+}
+
+// TestChooseAtCrossover pins the selection policy a plan runs: ChooseAt
+// fed Crossover at the widest evaluated column.
+func TestChooseAtCrossover(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		s     float64
+		bits  uint8
+		fused bool
+		want  Method
+	}{
+		{"low sel is gather regardless of fusion", 0.01, 14, true, MethodGather},
+		{"high sel fused is special group", 0.95, 14, true, MethodSpecialGroup},
+		{"high sel unfused falls back to compact", 0.95, 14, false, MethodCompact},
+		{"mid sel is compact", 0.5, 14, false, MethodCompact},
+		// The crossover moves right with width (Figure 7: 2% and 38%).
+		{"30% at 4 bits is compact", 0.30, 4, false, MethodCompact},
+		{"30% at 21 bits is still gather", 0.30, 21, false, MethodGather},
+		// filter_scan's dict_in shape: half the rows of a 24-bit column.
+		{"49% at 24 bits is compact", 0.49, 24, false, MethodCompact},
+	} {
+		if got := ChooseAt(tc.s, Crossover(tc.bits), tc.fused); got != tc.want {
+			t.Errorf("%s: %v", tc.name, got)
+		}
+	}
+}
+
+// TestCrossoverAnchors: the crossover passes through the Figure-7 anchors,
+// is monotone in width and stays inside the clamp band.
+func TestCrossoverAnchors(t *testing.T) {
+	for _, a := range []struct {
+		bits uint8
+		want float64
+	}{{4, 0.02}, {21, 0.38}, {1, 0.01}, {64, 0.60}} {
+		if got := Crossover(a.bits); math.Abs(got-a.want) > 1e-9 {
+			t.Errorf("Crossover(%d) = %v, want %v", a.bits, got, a.want)
+		}
+	}
+	prev := 0.0
+	for b := uint8(1); b <= 64; b++ {
+		c := Crossover(b)
+		if c < prev {
+			t.Fatalf("crossover not monotone at %d bits", b)
+		}
+		if c < 0.01 || c > 0.60 {
+			t.Fatalf("crossover out of clamp at %d bits: %v", b, c)
+		}
+		prev = c
 	}
 }
 
