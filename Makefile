@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzChooseInt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz FuzzDictBuilder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sel -run '^$$' -fuzz FuzzSelection -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzReadSegment -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRLEDomainFilter -fuzztime $(FUZZTIME)
@@ -90,6 +91,7 @@ CENSUS_FAMILIES = \
 	'agg buildCarrier (packFields, read walk)=^bipie/internal/agg\.buildCarrier$$' \
 	'agg rowAtATimeTyped=^bipie/internal/agg\.rowAtATimeTyped\[' \
 	'agg reduceSum=^bipie/internal/agg\.reduceSum\[' \
+	'agg reduceSumMasked=^bipie/internal/agg\.reduceSumMasked\[' \
 	'agg ScalarMin/Max (minTyped/maxTyped)=^bipie/internal/agg\.Scalar(Min|Max)$$' \
 	'agg InRegisterSum8/16/32=^bipie/internal/agg\.InRegisterSum(8|16|32)$$' \
 	'sel CmpMaskWords=^bipie/internal/sel\.CmpMaskWords\[' \

@@ -109,6 +109,40 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// ReduceSumMasked sums exactly the rows whose mask byte has its low bit
+// set — the rows compaction would keep — at every lane width and every
+// tail length, wrapping as ReduceSum does.
+func TestReduceSumMasked(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, width := range []uint8{7, 14, 23, 40, 64} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095, 4096} {
+			_, raw, cols := makeInput(rng, n, 1, 1, width)
+			mask := make([]byte, n+4) // longer than the batch: only n are read
+			var want uint64
+			for i := range mask {
+				mask[i] = byte(rng.Intn(256))
+				if i < n && mask[i]&1 != 0 {
+					want += uint64(raw[0][i])
+				}
+			}
+			if got := ReduceSumMasked(cols[0], mask); got != int64(want) {
+				t.Fatalf("w=%d (%d-byte lane) n=%d: %d, want %d", width, cols[0].WordSize, n, got, int64(want))
+			}
+		}
+	}
+	wrap := []uint64{math.MaxUint64, 1 << 63, 1<<63 + 5, 2, math.MaxUint64 - 1, 9}
+	mask := []byte{0xFF, 0xFF, 0, 0xFF, 0xFF, 0xFF}
+	var want int64
+	for i, v := range wrap {
+		if mask[i] != 0 {
+			want += int64(v)
+		}
+	}
+	if got := ReduceSumMasked(bitpack.MustPack(wrap, 64).UnpackSmallest(nil, 0, len(wrap)), mask); got != want {
+		t.Fatalf("wrapping 8-byte lane: %d, want %d", got, want)
+	}
+}
+
 func TestScalarMultiColumnLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, nCols := range []int{1, 2, 3, 4, 5, 7} {

@@ -162,10 +162,11 @@ func (s *SortBased) AddCounts(dst []int64) {
 // SumPacked adds per-group sums of the bit-packed column v to sums,
 // gathering values at segment positions segStart+rowIndex for each sorted
 // row index. Decoding happens here, fused with the gather: only rows that
-// survived selection are ever unpacked.
+// survived selection are ever unpacked. Each value reads its two-word
+// window whole, as sel.GatherIndices does, without a branch on its offset.
 //
 // The gather is index-driven by construction — the bucket reslice and
-// windowed word loads stay bounds-checked (baseline-accepted).
+// windowed word loads (windowSum) stay bounds-checked (baseline-accepted).
 //
 //bipie:kernel
 //bipie:nobce
@@ -179,18 +180,26 @@ func (s *SortBased) SumPacked(v *bitpack.Vector, segStart int, sums []int64) {
 		if g == s.skip {
 			continue
 		}
-		var sum uint64
-		for _, row := range sc.sorted[sc.starts[g]:sc.starts[g+1]] {
-			bitPos := base + uint64(row)*width
-			w, off := bitPos>>6, bitPos&63
-			val := words[w] >> off
-			if off+width > 64 {
-				val |= words[w+1] << (64 - off)
-			}
-			sum += val & mask
-		}
-		sums[g] += int64(sum)
+		sums[g] += int64(windowSum(words, base, width, mask, sc.sorted[sc.starts[g]:sc.starts[g+1]]))
 	}
+}
+
+// windowSum is SumPacked's loop over one group's rows, out of line so its
+// registers follow from its arguments alone: spelled out inside SumPacked,
+// the group loop's state spills into it. ^bitPos&63 is 63-off.
+//
+//bipie:kernel
+//bipie:nobce
+//go:noinline
+func windowSum(words []uint64, base, width, mask uint64, rows []int32) uint64 {
+	var sum uint64
+	for _, row := range rows {
+		bitPos := base + uint64(row)*width
+		w := bitPos >> 6
+		lo, hi := words[w], words[w+1]
+		sum += (lo>>(bitPos&63) | hi<<1<<(^bitPos&63)) & mask
+	}
+	return sum
 }
 
 // SumUnpacked adds per-group sums of an already-decoded column indexed by

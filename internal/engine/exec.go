@@ -368,11 +368,13 @@ func (e *execState) chooseSelection(selectivity float64) selection {
 	} else {
 		m = sel.ChooseAt(selectivity, sp.selCrossover, sp.special >= 0)
 	}
-	switch m {
-	case sel.MethodSpecialGroup:
-		return selSpecial
-	case sel.MethodGather:
+	switch {
+	case m == sel.MethodGather:
 		return selGather
+	case m == sel.MethodSpecialGroup || sp.strategy == agg.StrategyReduce:
+		// A Reduce plan's special group is the mask itself: it sums under
+		// the mask what another plan would compact (reduceBatch).
+		return selSpecial
 	default:
 		return selCompact
 	}
@@ -423,7 +425,7 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	sortBased := sp.strategy == agg.StrategySortBased
 	var idx sel.IndexVec
 	if how == selGather || how == selCompact {
-		groups, idx = e.compactSelected(groups, how == selGather || sortBased)
+		groups, idx = e.compactSelected(groups, selected, how == selGather || sortBased)
 	}
 	k := len(groups)
 	load, loaded := how, k
@@ -445,43 +447,59 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 }
 
 // reduceBatch is the aggregate stage of a Reduce plan: one group and no
-// group ids, so nothing is mapped, compacted beside the values or counted
-// per row. The k rows the filter kept are the batch's COUNT; the leaves load
-// the batch's own way — only a gathered load needs the kept rows' positions
-// — and each SUM slot adds one register reduction of its vector.
+// group ids, so nothing is mapped, compacted or counted per row. The k rows
+// the filter kept are the batch's COUNT. A gathered batch loads only the
+// kept rows, at their positions, and each SUM slot adds one register
+// reduction of its vector; every other batch loads whole, and a special
+// group batch — the plan's one way to keep most of a batch, since it never
+// compacts — sums each vector under the batch's mask. Evaluating the
+// program over rejected rows is as safe here as under a grouped plan's
+// special group: division is zero-guarded and every lane holds its node's
+// whole range.
 //
 //bipie:kernel
 func (e *execState) reduceBatch(b colstore.Batch, how selection, k int) {
 	sp := e.plan
-	if how == selGather && len(sp.evalOrder) > 0 {
-		t0 := e.traceStart()
-		e.idx = sel.CompactIndices(e.idx, e.selVec[:b.N])
-		e.traceEnd(obs.PhaseSelection, t0, b.N)
+	loaded := b.N
+	if how == selGather {
+		loaded = k
+		if len(sp.evalOrder) > 0 {
+			t0 := e.traceStart()
+			e.idx = sel.Positions(e.idx, e.selVec[:b.N], k)
+			e.traceEnd(obs.PhaseSelection, t0, b.N)
+		}
 	}
 	t0 := e.traceStart()
-	e.evalProgram(&sp.boundProg, &e.progBufs, b, how, k)
+	e.evalProgram(&sp.boundProg, &e.progBufs, b, how, loaded)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
 	e.counts[0] += int64(k)
-	for _, i := range sp.sumIdx {
-		e.sumAcc[i][0] += agg.ReduceSum(e.colViews[i])
+	if how == selSpecial {
+		mask := e.selVec[:b.N]
+		for _, i := range sp.sumIdx {
+			e.sumAcc[i][0] += agg.ReduceSumMasked(e.colViews[i], mask)
+		}
+	} else {
+		for _, i := range sp.sumIdx {
+			e.sumAcc[i][0] += agg.ReduceSum(e.colViews[i])
+		}
 	}
-	e.traceEnd(obs.PhaseAggregate, t0, k)
+	e.traceEnd(obs.PhaseAggregate, t0, loaded)
 }
 
 // compactSelected is the selection operator of gather and compaction: the
 // group ids of the rows e.selVec keeps, moved to the front of compGroups,
 // and — when the kernels will address rows by position — those positions in
-// e.idx. It is a function of its own so the two inlined compaction loops
-// keep their cursors in registers: spelled out inside aggregateBatch, one
-// of them is spilled and its loop runs at half speed.
+// e.idx. It is a function of its own so the inlined compaction loop keeps
+// its cursor in registers: spelled out inside aggregateBatch, the cursor
+// spills and the loop runs at half speed.
 //
 //bipie:kernel
-func (e *execState) compactSelected(groups []uint8, positions bool) ([]uint8, sel.IndexVec) {
+func (e *execState) compactSelected(groups []uint8, kept int, positions bool) ([]uint8, sel.IndexVec) {
 	vec := e.selVec[:len(groups)]
 	t0 := e.traceStart()
 	if positions {
-		e.idx = sel.CompactIndices(e.idx, vec)
+		e.idx = sel.Positions(e.idx, vec, kept)
 	}
 	e.traceEnd(obs.PhaseSelection, t0, len(vec))
 	t0 = e.traceStart()

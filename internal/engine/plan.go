@@ -117,8 +117,9 @@ type segPlan struct {
 	// A sort-based plan never compacts (paper §5.2): its crossover is +Inf.
 	selCrossover float64
 	// forceSel is Options.ForceSelection as this plan can run it: a forced
-	// special group degrades to compaction when none is reserved. Nil lets
-	// the batch's selectivity choose.
+	// special group degrades to compaction when none is reserved, and a
+	// Reduce plan runs either as its masked reduction (chooseSelection).
+	// Nil lets the batch's selectivity choose.
 	forceSel *sel.Method
 	// filterModel is the model's predicted encoded-filter cost in cycles
 	// per evaluated row, summed over the pushed conjuncts (each batch that

@@ -12,6 +12,7 @@ import (
 	"bipie/internal/costmodel"
 	"bipie/internal/encoding"
 	"bipie/internal/expr"
+	"bipie/internal/sel"
 	"bipie/internal/table"
 )
 
@@ -169,6 +170,7 @@ func predOptions() []Options {
 		{DisableDictDomain: true}, {DisableDeltaDomain: true},
 		oracleOpts(),
 		{ForceAggregation: ForceAgg(agg.StrategyReduce)}, {ForceAggregation: ForceAgg(agg.StrategyScalar)},
+		{ForceSelection: ForceSel(sel.MethodSpecialGroup)}, {ForceSelection: ForceSel(sel.MethodCompact)},
 	}
 	for _, o := range combos {
 		o.Parallelism = 1
@@ -192,12 +194,13 @@ func (c *predCase) check(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			got, err := p.Run(context.Background())
+			got, st, err := p.RunTraced(context.Background(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertSameResult(t, label, got, want)
 			assertLaneOrder(t, label, p)
+			assertMaskedReduce(t, label, p, opts, st)
 		}
 	}
 }

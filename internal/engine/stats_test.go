@@ -210,7 +210,9 @@ func TestScanStatsFormatStrategyOrder(t *testing.T) {
 // The plan settles what a batch selects with beyond its measured
 // selectivity, and the per-method counts show it: a sort-based plan gathers
 // where another compacts, a method forced onto it runs as forced, and a
-// forced special group compacts on a plan that reserves none.
+// one-group (Reduce) plan, which has no group ids to reserve one in, runs
+// its special group — the sum under the mask — wherever another plan would
+// compact, chosen or forced.
 func TestSelectionSettledByPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(161))
 	tbl := buildTable(t, rng, 40000, 8, 10000)
@@ -231,7 +233,9 @@ func TestSelectionSettledByPlan(t *testing.T) {
 		{"sort-based", grouped, Options{ForceAggregation: sortBased}, true, false, false},
 		{"sort-based, compact forced", grouped, Options{ForceAggregation: sortBased, ForceSelection: ForceSel(sel.MethodCompact)}, false, true, false},
 		{"sort-based, special forced", grouped, Options{ForceAggregation: sortBased, ForceSelection: ForceSel(sel.MethodSpecialGroup)}, false, false, true},
-		{"no special group, special forced", ungrouped, Options{ForceSelection: ForceSel(sel.MethodSpecialGroup)}, false, true, false},
+		{"no special group, special forced", ungrouped, Options{ForceSelection: ForceSel(sel.MethodSpecialGroup)}, false, false, true},
+		{"no special group, compact forced", ungrouped, Options{ForceSelection: ForceSel(sel.MethodCompact)}, false, false, true},
+		{"no special group, chosen", ungrouped, Options{}, false, false, true},
 	} {
 		c.opts.CostProfile = costmodel.Static() // pins the crossover
 		got, st := runTraced(t, tbl, c.q, c.opts, nil)

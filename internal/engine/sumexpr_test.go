@@ -169,13 +169,34 @@ func (c *sumExprCase) check(t *testing.T) {
 				}
 				t.Fatalf("%s: %v", label, err)
 			}
-			got, err := p.Run(context.Background())
+			got, st, err := p.RunTraced(context.Background(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertSameResult(t, label+": "+describeQuery(c.q), got, want)
 			assertLaneOrder(t, label, p)
+			assertMaskedReduce(t, label, p, opts, st)
 		}
+	}
+}
+
+// assertMaskedReduce holds a scan whose plans are all one-group (Reduce)
+// to what a forced compaction or special group means there: the special
+// group is the mask itself, so every batch that keeps a row sums under it
+// (ScanStats.SpecialGroup) and none compacts.
+func assertMaskedReduce(t *testing.T, label string, p *Prepared, opts Options, st ScanStats) {
+	t.Helper()
+	if f := opts.ForceSelection; f == nil || *f == sel.MethodGather {
+		return
+	}
+	for _, sp := range p.plans {
+		if !sp.eliminated && sp.strategy != agg.StrategyReduce {
+			return
+		}
+	}
+	if st.Gather != 0 || st.Compact != 0 || st.SpecialGroup != st.Batches-st.EmptyBatches {
+		t.Fatalf("%s: Reduce plans ran %d batches: %d gather, %d compact, %d special group, %d empty",
+			label, st.Batches, st.Gather, st.Compact, st.SpecialGroup, st.EmptyBatches)
 	}
 }
 

@@ -59,6 +59,17 @@ func Crossover(bits uint8) float64 {
 	return min(max(s, 0.01), 0.60)
 }
 
+// sparse reports whether a batch that keeps kept of n rows lists its
+// positions with the word-skipping loop (Positions): below one kept row in
+// thirty-two, most 8-row mask words are zero, so testing a word costs less
+// than storing its eight candidates, and the test's branch predicts. Over
+// masks that differ from batch to batch (a 2.1 GHz Xeon VM, 4096-row
+// batches) the two loops were even near 4 % kept; the word-skipping loop
+// took a fifth of the dense loop's time at 0.16 % and 1.3–2.1 times it at
+// 10 %, where the inner loop's exit mispredicts on most words. Replaying
+// one mask lets the predictor learn it and moves the even point far right.
+func sparse(kept, n int) bool { return kept*32 < n }
+
 // ChooseAt picks a selection strategy for one batch. selectivity is the
 // measured fraction of selected rows, crossover the selectivity above which
 // compaction beats gather (Crossover at the packed width of the widest
@@ -66,12 +77,14 @@ func Crossover(bits uint8) float64 {
 // fusedAggregation reports whether the plan reserved a special group id to
 // fuse the selection into. A plan with one group and no MIN/MAX — every
 // query without GROUP BY — has no group ids at all (agg.StrategyReduce)
-// and reserves none, nor does a plan whose group domain is already at
-// MaxGroups. A strategy forced onto a one-group plan, or one that must map
-// ids for MIN/MAX, reserves one as a grouped plan does. Neither rule reads
-// the cost profile: the special-group one competes on streaming-vs-indexed
-// access, not decode throughput, so its measured threshold carries across
-// machines, and Crossover is the paper's fit.
+// and reserves none — its mask is its special group, so the engine sums
+// under the mask what this returns as compaction — nor does a plan whose
+// group domain is already at MaxGroups. A strategy forced onto a one-group
+// plan, or one that must map ids for MIN/MAX, reserves one as a grouped
+// plan does. Neither rule reads the cost profile: the special-group one
+// competes on streaming-vs-indexed access, not decode throughput, so its
+// measured threshold carries across machines, and Crossover is the paper's
+// fit.
 func ChooseAt(selectivity, crossover float64, fusedAggregation bool) Method {
 	if fusedAggregation && selectivity >= specialGroupThreshold {
 		return MethodSpecialGroup

@@ -1,6 +1,11 @@
 package sel
 
-import "bipie/internal/bitpack"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"bipie/internal/bitpack"
+)
 
 // The compacting operator (paper §4.1) takes a selection byte vector and an
 // input vector and removes unselected rows. It has two modes:
@@ -34,6 +39,56 @@ func CompactIndices(dst IndexVec, sel ByteVec) IndexVec {
 	for i := range sel {
 		dst[k] = int32(i)
 		k += int(sel[i] & 1)
+	}
+	return dst[:k]
+}
+
+// Positions is index-vector mode priced by what the batch keeps: given
+// that sel keeps kept rows, it lists their positions with CompactIndices'
+// store-every-row loop, or — when sparse says so — with the word-skipping
+// loop, whose cost follows the kept rows and the whole zero words it skips.
+// Both emit the same positions.
+//
+//bipie:kernel
+func Positions(dst IndexVec, sel ByteVec, kept int) IndexVec {
+	if sparse(kept, len(sel)) {
+		return sparseIndices(dst, sel)
+	}
+	return CompactIndices(dst, sel)
+}
+
+// sparseIndices is CompactIndices for a mask that keeps few rows. It tests
+// eight rows at a time, their mask bytes' low bits as one word, and emits a
+// non-zero word's kept rows by trailing-zero count, clearing each as it
+// goes. Its one branch is on whole zero words (the inner loop's exit): it
+// predicts while most words are zero, which is why Positions takes it
+// only below sparse's threshold. A final word shorter than eight rows
+// is assembled byte by byte, so no byte past len(sel) is read.
+//
+// As in CompactIndices, the dst[k] store and the dst[:k] reslice keep
+// their bounds checks (baseline-accepted): k is data.
+//
+//bipie:kernel
+//bipie:nobce
+func sparseIndices(dst IndexVec, sel ByteVec) IndexVec {
+	const lowBits = 0x0101010101010101
+	dst = grow(dst, len(sel))
+	k := 0
+	for i, s := 0, sel; len(s) > 0; i += 8 {
+		var w uint64
+		if len(s) >= 8 {
+			w = binary.LittleEndian.Uint64(s)
+			s = s[8:]
+		} else {
+			for j, b := range s {
+				w |= uint64(b) << (8 * j)
+			}
+			s = nil
+		}
+		for w &= lowBits; w != 0; w &= w - 1 {
+			dst[k] = int32(i + bits.TrailingZeros64(w)>>3)
+			k++
+		}
 	}
 	return dst[:k]
 }

@@ -11,8 +11,14 @@ import "bipie/internal/bitpack"
 //
 // The paper's implementation fetches with the AVX2 gather instruction
 // (VPGATHERDD); here each fetch-extract is an independent two-word windowed
-// read with no data-dependent branches, preserving the indexed-read memory
-// access pattern whose cost behaviour Figure 7 studies.
+// read, preserving the indexed-read memory access pattern whose cost
+// behaviour Figure 7 studies. The window is read whole, whether or not the
+// value straddles the word boundary: words[w]>>off | words[w+1]<<1<<(63-off)
+// (the split shift leaves nothing of words[w+1] at off 0, where one shift
+// by 64 would have to be special-cased), and the pad word bitpack.WordsFor
+// reserves — FromWords checks it is there — gives the last value a
+// words[w+1]. A test of off+width > 64 instead would be a branch on each
+// index's bit offset, which mispredicts as often as the offsets are random.
 
 // GatherSelect unpacks the values of v at the selected positions of the
 // batch [start, start+n) into the smallest power-of-two word buffer. It
@@ -42,60 +48,38 @@ func GatherIndices(buf *bitpack.Unpacked, v *bitpack.Vector, start int, idx Inde
 	} else {
 		buf.Resize(len(idx))
 	}
-	words := v.Words()
-	width := uint64(v.Bits())
-	mask := v.Mask()
-	base := uint64(start) * width
-	// The per-word-size loops are duplicated rather than shared through an
-	// interface so each compiles to a tight fetch-extract-store sequence.
-	// Each dst is resliced to exactly len(idx) so the store is provably in
-	// bounds; only the indexed words[w]/words[w+1] fetches keep their
-	// checks (the indices are data — that is the point of a gather).
+	words, width := v.Words(), uint64(v.Bits())
+	base, mask := uint64(start)*width, v.Mask()
 	switch ws {
 	case 1:
-		dst := buf.U8[:len(idx)]
-		for j, ix := range idx {
-			bitPos := base + uint64(ix)*width
-			w, off := bitPos>>6, bitPos&63
-			val := words[w] >> off
-			if off+width > 64 {
-				val |= words[w+1] << (64 - off)
-			}
-			dst[j] = uint8(val & mask)
-		}
+		gatherBody(buf.U8, words, base, width, mask, idx)
 	case 2:
-		dst := buf.U16[:len(idx)]
-		for j, ix := range idx {
-			bitPos := base + uint64(ix)*width
-			w, off := bitPos>>6, bitPos&63
-			val := words[w] >> off
-			if off+width > 64 {
-				val |= words[w+1] << (64 - off)
-			}
-			dst[j] = uint16(val & mask)
-		}
+		gatherBody(buf.U16, words, base, width, mask, idx)
 	case 4:
-		dst := buf.U32[:len(idx)]
-		for j, ix := range idx {
-			bitPos := base + uint64(ix)*width
-			w, off := bitPos>>6, bitPos&63
-			val := words[w] >> off
-			if off+width > 64 {
-				val |= words[w+1] << (64 - off)
-			}
-			dst[j] = uint32(val & mask)
-		}
+		gatherBody(buf.U32, words, base, width, mask, idx)
 	default:
-		dst := buf.U64[:len(idx)]
-		for j, ix := range idx {
-			bitPos := base + uint64(ix)*width
-			w, off := bitPos>>6, bitPos&63
-			val := words[w] >> off
-			if off+width > 64 {
-				val |= words[w+1] << (64 - off)
-			}
-			dst[j] = val & mask
-		}
+		gatherBody(buf.U64, words, base, width, mask, idx)
 	}
 	return buf
+}
+
+// gatherBody is GatherIndices' fetch-extract-store loop, one instantiation
+// per word size, kept out of line so the loop's registers follow from its
+// arguments alone: inlined into GatherIndices, it spills. The shift ^bitPos&63
+// is 63-off. dst is resliced to exactly len(idx) so the loop over it proves
+// both the store and the idx[j] load; only the indexed words[w]/words[w+1]
+// fetches keep their checks (the indices are data — that is the point of a
+// gather).
+//
+//bipie:kernel
+//bipie:nobce
+//go:noinline
+func gatherBody[T uint8 | uint16 | uint32 | uint64](dst []T, words []uint64, base, width, mask uint64, idx IndexVec) {
+	dst = dst[:len(idx)]
+	for j := range dst {
+		bitPos := base + uint64(idx[j])*width
+		w := bitPos >> 6
+		lo, hi := words[w], words[w+1]
+		dst[j] = T((lo>>(bitPos&63) | hi<<1<<(^bitPos&63)) & mask)
+	}
 }

@@ -174,6 +174,37 @@ func TestCompactIndices(t *testing.T) {
 	}
 }
 
+// Positions lists what CompactIndices lists whichever loop the kept count
+// picks: the sparse one reads eight rows a word and a short last word byte
+// by byte, never a byte past the vector, and decides by the low bit.
+func TestPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{0, 1, 7, 8, 9, 13, 64, 4095, 4096} {
+		for _, s := range []float64{0, 0.0016, 0.02, 0.12, 0.5, 1} {
+			buf := randSel(rng, n+8, s)
+			for i := n; i < len(buf); i++ {
+				buf[i] = Selected // past the end: must not be read
+			}
+			sel := buf[:n]
+			if n > 2 {
+				sel[n/2] = 0x01 // kept: the low bit decides
+				sel[n/3] = 0xFE // rejected
+			}
+			want := CompactIndices(nil, sel)
+			if got := sparseIndices(nil, sel); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d s=%v: sparse %v, want %v", n, s, got, want)
+			}
+			got := Positions(nil, sel, len(want))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d s=%v: Positions %v, want %v", n, s, got, want)
+			}
+			if again := Positions(got, sel, len(want)); len(want) > 0 && &again[0] != &got[0] {
+				t.Fatalf("n=%d s=%v: backing array not reused", n, s)
+			}
+		}
+	}
+}
+
 func TestCompactIndicesReuse(t *testing.T) {
 	sel := NewByteVec(100)
 	idx := CompactIndices(nil, sel)

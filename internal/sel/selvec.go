@@ -1,9 +1,13 @@
 // Package sel implements BIPie's selection operators (paper §4): the
 // compacting operator (index-vector and physical modes), gather selection
-// fused with bit unpacking, and selection by special group assignment. All
+// fused with bit unpacking, and selection by special group assignment. The
 // kernels are branch-free with respect to the filter result, so the CPU
-// pipeline never stalls on data-dependent branches (paper §4, "the selection
-// operator avoids conditional branching dependent on the filter result").
+// pipeline does not stall on data-dependent branches (paper §4, "the
+// selection operator avoids conditional branching dependent on the filter
+// result"), with one deliberate exception: the sparse position loop
+// (Positions) branches on whole zero mask words, eight rows at a time. It
+// runs only below one kept row in thirty-two, where most words are zero
+// and the branch predicts.
 //
 //bipie:kernelpkg
 package sel

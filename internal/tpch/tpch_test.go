@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -265,18 +266,24 @@ func TestUngroupedPlansReduce(t *testing.T) {
 	opts := engine.Options{CostProfile: costmodel.Static()}
 	// groupMap is whether the group-map phase runs: never under Reduce, and
 	// not for the mix's Q1 either, whose filter pass maps its groups.
+	// method, when set, is a selection method some batch must run: the
+	// repository benchmark's filter_scan shapes gather at 25 % (its packed3,
+	// the mix's Q6) and at 0.16 % (packed_lowsel), and sum under the mask —
+	// a Reduce plan's special group — at 49 % (dict_in, the mix's dict
+	// query). No Reduce plan compacts a batch.
 	for _, tc := range []struct {
 		sql, strategy string
 		groupMap      bool
+		method        string
 	}{
-		{mix[1], "Reduce", false},
-		{"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 30000 AND l_orderkey < 30655", "Reduce", false},
-		{mix[2], "Reduce", false},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem", "Reduce", false},
-		{mix[0], "Multi", false},
-		{"SELECT min(l_quantity), count(*) FROM lineitem WHERE l_shipdate <= 2436", "Scalar", true},
+		{mix[1], "Reduce", false, "Gather"},
+		{"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, "Gather"},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 30000 AND l_orderkey < 30655", "Reduce", false, ""},
+		{mix[2], "Reduce", false, "SpecialGroup"},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, ""},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem", "Reduce", false, ""},
+		{mix[0], "Multi", false, ""},
+		{"SELECT min(l_quantity), count(*) FROM lineitem WHERE l_shipdate <= 2436", "Scalar", true, ""},
 	} {
 		st, err := sql.Parse(tc.sql)
 		if err != nil {
@@ -304,12 +311,27 @@ func TestUngroupedPlansReduce(t *testing.T) {
 		if live == 0 {
 			t.Fatalf("%s: every segment eliminated", tc.sql)
 		}
-		_, stats, err := p.RunTraced(context.Background(), obs.NewScanTrace(0))
+		got, stats, err := p.RunTraced(context.Background(), obs.NewScanTrace(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if calls := stats.Phases[obs.PhaseGroupMap].Calls; (calls > 0) != tc.groupMap {
 			t.Errorf("%s: %d group-map calls", tc.sql, calls)
+		}
+		ran := map[string]int64{"Gather": stats.Gather, "Compact": stats.Compact, "SpecialGroup": stats.SpecialGroup}
+		if tc.method != "" && ran[tc.method] == 0 || tc.strategy == "Reduce" && stats.Compact > 0 {
+			t.Errorf("%s: batches ran %v", tc.sql, ran)
+		}
+		want, err := engine.RunNaive(tbl, st.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := len(got.Rows) == len(want.Rows)
+		for i := 0; same && i < len(got.Rows); i++ {
+			same = slices.Equal(got.Rows[i].Keys, want.Rows[i].Keys) && slices.Equal(got.Rows[i].Stats, want.Rows[i].Stats)
+		}
+		if !same {
+			t.Errorf("%s: %+v, RunNaive %+v", tc.sql, got.Rows, want.Rows)
 		}
 	}
 	plans, err := engine.Explain(tbl, Q1(), opts)
