@@ -95,8 +95,10 @@ CENSUS_FAMILIES = \
 	'agg ScalarMin/Max (minTyped/maxTyped)=^bipie/internal/agg\.Scalar(Min|Max)$$' \
 	'agg InRegisterSum8/16/32=^bipie/internal/agg\.InRegisterSum(8|16|32)$$' \
 	'sel CmpMaskWords=^bipie/internal/sel\.CmpMaskWords\[' \
+	'sel gatherSumBody (gathered reduce)=^bipie/internal/sel\.gatherSumBody$$' \
 	'bitpack unpackBody*=^bipie/internal/bitpack\.unpackBody' \
-	'bitpack cmpBody*=^bipie/internal/bitpack\.cmpBody' \
+	'bitpack cmpBody* (both tallies)=^bipie/internal/bitpack\.cmpBody' \
+	'bitpack cmpEvenOdd16 (12-bit compare)=^bipie/internal/bitpack\.cmpEvenOdd16$$' \
 	'bitpack groupsBody (fused)=^bipie/internal/bitpack\.groupsBody$$'
 census:
 	@$(GO) build -o $(CENSUS_BIN) ./cmd/bipie-serve

@@ -7,13 +7,13 @@ import (
 
 // The filter pass of special-group selection (paper §4.3) fused with the
 // group map: one call from a packed compare to the group ids the
-// aggregation walks. Run as three passes, the scan writes a byte mask
-// (CmpLEPacked), reads it back to count the kept rows, unpacks each group-by
+// aggregation walks. Run as three passes, the scan writes a byte mask and
+// counts the kept rows as it stores it (CmpPacked), unpacks each group-by
 // column's dictionary ids into a byte vector, and folds and blends them
-// (sel.CombineGroups), reading the mask a second time. CmpLEGroups runs the
-// same compare and then one group loop, which spreads the id words
-// straight into blended group bytes under the mask the compare has just
-// written, counting the kept rows off its indicator bits. It is two loops
+// (sel.CombineGroups), reading the mask back. CmpLEGroups runs the same
+// compare and then one group loop, which spreads the id words straight
+// into blended group bytes under the mask the compare has just written,
+// counting the kept rows off its indicator bits. It is two loops
 // and not one because one loop over all five streams, with the spread masks
 // and the blend word, needs more registers than amd64 has; the spills
 // measured slower than reading the L1-resident mask once more.

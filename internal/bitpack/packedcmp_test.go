@@ -7,28 +7,57 @@ import (
 	"testing"
 )
 
-// packedCmpOps pairs each packed compare kernel with its scalar reference
-// semantics; every test below checks the kernels byte-for-byte against
-// Get-based evaluation of these predicates.
+// packedCmpOps pairs each packed compare kernel with its op and its scalar
+// reference semantics; every test below checks the kernels byte-for-byte
+// against Get-based evaluation of these predicates.
 var packedCmpOps = []struct {
 	name string
 	run  func(v *Vector, dst []byte, start int, t uint64, and bool)
+	op   CmpOp
 	ref  func(val, t uint64) bool
 }{
-	{"LE", (*Vector).CmpLEPacked, func(val, t uint64) bool { return val <= t }},
-	{"GE", (*Vector).CmpGEPacked, func(val, t uint64) bool { return val >= t }},
-	{"EQ", (*Vector).CmpEQPacked, func(val, t uint64) bool { return val == t }},
-	{"NE", (*Vector).CmpNEPacked, func(val, t uint64) bool { return val != t }},
+	{"LE", (*Vector).CmpLEPacked, CmpLE, func(val, t uint64) bool { return val <= t }},
+	{"GE", (*Vector).CmpGEPacked, CmpGE, func(val, t uint64) bool { return val >= t }},
+	{"EQ", (*Vector).CmpEQPacked, CmpEQ, func(val, t uint64) bool { return val == t }},
+	{"NE", (*Vector).CmpNEPacked, CmpNE, func(val, t uint64) bool { return val != t }},
+}
+
+// checkCounted holds the counting entry to the op's kernel on the same
+// incoming mask: CmpPacked asked to count writes the mask the kernel
+// writes and returns its non-zero bytes, and unasked it returns 0.
+func checkCounted(t *testing.T, v *Vector, op int, init []byte, start int, thr uint64, and bool) {
+	t.Helper()
+	want := append([]byte(nil), init...)
+	packedCmpOps[op].run(v, want, start, thr, and)
+	wantKept := 0
+	for _, m := range want {
+		if m != 0 {
+			wantKept++
+		}
+	}
+	for _, count := range []bool{true, false} {
+		got := append([]byte(nil), init...)
+		kept := v.CmpPacked(got, start, packedCmpOps[op].op, thr, and, count)
+		if !count {
+			wantKept = 0
+		}
+		if !bytes.Equal(got, want) || kept != wantKept {
+			t.Fatalf("CmpPacked %s width=%d start=%d n=%d t=%d and=%v count=%v: kept %d want %d, mask equal %v",
+				packedCmpOps[op].name, v.Bits(), start, len(init), thr, and, count, kept, wantKept, bytes.Equal(got, want))
+		}
+	}
 }
 
 // checkPackedCmp runs one kernel invocation against the oracle, for both
-// overwrite and AND combining, starting from a randomized destination.
+// overwrite and AND combining, starting from a randomized destination, and
+// the counting entry against the kernel.
 func checkPackedCmp(t *testing.T, rng *rand.Rand, v *Vector, op int, start, n int, thr uint64, and bool) {
 	t.Helper()
 	init := make([]byte, n)
 	for i := range init {
 		init[i] = byte(-(rng.Uint64() & 1)) // 0x00 or 0xFF, like a real sel vector
 	}
+	checkCounted(t, v, op, init, start, thr, and)
 	dst := append([]byte(nil), init...)
 	packedCmpOps[op].run(v, dst, start, thr, and)
 	for i := 0; i < n; i++ {
@@ -126,7 +155,8 @@ func cmpEdgeThresholds(mask uint64) []uint64 {
 // one start, overwriting and ANDing into a non-trivial incoming mask: all
 // four ops at every edge threshold over 2×period+1 lanes (head, body and
 // tail), then kernel op at thr over the lengths 0 … 2×period+1 and
-// everything up to the end of the vector.
+// everything up to the end of the vector. Every call also holds the
+// counting entry to the kernel (checkCounted).
 func checkPackedCmpSweep(t *testing.T, rng *rand.Rand, v *Vector, start, op int, thr uint64) {
 	t.Helper()
 	rest := v.Len() - start
@@ -139,6 +169,7 @@ func checkPackedCmpSweep(t *testing.T, rng *rand.Rand, v *Vector, start, op int,
 	dst := make([]byte, rest)
 	check := func(op int, thr uint64, n int) {
 		for _, and := range []bool{false, true} {
+			checkCounted(t, v, op, init[:n], start, thr, and)
 			copy(dst[:n], init)
 			packedCmpOps[op].run(v, dst[:n], start, thr, and)
 			for i, got := range dst[:n] {
@@ -168,7 +199,8 @@ func checkPackedCmpSweep(t *testing.T, rng *rand.Rand, v *Vector, start, op int,
 // FuzzPackedCmp checks one fuzzed kernel call against the Get oracle, then
 // sweeps a batch at the fuzzed start's residue (checkPackedCmpSweep); the
 // seeds cover every residue of every width 1–32, rotating the swept op and
-// threshold.
+// threshold. Each call runs the counting entry beside the kernel: the same
+// mask, and the count of its non-zero bytes.
 func FuzzPackedCmp(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint16(0), uint16(100), uint64(50), uint8(0))
 	f.Add(uint64(2), uint8(8), uint16(63), uint16(4096), uint64(0), uint8(5))
@@ -310,6 +342,30 @@ func TestCmpLEGroupsShape(t *testing.T) {
 	}
 }
 
+// TestCmpPackedCounts holds the counting entry to its kernels at every width
+// 1–32 and a few wider, all four ops, overwriting and ANDing, at starts off
+// every alignment and over lengths that leave a head, a body and a tail, at
+// each edge threshold and one inside the range.
+func TestCmpPackedCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for width := uint8(1); width <= 40; width++ {
+		v := randomVector(rng, width, 600)
+		for op := range packedCmpOps {
+			for _, thr := range append(cmpEdgeThresholds(v.Mask()), v.Get(17)) {
+				for _, span := range [][2]int{{0, 600}, {5, 260}, {63, 130}, {1, 7}, {599, 1}, {3, 0}} {
+					for _, and := range []bool{false, true} {
+						init := make([]byte, span[1])
+						for i := range init {
+							init[i] = byte(-(rng.Uint64() & 1))
+						}
+						checkCounted(t, v, op, init, span[0], thr, and)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPackedCmpAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dst := make([]byte, 4096)
@@ -320,6 +376,7 @@ func TestPackedCmpAllocFree(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() {
 				op.run(v, dst, 64, thr, false)
 				op.run(v, dst, 64, thr, true)
+				v.CmpPacked(dst, 64, op.op, thr, true, true)
 			}); n != 0 {
 				t.Errorf("Cmp%sPacked width %d: %v allocs/run, want 0", op.name, width, n)
 			}

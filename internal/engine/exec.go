@@ -31,6 +31,7 @@ type execState struct {
 
 	// Reusable batch buffers.
 	predScratch []predScratch // per pushed conjunct domain-specific scratch
+	runs        []bool        // per pushed conjunct: live on the current batch
 	// The residual predicate's node vectors and the mask vectors its tree
 	// needs beside the batch's own (plans with a residual only).
 	residBufs progBufs
@@ -110,6 +111,7 @@ func newExecState(sp *segPlan) *execState {
 		}
 	}
 	e.predScratch = make([]predScratch, len(sp.pushed))
+	e.runs = make([]bool, len(sp.pushed))
 	for i, pp := range sp.pushed {
 		pp.initScratch(&e.predScratch[i])
 	}
@@ -222,36 +224,42 @@ const (
 	selSpans                    // spanAgg plans: run-aligned spans, no row ever materialized
 )
 
-// filterBatch is the pipeline's filter stage. Pushed conjuncts evaluate in
-// their encoded domains first; the residual predicate (if any) evaluates its
-// value program over the whole batch, turns it into a mask and ANDs in;
-// deleted rows drop out last, read from the segment for this batch alone.
-// Every conjunct is live for the segment; each is clamped against the
-// encoding's batch metadata first (the zone maps): a proven all-rejecting
-// conjunct skips the batch before any kernel touches data, and a proven
-// all-matching one drops out of the conjunction. The
-// result is the row mask e.selVec[:b.N] — with a fused plan's pass also the
-// batch's group ids, blended, and its kept count (fusedFilter, e.mapped) —
-// or, for spanAgg plans, the span list e.spans: every live conjunct emits
-// run-aligned spans, the spans intersect in span space (an unfiltered batch
-// is one span), and a batch holding deleted rows intersects its live spans
-// too, so no selection vector, no unpack, no per-row work happens at all and
-// the batch costs O(runs + spans), which is what buys the low-selectivity
-// speedup the paper gets from operating on run boundaries instead of rows.
-// filterBatch records the batch in e.stats and returns how many rows survive
-// and how the aggregate stage selects them.
+// filterBatch is the pipeline's filter stage. Every pushed conjunct is
+// live for the segment and is first clamped against the encoding's batch
+// metadata (the zone maps): a proven all-rejecting conjunct skips the batch
+// before any kernel touches data, and a proven all-matching one drops out
+// of the conjunction. The rest evaluate in their encoded domains; the
+// residual predicate (if any) evaluates its value program over the whole
+// batch, turns it into a mask and ANDs in; deleted rows drop out last,
+// read from the segment for this batch alone. The result is the row mask
+// e.selVec[:b.N] — with a fused plan's pass also the batch's group ids,
+// blended (fusedFilter, e.mapped) — or, for spanAgg plans, the span list
+// e.spans: every live conjunct emits run-aligned spans, the spans
+// intersect in span space (an unfiltered batch is one span), and a batch
+// holding deleted rows intersects its live spans too, so no selection
+// vector, no unpack, no per-row work happens at all and the batch costs
+// O(runs + spans), which is what buys the low-selectivity speedup the
+// paper gets from operating on run boundaries instead of rows.
+//
+// Because every zone-map verdict is taken before any conjunct runs, the
+// last conjunct to run is known in advance. When nothing changes the mask
+// after it — no residual, no deleted row — it is asked to count the rows it
+// keeps, and a domain that counts as it stores the mask (the packed
+// compares, like the fused pass) saves the selection phase its pass over
+// the mask (ByteVec.CountSelected). filterBatch records the batch in
+// e.stats and returns how many rows survive and how the aggregate stage
+// selects them.
 //
 //bipie:kernel
 func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 	sp := e.plan
 	vec := e.selVec[:b.N]
 	acc, tmp := e.spanAcc, e.spanTmp
-	nAcc, kept := 0, 0
-	filled := false
 	e.mapped = false
 	dels := sp.seg.HasDeletes(b.Start, b.N)
-	var domains domainSet
+	last := -1
 	for i, pp := range sp.pushed {
+		run := true
 		if !sp.opts.DisableZoneMaps {
 			t0 := e.traceStart()
 			op := pp.batchOp(b)
@@ -261,9 +269,23 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 				e.stats.BatchesSkipped++
 				return selWhole, 0
 			}
-			if op == pushAll {
-				continue
-			}
+			run = op != pushAll
+		}
+		if e.runs[i] = run; run {
+			last = i
+		}
+	}
+	if sp.residual != nil || dels {
+		last = -1 // the mask changes after the conjuncts: count it whole
+	}
+	// kept is the batch's kept rows once a conjunct or the fused pass has
+	// counted them, -1 until then.
+	nAcc, kept := 0, -1
+	filled := false
+	var domains domainSet
+	for i, pp := range sp.pushed {
+		if !e.runs[i] {
+			continue
 		}
 		t0 := e.traceStart()
 		switch {
@@ -272,7 +294,9 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 			kept, e.mapped = sp.fused.eval(b, vec, e.groupBuf[:b.N]), true
 			domains |= 1 << domPacked
 		case !sp.spanAgg:
-			pp.eval(b, vec, !filled, &e.predScratch[i])
+			if n := pp.eval(b, vec, !filled, i == last, &e.predScratch[i]); i == last {
+				kept = n
+			}
 			domains |= 1 << pp.domain()
 		case !filled:
 			nAcc = sp.spanPreds[i].evalSpans(b, acc)
@@ -327,11 +351,11 @@ func (e *execState) filterBatch(b colstore.Batch) (selection, int) {
 		}
 		e.spans = acc[:nAcc]
 		selected = sel.SpanRows(e.spans)
-	case e.mapped:
-		// The fused pass counted the kept rows and left neither deletes nor
-		// a forced method to apply.
+	case kept >= 0:
+		// The last conjunct, or the fused pass, counted the kept rows, and
+		// neither deletes nor a residual changed the mask after it.
 		selected = kept
-		if selected > 0 && selected < b.N {
+		if selected > 0 && (selected < b.N || forced) {
 			how = e.chooseSelection(float64(selected) / float64(b.N))
 		}
 	case filled || forced || dels:
@@ -448,10 +472,13 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 
 // reduceBatch is the aggregate stage of a Reduce plan: one group and no
 // group ids, so nothing is mapped, compacted or counted per row. The k rows
-// the filter kept are the batch's COUNT. A gathered batch loads only the
-// kept rows, at their positions, and each SUM slot adds one register
-// reduction of its vector; every other batch loads whole, and a special
-// group batch — the plan's one way to keep most of a batch, since it never
+// the filter kept are the batch's COUNT. A gathered batch reads only the
+// kept rows, at their positions: when every SUM slot is a packed column or
+// a product of two (segPlan.gathered), one loop per slot fetches its values
+// and sums them as it goes, with no vector at all; otherwise the program
+// loads the kept rows into its vectors and each slot adds one register
+// reduction of its own. Every other batch loads whole, and a special group
+// batch — the plan's one way to keep most of a batch, since it never
 // compacts — sums each vector under the batch's mask. Evaluating the
 // program over rejected rows is as safe here as under a grouped plan's
 // special group: division is zero-guarded and every lane holds its node's
@@ -467,6 +494,15 @@ func (e *execState) reduceBatch(b colstore.Batch, how selection, k int) {
 			t0 := e.traceStart()
 			e.idx = sel.Positions(e.idx, e.selVec[:b.N], k)
 			e.traceEnd(obs.PhaseSelection, t0, b.N)
+		}
+		if sp.gathered != nil {
+			t0 := e.traceStart()
+			e.counts[0] += int64(k)
+			for j, i := range sp.sumIdx {
+				e.sumAcc[i][0] += sp.gathered[j].sum(b.Start, e.idx)
+			}
+			e.traceEnd(obs.PhaseAggregate, t0, k)
+			return
 		}
 	}
 	t0 := e.traceStart()

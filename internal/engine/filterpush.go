@@ -85,8 +85,11 @@ type pushedPred interface {
 	batchOp(b colstore.Batch) pushOp
 	// eval writes the conjunct's 0x00/0xFF row mask for a batch whose
 	// batchOp was live. With first=true it overwrites vec, otherwise it
-	// ANDs in. sc is this conjunct's exec-owned scratch.
-	eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch)
+	// ANDs in. Asked to count, it returns the rows vec keeps afterwards —
+	// counted as the mask is stored by a domain whose kernel can (the
+	// packed compares), -1 from every other — and what it returns unasked
+	// is unused. sc is this conjunct's exec-owned scratch.
+	eval(b colstore.Batch, vec sel.ByteVec, first, count bool, sc *predScratch) int
 	// initScratch sizes sc's buffers for this predicate, once per exec
 	// state, so eval itself never allocates.
 	initScratch(sc *predScratch)
@@ -300,24 +303,13 @@ func (pp *bitpackPred) batchOp(b colstore.Batch) pushOp {
 
 //bipie:kernel
 //bipie:nobce
-func (pp *bitpackPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
+func (pp *bitpackPred) eval(b colstore.Batch, vec sel.ByteVec, first, count bool, sc *predScratch) int {
 	if pp.packed {
-		pk := pp.bp.Packed()
-		and := !first
-		switch pp.op {
-		case pushLE:
-			pk.CmpLEPacked(vec, b.Start, pp.threshold, and)
-		case pushGE:
-			pk.CmpGEPacked(vec, b.Start, pp.threshold, and)
-		case pushEQ:
-			pk.CmpEQPacked(vec, b.Start, pp.threshold, and)
-		default: // pushNE
-			pk.CmpNEPacked(vec, b.Start, pp.threshold, and)
-		}
-		return
+		return pp.bp.Packed().CmpPacked(vec, b.Start, pp.op.cmp(), pp.threshold, !first, count)
 	}
 	sc.unpacked = pp.bp.Packed().UnpackSmallest(sc.unpacked, b.Start, b.N)
 	sel.CmpMaskLanes(vec, sc.unpacked, pp.threshold, pp.op.cmp(), first)
+	return -1
 }
 
 func (pp *bitpackPred) initScratch(sc *predScratch) {
@@ -429,8 +421,9 @@ func (pp *rlePred) batchOp(b colstore.Batch) pushOp {
 
 //bipie:kernel
 //bipie:nobce
-func (pp *rlePred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
+func (pp *rlePred) eval(b colstore.Batch, vec sel.ByteVec, first, count bool, sc *predScratch) int {
 	sel.ApplySpans(vec, sc.spans[:pp.evalSpans(b, sc.spans)], first)
+	return -1
 }
 
 // evalSpans writes the qualifying rows of a batch as sorted, disjoint,
@@ -606,37 +599,38 @@ func (pp *dictPred) batchOp(b colstore.Batch) pushOp { return pushEQ }
 
 //bipie:kernel
 //bipie:nobce
-func (pp *dictPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
+func (pp *dictPred) eval(b colstore.Batch, vec sel.ByteVec, first, count bool, sc *predScratch) int {
 	and := !first
 	switch pp.mode {
 	case dictEQ:
-		pp.ids.CmpEQPacked(vec, b.Start, pp.lo, and)
+		return pp.ids.CmpPacked(vec, b.Start, sel.CmpEQ, pp.lo, and, count)
 	case dictNE:
-		pp.ids.CmpNEPacked(vec, b.Start, pp.lo, and)
+		return pp.ids.CmpPacked(vec, b.Start, sel.CmpNE, pp.lo, and, count)
 	case dictGE:
-		pp.ids.CmpGEPacked(vec, b.Start, pp.lo, and)
+		return pp.ids.CmpPacked(vec, b.Start, sel.CmpGE, pp.lo, and, count)
 	case dictLE:
-		pp.ids.CmpLEPacked(vec, b.Start, pp.hi, and)
+		return pp.ids.CmpPacked(vec, b.Start, sel.CmpLE, pp.hi, and, count)
 	case dictRange:
 		pp.ids.CmpGEPacked(vec, b.Start, pp.lo, and)
-		pp.ids.CmpLEPacked(vec, b.Start, pp.hi, true)
-	default: // dictBitmap
-		ids := sc.ids[:b.N]
-		pp.ids.UnpackUint8(ids, b.Start)
-		// Reslicing vec to the id count pins both loop bounds, so the
-		// per-row lookups carry no bounds check (mask is [256]byte and
-		// ids are uint8, so the table index needs none either).
-		out := vec[:len(ids)]
-		if first {
-			for i, id := range ids {
-				out[i] = pp.mask[id]
-			}
-		} else {
-			for i, id := range ids {
-				out[i] &= pp.mask[id]
-			}
+		return pp.ids.CmpPacked(vec, b.Start, sel.CmpLE, pp.hi, true, count)
+	}
+	// dictBitmap
+	ids := sc.ids[:b.N]
+	pp.ids.UnpackUint8(ids, b.Start)
+	// Reslicing vec to the id count pins both loop bounds, so the per-row
+	// lookups carry no bounds check (mask is [256]byte and ids are uint8, so
+	// the table index needs none either).
+	out := vec[:len(ids)]
+	if first {
+		for i, id := range ids {
+			out[i] = pp.mask[id]
+		}
+	} else {
+		for i, id := range ids {
+			out[i] &= pp.mask[id]
 		}
 	}
+	return -1
 }
 
 func (pp *dictPred) initScratch(sc *predScratch) {
@@ -696,10 +690,11 @@ func (pp *deltaPred) batchOp(b colstore.Batch) pushOp {
 
 //bipie:kernel
 //bipie:nobce
-func (pp *deltaPred) eval(b colstore.Batch, vec sel.ByteVec, first bool, sc *predScratch) {
+func (pp *deltaPred) eval(b colstore.Batch, vec sel.ByteVec, first, count bool, sc *predScratch) int {
 	vals := sc.i64[:b.N]
 	pp.col.DecodeWith(vals, b.Start, sc.diffs)
 	sel.CmpMaskWords(vec, vals, pp.threshold, pp.op.cmp(), first)
+	return -1
 }
 
 func (pp *deltaPred) initScratch(sc *predScratch) {

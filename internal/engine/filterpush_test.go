@@ -7,7 +7,9 @@ import (
 	"slices"
 	"testing"
 
+	"bipie/internal/colstore"
 	"bipie/internal/expr"
+	"bipie/internal/table"
 )
 
 // Filter pushdown evaluates col-vs-constant conjuncts on encoded offsets.
@@ -438,4 +440,80 @@ func TestProvenFilterPlansUnfiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, q.Filter.String(), got, want)
+}
+
+// TestLastConjunctCounts pins where a batch's kept rows come from. Three
+// packed conjuncts run on every batch but one, a <= 600, b >= 20 and
+// z <= 150, and the zone maps prove the last of them, on z, true for every
+// even batch: there b is the last conjunct to run, and on the odd batches
+// z is. Only the last conjunct to run may count the rows it keeps — any
+// other one counts rows a later one rejects — and only when nothing
+// changes the mask after it. The query, a one-group COUNT(*) whose count is
+// the kept rows themselves, runs plain, behind a residual and with deleted
+// rows, each with the zone maps on and off, and every answer must equal
+// RunNaive's.
+func TestLastConjunctCounts(t *testing.T) {
+	const segRows = 4 * colstore.BatchRows
+	rng := rand.New(rand.NewSource(113))
+	n := 2*segRows + 1000
+	ints := map[string][]int64{"a": make([]int64, n), "b": make([]int64, n), "z": make([]int64, n), "v": make([]int64, n)}
+	for i := 0; i < n; i++ {
+		ints["a"][i] = rng.Int63n(1 << 10)
+		ints["b"][i] = rng.Int63n(1 << 6)
+		ints["z"][i] = rng.Int63n(100)
+		if i/colstore.BatchRows%2 == 1 {
+			ints["z"][i] = rng.Int63n(1 << 8)
+		}
+		ints["v"][i] = rng.Int63n(1 << 20)
+	}
+	tbl, err := table.New(table.Schema{
+		{Name: "a", Type: table.Int64}, {Name: "b", Type: table.Int64},
+		{Name: "z", Type: table.Int64}, {Name: "v", Type: table.Int64},
+	}, table.WithSegmentRows(segRows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendColumns(ints, nil); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Flush()
+	pushed := expr.AndP(expr.AndP(expr.Le(expr.Col("a"), expr.Int(600)), expr.Ge(expr.Col("b"), expr.Int(20))),
+		expr.Le(expr.Col("z"), expr.Int(150)))
+	filters := map[string]expr.Pred{
+		"pushed":   pushed,
+		"residual": expr.AndP(pushed, expr.Lt(expr.Add(expr.Col("a"), expr.Col("b")), expr.Int(500))),
+	}
+	check := func(label string) {
+		t.Helper()
+		for name, f := range filters {
+			q := &Query{Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("v"))}, Filter: f}
+			if name == "pushed" {
+				plans, err := Explain(tbl, q, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := plans[0].PushedDomains; len(d) != 3 || d[0] != "packed" || d[1] != "packed" || d[2] != "packed" {
+					t.Fatalf("pushed domains %v, want three packed", d)
+				}
+			}
+			want, err := RunNaive(tbl, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, zones := range []bool{true, false} {
+				got, err := Run(tbl, q, Options{DisableZoneMaps: !zones})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, fmt.Sprintf("%s, %s, zone maps %v", label, name, zones), got, want)
+			}
+		}
+	}
+	check("plain")
+	for _, row := range []int{3, colstore.BatchRows + 7, 5 * colstore.BatchRows, 2*segRows + 999} {
+		if err := tbl.Delete(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("deleted rows")
 }

@@ -109,6 +109,11 @@ type segPlan struct {
 	spanAgg   bool
 	spanPreds []*rlePred // parallel to pushed
 
+	// gathered, on a Reduce plan whose every SUM slot is a packed leaf or a
+	// product of two, is how a gathered batch sums each sumIdx slot straight
+	// off the packed words (gatheredSum); nil for every other plan.
+	gathered []gatheredSum
+
 	maxBits uint8 // widest column word the value paths read, drives the selection crossover
 
 	// selCrossover is the gather/compact selectivity crossover at maxBits
@@ -534,6 +539,10 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		sp.selCrossover = math.Inf(1)
 	}
 
+	if sp.strategy == agg.StrategyReduce {
+		sp.gathered = sp.gatheredSums()
+	}
+
 	sp.decodeModel = sp.decodeCost(prof)
 	if len(sp.evalOrder) > 0 {
 		sp.decodePasses++
@@ -652,6 +661,58 @@ func (sp *segPlan) multiPlan(wordSizes []int) (*agg.MultiLayout, []int, error) {
 	}
 	layout, err := agg.NewMultiLayout(sp.domain, sp.special, wordSizes)
 	return layout, inputs, err
+}
+
+// gatheredSum is one SUM slot of a Reduce plan as a gathered batch sums it
+// without vectors (sel.GatherSum): the slot's node is a packed leaf x, or a
+// product (±x + a)·(±y + c) of packed leaves. Since the signs square away,
+// the product is sign·(x ± a)·(y ± c) — the constants take their factor's
+// sign — and a leaf is x·1.
+type gatheredSum struct {
+	x, y *bitpack.Vector // y nil: the slot is x itself
+	a, c uint64
+	neg  bool
+}
+
+// sum adds the slot's node over the rows start+idx.
+func (g *gatheredSum) sum(start int, idx sel.IndexVec) int64 {
+	s := sel.GatherSum(g.x, g.y, g.a, g.c, start, idx)
+	if g.neg {
+		s = -s
+	}
+	return int64(s)
+}
+
+// gatheredSums returns how a gathered batch of this Reduce plan sums each
+// sumIdx slot, or nil unless every slot's node is a packed leaf or a
+// product of two: any other node keeps the vector path (evalProgram, then
+// agg.ReduceSum).
+func (sp *segPlan) gatheredSums() []gatheredSum {
+	out := make([]gatheredSum, len(sp.sumIdx))
+	for k, i := range sp.sumIdx {
+		n := sp.sums[i].term.Node
+		nd := sp.prog.Node(n)
+		switch {
+		case nd.Op == expr.SumLeafPacked:
+			out[k] = gatheredSum{x: sp.progLeaves[n].packed, c: 1}
+		case nd.Op == expr.SumMul && !nd.L.IsConst() && !nd.R.IsConst() &&
+			sp.prog.Node(nd.L.Node).Op == expr.SumLeafPacked && sp.prog.Node(nd.R.Node).Op == expr.SumLeafPacked:
+			// (±x + a)(±y + c) = ±(x ± a)(y ± c), each constant taking its
+			// factor's sign and the product the signs' product.
+			g := gatheredSum{x: sp.progLeaves[nd.L.Node].packed, y: sp.progLeaves[nd.R.Node].packed,
+				a: uint64(nd.L.Add), c: uint64(nd.R.Add), neg: nd.L.Neg != nd.R.Neg}
+			if nd.L.Neg {
+				g.a = -g.a
+			}
+			if nd.R.Neg {
+				g.c = -g.c
+			}
+			out[k] = g
+		default:
+			return nil
+		}
+	}
+	return out
 }
 
 // proveNoOverflow applies the paper's §2.1 overflow analysis: segment

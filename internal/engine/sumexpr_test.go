@@ -23,6 +23,10 @@ import (
 type sumExprCase struct {
 	tbl *table.Table
 	q   *Query
+	// gathered marks a one-group query whose every SUM is a packed column
+	// or a product of two: its Reduce plans sum gathered batches straight
+	// off the packed words (segPlan.gathered).
+	gathered bool
 }
 
 // edgeSpans are value-range widths sitting on the lane boundaries: the last
@@ -176,7 +180,29 @@ func (c *sumExprCase) check(t *testing.T) {
 			assertSameResult(t, label+": "+describeQuery(c.q), got, want)
 			assertLaneOrder(t, label, p)
 			assertMaskedReduce(t, label, p, opts, st)
+			if c.gathered {
+				assertGatheredSums(t, label, p, opts, st)
+			}
 		}
+	}
+}
+
+// assertGatheredSums holds a gathered case to its path: every Reduce plan
+// sums gathered batches straight off the packed words, and a forced gather
+// over such plans runs on some batch.
+func assertGatheredSums(t *testing.T, label string, p *Prepared, opts Options, st ScanStats) {
+	t.Helper()
+	reduce := false
+	for _, sp := range p.plans {
+		if sp.eliminated || sp.strategy != agg.StrategyReduce {
+			continue
+		}
+		if reduce = true; sp.gathered == nil {
+			t.Fatalf("%s: a Reduce plan of a gathered case has no gathered sums", label)
+		}
+	}
+	if f := opts.ForceSelection; reduce && f != nil && *f == sel.MethodGather && st.Batches > st.EmptyBatches && st.Gather == 0 {
+		t.Fatalf("%s: forced gather ran no gathered batch (%+v)", label, st)
 	}
 }
 
@@ -375,12 +401,74 @@ func newProductCase(seed int64, shape int) (*sumExprCase, error) {
 	return &sumExprCase{tbl: tbl, q: q}, nil
 }
 
+// newGatheredCase builds a one-group query whose every SUM is a packed
+// column or a product of two, over columns with frames of reference from
+// edgeRefs: each factor ±col, ±col + k or k - col, so the products' terms
+// carry negations and constants of both signs, and the sign of a factor
+// with no constant moves out of its product.
+func newGatheredCase(seed int64) (*sumExprCase, error) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1500 + rng.Intn(3000)
+	names := []string{"f", "p", "q", "d", "w"}
+	spans := map[string]int64{"f": 100, "p": 1 << 22, "q": 1 << 12, "d": 11, "w": 60000}
+	schema := table.Schema{}
+	cols, refs := map[string][]int64{}, map[string]int64{}
+	for _, name := range names {
+		schema = append(schema, table.Column{Name: name, Type: table.Int64})
+		cols[name] = make([]int64, n)
+		refs[name] = edgeRefs[rng.Intn(4)] // the refs whose products stay clear of int64's edge
+		for i := range cols[name] {
+			cols[name][i] = refs[name] + rng.Int63n(spans[name])
+		}
+	}
+	tbl, err := table.New(schema, table.WithSegmentRows(1024+rng.Intn(3)*1024))
+	if err != nil {
+		return nil, err
+	}
+	if err := tbl.AppendColumns(cols, nil); err != nil {
+		return nil, err
+	}
+	if rng.Intn(3) > 0 {
+		tbl.Flush()
+	}
+	factor := func() expr.Expr {
+		c, k := expr.Col(names[1+rng.Intn(len(names)-1)]), expr.Int(rng.Int63n(201)-100)
+		switch rng.Intn(4) {
+		case 0:
+			return c
+		case 1:
+			return expr.Negate(c)
+		case 2:
+			return expr.Add(c, k)
+		default:
+			return expr.Sub(k, c)
+		}
+	}
+	q := &Query{Aggregates: []Aggregate{CountStar()}}
+	for range 1 + rng.Intn(3) {
+		a := SumOf(expr.Col(names[1+rng.Intn(len(names)-1)]))
+		if rng.Intn(3) > 0 {
+			a = SumOf(expr.Mul(factor(), factor()))
+		}
+		q.Aggregates = append(q.Aggregates, a)
+	}
+	if rng.Intn(4) > 0 {
+		q.Filter = expr.Lt(expr.Col("f"), expr.Int(refs["f"]+rng.Int63n(100)))
+	}
+	return &sumExprCase{tbl: tbl, q: q, gathered: true}, nil
+}
+
+// gatheredShape and up select FuzzSumExpr's gathered cases.
+const gatheredShape = 128
+
 // FuzzSumExpr drives the typed sum-expression program — interval analysis,
 // lane choice, slot and sub-expression sharing, every load mode and
 // strategy that consumes its vectors — with seeded random tables and
 // expression trees against the row-at-a-time oracle. A nonzero shape
-// instead builds productShapes[shape-1] (mod their count): the product
-// words the multi-aggregate walk computes, and their near misses.
+// below gatheredShape instead builds productShapes[shape-1] (mod their
+// count): the product words the multi-aggregate walk computes, and their
+// near misses; from gatheredShape on it builds a gathered case
+// (newGatheredCase), whose forced gathers sum off the packed words.
 func FuzzSumExpr(f *testing.F) {
 	for seed := int64(0); seed < 64; seed++ {
 		f.Add(seed, uint8(seed%4), uint8(0))
@@ -390,9 +478,15 @@ func FuzzSumExpr(f *testing.F) {
 			f.Add(seed, uint8(0), uint8(1+shape))
 		}
 	}
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint8(0), uint8(gatheredShape))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, depth, shape uint8) {
 		c, err := newSumExprCase(seed, 1+int(depth%4))
-		if shape > 0 {
+		switch {
+		case shape >= gatheredShape:
+			c, err = newGatheredCase(seed)
+		case shape > 0:
 			c, err = newProductCase(seed, int(shape-1)%len(productShapes))
 		}
 		if err != nil {

@@ -83,3 +83,66 @@ func gatherBody[T uint8 | uint16 | uint32 | uint64](dst []T, words []uint64, bas
 		dst[j] = T((lo>>(bitPos&63) | hi<<1<<(^bitPos&63)) & mask)
 	}
 }
+
+// GatherSum is a gathered batch's one-group SUM without its vectors: over
+// the rows start+idx[j] it returns Σ (x + a)·(y + c), wrapping modulo 2⁶⁴
+// as the vector kernels do, with x and y each row's values of the packed
+// vectors x and y — y nil reads 0 for every row, so GatherSum(x, nil, a, 1,
+// …) is Σ (x + a). Each value is fetched the way gatherBody fetches it, and
+// the products are summed as they are formed: no value is stored, and no
+// second pass reads one back.
+//
+//bipie:kernel
+func GatherSum(x, y *bitpack.Vector, a, c uint64, start int, idx IndexVec) uint64 {
+	xf, yf := newFactor(x, start, a), factor{words: zeroWindow[:], add: c}
+	if y != nil {
+		yf = newFactor(y, start, c)
+	}
+	return gatherSumBody(idx, &xf, &yf)
+}
+
+// factor is one operand v + add of a gathered product: v is the packed
+// value at bit base + i·width of words for batch row i. A zero width and
+// mask over zeroWindow make v 0 at every row.
+type factor struct {
+	words                  []uint64
+	base, width, mask, add uint64
+}
+
+// zeroWindow is the two-word window of a factor whose value is 0 at every
+// row.
+var zeroWindow [2]uint64
+
+func newFactor(v *bitpack.Vector, start int, add uint64) factor {
+	width := uint64(v.Bits())
+	return factor{words: v.Words(), base: uint64(start) * width, width: width, mask: v.Mask(), add: add}
+}
+
+// gatherSumBody is GatherSum's fetch-multiply-add loop. The factors come by
+// pointer, so their fields ride as memory operands and the loop keeps its
+// registers for its cursor, each row's values and the sum: held in
+// registers, the two factors' ten fields and the loop's own state are more
+// than amd64 has. The cursor is idx itself, resliced, and the loop leaves
+// before a reslice would empty it: an index counter landed in CX, which
+// the window shifts need, and spilled, and a reslice to empty would need a
+// pointer guard. As in gatherBody, only the indexed window fetches keep
+// their bounds checks (the indices are data).
+//
+//bipie:kernel
+//bipie:nobce
+//go:noinline
+func gatherSumBody(idx IndexVec, x, y *factor) (s uint64) {
+	for len(idx) > 0 {
+		i := uint64(idx[0])
+		bx := x.base + i*x.width
+		xv := (x.words[bx>>6]>>(bx&63) | x.words[bx>>6+1]<<1<<(^bx&63)) & x.mask
+		by := y.base + i*y.width
+		yv := (y.words[by>>6]>>(by&63) | y.words[by>>6+1]<<1<<(^by&63)) & y.mask
+		s += (xv + x.add) * (yv + y.add)
+		if len(idx) < 2 {
+			break
+		}
+		idx = idx[1:]
+	}
+	return s
+}

@@ -314,6 +314,41 @@ func TestGatherSelect(t *testing.T) {
 	}
 }
 
+// GatherSum must equal gathering both factors into vectors (GatherIndices)
+// and summing their products — the passes it replaces — at every pairing of
+// widths that decode into different word sizes, with a bare column (no
+// second factor) among them.
+func TestGatherSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	widths := []uint8{1, 4, 7, 12, 17, 24, 33, 64}
+	packed := make([]*bitpack.Vector, len(widths))
+	for k, width := range widths {
+		vals := make([]uint64, 9000)
+		for i := range vals {
+			vals[i] = rng.Uint64() >> (64 - width)
+		}
+		packed[k] = bitpack.MustPack(vals, width)
+	}
+	start, n := 4096, 4096
+	idx := CompactIndices(nil, randSel(rng, n, 0.3))
+	for _, x := range packed {
+		for _, y := range append([]*bitpack.Vector{nil}, packed...) {
+			a, c := rng.Uint64(), rng.Uint64()
+			xs, ys := GatherIndices(nil, x, start, idx), bitpack.NewUnpacked(64, len(idx))
+			if y != nil {
+				ys = GatherIndices(nil, y, start, idx)
+			}
+			var want uint64
+			for j := range idx {
+				want += (xs.Get(j) + a) * (ys.Get(j) + c)
+			}
+			if got := GatherSum(x, y, a, c, start, idx); got != want {
+				t.Fatalf("x %d bits, y %v: got %#x want %#x", x.Bits(), y, got, want)
+			}
+		}
+	}
+}
+
 // Gather and compact must agree: two implementations of the same selection.
 func TestGatherIndicesDirect(t *testing.T) {
 	// GatherIndices must honor arbitrary index vectors — out of order and

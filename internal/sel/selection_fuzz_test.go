@@ -17,7 +17,10 @@ import (
 //   - the sparse position loop, and Positions either side of its threshold,
 //     equal CompactIndices;
 //   - ReduceSumMasked equals physical compaction followed by ReduceSum, at
-//     each of the four word sizes.
+//     each of the four word sizes;
+//   - GatherSum at the kept positions equals the sum of Get products, of
+//     the vector with a second one of another width and with no second
+//     one, under frames of reference drawn from the full 64-bit range.
 //
 // Mask bytes are raw fuzz bytes, so non-canonical ones (neither 0x00 nor
 // 0xFF) check that every kernel reads a row's low bit, as compaction does.
@@ -61,6 +64,25 @@ func FuzzSelection(f *testing.F) {
 			if pos := Positions(nil, sel, kept); !reflect.DeepEqual(pos, dense) {
 				t.Fatalf("Positions(kept=%d) %v, CompactIndices %v", kept, pos, dense)
 			}
+		}
+
+		yWidth := 1 + (int(width)*7+int(start))%64
+		yVals := make([]uint64, len(vals))
+		for i := range yVals {
+			yVals[i] = rng.Uint64() >> (64 - yWidth)
+		}
+		y := bitpack.MustPack(yVals, uint8(yWidth))
+		a, c := rng.Uint64(), rng.Uint64()
+		var dot, sum uint64
+		for _, i := range dense {
+			dot += (v.Get(int(start)+int(i)) + a) * (y.Get(int(start)+int(i)) + c)
+			sum += v.Get(int(start)+int(i)) + a
+		}
+		if got := GatherSum(v, y, a, c, int(start), dense); got != dot {
+			t.Fatalf("w=%d×%d start=%d: gathered product sum %#x, want %#x", width, yWidth, start, got, dot)
+		}
+		if got := GatherSum(v, nil, a, 1, int(start), dense); got != sum {
+			t.Fatalf("w=%d start=%d: gathered sum %#x, want %#x", width, start, got, sum)
 		}
 
 		for _, bits := range []uint8{8, 16, 32, 64} {

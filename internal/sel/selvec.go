@@ -37,9 +37,13 @@ func NewByteVec(n int) ByteVec {
 	return v[:n]
 }
 
-// CountSelected counts non-zero bytes — the number of rows the filter kept.
-// The engine computes batch selectivity from it to choose a selection
-// strategy per batch (paper §3). It processes 8 lanes per step.
+// CountSelected counts non-zero bytes — the number of rows the filter kept,
+// from which the engine computes a batch's selectivity to choose its
+// selection strategy (paper §3) when the filter did not count them itself:
+// a batch whose mask a residual predicate or its deleted rows change after
+// the pushed conjuncts, or whose last conjunct runs in a domain that does
+// not count as it stores (the packed compares and the fused pass do). It
+// processes 8 lanes per step.
 //
 // The moving-slice walk keeps both the word loop and the byte tail free
 // of bounds checks (the loop conditions pin every access). It stays out of
@@ -93,13 +97,15 @@ func (v ByteVec) Or(o ByteVec) {
 
 // CmpOp is the comparison of a compare-to-mask kernel: after constant
 // translation every pushed or residual comparison is one of these four.
-type CmpOp uint8
+// It is the packed compare's op, so one value names a comparison on
+// packed words and on unpacked ones alike.
+type CmpOp = bitpack.CmpOp
 
 const (
-	CmpLE CmpOp = iota
-	CmpGE
-	CmpEQ
-	CmpNE
+	CmpLE = bitpack.CmpLE
+	CmpGE = bitpack.CmpGE
+	CmpEQ = bitpack.CmpEQ
+	CmpNE = bitpack.CmpNE
 )
 
 // CmpMaskLanes is CmpMaskWords over an unpacked vector, at its word size.

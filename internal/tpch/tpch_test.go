@@ -270,20 +270,24 @@ func TestUngroupedPlansReduce(t *testing.T) {
 	// repository benchmark's filter_scan shapes gather at 25 % (its packed3,
 	// the mix's Q6) and at 0.16 % (packed_lowsel), and sum under the mask —
 	// a Reduce plan's special group — at 49 % (dict_in, the mix's dict
-	// query). No Reduce plan compacts a batch.
+	// query). No Reduce plan compacts a batch. undecoded marks the two
+	// gathering shapes, whose every batch gathers, every sum is a packed
+	// column or a product of two, and so no batch runs the decode phase:
+	// each gathered batch sums off the packed words.
 	for _, tc := range []struct {
 		sql, strategy string
 		groupMap      bool
 		method        string
+		undecoded     bool
 	}{
-		{mix[1], "Reduce", false, "Gather"},
-		{"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, "Gather"},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 30000 AND l_orderkey < 30655", "Reduce", false, ""},
-		{mix[2], "Reduce", false, "SpecialGroup"},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, ""},
-		{"SELECT count(*), sum(l_quantity) FROM lineitem", "Reduce", false, ""},
-		{mix[0], "Multi", false, ""},
-		{"SELECT min(l_quantity), count(*) FROM lineitem WHERE l_shipdate <= 2436", "Scalar", true, ""},
+		{mix[1], "Reduce", false, "Gather", true},
+		{"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, "Gather", true},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 30000 AND l_orderkey < 30655", "Reduce", false, "", false},
+		{mix[2], "Reduce", false, "SpecialGroup", false},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30", "Reduce", false, "", false},
+		{"SELECT count(*), sum(l_quantity) FROM lineitem", "Reduce", false, "", false},
+		{mix[0], "Multi", false, "", false},
+		{"SELECT min(l_quantity), count(*) FROM lineitem WHERE l_shipdate <= 2436", "Scalar", true, "", false},
 	} {
 		st, err := sql.Parse(tc.sql)
 		if err != nil {
@@ -321,6 +325,9 @@ func TestUngroupedPlansReduce(t *testing.T) {
 		ran := map[string]int64{"Gather": stats.Gather, "Compact": stats.Compact, "SpecialGroup": stats.SpecialGroup}
 		if tc.method != "" && ran[tc.method] == 0 || tc.strategy == "Reduce" && stats.Compact > 0 {
 			t.Errorf("%s: batches ran %v", tc.sql, ran)
+		}
+		if tc.undecoded && (stats.Gather != stats.Batches || stats.Phases[obs.PhaseDecode].Calls > 0) {
+			t.Errorf("%s: %d of %d batches gathered, %d decoded", tc.sql, stats.Gather, stats.Batches, stats.Phases[obs.PhaseDecode].Calls)
 		}
 		want, err := engine.RunNaive(tbl, st.Query)
 		if err != nil {
