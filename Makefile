@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sel -run '^$$' -fuzz FuzzSelection -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzReadSegment -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/table -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRLEDomainFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDictDomainFilter -fuzztime $(FUZZTIME)

@@ -38,6 +38,7 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("BIPS"))
 	f.Add(oversizedHeaderSegment())
+	f.Add(strayDeleteBitSegment())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg, err := ReadSegment(bytes.NewReader(data))
@@ -91,4 +92,27 @@ func oversizedHeaderSegment() []byte {
 	b = le.AppendUint64(b, 1<<31)
 	b = le.AppendUint64(b, 1<<31+1)
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// strayDeleteBitSegment is a correctly checksummed segment of 100 rows whose
+// delete bitmap marks row 3 and also row 100, one past its last row. A
+// reader that counts only the rows below 100 would keep the stray bit and
+// write it out again.
+func strayDeleteBitSegment() []byte {
+	s := NewSegment(100)
+	if err := s.AddInt("a", encoding.NewBitPack(make([]int64, 100))); err != nil {
+		panic(err)
+	}
+	s.MarkDeleted(3)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	// The bitmap's second word, rows 64 to 127, ends where the checksum
+	// starts.
+	le := binary.LittleEndian
+	body := buf.Bytes()[:buf.Len()-4]
+	last := body[len(body)-8:]
+	le.PutUint64(last, le.Uint64(last)|1<<(100-64))
+	return le.AppendUint32(body, crc32.ChecksumIEEE(body))
 }

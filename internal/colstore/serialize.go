@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"bipie/internal/encoding"
 )
@@ -28,128 +29,105 @@ const (
 	colTypeString = 1
 )
 
-// WriteTo serializes the segment. It implements io.WriterTo.
-func (s *Segment) WriteTo(w io.Writer) (int64, error) {
-	var body bytes.Buffer
-	if _, err := body.Write(segMagic[:]); err != nil {
-		return 0, err
-	}
-	le := binary.LittleEndian
-	put := func(v any) error { return binary.Write(&body, le, v) }
-	if err := put(uint32(segVersion)); err != nil {
-		return 0, err
-	}
-	if err := put(uint64(s.n)); err != nil {
-		return 0, err
-	}
-	if err := put(uint32(len(s.order))); err != nil {
-		return 0, err
-	}
+var le = binary.LittleEndian
+
+// AppendTo appends the serialized segment to dst and returns the extended
+// buffer: header, columns, delete bitmap, then the CRC of what it appended.
+// It grows dst once, by a bound taken from the columns' footprints.
+func (s *Segment) AppendTo(dst []byte) ([]byte, error) {
+	start := len(dst)
+	// Past its SizeBytes a column's serialized form adds its name and at
+	// most 64 bytes of headers.
+	size := 32 + 8*len(s.deleted)
 	for _, name := range s.order {
-		if err := put(uint32(len(name))); err != nil {
-			return 0, err
-		}
-		body.WriteString(name)
 		if col, ok := s.intCols[name]; ok {
-			if err := put(uint8(colTypeInt)); err != nil {
-				return 0, err
-			}
-			if err := encoding.WriteIntColumn(&body, col); err != nil {
-				return 0, fmt.Errorf("colstore: column %q: %w", name, err)
+			size += col.SizeBytes()
+		} else {
+			size += s.strCols[name].SizeBytes()
+		}
+		size += len(name) + 64
+	}
+	if cap(dst)-len(dst) < size {
+		// make, not slices.Grow: one allocation in every build mode (the
+		// race detector's build stages slices.Grow's zeros in a second).
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	dst = append(dst, segMagic[:]...)
+	dst = le.AppendUint32(le.AppendUint64(le.AppendUint32(dst, segVersion), uint64(s.n)), uint32(len(s.order)))
+	for _, name := range s.order {
+		dst = append(le.AppendUint32(dst, uint32(len(name))), name...)
+		if col, ok := s.intCols[name]; ok {
+			var err error
+			if dst, err = encoding.AppendIntColumn(append(dst, colTypeInt), col); err != nil {
+				return dst[:start], fmt.Errorf("colstore: column %q: %w", name, err)
 			}
 			continue
 		}
-		if err := put(uint8(colTypeString)); err != nil {
-			return 0, err
-		}
-		if err := encoding.WriteDictColumn(&body, s.strCols[name]); err != nil {
-			return 0, fmt.Errorf("colstore: column %q: %w", name, err)
-		}
+		dst = encoding.AppendDictColumn(append(dst, colTypeString), s.strCols[name])
 	}
 	// Deleted bitmap: word count then words (zero words when no deletes).
-	if err := put(uint64(len(s.deleted))); err != nil {
-		return 0, err
+	dst = le.AppendUint64(dst, uint64(len(s.deleted)))
+	for _, w := range s.deleted {
+		dst = le.AppendUint64(dst, w)
 	}
-	if err := put(s.deleted); err != nil {
-		return 0, err
-	}
-
-	sum := crc32.ChecksumIEEE(body.Bytes())
-	n, err := w.Write(body.Bytes())
-	written := int64(n)
-	if err != nil {
-		return written, err
-	}
-	if err := binary.Write(w, le, sum); err != nil {
-		return written, err
-	}
-	return written + 4, nil
+	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
-// ReadSegment deserializes a segment written by WriteTo, verifying the
-// checksum and structural invariants (column lengths, delete-bitmap size).
+// WriteTo serializes the segment in one write. It implements io.WriterTo.
+func (s *Segment) WriteTo(w io.Writer) (int64, error) {
+	b, err := s.AppendTo(nil)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// ReadSegment reads r to its end and decodes the segment it holds.
 func ReadSegment(r io.Reader) (*Segment, error) {
-	// The format is checksummed over the whole body, so buffer it first.
-	raw, err := io.ReadAll(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 4+4 {
+	return DecodeSegment(b)
+}
+
+// DecodeSegment decodes a segment from b, which holds exactly one
+// serialized segment, checksum included. It verifies the checksum and the
+// structural invariants (column lengths, delete-bitmap size); the segment
+// shares no memory with b.
+func DecodeSegment(b []byte) (*Segment, error) {
+	if len(b) < 4+4 {
 		return nil, fmt.Errorf("colstore: truncated segment")
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	want := binary.LittleEndian.Uint32(tail)
-	if got := crc32.ChecksumIEEE(body); got != want {
+	body := b[:len(b)-4]
+	if got, want := crc32.ChecksumIEEE(body), le.Uint32(b[len(body):]); got != want {
 		return nil, fmt.Errorf("colstore: checksum mismatch: %08x != %08x", got, want)
 	}
-	br := bytes.NewReader(body)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != segMagic {
+	c := encoding.NewCursor(body)
+	if magic := c.Bytes(4); !bytes.Equal(magic, segMagic[:]) {
 		return nil, fmt.Errorf("colstore: bad magic %q", magic)
 	}
-	le := binary.LittleEndian
-	var version uint32
-	if err := binary.Read(br, le, &version); err != nil {
+	version, rows, ncols := c.U32(), c.U64(), c.U32()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if version != segVersion {
 		return nil, fmt.Errorf("colstore: unsupported segment version %d", version)
 	}
-	var rows uint64
-	if err := binary.Read(br, le, &rows); err != nil {
-		return nil, err
-	}
 	if rows > 1<<40 {
 		return nil, fmt.Errorf("colstore: unreasonable row count %d", rows)
 	}
 	seg := NewSegment(int(rows))
-	var ncols uint32
-	if err := binary.Read(br, le, &ncols); err != nil {
-		return nil, err
-	}
-	for c := uint32(0); c < ncols; c++ {
-		var nameLen uint32
-		if err := binary.Read(br, le, &nameLen); err != nil {
-			return nil, err
-		}
+	for range ncols {
+		nameLen := c.U32()
 		if nameLen > 1<<16 {
 			return nil, fmt.Errorf("colstore: unreasonable column name length %d", nameLen)
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, err
-		}
-		name := string(nameBuf)
-		typ, err := readByte(br)
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
+		name := string(c.Bytes(uint64(nameLen)))
+		switch typ := c.U8(); typ {
 		case colTypeInt:
-			col, err := encoding.ReadIntColumn(br)
+			col, err := encoding.ReadIntColumn(c)
 			if err != nil {
 				return nil, fmt.Errorf("colstore: column %q: %w", name, err)
 			}
@@ -157,7 +135,7 @@ func ReadSegment(r io.Reader) (*Segment, error) {
 				return nil, err
 			}
 		case colTypeString:
-			col, err := encoding.ReadDictColumn(br)
+			col, err := encoding.ReadDictColumn(c)
 			if err != nil {
 				return nil, fmt.Errorf("colstore: column %q: %w", name, err)
 			}
@@ -168,32 +146,23 @@ func ReadSegment(r io.Reader) (*Segment, error) {
 			return nil, fmt.Errorf("colstore: unknown column type %d", typ)
 		}
 	}
-	var nDelWords uint64
-	if err := binary.Read(br, le, &nDelWords); err != nil {
+	if nDel := c.U64(); nDel > 0 {
+		if want := (rows + 63) / 64; nDel != want {
+			return nil, fmt.Errorf("colstore: delete bitmap has %d words, want %d", nDel, want)
+		}
+		seg.deleted = c.Words(nDel)
+		if tail := rows % 64; c.Err() == nil && tail != 0 && seg.deleted[nDel-1]>>tail != 0 {
+			return nil, fmt.Errorf("colstore: delete bitmap marks rows past the segment's %d", rows)
+		}
+		for _, w := range seg.deleted {
+			seg.nDel += bits.OnesCount64(w)
+		}
+	}
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if nDelWords > 0 {
-		if want := uint64((int(rows) + 63) / 64); nDelWords != want {
-			return nil, fmt.Errorf("colstore: delete bitmap has %d words, want %d", nDelWords, want)
-		}
-		seg.deleted = make([]uint64, nDelWords)
-		if err := binary.Read(br, le, seg.deleted); err != nil {
-			return nil, err
-		}
-		for i := 0; i < seg.n; i++ {
-			if seg.IsDeleted(i) {
-				seg.nDel++
-			}
-		}
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("colstore: %d trailing bytes after segment", br.Len())
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("colstore: %d trailing bytes after segment", c.Len())
 	}
 	return seg, nil
-}
-
-func readByte(r io.Reader) (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(r, b[:])
-	return b[0], err
 }

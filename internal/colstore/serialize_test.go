@@ -124,6 +124,10 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	if _, err := ReadSegment(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+	// A checksummed delete bitmap that marks a row past the last.
+	if _, err := ReadSegment(bytes.NewReader(strayDeleteBitSegment())); err == nil {
+		t.Fatal("delete bit past the segment's last row accepted")
+	}
 }
 
 func TestSegmentNoDeletesOmitsBitmap(t *testing.T) {

@@ -230,17 +230,18 @@ func checkChooser(t *testing.T, vals []int64) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ChooseInt's %v column differs from the oracle's (n=%d)", got.Kind(), len(vals))
 	}
-	var a, b bytes.Buffer
-	if err := WriteIntColumn(&a, got); err != nil {
+	a, err := AppendIntColumn(nil, got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteIntColumn(&b, want); err != nil {
+	b, err := AppendIntColumn(nil, want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatalf("ChooseInt's %v column serializes differently from the oracle's (n=%d)", got.Kind(), len(vals))
 	}
-	back, err := ReadIntColumn(&a)
+	back, err := ReadIntColumn(NewCursor(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +359,11 @@ func FuzzDictBuilder(f *testing.F) {
 func TestDeltaMonotoneAcrossWrap(t *testing.T) {
 	vals := []int64{math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 2}
 	c := NewDelta(vals)
-	var buf bytes.Buffer
-	if err := WriteIntColumn(&buf, c); err != nil {
+	raw, err := AppendIntColumn(nil, c)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIntColumn(&buf)
+	loaded, err := ReadIntColumn(NewCursor(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,14 +407,7 @@ func TestNewDictMatchesOracle(t *testing.T) {
 			t.Errorf("%s: NewDict differs from the two-map oracle: dict %q vs %q", name, got.dict, want.dict)
 			continue
 		}
-		var a, b bytes.Buffer
-		if err := WriteDictColumn(&a, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteDictColumn(&b, want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(AppendDictColumn(nil, got), AppendDictColumn(nil, want)) {
 			t.Errorf("%s: NewDict serializes differently from the oracle", name)
 		}
 	}

@@ -9,50 +9,22 @@ package encoding
 //
 // All integers are little-endian. Layouts are length-prefixed and versioned
 // by the segment container (colstore); corruption is detected there with a
-// trailing checksum.
+// trailing checksum. A column appends its bytes to the caller's buffer and
+// is read back from a Cursor over bytes already in memory: nothing is
+// staged, and nothing reflects.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
-	"strings"
 
 	"bipie/internal/bitpack"
 )
 
-// writeUvarint-style fixed helpers: fixed-width fields keep the format
-// trivially seekable.
-func writeU8(w io.Writer, v uint8) error   { return binary.Write(w, binary.LittleEndian, v) }
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeI64(w io.Writer, v int64) error  { return binary.Write(w, binary.LittleEndian, v) }
+var le = binary.LittleEndian
 
-func readU8(r io.Reader) (uint8, error) {
-	var v uint8
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readI64(r io.Reader) (int64, error) {
-	var v int64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-// maxSerializedElems caps per-column element counts read from untrusted
-// input. It bounds what a header may claim, not what a reader allocates:
-// readWords grows its result only as the bytes arrive.
+// maxSerializedElems caps the value counts read from untrusted input, so
+// the word counts derived from them cannot overflow.
 const maxSerializedElems = 1 << 31
 
 func checkCount(n uint64, what string) error {
@@ -62,95 +34,98 @@ func checkCount(n uint64, what string) error {
 	return nil
 }
 
-const (
-	// wireChunk is how many 8-byte elements cross the staging buffer per
-	// Read or Write call.
-	wireChunk = 1 << 10
-	// wireUpfront is the most elements (or string bytes) a reader allocates
-	// on a header's word alone; past it the result doubles as data arrives,
-	// so a truncated or hostile input costs at most this much.
-	wireUpfront = 1 << 17
-)
+// Cursor reads serialized fields from a byte slice. Its first failure
+// sticks: later reads return zeros and Err reports it. Every count is held
+// to the bytes left before anything is allocated on its say-so, so a
+// header of a few bytes cannot make a reader allocate gigabytes.
+type Cursor struct {
+	b   []byte
+	err error
+}
 
-// wire moves slices of 8-byte little-endian elements between a stream and
-// memory through one staging buffer, reused across the chunks and slices of
-// a column — in place of binary.Read/Write, which reflect on every call and
-// stage each slice whole.
-type wire struct{ buf []byte }
+// NewCursor returns a Cursor at the start of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 
-// word is an element wire moves: every column payload is one of these.
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Len returns how many bytes are left.
+func (c *Cursor) Len() int { return len(c.b) }
+
+// Bytes returns the next n bytes, which alias the input; nil once the
+// input is short.
+func (c *Cursor) Bytes(n uint64) []byte {
+	if c.err != nil || n > uint64(len(c.b)) {
+		c.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	out := c.b[:n:n]
+	c.b = c.b[n:]
+	return out
+}
+
+func (c *Cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+var zeros [8]byte
+
+// fixed is Bytes for a fixed-width field: zeros once the input is short.
+func (c *Cursor) fixed(n int) []byte {
+	if b := c.Bytes(uint64(n)); c.err == nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+// U8, U32 and U64 read one field.
+func (c *Cursor) U8() uint8   { return c.fixed(1)[0] }
+func (c *Cursor) U32() uint32 { return le.Uint32(c.fixed(4)) }
+func (c *Cursor) U64() uint64 { return le.Uint64(c.fixed(8)) }
+func (c *Cursor) i64() int64  { return int64(c.U64()) }
+
+// Words reads n words into a slice of their own.
+func (c *Cursor) Words(n uint64) []uint64 { return readWords[uint64](c, n) }
+
+// word is an 8-byte element: every column payload is a run of these.
 type word interface{ ~int | ~int64 | ~uint64 }
 
-func (c *wire) chunk(elems int) []byte {
-	if c.buf == nil {
-		c.buf = make([]byte, 8*wireChunk)
+func readWords[T word](c *Cursor, n uint64) []T {
+	// Held to the bytes left before 8*n can overflow.
+	if n > uint64(c.Len())/8 {
+		c.fail(io.ErrUnexpectedEOF)
 	}
-	return c.buf[:8*elems]
+	raw := c.Bytes(8 * n)
+	if c.err != nil {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(le.Uint64(raw[8*i:]))
+	}
+	return out
 }
 
-func writeWords[T word](c *wire, w io.Writer, vals []T) error {
-	for len(vals) > 0 {
-		k := min(len(vals), wireChunk)
-		buf := c.chunk(k)
-		for i, v := range vals[:k] {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		vals = vals[k:]
+func appendWords[T word](dst []byte, vals []T) []byte {
+	for _, v := range vals {
+		dst = le.AppendUint64(dst, uint64(v))
 	}
-	return nil
+	return dst
 }
 
-// readWords reads n elements. n comes from an untrusted header; the caller
-// has bounded it (checkCount) and, where the format allows, tied it to the
-// column's other fields first.
-func readWords[T word](c *wire, r io.Reader, n uint64) ([]T, error) {
-	out := make([]T, 0, min(n, wireUpfront))
-	for uint64(len(out)) < n {
-		k := int(min(n-uint64(len(out)), wireChunk))
-		buf := c.chunk(k)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		at := len(out)
-		out = slices.Grow(out, k)[:at+k]
-		for i := range out[at:] {
-			out[at+i] = T(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	}
-	return out, nil
+func appendPacked(dst []byte, v *bitpack.Vector) []byte {
+	dst = le.AppendUint64(append(dst, v.Bits()), uint64(v.Len()))
+	return appendWords(le.AppendUint64(dst, uint64(len(v.Words()))), v.Words())
 }
 
-func writePacked(c *wire, w io.Writer, v *bitpack.Vector) error {
-	if err := writeU8(w, v.Bits()); err != nil {
-		return err
-	}
-	if err := writeU64(w, uint64(v.Len())); err != nil {
-		return err
-	}
-	words := v.Words()
-	if err := writeU64(w, uint64(len(words))); err != nil {
-		return err
-	}
-	return writeWords(c, w, words)
-}
-
-func readPacked(c *wire, r io.Reader) (*bitpack.Vector, error) {
-	bits, err := readU8(r)
-	if err != nil {
-		return nil, err
-	}
-	n, err := readU64(r)
-	if err != nil {
-		return nil, err
+func readPacked(c *Cursor) (*bitpack.Vector, error) {
+	bits, n, nw := c.U8(), c.U64(), c.U64()
+	if c.err != nil {
+		return nil, c.err
 	}
 	if err := checkCount(n, "packed value"); err != nil {
-		return nil, err
-	}
-	nw, err := readU64(r)
-	if err != nil {
 		return nil, err
 	}
 	// The word count is implied by (n, bits); hold the header to it before
@@ -161,112 +136,56 @@ func readPacked(c *wire, r io.Reader) (*bitpack.Vector, error) {
 	if want := uint64(bitpack.WordsFor(int(n), bits)); nw != want {
 		return nil, fmt.Errorf("encoding: %d packed words for %d values of %d bits, want %d", nw, n, bits, want)
 	}
-	words, err := readWords[uint64](c, r, nw)
-	if err != nil {
-		return nil, err
+	words := c.Words(nw)
+	if c.err != nil {
+		return nil, c.err
 	}
 	return bitpack.FromWords(words, bits, int(n))
 }
 
-// WriteIntColumn serializes an encoded integer column, preserving its
-// encoding.
-func WriteIntColumn(w io.Writer, col IntColumn) error {
-	if err := writeU8(w, uint8(col.Kind())); err != nil {
-		return err
-	}
-	var wr wire
+// AppendIntColumn appends the serialized form of an encoded integer column
+// to dst, preserving its encoding.
+func AppendIntColumn(dst []byte, col IntColumn) ([]byte, error) {
 	switch c := col.(type) {
 	case *BitPackColumn:
-		if err := writeI64(w, c.ref); err != nil {
-			return err
-		}
-		if err := writeI64(w, c.max); err != nil {
-			return err
-		}
-		return writePacked(&wr, w, c.packed)
+		dst = appendWords(append(dst, uint8(KindBitPack)), []int64{c.ref, c.max})
+		return appendPacked(dst, c.packed), nil
 	case *RLEColumn:
-		if err := writeI64(w, c.mn); err != nil {
-			return err
-		}
-		if err := writeI64(w, c.mx); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(len(c.values))); err != nil {
-			return err
-		}
-		if err := writeWords(&wr, w, c.values); err != nil {
-			return err
-		}
-		return writeWords(&wr, w, c.ends)
+		dst = appendWords(append(dst, uint8(KindRLE)), []int64{c.mn, c.mx, int64(len(c.values))})
+		return appendWords(appendWords(dst, c.values), c.ends), nil
 	case *DeltaColumn:
-		if err := writeU64(w, uint64(c.n)); err != nil {
-			return err
-		}
-		if err := writeI64(w, c.mn); err != nil {
-			return err
-		}
-		if err := writeI64(w, c.mx); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(len(c.checkpoints))); err != nil {
-			return err
-		}
-		if err := writeWords(&wr, w, c.checkpoints); err != nil {
-			return err
-		}
-		return writePacked(&wr, w, c.deltas)
+		dst = appendWords(append(dst, uint8(KindDelta)), []int64{int64(c.n), c.mn, c.mx, int64(len(c.checkpoints))})
+		return appendPacked(appendWords(dst, c.checkpoints), c.deltas), nil
 	default:
-		return fmt.Errorf("encoding: cannot serialize column kind %v", col.Kind())
+		return dst, fmt.Errorf("encoding: cannot serialize column kind %v", col.Kind())
 	}
 }
 
-// ReadIntColumn deserializes an integer column written by WriteIntColumn.
-func ReadIntColumn(r io.Reader) (IntColumn, error) {
-	kind, err := readU8(r)
-	if err != nil {
-		return nil, err
+// ReadIntColumn decodes an integer column written by AppendIntColumn.
+func ReadIntColumn(c *Cursor) (IntColumn, error) {
+	kind := Kind(c.U8())
+	if c.err != nil {
+		return nil, c.err
 	}
-	var wr wire
-	switch Kind(kind) {
+	switch kind {
 	case KindBitPack:
-		ref, err := readI64(r)
+		ref, max := c.i64(), c.i64()
+		packed, err := readPacked(c)
 		if err != nil {
 			return nil, err
 		}
-		max, err := readI64(r)
-		if err != nil {
-			return nil, err
-		}
-		packed, err := readPacked(&wr, r)
-		if err != nil {
-			return nil, err
-		}
-		c := &BitPackColumn{ref: ref, max: max, packed: packed}
-		c.rebuildZones() // zone maps are derived data, not serialized
-		return c, nil
+		col := &BitPackColumn{ref: ref, max: max, packed: packed}
+		col.rebuildZones() // zone maps are derived data, not serialized
+		return col, nil
 	case KindRLE:
-		mn, err := readI64(r)
-		if err != nil {
-			return nil, err
-		}
-		mx, err := readI64(r)
-		if err != nil {
-			return nil, err
-		}
-		nruns, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
+		mn, mx, nruns := c.i64(), c.i64(), c.U64()
 		if err := checkCount(nruns, "run"); err != nil {
 			return nil, err
 		}
-		values, err := readWords[int64](&wr, r, nruns)
-		if err != nil {
-			return nil, err
-		}
-		ends, err := readWords[int](&wr, r, nruns)
-		if err != nil {
-			return nil, err
+		values := readWords[int64](c, nruns)
+		ends := readWords[int](c, nruns)
+		if c.err != nil {
+			return nil, c.err
 		}
 		prev := 0
 		for i, e := range ends {
@@ -277,101 +196,65 @@ func ReadIntColumn(r io.Reader) (IntColumn, error) {
 		}
 		return &RLEColumn{values: values, ends: ends, mn: mn, mx: mx}, nil
 	case KindDelta:
-		n, err := readU64(r)
-		if err != nil {
-			return nil, err
+		n, mn, mx, ncp := c.U64(), c.i64(), c.i64(), c.U64()
+		if c.err != nil {
+			return nil, c.err
 		}
 		if err := checkCount(n, "delta value"); err != nil {
-			return nil, err
-		}
-		mn, err := readI64(r)
-		if err != nil {
-			return nil, err
-		}
-		mx, err := readI64(r)
-		if err != nil {
-			return nil, err
-		}
-		ncp, err := readU64(r)
-		if err != nil {
 			return nil, err
 		}
 		if want := (n + deltaBlock - 1) / deltaBlock; ncp != want {
 			return nil, fmt.Errorf("encoding: delta checkpoint count %d, want %d", ncp, want)
 		}
-		checkpoints, err := readWords[int64](&wr, r, ncp)
-		if err != nil {
-			return nil, err
-		}
-		deltas, err := readPacked(&wr, r)
+		checkpoints := readWords[int64](c, ncp)
+		deltas, err := readPacked(c)
 		if err != nil {
 			return nil, err
 		}
 		if want := max(int(n)-1, 0); deltas.Len() != want {
 			return nil, fmt.Errorf("encoding: %d deltas for %d values, want %d", deltas.Len(), n, want)
 		}
-		c := &DeltaColumn{n: int(n), deltas: deltas, checkpoints: checkpoints, mn: mn, mx: mx}
-		c.rebuildMono() // monotonicity flags are derived data, not serialized
-		return c, nil
+		col := &DeltaColumn{n: int(n), deltas: deltas, checkpoints: checkpoints, mn: mn, mx: mx}
+		col.rebuildMono() // monotonicity flags are derived data, not serialized
+		return col, nil
 	default:
 		return nil, fmt.Errorf("encoding: unknown column kind %d", kind)
 	}
 }
 
-// WriteDictColumn serializes a dictionary string column: the sorted
-// dictionary as length-prefixed strings plus the bit-packed id vector.
-func WriteDictColumn(w io.Writer, col *DictColumn) error {
-	if err := writeU32(w, uint32(len(col.dict))); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
+// AppendDictColumn appends the serialized form of a dictionary string
+// column to dst: the sorted dictionary as length-prefixed strings, then the
+// bit-packed id vector.
+func AppendDictColumn(dst []byte, col *DictColumn) []byte {
+	dst = le.AppendUint32(dst, uint32(len(col.dict)))
 	for _, s := range col.dict {
-		if err := writeU32(bw, uint32(len(s))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
+		dst = append(le.AppendUint32(dst, uint32(len(s))), s...)
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var wr wire
-	return writePacked(&wr, w, col.ids)
+	return appendPacked(dst, col.ids)
 }
 
-// ReadDictColumn deserializes a column written by WriteDictColumn.
-func ReadDictColumn(r io.Reader) (*DictColumn, error) {
-	nd, err := readU32(r)
-	if err != nil {
+// ReadDictColumn decodes a column written by AppendDictColumn.
+func ReadDictColumn(c *Cursor) (*DictColumn, error) {
+	nd := uint64(c.U32())
+	if err := checkCount(nd, "dictionary entry"); err != nil {
 		return nil, err
 	}
-	if err := checkCount(uint64(nd), "dictionary entry"); err != nil {
-		return nil, err
+	// Every entry holds at least its 4-byte length.
+	if nd > uint64(c.Len())/4 {
+		c.fail(io.ErrUnexpectedEOF)
 	}
-	// Like readWords: entries and their bytes are allocated as they arrive,
-	// never on the header's word alone.
-	dict := make([]string, 0, min(nd, wireUpfront))
-	for range nd {
-		sl, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCount(uint64(sl), "string byte"); err != nil {
-			return nil, err
-		}
-		var sb strings.Builder
-		sb.Grow(int(min(sl, wireUpfront)))
-		if _, err := io.CopyN(&sb, r, int64(sl)); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		dict = append(dict, sb.String())
+	if c.err != nil {
+		return nil, c.err
 	}
-	var wr wire
-	ids, err := readPacked(&wr, r)
+	dict := make([]string, nd)
+	for i := range dict {
+		sl := uint64(c.U32())
+		if err := checkCount(sl, "string byte"); err != nil {
+			return nil, err
+		}
+		dict[i] = string(c.Bytes(sl))
+	}
+	ids, err := readPacked(c)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,7 @@
 package encoding
 
 import (
-	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -26,11 +24,11 @@ func TestIntColumnSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	for name, data := range datasets(rng) {
 		for _, col := range []IntColumn{NewBitPack(data), NewRLE(data), NewDelta(data)} {
-			var buf bytes.Buffer
-			if err := WriteIntColumn(&buf, col); err != nil {
+			raw, err := AppendIntColumn(nil, col)
+			if err != nil {
 				t.Fatalf("%s/%v: %v", name, col.Kind(), err)
 			}
-			got, err := ReadIntColumn(bytes.NewReader(buf.Bytes()))
+			got, err := ReadIntColumn(NewCursor(raw))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, col.Kind(), err)
 			}
@@ -47,11 +45,7 @@ func TestDictColumnSerializationRoundTrip(t *testing.T) {
 		{"quote'd", `back\slash`, "uni→code"},
 	} {
 		col := NewDict(vals)
-		var buf bytes.Buffer
-		if err := WriteDictColumn(&buf, col); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadDictColumn(bytes.NewReader(buf.Bytes()))
+		got, err := ReadDictColumn(NewCursor(AppendDictColumn(nil, col)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,39 +68,32 @@ func TestReadIntColumnRejectsGarbage(t *testing.T) {
 		{uint8(KindRLE), 0, 0, 0, 0}, // truncated RLE
 	}
 	for i, raw := range cases {
-		if _, err := ReadIntColumn(bytes.NewReader(raw)); err == nil {
+		if _, err := ReadIntColumn(NewCursor(raw)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 	// RLE with non-increasing ends.
-	c := NewRLE([]int64{1, 1, 2})
-	var buf bytes.Buffer
-	if err := WriteIntColumn(&buf, c); err != nil {
+	raw, err := AppendIntColumn(nil, NewRLE([]int64{1, 1, 2}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	// The ends array is the last 2*8 bytes; swap the two ends.
 	n := len(raw)
 	copy(raw[n-16:n-8], []byte{9, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := ReadIntColumn(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadIntColumn(NewCursor(raw)); err == nil {
 		t.Error("non-increasing RLE ends accepted")
 	}
 }
 
 func TestReadDictColumnRejectsUnsorted(t *testing.T) {
-	col := NewDict([]string{"b", "a"})
-	var buf bytes.Buffer
-	if err := WriteDictColumn(&buf, col); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := AppendDictColumn(nil, NewDict([]string{"b", "a"}))
 	// Swap the two single-byte dictionary entries "a" and "b": layout is
 	// count u32, len u32, byte, len u32, byte, ...
 	raw[8], raw[13] = raw[13], raw[8]
-	if _, err := ReadDictColumn(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadDictColumn(NewCursor(raw)); err == nil {
 		t.Error("unsorted dictionary accepted")
 	}
-	if _, err := ReadDictColumn(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadDictColumn(NewCursor(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -119,13 +106,12 @@ func TestReadTruncatedEverywhere(t *testing.T) {
 		data[i] = rng.Int63n(1000)
 	}
 	for _, col := range []IntColumn{NewBitPack(data), NewRLE(data), NewDelta(data)} {
-		var buf bytes.Buffer
-		if err := WriteIntColumn(&buf, col); err != nil {
+		raw, err := AppendIntColumn(nil, col)
+		if err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
 		for cut := 0; cut < len(raw); cut += 1 + len(raw)/50 {
-			if _, err := ReadIntColumn(bytes.NewReader(raw[:cut])); err == nil {
+			if _, err := ReadIntColumn(NewCursor(raw[:cut])); err == nil {
 				t.Fatalf("%v: prefix of %d/%d bytes accepted", col.Kind(), cut, len(raw))
 			}
 		}
@@ -145,8 +131,8 @@ func packedHeader(bits uint8, n, nw uint64) []byte {
 // and one that agrees is believed only as far as the bytes go.
 func TestHeaderCannotDriveAllocation(t *testing.T) {
 	le := binary.LittleEndian
-	readInt := func(raw []byte) error { _, err := ReadIntColumn(bytes.NewReader(raw)); return err }
-	readDict := func(raw []byte) error { _, err := ReadDictColumn(bytes.NewReader(raw)); return err }
+	readInt := func(raw []byte) error { _, err := ReadIntColumn(NewCursor(raw)); return err }
+	readDict := func(raw []byte) error { _, err := ReadDictColumn(NewCursor(raw)); return err }
 	for _, c := range []struct {
 		name string
 		raw  []byte
@@ -173,7 +159,7 @@ func TestHeaderCannotDriveAllocation(t *testing.T) {
 }
 
 func TestWriteIntColumnRejectsUnknown(t *testing.T) {
-	if err := WriteIntColumn(io.Discard, fakeColumn{}); err == nil {
+	if _, err := AppendIntColumn(nil, fakeColumn{}); err == nil {
 		t.Fatal("unknown column type accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -74,11 +73,11 @@ func TestZoneBoundsSurviveSerialization(t *testing.T) {
 		vals[i] = rng.Int63n(1 << 20)
 	}
 	c := NewBitPack(vals)
-	var buf bytes.Buffer
-	if err := WriteIntColumn(&buf, c); err != nil {
+	raw, err := AppendIntColumn(nil, c)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadIntColumn(bytes.NewReader(buf.Bytes()))
+	rt, err := ReadIntColumn(NewCursor(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,5 +95,34 @@ func TestZoneBoundsSurviveSerialization(t *testing.T) {
 		if mn != rmn || mx != rmx {
 			t.Fatalf("zone at %d: [%d,%d] vs rebuilt [%d,%d]", start, mn, mx, rmn, rmx)
 		}
+	}
+}
+
+// blockBounds against a plain scan at every length up to a few steps of
+// four, the extremes placed at every position, so each lane of the
+// four-wide step and of the tail holds a bound at some point.
+func TestBlockBounds(t *testing.T) {
+	for n := 1; n <= 13; n++ {
+		for at := range n {
+			block := make([]uint16, n)
+			for i := range block {
+				block[i] = uint16(1000 + 7*i)
+			}
+			block[at], block[n-1-at] = 3, 60000
+			if n == 1 {
+				block[0] = 3
+			}
+			mn, mx := blockBounds(block)
+			wantMn, wantMx := uint64(block[0]), uint64(block[0])
+			for _, v := range block {
+				wantMn, wantMx = min(wantMn, uint64(v)), max(wantMx, uint64(v))
+			}
+			if mn != wantMn || mx != wantMx {
+				t.Fatalf("n=%d extremes at %d/%d: bounds [%d,%d], want [%d,%d]", n, at, n-1-at, mn, mx, wantMn, wantMx)
+			}
+		}
+	}
+	if mn, mx := blockBounds([]uint8{}); mn != ^uint64(0) || mx != 0 {
+		t.Fatalf("empty block: [%d,%d]", mn, mx)
 	}
 }

@@ -6,7 +6,6 @@ package table
 // that only the immutable region is the durable format (paper §2.1).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,128 +17,140 @@ var tableMagic = [4]byte{'B', 'I', 'P', 'T'}
 
 const tableVersion = 1
 
+var le = binary.LittleEndian
+
 // WriteTo serializes the schema and all sealed segments. It returns an
-// error if rows remain in the mutable region.
+// error if rows remain in the mutable region. Every segment is encoded into
+// one buffer behind its length prefix and written once; the schema rides
+// with the first. The buffer is reused from segment to segment.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if t.mutLen > 0 {
 		return 0, fmt.Errorf("table: %d unsealed rows; call Flush before serializing", t.mutLen)
 	}
-	le := binary.LittleEndian
 	var total int64
-	count := func(n int, err error) error {
+	write := func(b []byte) error {
+		n, err := w.Write(b)
 		total += int64(n)
 		return err
 	}
-	if err := count(w.Write(tableMagic[:])); err != nil {
-		return total, err
-	}
-	hdr := make([]byte, 8)
-	le.PutUint32(hdr[0:], tableVersion)
-	le.PutUint32(hdr[4:], uint32(len(t.schema)))
-	if err := count(w.Write(hdr)); err != nil {
-		return total, err
-	}
+	buf := le.AppendUint32(le.AppendUint32(append([]byte(nil), tableMagic[:]...), tableVersion), uint32(len(t.schema)))
 	for _, c := range t.schema {
-		nb := make([]byte, 4)
-		le.PutUint32(nb, uint32(len(c.Name)))
-		if err := count(w.Write(nb)); err != nil {
-			return total, err
-		}
-		if err := count(io.WriteString(w, c.Name)); err != nil {
-			return total, err
-		}
-		if err := count(w.Write([]byte{byte(c.Type)})); err != nil {
-			return total, err
-		}
+		buf = append(append(le.AppendUint32(buf, uint32(len(c.Name))), c.Name...), byte(c.Type))
 	}
-	nb := make([]byte, 4)
-	le.PutUint32(nb, uint32(len(t.segments)))
-	if err := count(w.Write(nb)); err != nil {
+	buf = le.AppendUint32(buf, uint32(len(t.segments)))
+	if len(t.segments) == 0 {
+		err := write(buf)
 		return total, err
 	}
 	for i, seg := range t.segments {
-		var buf bytes.Buffer
-		if _, err := seg.WriteTo(&buf); err != nil {
+		if i > 0 {
+			buf = buf[:0]
+		}
+		at := len(buf)
+		var err error
+		if buf, err = seg.AppendTo(le.AppendUint64(buf, 0)); err != nil {
 			return total, fmt.Errorf("table: segment %d: %w", i, err)
 		}
-		sz := make([]byte, 8)
-		le.PutUint64(sz, uint64(buf.Len()))
-		if err := count(w.Write(sz)); err != nil {
-			return total, err
-		}
-		if err := count(w.Write(buf.Bytes())); err != nil {
+		le.PutUint64(buf[at:], uint64(len(buf)-at-8))
+		if err := write(buf); err != nil {
 			return total, err
 		}
 	}
 	return total, nil
 }
 
-// Load deserializes a table written by WriteTo.
+// loadChunk is the most Load allocates ahead of the bytes that have
+// arrived: a length prefix is believed only as far as the input goes.
+const loadChunk = 1 << 20
+
+// loader reads a table's fields into one buffer, reused for each: the
+// header's fields, then each segment whole.
+type loader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next reads exactly n bytes, valid until the following call.
+func (l *loader) next(n uint64) ([]byte, error) {
+	b := l.buf[:0]
+	for uint64(len(b)) < n {
+		if len(b) == cap(b) {
+			// make, not slices.Grow, as in Segment.AppendTo.
+			grow := min(n-uint64(len(b)), max(uint64(len(b)), loadChunk))
+			b = append(make([]byte, 0, uint64(len(b))+grow), b...)
+		}
+		k, err := io.ReadFull(l.r, b[len(b):min(uint64(cap(b)), n)])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	l.buf = b
+	return b, nil
+}
+
+// Load deserializes a table written by WriteTo. Each segment is read whole
+// into one buffer, checked and decoded where it lies.
 func Load(r io.Reader) (*Table, error) {
-	le := binary.LittleEndian
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	l := loader{r: r}
+	hdr, err := l.next(12)
+	if err != nil {
 		return nil, err
 	}
-	if magic != tableMagic {
-		return nil, fmt.Errorf("table: bad magic %q", magic)
+	if [4]byte(hdr) != tableMagic {
+		return nil, fmt.Errorf("table: bad magic %q", hdr[:4])
 	}
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	if v := le.Uint32(hdr[0:]); v != tableVersion {
+	if v := le.Uint32(hdr[4:]); v != tableVersion {
 		return nil, fmt.Errorf("table: unsupported version %d", v)
 	}
-	ncols := le.Uint32(hdr[4:])
+	ncols := le.Uint32(hdr[8:])
 	if ncols > 1<<16 {
 		return nil, fmt.Errorf("table: unreasonable column count %d", ncols)
 	}
-	schema := make(Schema, 0, ncols)
-	for i := uint32(0); i < ncols; i++ {
-		nb := make([]byte, 4)
-		if _, err := io.ReadFull(r, nb); err != nil {
+	var schema Schema
+	for range ncols {
+		b, err := l.next(4)
+		if err != nil {
 			return nil, err
 		}
-		nameLen := le.Uint32(nb)
+		nameLen := le.Uint32(b)
 		if nameLen > 1<<16 {
 			return nil, fmt.Errorf("table: unreasonable name length %d", nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
+		// The name, then its type byte.
+		if b, err = l.next(uint64(nameLen) + 1); err != nil {
 			return nil, err
 		}
-		tb := make([]byte, 1)
-		if _, err := io.ReadFull(r, tb); err != nil {
-			return nil, err
+		typ := ColType(b[nameLen])
+		if typ != Int64 && typ != String {
+			return nil, fmt.Errorf("table: unknown column type %d", typ)
 		}
-		if ColType(tb[0]) != Int64 && ColType(tb[0]) != String {
-			return nil, fmt.Errorf("table: unknown column type %d", tb[0])
-		}
-		schema = append(schema, Column{Name: string(name), Type: ColType(tb[0])})
+		schema = append(schema, Column{Name: string(b[:nameLen]), Type: typ})
 	}
 	t, err := New(schema)
 	if err != nil {
 		return nil, err
 	}
-	nb := make([]byte, 4)
-	if _, err := io.ReadFull(r, nb); err != nil {
+	b, err := l.next(4)
+	if err != nil {
 		return nil, err
 	}
-	nsegs := le.Uint32(nb)
+	nsegs := le.Uint32(b)
 	if nsegs > 1<<20 {
 		return nil, fmt.Errorf("table: unreasonable segment count %d", nsegs)
 	}
-	for i := uint32(0); i < nsegs; i++ {
-		sz := make([]byte, 8)
-		if _, err := io.ReadFull(r, sz); err != nil {
+	for i := range nsegs {
+		if b, err = l.next(8); err != nil {
 			return nil, err
 		}
-		segLen := le.Uint64(sz)
+		segLen := le.Uint64(b)
 		if segLen > 1<<34 {
 			return nil, fmt.Errorf("table: unreasonable segment size %d", segLen)
 		}
-		seg, err := colstore.ReadSegment(io.LimitReader(r, int64(segLen)))
+		if b, err = l.next(segLen); err != nil {
+			return nil, fmt.Errorf("table: segment %d: %w", i, err)
+		}
+		seg, err := colstore.DecodeSegment(b)
 		if err != nil {
 			return nil, fmt.Errorf("table: segment %d: %w", i, err)
 		}
