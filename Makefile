@@ -43,10 +43,12 @@ benchmark-smoke:
 
 ## trace-race: the tracing-enabled torture combo, the concurrency tests of
 ## the tracer/metrics registry, and the request journal, end-to-end
-## traceability and >=1000-in-flight serving tests, under the race
+## traceability and >=1000-in-flight serving tests, and concurrent table
+## round trips through the write path's recycled buffers, under the race
 ## detector (a focused subset of `race`)
 trace-race:
 	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans' ./internal/engine
+	$(GO) test -race -count=1 -run 'ConcurrentRoundTrips|RecycledBuffers' ./internal/table
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
 	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency' ./internal/obs ./internal/serve
 

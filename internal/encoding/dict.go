@@ -102,6 +102,20 @@ type DictBuilder struct {
 	prov []uint32 // prov[row] = provisional id
 }
 
+// NewDictBuilder returns an empty builder that keeps its rows' ids in ids'
+// storage, from ids[:0]; Release hands that storage back. The write path
+// recycles id slices this way.
+func NewDictBuilder(ids []uint32) *DictBuilder { return &DictBuilder{prov: ids[:0]} }
+
+// Release empties the builder and returns its id storage, which the builder
+// no longer references. Columns built before stay as they were: Column
+// copies the ids it packs.
+func (b *DictBuilder) Release() []uint32 {
+	ids := b.prov[:0]
+	*b = DictBuilder{}
+	return ids
+}
+
 // Append interns values, in order. The id slice grows at most once per call,
 // to at least twice its capacity, so many short appends stay linear.
 func (b *DictBuilder) Append(values []string) {

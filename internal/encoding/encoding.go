@@ -110,17 +110,25 @@ func scanInts(values []int64) intStats {
 	for _, v := range values[1:] {
 		mn, mx = min(mn, v), max(mx, v)
 		deltaOr |= zigzag(v - prev)
-		if v != prev {
-			steps++
-		}
-		if v > prev {
-			rises++
-		}
+		steps += b2i(v != prev)
+		rises += b2i(v > prev)
 		prev = v
 	}
 	st.min, st.max, st.runs, st.deltaOr = mn, mx, steps+1, deltaOr
 	st.asc, st.desc = rises == steps, rises == 0
 	return st
+}
+
+// b2i is 1 for true and 0 for false. The compiler turns it into a SETcc,
+// so a counter it feeds stays in its register: a conditional increment made
+// scanInts' loop keep two temporaries on the stack.
+//
+//bipie:inline
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // bitPackWidth and deltaWidth are the bit widths NewBitPack and NewDelta

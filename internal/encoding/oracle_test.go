@@ -307,7 +307,8 @@ func dictValues(shape uint8, n int, seed int64, raw []byte) []string {
 
 // FuzzDictBuilder: a DictBuilder fed the same rows in any mix of chunks and
 // single adds builds, at every point, the column NewDict builds from the
-// rows so far; a column already built does not change as rows are appended;
+// rows so far; a column already built does not change as rows are appended,
+// nor when the builder's recycled id storage is released and written over;
 // and NewDict matches the two-map oracle.
 func FuzzDictBuilder(f *testing.F) {
 	for shape := uint8(0); shape < dictShapes; shape++ {
@@ -322,7 +323,12 @@ func FuzzDictBuilder(f *testing.F) {
 			rows int
 			col  *DictColumn
 		}
-		var b DictBuilder
+		// The builder starts from recycled storage holding stale ids.
+		recycled := make([]uint32, rng.Intn(len(vals)+2))
+		for i := range recycled {
+			recycled[i] = rng.Uint32()
+		}
+		b := NewDictBuilder(recycled)
 		var snaps []built
 		for done := 0; done < len(vals); {
 			if rng.Intn(3) == 0 {
@@ -341,6 +347,16 @@ func FuzzDictBuilder(f *testing.F) {
 			}
 		}
 		snaps = append(snaps, built{len(vals), b.Column()})
+		// Its storage goes back and is written over: no column built from
+		// it may change.
+		ids := b.Release()
+		if b.Len() != 0 || len(ids) != 0 {
+			t.Fatalf("Release left %d rows in the builder and returned %d ids", b.Len(), len(ids))
+		}
+		ids = ids[:cap(ids)]
+		for i := range ids {
+			ids[i] = ^uint32(i)
+		}
 		for _, s := range snaps {
 			if want := NewDict(vals[:s.rows]); !reflect.DeepEqual(s.col, want) {
 				t.Fatalf("column of the first %d of %d rows differs from NewDict's: dict %q vs %q", s.rows, len(vals), s.col.dict, want.dict)

@@ -191,7 +191,8 @@ func loadAllocBound(n int) uint64 { return 2<<20 + 16*uint64(n) }
 
 // FuzzLoad: on arbitrary bytes Load never panics and allocates within
 // loadAllocBound of the input's length, whatever its headers claim; a table
-// it accepts writes back as exactly the bytes it read.
+// it accepts writes back as exactly the bytes it read, and so does the same
+// input loaded again through the recycled read buffer.
 func FuzzLoad(f *testing.F) {
 	for _, c := range pinnedTables {
 		tbl, err := c.build()
@@ -216,8 +217,16 @@ func FuzzLoad(f *testing.F) {
 		}
 		// Load stops at the table's end; what follows is not its to check.
 		read := data[:len(data)-r.Len()]
-		if again := serialized(t, tbl); !bytes.Equal(again, read) {
-			t.Fatalf("accepted %d bytes, wrote back %d that differ", len(read), len(again))
+		// A second load reads through the buffer the first gave back; the
+		// first table must not see it.
+		second, err := table.Load(bytes.NewReader(read))
+		if err != nil {
+			t.Fatalf("accepted %d bytes once, then refused them: %v", len(read), err)
+		}
+		for i, got := range []*table.Table{tbl, second} {
+			if again := serialized(t, got); !bytes.Equal(again, read) {
+				t.Fatalf("load %d: accepted %d bytes, wrote back %d that differ", i+1, len(read), len(again))
+			}
 		}
 	})
 }

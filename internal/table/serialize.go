@@ -22,7 +22,9 @@ var le = binary.LittleEndian
 // WriteTo serializes the schema and all sealed segments. It returns an
 // error if rows remain in the mutable region. Every segment is encoded into
 // one buffer behind its length prefix and written once; the schema rides
-// with the first. The buffer is reused from segment to segment.
+// with the first. The buffer is reused from segment to segment, and
+// recycled when WriteTo returns: w must not keep what it is given, as the
+// io.Writer contract says.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if t.mutLen > 0 {
 		return 0, fmt.Errorf("table: %d unsealed rows; call Flush before serializing", t.mutLen)
@@ -33,7 +35,8 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		total += int64(n)
 		return err
 	}
-	buf := le.AppendUint32(le.AppendUint32(append([]byte(nil), tableMagic[:]...), tableVersion), uint32(len(t.schema)))
+	buf := le.AppendUint32(le.AppendUint32(append(bytePool.get(anySize), tableMagic[:]...), tableVersion), uint32(len(t.schema)))
+	defer func() { bytePool.put(buf, anySize) }()
 	for _, c := range t.schema {
 		buf = append(append(le.AppendUint32(buf, uint32(len(c.Name))), c.Name...), byte(c.Type))
 	}
@@ -90,9 +93,11 @@ func (l *loader) next(n uint64) ([]byte, error) {
 }
 
 // Load deserializes a table written by WriteTo. Each segment is read whole
-// into one buffer, checked and decoded where it lies.
+// into one buffer, checked and decoded where it lies; the table keeps
+// copies, and the buffer is recycled when Load returns.
 func Load(r io.Reader) (*Table, error) {
-	l := loader{r: r}
+	l := loader{r: r, buf: bytePool.get(anySize)}
+	defer func() { bytePool.put(l.buf, anySize) }()
 	hdr, err := l.next(12)
 	if err != nil {
 		return nil, err

@@ -45,6 +45,8 @@ type Table struct {
 
 	// Mutable region, column-major for cheap sealing. Strings are interned
 	// as they arrive, so a string column holds dictionary ids, not strings.
+	// Its storage exists while it holds rows: openMutable takes it from the
+	// recycling pools, sealMutable gives it back (recycle.go).
 	mutInts map[string][]int64
 	mutStrs map[string]*encoding.DictBuilder
 	mutLen  int
@@ -85,9 +87,6 @@ func New(schema Schema, opts ...Option) (*Table, error) {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
 		t.byName[c.Name] = i
-		if c.Type == String {
-			t.mutStrs[c.Name] = new(encoding.DictBuilder)
-		}
 	}
 	for _, o := range opts {
 		o(t)
@@ -130,9 +129,12 @@ func (t *Table) AppendRow(vals ...any) error {
 			}
 		}
 	}
+	if t.mutLen == 0 {
+		t.openMutable()
+	}
 	for i, c := range t.schema {
 		if c.Type == Int64 {
-			t.mutInts[c.Name] = append(t.mutInts[c.Name], vals[i].(int64))
+			t.mutInts[c.Name] = appendCapped(t.mutInts[c.Name], t.segmentRows, vals[i].(int64))
 		} else {
 			t.mutStrs[c.Name].Add(vals[i].(string))
 		}
@@ -191,9 +193,12 @@ func (t *Table) AppendColumns(ints map[string][]int64, strs map[string][]string)
 		if chunk > room {
 			chunk = room
 		}
+		if t.mutLen == 0 {
+			t.openMutable()
+		}
 		for _, c := range t.schema {
 			if c.Type == Int64 {
-				t.mutInts[c.Name] = append(t.mutInts[c.Name], ints[c.Name][done:done+chunk]...)
+				t.mutInts[c.Name] = appendCapped(t.mutInts[c.Name], t.segmentRows, ints[c.Name][done:done+chunk]...)
 			} else {
 				t.mutStrs[c.Name].Append(strs[c.Name][done : done+chunk])
 			}
@@ -226,16 +231,31 @@ func (t *Table) sealMutable() {
 	if seg == nil {
 		seg = t.encodeMutable()
 	}
+	// The segment holds copies; the storage goes back for the next region.
 	for _, c := range t.schema {
 		if c.Type == Int64 {
-			t.mutInts[c.Name] = nil
+			intPool.put(t.mutInts[c.Name], t.segmentRows)
 		} else {
-			t.mutStrs[c.Name] = new(encoding.DictBuilder)
+			idPool.put(t.mutStrs[c.Name].Release(), t.segmentRows)
 		}
 	}
+	clear(t.mutInts)
+	clear(t.mutStrs)
 	t.segments = append(t.segments, seg)
 	t.mutLen = 0
 	t.invalidateSnap()
+}
+
+// openMutable gives every column of the empty mutable region storage from
+// the recycling pools, none larger than one segment.
+func (t *Table) openMutable() {
+	for _, c := range t.schema {
+		if c.Type == Int64 {
+			t.mutInts[c.Name] = intPool.get(t.segmentRows)
+		} else {
+			t.mutStrs[c.Name] = encoding.NewDictBuilder(idPool.get(t.segmentRows))
+		}
+	}
 }
 
 // encodeMutable encodes the current mutable region into a segment without
