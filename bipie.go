@@ -199,25 +199,26 @@ type StrategyCost = engine.StrategyCost
 // against the traced measurement (AnalyzeReport.Model, ModelFor).
 type ModelPhase = engine.ModelPhase
 
-// CostProfile is the decode-throughput cost model: the aggregation-strategy
-// coefficients that choose a plan's strategy, plus fitted cycles/row per
-// kernel that price its filter and decode phases (Explain's model costs,
-// ExplainAnalyze's model error). It decides nothing else: packed-domain
-// filtering and the gather/compact crossover are fixed rules. Point
-// Options.CostProfile at one to override the process-wide profile for a
-// query; Prepare refuses one that fails its Check.
+// CostProfile is the decode-throughput cost model: fitted cycles/row per
+// kernel and per aggregation strategy that price a plan's aggregation,
+// filter and decode phases (Explain's model costs, ExplainAnalyze's model
+// error). It chooses nothing: the aggregation strategy, packed-domain
+// filtering and the gather/compact crossover are fixed rules, so a plan is
+// the same under every profile. Point Options.CostProfile at one to
+// override the process-wide profile for a query; Prepare refuses one that
+// fails its Check.
 type CostProfile = costmodel.Profile
 
 // CalibrateCostModel measures the hot kernels on this machine and returns
 // a fitted profile (~tens of ms of micro-benchmarks). The engine never
-// runs it on its own: it plans with the checked-in profile, fitted the
-// same way offline. Pass the result as Options.CostProfile to choose
-// aggregation strategies and price plans with a fresh fit.
+// runs it on its own: it prices plans with the checked-in profile, fitted
+// the same way offline. Pass the result as Options.CostProfile to price
+// plans with a fresh fit.
 func CalibrateCostModel() *CostProfile { return costmodel.Calibrate() }
 
 // StaticCostModel returns the paper-derived constant cost profile — the
-// pre-calibration aggregation coefficients, kept as fallback and as the
-// ablation of the fitted strategy choice.
+// pre-calibration prices, the same on every machine, for deterministic
+// model costs.
 func StaticCostModel() *CostProfile { return costmodel.Static() }
 
 // ActiveCostModel returns the process-wide profile queries use when

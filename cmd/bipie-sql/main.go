@@ -218,8 +218,10 @@ func (s *shell) printProfile(p *costmodel.Profile) {
 }
 
 // calibrate re-probes the kernels and activates the fresh profile for
-// every later plan of this session; nothing is written. Cached plans were
-// chosen under the old profile, so the statement cache is dropped.
+// every later plan of this session; nothing is written. The profile
+// prices plans and chooses none, so a cached plan would still be the same
+// plan, but it carries the old prices: the statement cache is dropped so
+// that EXPLAIN and \analyze re-price rather than show the old figures.
 func (s *shell) calibrate() {
 	p := costmodel.Calibrate()
 	costmodel.SetActive(p)

@@ -2,11 +2,10 @@ package bipie_test
 
 // Acceptance tests for the calibrated decode-throughput cost model: the
 // calibrated prediction must land near the traced measurement on the
-// filter paths it prices (TestModelErrorBound), swapping the static
-// profile in must never change results (TestStaticProfileAblation), the
-// selection decisions read no profile (TestSelectionIgnoresProfile), and
-// a supplied profile that would misprice plans is refused
-// (TestCostProfileValidated).
+// filter paths it prices (TestModelErrorBound), the profile prices a plan
+// and picks none of it (TestPlansIgnoreProfile, TestStaticProfileAblation,
+// TestSelectionIgnoresProfile), and a supplied profile
+// that would misprice plans is refused (TestCostProfileValidated).
 
 import (
 	"context"
@@ -19,6 +18,7 @@ import (
 
 	"bipie"
 
+	"bipie/internal/loadgen"
 	"bipie/internal/tpch"
 )
 
@@ -233,55 +233,12 @@ func TestModelErrorBound(t *testing.T) {
 	})
 }
 
-// TestStaticProfileAblation pins the model's isolation property: the cost
-// profile only picks among correct aggregation strategies, so forcing the
-// static profile must reproduce byte-identical results to the checked-in
-// default on every path the sweep exercises (strategies may differ;
-// results may not). The 14- and 16-bit sweeps cover both word-parallel
-// and windowed packed compares. The zero-steady-state-alloc side of the
-// acceptance criterion is pinned at the scan loop in engine's
-// TestTraceDisabledPathZeroAllocs, which runs under the checked-in
-// default.
-func TestStaticProfileAblation(t *testing.T) {
-	static := bipie.StaticCostModel()
-	check := func(label string, tbl *bipie.Table, q *bipie.Query) {
-		t.Helper()
-		fitted, err := bipie.Run(tbl, q, bipie.Options{})
-		if err != nil {
-			t.Fatalf("%s checked-in: %v", label, err)
-		}
-		ablated, err := bipie.Run(tbl, q, bipie.Options{CostProfile: static})
-		if err != nil {
-			t.Fatalf("%s static: %v", label, err)
-		}
-		if !reflect.DeepEqual(fitted.Rows, ablated.Rows) {
-			t.Errorf("%s: static-profile results differ from checked-in:\n%s\nvs\n%s",
-				label, fitted.Format(), ablated.Format())
-		}
-		if fitted.Format() != ablated.Format() {
-			t.Errorf("%s: formatted results differ", label)
-		}
-	}
-
-	for _, bits := range []uint{14, 16} {
-		sweep := sweepTable(t, bits)
-		for _, pct := range []int64{10, 50, 90} {
-			check(strconv.Itoa(int(bits))+"-bit sweep "+strconv.FormatInt(pct, 10)+"%", sweep, sweepQuery("f", (1<<bits)*pct/100))
-		}
-	}
-	rle := rleTable(t)
-	check("rle", rle, sweepQuery("r", 31))
-	q1tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("q1", q1tbl, tpch.Q1())
-}
-
-// scaledProfile copies the checked-in profile with every packed-compare
-// figure multiplied by ten and every other kernel figure divided by ten:
-// a fit that would flip both selection decisions if either read one.
-func scaledProfile() *bipie.CostProfile {
+// skewedProfile copies the checked-in profile with every packed-compare
+// figure multiplied by ten, every other kernel figure divided by ten and
+// the multi-aggregate walk priced twenty times over: a fit that would
+// move the aggregation strategy of every many-sum plan and flip both
+// selection decisions if any of them read a profile.
+func skewedProfile() *bipie.CostProfile {
 	p := *bipie.ActiveCostModel()
 	p.Kernels = make(map[string]float64, len(p.Kernels))
 	for k, v := range bipie.ActiveCostModel().Kernels {
@@ -291,69 +248,246 @@ func scaledProfile() *bipie.CostProfile {
 			p.Kernels[k] = v / 10
 		}
 	}
+	p.Agg.MultiFixed *= 20
+	p.Agg.MultiPerSum *= 20
 	return &p
 }
 
-// TestSelectionIgnoresProfile pins the two selection decisions as rules
-// that read no cost profile: a pushed comparison runs on packed words up
-// to 32 bits and unpacks above, and gather gives way to compaction at the
-// Figure-7 crossover, under the static, the checked-in and a scaled
-// profile alike.
-func TestSelectionIgnoresProfile(t *testing.T) {
-	profiles := map[string]*bipie.CostProfile{
-		"static": bipie.StaticCostModel(), "checked-in": bipie.ActiveCostModel(), "scaled": scaledProfile(),
-	}
-	for _, bits := range []uint{12, 16, 24, 33, 40} {
-		tbl := sweepTable(t, bits)
-		q := sweepQuery("f", 1<<(bits-1))
-		want := "packed"
-		if bits > 32 {
-			want = "unpack"
-		}
-		for name, prof := range profiles {
-			plans, err := bipie.Explain(tbl, q, bipie.Options{CostProfile: prof})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pl := range plans {
-				if !reflect.DeepEqual(pl.PushedDomains, []string{want}) {
-					t.Errorf("%d bits, %s profile: pushed domains %v, want [%s]", bits, name, pl.PushedDomains, want)
-				}
-			}
-		}
-	}
+// methodCounts are the batch counts a scan's plan decides: the selection
+// method each batch ran and the encoded domain its filter ran in.
+type methodCounts struct {
+	NoSelection, Gather, Compact, SpecialGroup, Empty, Skipped int64
+	Packed, RLE, Dict, RunSpans                                int64
+}
 
-	// filter_scan's dict_in shape: about half the rows of the 24-bit price
-	// column, above the 44 % crossover at 24 bits on every batch, where a
-	// one-group plan sums under the mask (its special group).
-	tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 18, Seed: 1})
+// planOf prepares q under prof and returns its plans with the prices
+// taken out — FormatPlans' model column is the profile's estimate, the
+// one thing a profile may move — and the counts of one traced run, whose
+// result must equal RunNaive's.
+func planOf(t *testing.T, label string, tbl *bipie.Table, q *bipie.Query, prof *bipie.CostProfile) ([]bipie.SegmentPlan, methodCounts) {
+	t.Helper()
+	p, err := bipie.Prepare(tbl, q, bipie.Options{CostProfile: prof})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	q := &bipie.Query{
-		Aggregates: []bipie.Aggregate{bipie.CountStar(), bipie.SumOf(bipie.Col("l_extendedprice"))},
-		Filter:     bipie.StrIn("l_returnflag", "A", "R"),
+	plans, err := p.Explain()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i := range plans {
+		plans[i].ModelCyclesPerRow = 0
+		plans[i].FilterModelCyclesPerRow = 0
+		plans[i].DecodeModelCyclesPerRow = 0
+	}
+	res, st, err := p.RunTraced(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	naive, err := bipie.RunNaive(tbl, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, prof := range profiles {
-		p, err := bipie.Prepare(tbl, q, bipie.Options{CostProfile: prof})
-		if err != nil {
-			t.Fatal(err)
+	if res.Format() != naive.Format() {
+		t.Errorf("%s: result differs from RunNaive:\n%s\nvs\n%s", label, res.Format(), naive.Format())
+	}
+	return plans, methodCounts{
+		st.NoSelection, st.Gather, st.Compact, st.SpecialGroup, st.EmptyBatches, st.BatchesSkipped,
+		st.PackedKernelBatches, st.RLEFilterBatches, st.DictFilterBatches, st.RunSpanBatches,
+	}
+}
+
+// groupedTable builds the grouped sweep's fixture: one string group column
+// per domain size and, per unpacked word size, six distinct sum inputs
+// whose values need that word.
+func groupedTable(t *testing.T, domains, words []int) *bipie.Table {
+	t.Helper()
+	const rows = 1 << 13
+	schema := bipie.Schema{{Name: "f", Type: bipie.Int64}}
+	strs := map[string][]string{}
+	ints := map[string][]int64{"f": make([]int64, rows)}
+	rng := rand.New(rand.NewSource(3))
+	for _, d := range domains {
+		name := "g" + strconv.Itoa(d)
+		schema = append(schema, bipie.Column{Name: name, Type: bipie.String})
+		col := make([]string, rows)
+		for i := range col {
+			col[i] = "k" + strconv.Itoa(rng.Intn(d))
 		}
-		res, st, err := p.RunTraced(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
+		strs[name] = col
+	}
+	for _, w := range words {
+		for k := range 6 {
+			name := "v" + strconv.Itoa(w) + "_" + strconv.Itoa(k)
+			schema = append(schema, bipie.Column{Name: name, Type: bipie.Int64})
+			col := make([]int64, rows)
+			for i := range col {
+				col[i] = rng.Int63n(1 << min(8*w-2, 40)) // an 8-byte sum must still fit int64
+			}
+			ints[name] = col
 		}
-		if st.SpecialGroup == 0 || st.Gather != 0 || st.Compact != 0 || st.NoSelection != 0 {
-			t.Errorf("%s profile: %d gather, %d compact, %d special-group, %d whole batches; want all special-group",
-				name, st.Gather, st.Compact, st.SpecialGroup, st.NoSelection)
+	}
+	for i := range ints["f"] {
+		ints["f"][i] = rng.Int63n(100)
+	}
+	tbl, err := bipie.NewTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendColumns(ints, strs); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Flush()
+	return tbl
+}
+
+// samePlans plans and runs q under the static, the checked-in and a
+// skewed profile and fails the test unless all three plan alike —
+// FormatPlans with the prices taken out is byte-identical and every batch
+// runs the same selection method in the same domain — and each result
+// equals RunNaive's. It returns the static profile's plans and counts.
+func samePlans(t *testing.T, label string, tbl *bipie.Table, q *bipie.Query) ([]bipie.SegmentPlan, methodCounts) {
+	t.Helper()
+	profiles := []struct {
+		name string
+		prof *bipie.CostProfile
+	}{{"static", bipie.StaticCostModel()}, {"checked-in", bipie.ActiveCostModel()}, {"skewed", skewedProfile()}}
+	plans, counts := planOf(t, label+" "+profiles[0].name, tbl, q, profiles[0].prof)
+	for _, pr := range profiles[1:] {
+		got, gotCounts := planOf(t, label+" "+pr.name, tbl, q, pr.prof)
+		if bipie.FormatPlans(got) != bipie.FormatPlans(plans) {
+			t.Errorf("%s: %s plans differ from %s:\n%s\nvs\n%s", label, pr.name, profiles[0].name,
+				bipie.FormatPlans(got), bipie.FormatPlans(plans))
 		}
-		if res.Format() != naive.Format() {
-			t.Errorf("%s profile: result differs from RunNaive:\n%s\nvs\n%s", name, res.Format(), naive.Format())
+		if gotCounts != counts {
+			t.Errorf("%s: %s batches ran %+v, %s %+v", label, pr.name, gotCounts, profiles[0].name, counts)
 		}
+	}
+	return plans, counts
+}
+
+func parseSQL(t *testing.T, src string) *bipie.Query {
+	t.Helper()
+	q, _, err := bipie.ParseSQL(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestPlansIgnoreProfile pins the profile as a price list: every
+// benchmark query (Q1, the serving mix, filter_scan's shapes, serve_light's
+// count shape and ingest's check) and a grouped sweep over groups × sums ×
+// word size plan alike under the static, the checked-in and a skewed
+// profile (samePlans). The aggregation strategy is agg.Choose's Figures
+// 8–10 regions, which read no profile. TestStaticProfileAblation and
+// TestSelectionIgnoresProfile hold the same for the filter paths.
+func TestPlansIgnoreProfile(t *testing.T) {
+	lineitem, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The serving mix's Q1 and Q6 (filter_scan's packed3), filter_scan's
+	// packed_lowsel and delta_range, serve_light's count shape and
+	// ingest's check query; the mix's dict query (dict_in) is
+	// TestSelectionIgnoresProfile's.
+	mix := loadgen.TPCHMix("lineitem")
+	for _, src := range []string{
+		mix[0], mix[1],
+		"SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE l_shipdate <= 30",
+		"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_orderkey >= 20000 AND l_orderkey < 20655",
+		"SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_shipdate <= 30",
+		"SELECT count(*), sum(l_quantity) FROM lineitem",
+	} {
+		samePlans(t, src, lineitem, parseSQL(t, src))
+	}
+
+	// The grouped sweep: groups × sums × word size, filtered (a special
+	// group) and not.
+	domains, words := []int{2, 3, 4, 8, 64, 200}, []int{1, 2, 4, 8}
+	grouped := groupedTable(t, domains, words)
+	for _, d := range domains {
+		for _, w := range words {
+			for _, sums := range []int{0, 1, 2, 3, 6} {
+				q := &bipie.Query{GroupBy: []string{"g" + strconv.Itoa(d)}, Aggregates: []bipie.Aggregate{bipie.CountStar()}}
+				for k := range sums {
+					q.Aggregates = append(q.Aggregates, bipie.SumOf(bipie.Col("v"+strconv.Itoa(w)+"_"+strconv.Itoa(k))))
+				}
+				label := strconv.Itoa(d) + "g/" + strconv.Itoa(w) + "B/" + strconv.Itoa(sums) + "sums"
+				samePlans(t, label, grouped, q)
+				q.Filter = bipie.Lt(bipie.Col("f"), bipie.Int(40))
+				samePlans(t, label+" filtered", grouped, q)
+			}
+		}
+	}
+}
+
+// TestStaticProfileAblation pins the model's isolation property on the
+// RLE paths and TPC-H Q1: forcing the static profile, or a skewed one,
+// plans and answers exactly as the checked-in default does, and every
+// answer equals RunNaive's (samePlans).
+func TestStaticProfileAblation(t *testing.T) {
+	runs, err := bipie.NewTable(bipie.Schema{{Name: "rate", Type: bipie.Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := make([]int64, 1<<16)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < len(rates); i += 512 {
+		v := rng.Int63n(1000)
+		for j := i; j < i+512; j++ {
+			rates[j] = v
+		}
+	}
+	if err := runs.AppendColumns(map[string][]int64{"rate": rates}, nil); err != nil {
+		t.Fatal(err)
+	}
+	runs.Flush()
+	samePlans(t, "rle_span", runs, parseSQL(t, "SELECT count(*), sum(rate) FROM runs WHERE rate < 100"))
+	samePlans(t, "rle", rleTable(t), sweepQuery("r", 31))
+
+	q1tbl, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlans(t, "q1", q1tbl, tpch.Q1())
+}
+
+// TestSelectionIgnoresProfile pins the two selection decisions as rules
+// that read no cost profile, under the static, the checked-in and a
+// skewed profile alike (samePlans): a pushed comparison runs on packed
+// words up to 32 bits and unpacks above, at every selectivity (the 14-
+// and 16-bit sweeps cover both word-parallel and windowed packed
+// compares), and gather gives way to compaction at the Figure-7
+// crossover.
+func TestSelectionIgnoresProfile(t *testing.T) {
+	for _, bits := range []uint{12, 14, 16, 24, 33, 40} {
+		tbl := sweepTable(t, bits)
+		want := "packed"
+		if bits > 32 {
+			want = "unpack"
+		}
+		for _, pct := range []int64{10, 50, 90} {
+			label := strconv.Itoa(int(bits)) + "-bit sweep " + strconv.FormatInt(pct, 10) + "%"
+			plans, _ := samePlans(t, label, tbl, sweepQuery("f", (1<<bits)*pct/100))
+			for _, pl := range plans {
+				if !reflect.DeepEqual(pl.PushedDomains, []string{want}) {
+					t.Errorf("%s: pushed domains %v, want [%s]", label, pl.PushedDomains, want)
+				}
+			}
+		}
+	}
+
+	// filter_scan's dict_in shape, the mix's dict query: about half the
+	// rows of the 24-bit price column, above the 44 % crossover at 24 bits
+	// on every batch, where a one-group plan sums under the mask (its
+	// special group).
+	lineitem, err := tpch.Generate(tpch.GenOptions{Rows: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := parseSQL(t, loadgen.TPCHMix("lineitem")[2])
+	if _, c := samePlans(t, "dict_in", lineitem, q); c.SpecialGroup == 0 || c.Gather != 0 || c.Compact != 0 || c.NoSelection != 0 {
+		t.Errorf("dict_in batches ran %+v; want all special-group", c)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bipie/internal/bitpack"
@@ -1023,69 +1024,92 @@ func TestMultiAggRowWords(t *testing.T) {
 }
 
 func TestStrategyChoose(t *testing.T) {
-	// The chooser's constants are calibrated to this implementation's SWAR
-	// kernels (see strategy.go), so its crossovers sit at smaller group
-	// counts than the paper's 32-lane AVX2 ones. The properties below are
-	// the invariants that must hold under any calibration.
+	// The rule's borders sit where this implementation's SWAR kernels put
+	// them (see strategy.go), so they fall at smaller group counts than
+	// the paper's 32-lane AVX2 ones.
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want Strategy
+	}{
+		// Tiny group domains with narrow values → in-register.
+		{"2g/1B/1sum", Params{Groups: 2, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}}, StrategyInRegister},
+		// One more group and the per-group cost overtakes the row loop.
+		{"4g/1B/1sum", Params{Groups: 4, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}}, StrategyScalar},
+		// Count-only: the COUNT pass is the same whichever loop runs it,
+		// and the tie stays with scalar (the engine picks the count kernel
+		// by domain).
+		{"count-only 2g", Params{Groups: 2, Sums: 0, MaxWordSize: 1}, StrategyScalar},
+		// Larger group domains → one walk with the count in the carrier
+		// beats the scalar row loop plus its COUNT pass.
+		{"32g/4B/2sums", Params{Groups: 32, Sums: 2, MaxWordSize: 4, WordSizes: []int{4, 4}}, StrategyMultiAggregate},
+		{"64g/1B/6sums", Params{Groups: 64, Sums: 6, MaxWordSize: 1, WordSizes: []int{1, 1, 1, 1, 1, 1}}, StrategyMultiAggregate},
+		// Q1's five inputs, and the serving mix's three.
+		{"Q1", Params{Groups: 7, Sums: 5, MaxWordSize: 8, WordSizes: []int{1, 4, 4, 8, 1}}, StrategyMultiAggregate},
+		{"mix", Params{Groups: 7, Sums: 3, MaxWordSize: 8, WordSizes: []int{1, 4, 1}}, StrategyMultiAggregate},
+		// In-register is never chosen where it is unsupported.
+		{"64g/1B/1sum", Params{Groups: 64, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}}, StrategyScalar},
+		{"4g/8B/1sum", Params{Groups: 4, Sums: 1, MaxWordSize: 8, WordSizes: []int{8}}, StrategyScalar},
+		// Multi-aggregate is never chosen when the row cannot fit.
+		{"oversized row", Params{Groups: 200, Sums: 6, MaxWordSize: 8, WordSizes: []int{8, 8, 8, 8, 8, 8}}, StrategyScalar},
+	} {
+		if got := Choose(tc.p); got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+	}
 
-	// Tiny group domains with narrow values → in-register.
-	p := Params{Groups: 2, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}, Selectivity: 1}
-	if got := Choose(p, nil); got != StrategyInRegister {
-		t.Errorf("2g/1B/1sum: %v", got)
-	}
-	// Count-only: every strategy's estimate is the COUNT pass alone, and the
-	// tie stays with scalar (the engine picks the count kernel by domain).
-	p = Params{Groups: 2, Sums: 0, MaxWordSize: 1, Selectivity: 1}
-	if got := Choose(p, nil); got != StrategyScalar {
-		t.Errorf("count-only 2g: %v", got)
-	}
-	// Larger group domains → one walk with the count in the carrier beats
-	// the scalar row loop plus its COUNT pass.
-	p = Params{Groups: 32, Sums: 2, MaxWordSize: 4, WordSizes: []int{4, 4}, Selectivity: 1}
-	if got := Choose(p, nil); got != StrategyMultiAggregate {
-		t.Errorf("32g/4B: %v", got)
-	}
-	// Q1's five inputs, and the serving mix's three.
-	for _, ws := range [][]int{{1, 4, 4, 8, 1}, {1, 4, 1}} {
-		p = Params{Groups: 7, Sums: len(ws), MaxWordSize: 8, WordSizes: ws, Selectivity: 1}
-		if got := Choose(p, nil); got != StrategyMultiAggregate {
-			t.Errorf("7g/%v: %v", ws, got)
+	// The rule is the static prices' winner. Over groups × 0–6 sums ×
+	// every word-size list, the pick costs no more under StaticCost() than
+	// any strategy that applies there — so sort-based, which the rule
+	// never picks, wins nowhere — and one group, and only one, reduces.
+	cp := StaticCost()
+	sizes := []int{1, 2, 4, 8}
+	points := 0
+	for sums := 0; sums <= 6; sums++ {
+		lists := 1
+		for range sums {
+			lists *= len(sizes)
 		}
-	}
-	// In-register is never chosen where it is unsupported.
-	p = Params{Groups: 64, Sums: 1, MaxWordSize: 1, WordSizes: []int{1}, Selectivity: 1}
-	if got := Choose(p, nil); got == StrategyInRegister {
-		t.Errorf("64g: in-register chosen beyond its group limit")
-	}
-	p = Params{Groups: 4, Sums: 1, MaxWordSize: 8, WordSizes: []int{8}, Selectivity: 1}
-	if got := Choose(p, nil); got == StrategyInRegister {
-		t.Errorf("8B values: in-register chosen for unsupported width")
-	}
-	// Multi-aggregate is never chosen when the row cannot fit.
-	p = Params{Groups: 200, Sums: 6, MaxWordSize: 8, WordSizes: []int{8, 8, 8, 8, 8, 8}, Selectivity: 1}
-	if got := Choose(p, nil); got == StrategyMultiAggregate {
-		t.Errorf("oversized row: multi chosen")
-	}
-	// One group reduces, whatever the sums, their words and the profile —
-	// even one whose reduction is priced above every rival — and no larger
-	// domain ever does.
-	slowReduce := StaticCost()
-	slowReduce.ReducePerSum = 100
-	for _, ws := range [][]int{nil, {4}, {1, 4, 4, 8, 1}, {8}} {
-		maxWS := 1
-		for _, w := range ws {
-			maxWS = max(maxWS, w)
-		}
-		p = Params{Sums: len(ws), MaxWordSize: maxWS, WordSizes: ws, Selectivity: 1}
-		for _, cp := range []*CostProfile{nil, &slowReduce} {
-			for _, g := range []int{1, 2, 3, 7, 64, 256} {
-				p.Groups = g
-				if got := Choose(p, cp); (got == StrategyReduce) != (g == 1) {
-					t.Errorf("%dg/%v: %v", g, ws, got)
+		for code := range lists {
+			ws := make([]int, sums)
+			maxWS := 1
+			for i, c := 0, code; i < sums; i, c = i+1, c/len(sizes) {
+				ws[i] = sizes[c%len(sizes)]
+				maxWS = max(maxWS, ws[i])
+			}
+			for _, g := range []int{1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 64, 128, 255, 256, 257} {
+				p := Params{Groups: g, Sums: sums, MaxWordSize: maxWS, WordSizes: ws}
+				got := Choose(p)
+				if (got == StrategyReduce) != (g == 1) {
+					t.Fatalf("%dg/%v: %v", g, ws, got)
 				}
+				applies := []Strategy{StrategyScalar}
+				if g == 1 {
+					applies = append(applies, StrategyReduce)
+				}
+				if InRegisterSupported(g, maxWS) {
+					applies = append(applies, StrategyInRegister)
+				}
+				if sums >= 1 && g <= MaxSortGroups {
+					applies = append(applies, StrategySortBased)
+				}
+				if sums >= 2 && multiFits(ws) {
+					applies = append(applies, StrategyMultiAggregate)
+				}
+				if !slices.Contains(applies, got) {
+					t.Fatalf("%dg/%v: %v does not apply", g, ws, got)
+				}
+				pick := EstimateCost(got, p, &cp)
+				for _, s := range applies {
+					if c := EstimateCost(s, p, &cp); c < pick {
+						t.Fatalf("%dg/%v: rule picks %v at %.2f, %v costs %.2f", g, ws, got, pick, s, c)
+					}
+				}
+				points++
 			}
 		}
 	}
+	t.Logf("%d points agree with the static prices", points)
 }
 
 func TestStrategyString(t *testing.T) {
@@ -1102,50 +1126,51 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestEstimateCostShapes(t *testing.T) {
+	staticCost := StaticCost()
 	// In-register cost grows linearly with groups (both domains are past
 	// in-register counting, so the COUNT term is the same flat one).
 	p := Params{Sums: 1, MaxWordSize: 1}
 	p.Groups = 4
-	c4 := EstimateCost(StrategyInRegister, p, nil)
+	c4 := EstimateCost(StrategyInRegister, p, &staticCost)
 	p.Groups = 32
-	c32 := EstimateCost(StrategyInRegister, p, nil)
+	c32 := EstimateCost(StrategyInRegister, p, &staticCost)
 	if perGroup := (c32 - c4) / 28; perGroup < 0.99*staticCost.InRegPerGroup1 || perGroup > 1.01*staticCost.InRegPerGroup1 {
 		t.Errorf("in-register not linear in groups: %v vs %v", c4, c32)
 	}
 	// The strategies that count in their own pass carry no COUNT term; the
 	// others carry the kernel the engine runs for the domain.
 	p = Params{Groups: 2, Sums: 0}
-	if got, want := EstimateCost(StrategyScalar, p, nil), 2*staticCost.CountInRegPerGroup; got != want {
+	if got, want := EstimateCost(StrategyScalar, p, &staticCost), 2*staticCost.CountInRegPerGroup; got != want {
 		t.Errorf("count-only scalar at 2 groups = %v, want %v", got, want)
 	}
 	p.Groups = 7
-	if got := EstimateCost(StrategyInRegister, Params{Groups: 7, Sums: 0, MaxWordSize: 1}, nil); got != staticCost.CountScalar {
+	if got := EstimateCost(StrategyInRegister, Params{Groups: 7, Sums: 0, MaxWordSize: 1}, &staticCost); got != staticCost.CountScalar {
 		t.Errorf("count-only in-register at 7 groups = %v, want %v", got, staticCost.CountScalar)
 	}
-	if got := EstimateCost(StrategyMultiAggregate, p, nil); got != staticCost.MultiFixed {
+	if got := EstimateCost(StrategyMultiAggregate, p, &staticCost); got != staticCost.MultiFixed {
 		t.Errorf("count-only multi = %v, want the walk alone %v", got, staticCost.MultiFixed)
 	}
 	// The reduction's COUNT is one add a batch: it prices its sums alone.
-	if got := EstimateCost(StrategyReduce, Params{Groups: 1}, nil); got != 0 {
+	if got := EstimateCost(StrategyReduce, Params{Groups: 1}, &staticCost); got != 0 {
 		t.Errorf("count-only reduce = %v, want 0", got)
 	}
-	if got, want := EstimateCost(StrategyReduce, Params{Groups: 1, Sums: 3, MaxWordSize: 4}, nil), 3*staticCost.ReducePerSum; got != want {
+	if got, want := EstimateCost(StrategyReduce, Params{Groups: 1, Sums: 3, MaxWordSize: 4}, &staticCost), 3*staticCost.ReducePerSum; got != want {
 		t.Errorf("3-sum reduce = %v, want %v", got, want)
 	}
 	// Multi-aggregate per-sum cost falls with more sums.
 	p = Params{Groups: 32, MaxWordSize: 4}
 	p.Sums = 1
-	m1 := EstimateCost(StrategyMultiAggregate, p, nil)
+	m1 := EstimateCost(StrategyMultiAggregate, p, &staticCost)
 	p.Sums = 5
-	m5 := EstimateCost(StrategyMultiAggregate, p, nil) / 5
+	m5 := EstimateCost(StrategyMultiAggregate, p, &staticCost) / 5
 	if m5 >= m1 {
 		t.Errorf("multi per-sum cost should amortize: %v vs %v", m1, m5)
 	}
 	// Sort-based per-sum cost also amortizes its fixed sort.
 	p.Sums = 1
-	s1 := EstimateCost(StrategySortBased, p, nil)
+	s1 := EstimateCost(StrategySortBased, p, &staticCost)
 	p.Sums = 4
-	s4 := EstimateCost(StrategySortBased, p, nil) / 4
+	s4 := EstimateCost(StrategySortBased, p, &staticCost) / 4
 	if s4 >= s1 {
 		t.Errorf("sort per-sum cost should amortize: %v vs %v", s1, s4)
 	}

@@ -46,9 +46,11 @@ func (s Strategy) String() string {
 	}
 }
 
-// Params are the runtime parameters the chooser specializes on — exactly
-// the paper's list: number of groups, number of aggregates, bits per value,
-// and selectivity (paper §1, §5 intro).
+// Params are the runtime parameters the chooser specializes on: the
+// paper's list of number of groups, number of aggregates and bits per value
+// (paper §1, §5 intro). Selectivity, the fourth, is not among them: every
+// strategy runs on the rows the filter kept and is priced per processed
+// row, so selectivity scales every estimate alike.
 type Params struct {
 	// Groups is the number of group ids the plan's kernels see: the segment's
 	// group domain from metadata, plus a special group when that selection
@@ -63,8 +65,6 @@ type Params struct {
 	// WordSizes are the per-aggregate unpacked word sizes, for the
 	// multi-aggregate row-fit check.
 	WordSizes []int
-	// Selectivity is the measured or estimated fraction of selected rows.
-	Selectivity float64
 }
 
 // CostProfile holds the per-strategy cost coefficients EstimateCost
@@ -74,9 +74,8 @@ type Params struct {
 // coefficients are a measurement, not part of the model: StaticCost ships
 // the hand-fit constants from this implementation's original benchmarks,
 // and internal/costmodel re-fits every field per machine by probing the
-// actual kernels. The engine owns the joint selection×aggregation choice
-// and multiplies these by the fraction of rows the chosen selection method
-// lets through.
+// actual kernels. They price the plan Choose picked (Explain's model
+// column, ExplainAnalyze's assumed cost); they pick nothing.
 type CostProfile struct {
 	// InRegPerGroup1/2/4 scale the linear in-register cost per processed
 	// row, per sum, per group, at 1/2/4-byte unpacked values — wider values
@@ -97,8 +96,7 @@ type CostProfile struct {
 	// ScalarPerSum is the specialized row-at-a-time update cost
 	// (Figure 3 measured: ~1.6 cycles/row/sum). ScalarMixedPerSum is the
 	// same loop's cost when the inputs arrive in more than one word size
-	// and it runs one pass per size; zero (a profile fitted before the
-	// probe existed) means ScalarPerSum.
+	// and it runs one pass per size.
 	ScalarPerSum      float64 `json:"scalar_per_sum"`
 	ScalarMixedPerSum float64 `json:"scalar_mixed_per_sum"`
 	// CountScalar and CountInRegPerGroup price the separate COUNT(*) pass the
@@ -120,9 +118,10 @@ type CostProfile struct {
 // cmd/bipie-bench fig2 and fig5).
 const InRegisterCountMaxGroups = 3
 
-// StaticCost returns the hand-fit constants the chooser used before
-// machine calibration existed — kept as the deterministic fallback and the
-// ablation baseline (Options.CostProfile = costmodel.Static()).
+// StaticCost returns the hand-fit constants the model was priced with
+// before machine calibration existed: deterministic across machines, and
+// the prices the Figures 8–10 rule in Choose was checked against
+// (TestStrategyChoose).
 func StaticCost() CostProfile {
 	return CostProfile{
 		InRegPerGroup1: 0.6,
@@ -143,10 +142,6 @@ func StaticCost() CostProfile {
 	}
 }
 
-// staticCost backs nil-profile calls so EstimateCost and Choose never
-// dereference user-supplied nil.
-var staticCost = StaticCost()
-
 // InRegPerGroup returns the per-row per-sum per-group in-register cost for
 // an unpacked word size, with ok=false for widths the generated kernels do
 // not cover (only 1/2/4-byte variants exist, §5.3) — the caller must treat
@@ -165,22 +160,18 @@ func (cp *CostProfile) InRegPerGroup(wordSize int) (float64, bool) {
 	}
 }
 
-// inf is the rejection cost for strategy/width pairs outside the model:
-// large enough to lose every comparison, finite so arithmetic on estimates
-// stays well-defined.
+// inf is the price of strategy/width pairs outside the model: large enough
+// to exceed every real estimate, finite so arithmetic on estimates stays
+// well-defined.
 const inf = 1e30
 
 // EstimateCost returns the modeled aggregation cost per processed row of
 // running strategy s under p — its sums and the row count every query
-// needs — using cp's coefficients (nil means the static profile). Exported
-// so the engine can combine it with selection costs when making the joint
-// per-segment choice. An in-register estimate for an unsupported word size
-// returns a huge sentinel cost: the strategy cannot run there, so no finite
-// number is honest.
+// needs — using cp's coefficients. The engine records it as the plan's
+// assumed aggregation cost. An in-register estimate for an unsupported
+// word size returns a huge sentinel cost: the strategy cannot run there,
+// so no finite number is honest.
 func EstimateCost(s Strategy, p Params, cp *CostProfile) float64 {
-	if cp == nil {
-		cp = &staticCost
-	}
 	sums := float64(p.Sums)
 	switch s {
 	case StrategyInRegister:
@@ -197,7 +188,7 @@ func EstimateCost(s Strategy, p Params, cp *CostProfile) float64 {
 		return cp.ReducePerSum * sums
 	default:
 		perSum := cp.ScalarPerSum
-		if cp.ScalarMixedPerSum > 0 && mixedWords(p.WordSizes) {
+		if mixedWords(p.WordSizes) {
 			perSum = cp.ScalarMixedPerSum
 		}
 		return perSum*sums + cp.countCost(p.Groups)
@@ -222,44 +213,39 @@ func mixedWords(wordSizes []int) bool {
 	return false
 }
 
-// Choose picks the aggregation strategy for a segment, mirroring the
-// winner regions of the paper's Figures 8–10: in-register for small groups
-// and narrow values, sort-based for low selectivity (its fixed cost applies
-// only to surviving rows), multi-aggregate for many sums or wide values,
-// scalar when nothing specialized applies. The coefficients come from cp
-// (nil means the static profile), so where each region's border falls is a
-// property of the machine the profile was calibrated on.
-//
-// One group is a rule, not a comparison: every other strategy is a loop
-// over group ids, and the reduction is that loop with the ids taken out, so
-// nothing competes with it.
-func Choose(p Params, cp *CostProfile) Strategy {
-	if p.Groups == 1 {
+// Choose picks the aggregation strategy for a segment: the winner regions
+// of the paper's Figures 8–10, fitted once, offline, as the paper fits
+// them, and written down as rules. It reads no profile; the profile prices
+// the plan this returns (EstimateCost). Under StaticCost() and the
+// checked-in fit, each rule is the strategy with the lowest estimate at
+// every point of groups 1–257 × 0–6 sums × every word-size list
+// (TestStrategyChoose holds a coarse copy of that grid). Sort-based
+// aggregation wins no point of it — its bucket sort and per-sum gather
+// cost more per row than the scalar loop everywhere — so it runs only when
+// forced (the engine's Options.ForceAggregation).
+func Choose(p Params) Strategy {
+	switch {
+	case p.Groups == 1:
+		// Every other strategy is a loop over group ids, and the reduction
+		// is that loop with the ids taken out, so nothing competes with it.
 		return StrategyReduce
+	case p.Sums >= 2 && multiFits(p.WordSizes):
+		// Figure 10: many sums share one walk over the group ids, with the
+		// count in its carrier word, flat in groups and width. One sum has
+		// no other to share the walk with: its row is the carrier and one
+		// word, the two read-modify-writes a row the scalar sum and its
+		// COUNT pass also make, so such plans go to the rules below.
+		return StrategyMultiAggregate
+	case p.Sums >= 1 && p.Groups == 2 && p.MaxWordSize == 1:
+		// Figures 8–9: in-register cost grows with every group and with
+		// the lane width, and the SWAR lanes here are a uint64's 8 bytes,
+		// not AVX2's 32, so its region ends at two groups of byte values.
+		return StrategyInRegister
+	default:
+		// Figure 8's remainder: one sum over wider values or more groups,
+		// or a count alone, where the row loop is the cheapest pass.
+		return StrategyScalar
 	}
-	best := StrategyScalar
-	bestCost := EstimateCost(StrategyScalar, p, cp)
-	if InRegisterSupported(p.Groups, p.MaxWordSize) {
-		if c := EstimateCost(StrategyInRegister, p, cp); c < bestCost {
-			best, bestCost = StrategyInRegister, c
-		}
-	}
-	if p.Sums >= 1 && p.Groups <= MaxSortGroups {
-		if c := EstimateCost(StrategySortBased, p, cp); c < bestCost {
-			best, bestCost = StrategySortBased, c
-		}
-	}
-	// One sum has no other to share the walk with: its row is the carrier
-	// and one word, the two read-modify-writes a row the scalar sum and its
-	// COUNT pass also make, and the model's gap between the two is narrower
-	// than one calibration resolves — the plan would follow the noise. Such
-	// plans are left to the other strategies.
-	if p.Sums >= 2 && multiFits(p.WordSizes) {
-		if c := EstimateCost(StrategyMultiAggregate, p, cp); c < bestCost {
-			best, bestCost = StrategyMultiAggregate, c
-		}
-	}
-	return best
 }
 
 // MaxSortGroups bounds the bucket count of sort-based aggregation to the

@@ -105,30 +105,6 @@ func (v *Vector) CmpLEPacked(dst []byte, start int, t uint64, and bool) {
 	v.CmpPacked(dst, start, CmpLE, t, and, false)
 }
 
-// CmpGEPacked writes (or ANDs, see CmpPacked) the byte mask of
-// value >= t for lanes [start, start+len(dst)) into dst.
-//
-//bipie:kernel
-func (v *Vector) CmpGEPacked(dst []byte, start int, t uint64, and bool) {
-	v.CmpPacked(dst, start, CmpGE, t, and, false)
-}
-
-// CmpEQPacked writes (or ANDs, see CmpPacked) the byte mask of
-// value == t for lanes [start, start+len(dst)) into dst.
-//
-//bipie:kernel
-func (v *Vector) CmpEQPacked(dst []byte, start int, t uint64, and bool) {
-	v.CmpPacked(dst, start, CmpEQ, t, and, false)
-}
-
-// CmpNEPacked writes (or ANDs, see CmpPacked) the byte mask of
-// value != t for lanes [start, start+len(dst)) into dst.
-//
-//bipie:kernel
-func (v *Vector) CmpNEPacked(dst []byte, start int, t uint64, and bool) {
-	v.CmpPacked(dst, start, CmpNE, t, and, false)
-}
-
 // fillKeepAll resolves a predicate that matches every lane: an AND
 // destination is left untouched, an overwrite destination saturates. With
 // count set it returns the lanes dst then keeps.

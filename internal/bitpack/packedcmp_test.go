@@ -7,24 +7,30 @@ import (
 	"testing"
 )
 
-// packedCmpOps pairs each packed compare kernel with its op and its scalar
-// reference semantics; every test below checks the kernels byte-for-byte
-// against Get-based evaluation of these predicates.
-var packedCmpOps = []struct {
-	name string
-	run  func(v *Vector, dst []byte, start int, t uint64, and bool)
-	op   CmpOp
-	ref  func(val, t uint64) bool
-}{
-	{"LE", (*Vector).CmpLEPacked, CmpLE, func(val, t uint64) bool { return val <= t }},
-	{"GE", (*Vector).CmpGEPacked, CmpGE, func(val, t uint64) bool { return val >= t }},
-	{"EQ", (*Vector).CmpEQPacked, CmpEQ, func(val, t uint64) bool { return val == t }},
-	{"NE", (*Vector).CmpNEPacked, CmpNE, func(val, t uint64) bool { return val != t }},
+// packedCmpOps lists each packed compare op with its scalar reference
+// semantics; every test below checks CmpPacked byte-for-byte against
+// Get-based evaluation of these predicates.
+var packedCmpOps = []packedCmpOp{
+	{"LE", CmpLE, func(val, t uint64) bool { return val <= t }},
+	{"GE", CmpGE, func(val, t uint64) bool { return val >= t }},
+	{"EQ", CmpEQ, func(val, t uint64) bool { return val == t }},
+	{"NE", CmpNE, func(val, t uint64) bool { return val != t }},
 }
 
-// checkCounted holds the counting entry to the op's kernel on the same
-// incoming mask: CmpPacked asked to count writes the mask the kernel
-// writes and returns its non-zero bytes, and unasked it returns 0.
+type packedCmpOp struct {
+	name string
+	op   CmpOp
+	ref  func(val, t uint64) bool
+}
+
+// run is the op's kernel without the count: the mask alone.
+func (o packedCmpOp) run(v *Vector, dst []byte, start int, t uint64, and bool) {
+	v.CmpPacked(dst, start, o.op, t, and, false)
+}
+
+// checkCounted holds the counting entry to the op's mask-only run on the
+// same incoming mask: CmpPacked asked to count writes the mask it writes
+// unasked and returns its non-zero bytes, and unasked it returns 0.
 func checkCounted(t *testing.T, v *Vector, op int, init []byte, start int, thr uint64, and bool) {
 	t.Helper()
 	want := append([]byte(nil), init...)

@@ -15,11 +15,11 @@ import (
 //go:embed profile.json
 var profileJSON []byte
 
-// Check reports why a profile cannot plan, naming the field: a Format
-// other than FormatVersion, or an aggregation coefficient that is not
-// strictly positive (a zero one would price its strategy as free and
-// poison every comparison). Static(), Calibrate() and the checked-in
-// profile pass; the engine refuses a supplied profile that does not.
+// Check reports why a profile cannot price a plan, naming the field: a
+// Format other than FormatVersion, or an aggregation coefficient that is
+// not strictly positive (a zero one would price its strategy as free).
+// Static(), Calibrate() and the checked-in profile pass; the engine
+// refuses a supplied profile that does not.
 func (p *Profile) Check() error {
 	if p.Format != FormatVersion {
 		return fmt.Errorf("costmodel: profile Format %d, want %d", p.Format, FormatVersion)
@@ -32,8 +32,8 @@ func (p *Profile) Check() error {
 		{"InRegPerGroup1", a.InRegPerGroup1}, {"InRegPerGroup2", a.InRegPerGroup2},
 		{"InRegPerGroup4", a.InRegPerGroup4}, {"SortFixed", a.SortFixed}, {"SortPerSum", a.SortPerSum},
 		{"MultiFixed", a.MultiFixed}, {"MultiPerSum", a.MultiPerSum}, {"ScalarPerSum", a.ScalarPerSum},
-		{"CountScalar", a.CountScalar}, {"CountInRegPerGroup", a.CountInRegPerGroup},
-		{"ReducePerSum", a.ReducePerSum},
+		{"ScalarMixedPerSum", a.ScalarMixedPerSum}, {"CountScalar", a.CountScalar},
+		{"CountInRegPerGroup", a.CountInRegPerGroup}, {"ReducePerSum", a.ReducePerSum},
 	} {
 		if !(c.v > 0) {
 			return fmt.Errorf("costmodel: profile Agg.%s = %v, want > 0", c.field, c.v)

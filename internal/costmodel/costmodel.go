@@ -1,24 +1,24 @@
 // Package costmodel calibrates the engine's cost model to the machine it
-// runs on. BIPie's aggregation-strategy decision — which kernel wins for a
-// plan's group count, sum count and word sizes — reduces to comparing
-// per-kernel cycles/row figures. The paper fit those figures on one
-// machine; the decode-throughput-law framing (PAPERS.md) says they are a
-// property of the hardware, measurable in microseconds. So this package
-// measures them: short alloc-free probes of the actual hot kernels, timed
-// with perfstat's cycle conversion, fitted into a Profile that agg.Choose
-// consults instead of hand-tuned constants. The filter and decode probes
-// price the plan's predictions (Explain's model cost, ExplainAnalyze's
-// model error); they decide nothing. The two selection decisions are
-// rules that read no profile: a pushed comparison runs on packed words up
-// to 32 bits (engine.pushCmp), and gather gives way to compaction at
-// sel.Crossover.
+// runs on. A plan's predicted cycles/row — Explain's model column,
+// ExplainAnalyze's assumed-vs-measured comparison — is a sum of per-kernel
+// cycles/row figures. The paper fit its figures on one machine; the
+// decode-throughput-law framing (PAPERS.md) says they are a property of
+// the hardware, measurable in microseconds. So this package measures them:
+// short alloc-free probes of the actual hot kernels, timed with perfstat's
+// cycle conversion, fitted into a Profile that prices the aggregation,
+// filter and decode phases of a plan. The profile decides nothing. Every
+// plan decision is a rule that reads no profile: the aggregation strategy
+// is the Figures 8–10 winner regions (agg.Choose), a pushed comparison
+// runs on packed words up to 32 bits (engine.pushCmp), and gather gives
+// way to compaction at sel.Crossover.
 //
 // The figures are fitted once, offline, as the paper fits its crossovers:
 // `make calibrate` runs Calibrate() on a quiet machine and checks the
 // result in as profile.json, which Active() serves to every process. No
 // probe runs unless asked for (Calibrate, `bipie-sql`'s \calibrate, the
 // benchmark's costmodel rungs). Static() reproduces the pre-calibration
-// constants exactly, as a deterministic fallback and an ablation baseline.
+// constants exactly, as deterministic prices for tests and the repository
+// benchmark.
 package costmodel
 
 import (
@@ -47,10 +47,9 @@ type Machine struct {
 const FormatVersion = 4
 
 // Profile is a fitted cost model: the aggregation-strategy coefficients
-// agg.Choose consumes, plus per-kernel cycles/row figures that price the
-// filter and decode phases of a plan. A nil or static profile answers
-// every query with the pre-calibration constants, so callers never need
-// to special-case.
+// agg.EstimateCost evaluates, plus per-kernel cycles/row figures for the
+// filter and decode phases. It prices a plan and picks none. A nil or
+// static profile prices every kernel with the pre-calibration constants.
 type Profile struct {
 	// Source records how the profile was obtained: "calibrated", "static"
 	// or "checked-in".
@@ -66,17 +65,13 @@ type Profile struct {
 	// expansion. Nil means uncalibrated: every accessor falls back to its
 	// static answer.
 	Kernels map[string]float64 `json:"kernels,omitempty"`
-	// BytesPerRow maps the same probe names to the bytes each kernel
-	// touches per row — packed width/8 for decode kernels — recorded so a
-	// profile also answers "is this scan bandwidth-bound" questions.
-	BytesPerRow map[string]float64 `json:"bytes_per_row,omitempty"`
 }
 
 // Static returns the pre-calibration cost model: the agg.StaticCost
 // constants and nominal kernel figures. It is deterministic across
-// machines, is the profile the repository benchmark pins, and is the
-// ablation baseline of agg.Choose that TestStaticProfileAblation holds
-// results against.
+// machines and is the profile the repository benchmark pins. A plan is the
+// same under it as under any other profile (TestPlansIgnoreProfile); only
+// its prices differ.
 func Static() *Profile {
 	return &Profile{Source: "static", Format: FormatVersion, Agg: agg.StaticCost()}
 }
@@ -84,14 +79,9 @@ func Static() *Profile {
 // calibrated reports whether the profile carries measured kernel figures.
 func (p *Profile) calibrated() bool { return p != nil && len(p.Kernels) > 0 }
 
-// AggCost returns the aggregation coefficients for agg.Choose /
-// agg.EstimateCost. Nil receiver means static.
-func (p *Profile) AggCost() *agg.CostProfile {
-	if p == nil {
-		return nil
-	}
-	return &p.Agg
-}
+// AggCost returns the aggregation coefficients agg.EstimateCost prices the
+// chosen strategy with.
+func (p *Profile) AggCost() *agg.CostProfile { return &p.Agg }
 
 // kernel returns the measured figure for a probe name.
 func (p *Profile) kernel(name string) (float64, bool) {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"bipie/internal/agg"
 	"bipie/internal/expr"
 )
 
@@ -25,29 +24,20 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 	if err := Static().Check(); err != nil {
 		t.Fatalf("static profile: %v", err)
 	}
-	// A profile from before the COUNT pass was priced has no figure for it,
-	// and a strategy priced without its count would win every comparison.
-	// Nor may a profile from before the one-group reduction was probed, or
-	// one fitted under another FormatVersion. Check names the field.
+	// A profile from before the COUNT pass, the one-group reduction or the
+	// mixed-width scalar loop was probed has no figure for it, and a
+	// strategy priced at zero would read as free; nor may a profile fitted
+	// under another FormatVersion price plans. Check names the field.
 	for field, spoil := range map[string]func(*Profile){
-		"CountScalar":  func(q *Profile) { q.Agg.CountScalar = 0 },
-		"ReducePerSum": func(q *Profile) { q.Agg.ReducePerSum = 0 },
-		"Format":       func(q *Profile) { q.Format = FormatVersion - 1 },
+		"CountScalar":       func(q *Profile) { q.Agg.CountScalar = 0 },
+		"ReducePerSum":      func(q *Profile) { q.Agg.ReducePerSum = 0 },
+		"ScalarMixedPerSum": func(q *Profile) { q.Agg.ScalarMixedPerSum = 0 },
+		"Format":            func(q *Profile) { q.Format = FormatVersion - 1 },
 	} {
 		old := *p
 		spoil(&old)
 		if err := old.Check(); err == nil || !strings.Contains(err.Error(), field) || old.valid() {
 			t.Errorf("a profile with a bad %s passed validation: %v", field, err)
-		}
-	}
-	// One group reduces under the fitted profile as under the static one,
-	// and no larger domain does.
-	for _, prof := range []*Profile{Static(), p} {
-		for _, g := range []int{1, 2, 7} {
-			params := agg.Params{Groups: g, Sums: 1, MaxWordSize: 4, WordSizes: []int{4}, Selectivity: 1}
-			if got := agg.Choose(params, prof.AggCost()); (got == agg.StrategyReduce) != (g == 1) {
-				t.Errorf("%s profile, %d groups: %v", prof.Source, g, got)
-			}
 		}
 	}
 	for _, w := range probeWidths {
@@ -68,9 +58,6 @@ func TestCalibrateProducesValidProfile(t *testing.T) {
 			t.Fatalf("kernel %q = %v ok=%v", name, v, ok)
 		}
 	}
-	if bpr := p.BytesPerRow["unpack.w16"]; bpr != 2 {
-		t.Fatalf("unpack.w16 bytes/row = %v, want 2", bpr)
-	}
 }
 
 // TestCheckedInProfile holds profile.json to what Calibrate() writes now:
@@ -90,19 +77,14 @@ func TestCheckedInProfile(t *testing.T) {
 		t.Fatalf("profile.json does not validate: %+v", p.Agg)
 	}
 	f := fit()
-	for _, m := range []struct {
-		name      string
-		got, want map[string]float64
-	}{{"kernels", p.Kernels, f.Kernels}, {"bytes_per_row", p.BytesPerRow, f.BytesPerRow}} {
-		for k := range m.want {
-			if _, ok := m.got[k]; !ok {
-				t.Errorf("profile.json %s lacks %q, which a fit writes: run make calibrate", m.name, k)
-			}
+	for k := range f.Kernels {
+		if _, ok := p.Kernels[k]; !ok {
+			t.Errorf("profile.json kernels lacks %q, which a fit writes: run make calibrate", k)
 		}
-		for k := range m.got {
-			if _, ok := m.want[k]; !ok {
-				t.Errorf("profile.json %s has %q, which a fit does not write: delete it", m.name, k)
-			}
+	}
+	for k := range p.Kernels {
+		if _, ok := f.Kernels[k]; !ok {
+			t.Errorf("profile.json kernels has %q, which a fit does not write: delete it", k)
 		}
 	}
 	if src := Active().Source; src != "checked-in" {
@@ -230,11 +212,8 @@ func TestStaticProfileFallbacks(t *testing.T) {
 	if s.calibrated() {
 		t.Fatal("static profile claims calibration")
 	}
-	// A nil profile behaves like static everywhere.
+	// A nil profile prices every kernel like the static one.
 	var nilP *Profile
-	if nilP.AggCost() != nil {
-		t.Fatal("nil profile must yield nil agg coefficients")
-	}
 	if v := s.SumExprCyclesPerRow(expr.SumMul, 4); v != staticSumExprPerRow {
 		t.Fatalf("static sum-expression multiply = %v", v)
 	}

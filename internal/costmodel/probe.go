@@ -459,13 +459,14 @@ type aggProbe struct {
 const probeRounds = 9
 
 // measureTogether times the probes in turn, one run each, round after
-// round, and returns each probe's median run in cycles/row. agg.Choose
-// compares these figures with each other, so they must come from the same
-// stretch of time: a slow spell of the machine — a neighbour, a sibling
-// test process — then falls on every probe alike and leaves their ratios
-// standing, where back-to-back measureN calls give each probe its own
-// stretch and a spell that covers one and not its rival moves the border
-// between them.
+// round, and returns each probe's median run in cycles/row. The
+// coefficients fitted from them are read as one set — MultiPerSum is the
+// difference of two probes, a plan's price the sum of several — so they
+// must come from the same stretch of time: a slow spell of the machine — a
+// neighbour, a sibling test process — then falls on every probe alike and
+// leaves their ratios standing, where back-to-back measureN calls give
+// each probe its own stretch and a spell that covers one probe and not
+// the next skews the difference.
 func measureTogether(units int, probes []aggProbe) []float64 {
 	runs := make([][probeRounds]time.Duration, len(probes))
 	for r := 0; r < probeRounds; r++ {
@@ -487,7 +488,7 @@ func measureTogether(units int, probes []aggProbe) []float64 {
 
 // floorCost keeps fitted coefficients strictly positive: a probe that
 // measures ~0 (or a fit whose subtraction goes negative on a noisy run)
-// must not produce a free or negative strategy in the chooser.
+// must not price a strategy or kernel as free or negative.
 func floorCost(v float64) float64 {
 	if v < 0.01 {
 		return 0.01
@@ -501,18 +502,15 @@ func floorCost(v float64) float64 {
 func Calibrate() *Profile {
 	ps := newProbeSet()
 	p := &Profile{
-		Source:      "calibrated",
-		Format:      FormatVersion,
-		Machine:     CurrentMachine(),
-		Kernels:     make(map[string]float64, 4*len(probeWidths)),
-		BytesPerRow: make(map[string]float64, 2*len(probeWidths)),
+		Source:  "calibrated",
+		Format:  FormatVersion,
+		Machine: CurrentMachine(),
+		Kernels: make(map[string]float64, 4*len(probeWidths)),
 	}
 	for _, w := range probeWidths {
 		w := w
 		p.Kernels[fmt.Sprintf("unpack.w%d", w)] = measureN(probeRows, 2, func() { ps.runUnpack(w) })
 		p.Kernels[fmt.Sprintf("packedcmp.w%d", w)] = measureN(probeRows, 2, func() { ps.runPackedCmp(w) })
-		p.BytesPerRow[fmt.Sprintf("unpack.w%d", w)] = float64(w) / 8
-		p.BytesPerRow[fmt.Sprintf("packedcmp.w%d", w)] = float64(w) / 8
 	}
 	for _, ws := range cmpMaskWordSizes {
 		ws := ws

@@ -55,18 +55,20 @@ type Options struct {
 	// the endpoint-pruning pushdown: they become residual leaves, decoded
 	// and compared like a non-monotonic delta column's. For ablation.
 	DisableDeltaDomain bool
-	// CostProfile overrides the cost model that chooses the aggregation
-	// strategy and prices the plan's model costs; the filter domains and
-	// the selection crossover are rules that read no profile. Nil means
-	// the process-wide profile from costmodel.Active() — the checked-in
-	// profile unless SetActive replaced it. costmodel.Static() restores
-	// the pre-calibration constants for ablation and deterministic tests.
-	// Prepare refuses a profile that fails Profile.Check.
+	// CostProfile overrides the cost model that prices the plan: the
+	// aggregation, filter and decode model costs Explain prints and
+	// ExplainAnalyze compares against measurement. It chooses nothing —
+	// the aggregation strategy, the filter domains and the selection
+	// crossover are rules that read no profile — so a plan is the same
+	// under every profile and only its prices move. Nil means the
+	// process-wide profile from costmodel.Active() — the checked-in profile
+	// unless SetActive replaced it. costmodel.Static() gives deterministic
+	// prices for tests. Prepare refuses a profile that fails Profile.Check.
 	CostProfile *costmodel.Profile
 }
 
-// profile resolves the cost model for planning: the explicit override, or
-// the process-wide profile.
+// profile resolves the cost model that prices a plan: the explicit
+// override, or the process-wide profile.
 func (o *Options) profile() *costmodel.Profile {
 	if o != nil && o.CostProfile != nil {
 		return o.CostProfile

@@ -611,7 +611,7 @@ func (pp *dictPred) eval(b colstore.Batch, vec sel.ByteVec, first, count bool, s
 	case dictLE:
 		return pp.ids.CmpPacked(vec, b.Start, sel.CmpLE, pp.hi, and, count)
 	case dictRange:
-		pp.ids.CmpGEPacked(vec, b.Start, pp.lo, and)
+		pp.ids.CmpPacked(vec, b.Start, sel.CmpGE, pp.lo, and, false)
 		return pp.ids.CmpPacked(vec, b.Start, sel.CmpLE, pp.hi, true, count)
 	}
 	// dictBitmap

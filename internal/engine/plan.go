@@ -449,13 +449,11 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 		Sums:        len(sp.sumIdx),
 		MaxWordSize: maxWS,
 		WordSizes:   wordSizes,
-		Selectivity: 1,
 	}
-	prof := opts.profile()
 	if force != nil {
 		sp.strategy = *force
 	} else {
-		sp.strategy = agg.Choose(params, prof.AggCost())
+		sp.strategy = agg.Choose(params)
 	}
 	// Validate the forced or chosen strategy against hard constraints,
 	// degrading to scalar rather than failing. Layout validation happens
@@ -498,9 +496,11 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	case agg.StrategyScalar:
 		// Always valid: the scalar loop is the degradation target above.
 	}
-	// Record what the cost model assumed for the strategy that will
-	// actually run (after degradation), so ExplainAnalyze can report
-	// assumed vs measured cycles/row per strategy.
+	// Price the strategy that will actually run (after degradation), so
+	// ExplainAnalyze can report assumed vs measured cycles/row per
+	// strategy. The profile prices the plan: only the model costs below
+	// read it.
+	prof := opts.profile()
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
 	if sp.fused = newFusedFilter(sp); sp.fused != nil {
 		// The one conjunct, priced with the group map it carries.
