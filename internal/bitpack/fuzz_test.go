@@ -94,11 +94,12 @@ const sweepRows = 4096 + 64
 // FuzzBitpackRoundTrip packs arbitrary values at an arbitrary width and
 // checks the packed words against the reference loop, the error for a
 // value that does not fit, and every decode path — Get, UnpackUint64, the
-// typed unpackers with their word-parallel kernels, UnpackSmallest, and
-// FromWords reconstruction — against the packed input. The same values,
-// repeated to a batch, are then packed in two blocks cut at the fuzzed
-// start's residue and go through checkUnpackSweep at it; the seeds cover
-// every residue of every width 1–64.
+// typed unpackers with their word-parallel kernels, UnpackSmallest, the
+// packed-domain Bounds and AllEven, and FromWords reconstruction — against
+// the packed input. The same values, repeated to a batch, are then packed
+// in two blocks cut at the fuzzed start's residue and go through
+// checkUnpackSweep and Bounds (a whole zone, one from the residue, the
+// rest) at it; the seeds cover every residue of every width 1–64.
 func FuzzBitpackRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{0x01, 0x00, 0xFF})
 	f.Add(uint8(7), uint8(3), []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05})
@@ -197,6 +198,15 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 			}
 		}
 
+		mn, mx := v.Bounds(start, m)
+		if wmn, wmx := boundsOracle(v, start, m); mn != wmn || mx != wmx {
+			t.Fatalf("Bounds(%d, %d) = [%d,%d], want [%d,%d] (width %d)", start, m, mn, mx, wmn, wmx, width)
+		}
+		even, zero := v.AllEven()
+		if we, wz := allEvenOracle(v); even != we || zero != wz {
+			t.Fatalf("AllEven = (%v, %v), want (%v, %v) (width %d)", even, zero, we, wz, width)
+		}
+
 		u := v.UnpackSmallest(nil, start, m)
 		if u.WordSize != WordBytes(width) {
 			t.Fatalf("UnpackSmallest WordSize = %d, want %d", u.WordSize, WordBytes(width))
@@ -215,8 +225,15 @@ func FuzzBitpackRoundTrip(f *testing.F) {
 			residue := int(startSeed) % periodLanes(width)
 			checkPackWords(t, batch, width, residue)
 			checkPackWords(t, batch, width, 4096+residue)
+			bv := MustPack(batch, width)
 			if width <= 32 {
-				checkUnpackSweep(t, MustPack(batch, width), residue)
+				checkUnpackSweep(t, bv, residue)
+			}
+			for _, r := range [][2]int{{0, 4096}, {residue, 4096}, {residue, sweepRows - residue}} {
+				mn, mx := bv.Bounds(r[0], r[1])
+				if wmn, wmx := boundsOracle(bv, r[0], r[1]); mn != wmn || mx != wmx {
+					t.Fatalf("batch Bounds(%d, %d) = [%d,%d], want [%d,%d] (width %d)", r[0], r[1], mn, mx, wmn, wmx, width)
+				}
 			}
 		}
 

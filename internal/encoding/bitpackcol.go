@@ -15,8 +15,9 @@ type BitPackColumn struct {
 	// covers rows [z*ZoneRows, (z+1)*ZoneRows). They are the batch-granularity
 	// analogue of the column-level Min/Max the scan uses for segment
 	// elimination, letting a pushed predicate skip whole batches before any
-	// kernel runs. Built at encode time and rebuilt on deserialize (they are
-	// derived data, so the storage format does not carry them).
+	// kernel runs. Folded from the offsets at encode time (foldZone) and
+	// read off the packed words on deserialize (rebuildZones): they are
+	// derived data, so the storage format does not carry them.
 	zoneMin, zoneMax []uint64
 }
 
@@ -48,10 +49,11 @@ func newZones(n int) (mn, mx []uint64) {
 	return make([]uint64, nz), make([]uint64, nz)
 }
 
-// foldZone is the zone builder, at encode time and at load alike: it widens
-// the bounds of the zone holding rows [start, start+len(block)) to cover
-// block, their packed offsets. Blocks arrive in row order and never
-// straddle a zone, so the block at a zone's first row opens its bounds.
+// foldZone is the encoder's zone builder (a load reads the bounds off the
+// packed words instead, rebuildZones): it widens the bounds of the zone
+// holding rows [start, start+len(block)) to cover block, their packed
+// offsets. Blocks arrive in row order and never straddle a zone, so the
+// block at a zone's first row opens its bounds.
 func foldZone[T uint8 | uint16 | uint32 | uint64](zoneMin, zoneMax []uint64, start int, block []T) {
 	mn, mx := blockBounds(block)
 	z := start / ZoneRows
@@ -88,25 +90,15 @@ func blockBounds[T uint8 | uint16 | uint32 | uint64](block []T) (mn, mx uint64) 
 	return mn, mx
 }
 
-// rebuildZones recomputes the zone bounds from the packed words when a
-// column is reconstructed from its serialized form: each block is unpacked
-// to its smallest word and handed to the zone builder encode uses.
+// rebuildZones recomputes the zone bounds of a column reconstructed from
+// its serialized form straight from the packed words (Vector.Bounds), one
+// zone at a time: no offset is unpacked.
 func (c *BitPackColumn) rebuildZones() {
 	n := c.packed.Len()
 	c.zoneMin, c.zoneMax = newZones(n)
-	var u *bitpack.Unpacked
-	for start := 0; start < n; start += blockRows {
-		u = c.packed.UnpackSmallest(u, start, min(blockRows, n-start))
-		switch u.WordSize {
-		case 1:
-			foldZone(c.zoneMin, c.zoneMax, start, u.U8)
-		case 2:
-			foldZone(c.zoneMin, c.zoneMax, start, u.U16)
-		case 4:
-			foldZone(c.zoneMin, c.zoneMax, start, u.U32)
-		default:
-			foldZone(c.zoneMin, c.zoneMax, start, u.U64)
-		}
+	for z := range c.zoneMin {
+		start := z * ZoneRows
+		c.zoneMin[z], c.zoneMax[z] = c.packed.Bounds(start, min(ZoneRows, n-start))
 	}
 }
 

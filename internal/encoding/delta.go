@@ -1,6 +1,11 @@
 package encoding
 
-import "bipie/internal/bitpack"
+import (
+	"math"
+	"math/bits"
+
+	"bipie/internal/bitpack"
+)
 
 // deltaBlock is the checkpoint interval for random access into a delta
 // stream: every deltaBlock rows the running value is stored explicitly so
@@ -52,16 +57,24 @@ func newDelta(values []int64, st intStats) *DeltaColumn {
 	return c
 }
 
-// rebuildMono derives the monotonicity flags of a deserialized column by
-// replaying its values a block of deltas at a time. It is derived data, like
-// the bit-packed column's zone maps: never serialized. Consecutive values
-// are compared, not delta signs: a delta that wraps int64 has the wrong
-// sign.
+// rebuildMono derives the monotonicity flags of a deserialized column.
+// They are derived data, like the bit-packed column's zone maps: never
+// serialized. A zig-zag delta is odd exactly when it is negative, so when
+// every packed delta is even (one pass over the words, Vector.AllEven) and
+// no running value can wrap int64 (ascentFits), the column ascends, and it
+// descends too only if every delta is zero. Otherwise the values are
+// replayed a block of deltas at a time, leaving at the first pair that
+// rules out both flags. The replay compares consecutive values, not delta
+// signs: a delta that wraps int64 has the wrong sign.
 //
 //bipie:noescape diffs
 func (c *DeltaColumn) rebuildMono() {
 	asc, desc := true, true
 	if c.n > 0 {
+		if even, zero := c.deltas.AllEven(); even && ascentFits(c.checkpoints[0], c.deltas.Len(), c.deltas.Bits()) {
+			c.asc, c.desc = true, zero
+			return
+		}
 		v := c.checkpoints[0]
 		n := c.deltas.Len()
 		var diffs [blockRows]uint64
@@ -76,6 +89,15 @@ func (c *DeltaColumn) rebuildMono() {
 		}
 	}
 	c.asc, c.desc = asc, desc
+}
+
+// ascentFits reports whether a column that starts at v and takes steps
+// non-negative deltas of a width-bit zig-zag stream stays within int64:
+// each such delta is at most 2^(width-1)-1, its zig-zag form being twice
+// it. It reads the data alone, not the column's stored bounds.
+func ascentFits(v int64, steps int, width uint8) bool {
+	hi, lo := bits.Mul64(uint64(steps), 1<<(width-1)-1)
+	return hi == 0 && lo <= math.MaxInt64-uint64(v)
 }
 
 // Monotonic reports whether the column is nondecreasing (asc) and/or

@@ -1,9 +1,11 @@
 package encoding
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"bipie/internal/bitpack"
 	"bipie/internal/sel"
 )
 
@@ -189,6 +191,137 @@ func TestDeltaMonotonic(t *testing.T) {
 		asc, desc := c.Monotonic()
 		if asc != tc.asc || desc != tc.desc {
 			t.Errorf("Monotonic(%v) = (%v,%v), want (%v,%v)", tc.vals, asc, desc, tc.asc, tc.desc)
+		}
+	}
+}
+
+// replayMono is Monotonic by replaying every value from the first
+// checkpoint through the packed deltas, as a loader that reads no flag
+// must.
+func replayMono(c *DeltaColumn) (asc, desc bool) {
+	asc, desc = true, true
+	if c.n == 0 {
+		return asc, desc
+	}
+	v := c.checkpoints[0]
+	for i := range c.deltas.Len() {
+		next := v + unzigzag(c.deltas.Get(i))
+		asc, desc = asc && next >= v, desc && next <= v
+		v = next
+	}
+	return asc, desc
+}
+
+// A loaded delta column's flags equal the encoder's at every delta width
+// 1–64 for ascending (even rises, which the zig-zag low bits prove, and
+// odd ones, which take the replay), descending, constant and mixed
+// columns, one whose even rises wrap, and one that rises until its last
+// step. The widest step of each is placed so the stream is exactly that
+// wide where the shape allows. Columns whose rise could wrap int64 take
+// the replay. The same holds when the bits past the last delta — the rest
+// of its word and the pad word — are set, which the low-bit pass must
+// mask off.
+func TestDeltaMonotoneSurvivesSerialization(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	const n = 300 // crosses two checkpoints and ends mid-block
+	for width := uint8(1); width <= 64; width++ {
+		up := uint64(1)<<(width-1) - 1   // largest rise of this zig-zag width
+		down := uint64(1) << (width - 1) // largest fall
+		rise := func(most uint64) int64 { return int64(rng.Uint64() % (min(up, most) + 1)) }
+		fall := func() int64 { return -int64(rng.Uint64() % (min(down, 2) + 1)) }
+		shapes := []struct {
+			name  string
+			start int64
+			step  func(i int) int64
+			wide  bool // the stream is exactly width bits
+		}{
+			{"even rises", math.MinInt64, func(i int) int64 {
+				if i == 7 {
+					return int64(up &^ 1)
+				}
+				return rise(4) &^ 1
+			}, width >= 3},
+			{"odd rises", math.MinInt64, func(i int) int64 {
+				if i == 7 {
+					return int64(up)
+				}
+				return rise(3)
+			}, true},
+			{"descending", math.MaxInt64, func(i int) int64 {
+				if i == 9 {
+					return -int64(down)
+				}
+				return fall()
+			}, true},
+			{"constant", 42, func(int) int64 { return 0 }, width == 1},
+			{"mixed", 0, func(i int) int64 {
+				switch i {
+				case 7:
+					return int64(up)
+				case 9:
+					return -int64(down)
+				}
+				return rise(2) + fall()
+			}, true},
+			// Every rise even, the first wrapping past MaxInt64: the low
+			// bits alone would call it ascending.
+			{"even rises that wrap", math.MaxInt64 - 1, func(i int) int64 {
+				if i == 1 {
+					return int64(up &^ 1)
+				}
+				return rise(4) &^ 1
+			}, width >= 3},
+			{"last step falls", math.MinInt64, func(i int) int64 {
+				if i == n-1 {
+					return -1
+				}
+				if i == 7 {
+					return int64(up &^ 1)
+				}
+				return rise(4) &^ 1
+			}, width >= 3},
+		}
+		for _, sh := range shapes {
+			vals := make([]int64, n)
+			vals[0] = sh.start
+			for i := 1; i < n; i++ {
+				vals[i] = vals[i-1] + sh.step(i)
+			}
+			c := NewDelta(vals)
+			if sh.wide && c.deltas.Bits() != width {
+				t.Fatalf("width %d %s: deltas packed at %d bits", width, sh.name, c.deltas.Bits())
+			}
+			raw, err := AppendIntColumn(nil, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := ReadIntColumn(NewCursor(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := append([]uint64(nil), c.deltas.Words()...)
+			nbits := uint64(c.deltas.Len()) * uint64(c.deltas.Bits())
+			if r := nbits & 63; r != 0 {
+				words[nbits>>6] |= ^uint64(0) << r
+			}
+			for w := (nbits + 63) >> 6; w < uint64(len(words)); w++ {
+				words[w] = ^uint64(0)
+			}
+			dirty, err := bitpack.FromWords(words, c.deltas.Bits(), c.deltas.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			padded := &DeltaColumn{n: c.n, deltas: dirty, checkpoints: c.checkpoints}
+			padded.rebuildMono()
+			asc, desc := c.Monotonic()
+			if ra, rd := replayMono(c); asc != ra || desc != rd {
+				t.Fatalf("width %d %s: encoder's flags (%v, %v), replay's (%v, %v)", width, sh.name, asc, desc, ra, rd)
+			}
+			for from, col := range map[string]*DeltaColumn{"loaded": rt.(*DeltaColumn), "padded": padded} {
+				if a, d := col.Monotonic(); a != asc || d != desc {
+					t.Errorf("width %d %s, %s: Monotonic (%v, %v), encoder's (%v, %v)", width, sh.name, from, a, d, asc, desc)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -65,35 +66,57 @@ func TestZoneBounds(t *testing.T) {
 }
 
 // Zone maps are derived data: a column reconstructed from its serialized
-// form must rebuild identical bounds without a format change.
+// form must rebuild identical bounds without a format change. At every
+// width 1–64 and at lengths of one zone, several zones, a ragged final zone
+// ending in a partial period and less than one period (two values at the
+// widths whose period is shorter), the loaded zones equal the encoder's
+// and the decoded extrema of each zone.
 func TestZoneBoundsSurviveSerialization(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	vals := make([]int64, 2*ZoneRows+123)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 20)
-	}
-	c := NewBitPack(vals)
-	raw, err := AppendIntColumn(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := ReadIntColumn(NewCursor(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, ok := rt.(*BitPackColumn)
-	if !ok {
-		t.Fatalf("round trip kind: %T", rt)
-	}
-	for start := 0; start < len(vals); start += ZoneRows {
-		rows := ZoneRows
-		if start+rows > len(vals) {
-			rows = len(vals) - start
-		}
-		mn, mx := c.ZoneBounds(start, rows)
-		rmn, rmx := rc.ZoneBounds(start, rows)
-		if mn != rmn || mx != rmx {
-			t.Fatalf("zone at %d: [%d,%d] vs rebuilt [%d,%d]", start, mn, mx, rmn, rmx)
+	for width := uint8(1); width <= 64; width++ {
+		period := 64 >> bits.TrailingZeros8(width|64)
+		mask := ^uint64(0) >> (64 - width)
+		ref := int64(-1) << (width - 1)
+		for _, n := range []int{ZoneRows, 3 * ZoneRows, 2*ZoneRows + 37, max(period-1, 2)} {
+			offs := make([]uint64, n)
+			for z := 0; z < n; z += ZoneRows {
+				lo, spread := rng.Uint64()&mask, mask>>rng.Intn(int(width)+1)
+				for i := z; i < min(z+ZoneRows, n); i++ {
+					if offs[i] = lo + rng.Uint64()&spread; offs[i] > mask || offs[i] < lo {
+						offs[i] = lo
+					}
+				}
+			}
+			at := rng.Intn(n)
+			offs[at], offs[(at+1+rng.Intn(n-1))%n] = 0, mask // pin the width
+			vals := make([]int64, n)
+			for i, o := range offs {
+				vals[i] = ref + int64(o)
+			}
+			c := NewBitPack(vals)
+			if c.Width() != width {
+				t.Fatalf("width %d: encoded at %d bits", width, c.Width())
+			}
+			raw, err := AppendIntColumn(nil, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := ReadIntColumn(NewCursor(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := rt.(*BitPackColumn)
+			if len(rc.zoneMin) != len(c.zoneMin) {
+				t.Fatalf("width %d n %d: %d zones loaded, %d encoded", width, n, len(rc.zoneMin), len(c.zoneMin))
+			}
+			for z := range c.zoneMin {
+				start := z * ZoneRows
+				omn, omx := zoneBoundsOracle(c, start, min(ZoneRows, n-start))
+				if c.zoneMin[z] != omn || c.zoneMax[z] != omx || rc.zoneMin[z] != omn || rc.zoneMax[z] != omx {
+					t.Fatalf("width %d n %d zone %d: encoded [%d,%d], loaded [%d,%d], decoded [%d,%d]",
+						width, n, z, c.zoneMin[z], c.zoneMax[z], rc.zoneMin[z], rc.zoneMax[z], omn, omx)
+				}
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"bipie/internal/agg"
 	"bipie/internal/colstore"
-	"bipie/internal/costmodel"
 	"bipie/internal/expr"
 	"bipie/internal/obs"
 	"bipie/internal/sel"
@@ -82,10 +81,8 @@ func TestFusedFilterMatchesThreePass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The static profile pins the gather/compact border the batches straddle.
 	run := func(opts Options) (*Prepared, *Result, ScanStats, *obs.ScanTrace) {
 		t.Helper()
-		opts.CostProfile = costmodel.Static()
 		p, err := Prepare(tbl, q, opts)
 		if err != nil {
 			t.Fatal(err)

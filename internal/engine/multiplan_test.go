@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bipie/internal/agg"
-	"bipie/internal/costmodel"
 	"bipie/internal/expr"
 	"bipie/internal/obs"
 	"bipie/internal/perfstat"
@@ -62,7 +61,7 @@ func TestMultiPlanCountsMatchNaive(t *testing.T) {
 		t.Fatal("the filter selects nothing: the test table is wrong")
 	}
 	for _, opts := range []Options{
-		{CostProfile: costmodel.Static()}, // the chooser's own pick
+		{},
 		{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate), ForceSelection: ForceSel(sel.MethodSpecialGroup)},
 		{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate), ForceSelection: ForceSel(sel.MethodGather)},
 		{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate), ForceSelection: ForceSel(sel.MethodCompact)},

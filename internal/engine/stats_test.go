@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bipie/internal/agg"
-	"bipie/internal/costmodel"
 	"bipie/internal/expr"
 	"bipie/internal/obs"
 	"bipie/internal/sel"
@@ -237,7 +236,6 @@ func TestSelectionSettledByPlan(t *testing.T) {
 		{"no special group, compact forced", ungrouped, Options{ForceSelection: ForceSel(sel.MethodCompact)}, false, false, true},
 		{"no special group, chosen", ungrouped, Options{}, false, false, true},
 	} {
-		c.opts.CostProfile = costmodel.Static() // pins the crossover
 		got, st := runTraced(t, tbl, c.q, c.opts, nil)
 		if (st.Gather > 0) != c.gather || (st.Compact > 0) != c.compact || (st.SpecialGroup > 0) != c.special ||
 			st.Gather+st.Compact+st.SpecialGroup != st.Batches {

@@ -192,7 +192,10 @@ func loadAllocBound(n int) uint64 { return 2<<20 + 16*uint64(n) }
 // FuzzLoad: on arbitrary bytes Load never panics and allocates within
 // loadAllocBound of the input's length, whatever its headers claim; a table
 // it accepts writes back as exactly the bytes it read, and so does the same
-// input loaded again through the recycled read buffer.
+// input loaded again through the recycled read buffer. The data Load
+// derives from the packed words it accepted holds against a decode of
+// them (checkDerived), so hostile words are checked against the packed
+// kernels and not only for panics.
 func FuzzLoad(f *testing.F) {
 	for _, c := range pinnedTables {
 		tbl, err := c.build()
@@ -228,7 +231,47 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("load %d: accepted %d bytes, wrote back %d that differ", i+1, len(read), len(again))
 			}
 		}
+		checkDerived(t, tbl)
 	})
+}
+
+// checkDerived holds what Load derives from the packed words to a decode of
+// them: every zone's bounds of a bit-packed column are the extrema of that
+// zone's offsets, and a delta column's monotonicity flags are those of its
+// values replayed from the first checkpoint.
+func checkDerived(t *testing.T, tbl *table.Table) {
+	t.Helper()
+	for s, seg := range tbl.Segments() {
+		for _, name := range seg.Columns() {
+			col, err := seg.IntCol(name)
+			if err != nil {
+				continue // a string column
+			}
+			switch c := col.(type) {
+			case *encoding.BitPackColumn:
+				for start := 0; start < c.Len(); start += encoding.ZoneRows {
+					rows := min(encoding.ZoneRows, c.Len()-start)
+					wmn, wmx := ^uint64(0), uint64(0)
+					for i := start; i < start+rows; i++ {
+						wmn, wmx = min(wmn, c.Packed().Get(i)), max(wmx, c.Packed().Get(i))
+					}
+					if mn, mx := c.ZoneBounds(start, rows); mn != wmn || mx != wmx {
+						t.Fatalf("segment %d column %s zone at %d: bounds [%d,%d], decoded [%d,%d]", s, name, start, mn, mx, wmn, wmx)
+					}
+				}
+			case *encoding.DeltaColumn:
+				vals := make([]int64, c.Len())
+				c.Decode(vals, 0)
+				asc, desc := true, true
+				for i := 1; i < len(vals); i++ {
+					asc, desc = asc && vals[i] >= vals[i-1], desc && vals[i] <= vals[i-1]
+				}
+				if a, d := c.Monotonic(); a != asc || d != desc {
+					t.Fatalf("segment %d column %s: Monotonic (%v, %v), replayed (%v, %v)", s, name, a, d, asc, desc)
+				}
+			}
+		}
+	}
 }
 
 // hugeSegmentTable is a valid table header of one column and one segment

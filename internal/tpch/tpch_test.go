@@ -263,7 +263,7 @@ func TestUngroupedPlansReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := loadgen.TPCHMix("lineitem")
-	opts := engine.Options{CostProfile: costmodel.Static()}
+	var opts engine.Options
 	// groupMap is whether the group-map phase runs: never under Reduce, and
 	// not for the mix's Q1 either, whose filter pass maps its groups.
 	// method, when set, is a selection method some batch must run: the
