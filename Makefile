@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate census
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate census layout
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
 ## compiler-diagnostic gate, and the repository benchmark at toy sizes
@@ -44,11 +44,11 @@ benchmark-smoke:
 ## trace-race: the tracing-enabled torture combo, the concurrency tests of
 ## the tracer/metrics registry, and the request journal, end-to-end
 ## traceability and >=1000-in-flight serving tests, and concurrent table
-## round trips through the write path's recycled buffers, under the race
-## detector (a focused subset of `race`)
+## round trips through the write path's recycled buffers and its per-column
+## fan-out, under the race detector (a focused subset of `race`)
 trace-race:
 	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans' ./internal/engine
-	$(GO) test -race -count=1 -run 'ConcurrentRoundTrips|RecycledBuffers' ./internal/table
+	$(GO) test -race -count=1 -run 'ConcurrentRoundTrips|RecycledBuffers|ForEachColumn|SealSameAcrossProcs|MutableSnapshotMidAppend' ./internal/table
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
 	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency' ./internal/obs ./internal/serve
 
@@ -63,7 +63,8 @@ fuzz-smoke:
 	$(GO) test ./internal/agg -run '^$$' -fuzz FuzzMultiAgg -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sel -run '^$$' -fuzz FuzzSelection -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/colstore -run '^$$' -fuzz FuzzReadSegment -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/table -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/table -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/table -run '^$$' -fuzz FuzzLoadChecksummed -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRLEDomainFilter -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDictDomainFilter -fuzztime $(FUZZTIME)
@@ -111,3 +112,22 @@ census:
 			END { printf "%-40s %4d symbols %8d bytes\n", ENVIRON["name"], n, b }' $(CENSUS_BIN).nm; \
 	done
 	@awk '$$3 ~ /^[Tt]$$/ { b += $$2 } END { printf "%-40s %4s         %8d bytes\n", "bipie-serve text symbols", "", b }' $(CENSUS_BIN).nm
+
+## layout: where the linker put the scan path's code — `symbol addr%64` for
+## every text symbol of bitpack, sel, agg, expr, engine and encoding in the
+## benchmark binary (built into TMPDIR, not under benchmark/), sorted, then
+## the SHA-256 of that list. The speed of filter_scan and serve_mixed
+## follows the kernels' alignment, so a change that moves them shows as a
+## new digest; informational (EXPERIMENTS.md "Code layout").
+LAYOUT_BIN ?= $(or $(TMPDIR),/tmp)/bipie-benchmark.layout
+LAYOUT_PKGS = bitpack|sel|agg|expr|engine|encoding
+layout:
+	@$(GO) build -o $(LAYOUT_BIN) ./benchmark
+	@$(GO) tool nm $(LAYOUT_BIN) | LAYOUT_PKGS='$(LAYOUT_PKGS)' awk ' \
+		$$2 ~ /^[Tt]$$/ { name = $$0; sub(/^ *[0-9a-fA-F]+ +[Tt] +/, "", name); \
+			if (name !~ ("^bipie/internal/(" ENVIRON["LAYOUT_PKGS"] ")\\.")) next; \
+			h = tolower(substr($$1, length($$1) - 1)); \
+			v = 16 * (index("0123456789abcdef", substr(h, 1, 1)) - 1) + index("0123456789abcdef", substr(h, 2, 1)) - 1; \
+			print name, v % 64 }' | LC_ALL=C sort > $(LAYOUT_BIN).txt
+	@cat $(LAYOUT_BIN).txt
+	@echo "sha256 $$(sha256sum < $(LAYOUT_BIN).txt | cut -d' ' -f1)"

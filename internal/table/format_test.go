@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"runtime"
@@ -197,6 +198,22 @@ func loadAllocBound(n int) uint64 { return 2<<20 + 16*uint64(n) }
 // them (checkDerived), so hostile words are checked against the packed
 // kernels and not only for panics.
 func FuzzLoad(f *testing.F) {
+	addLoadSeeds(f)
+	f.Fuzz(checkLoad)
+}
+
+// FuzzLoadChecksummed is FuzzLoad on inputs whose segments' length
+// prefixes and checksums are rewritten to fit what the mutation left
+// (resealed), so a mutated segment gets past DecodeSegment's CRC and its
+// hostile bytes reach the column decoders.
+func FuzzLoadChecksummed(f *testing.F) {
+	addLoadSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) { checkLoad(t, resealed(data)) })
+}
+
+// addLoadSeeds seeds a Load fuzz target with the pinned tables, a huge
+// segment claim and nothing at all.
+func addLoadSeeds(f *testing.F) {
 	for _, c := range pinnedTables {
 		tbl, err := c.build()
 		if err != nil {
@@ -206,33 +223,75 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(hugeSegmentTable())
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tbl, err := table.Load(r)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > loadAllocBound(len(data)) {
-			t.Fatalf("Load of %d bytes allocated %d", len(data), got)
+}
+
+// checkLoad is the check of FuzzLoad on one input.
+func checkLoad(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl, err := table.Load(r)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > loadAllocBound(len(data)) {
+		t.Fatalf("Load of %d bytes allocated %d", len(data), got)
+	}
+	if err != nil {
+		return
+	}
+	// Load stops at the table's end; what follows is not its to check.
+	read := data[:len(data)-r.Len()]
+	// A second load reads through the buffer the first gave back; the
+	// first table must not see it.
+	second, err := table.Load(bytes.NewReader(read))
+	if err != nil {
+		t.Fatalf("accepted %d bytes once, then refused them: %v", len(read), err)
+	}
+	for i, got := range []*table.Table{tbl, second} {
+		if again := serialized(t, got); !bytes.Equal(again, read) {
+			t.Fatalf("load %d: accepted %d bytes, wrote back %d that differ", i+1, len(read), len(again))
 		}
-		if err != nil {
-			return
+	}
+	checkDerived(t, tbl)
+}
+
+// resealed is a copy of a serialized table whose segments' length prefixes
+// and trailing CRC32s are rewritten to fit their bytes: each segment runs
+// as far as its prefix says, or to the end of the input, and its last four
+// bytes become the checksum of the rest. A header that does not parse is
+// left as it is.
+func resealed(data []byte) []byte {
+	b := bytes.Clone(data)
+	if len(b) < 12 {
+		return b
+	}
+	at := uint64(12)
+	for range le.Uint32(b[8:]) { // columns: name length, name, type byte
+		if uint64(len(b))-at < 4 {
+			return b
 		}
-		// Load stops at the table's end; what follows is not its to check.
-		read := data[:len(data)-r.Len()]
-		// A second load reads through the buffer the first gave back; the
-		// first table must not see it.
-		second, err := table.Load(bytes.NewReader(read))
-		if err != nil {
-			t.Fatalf("accepted %d bytes once, then refused them: %v", len(read), err)
+		if at += 4 + uint64(le.Uint32(b[at:])) + 1; at > uint64(len(b)) {
+			return b
 		}
-		for i, got := range []*table.Table{tbl, second} {
-			if again := serialized(t, got); !bytes.Equal(again, read) {
-				t.Fatalf("load %d: accepted %d bytes, wrote back %d that differ", i+1, len(read), len(again))
-			}
+	}
+	if uint64(len(b))-at < 4 {
+		return b
+	}
+	nsegs := le.Uint32(b[at:])
+	at += 4
+	for range nsegs {
+		if uint64(len(b))-at < 8 {
+			return b
 		}
-		checkDerived(t, tbl)
-	})
+		n := min(le.Uint64(b[at:]), uint64(len(b))-at-8)
+		le.PutUint64(b[at:], n)
+		at += 8
+		if n >= 4 {
+			seg := b[at : at+n]
+			le.PutUint32(seg[n-4:], crc32.ChecksumIEEE(seg[:n-4]))
+		}
+		at += n
+	}
+	return b
 }
 
 // checkDerived holds what Load derives from the packed words to a decode of
@@ -274,10 +333,11 @@ func checkDerived(t *testing.T, tbl *table.Table) {
 	}
 }
 
+var le = binary.LittleEndian
+
 // hugeSegmentTable is a valid table header of one column and one segment
 // whose length prefix claims 16 GiB, followed by four bytes of it.
 func hugeSegmentTable() []byte {
-	le := binary.LittleEndian
 	b := append([]byte("BIPT"), 1, 0, 0, 0, 1, 0, 0, 0)
 	b = append(le.AppendUint32(b, 1), 'a', byte(table.Int64))
 	b = le.AppendUint32(b, 1)

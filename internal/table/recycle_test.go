@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"bipie/internal/colstore"
 	"bipie/internal/encoding"
 	"bipie/internal/engine"
 	"bipie/internal/expr"
@@ -24,26 +25,34 @@ type columns struct {
 // decode decodes every column of tbl's sealed segments.
 func decode(tbl *table.Table) (columns, error) {
 	c := columns{ints: map[string][]int64{}, strs: map[string][]string{}}
-	for _, col := range tbl.Schema() {
-		for _, seg := range tbl.Segments() {
-			if col.Type == table.Int64 {
-				ic, err := seg.IntCol(col.Name)
-				if err != nil {
-					return c, err
-				}
-				c.ints[col.Name] = append(c.ints[col.Name], encoding.DecodeAll(ic)...)
-				continue
-			}
-			sc, err := seg.StrCol(col.Name)
-			if err != nil {
-				return c, err
-			}
-			for i := range sc.Len() {
-				c.strs[col.Name] = append(c.strs[col.Name], sc.Get(i))
-			}
+	for _, seg := range tbl.Segments() {
+		if err := c.appendSegment(tbl.Schema(), seg); err != nil {
+			return c, err
 		}
 	}
 	return c, nil
+}
+
+// appendSegment appends the decoded rows of seg to every column of c.
+func (c columns) appendSegment(schema table.Schema, seg *colstore.Segment) error {
+	for _, col := range schema {
+		if col.Type == table.Int64 {
+			ic, err := seg.IntCol(col.Name)
+			if err != nil {
+				return err
+			}
+			c.ints[col.Name] = append(c.ints[col.Name], encoding.DecodeAll(ic)...)
+			continue
+		}
+		sc, err := seg.StrCol(col.Name)
+		if err != nil {
+			return err
+		}
+		for i := range sc.Len() {
+			c.strs[col.Name] = append(c.strs[col.Name], sc.Get(i))
+		}
+	}
+	return nil
 }
 
 // contents is decode, failing t on an error.

@@ -5,11 +5,22 @@
 // region of MemSQL is compressed into the immutable region by a background
 // task; here sealing happens when the region reaches the segment row target
 // or on an explicit Flush, which keeps the library deterministic.
+//
+// A segment's columns are independent — each has its own encoding, bit
+// width and dictionary — so a bulk append and a seal of a few thousand
+// rows or more work on them in parallel, one column per core
+// (forEachColumn). The segment is still assembled in schema order on the
+// calling goroutine, so its bytes do not depend on how many cores built
+// it.
 package table
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"bipie/internal/colstore"
 	"bipie/internal/encoding"
@@ -43,12 +54,14 @@ type Table struct {
 	segments    []*colstore.Segment
 	segmentRows int
 
-	// Mutable region, column-major for cheap sealing. Strings are interned
-	// as they arrive, so a string column holds dictionary ids, not strings.
-	// Its storage exists while it holds rows: openMutable takes it from the
-	// recycling pools, sealMutable gives it back (recycle.go).
-	mutInts map[string][]int64
-	mutStrs map[string]*encoding.DictBuilder
+	// Mutable region, column-major for cheap sealing, indexed like schema:
+	// mutInts[i] is set for an Int64 column, mutStrs[i] for a String one.
+	// Strings are interned as they arrive, so a string column holds
+	// dictionary ids, not strings. Its storage exists while it holds rows:
+	// openMutable takes it from the recycling pools, sealMutable gives it
+	// back (recycle.go).
+	mutInts [][]int64
+	mutStrs []*encoding.DictBuilder
 	mutLen  int
 
 	// mutSnap caches an encoded snapshot of the mutable region so queries
@@ -76,8 +89,8 @@ func New(schema Schema, opts ...Option) (*Table, error) {
 		schema:      schema,
 		byName:      make(map[string]int, len(schema)),
 		segmentRows: colstore.SegmentRows,
-		mutInts:     make(map[string][]int64),
-		mutStrs:     make(map[string]*encoding.DictBuilder),
+		mutInts:     make([][]int64, len(schema)),
+		mutStrs:     make([]*encoding.DictBuilder, len(schema)),
 	}
 	for i, c := range schema {
 		if c.Name == "" {
@@ -134,9 +147,9 @@ func (t *Table) AppendRow(vals ...any) error {
 	}
 	for i, c := range t.schema {
 		if c.Type == Int64 {
-			t.mutInts[c.Name] = appendCapped(t.mutInts[c.Name], t.segmentRows, vals[i].(int64))
+			t.mutInts[i] = appendCapped(t.mutInts[i], t.segmentRows, vals[i].(int64))
 		} else {
-			t.mutStrs[c.Name].Add(vals[i].(string))
+			t.mutStrs[i].Add(vals[i].(string))
 		}
 	}
 	t.mutLen++
@@ -149,36 +162,34 @@ func (t *Table) AppendRow(vals ...any) error {
 
 // AppendColumns appends many rows at once from column-major data; every
 // schema column must be present with equal lengths. This is the bulk-load
-// path the generators use.
+// path the generators use. The columns are copied and interned in
+// parallel, up to GOMAXPROCS at once, when a chunk has fanOutRows rows or
+// more (forEachColumn).
 func (t *Table) AppendColumns(ints map[string][]int64, strs map[string][]string) error {
+	// The columns by schema position, as the mutable region holds them.
+	srcInts, srcStrs := make([][]int64, len(t.schema)), make([][]string, len(t.schema))
 	n := -1
-	check := func(name string, l int) error {
-		if n == -1 {
-			n = l
-		}
-		if l != n {
-			return fmt.Errorf("table: column %q has %d rows, expected %d", name, l, n)
-		}
-		return nil
-	}
-	for _, c := range t.schema {
+	for i, c := range t.schema {
+		var l int
 		switch c.Type {
 		case Int64:
 			col, ok := ints[c.Name]
 			if !ok {
 				return fmt.Errorf("table: missing int column %q", c.Name)
 			}
-			if err := check(c.Name, len(col)); err != nil {
-				return err
-			}
+			srcInts[i], l = col, len(col)
 		case String:
 			col, ok := strs[c.Name]
 			if !ok {
 				return fmt.Errorf("table: missing string column %q", c.Name)
 			}
-			if err := check(c.Name, len(col)); err != nil {
-				return err
-			}
+			srcStrs[i], l = col, len(col)
+		}
+		if n == -1 {
+			n = l
+		}
+		if l != n {
+			return fmt.Errorf("table: column %q has %d rows, expected %d", c.Name, l, n)
 		}
 	}
 	if n <= 0 {
@@ -186,26 +197,22 @@ func (t *Table) AppendColumns(ints map[string][]int64, strs map[string][]string)
 	}
 	// Append in segment-sized chunks so the mutable region never exceeds
 	// one segment.
-	done := 0
-	for done < n {
-		room := t.segmentRows - t.mutLen
-		chunk := n - done
-		if chunk > room {
-			chunk = room
-		}
+	for done := 0; done < n; {
+		chunk := min(n-done, t.segmentRows-t.mutLen)
 		if t.mutLen == 0 {
 			t.openMutable()
 		}
-		for _, c := range t.schema {
-			if c.Type == Int64 {
-				t.mutInts[c.Name] = appendCapped(t.mutInts[c.Name], t.segmentRows, ints[c.Name][done:done+chunk]...)
+		lo, hi := done, done+chunk
+		forEachColumn(len(t.schema), chunk, func(i int) {
+			if t.schema[i].Type == Int64 {
+				t.mutInts[i] = appendCapped(t.mutInts[i], t.segmentRows, srcInts[i][lo:hi]...)
 			} else {
-				t.mutStrs[c.Name].Append(strs[c.Name][done : done+chunk])
+				t.mutStrs[i].Append(srcStrs[i][lo:hi])
 			}
-		}
+		})
 		t.mutLen += chunk
 		t.invalidateSnap()
-		done += chunk
+		done = hi
 		if t.mutLen >= t.segmentRows {
 			t.sealMutable()
 		}
@@ -232,11 +239,11 @@ func (t *Table) sealMutable() {
 		seg = t.encodeMutable()
 	}
 	// The segment holds copies; the storage goes back for the next region.
-	for _, c := range t.schema {
+	for i, c := range t.schema {
 		if c.Type == Int64 {
-			intPool.put(t.mutInts[c.Name], t.segmentRows)
+			intPool.put(t.mutInts[i], t.segmentRows)
 		} else {
-			idPool.put(t.mutStrs[c.Name].Release(), t.segmentRows)
+			idPool.put(t.mutStrs[i].Release(), t.segmentRows)
 		}
 	}
 	clear(t.mutInts)
@@ -249,34 +256,96 @@ func (t *Table) sealMutable() {
 // openMutable gives every column of the empty mutable region storage from
 // the recycling pools, none larger than one segment.
 func (t *Table) openMutable() {
-	for _, c := range t.schema {
+	for i, c := range t.schema {
 		if c.Type == Int64 {
-			t.mutInts[c.Name] = intPool.get(t.segmentRows)
+			t.mutInts[i] = intPool.get(t.segmentRows)
 		} else {
-			t.mutStrs[c.Name] = encoding.NewDictBuilder(idPool.get(t.segmentRows))
+			t.mutStrs[i] = encoding.NewDictBuilder(idPool.get(t.segmentRows))
 		}
 	}
 }
 
 // encodeMutable encodes the current mutable region into a segment without
-// consuming it.
+// consuming it. The columns are encoded each into its own slot — in
+// parallel from fanOutRows rows on — and added to the segment in schema
+// order.
 func (t *Table) encodeMutable() *colstore.Segment {
+	ints := make([]encoding.IntColumn, len(t.schema))
+	strs := make([]*encoding.DictColumn, len(t.schema))
+	forEachColumn(len(t.schema), t.mutLen, func(i int) {
+		if t.schema[i].Type == Int64 {
+			ints[i] = encoding.ChooseInt(t.mutInts[i])
+		} else {
+			strs[i] = t.mutStrs[i].Column()
+		}
+	})
 	seg := colstore.NewSegment(t.mutLen)
-	for _, c := range t.schema {
-		switch c.Type {
-		case Int64:
-			col := encoding.ChooseInt(t.mutInts[c.Name])
-			if err := seg.AddInt(c.Name, col); err != nil {
-				panic(err) // schema invariants make this unreachable
-			}
-		case String:
-			col := t.mutStrs[c.Name].Column()
-			if err := seg.AddString(c.Name, col); err != nil {
-				panic(err)
-			}
+	for i, c := range t.schema {
+		var err error
+		if c.Type == Int64 {
+			err = seg.AddInt(c.Name, ints[i])
+		} else {
+			err = seg.AddString(c.Name, strs[i])
+		}
+		if err != nil {
+			panic(err) // schema invariants make this unreachable
 		}
 	}
 	return seg
+}
+
+// fanOutRows is the fewest rows a column that forEachColumn spreads over
+// the cores: below it, starting and joining the goroutines costs about
+// what they save (EXPERIMENTS.md "Segments built one column per core").
+const fanOutRows = 4096
+
+// forEachColumn runs f(i) for every i in [0, n) — every schema position —
+// whose work covers rows rows a column. From fanOutRows rows on it runs
+// them on min(GOMAXPROCS, n) goroutines, the caller's included, each taking
+// the next position from a shared counter; otherwise, or with one core,
+// the caller runs them in order and starts no goroutine. It returns once
+// every f has. f may write only what belongs to column i. A panic in f
+// reaches the caller with its value once the others are done; the stack it
+// was raised on goes to standard error first, since the caller's re-raise
+// has its own.
+func forEachColumn(n, rows int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if rows < fanOutRows {
+		workers = 1
+	}
+	var next atomic.Int64
+	var failure atomic.Pointer[columnPanic]
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				failure.CompareAndSwap(nil, &columnPanic{r, debug.Stack()})
+			}
+		}()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if p := failure.Load(); p != nil {
+		os.Stderr.Write(p.stack)
+		panic(p.value)
+	}
+}
+
+// columnPanic is a panic recovered from one column's work and the stack it
+// was raised on.
+type columnPanic struct {
+	value any
+	stack []byte
 }
 
 // MutableSegment returns an encoded snapshot of the mutable region for
