@@ -116,9 +116,10 @@ census:
 ## layout: where the linker put the scan path's code — `symbol addr%64` for
 ## every text symbol of bitpack, sel, agg, expr, engine and encoding in the
 ## benchmark binary (built into TMPDIR, not under benchmark/), sorted, then
-## the SHA-256 of that list. The speed of filter_scan and serve_mixed
-## follows the kernels' alignment, so a change that moves them shows as a
-## new digest; informational (EXPERIMENTS.md "Code layout").
+## one `sha256 <pkg> <digest>` line per package and the SHA-256 of the whole
+## list. The speed of filter_scan and serve_mixed follows the kernels'
+## alignment, so a change that moves them shows as a new digest, and the
+## package lines say whose; informational (EXPERIMENTS.md "Code layout").
 LAYOUT_BIN ?= $(or $(TMPDIR),/tmp)/bipie-benchmark.layout
 LAYOUT_PKGS = bitpack|sel|agg|expr|engine|encoding
 layout:
@@ -130,4 +131,7 @@ layout:
 			v = 16 * (index("0123456789abcdef", substr(h, 1, 1)) - 1) + index("0123456789abcdef", substr(h, 2, 1)) - 1; \
 			print name, v % 64 }' | LC_ALL=C sort > $(LAYOUT_BIN).txt
 	@cat $(LAYOUT_BIN).txt
+	@for p in $$(echo '$(LAYOUT_PKGS)' | tr '|' ' '); do \
+		echo "sha256 $$p $$(grep "^bipie/internal/$$p\." $(LAYOUT_BIN).txt | sha256sum | cut -d' ' -f1)"; \
+	done
 	@echo "sha256 $$(sha256sum < $(LAYOUT_BIN).txt | cut -d' ' -f1)"

@@ -15,8 +15,8 @@ type BitPackColumn struct {
 	// covers rows [z*ZoneRows, (z+1)*ZoneRows). They are the batch-granularity
 	// analogue of the column-level Min/Max the scan uses for segment
 	// elimination, letting a pushed predicate skip whole batches before any
-	// kernel runs. Folded from the offsets at encode time (foldZone) and
-	// read off the packed words on deserialize (rebuildZones): they are
+	// kernel runs. Taken from the statistics pass at encode time (scanInts)
+	// and read off the packed words on deserialize (rebuildZones): they are
 	// derived data, so the storage format does not carry them.
 	zoneMin, zoneMax []uint64
 }
@@ -29,16 +29,19 @@ const ZoneRows = 4096
 // NewBitPack encodes values with frame-of-reference bit packing.
 func NewBitPack(values []int64) *BitPackColumn { return newBitPack(values, scanInts(values)) }
 
-// newBitPack packs v - min a block at a time, straight from values, folding
-// each block into its zone's bounds while the offsets are in hand.
+// newBitPack packs v - min a block at a time, straight from values. The
+// zone bounds come from the statistics pass, as values; here they become
+// offsets.
 func newBitPack(values []int64, st intStats) *BitPackColumn {
-	c := &BitPackColumn{ref: st.min, max: st.max}
-	c.zoneMin, c.zoneMax = newZones(len(values))
+	c := &BitPackColumn{ref: st.min, max: st.max, zoneMin: st.zoneMin, zoneMax: st.zoneMax}
+	for z := range c.zoneMin {
+		c.zoneMin[z] -= uint64(st.min)
+		c.zoneMax[z] -= uint64(st.min)
+	}
 	c.packed = packBlocks(len(values), st.bitPackWidth(), func(block []uint64, start int) {
 		for i, v := range values[start : start+len(block)] {
 			block[i] = uint64(v - st.min)
 		}
-		foldZone(c.zoneMin, c.zoneMax, start, block)
 	})
 	return c
 }
@@ -47,47 +50,6 @@ func newBitPack(values []int64, st intStats) *BitPackColumn {
 func newZones(n int) (mn, mx []uint64) {
 	nz := (n + ZoneRows - 1) / ZoneRows
 	return make([]uint64, nz), make([]uint64, nz)
-}
-
-// foldZone is the encoder's zone builder (a load reads the bounds off the
-// packed words instead, rebuildZones): it widens the bounds of the zone
-// holding rows [start, start+len(block)) to cover block, their packed
-// offsets. Blocks arrive in row order and never straddle a zone, so the
-// block at a zone's first row opens its bounds.
-func foldZone[T uint8 | uint16 | uint32 | uint64](zoneMin, zoneMax []uint64, start int, block []T) {
-	mn, mx := blockBounds(block)
-	z := start / ZoneRows
-	if start%ZoneRows != 0 {
-		mn, mx = min(mn, zoneMin[z]), max(mx, zoneMax[z])
-	}
-	zoneMin[z], zoneMax[z] = mn, mx
-}
-
-// blockBounds returns the least and greatest value of a block (^0 and 0
-// for an empty one). One compare-and-move chain per bound is latency-bound
-// at about two cycles a value; here four values at a time reduce in pairs,
-// independent of the running bounds, before one compare each folds them
-// in. (Four running pairs, one per lane, need a fourteenth register on
-// amd64 and spill.) Values are compared as uint64 whatever the lane: the
-// compiler has a conditional move for words, and only branches for bytes.
-// It is not inlined: inside foldZone, the zone slices held across the loop
-// spill its length.
-//
-//go:noinline
-//bipie:kernel
-//bipie:nobce
-func blockBounds[T uint8 | uint16 | uint32 | uint64](block []T) (mn, mx uint64) {
-	mn = ^uint64(0)
-	for len(block) >= 4 {
-		v0, v1, v2, v3 := uint64(block[0]), uint64(block[1]), uint64(block[2]), uint64(block[3])
-		mn = min(mn, min(v0, v1), min(v2, v3))
-		mx = max(mx, max(v0, v1), max(v2, v3))
-		block = block[4:len(block):len(block)]
-	}
-	for _, v := range block {
-		mn, mx = min(mn, uint64(v)), max(mx, uint64(v))
-	}
-	return mn, mx
 }
 
 // rebuildZones recomputes the zone bounds of a column reconstructed from

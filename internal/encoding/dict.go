@@ -40,16 +40,23 @@ func shortKey(s string) uint64 {
 }
 
 // firstSeen hands out provisional dictionary ids in first-seen order, at
-// most one lookup per row. While the dictionary is tiny and its strings are
-// short, a lookup compares the value's shortKey with every key in the
-// table, without a data-dependent branch (a random three-valued flag column
-// mispredicts every other compare-and-exit otherwise). Beyond that it is a
-// map lookup, skipped when the row repeats the previous one.
+// most one lookup per row. A one-byte string (a flag, a status) is one load
+// from a table indexed by its byte: Append reads that table inline and
+// calls id only for a byte it has not seen. Other strings go through id:
+// while the dictionary is tiny and its strings are short, a lookup compares
+// the value's shortKey with every key in the table, without a data-dependent
+// branch (a random three-valued flag column mispredicts every other
+// compare-and-exit otherwise). Beyond that it is a map lookup, skipped when
+// the row repeats the previous one.
 type firstSeen struct {
 	values []string            // values[id]
 	keys   [dictScanMax]uint64 // shortKey(values[id]), while index is nil
 	index  map[string]uint32   // value -> id, once the table is scanned no longer
 	last   uint32              // the id handed out last
+	// one[c] is 1 + the id of the one-byte string c, 0 while c is unseen.
+	// Ids never change, so an entry stays right after the switch to the
+	// map.
+	one [256]uint32
 }
 
 func (f *firstSeen) id(v string) uint32 {
@@ -66,8 +73,7 @@ func (f *firstSeen) id(v string) uint32 {
 			}
 			if len(f.values) < dictScanMax {
 				f.keys[len(f.values)] = k
-				f.values = append(f.values, v)
-				return uint32(len(f.values) - 1)
+				return f.add(v)
 			}
 		}
 		f.index = make(map[string]uint32, 4*dictScanMax)
@@ -83,11 +89,22 @@ func (f *firstSeen) id(v string) uint32 {
 		if uint64(len(f.values)) >= math.MaxUint32 {
 			panic("encoding: dictionary exceeds 2^32 entries")
 		}
-		id = uint32(len(f.values))
-		f.values = append(f.values, v)
+		id = f.add(v)
 		f.index[v] = id
 	}
 	f.last = id
+	return id
+}
+
+// add gives v the next id, entering it in the one-byte table if it fits.
+// A one-byte string gets its id here or nowhere, so the table holds every
+// one-byte string seen.
+func (f *firstSeen) add(v string) uint32 {
+	id := uint32(len(f.values))
+	f.values = append(f.values, v)
+	if len(v) == 1 {
+		f.one[v[0]] = id + 1
+	}
 	return id
 }
 
@@ -126,9 +143,22 @@ func (b *DictBuilder) Append(values []string) {
 		b.prov = grown
 	}
 	b.prov = b.prov[:n+len(values)]
-	prov := b.prov[n:]
-	for i, v := range values {
-		prov[i] = b.seen.id(v)
+	prov := b.prov[n : n+len(values)]
+	one := &b.seen.one
+	for i := 0; i < len(values); i++ {
+		// Rows whose byte is in the table take the inner loop, which makes
+		// no call, so its state stays in registers; a row that needs id
+		// leaves it.
+		for ; i < len(values); i++ {
+			v := values[i]
+			if len(v) != 1 || one[v[0]] == 0 {
+				break
+			}
+			prov[i] = one[v[0]] - 1
+		}
+		if i < len(values) {
+			prov[i] = b.seen.id(values[i])
+		}
 	}
 }
 

@@ -10,12 +10,16 @@
 // dictionary-encoded (NewDict).
 //
 // The write path reads a column twice: one statistics pass (scanInts) from
-// which every encoding's size follows exactly, then one pass that builds
-// the winner straight from the source values.
+// which every encoding's size follows exactly, and which also records each
+// zone's bounds for a bit-packed winner's zone map, then one pass that
+// builds the winner straight from the source values. String columns are
+// interned as their rows arrive (DictBuilder); a one-byte string finds its
+// id with one load from a table indexed by its byte.
 package encoding
 
 import (
 	"fmt"
+	"math"
 
 	"bipie/internal/bitpack"
 )
@@ -76,7 +80,7 @@ type IntColumn interface {
 
 // intStats is what one pass over a column tells the encoders: enough to
 // size each integer encoding exactly, and to build any of them without
-// deriving bounds, run count or monotonicity again.
+// deriving bounds, run count, monotonicity or zone maps again.
 type intStats struct {
 	n        int
 	min, max int64
@@ -90,33 +94,63 @@ type intStats struct {
 	// compare values, not delta signs: a difference that wraps int64 has
 	// the wrong sign.
 	asc, desc bool
+	// zoneMin and zoneMax hold the least and greatest value of each
+	// ZoneRows zone, as int64 bits; newBitPack turns them into offsets in
+	// place and keeps them.
+	zoneMin, zoneMax []uint64
 }
 
-// scanInts is the statistics pass.
-//
-//bipie:kernel
-//bipie:nobce
+// scanInts is the statistics pass. It walks values one zone at a time
+// (scanZone), recording each zone's bounds in zone slices of its own
+// (newZones), and folds them into the column's bounds.
 func scanInts(values []int64) intStats {
 	st := intStats{n: len(values), asc: true, desc: true}
+	st.zoneMin, st.zoneMax = newZones(len(values))
 	if len(values) == 0 {
 		return st
 	}
-	prev := values[0]
-	mn, mx := prev, prev
-	// steps counts the rows that differ from their predecessor, rises those
-	// that exceed it; the rest of the steps are falls.
-	var steps, rises int
-	var deltaOr uint64
-	for _, v := range values[1:] {
-		mn, mx = min(mn, v), max(mx, v)
+	run := scanRun{prev: values[0]}
+	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
+	for z := range st.zoneMin {
+		n := min(len(values), ZoneRows)
+		var zmn, zmx int64
+		zmn, zmx, run = scanZone(values[:n], run)
+		values = values[n:]
+		st.zoneMin[z], st.zoneMax[z] = uint64(zmn), uint64(zmx)
+		mn, mx = min(mn, zmn), max(mx, zmx)
+	}
+	st.min, st.max, st.runs, st.deltaOr = mn, mx, run.steps+1, run.deltaOr
+	st.asc, st.desc = run.rises == run.steps, run.rises == 0
+	return st
+}
+
+// scanRun is what the statistics pass carries from one zone to the next.
+// steps counts the rows that differ from their predecessor, rises those
+// that exceed it; the rest of the steps are falls.
+type scanRun struct {
+	prev         int64
+	steps, rises int
+	deltaOr      uint64
+}
+
+// scanZone folds one zone's rows into run and returns the zone's bounds.
+// It is a call of its own so that its loop has the registers to itself:
+// inlined into scanInts, the zone loop's state spilled the row loop's.
+//
+//go:noinline
+//bipie:kernel
+//bipie:nobce
+func scanZone(zone []int64, run scanRun) (zmn, zmx int64, _ scanRun) {
+	prev, steps, rises, deltaOr := run.prev, run.steps, run.rises, run.deltaOr
+	zmn, zmx = math.MaxInt64, math.MinInt64
+	for _, v := range zone {
+		zmn, zmx = min(zmn, v), max(zmx, v)
 		deltaOr |= zigzag(v - prev)
 		steps += b2i(v != prev)
 		rises += b2i(v > prev)
 		prev = v
 	}
-	st.min, st.max, st.runs, st.deltaOr = mn, mx, steps+1, deltaOr
-	st.asc, st.desc = rises == steps, rises == 0
-	return st
+	return zmn, zmx, scanRun{prev, steps, rises, deltaOr}
 }
 
 // b2i is 1 for true and 0 for false. The compiler turns it into a SETcc,
@@ -169,12 +203,11 @@ func ChooseInt(values []int64) IntColumn {
 
 // blockRows is how many rows the encoders stage at a time on their way into
 // a packed vector: small enough that the source rows and the staged values
-// share the L1 cache, a multiple of 64 so every block starts on a word
-// boundary of the packed vector (bitpack.Packer), and a divisor of ZoneRows
-// so no block straddles a zone.
+// share the L1 cache, and a multiple of 64 so every block starts on a word
+// boundary of the packed vector (bitpack.Packer).
 const blockRows = 512
 
-const _ = -uint(ZoneRows%blockRows) - uint(blockRows%64) // both must be 0
+const _ = -uint(blockRows % 64) // must be 0
 
 // packBlocks bit-packs n values that fill produces a block at a time:
 // fill(block, start) writes the values of rows [start, start+len(block))

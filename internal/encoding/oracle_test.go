@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -264,7 +265,7 @@ func FuzzChooseInt(f *testing.F) {
 	})
 }
 
-const dictShapes = 7
+const dictShapes = 8
 
 // dictValues generates a string column of one of the shapes the dictionary
 // builder has to get right; the last shape is raw split at '|', so the
@@ -298,6 +299,16 @@ func dictValues(shape uint8, n int, seed int64, raw []byte) []string {
 		keys := []string{"", "\x00", "\x00\x00", "a\x00", "a", "\x00a"}
 		for i := range vals {
 			vals[i] = keys[rng.Intn(len(keys))]
+		}
+	case 6: // all 256 one-byte strings among multi-byte ones: the one-byte
+		// table fills while firstSeen moves to its map, and some bytes
+		// arrive first after the switch
+		for i := range vals {
+			if rng.Intn(4) == 0 {
+				vals[i] = fmt.Sprintf("m%d", rng.Intn(dictScanMax))
+			} else {
+				vals[i] = string([]byte{byte(rng.Intn(256))})
+			}
 		}
 	default:
 		vals = strings.Split(string(raw), "|")
@@ -364,6 +375,19 @@ func FuzzDictBuilder(f *testing.F) {
 		}
 		if got, want := NewDict(vals), oracleDict(vals); !reflect.DeepEqual(got, want) {
 			t.Fatalf("NewDict differs from the two-map oracle: dict %q vs %q", got.dict, want.dict)
+		}
+		// The released builder, reused on the rows in reverse, meets the
+		// one-byte values in another order: no id of its first life may
+		// survive in its one-byte table.
+		rev := slices.Clone(vals)
+		slices.Reverse(rev)
+		k := rng.Intn(len(rev) + 1)
+		b.Append(rev[:k])
+		for _, v := range rev[k:] {
+			b.Add(v)
+		}
+		if got, want := b.Column(), NewDict(rev); !reflect.DeepEqual(got, want) {
+			t.Fatalf("released builder reused on the %d rows reversed: dict %q vs %q", len(rev), got.dict, want.dict)
 		}
 	})
 }

@@ -120,32 +120,3 @@ func TestZoneBoundsSurviveSerialization(t *testing.T) {
 		}
 	}
 }
-
-// blockBounds against a plain scan at every length up to a few steps of
-// four, the extremes placed at every position, so each lane of the
-// four-wide step and of the tail holds a bound at some point.
-func TestBlockBounds(t *testing.T) {
-	for n := 1; n <= 13; n++ {
-		for at := range n {
-			block := make([]uint16, n)
-			for i := range block {
-				block[i] = uint16(1000 + 7*i)
-			}
-			block[at], block[n-1-at] = 3, 60000
-			if n == 1 {
-				block[0] = 3
-			}
-			mn, mx := blockBounds(block)
-			wantMn, wantMx := uint64(block[0]), uint64(block[0])
-			for _, v := range block {
-				wantMn, wantMx = min(wantMn, uint64(v)), max(wantMx, uint64(v))
-			}
-			if mn != wantMn || mx != wantMx {
-				t.Fatalf("n=%d extremes at %d/%d: bounds [%d,%d], want [%d,%d]", n, at, n-1-at, mn, mx, wantMn, wantMx)
-			}
-		}
-	}
-	if mn, mx := blockBounds([]uint8{}); mn != ^uint64(0) || mx != 0 {
-		t.Fatalf("empty block: [%d,%d]", mn, mx)
-	}
-}
