@@ -91,7 +91,6 @@ CENSUS_FAMILIES = \
 	'expr evalVV/evalVC operator loops=^bipie/internal/expr\.eval(VV|VC)\[' \
 	'expr dispatch (SumProgram.Eval)=^bipie/internal/expr\.\(\*SumProgram\)\.Eval$$' \
 	'agg accumulate*/addRows* walks=^bipie/internal/agg\.(accumulate|addRows)' \
-	'agg addProducts=^bipie/internal/agg\.\(\*MultiLayout\)\.addProducts$$' \
 	'agg buildCarrier (packFields, read walk)=^bipie/internal/agg\.buildCarrier$$' \
 	'agg rowAtATimeTyped=^bipie/internal/agg\.rowAtATimeTyped\[' \
 	'agg reduceSum=^bipie/internal/agg\.reduceSum\[' \

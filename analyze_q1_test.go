@@ -78,7 +78,7 @@ func TestExplainAnalyzeQ1Golden(t *testing.T) {
 	rep := analyzeQ1(t, bipie.Options{CostProfile: bipie.StaticCostModel()})
 	got := normalizeReport(rep.Format())
 	want := normalizeReport(`segment  rows     groups  special  strategy  model  sumwords   pushed  packed  residual  runsums  domains
-0        524288  6  true  Multi  4.8  1,4,4×,8×,1  1  1  false  0  packed
+0        524288  6  true  Multi  4.8  1,4,4×,8×,1×  1  1  false  0  packed cells:l_discount,l_tax
 
 rows:     524288 scanned, 515000 selected (98.2%)
 wall:     8ms over 1 unit(s) — 30.0 cycles/row at 2.1 GHz

@@ -525,7 +525,6 @@ func TestMultiAggLayouts(t *testing.T) {
 	enum(0, nil)
 
 	rng := rand.New(rand.NewSource(39))
-	ran, refused := map[walkShape]bool{}, map[string]bool{}
 	for _, ws := range layouts {
 		l, err := NewMultiLayout(7, -1, ws)
 		if err != nil {
@@ -589,234 +588,103 @@ func TestMultiAggLayouts(t *testing.T) {
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Fatalf("layout %v counts %v want %v", ws, gotCounts, wantCounts)
 		}
-		checkProductLayouts(t, rng, ws, l, groups, raw, cols, ran, refused)
-	}
-	// Both walks ran, and products beside another read word, on a base the
-	// shape does not have, or beside narrow columns the carrier cannot hold
-	// with the factor were refused.
-	for _, s := range []walkShape{walk1P, walk2RC} {
-		if !ran[s] {
-			t.Errorf("no layout ran product walk %d", s)
-		}
-	}
-	for _, why := range []string{"one product, summed base", "one product, another wide word", "pair, base of its own", "pair, another wide word", "factor carrier"} {
-		if !refused[why] {
-			t.Errorf("no layout refused products for %q", why)
-		}
 	}
 }
 
-// checkProductLayouts makes every wide column of ws a product word — on a
-// base vector of its own, on each other 4-byte column as its base, and with
-// each 8-byte column chained on it, the first factor a vector of its own or
-// each byte column the row sums — and holds NewProductLayout to the two
-// walk shapes and the carrier they build: what it admits must run the shape
-// the rule names, carry the factor at bit 0 and match refAgg over the
-// materialized products; the rest must be refused, counted in refused by
-// reason. A 4-byte product's operands keep it exact in its lane, bounding a
-// base column where it has one; an 8-byte one is negated both sides and
-// wraps.
-func checkProductLayouts(t *testing.T, rng *rand.Rand, ws []int, plain *MultiLayout, groups []uint8, raw [][]uint64, cols []*bitpack.Unpacked, ran map[walkShape]bool, refused map[string]bool) {
-	t.Helper()
-	n := len(groups)
-	wide := 0
-	for _, w := range ws {
-		if w >= 4 {
-			wide++
+func TestCellLayoutRejectsMalformed(t *testing.T) {
+	q1 := []int{1, 4, 4, 8, 1} // input 5 is the key, 6 a 4-byte vector of its own
+	key := func(bits ...uint) CellKey {
+		k := CellKey{Input: 5}
+		for _, b := range bits {
+			k.Factors = append(k.Factors, Factor{Bits: b, Col: -1})
+		}
+		return k
+	}
+	disc, charge := Product{Col: 2, X: 1, Y: 0}, Product{Col: 3, X: -1, Y: 1}
+	for _, c := range []struct {
+		why    string
+		ws     []int
+		groups int
+		key    CellKey
+		prods  []Product
+	}{
+		{"no product", []int{1, 4}, 4, CellKey{Input: 2, Factors: []Factor{{Bits: 4, Col: 0}}}, nil},
+		{"no factor", q1, 4, key(), []Product{disc}},
+		{"the key is a column", q1, 4, CellKey{Input: 4, Factors: []Factor{{Bits: 4, Col: -1}}}, []Product{disc}},
+		{"a zero-bit factor", q1, 4, key(4, 0), []Product{disc, charge}},
+		{"nine key bits", q1, 4, key(5, 4), []Product{disc, charge}},
+		{"more cells than the block", q1, 9, key(4, 4), []Product{disc, charge}},
+		{"a factor not in the key", q1, 4, key(4), []Product{disc, charge}},
+		{"a product on a taken column", q1, 4, key(4, 4), []Product{disc, {Col: 2, X: -1, Y: 1}}},
+		{"a product on no column", q1, 4, key(4, 4), []Product{disc, {Col: 7, X: -1, Y: 1}}},
+		{"the first product chained", q1, 4, key(4, 4), []Product{{Col: 2, X: -1, Y: 0}, charge}},
+		{"the key as base", q1, 4, key(4, 4), []Product{{Col: 2, X: 5, Y: 0}, charge}},
+		{"two bases", q1, 4, key(4, 4), []Product{disc, {Col: 3, X: 6, Y: 1}}},
+		{"an 8-byte base", q1, 4, key(4, 4), []Product{{Col: 2, X: 3, Y: 0}, {Col: 1, X: -1, Y: 1}}},
+		{"a factor's column taken", q1, 4, CellKey{Input: 5, Factors: []Factor{{Bits: 4, Col: 2}, {Bits: 4, Col: -1}}}, []Product{disc, charge}},
+		{"another 4-byte column", []int{1, 4, 4, 8, 4}, 4, key(4, 4), []Product{disc, charge}},
+		{"a 2-byte column", []int{2, 4, 4, 8}, 4, CellKey{Input: 4, Factors: []Factor{{Bits: 4, Col: -1}, {Bits: 4, Col: -1}}}, []Product{disc, charge}},
+		{"two byte columns", []int{1, 4, 4, 8, 1}, 4, CellKey{Input: 5, Factors: []Factor{{Bits: 4, Col: -1}, {Bits: 4, Col: -1}}}, []Product{disc, charge}},
+	} {
+		if _, err := NewCellLayout(c.groups, -1, c.ws, c.key, c.prods); err == nil {
+			t.Errorf("%s: %v with %+v and %+v: want an error", c.why, c.ws, c.key, c.prods)
 		}
 	}
-	var shapes [][]Product
-	for a, wa := range ws {
-		if wa < 4 {
-			continue
-		}
-		bases := []int{-1}
-		for b, wb := range ws {
-			if wb == 4 && b != a {
-				bases = append(bases, b)
-			}
-		}
-		for _, base := range bases {
-			shapes = append(shapes, []Product{{Col: a, X: base}})
-			for c, wc := range ws {
-				if wc == 8 && c != a && c != base {
-					shapes = append(shapes, []Product{{Col: a, X: base}, {Col: c, NegX: c%2 == 0}})
-				}
-			}
-		}
-	}
-	factors := []int{-1}
-	for c, w := range ws {
-		if w == 1 {
-			factors = append(factors, c)
-		}
-	}
-	var sets [][]Product
-	for _, shape := range shapes {
-		for _, y := range factors {
-			set := append([]Product(nil), shape...)
-			set[0].Y = y
-			sets = append(sets, set)
-		}
-	}
-	for _, set := range sets {
-		in := append([]*bitpack.Unpacked(nil), cols...)
-		want := append([][]uint64(nil), raw...)
-		prev := make([]uint64, n)
-		ownBase := set[0].X < 0
-		for j := range set {
-			p := &set[j]
-			in[p.Col] = nil
-			if ws[p.Col] == 4 {
-				p.AddX, p.AddY = 5, 3 // (x + 5)·(y + 3) < 2^29
-			} else {
-				p.AddY, p.NegY = 100, true
-				if j == 0 {
-					p.NegX, p.AddX = true, -1<<40
-				}
-			}
-			xs, ys := make([]uint64, n), make([]uint64, n)
-			for i := range xs {
-				xs[i], ys[i] = rng.Uint64()&(1<<20-1), rng.Uint64()&0xFF
-			}
-			switch {
-			case j == 1:
-			case p.X >= 0: // a base column, bounded for the product's sake
-				want[p.X], in[p.X] = xs, bitpack.MustPack(xs, 32).UnpackSmallest(nil, 0, n)
-			default:
-				p.X = len(in)
-				in = append(in, bitpack.MustPack(xs, 32).UnpackSmallest(nil, 0, n))
-			}
-			if j == 0 && p.Y >= 0 { // a byte column the row sums
-				ys = raw[p.Y]
-			} else {
-				p.Y = len(in)
-				in = append(in, bitpack.MustPack(ys, 8).UnpackSmallest(nil, 0, n))
-			}
-			vals := make([]uint64, n)
-			for i := range vals {
-				x := prev[i]
-				if j == 0 {
-					x = xs[i]
-				}
-				vals[i] = (signOf(p.NegX)*x + uint64(p.AddX)) * (signOf(p.NegY)*ys[i] + uint64(p.AddY))
-			}
-			want[p.Col], prev = vals, vals
-		}
-		// The rule, written out: either a lone wide word that is a product
-		// on a base of its own, or three that are a base, a product on it
-		// and one chained on that; and one carrier word, holding the first
-		// factor and at most one byte column beside it.
-		beside, narrowOK := 0, true
-		for c, w := range ws {
-			if w < 4 && c != set[0].Y {
-				beside++
-				narrowOK = narrowOK && w == 1
-			}
-		}
-		shape, why := walkRead, ""
-		switch {
-		case len(set) == 1 && !ownBase:
-			why = "one product, summed base"
-		case len(set) == 1 && wide > 1:
-			why = "one product, another wide word"
-		case len(set) == 1:
-			shape = walk1P
-		case ownBase:
-			why = "pair, base of its own"
-		case wide > 3:
-			why = "pair, another wide word"
-		default:
-			shape = walk2RC
-		}
-		if shape != walkRead && (!narrowOK || beside > 1) {
-			shape, why = walkRead, "factor carrier"
-		}
-		l, err := NewProductLayout(7, -1, ws, set)
-		if (err == nil) != (shape != walkRead) {
-			t.Fatalf("layout %v products %+v: err %v, want walk %d", ws, set, err, shape)
-		}
+	// Q1: disc_price on price and discount, charge chained on it and tax,
+	// avg(l_discount) the count × code; the serving mix's Q1: disc_price
+	// alone, on a price no column sums — each beside the quantity, over
+	// eight groups, the special one among them.
+	for _, c := range []struct {
+		ws    []int
+		key   CellKey
+		prods []Product
+	}{
+		{q1, CellKey{Input: 5, Factors: []Factor{{Bits: 4, Col: 4}, {Bits: 4, Col: -1}}},
+			[]Product{{Col: 2, X: 1, Y: 0, AddX: 90000, NegY: true, AddY: 100}, {Col: 3, X: -1, Y: 1, AddY: 100}}},
+		{[]int{1, 4, 1}, CellKey{Input: 4, Factors: []Factor{{Bits: 4, Col: 2}}}, []Product{{Col: 1, X: 3, Y: 0, NegY: true, AddY: 100}}},
+	} {
+		l, err := NewCellLayout(8, 7, c.ws, c.key, c.prods)
 		if err != nil {
-			refused[why] = true
+			t.Errorf("%v with %+v and %+v: %v", c.ws, c.key, c.prods, err)
 			continue
 		}
-		if l.walk != shape {
-			t.Fatalf("layout %v products %+v: walk %d, want %d", ws, set, l.walk, shape)
-		}
-		ran[shape] = true
-		if l.RowWords() != plain.RowWords() {
-			t.Fatalf("layout %v products %+v: %d words, %d without products", ws, set, l.RowWords(), plain.RowWords())
-		}
-		read := plain.RowWords() - len(set)
-		for j, p := range set {
-			if s := l.slots[p.Col]; s.word != read+j || s.bits != 64 || s.shift != 0 {
-				t.Fatalf("layout %v products %+v: product %d in %+v, want word %d", ws, set, j, s, read+j)
-			}
-		}
-		if !ownBase && l.slots[set[0].X].word != read-1 {
-			t.Fatalf("layout %v products %+v: the base is not the last read word", ws, set)
-		}
-		for c, w := range ws {
-			if s := l.slots[c]; w == 1 && (s.word != 0 || s.bits != byteField || (s.shift == 0) != (c == set[0].Y) || s.shift%byteField != 0) {
-				t.Fatalf("layout %v products %+v: byte column %d in %+v, want the factor at bit 0 and the other at %d", ws, set, c, s, byteField)
-			}
-		}
-		m := l.NewState()
-		m.Accumulate(groups, in)
-		got := make([][]int64, len(ws))
-		for c := range got {
-			got[c] = make([]int64, 7)
-		}
-		m.AddSums(got)
-		gotCounts := make([]int64, 7)
-		m.AddCounts(gotCounts)
-		wantCounts, wantSums := refAgg(groups, want, 7)
-		if !reflect.DeepEqual(got, wantSums) || !reflect.DeepEqual(gotCounts, wantCounts) {
-			t.Fatalf("layout %v products %+v: sums %v want %v", ws, set, got, wantSums)
+		if l.RowWords() != 2 {
+			t.Errorf("%v: a cell of %d words, want 2", c.ws, l.RowWords())
 		}
 	}
 }
 
-func TestProductLayoutRejectsMalformed(t *testing.T) {
-	q1 := []int{1, 4, 4, 8, 1} // inputs 5.. are vectors of their own
-	for _, c := range []struct {
-		ws    []int
-		prods []Product
-	}{
-		{q1, []Product{{Col: 0, X: 5, Y: 6}}},                                      // a 1-byte column
-		{q1, []Product{{Col: 5, X: 5, Y: 6}}},                                      // no such column
-		{q1, []Product{{Col: 2, X: 1, Y: 1}, {Col: 3, Y: 4}}},                      // a 4-byte factor
-		{q1, []Product{{Col: 2, X: 1, Y: -1}, {Col: 3, Y: 4}}},                     // no factor
-		{q1, []Product{{Col: 2, X: 3, Y: 0}, {Col: 1, Y: 4}}},                      // an 8-byte base
-		{q1, []Product{{Col: 2, X: -1, Y: 0}, {Col: 3, Y: 4}}},                     // no base
-		{q1, []Product{{Col: 2, X: 1, Y: 0}, {Col: 3, Y: 4, AddX: 1}}},             // a chain's addend
-		{q1, []Product{{Col: 2, X: 1, Y: 0}, {Col: 1, Y: 4}}},                      // the base is the second
-		{q1, []Product{{Col: 2, X: 1, Y: 0}, {Col: 3, Y: 4}, {Col: 1, Y: 4}}},      // three
-		{q1, []Product{{Col: 2, X: 5, Y: 0}, {Col: 3, Y: 4}}},                      // a pair on a base of its own
-		{q1, []Product{{Col: 2, X: 1, Y: 0}}},                                      // one product, summed base
-		{[]int{1, 4, 8}, []Product{{Col: 1, X: 3, Y: 0}}},                          // one product beside a read word
-		{[]int{1, 1, 2, 4}, []Product{{Col: 3, X: 4, Y: 0}}},                       // a second carrier word
-		{[]int{2, 4}, []Product{{Col: 1, X: 2, Y: 3}}},                             // a 2-byte field beside the factor
-		{[]int{1, 1, 4}, []Product{{Col: 2, X: 3, Y: 4}}},                          // two byte columns beside the factor
-		{[]int{1, 4, 4, 8, 4, 1}, []Product{{Col: 2, X: 1, Y: 0}, {Col: 3, Y: 5}}}, // a pair beside a read word
-	} {
-		if _, err := NewProductLayout(4, -1, c.ws, c.prods); err == nil {
-			t.Errorf("%v with %+v: want an error", c.ws, c.prods)
+// Reset clears the layout's cells and nothing past them: a state reused
+// across scans starts from zero, and a layout of few cells pays for few.
+func TestCellResetClearsItsCells(t *testing.T) {
+	l, err := NewCellLayout(3, -1, []int{4, 8}, CellKey{Input: 2, Factors: []Factor{{Bits: 3, Col: -1}}}, []Product{{Col: 1, X: 0, Y: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := l.NewState()
+	groups := []uint8{0, 1, 2, 2}
+	cols := []*bitpack.Unpacked{{WordSize: 4, U32: []uint32{1, 2, 3, 4}}, nil, {WordSize: 1, U8: []uint8{7, 0, 5, 5}}}
+	m.Accumulate(groups, cols)
+	m.cells[3<<3] = [2]uint64{1, 1} // past the layout's cells
+	m.Reset()
+	for i, row := range m.cells {
+		if want := [2]uint64{}; i == 3<<3 {
+			want = [2]uint64{1, 1}
+			if row != want {
+				t.Fatalf("Reset cleared cell %d, past the layout's %d", i, 3<<3)
+			}
+		} else if row != want {
+			t.Fatalf("Reset left cell %d at %v", i, row)
 		}
 	}
-	// Q1: disc_price on price and discount, charge chained on it and tax;
-	// the serving mix's Q1: disc_price alone, on a price no slot sums.
-	for _, c := range []struct {
-		ws    []int
-		prods []Product
-		walk  walkShape
-	}{
-		{q1, []Product{{Col: 2, X: 1, Y: 4, AddX: 90000, NegY: true, AddY: 100}, {Col: 3, Y: 5, AddY: 100}}, walk2RC},
-		{[]int{1, 4, 1}, []Product{{Col: 1, X: 3, Y: 2, NegY: true, AddY: 100}}, walk1P},
-	} {
-		if l, err := NewProductLayout(4, -1, c.ws, c.prods); err != nil || l.walk != c.walk {
-			t.Errorf("%v with %+v: %v, want walk %d", c.ws, c.prods, err, c.walk)
-		}
+	m.cells[3<<3] = [2]uint64{}
+	m.Accumulate(groups, cols)
+	got := [][]int64{make([]int64, 3), make([]int64, 3)}
+	counts := make([]int64, 3)
+	m.AddSums(got)
+	m.AddCounts(counts)
+	if want := [][]int64{{1, 2, 7}, {7, 0, 3*5 + 4*5}}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(counts, []int64{1, 1, 2}) {
+		t.Fatalf("after Reset: sums %v counts %v, want %v and [1 1 2]", got, counts, want)
 	}
 }
 
@@ -842,72 +710,105 @@ func TestMultiAggFlushBoundary(t *testing.T) {
 	// Push lane maxima past the 65535-row flush boundary; any missed flush
 	// overflows a field and corrupts its word neighbor. Once as one batch,
 	// where the boundary falls inside a tile, and once a row at a time, where
-	// it falls between two Accumulate calls: for the read walk's carrier
-	// tile and for both product walks, whose carrier holds a byte column and
-	// the factor (and, in the serving mix's 1P row, only those).
+	// it falls between two Accumulate calls.
 	const n = 70000
-	const x = math.MaxUint32 / 255 // a base whose product with a byte factor tops its 4-byte lane
-	type input struct {
-		size int    // 0: a product's column, which the walk does not read
-		v    uint64 // the value on every row
+	ws, top := []int{1, 2, 1}, []uint64{255, 65535, 255}
+	batch, one := make([]*bitpack.Unpacked, len(ws)), make([]*bitpack.Unpacked, len(ws))
+	for c, w := range ws {
+		vals := make([]uint64, n)
+		for r := range vals {
+			vals[r] = top[c]
+		}
+		batch[c] = bitpack.MustPack(vals, uint8(8*w)).UnpackSmallest(nil, 0, n)
+		one[c] = bitpack.MustPack(vals[:1], uint8(8*w)).UnpackSmallest(nil, 0, 1)
 	}
-	for _, c := range []struct {
-		ws    []int
-		prods []Product
-		in    []input // the columns' vectors, then those only products read
-		want  []int64 // each column's value on every row
-	}{
-		{ws: []int{1, 2, 1}, in: []input{{1, 255}, {2, 65535}, {1, 255}}, want: []int64{255, 65535, 255}},
-		{ws: []int{1, 4, 1}, prods: []Product{{Col: 1, X: 3, Y: 2}},
-			in: []input{{1, 255}, {}, {1, 255}, {4, x}}, want: []int64{255, x * 255, 255}},
-		{ws: []int{1, 4, 4, 8, 1}, prods: []Product{{Col: 2, X: 1, Y: 4}, {Col: 3, Y: 5}},
-			in: []input{{1, 255}, {4, x}, {}, {}, {1, 255}, {1, 255}}, want: []int64{255, x, x * 255, x * 255 * 255, 255}},
-	} {
-		l, err := NewProductLayout(1, -1, c.ws, c.prods)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (l.walk == walkRead) != (c.prods == nil) {
-			t.Fatalf("%v %+v: walk %d", c.ws, c.prods, l.walk)
-		}
-		batch, one := make([]*bitpack.Unpacked, len(c.in)), make([]*bitpack.Unpacked, len(c.in))
-		for i, in := range c.in {
-			if in.size == 0 {
-				continue
-			}
-			vals := make([]uint64, n)
-			for r := range vals {
-				vals[r] = in.v
-			}
-			batch[i] = bitpack.MustPack(vals, uint8(8*in.size)).UnpackSmallest(nil, 0, n)
-			one[i] = bitpack.MustPack(vals[:1], uint8(8*in.size)).UnpackSmallest(nil, 0, 1)
-		}
-		check := func(how string, m *MultiAgg) {
-			t.Helper()
-			got := make([][]int64, len(c.ws))
-			for col := range got {
-				got[col] = make([]int64, 1)
-			}
-			counts := make([]int64, 1)
-			m.AddSums(got)
-			m.AddCounts(counts)
-			for col, v := range c.want {
-				if got[col][0] != n*v {
-					t.Fatalf("%v %s: flush boundary: sum %d = %d want %d", c.ws, how, col, got[col][0], n*v)
-				}
-			}
-			if counts[0] != n {
-				t.Fatalf("%v %s: flush boundary: count %d want %d", c.ws, how, counts[0], n)
+	m, err := NewMultiAgg(1, -1, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string) {
+		t.Helper()
+		got := [][]int64{make([]int64, 1), make([]int64, 1), make([]int64, 1)}
+		counts := make([]int64, 1)
+		m.AddSums(got)
+		m.AddCounts(counts)
+		for c, v := range top {
+			if got[c][0] != n*int64(v) {
+				t.Fatalf("%s: flush boundary: sum %d = %d want %d", how, c, got[c][0], n*int64(v))
 			}
 		}
-		groups := make([]uint8, n)
+		if counts[0] != n {
+			t.Fatalf("%s: flush boundary: count %d want %d", how, counts[0], n)
+		}
+	}
+	groups := make([]uint8, n)
+	m.Accumulate(groups, batch)
+	check("one batch")
+	for i := 0; i < n; i++ {
+		m.Accumulate(groups[:1], one)
+	}
+	check("row at a time")
+}
+
+// A cell is folded every maxRowsBetweenFolds rows, however the batches
+// fall: with the byte column at 255, the base at its 4-byte maximum and
+// both factors' codes at theirs on every row, a fold that came late would
+// carry the byte column's field into the count. Q1's layout runs whole
+// 4096-row batches across the boundary, then single rows across the next.
+func TestCellFoldBoundary(t *testing.T) {
+	const batch = 4096
+	n := maxRowsBetweenFolds + batch + 1
+	l, err := NewCellLayout(1, -1, []int{1, 4, 4, 8, 1}, CellKey{Input: 5, Factors: []Factor{{Bits: 4, Col: 4}, {Bits: 4, Col: -1}}},
+		[]Product{{Col: 2, X: 1, Y: 0, AddX: 90000, NegY: true, AddY: 100}, {Col: 3, X: -1, Y: 1, AddY: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(size int, v uint64) *bitpack.Unpacked {
+		u := bitpack.NewUnpacked(uint8(8*size), batch)
+		for i := 0; i < batch; i++ {
+			switch size {
+			case 1:
+				u.U8[i] = uint8(v)
+			default:
+				u.U32[i] = uint32(v)
+			}
+		}
+		return u
+	}
+	const x = math.MaxUint32
+	cols := []*bitpack.Unpacked{fill(1, 255), fill(4, x), nil, nil, nil, fill(1, 0xFF)}
+	// Per row: (x + 90000)·(100 - 15), then that times (15 + 100).
+	disc := (uint64(x) + 90000) * 85
+	want := []uint64{255, x, disc, disc * 115, 15}
+	groups := make([]uint8, batch)
+	for _, split := range []int{batch, 1} {
 		m := l.NewState()
-		m.Accumulate(groups, batch)
-		check("one batch", m)
-		for i := 0; i < n; i++ {
-			m.Accumulate(groups[:1], one)
+		for rows := 0; rows < n; {
+			k := min(batch, n-rows)
+			if rows >= maxRowsBetweenFolds-batch && rows < maxRowsBetweenFolds+batch {
+				k = min(k, split) // single rows across the fold
+			}
+			m.Accumulate(groups[:k], cols)
+			rows += k
+			if rows == maxRowsBetweenFolds && m.rowsIn != 0 {
+				t.Fatalf("split %d: %d rows in after %d, want a fold", split, m.rowsIn, rows)
+			}
 		}
-		check("row at a time", m)
+		got := make([][]int64, 5)
+		for c := range got {
+			got[c] = make([]int64, 1)
+		}
+		counts := make([]int64, 1)
+		m.AddSums(got)
+		m.AddCounts(counts)
+		for c, v := range want {
+			if got[c][0] != int64(uint64(n)*v) {
+				t.Fatalf("split %d: fold boundary: sum %d = %d want %d", split, c, got[c][0], int64(uint64(n)*v))
+			}
+		}
+		if counts[0] != int64(n) {
+			t.Fatalf("split %d: fold boundary: count %d want %d", split, counts[0], n)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package agg
 
 import (
 	"fmt"
-	"slices"
 
 	"bipie/internal/bitpack"
 )
@@ -14,28 +13,22 @@ import (
 // row count is one more field of the row, so a plan on this strategy runs no
 // separate counting pass.
 //
-// An accumulator row is up to maxRowWords 64-bit words. Word 0 is a
-// carrier: its top countBits hold the row count, and below it sit bit
-// fields for 1- and 2-byte inputs, each fieldSpare bits wider than its
-// lane. Between two flushes at most maxRowsBetweenFlushes = 2^16-1 rows
-// arrive, each adding at most 2^lane-1 to a field, so a field's running sum
-// stays below 2^(lane+16) and never carries into its neighbour; the count
-// itself stays below 2^16. Narrow fields that outgrow word 0 open further
-// carrier words (two fields each). Every 4- or 8-byte input owns a whole
-// word, 8-byte words before 4-byte ones, and is read straight from its
-// unpacked vector by the accumulate loop; 8-byte inputs sum modulo 2^64,
-// which is int64's wrapping sum. The read walk (walkRead) materializes
-// only its carrier words: a typed pass builds them per tile from the narrow
-// columns, two at a time, and the walk reads them back.
+// A layout runs one of two walks. The read walk reads every word of the row
+// from a vector: word 0 is a carrier holding the row count and the 1- and
+// 2-byte inputs in bit fields (countBits, fieldSpare), further carrier words
+// hold narrow inputs that outgrow it, and every 4- or 8-byte input owns a
+// word, read straight from its unpacked vector; 8-byte inputs sum modulo
+// 2^64, which is int64's wrapping sum. Only the carrier words are
+// materialized, a tile at a time, by a typed pass over the narrow columns.
 //
-// Up to two wide words may instead be product words (Product): the walk
-// computes a multiplication of the engine's sum-expression program per row,
-// in registers, from the vectors the batch loaded anyway, so the product is
-// never stored only to be loaded again. The walk has exactly the two shapes
-// the benchmark's queries run (walkShape), and both build their one carrier
-// word in registers too: the first product's 1-byte factor at bit 0, where
-// the product takes it back out, and a byte column right above it — so
-// these walks materialize nothing.
+// The cell walk computes products instead of reading them (NewCellLayout).
+// A product's factors are small codes — Q1's discount and tax take 11 and 9
+// values — so the walk keys each row by (group, factor codes), a cell, and
+// adds only its count, one byte column and the products' one base to the
+// cell's two words. Every row of a cell has the same factors, so the fold
+// multiplies once per cell what a per-row walk multiplies once per row:
+// Σ(x + a)·(y + c) = (Σx + a·count)·(y + c), exact modulo 2^64. A column
+// that sums a factor is count × code, read off the cell too.
 //
 // The strategy is split along the engine's plan/exec line: MultiLayout is
 // the immutable field assignment, computed once per (query × segment) from
@@ -59,26 +52,31 @@ const (
 	// tileRows bounds the read walk's carrier scratch so it stays
 	// cache-resident.
 	tileRows = 2048
-	// byteField is the width of a 1-byte input's field, and so where a
-	// carrier's second byte field starts.
-	byteField = 8 + fieldSpare
+
+	// maxCells bounds the cell block: 2048 cells of two words are 32 KiB,
+	// which stays in L1.
+	maxCells = 2048
+	// cellCountShift places a cell's row count in the top 24 bits of its
+	// first word, above the byte column's field; maxRowsBetweenFolds keeps
+	// both inside their bits — 2^24-1 byte maxima sum below 2^32 — so a
+	// scan unit of up to 2^24-1 rows folds its cells once.
+	cellCountShift      = 40
+	maxRowsBetweenFolds = 1<<(64-cellCountShift) - 1
+	cellFieldMask       = 1<<cellCountShift - 1
 )
 
 // maSlot places one aggregate input in the accumulator row: a bit field of
-// a carrier word (1- and 2-byte inputs), or a whole word (bits = 64). A
-// product word holds its value negated when neg is set.
+// a carrier word (1- and 2-byte inputs), or a whole word (bits = 64).
 type maSlot struct {
 	word  int
 	shift uint
 	bits  uint
-	neg   bool
 }
 
 // maCarrier names the (at most two) narrow inputs a carrier word is built
 // from: a's field starts at bit 0, b's right above it, at the bit mulB has
 // set. A word with one field lists it twice with mulB = 1, which ORs to
-// itself. A product walk's one carrier (carryFactor) always has a, the
-// factor, at bit 0; a and b may be inputs no slot reads.
+// itself.
 type maCarrier struct {
 	word   int
 	a, b   int // inputs of Accumulate's cols
@@ -89,8 +87,8 @@ type maCarrier struct {
 
 // MultiLayout is the immutable accumulator-row assignment of a
 // multi-aggregate plan: which word, and which bits of it, each aggregate
-// column occupies. It holds no accumulators and is safe to share across
-// concurrent scans.
+// column occupies — or, for a cell walk, the key and the fold. It holds no
+// accumulators and is safe to share across concurrent scans.
 type MultiLayout struct {
 	numGroups int
 	skip      int // special group whose results are discarded, or -1
@@ -98,35 +96,17 @@ type MultiLayout struct {
 	carriers  []maCarrier // one per carrier word that has fields
 	ncarrier  int         // carrier words, word 0 included
 	wide      []int       // columns read into words ncarrier.., in word order
-	prods     []maProduct // product words, after the wide ones
-	walk      walkShape   // the accumulate loop, chosen with prods
+	cells     *cellLayout // the cell walk; nil for the read walk
+	flushRows int         // rows between two flushes: maxRowsBetweenFlushes or, for cells, maxRowsBetweenFolds
 }
 
-// walkShape names the accumulate loop of a layout. NewProductLayout admits
-// products only in the two shapes with a loop, and Accumulate switches on
-// this same value, so a layout cannot reach a loop that drops a product.
-type walkShape uint8
-
-const (
-	// walkRead reads every word from a vector (addRows).
-	walkRead walkShape = iota
-	// walk1P is the carrier, then one product on a base no column sums —
-	// the serving mix's Q1 (accumulate1P).
-	walk1P
-	// walk2RC is the carrier, a 4-byte column, a product on it and a
-	// second chained on the first — Q1's price, disc_price and charge
-	// (accumulate2RC).
-	walk2RC
-)
-
-// Product is a wide word the accumulate walk computes per row instead of
-// reading it: (±x + AddX)·(±y + AddY) modulo 2^64, the value of a
-// multiplication node of the engine's sum-expression program (exact, for a
-// node proven to fit 4 bytes). y is input Y, a 1-byte vector; x is input X,
-// a 4-byte vector, or for a second product the row's value of the first,
-// taken as it stands (X unread, AddX = 0). Inputs index Accumulate's cols,
-// which may run past the aggregate columns to vectors only a product reads;
-// column Col's own entry is not read.
+// Product is an aggregate column the cell walk computes instead of reading:
+// (±x + AddX)·(±y + AddY) modulo 2^64, the value of a multiplication node of
+// the engine's sum-expression program. y is the code of key factor Y; x is
+// input X, the walk's 4-byte base vector, or, with X < 0, the previous
+// product's value. Inputs index Accumulate's cols, which may run past the
+// aggregate columns to vectors no column sums; column Col's own entry is not
+// read.
 type Product struct {
 	Col        int
 	X, Y       int
@@ -134,52 +114,66 @@ type Product struct {
 	AddX, AddY int64
 }
 
-// maProduct is a product word as the walk computes it: the raw value
-// (x + ax)·(y + ay), with both signs moved out onto the slot — ±x + AddX is
-// ±(x ± AddX), so the word sums ±the product and the flush restores the
-// sign. The second product's x is the first's raw value.
-type maProduct struct {
-	x, y   int
+// Factor is one code of a cell walk's key, Bits wide, above the factors
+// before it. Col is the aggregate column that sums the code, or -1.
+type Factor struct {
+	Bits uint
+	Col  int
+}
+
+// CellKey is a cell walk's key: input Input holds one key byte a row, the
+// Factors' codes packed into it from bit 0 up.
+type CellKey struct {
+	Input   int
+	Factors []Factor
+}
+
+// cellLayout is how a cell walk adds a row and folds a cell: word 0 of a
+// cell sums the count and narrow, word 1 the base, the rest is cellSums.
+type cellLayout struct {
+	bits   uint // key bits: a group owns 1<<bits cells
+	key    int  // the input holding the key
+	narrow int  // the input word 0's field sums: the byte column, or the key when there is none
+	base   int  // the input word 1 sums
+	sums   []cellSum
+}
+
+// cellSum is a column the fold computes once per cell as
+// sign·(b + ax·count)·(code + ay), modulo 2^64: b is the cell's base total
+// (base all ones), the previous one's value before its sign (prev all
+// ones: a chain), or zero (both 0). A product (±x + a)·(±y + c) is
+// ±(x ± a)·(y ± c), so its signs move out onto sign; a column that sums a
+// factor's code is (0 + count)·code, and the base's own column Σx·(0 + 1).
+type cellSum struct {
+	col    int
+	shift  uint
+	mask   uint64 // the factor's code is key>>shift & mask
+	base   uint64
 	ax, ay uint64
+	sign   uint64
+	prev   uint64
 }
 
-// NewMultiLayout builds the row layout for aggregate columns of the given
-// unpacked word sizes (1, 2, 4, or 8 bytes). It returns an error when the
-// row would need more than maxRowWords words, in which case the caller must
-// plan another strategy. This is the metadata-only half of the strategy:
-// validating a layout allocates no accumulator state.
-func NewMultiLayout(numGroups, skipGroup int, wordSizes []int) (*MultiLayout, error) {
-	return NewProductLayout(numGroups, skipGroup, wordSizes, nil)
-}
-
-// NewProductLayout is NewMultiLayout with some 4- or 8-byte columns computed
-// by the walk (Product), in one of the walk's two shapes: word 0 holding the
-// first product's factor and at most one byte column beside it
-// (carryFactor), then either one product on a base no column sums (walk1P),
-// or a 4-byte column, a product on it and a second on the first (walk2RC).
-// Any other set of products is an error, and the caller materializes them
-// instead. A product column still owns a whole word, so the row is as long
-// as without products.
+// NewMultiLayout builds the read-walk layout for aggregate columns of the
+// given unpacked word sizes (1, 2, 4, or 8 bytes). It returns an error when
+// the row would need more than maxRowWords words, in which case the caller
+// must plan another strategy. This is the metadata-only half of the
+// strategy: validating a layout allocates no accumulator state.
 //
 //bipie:allow hotalloc — plan-time constructor: runs once per (query, segment), never in a scan loop
-func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Product) (*MultiLayout, error) {
-	l := &MultiLayout{numGroups: numGroups, skip: skipGroup, slots: make([]maSlot, len(wordSizes)), ncarrier: 1}
-	var err error
-	if l.walk, err = walkOf(wordSizes, products); err != nil {
-		return nil, err
-	}
+func NewMultiLayout(numGroups, skipGroup int, wordSizes []int) (*MultiLayout, error) {
+	l := &MultiLayout{numGroups: numGroups, skip: skipGroup, slots: make([]maSlot, len(wordSizes)), ncarrier: 1, flushRows: maxRowsBetweenFlushes}
 	// One lane order for the whole row. Narrow fields fill carrier words
 	// from bit 0 up, 1-byte inputs first: word 0 has 48 bits under the count
 	// — two byte fields or one 2-byte field — and any two fields fit a later
 	// word, so this order wastes no word. Then every column read whole owns
 	// a word, 8-byte ones first, so the walk has one loop per count of each
-	// (addRows); in walk2RC the one column left read is the first product's
-	// base.
+	// (addRows).
 	used, limit := uint(0), uint(countShift)
 	for _, size := range [4]int{1, 2, 8, 4} {
 		for c, ws := range wordSizes {
 			switch {
-			case ws != size || slices.ContainsFunc(products, func(p Product) bool { return p.Col == c }):
+			case ws != size:
 				continue
 			case ws >= 4:
 				l.slots[c] = maSlot{word: l.ncarrier + len(l.wide), bits: 64}
@@ -206,87 +200,87 @@ func NewProductLayout(numGroups, skipGroup int, wordSizes []int, products []Prod
 			used += bits
 		}
 	}
-	if l.walk != walkRead {
-		if err := l.carryFactor(wordSizes, products[0].Y); err != nil {
-			return nil, err
-		}
-	}
-	sign := uint64(1)
-	for j, p := range products {
-		sx, sy := signOf(p.NegX), signOf(p.NegY)
-		sign *= sx * sy
-		l.slots[p.Col] = maSlot{word: l.ncarrier + len(l.wide) + j, bits: 64, neg: sign != 1}
-		l.prods = append(l.prods, maProduct{x: p.X, y: p.Y, ax: sx * uint64(p.AddX), ay: sy * uint64(p.AddY)})
-	}
 	if l.RowWords() > maxRowWords {
 		return nil, fmt.Errorf("agg: multi-aggregate row overflow: %v needs %d words, the row has %d", wordSizes, l.RowWords(), maxRowWords)
 	}
 	return l, nil
 }
 
-// walkOf names the loop that computes products over columns of wordSizes,
-// or explains why none does.
+// NewCellLayout builds a cell-walk layout (see the package comment above):
+// the products, and columns that sum a key factor's code, come out of the
+// fold; the walk reads the key, the products' one 4-byte base and at most
+// one byte column, and no other column may need more. The key must fit a
+// byte and the groups' cells maxCells. Anything else is an error, and the
+// caller plans the read walk over materialized products instead.
 //
-//bipie:allow hotalloc — plan-time check: NewProductLayout's, never in a scan loop
-func walkOf(wordSizes []int, products []Product) (walkShape, error) {
+//bipie:allow hotalloc — plan-time constructor: runs once per (query, segment), never in a scan loop
+func NewCellLayout(numGroups, skipGroup int, wordSizes []int, key CellKey, products []Product) (*MultiLayout, error) {
 	cols := len(wordSizes)
-	wide := 0
-	for _, ws := range wordSizes {
-		if ws >= 4 {
-			wide++
+	c := &cellLayout{key: key.Input, narrow: key.Input, base: -1}
+	fail := func(why string) (*MultiLayout, error) {
+		return nil, fmt.Errorf("agg: no cell walk for %v with key %+v and products %+v: %s", wordSizes, key, products, why)
+	}
+	if len(products) == 0 || key.Input < cols {
+		return fail("it needs a product and a key input of its own")
+	}
+	// Each column is filled by exactly one of: a product, a factor's code,
+	// the base, the byte column.
+	claimed := make([]bool, cols)
+	claim := func(col int) bool {
+		if col < 0 || col >= cols || claimed[col] {
+			return false
+		}
+		claimed[col] = true
+		return true
+	}
+	var codes [8]cellSum // a key byte holds at most eight codes
+	for j, f := range key.Factors {
+		if f.Bits == 0 || c.bits+f.Bits > 8 || f.Col >= 0 && !claim(f.Col) {
+			return fail("the codes overflow a key byte, or a code's column is taken")
+		}
+		codes[j] = cellSum{col: f.Col, shift: c.bits, mask: 1<<f.Bits - 1, ax: 1, sign: 1}
+		if c.bits += f.Bits; f.Col >= 0 {
+			c.sums = append(c.sums, codes[j])
 		}
 	}
+	if numGroups<<c.bits > maxCells {
+		return fail(fmt.Sprintf("%d groups of %d-bit keys exceed %d cells", numGroups, c.bits, maxCells))
+	}
+	sign := uint64(1)
 	for j, p := range products {
-		switch {
-		case p.Col < 0 || p.Col >= cols || wordSizes[p.Col] < 4:
-			return walkRead, fmt.Errorf("agg: product %d fills column %d, not a 4- or 8-byte one of %v", j, p.Col, wordSizes)
-		case p.Y < 0 || p.Y < cols && wordSizes[p.Y] != 1:
-			return walkRead, fmt.Errorf("agg: product %d's factor %d is not a 1-byte vector of %v", j, p.Y, wordSizes)
+		if p.Y < 0 || p.Y >= len(key.Factors) || !claim(p.Col) || p.X < 0 && j == 0 || p.X == key.Input || p.X >= 0 && c.base >= 0 && p.X != c.base {
+			return fail("a product's factor or column is not its own, or its base is not the one base")
 		}
+		if p.X >= 0 {
+			c.base, sign = p.X, 1
+		}
+		// The base term ±B + AddX, B = sign·raw of the previous product (or
+		// x, sign 1), is s·(raw + s·AddX) with s = ±sign.
+		s, sy := sign*signOf(p.NegX), signOf(p.NegY)
+		sign = s * sy
+		sum := codes[p.Y]
+		sum.col, sum.base, sum.ax, sum.ay, sum.sign = p.Col, ^uint64(0), s*uint64(p.AddX), sy*uint64(p.AddY), sign
+		if p.X < 0 {
+			sum.base, sum.prev = 0, ^uint64(0)
+		}
+		c.sums = append(c.sums, sum)
 	}
-	switch p := products; {
-	case len(p) == 0:
-		return walkRead, nil
-	case len(p) == 1 && p[0].X >= cols && wide == 1:
-		return walk1P, nil
-	case len(p) == 2 && p[0].X >= 0 && p[0].X < cols && wordSizes[p[0].X] == 4 && p[1].AddX == 0 && wide == 3 &&
-		p[0].X != p[0].Col && p[0].X != p[1].Col && p[0].Col != p[1].Col:
-		return walk2RC, nil
+	if c.base < cols {
+		if wordSizes[c.base] != 4 || !claim(c.base) {
+			return fail("the base is not a 4-byte column of its own")
+		}
+		c.sums = append(c.sums, cellSum{col: c.base, base: ^uint64(0), ay: 1, sign: 1})
 	}
-	return walkRead, fmt.Errorf("agg: products %+v over %v: the walk computes one product on a base of its own "+
-		"after narrow columns, or, after narrow columns and a 4-byte one, a product on it and a second on the first", products, wordSizes)
-}
-
-// carryFactor lays out word 0 of a product walk as the carrier the walk
-// builds in registers: the first product's factor y at bit 0, where the
-// walk takes its low byte back out for the multiply, so y is loaded once,
-// and a byte column right above it. A factor no column sums still rides
-// there, in a field no slot reads, and with no byte column beside it the
-// factor fills the second field too; both sum to at most
-// maxRowsBetweenFlushes × 255, inside their 24 bits. A carrier with
-// anything else — a 2-byte field, or two byte columns beside a factor of
-// their own — needs a third field or a wider one, and is an error.
-//
-//bipie:allow hotalloc — plan-time check: NewProductLayout's, never in a scan loop
-func (l *MultiLayout) carryFactor(wordSizes []int, y int) error {
-	b := y
-	for c, ws := range wordSizes {
+	for col, ws := range wordSizes {
 		switch {
-		case ws >= 4 || c == y:
-		case ws != 1 || b != y:
-			return fmt.Errorf("agg: products over %v: the walk's carrier holds factor %d and at most one byte column beside it", wordSizes, y)
+		case claimed[col]:
+		case ws != 1 || c.narrow < cols:
+			return fail("a column is neither a product, a code, the base nor the one byte column")
 		default:
-			b = c
+			c.narrow = col
 		}
 	}
-	if y < len(wordSizes) {
-		l.slots[y] = maSlot{bits: byteField}
-	}
-	if b != y {
-		l.slots[b] = maSlot{shift: byteField, bits: byteField}
-	}
-	l.carriers = []maCarrier{{a: y, b: b, wa: 1, wb: 1, mulB: 1 << byteField, inc: 1 << countShift}}
-	return nil
+	return &MultiLayout{numGroups: numGroups, skip: skipGroup, slots: make([]maSlot, cols), cells: c, flushRows: maxRowsBetweenFolds}, nil
 }
 
 // signOf is ±1 modulo 2^64.
@@ -298,8 +292,14 @@ func signOf(neg bool) uint64 {
 }
 
 // RowWords reports how many 64-bit words an accumulator row of the layout
-// uses; the ablation benches use it to show efficiency versus row density.
-func (l *MultiLayout) RowWords() int { return l.ncarrier + len(l.wide) + len(l.prods) }
+// uses — two for a cell — which the ablation benches use to show efficiency
+// versus row density.
+func (l *MultiLayout) RowWords() int {
+	if l.cells != nil {
+		return 2
+	}
+	return l.ncarrier + len(l.wide)
+}
 
 // NewState allocates the mutable accumulator state for one scan over this
 // layout. States from the same layout are independent: concurrent scans
@@ -309,16 +309,17 @@ func (l *MultiLayout) RowWords() int { return l.ncarrier + len(l.wide) + len(l.p
 func (l *MultiLayout) NewState() *MultiAgg {
 	m := &MultiAgg{
 		layout: l,
-		acc:    new(accRows),
 		counts: make([]int64, l.numGroups),
 		sums:   make([][]int64, len(l.slots)),
 	}
 	for c := range m.sums {
 		m.sums[c] = make([]int64, l.numGroups)
 	}
-	if l.walk != walkRead {
-		return m // the product walks build their carrier in registers
+	if l.cells != nil {
+		m.cells = new(cellRows)
+		return m
 	}
+	m.acc = new(accRows)
 	m.carrier = make([][]uint64, l.ncarrier)
 	for w := range m.carrier {
 		m.carrier[w] = make([]uint64, tileRows)
@@ -332,28 +333,32 @@ func (l *MultiLayout) NewState() *MultiAgg {
 	return m
 }
 
-// accRows is the accumulator block: one row per byte-wide group id, so the
-// id indexes it without a bounds check.
+// accRows is the read walk's accumulator block: one row per byte-wide group
+// id, so the id indexes it without a bounds check.
 type accRows [256][maxRowWords]uint64
 
+// cellRows is the cell walk's block: group g owns cells g<<bits on.
+type cellRows [maxCells][2]uint64
+
 // MultiAgg is the per-scan execution state of a multi-aggregate plan:
-// accumulator-row partial sums per group, the widened 64-bit totals, and,
-// for the read walk, one tile of carrier words. One MultiAgg belongs to
-// exactly one scan at a time.
+// accumulator-row partial sums per group (or per cell), the widened 64-bit
+// totals, and, for the read walk, one tile of carrier words. One MultiAgg
+// belongs to exactly one scan at a time.
 type MultiAgg struct {
 	layout *MultiLayout
-	acc    *accRows
+	acc    *accRows  // the read walk's rows; nil for a cell walk
+	cells  *cellRows // the cell walk's; nil for the read walk
 	rowsIn int       // rows accumulated since the last flush
 	counts []int64   // counts[group], flushed totals
 	sums   [][]int64 // sums[col][group], flushed totals
 	// carrier[w] holds one tile of carrier word w, reused across tiles; nil
-	// for a product walk.
+	// for a cell walk.
 	carrier [][]uint64
 }
 
-// NewMultiAgg builds a layout and its state in one step — the one-shot
-// constructor kept for benches and tests; the engine plans the layout once
-// and pools states.
+// NewMultiAgg builds a read-walk layout and its state in one step — the
+// one-shot constructor kept for benches and tests; the engine plans the
+// layout once and pools states.
 func NewMultiAgg(numGroups, skipGroup int, wordSizes []int) (*MultiAgg, error) {
 	l, err := NewMultiLayout(numGroups, skipGroup, wordSizes)
 	if err != nil {
@@ -362,10 +367,14 @@ func NewMultiAgg(numGroups, skipGroup int, wordSizes []int) (*MultiAgg, error) {
 	return l.NewState(), nil
 }
 
-// Reset clears the accumulators for reuse by a new scan. The layout is
-// untouched; the group domain and field assignment are plan state.
+// Reset clears the accumulators — the groups' rows or cells — for reuse by
+// a new scan. The layout, plan state, is untouched.
 func (m *MultiAgg) Reset() {
-	clear(m.acc[:m.layout.numGroups])
+	if c := m.layout.cells; c != nil {
+		clear(m.cells[:m.layout.numGroups<<c.bits])
+	} else {
+		clear(m.acc[:m.layout.numGroups])
+	}
 	clear(m.counts)
 	for _, s := range m.sums {
 		clear(s)
@@ -379,18 +388,17 @@ func (m *MultiAgg) RowWords() int { return m.layout.RowWords() }
 
 // Accumulate adds a batch: groups[i] is the group id of row i and cols[c]
 // holds the values of aggregate c, batch-aligned with groups — and, past
-// the aggregate columns, any vector only a product word reads. It walks the
-// group ids once, adding the whole row — count, narrow fields, in-place wide
-// values and products — to the group's accumulator row; the read walk
-// builds each tile's carrier words first.
+// the aggregate columns, a cell walk's key and a base no column sums. The
+// read walk builds each tile's carrier words, then adds each row's words
+// to its group's row; the cell walk adds its two to the row's cell.
 //
 //bipie:kernel
 func (m *MultiAgg) Accumulate(groups []uint8, cols []*bitpack.Unpacked) {
 	l := m.layout
 	for off := 0; off < len(groups); {
-		n := min(len(groups)-off, maxRowsBetweenFlushes-m.rowsIn)
-		if l.walk != walkRead {
-			l.addProducts(m.acc, groups[off:off+n], cols, off)
+		n := min(len(groups)-off, l.flushRows-m.rowsIn)
+		if c := l.cells; c != nil {
+			accumulateCells(m.cells, groups[off:off+n], cols[c.key].U8[off:], cols[c.narrow].U8[off:], cols[c.base].U32[off:], 1<<c.bits)
 		} else {
 			n = min(n, tileRows)
 			for i := range l.carriers {
@@ -417,7 +425,7 @@ func (m *MultiAgg) Accumulate(groups []uint8, cols []*bitpack.Unpacked) {
 			addRows(m.acc, groups[off:off+n], m.carrier[0][:n], w[:nw], h[:nh])
 		}
 		off += n
-		if m.rowsIn += n; m.rowsIn == maxRowsBetweenFlushes {
+		if m.rowsIn += n; m.rowsIn == l.flushRows {
 			m.Flush()
 		}
 	}
@@ -456,20 +464,25 @@ func packFields[A, B narrowWord](dst []uint64, a []A, b []B, mulB, inc uint64) {
 // wideWord is the element type of a column that owns an accumulator word.
 type wideWord interface{ uint32 | uint64 }
 
-// addProducts adds rows with the loop of the layout's walk shape, handing
-// it word 0's two carrier columns — the factor first — and the base. Like
-// addRows it keeps the dispatch out of Accumulate, and each walk is a frame
-// of its own, so its loop's registers follow from its arguments alone.
-func (l *MultiLayout) addProducts(acc *accRows, groups []uint8, cols []*bitpack.Unpacked, off int) {
-	end := off + len(groups)
-	cw, p := &l.carriers[0], &l.prods[0]
-	y, b, x := cols[cw.a].U8[off:end], cols[cw.b].U8[off:end], cols[p.x].U32[off:end]
-	switch l.walk {
-	case walk1P:
-		accumulate1P(acc, groups, y, b, x, p.ax, p.ay)
-	case walk2RC:
-		q := &l.prods[1]
-		accumulate2RC(acc, groups, y, b, x, cols[q.y].U8[off:end], p.ax, p.ay, q.ay)
+// accumulateCells is the cell walk: row i adds its count and byte column
+// to word 0 of cell groups[i]·stride + keys[i] — stride is a group's cells,
+// 1<<bits — and its base to word 1: two read-modify-writes, no product. The
+// group moves up by a multiply, one micro-op where a shift by a count that
+// is not a constant takes three; the mask keeps the index inside the block
+// for the compiler, the layout already below numGroups·stride. Like the
+// read walk's loops it is a frame of its own (inlined into Accumulate, its
+// loop reloaded a vector from the stack every row) and counts down to zero,
+// so no register holds the length.
+//
+//bipie:kernel
+//bipie:nobce
+//go:noinline
+func accumulateCells(block *cellRows, groups, keys, a []uint8, x []uint32, stride uint) {
+	rows, keys, a, x := block[:], keys[:len(groups)], a[:len(groups)], x[:len(groups)]
+	for i := len(groups) - 1; i >= 0; i-- {
+		row := &rows[(uint(groups[i])*stride+uint(keys[i]))%maxCells]
+		row[0] += uint64(a[i]) | 1<<cellCountShift
+		row[1] += uint64(x[i])
 	}
 }
 
@@ -512,23 +525,25 @@ func addRows(acc *accRows, groups []uint8, c []uint64, w [][]uint64, h [][]uint3
 	}
 }
 
-// accumulate1..5 are the one walk over the group ids: row i's words are
+// accumulate1..5 are the read walk over the group ids: row i's words are
 // added to its group's accumulator row, one load-add-store per word. The
-// group id is a byte and the block has 256 rows, so nothing in the loop is
-// bounds-checked. Consecutive rows of one group queue behind each other's
-// stores as they do in the scalar row loops, but a row's words are separate
-// chains that overlap; a second block for alternate rows measured no gain
-// on Q1's shape. Each is a frame of its own (accumulate5 is past the inlining
-// budget anyway), so its loop's registers follow from its arguments alone,
-// not from the dispatch around it.
+// block is sliced once ahead of the loop, so the loop indexes a slice of
+// 256 rows — not the block pointer, which the compiler nil-checks on every
+// row — and the byte group id needs no bounds check. Consecutive rows of
+// one group queue behind each other's stores as they do in the scalar row
+// loops, but a row's words are separate chains that overlap; a second block
+// for alternate rows measured no gain on Q1's shape. Each is a frame of its
+// own (accumulate5 is past the inlining budget anyway), so its loop's
+// registers follow from its arguments alone, not from the dispatch around
+// it.
 
 //bipie:kernel
 //bipie:nobce
 //go:noinline
 func accumulate1(acc *accRows, groups []uint8, c []uint64) {
-	c = c[:len(groups)]
+	rows, c := acc[:], c[:len(groups)]
 	for i, g := range groups {
-		acc[g][0] += c[i]
+		rows[g][0] += c[i]
 	}
 }
 
@@ -536,9 +551,9 @@ func accumulate1(acc *accRows, groups []uint8, c []uint64) {
 //bipie:nobce
 //go:noinline
 func accumulate2[A wideWord](acc *accRows, groups []uint8, c []uint64, a []A) {
-	c, a = c[:len(groups)], a[:len(groups)]
+	rows, c, a := acc[:], c[:len(groups)], a[:len(groups)]
 	for i, g := range groups {
-		row := &acc[g]
+		row := &rows[g]
 		row[0] += c[i]
 		row[1] += uint64(a[i])
 	}
@@ -548,9 +563,9 @@ func accumulate2[A wideWord](acc *accRows, groups []uint8, c []uint64, a []A) {
 //bipie:nobce
 //go:noinline
 func accumulate3[A, B wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B) {
-	c, a, b = c[:len(groups)], a[:len(groups)], b[:len(groups)]
+	rows, c, a, b := acc[:], c[:len(groups)], a[:len(groups)], b[:len(groups)]
 	for i, g := range groups {
-		row := &acc[g]
+		row := &rows[g]
 		row[0] += c[i]
 		row[1] += uint64(a[i])
 		row[2] += uint64(b[i])
@@ -561,9 +576,9 @@ func accumulate3[A, B wideWord](acc *accRows, groups []uint8, c []uint64, a []A,
 //bipie:nobce
 //go:noinline
 func accumulate4[A, B, C wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B, d []C) {
-	c, a, b, d = c[:len(groups)], a[:len(groups)], b[:len(groups)], d[:len(groups)]
+	rows, c, a, b, d := acc[:], c[:len(groups)], a[:len(groups)], b[:len(groups)], d[:len(groups)]
 	for i, g := range groups {
-		row := &acc[g]
+		row := &rows[g]
 		row[0] += c[i]
 		row[1] += uint64(a[i])
 		row[2] += uint64(b[i])
@@ -574,9 +589,9 @@ func accumulate4[A, B, C wideWord](acc *accRows, groups []uint8, c []uint64, a [
 //bipie:kernel
 //bipie:nobce
 func accumulate5[A, B, C, D wideWord](acc *accRows, groups []uint8, c []uint64, a []A, b []B, d []C, e []D) {
-	c, a, b, d, e = c[:len(groups)], a[:len(groups)], b[:len(groups)], d[:len(groups)], e[:len(groups)]
+	rows, c, a, b, d, e := acc[:], c[:len(groups)], a[:len(groups)], b[:len(groups)], d[:len(groups)], e[:len(groups)]
 	for i, g := range groups {
-		row := &acc[g]
+		row := &rows[g]
 		row[0] += c[i]
 		row[1] += uint64(a[i])
 		row[2] += uint64(b[i])
@@ -585,68 +600,53 @@ func accumulate5[A, B, C, D wideWord](acc *accRows, groups []uint8, c []uint64, 
 	}
 }
 
-// accumulate1P and accumulate2RC are the walk of the two product shapes
-// (walkShape): the carrier, then one product on a base of its own; or the
-// carrier, a 4-byte word that is also the product's base — loaded once for
-// both — the product and a second chained on it. Each row builds its
-// carrier in registers from factor y and byte column b (carryFactor) and
-// takes the factor back out of its low byte for the multiply: kept live
-// beside the carrier, y costs a register the loop does not have, and is
-// reloaded from the stack every row; and a factor at bit 0 needs no shift
-// to come back out. A product is two adds and a multiply in registers —
-// ALU slots the walk's read-modify-writes leave idle — and no load beyond
-// its factor byte. The loops count down to zero, so no register holds the
-// length: with the vectors and addends of accumulate2RC that keeps the loop
-// free of stack reloads.
-
-//bipie:kernel
-//bipie:nobce
-func accumulate1P(acc *accRows, groups []uint8, y, b []uint8, x []uint32, ax, ay uint64) {
-	y, b, x = y[:len(groups)], b[:len(groups)], x[:len(groups)]
-	for i := len(groups) - 1; i >= 0; i-- {
-		row := &acc[groups[i]]
-		c := uint64(y[i]) | uint64(b[i])<<byteField | 1<<countShift
-		row[0] += c
-		row[1] += (uint64(x[i]) + ax) * (uint64(uint8(c)) + ay)
-	}
-}
-
-//bipie:kernel
-//bipie:nobce
-func accumulate2RC(acc *accRows, groups []uint8, y, b []uint8, x []uint32, z []uint8, ax, ay, az uint64) {
-	y, b, x, z = y[:len(groups)], b[:len(groups)], x[:len(groups)], z[:len(groups)]
-	for i := len(groups) - 1; i >= 0; i-- {
-		row := &acc[groups[i]]
-		c := uint64(y[i]) | uint64(b[i])<<byteField | 1<<countShift
-		row[0] += c
-		xi := uint64(x[i])
-		row[1] += xi
-		p := (xi + ax) * (uint64(uint8(c)) + ay)
-		row[2] += p
-		row[3] += p * (uint64(z[i]) + az)
-	}
-}
-
 // Flush folds the accumulator rows into the 64-bit totals and clears them
 // (the widening step of §5.4): the count and every narrow field are cut out
-// of their carrier word, a wide slot is its word — negated for a product
-// whose sign the walk left out.
+// of their carrier word, a wide slot is its word; a cell walk folds its
+// cells (foldCells).
 //
 //bipie:kernel
 func (m *MultiAgg) Flush() {
+	m.rowsIn = 0
+	if m.layout.cells != nil {
+		m.foldCells()
+		return
+	}
 	for g := 0; g < m.layout.numGroups; g++ {
 		row := &m.acc[g]
 		m.counts[g] += int64(row[0] >> countShift)
 		for c, s := range m.layout.slots {
-			v := row[s.word] >> s.shift & (1<<s.bits - 1)
-			if s.neg {
-				v = -v
-			}
-			m.sums[c][g] += int64(v)
+			m.sums[c][g] += int64(row[s.word] >> s.shift & (1<<s.bits - 1))
 		}
 		*row = [maxRowWords]uint64{}
 	}
-	m.rowsIn = 0
+}
+
+// foldCells adds each cell to its group's totals — the count and the byte
+// column cut out of word 0, each cellSum computed once — and clears it.
+//
+//bipie:kernel
+func (m *MultiAgg) foldCells() {
+	c := m.layout.cells
+	for g := 0; g < m.layout.numGroups; g++ {
+		block := m.cells[g<<c.bits : (g+1)<<c.bits]
+		for k, row := range block {
+			cnt := row[0] >> cellCountShift
+			if cnt == 0 {
+				continue
+			}
+			m.counts[g] += int64(cnt)
+			if c.narrow < len(m.sums) {
+				m.sums[c.narrow][g] += int64(row[0] & cellFieldMask)
+			}
+			var v uint64
+			for _, s := range c.sums {
+				v = (row[1]&s.base | v&s.prev + s.ax*cnt) * (uint64(k)>>s.shift&s.mask + s.ay)
+				m.sums[s.col][g] += int64(s.sign * v)
+			}
+		}
+		clear(block)
+	}
 }
 
 // AddSums flushes and folds the per-column, per-group sums into dst

@@ -9,25 +9,44 @@ import (
 )
 
 // FuzzMultiAgg holds MultiAgg's sums and counts equal to ScalarSum and
-// ScalarCount over seeded random inputs: any word-size list the layout
+// ScalarCount over seeded random inputs: any word-size list the read walk
 // accepts, 1–256 groups with or without a skip group, batches of every
 // length that straddles a tile, 8-byte inputs that are negative as int64 —
 // and, saturated, every narrow field at its lane maximum for a whole flush
 // interval and one batch more, the run the fields' spare bits are sized for.
-// Half the layouts have the product words a walk computes (see
-// fuzzProducts); the reference materializes each product in its lane and
-// sums that vector the old way.
+// Half the layouts are a cell walk (see fuzzCells) over 1–9 groups; the
+// reference materializes each product and each factor's code in its lane
+// and sums that vector the old way, and a cell walk is also folded at a
+// random point mid-stream.
 func FuzzMultiAgg(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed, uint8(seed*37), seed%2 == 1, seed%6 == 0)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, groupsMinus1 uint8, withSkip, saturate bool) {
 		rng := rand.New(rand.NewSource(seed))
+		cells := rng.Intn(2) == 0
 		numGroups, skip := 1+int(groupsMinus1), -1
+		if cells {
+			numGroups = 1 + int(groupsMinus1)%9
+		}
 		if withSkip {
 			skip = rng.Intn(numGroups)
 		}
-		ws, prods, sizes, base, l := fuzzMultiLayout(t, rng, numGroups, skip)
+		var ws, sizes []int
+		var key CellKey
+		var prods []Product
+		var l *MultiLayout
+		var err error
+		if cells {
+			ws, sizes, key, prods = fuzzCells(rng, numGroups)
+			l, err = NewCellLayout(numGroups, skip, ws, key, prods)
+		} else {
+			ws = fuzzReadRow(rng)
+			l, err = NewMultiLayout(numGroups, skip, ws)
+		}
+		if err != nil {
+			t.Fatalf("%v %+v %+v: %v", ws, key, prods, err)
+		}
 		m := l.NewState()
 
 		lengths := []int{0, 1, tileRows - 1, tileRows, tileRows + 1, 4096}
@@ -37,9 +56,11 @@ func FuzzMultiAgg(f *testing.F) {
 				lengths = append(lengths, 4096)
 			}
 		}
+		fold := rng.Intn(len(lengths))
 		groups := make([]uint8, 4096)
-		// cols are the reference's vectors, products materialized; in is
-		// what the walk reads: no vector for a product, its operands after.
+		// cols are the reference's vectors, the computed columns
+		// materialized; in is what the walk reads: no vector for a computed
+		// column, the key and a base no column sums after the columns.
 		cols := make([]*bitpack.Unpacked, len(ws))
 		for c, w := range ws {
 			cols[c] = bitpack.NewUnpacked(uint8(8*w), 4096)
@@ -47,6 +68,11 @@ func FuzzMultiAgg(f *testing.F) {
 		in := append([]*bitpack.Unpacked(nil), cols...)
 		for _, p := range prods {
 			in[p.Col] = nil
+		}
+		for _, f := range key.Factors {
+			if f.Col >= 0 {
+				in[f.Col] = nil
+			}
 		}
 		for _, size := range sizes {
 			in = append(in, bitpack.NewUnpacked(uint8(8*size), 4096))
@@ -56,7 +82,7 @@ func FuzzMultiAgg(f *testing.F) {
 		for c := range want {
 			want[c] = make([]int64, numGroups)
 		}
-		for _, n := range lengths {
+		for b, n := range lengths {
 			for i := range groups[:n] {
 				groups[i] = uint8(rng.Intn(numGroups))
 			}
@@ -82,17 +108,13 @@ func FuzzMultiAgg(f *testing.F) {
 					}
 				}
 			}
-			if base.max > 0 {
-				x := in[base.input].U32
-				for i := range x {
-					x[i] = uint32(uint64(x[i]) % (base.max + 1))
-					if saturate {
-						x[i] = uint32(base.max)
-					}
-				}
+			if cells {
+				materializeCells(key, prods, in, cols, n)
 			}
-			materializeProducts(t, prods, in, cols, n)
 			m.Accumulate(groups[:n], in)
+			if cells && b == fold {
+				m.Flush()
+			}
 			ScalarCount(groups[:n], wantCounts)
 			for c, col := range cols {
 				ScalarSum(groups[:n], col, want[c])
@@ -111,155 +133,144 @@ func FuzzMultiAgg(f *testing.F) {
 				wantCounts[g] = 0
 			}
 			if gotCounts[g] != wantCounts[g] {
-				t.Fatalf("%v %+v groups=%d skip=%d: count[%d] = %d, want %d", ws, prods, numGroups, skip, g, gotCounts[g], wantCounts[g])
+				t.Fatalf("%v %+v %+v groups=%d skip=%d: count[%d] = %d, want %d", ws, key, prods, numGroups, skip, g, gotCounts[g], wantCounts[g])
 			}
 			for c := range ws {
 				if g == skip {
 					want[c][g] = 0
 				}
 				if got[c][g] != want[c][g] {
-					t.Fatalf("%v %+v groups=%d skip=%d: sum[%d][%d] = %d, want %d", ws, prods, numGroups, skip, c, g, got[c][g], want[c][g])
+					t.Fatalf("%v %+v %+v groups=%d skip=%d: sum[%d][%d] = %d, want %d", ws, key, prods, numGroups, skip, c, g, got[c][g], want[c][g])
 				}
 			}
 		}
 	})
 }
 
-// fuzzMultiLayout draws one FuzzMultiAgg layout: half the time a row a
-// product walk runs on (fuzzProducts), else any word-size list the layout
-// accepts.
-func fuzzMultiLayout(t testing.TB, rng *rand.Rand, numGroups, skip int) ([]int, []Product, []int, productBase, *MultiLayout) {
-	var ws, sizes []int
-	var prods []Product
-	var base productBase
-	if rng.Intn(2) == 0 {
-		ws, prods, sizes, base = fuzzProducts(rng)
-	} else {
-		ws = []int{4}
-		for try := 0; try < 8; try++ {
-			cand := make([]int, 1+rng.Intn(10))
-			for i := range cand {
-				cand[i] = 1 << rng.Intn(4)
-			}
-			if multiFits(cand) {
-				ws = cand
-				break
-			}
+// fuzzReadRow draws a word-size list the read walk accepts.
+func fuzzReadRow(rng *rand.Rand) []int {
+	for try := 0; try < 8; try++ {
+		cand := make([]int, 1+rng.Intn(10))
+		for i := range cand {
+			cand[i] = 1 << rng.Intn(4)
+		}
+		if multiFits(cand) {
+			return cand
 		}
 	}
-	l, err := NewProductLayout(numGroups, skip, ws, prods)
-	if err != nil {
-		t.Fatalf("%v %+v: %v", ws, prods, err)
-	}
-	return ws, prods, sizes, base, l
-}
-
-// productBase bounds a 4-byte product's base input: its values stay at or
-// below max (0: no bound).
-type productBase struct {
-	input int
-	max   uint64
+	return []int{4}
 }
 
 // productEdges are operand constants: none, small, negative, a frame of
 // reference, and the int64 limits, which wrap.
 var productEdges = []int64{0, 1, -1, 100, -7, 90000, 1 << 40, math.MinInt64, math.MaxInt64}
 
-// fuzzProducts draws a row of one of the two walk shapes, in shuffled
-// column order: byte columns the walk's carrier holds beside the first
-// factor and a 4- or 8-byte product on a base vector of its own (walk1P);
-// or those columns, a 4-byte base column, a 4- or 8-byte product on it and
-// an 8-byte one chained on that (walk2RC). Each factor is a 1-byte vector,
-// a column of the row or not — the first one of the row's two byte columns
-// when it has two, since the carrier has room for one beside it — and each
-// operand comes with or without sign and constant. New
-// inputs go after the columns; sizes are their word sizes. An 8-byte
-// product takes any constants and wraps modulo 2^64. A 4-byte one must
-// hold its exact value, as the engine only gives a product that lane when
-// ranges prove it fits: its constants keep the factor in [0, fmax] and its
-// base is bounded so the product tops out at or just under 2^32-1 — the
-// lane edge.
-func fuzzProducts(rng *rand.Rand) ([]int, []Product, []int, productBase) {
-	shape := [][]int{{4 << rng.Intn(2)}, {4, 4 << rng.Intn(2), 8}}[rng.Intn(2)] // [base,] product[, chained]
-	row := append([][]int{{}, {1}, {1, 1}}[rng.Intn(3)], shape...)
-	perm := rng.Perm(len(row)) // row[i] is column perm[i]
-	ws := make([]int, len(row))
-	for i, c := range perm {
-		ws[c] = row[i]
-	}
-	wide := perm[len(row)-len(shape):]
-	var sizes []int
-	input := func(size int) int {
-		for _, c := range rng.Perm(len(ws)) {
-			if ws[c] == size && rng.Intn(2) == 0 {
-				return c // a column the row sums
-			}
+// fuzzCells draws a cell-walk row in shuffled column order: one or two
+// products — the second on the base or chained on the first — each on a
+// factor of a key of one or two codes 1–4 bits wide (narrowed where
+// numGroups of them would pass maxCells), each operand with or without
+// sign and constant; and, each or not, the base as a summed 4-byte column,
+// a column summing each factor's code, and one byte column. Products take
+// 8-byte reference lanes and wrap modulo 2^64. The inputs past the columns
+// (sizes are their word sizes) are the base when no column sums it, then
+// the key.
+func fuzzCells(rng *rand.Rand, numGroups int) (ws, sizes []int, key CellKey, prods []Product) {
+	bits := 0
+	for j := 1 + rng.Intn(2); j > 0; j-- {
+		w := 1 + rng.Intn(4)
+		for numGroups<<(bits+w) > maxCells {
+			w--
 		}
-		sizes = append(sizes, size)
-		return len(ws) + len(sizes) - 1
+		key.Factors = append(key.Factors, Factor{Bits: uint(w), Col: -1})
+		bits += w
 	}
-	p := Product{NegX: rng.Intn(2) == 0, NegY: rng.Intn(2) == 0}
-	if len(shape) == 1 {
-		p.Col, p.X = wide[0], len(ws)
+	type role struct{ kind, j int } // kind: 0 base, 1 product j, 2 factor j's code, 3 byte column
+	var roles []role
+	if rng.Intn(2) == 0 {
+		roles = append(roles, role{kind: 0})
+	}
+	prods = make([]Product, 1+rng.Intn(2))
+	for j := range prods {
+		roles = append(roles, role{1, j})
+	}
+	for j := range key.Factors {
+		if rng.Intn(2) == 0 {
+			roles = append(roles, role{2, j})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		roles = append(roles, role{kind: 3})
+	}
+	perm := rng.Perm(len(roles)) // role i is column perm[i]
+	ws = make([]int, len(roles))
+	base := -1
+	for i, r := range roles {
+		c := perm[i]
+		switch r.kind {
+		case 0:
+			ws[c], base = 4, c
+		case 1:
+			ws[c], prods[r.j].Col = 8, c
+		case 2:
+			ws[c], key.Factors[r.j].Col = 1, c
+		default:
+			ws[c] = 1
+		}
+	}
+	if base < 0 {
 		sizes = append(sizes, 4)
-	} else {
-		p.X, p.Col = wide[0], wide[1]
+		base = len(ws)
 	}
-	p.Y = input(1)
-	if len(row)-len(shape) == 2 && p.Y >= len(ws) {
-		sizes = sizes[:len(sizes)-1]
-		p.Y = perm[rng.Intn(2)]
-	}
-	var base productBase
-	if ws[p.Col] == 8 {
+	sizes = append(sizes, 1)
+	key.Input = len(ws) + len(sizes) - 1
+	for j := range prods {
+		p := &prods[j]
+		p.X = base
+		if j > 0 && rng.Intn(2) == 0 {
+			p.X = -1
+		}
+		p.Y = rng.Intn(len(key.Factors))
+		p.NegX, p.NegY = rng.Intn(2) == 0, rng.Intn(2) == 0
 		p.AddX, p.AddY = productEdges[rng.Intn(len(productEdges))], productEdges[rng.Intn(len(productEdges))]
-	} else {
-		p.AddY = []int64{0, 1, 100}[rng.Intn(3)]
-		fmax := p.AddY + 255 // f = y + AddY
-		if p.NegY {
-			p.AddY += 255 // f = AddY - y
-			fmax = p.AddY
-		}
-		base = productBase{input: p.X, max: uint64(math.MaxUint32 / fmax)}
-		if p.NegX {
-			p.AddX = int64(base.max) // AddX - x in [0, max]
-		} else {
-			p.AddX = []int64{0, 1, 90000}[rng.Intn(3)]
-			base.max -= uint64(p.AddX)
-		}
 	}
-	prods := []Product{p}
-	if len(shape) == 3 {
-		prods = append(prods, Product{Col: wide[2], Y: input(1), NegX: rng.Intn(2) == 0, NegY: rng.Intn(2) == 0,
-			AddY: productEdges[rng.Intn(len(productEdges))]})
-	}
-	return ws, prods, sizes, base
+	return ws, sizes, key, prods
 }
 
-// materializeProducts writes each product's first n values into its
-// reference column, in the column's lane — what the engine's program
-// evaluated before the walk took products over.
-func materializeProducts(t *testing.T, prods []Product, in, cols []*bitpack.Unpacked, n int) {
-	t.Helper()
+// materializeCells cuts the first n keys down to their factors' bits, as
+// bitpack.Key builds them, and writes every column a cell walk computes
+// into its reference vector — each factor's code cut out of the key, each
+// product in its 8-byte lane, (±x + AddX)·(±y + AddY) with x the base or
+// the previous product's value — what the engine's program evaluated
+// before the walk took them over.
+func materializeCells(key CellKey, prods []Product, in, cols []*bitpack.Unpacked, n int) {
+	keys := in[key.Input].U8
+	shifts := make([]uint, len(key.Factors)+1)
+	for j, f := range key.Factors {
+		shifts[j+1] = shifts[j] + uint(f.Bits)
+	}
+	for i := range keys[:n] {
+		keys[i] &= 1<<shifts[len(key.Factors)] - 1
+	}
+	code := func(j, i int) uint64 { return uint64(keys[i]) >> shifts[j] & (1<<key.Factors[j].Bits - 1) }
+	for j, f := range key.Factors {
+		if f.Col >= 0 {
+			cols[f.Col].Resize(n)
+			for i := 0; i < n; i++ {
+				cols[f.Col].U8[i] = uint8(code(j, i))
+			}
+		}
+	}
 	prev := make([]uint64, n)
-	for j, p := range prods {
+	for _, p := range prods {
 		dst := cols[p.Col]
 		dst.Resize(n)
 		for i := 0; i < n; i++ {
 			x := prev[i]
-			if j == 0 {
+			if p.X >= 0 {
 				x = uint64(in[p.X].U32[i])
 			}
-			v := (signOf(p.NegX)*x + uint64(p.AddX)) * (signOf(p.NegY)*uint64(in[p.Y].U8[i]) + uint64(p.AddY))
-			if dst.WordSize == 4 {
-				if v > math.MaxUint32 {
-					t.Fatalf("%+v: row %d's product %d overflows its 4-byte lane", p, i, v)
-				}
-				dst.U32[i] = uint32(v)
-			} else {
-				dst.U64[i] = v
-			}
-			prev[i] = v
+			dst.U64[i] = (signOf(p.NegX)*x + uint64(p.AddX)) * (signOf(p.NegY)*code(p.Y, i) + uint64(p.AddY))
+			prev[i] = dst.U64[i]
 		}
 	}
 }

@@ -142,6 +142,9 @@ const (
 	staticDictBitmapPerRow = 1.6
 	staticSumExprPerRow    = 1.5
 	staticSumDivPerRow     = 10.0
+	staticCellKeyPerRow    = 1.1 // Q1's two 4-bit codes, the word-parallel body
+	staticCellWindowPerRow = 6.0 // any other pair of codes, the windowed loop
+	staticCellWalkPerRow   = 2.0
 )
 
 // UnpackCyclesPerRow is the measured fast-unpack cost at a packed width.
@@ -223,6 +226,37 @@ func (p *Profile) DictBitmapCyclesPerRow() float64 {
 		return v
 	}
 	return staticDictBitmapPerRow
+}
+
+// CellKeyCyclesPerRow is the cost of building a cell walk's key from the
+// packed codes of its factors, of the given widths (bitpack.Key): one
+// factor's key is its unpack; two 4-bit ones take the word-parallel body,
+// other pairs the windowed loop.
+func (p *Profile) CellKeyCyclesPerRow(widths []uint8) float64 {
+	switch {
+	case len(widths) == 1:
+		return p.UnpackCyclesPerRow(widths[0])
+	case widths[0] == 4 && widths[1] == 4:
+		if v, ok := p.kernel("cellkey.w4x4"); ok {
+			return v
+		}
+		return staticCellKeyPerRow
+	}
+	if v, ok := p.kernel("cellkey.window"); ok {
+		return v
+	}
+	return staticCellWindowPerRow
+}
+
+// CellWalkCyclesPerRow is the multi-aggregate cell walk's cost per row:
+// two read-modify-writes into the row's cell (agg.NewCellLayout), which
+// replace the strategy's MultiFixed + MultiPerSum price on a plan that
+// walks cells.
+func (p *Profile) CellWalkCyclesPerRow() float64 {
+	if v, ok := p.kernel("cellwalk"); ok {
+		return v
+	}
+	return staticCellWalkPerRow
 }
 
 // SumExprCyclesPerRow is the cost of one sum-expression operator node

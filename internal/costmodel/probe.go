@@ -45,6 +45,9 @@ import (
 //	sumexpr.add.w<S>      sum-expression add into an S-byte lane   cycles/row
 //	sumexpr.mul.w<S>      sum-expression multiply, likewise        cycles/row
 //	sumexpr.div           sum-expression int64 divide              cycles/row
+//	cellkey.w4x4          cell key of two 4-bit codes, word-parallel  cycles/row
+//	cellkey.window        cell key of a 3- and a 5-bit code, windowed cycles/row
+//	cellwalk              multi-aggregate cell walk, Q1's cells       cycles/row
 
 const (
 	// probeRows is the probe working-set length: four 4096-row batches,
@@ -146,6 +149,15 @@ type probeSet struct {
 	sumBufs        []*bitpack.Unpacked
 	sumAdd, sumMul [9]int
 	sumDiv         int
+
+	// The cell probes run Q1's shape: keys of a discount and a tax code
+	// (11 and 9 values), seven group ids — six and the special one — a
+	// byte column and a 4-byte base.
+	disc, tax *bitpack.Vector
+	key       []uint8
+	groups7   []uint8
+	cells     *agg.MultiAgg
+	cellCols  []*bitpack.Unpacked
 }
 
 // sumExprLanes are the destination lanes of the sum-expression probes.
@@ -256,7 +268,30 @@ func newProbeSet() *probeSet {
 	agg.ScalarSumRowAtATimeInto(&ps.scScratch, ps.groups64, ps.colsMixed, ps.sumAccMixed)
 
 	ps.buildSumProgram()
+	ps.buildCells(&r)
 	return ps
+}
+
+// buildCells fills the cell probes' inputs: Q1's codes packed at 4 bits for
+// the key pass, their keys and group ids for the walk.
+func (ps *probeSet) buildCells(r *lcg) {
+	disc, tax := make([]uint64, probeRows), make([]uint64, probeRows)
+	ps.groups7 = make([]uint8, probeRows)
+	for i := range disc {
+		disc[i], tax[i] = r.next()%11, r.next()%9
+		ps.groups7[i] = uint8(r.next() % 7)
+	}
+	ps.disc, ps.tax = bitpack.MustPack(disc, 4), bitpack.MustPack(tax, 4)
+	ps.key = make([]uint8, probeRows)
+	bitpack.Key(ps.key, ps.disc, ps.tax, 0)
+	key := &bitpack.Unpacked{WordSize: 1, U8: ps.key}
+	ps.cellCols = []*bitpack.Unpacked{ps.unpacked[8], ps.valsU32, nil, key}
+	l, err := agg.NewCellLayout(7, 6, []int{1, 4, 4}, agg.CellKey{Input: 3, Factors: []agg.Factor{{Bits: 4, Col: -1}, {Bits: 4, Col: -1}}},
+		[]agg.Product{{Col: 2, X: 1, Y: 0, NegY: true, AddY: 100}})
+	if err != nil {
+		panic("costmodel: cell probe layout: " + err.Error())
+	}
+	ps.cells = l.NewState()
 }
 
 // buildSumProgram compiles the probed operators through the real builder,
@@ -425,6 +460,21 @@ func (ps *probeSet) runSumExpr(node int) {
 	ps.sumProg.Eval(ps.sumBufs, node, probeRows)
 }
 
+//bipie:kernel
+func (ps *probeSet) runCellKey() {
+	bitpack.Key(ps.key, ps.disc, ps.tax, 0)
+}
+
+//bipie:kernel
+func (ps *probeSet) runCellKeyWindow() {
+	bitpack.Key(ps.idsBuf, ps.packed[3], ps.packed[5], 0)
+}
+
+//bipie:kernel
+func (ps *probeSet) runCellWalk() {
+	ps.cells.Accumulate(ps.groups7, ps.cellCols)
+}
+
 // ---------------------------------------------------------------------------
 // Calibration driver.
 
@@ -535,6 +585,9 @@ func Calibrate() *Profile {
 		p.Kernels[fmt.Sprintf("sumexpr.mul.w%d", lane)] = measureN(probeRows, 4, func() { ps.runSumExpr(mul) })
 	}
 	p.Kernels["sumexpr.div"] = measure(probeRows, func() { ps.runSumExpr(ps.sumDiv) })
+	p.Kernels["cellkey.w4x4"] = measureN(probeRows, 4, ps.runCellKey)
+	p.Kernels["cellkey.window"] = measureN(probeRows, 2, ps.runCellKeyWindow)
+	p.Kernels["cellwalk"] = measureN(probeRows, 4, ps.runCellWalk)
 
 	// Aggregation coefficients, fitted into the agg.CostProfile shape.
 	c := measureTogether(probeRows, []aggProbe{

@@ -1,6 +1,10 @@
 package encoding
 
-import "bipie/internal/bitpack"
+import (
+	"sync"
+
+	"bipie/internal/bitpack"
+)
 
 // BitPackColumn is a frame-of-reference bit-packed integer column: each
 // value is stored as the unsigned offset (v - Min) in Width() bits. This is
@@ -46,10 +50,28 @@ func newBitPack(values []int64, st intStats) *BitPackColumn {
 	return c
 }
 
-// newZones allocates the zone-bound arrays of an n-row column.
+// newZones returns the zone-bound arrays of an n-row column: the spare
+// pair when it is large enough, else fresh ones.
 func newZones(n int) (mn, mx []uint64) {
 	nz := (n + ZoneRows - 1) / ZoneRows
-	return make([]uint64, nz), make([]uint64, nz)
+	spare.Lock()
+	if cap(spare.mn) >= nz {
+		mn, mx = spare.mn[:nz], spare.mx[:nz]
+		spare.mn, spare.mx = nil, nil
+	}
+	spare.Unlock()
+	if mn == nil {
+		mn, mx = make([]uint64, nz), make([]uint64, nz)
+	}
+	return mn, mx
+}
+
+// spare holds the zone arrays of the last column another encoding won
+// (ChooseInt), for the next statistics pass: only a bit-packed column keeps
+// the arrays it was scanned with.
+var spare struct {
+	sync.Mutex
+	mn, mx []uint64
 }
 
 // rebuildZones recomputes the zone bounds of a column reconstructed from

@@ -191,6 +191,13 @@ func ChooseInt(values []int64) IntColumn {
 	if s := st.deltaBytes(); s < size {
 		kind = KindDelta
 	}
+	if kind != KindBitPack {
+		// Only a bit-packed column keeps its zone maps: the next
+		// statistics pass takes these arrays (newZones).
+		spare.Lock()
+		spare.mn, spare.mx = st.zoneMin, st.zoneMax
+		spare.Unlock()
+	}
 	switch kind {
 	case KindRLE:
 		return newRLE(values, st)

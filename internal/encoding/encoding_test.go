@@ -133,6 +133,48 @@ func TestChooseIntPrefersCompact(t *testing.T) {
 	}
 }
 
+// Only a bit-packed column keeps the zone arrays its statistics pass
+// filled: an RLE or delta winner hands them to the next pass, so once warm,
+// choosing either allocates no more than building it from the pass's
+// statistics does — and a bit-packed column chosen next reuses the arrays,
+// its zone maps still its own.
+func TestChooseIntHandsBackZones(t *testing.T) {
+	const n = 5*ZoneRows + 7
+	runs, ramp, noise := make([]int64, n), make([]int64, n), make([]int64, n)
+	rng := rand.New(rand.NewSource(45))
+	for i := range runs {
+		runs[i], ramp[i], noise[i] = int64(i/1000), int64(i)*3, rng.Int63n(1<<20)
+	}
+	for _, c := range []struct {
+		kind   Kind
+		values []int64
+		build  func(st intStats) IntColumn
+	}{
+		{KindRLE, runs, func(st intStats) IntColumn { return newRLE(runs, st) }},
+		{KindDelta, ramp, func(st intStats) IntColumn { return newDelta(ramp, st) }},
+	} {
+		st := scanInts(c.values)
+		want := testing.AllocsPerRun(20, func() { c.build(st) })
+		got := testing.AllocsPerRun(20, func() {
+			if ChooseInt(c.values).Kind() != c.kind {
+				t.Fatalf("ChooseInt did not pick %v", c.kind)
+			}
+		})
+		if got != want {
+			t.Errorf("%v: ChooseInt allocates %v, building the column %v", c.kind, got, want)
+		}
+	}
+	ChooseInt(runs)
+	bp := ChooseInt(noise).(*BitPackColumn)
+	testRoundTrip(t, "bitpack after a hand-back", bp, noise)
+	for z := range bp.zoneMin {
+		lo, hi := bp.Packed().Bounds(z*ZoneRows, min(ZoneRows, n-z*ZoneRows))
+		if lo != bp.zoneMin[z] || hi != bp.zoneMax[z] {
+			t.Fatalf("zone %d: maps [%d,%d], offsets span [%d,%d]", z, bp.zoneMin[z], bp.zoneMax[z], lo, hi)
+		}
+	}
+}
+
 func TestBitPackWidthAndRef(t *testing.T) {
 	c := NewBitPack([]int64{100, 107, 103})
 	if c.Ref() != 100 {

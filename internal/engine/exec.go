@@ -55,8 +55,10 @@ type execState struct {
 	progBufs
 	colViews []*bitpack.Unpacked
 	// multiCols is what a multi-aggregate plan's Accumulate reads: the
-	// vectors of the plan's multiInputs nodes, nil for a walked product.
+	// vectors of the plan's multiInputs nodes, nil for a walked slot, and
+	// last, for a cell walk, &key: the batch's cell keys (decodeBatch).
 	multiCols []*bitpack.Unpacked
+	key       bitpack.Unpacked
 	// Sum-kind subset views, used when MIN/MAX slots interleave with sums.
 	sumColsScratch []*bitpack.Unpacked
 	sumAccScratch  [][]int64
@@ -148,6 +150,10 @@ func newExecState(sp *segPlan) *execState {
 			if n >= 0 {
 				e.multiCols[j] = e.nodeBufs[n]
 			}
+		}
+		if sp.keyNodes != nil {
+			e.key = bitpack.Unpacked{WordSize: 1, U8: make([]uint8, colstore.BatchRows)}
+			e.multiCols[len(e.multiCols)-1] = &e.key
 		}
 	}
 	if sp.strategy == agg.StrategySortBased {
@@ -463,7 +469,7 @@ func (e *execState) aggregateBatch(b colstore.Batch, how selection, selected int
 	e.countGroups(groups, idx)
 	e.traceEnd(obs.PhaseAggregate, t0, 0)
 	t0 = e.traceStart()
-	e.evalProgram(&sp.boundProg, &e.progBufs, b, load, loaded)
+	e.decodeBatch(&sp.boundProg, &e.progBufs, b, load, loaded)
 	e.traceEnd(obs.PhaseDecode, t0, b.N)
 	t0 = e.traceStart()
 	e.applySums(groups, e.colViews, b.Start)
@@ -738,4 +744,23 @@ func (e *execState) finalize() []Row {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// decodeBatch is a grouped batch's decode pass: evalProgram over the sum
+// inputs' program (bp, pb), then, for a cell walk, the key, built straight
+// from the factors' packed words (bitpack.Key) and, under gather or
+// compaction, compacted by the mask that compacted the group ids, so the
+// two stay row-aligned.
+//
+//bipie:kernel
+func (e *execState) decodeBatch(bp *boundProg, pb *progBufs, b colstore.Batch, load selection, k int) {
+	e.evalProgram(bp, pb, b, load, k)
+	if e.key.U8 == nil {
+		return
+	}
+	key := e.key.U8[:b.N]
+	bitpack.Key(key, e.plan.keyCols[0], e.plan.keyCols[1], b.Start)
+	if load == selGather || load == selCompact {
+		sel.CompactU8(key, key, e.selVec[:b.N])
+	}
 }

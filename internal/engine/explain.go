@@ -71,10 +71,14 @@ type SegmentPlan struct {
 	// fits, 8 for the int64 lane, 0 for a literal that needs no vector.
 	SumWordSizes []int
 	// WalkedSums, parallel to SumWordSizes, marks the inputs the
-	// multi-aggregate walk computes per row from their operands — product
-	// words — so no vector of them is ever stored; FormatPlans prints them
-	// with a ×. Nil when the plan has none.
+	// multi-aggregate cell walk computes from its cells — products, and
+	// sums of a key column — so no vector of them is ever stored;
+	// FormatPlans prints them with a ×. Nil when the plan has none.
 	WalkedSums []bool
+	// CellKey names the columns whose codes key the cell walk's rows, low
+	// bits first; FormatPlans appends them to the plan's line. Nil when
+	// the plan reads every sum from a vector.
+	CellKey []string
 	// RunLevelSums counts SUM slots aggregated at RLE run granularity on
 	// the span path, filtered or not: none of them decodes a row.
 	RunLevelSums int
@@ -140,6 +144,12 @@ func (p *Prepared) Explain() ([]SegmentPlan, error) {
 				out.WalkedSums[i] = true
 			}
 		}
+		if sp.keyNodes != nil {
+			out.CellKey = make([]string, len(sp.keyNodes))
+			for j, n := range sp.keyNodes {
+				out.CellKey[j] = sp.prog.Node(n).Col
+			}
+		}
 		if sp.spanAgg {
 			out.RunLevelSums = len(sp.sums)
 		}
@@ -178,6 +188,9 @@ func FormatPlans(plans []SegmentPlan) string {
 			} else {
 				words += "," + word
 			}
+		}
+		if p.CellKey != nil {
+			domains += " cells:" + strings.Join(p.CellKey, ",")
 		}
 		fmt.Fprintf(&b, "%-8s %-10d %-8d %-9v %-10s %-8.1f %-12s %-8d %-8d %-9v %-8d %s\n",
 			name, p.Rows, p.Groups, p.SpecialGroup, p.Strategy, p.ModelCyclesPerRow, words,

@@ -43,8 +43,8 @@ type sumInput struct {
 	packed   *bitpack.Vector     // node is a packed leaf: the sort path sums it still packed
 	rle      *encoding.RLEColumn // input is a bare RLE column: the span path may sum it per run
 	wordSize int                 // lane of the node's vector; 0 for a literal
-	// walked marks a product the multi-aggregate walk computes per row
-	// (agg.Product): its node is never evaluated and has no vector.
+	// walked marks a slot the multi-aggregate cell walk computes from its
+	// cells (a product, or a factor's code): it has no vector.
 	walked bool
 }
 
@@ -89,9 +89,14 @@ type segPlan struct {
 	modelCost   float64          // agg.EstimateCost of the chosen strategy, for actual-vs-assumed reporting
 	multiLayout *agg.MultiLayout // slot layout when strategy is multi-aggregate
 	// multiInputs lists the program node behind each vector Accumulate
-	// reads: one per sumIdx slot (-1 for a walked product), then the
-	// products' operands no slot supplies.
+	// reads: one per sumIdx slot, then, for a cell walk, its base when no
+	// slot sums it and the key; -1 for a walked slot and the key.
 	multiInputs []int
+	// keyNodes are the packed leaves whose codes key a cell walk's rows,
+	// low bits first, and keyCols their vectors (bitpack.Key; the second
+	// nil for a one-factor key); nil for every other plan.
+	keyNodes []int
+	keyCols  [2]*bitpack.Vector
 
 	// The filter as metadata leaves it: only live conjuncts, each pushed
 	// into its column's encoded domain or part of the residual.
@@ -467,16 +472,27 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	case agg.StrategyMultiAggregate:
 		if len(sp.sumIdx) == 0 {
 			sp.strategy = agg.StrategyScalar
-		} else if sp.multiLayout, sp.multiInputs, err = sp.multiPlan(wordSizes); err != nil {
+		} else if sp.multiLayout, sp.multiInputs, sp.keyNodes, err = sp.multiPlan(wordSizes); err != nil {
 			sp.strategy, sp.multiLayout, sp.multiInputs = agg.StrategyScalar, nil, nil
 		}
-		for k, n := range sp.multiInputs {
-			if n < 0 {
-				// Nothing else reads a walked product, so the order without
-				// it still holds everything the batch's vectors need.
-				si := &sp.sums[sp.sumIdx[k]]
-				si.walked = true
-				sp.evalOrder = slices.DeleteFunc(sp.evalOrder, func(n int) bool { return n == si.term.Node })
+		if sp.keyNodes != nil {
+			// A cell walk reads only its inputs' vectors: a batch evaluates
+			// what they and the extrema reach, and no slot the walk computes.
+			live := make([]bool, sp.prog.Len())
+			for _, n := range sp.multiInputs {
+				if n >= 0 {
+					live[n] = true
+				}
+			}
+			for _, i := range sp.extIdx {
+				live[sp.sums[i].term.Node] = true
+			}
+			sp.evalOrder = reach(sp.prog, live)
+			for k, i := range sp.sumIdx {
+				sp.sums[i].walked = sp.multiInputs[k] < 0
+			}
+			for j, n := range sp.keyNodes {
+				sp.keyCols[j] = sp.progLeaves[n].packed
 			}
 		}
 	case agg.StrategySortBased:
@@ -502,6 +518,9 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	// read it.
 	prof := opts.profile()
 	sp.modelCost = agg.EstimateCost(sp.strategy, params, prof.AggCost())
+	if sp.keyNodes != nil {
+		sp.modelCost = prof.CellWalkCyclesPerRow()
+	}
 	if sp.fused = newFusedFilter(sp); sp.fused != nil {
 		// The one conjunct, priced with the group map it carries.
 		sp.filterModel = sp.fused.modelCost(prof)
@@ -544,7 +563,15 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	}
 
 	sp.decodeModel = sp.decodeCost(prof)
-	if len(sp.evalOrder) > 0 {
+	if sp.keyNodes != nil {
+		// The key pass shares the sum inputs' timed decode pass.
+		widths := make([]uint8, len(sp.keyNodes))
+		for j, n := range sp.keyNodes {
+			widths[j] = sp.prog.Node(n).Width
+		}
+		sp.decodeModel += prof.CellKeyCyclesPerRow(widths)
+	}
+	if len(sp.evalOrder) > 0 || sp.keyNodes != nil {
 		sp.decodePasses++
 	}
 	if sp.residual != nil {
@@ -554,34 +581,40 @@ func newSegPlan(seg *colstore.Segment, q *Query, opts *Options, wideLanes bool) 
 	return sp, nil
 }
 
-// multiPlan lays out the multi-aggregate row and picks the SUM inputs its
-// walk computes per row instead of reading (agg.Product); newSegPlan drops
-// their nodes from evalOrder, so they get no vector and no typed pass. A
-// product is a SumMul node (±x + a)·(±y + c) whose y is a 1-byte vector
-// and whose every user is its SUM slot or the product chained on it — a
-// MIN/MAX over it, or any other node reading it, keeps it materialized.
-// The users are counted over evalOrder as newSegPlan first builds it,
-// every slot's reach. The walk runs the two shapes the benchmark's queries
-// have (agg.NewProductLayout), so multiPlan matches those on the row's 4-
-// and 8-byte slots: one product on a 4-byte x no slot sums (the serving
-// mix's Q1: disc_price), or a summed 4-byte x, a product on it and a
-// second on that, ±itself (Q1: price, disc_price, charge). Anything else,
-// or narrow slots the walk's one carrier word cannot hold beside the first
-// factor (agg.NewProductLayout), reads every input from its vector as
-// before.
-//
-// It returns the layout and the node behind each vector Accumulate reads:
-// one per sumIdx slot, -1 for a product, then the products' operands no
-// slot supplies.
-func (sp *segPlan) multiPlan(wordSizes []int) (*agg.MultiLayout, []int, error) {
-	prog := sp.prog
+// multiPlan lays out the multi-aggregate row: the cell walk when the plan's
+// products fit its rule (cellPlan), else the read walk over every slot's
+// vector. It returns the layout, the node behind each vector Accumulate
+// reads — one per sumIdx slot, then, for a cell walk, the products' base
+// when no slot sums it and the key, with -1 for a slot the walk computes
+// and for the key — and the cell walk's key factors, nil for the read walk.
+func (sp *segPlan) multiPlan(wordSizes []int) (*agg.MultiLayout, []int, []int, error) {
 	inputs := make([]int, len(sp.sumIdx))
-	var wide []int // the 4- and 8-byte slots, as indices of inputs
 	for k, i := range sp.sumIdx {
 		inputs[k] = sp.sums[i].term.Node
-		if wordSizes[k] >= 4 {
-			wide = append(wide, k)
-		}
+	}
+	if layout, in, key := sp.cellPlan(wordSizes, inputs); layout != nil {
+		return layout, in, key, nil
+	}
+	layout, err := agg.NewMultiLayout(sp.domain, sp.special, wordSizes)
+	return layout, inputs, nil, err
+}
+
+// cellPlan matches the cell walk's rule on the plan's SUM slots, from the
+// program's metadata alone. A product is a slot's SumMul node whose right
+// operand — the narrower, where the builder puts it — is a bit-packed
+// leaf, its factor; its left operand is the previous product (a chain:
+// Q1's charge on disc_price) or the walk's one base, a node in the 4-byte
+// lane. Every product and factor node must be read by nothing but its own
+// SUM slots and the products: then no vector of either is needed, and
+// newSegPlan drops them from evalOrder. At most two factors key the cells
+// (bitpack.Key); agg.NewCellLayout checks the rest — key bits, cells, and
+// that every other slot is the base or the one byte column — and any
+// failure leaves the plan on the read walk, its products materialized.
+// inputs are the sumIdx slots' nodes; the results are multiPlan's.
+func (sp *segPlan) cellPlan(wordSizes, inputs []int) (*agg.MultiLayout, []int, []int) {
+	prog := sp.prog
+	if len(inputs) < 2 {
+		return nil, nil, nil // single-sum plans run multi-aggregate only when forced
 	}
 	// users counts each node's readers: the slots, and the operator nodes a
 	// batch evaluates for them.
@@ -600,67 +633,72 @@ func (sp *segPlan) multiPlan(wordSizes []int) (*agg.MultiLayout, []int, error) {
 			}
 		}
 	}
-	// product splits input k into base and factor when it is a product the
-	// walk may compute: a 1-byte factor, and no reader but its slot and,
-	// for the first of a chained pair, the second.
-	product := func(k, readers int) (x, y expr.SumTerm, ok bool) {
-		nd := prog.Node(inputs[k])
-		if nd.Op != expr.SumMul || nd.L.IsConst() || nd.R.IsConst() || users[inputs[k]] != readers {
-			return x, y, false
+	// The product slots in program order, so a chain follows its base.
+	var order []int
+	for k, n := range inputs {
+		if nd := prog.Node(n); nd.Op == expr.SumMul && !nd.L.IsConst() && !nd.R.IsConst() &&
+			prog.Node(nd.R.Node).Op == expr.SumLeafPacked {
+			order = append(order, k)
 		}
-		// The wider operand is always the left one, so a 1-byte factor is R.
-		return nd.L, nd.R, prog.Node(nd.R.Node).Word == 1
 	}
-	// in is inputs with the products' slots -1 and their operands no slot
-	// supplies appended.
+	slices.SortStableFunc(order, func(a, b int) int { return inputs[a] - inputs[b] })
 	in := slices.Clone(inputs)
-	input := func(n int) int {
-		if j := slices.Index(in, n); j >= 0 {
-			return j
-		}
-		in = append(in, n)
-		return len(in) - 1
-	}
-
+	// readers counts, per node, the slots and products the walk serves it
+	// to; for every product and factor node it must be all of its users.
+	readers := make([]int, prog.Len())
 	var prods []agg.Product
-	switch {
-	case len(sp.sumIdx) < 2:
-		// Single-sum plans run multi-aggregate only when forced.
-	case len(wide) == 1:
-		if x, y, ok := product(wide[0], 1); ok && prog.Node(x.Node).Word == 4 {
-			in[wide[0]] = -1
-			prods = []agg.Product{{Col: wide[0], X: input(x.Node), Y: input(y.Node), NegX: x.Neg, NegY: y.Neg, AddX: x.Add, AddY: y.Add}}
+	var factors []agg.Factor
+	var key []int // the factors' leaves
+	base := -1
+	for _, k := range order {
+		nd := prog.Node(inputs[k])
+		p := agg.Product{Col: k, X: -1, NegX: nd.L.Neg, NegY: nd.R.Neg, AddX: nd.L.Add, AddY: nd.R.Add}
+		x := nd.L.Node
+		switch j := slices.Index(inputs, x); {
+		case len(prods) > 0 && inputs[prods[len(prods)-1].Col] == x:
+			// chained on the previous product
+		case prog.Node(x).Word != 4:
+			continue // a base the walk cannot read: the slot keeps its vector
+		case base >= 0 && x != base || j >= 0 && in[j] < 0:
+			return nil, nil, nil // a second base, or a product not the previous one
+		default:
+			base = x
+			if p.X = j; j < 0 {
+				p.X = len(in)
+				in = append(in, x)
+			}
 		}
-	case len(wide) == 3:
-		for _, b := range wide {
-			xb, z, ok := product(b, 1)
-			if !ok || xb.Add != 0 {
-				continue
-			}
-			a := slices.Index(inputs, xb.Node)
-			if a < 0 || wordSizes[a] < 4 {
-				continue
-			}
-			x, y, ok := product(a, 2)
-			base := slices.Index(inputs, x.Node)
-			if !ok || base < 0 || wordSizes[base] != 4 {
-				continue
-			}
-			in[a], in[b] = -1, -1
-			prods = []agg.Product{
-				{Col: a, X: base, Y: input(y.Node), NegX: x.Neg, NegY: y.Neg, AddX: x.Add, AddY: y.Add},
-				{Col: b, Y: input(z.Node), NegX: xb.Neg, NegY: z.Neg, AddY: z.Add},
-			}
-			break
+		if p.Y = slices.Index(key, nd.R.Node); p.Y < 0 {
+			p.Y = len(key)
+			key = append(key, nd.R.Node)
+			factors = append(factors, agg.Factor{Bits: uint(prog.Node(nd.R.Node).Width), Col: -1})
+		}
+		readers[inputs[k]]++
+		readers[nd.L.Node]++
+		readers[nd.R.Node]++
+		in[k] = -1
+		prods = append(prods, p)
+	}
+	// A slot that sums a factor is the cells' count × code.
+	for k, n := range inputs {
+		if j := slices.Index(key, n); j >= 0 && factors[j].Col < 0 {
+			factors[j].Col, in[k] = k, -1
+			readers[n]++
 		}
 	}
-	if prods != nil {
-		if layout, err := agg.NewProductLayout(sp.domain, sp.special, wordSizes, prods); err == nil {
-			return layout, in, nil
+	for n, r := range readers {
+		if r > 0 && n != base && r != users[n] {
+			return nil, nil, nil // read by a node or a slot the walk does not serve
 		}
 	}
-	layout, err := agg.NewMultiLayout(sp.domain, sp.special, wordSizes)
-	return layout, inputs, err
+	if len(prods) == 0 || len(key) > 2 {
+		return nil, nil, nil
+	}
+	layout, err := agg.NewCellLayout(sp.domain, sp.special, wordSizes, agg.CellKey{Input: len(in), Factors: factors}, prods)
+	if err != nil {
+		return nil, nil, nil
+	}
+	return layout, append(in, -1), key
 }
 
 // gatheredSum is one SUM slot of a Reduce plan as a gathered batch sums it

@@ -75,7 +75,7 @@ func TestPreparedConcurrentTorture(t *testing.T) {
 // TestPreparedZeroAllocSteadyState pins the contract the exec-state pool
 // exists for: once an exec state is warm, scanning batches performs zero
 // heap allocations, for the unfiltered fast path, the selection-heavy path,
-// a multi-aggregate walk that computes Q1-shaped products itself and the
+// a multi-aggregate cell walk that computes Q1-shaped products itself and the
 // one-group reduction, whose gathered batches compact positions alone.
 // (Result assembly — finalize and the merge — is per-scan, not per-batch,
 // and allocates by design.)
@@ -107,7 +107,7 @@ func TestPreparedZeroAllocSteadyState(t *testing.T) {
 		}},
 		{name: "walked products", q: &Query{
 			GroupBy:    []string{"g"},
-			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("c")), SumOf(dc), SumOf(expr.Mul(dc, expr.Add(expr.Int(100), expr.Col("a"))))},
+			Aggregates: []Aggregate{CountStar(), SumOf(expr.Col("c")), SumOf(dc), SumOf(expr.Mul(dc, expr.Add(expr.Int(100), expr.Col("d"))))},
 			Filter:     expr.Lt(expr.Col("d"), expr.Int(90)),
 		}, opts: Options{ForceAggregation: ForceAgg(agg.StrategyMultiAggregate)}, walks: true},
 		{name: "reduced", q: &Query{

@@ -295,57 +295,76 @@ func describeQuery(q *Query) string {
 	return fmt.Sprintf("%s group by %v where %v", strings.Join(parts, ", "), q.GroupBy, q.Filter)
 }
 
-// productShapes are queries on both sides of the multi-aggregate walk's
-// product rule (multiPlan) over a newProductCase table, each with the SUM
-// inputs the walk computes. Walked: Q1's chained pair, the serving mix's
-// Q1 (a base no slot sums), a product the residual predicate computes too
-// (its program is its own), a product on a materialized operator node, and
-// a negated chain. Not walked: a product also under MIN, a 2-byte factor,
-// two 4-byte vectors, RLE and delta bases, and the shapes the walk has no
-// loop for — a chained pair on a base of its own, Q1 beside one more
-// 4-byte sum, a product beside its summed base, and narrow slots that need
-// a second carrier word.
+// productShapes are queries on both sides of the multi-aggregate cell
+// walk's rule (cellPlan) over a newProductCase table, each with the SUM
+// inputs the walk computes from its cells. Walked: Q1's chained pair with
+// avg(d) (a summed factor), the serving mix's Q1 (a base no slot sums), a
+// product the residual predicate computes too (its program is its own), a
+// product on a materialized operator node, a negated chain, a chained pair
+// on a base of its own, and a product beside its summed base. Not walked:
+// a product also under MIN, a 2-byte factor, a 4-byte one, RLE and delta
+// bases, Q1 beside one more 4-byte sum, a 2-byte sum beside a product, two
+// factors wider than a key byte together, and a factor another node reads.
 var productShapes = []struct {
-	aggs   func(p, q, d, t, w, r, e expr.Expr) []Aggregate
+	aggs   func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate
 	filter func(p, d expr.Expr) expr.Pred
 	walked []bool
 }{
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		dp := expr.Mul(p, expr.Sub(expr.Int(100), d))
 		return []Aggregate{SumOf(p), SumOf(dp), SumOf(expr.Mul(dp, expr.Add(expr.Int(100), t))), AvgOf(d), CountStar()}
-	}, walked: []bool{false, true, true, false}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	}, walked: []bool{false, true, true, true}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		return []Aggregate{SumOf(t), SumOf(expr.Mul(p, expr.Sub(expr.Int(100), d))), AvgOf(d), CountStar()}
-	}, walked: []bool{false, true, false}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(d)} },
+	}, walked: []bool{false, true, true}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(d)}
+	},
 		filter: func(p, d expr.Expr) expr.Pred { return expr.Ge(expr.Mul(p, d), expr.Int(1<<23)) },
-		walked: []bool{true, false}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+		walked: []bool{true, true}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		qd := expr.Mul(q, d)
 		return []Aggregate{MinOf(qd), SumOf(expr.Mul(expr.Add(qd, expr.Int(1)), t)), SumOf(d)}
 	}, walked: []bool{false, true, false}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		dp := expr.Mul(p, expr.Sub(expr.Int(100), d))
 		return []Aggregate{SumOf(p), SumOf(dp), SumOf(expr.Mul(expr.Negate(dp), expr.Add(expr.Int(100), t)))}
 	}, walked: []bool{false, true, true}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
-		return []Aggregate{SumOf(expr.Mul(p, d)), MinOf(expr.Mul(p, d)), SumOf(d)}
-	}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(p, w)), SumOf(d)} }},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(p, q)), SumOf(d)} }},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(r, d)), SumOf(d)} }},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(e, d)), SumOf(d)} }},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		dp := expr.Mul(p, expr.Sub(expr.Int(100), d))
 		return []Aggregate{SumOf(dp), SumOf(expr.Mul(dp, expr.Add(expr.Int(100), t)))}
+	}, walked: []bool{true, true}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(p)}
+	},
+		walked: []bool{true, false}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, d)), MinOf(expr.Mul(p, d)), SumOf(d)}
 	}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, w)), SumOf(d)}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, q)), SumOf(d)}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(r, d)), SumOf(d)}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(e, d)), SumOf(d)}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		dp := expr.Mul(p, expr.Sub(expr.Int(100), d))
 		return []Aggregate{SumOf(p), SumOf(dp), SumOf(expr.Mul(dp, expr.Add(expr.Int(100), t))), SumOf(q)}
 	}},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate { return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(p)} }},
-	{aggs: func(p, q, d, t, w, r, e expr.Expr) []Aggregate {
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
 		return []Aggregate{SumOf(expr.Mul(p, expr.Sub(expr.Int(100), d))), SumOf(w), SumOf(d)}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(expr.Mul(p, f))}
+	}},
+	{aggs: func(p, q, d, t, w, r, e, f expr.Expr) []Aggregate {
+		return []Aggregate{SumOf(expr.Mul(p, d)), SumOf(expr.Mul(d, t))}
 	}},
 }
 
@@ -389,7 +408,7 @@ func newProductCase(seed int64, shape int) (*sumExprCase, error) {
 	}
 	col := expr.Col
 	sh := productShapes[shape]
-	q := &Query{Aggregates: sh.aggs(col("p"), col("q"), col("d"), col("t"), col("w"), col("r"), col("e"))}
+	q := &Query{Aggregates: sh.aggs(col("p"), col("q"), col("d"), col("t"), col("w"), col("r"), col("e"), col("f"))}
 	if rng.Intn(4) > 0 {
 		q.GroupBy = []string{"g"}
 	}
@@ -498,7 +517,9 @@ func FuzzSumExpr(f *testing.F) {
 
 // Each product shape lands on its side of the rule wherever the
 // multi-aggregate walk runs: forced, and unforced when the chooser picks
-// it — Q1's chain included, whatever the selection method.
+// it — Q1's chain included, whatever the selection method. Explain shows
+// the side: a cell walk marks its computed sums and names its key, the
+// read walk neither.
 func TestWalkedProductsFollowTheRule(t *testing.T) {
 	for shape, sh := range productShapes {
 		for seed := int64(0); seed < 4; seed++ {
@@ -525,8 +546,8 @@ func TestWalkedProductsFollowTheRule(t *testing.T) {
 					if slices.Index(want, true) < 0 {
 						want = nil
 					}
-					if !reflect.DeepEqual(pl.WalkedSums, want) {
-						t.Errorf("shape %d seed %d %s segment %d: walked %v, want %v (%s)", shape, seed, describeForced(opts), pl.Segment, pl.WalkedSums, want, describeQuery(c.q))
+					if !reflect.DeepEqual(pl.WalkedSums, want) || (pl.CellKey != nil) != (want != nil) {
+						t.Errorf("shape %d seed %d %s segment %d: walked %v keyed by %v, want %v (%s)", shape, seed, describeForced(opts), pl.Segment, pl.WalkedSums, pl.CellKey, want, describeQuery(c.q))
 					}
 				}
 			}

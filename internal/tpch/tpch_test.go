@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -201,39 +202,52 @@ func TestQ1PlansFiveNarrowSumSlots(t *testing.T) {
 	}
 }
 
-// Q1's two products are computed in the multi-aggregate walk: disc_price
-// from price and discount, charge chained on it with tax. The batch then
-// evaluates only the four leaves — the static profile's decode prediction
-// is their four unpacks and no operator pass — and the serving mix's Q1,
-// which sums disc_price alone, walks that one product.
+// Q1's two products and avg(l_discount) come out of the multi-aggregate
+// cell walk: its rows are keyed by (group, discount, tax), so the batch
+// evaluates only quantity and price — the static profile's decode
+// prediction is their two unpacks plus the key pass over the two 4-bit
+// codes, and no operator pass — and the serving mix's Q1, which sums
+// disc_price and the discount, keys its cells by the discount alone, the
+// key pass one unpack.
 func TestQ1WalksItsProducts(t *testing.T) {
 	tbl, err := Generate(GenOptions{Rows: 1 << 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := engine.Options{CostProfile: costmodel.Static()}
+	prof := costmodel.Static()
+	opts := engine.Options{CostProfile: prof}
 	plans, err := engine.Explain(tbl, Q1(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpacks := 0.0
-	for _, name := range []string{ColQuantity, ColExtendedPrice, ColDiscount, ColTax} {
+	width := func(name string) uint8 {
 		col, err := tbl.Segments()[0].IntCol(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unpacks += opts.CostProfile.UnpackCyclesPerRow(col.(*encoding.BitPackColumn).Width())
+		return col.(*encoding.BitPackColumn).Width()
+	}
+	decode := prof.UnpackCyclesPerRow(width(ColQuantity)) + prof.UnpackCyclesPerRow(width(ColExtendedPrice)) +
+		prof.CellKeyCyclesPerRow([]uint8{width(ColDiscount), width(ColTax)})
+	if width(ColDiscount) != 4 || width(ColTax) != 4 {
+		t.Fatalf("discount and tax are %d and %d bits, not the 4 the key's word-parallel body takes", width(ColDiscount), width(ColTax))
 	}
 	for _, pl := range plans {
-		if want := []bool{false, false, true, true, false}; !reflect.DeepEqual(pl.WalkedSums, want) {
+		if want := []bool{false, false, true, true, true}; !reflect.DeepEqual(pl.WalkedSums, want) {
 			t.Errorf("segment %d: walked sums %v, want %v", pl.Segment, pl.WalkedSums, want)
 		}
-		if math.Abs(pl.DecodeModelCyclesPerRow-unpacks) > 1e-9 {
-			t.Errorf("segment %d: decode model %.3f cycles/row, the four unpacks are %.3f", pl.Segment, pl.DecodeModelCyclesPerRow, unpacks)
+		if want := []string{ColDiscount, ColTax}; !reflect.DeepEqual(pl.CellKey, want) {
+			t.Errorf("segment %d: cell key %v, want %v", pl.Segment, pl.CellKey, want)
+		}
+		if math.Abs(pl.DecodeModelCyclesPerRow-decode) > 1e-9 {
+			t.Errorf("segment %d: decode model %.3f cycles/row, two unpacks and the key pass are %.3f", pl.Segment, pl.DecodeModelCyclesPerRow, decode)
+		}
+		if pl.ModelCyclesPerRow != prof.CellWalkCyclesPerRow() {
+			t.Errorf("segment %d: aggregate model %.3f cycles/row, the cell walk's is %.3f", pl.Segment, pl.ModelCyclesPerRow, prof.CellWalkCyclesPerRow())
 		}
 	}
-	if !strings.Contains(engine.FormatPlans(plans), "1,4,4×,8×,1") {
-		t.Errorf("FormatPlans does not mark the walked products:\n%s", engine.FormatPlans(plans))
+	if !strings.Contains(engine.FormatPlans(plans), "1,4,4×,8×,1×") || !strings.Contains(engine.FormatPlans(plans), "cells:l_discount,l_tax") {
+		t.Errorf("FormatPlans does not mark the walked sums and the key:\n%s", engine.FormatPlans(plans))
 	}
 
 	st, err := sql.Parse(loadgen.TPCHMix("lineitem")[0])
@@ -244,8 +258,63 @@ func TestQ1WalksItsProducts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pl := range plans {
-		if want := []bool{false, true, false}; pl.Strategy != "Multi" || !reflect.DeepEqual(pl.WalkedSums, want) {
-			t.Errorf("serving-mix Q1 segment %d: %s, walked sums %v, want Multi %v", pl.Segment, pl.Strategy, pl.WalkedSums, want)
+		if want := []bool{false, true, true}; pl.Strategy != "Multi" || !reflect.DeepEqual(pl.WalkedSums, want) || !reflect.DeepEqual(pl.CellKey, []string{ColDiscount}) {
+			t.Errorf("serving-mix Q1 segment %d: %s, walked sums %v, key %v, want Multi %v keyed by %s", pl.Segment, pl.Strategy, pl.WalkedSums, pl.CellKey, want, ColDiscount)
+		}
+	}
+}
+
+// Q1 and the serving mix's Q1 walk their cells under every ablation, on
+// one worker and on four, and under every forced selection method — gather
+// and compaction compact the key with the group ids — and equal RunNaive
+// each time. The table has several segments, the last one ragged, so
+// batches of every alignment build their keys.
+func TestQ1CellsMatchNaive(t *testing.T) {
+	tbl, err := Generate(GenOptions{Rows: 40000 + 123, Seed: 11, SegmentRows: 16384})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sql.Parse(loadgen.TPCHMix("lineitem")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range []*engine.Query{Q1(), st.Query} {
+		want, err := engine.RunNaive(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ablation := range []engine.Options{{}, {DisableZoneMaps: true}, {DisablePackedFilter: true},
+			{DisableRLEDomain: true}, {DisableDictDomain: true}, {DisableDeltaDomain: true}} {
+			for _, m := range []*sel.Method{nil, engine.ForceSel(sel.MethodGather), engine.ForceSel(sel.MethodCompact), engine.ForceSel(sel.MethodSpecialGroup)} {
+				for _, workers := range []int{1, 4} {
+					opts := ablation
+					opts.ForceSelection, opts.Parallelism = m, workers
+					label := fmt.Sprintf("query %d %+v", qi, opts)
+					p, err := engine.Prepare(tbl, q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plans, err := p.Explain()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pl := range plans {
+						if pl.Strategy != "Multi" || pl.CellKey == nil {
+							t.Fatalf("%s: segment %d plans %s keyed by %v, want a cell walk", label, pl.Segment, pl.Strategy, pl.CellKey)
+						}
+					}
+					got, stats, err := p.RunTraced(context.Background(), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m != nil && *m != sel.MethodSpecialGroup && stats.Gather+stats.Compact == 0 {
+						t.Fatalf("%s: forced %v, the scan gathered and compacted nothing: %+v", label, *m, stats)
+					}
+					if !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Fatalf("%s: rows\n%+v\nwant\n%+v", label, got.Rows, want.Rows)
+					}
+				}
+			}
 		}
 	}
 }
