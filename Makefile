@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate census layout
+.PHONY: check fmt vet build test race lint gc-check benchmark-smoke trace-race fuzz-smoke calibrate census layout layout-diff
 
 ## check: the full CI gate — formatting, vet, build, tests, race, lint,
 ## compiler-diagnostic gate, and the repository benchmark at toy sizes
@@ -43,14 +43,15 @@ benchmark-smoke:
 
 ## trace-race: the tracing-enabled torture combo, the concurrency tests of
 ## the tracer/metrics registry, and the request journal, end-to-end
-## traceability and >=1000-in-flight serving tests, and concurrent table
+## traceability and >=1000-in-flight serving tests, a scan panic contained
+## in the engine and answered 500 by the server, and concurrent table
 ## round trips through the write path's recycled buffers and its per-column
 ## fan-out, under the race detector (a focused subset of `race`)
 trace-race:
-	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans' ./internal/engine
+	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans|ScanPanicIsContained' ./internal/engine
 	$(GO) test -race -count=1 -run 'ConcurrentRoundTrips|RecycledBuffers|ForEachColumn|SealSameAcrossProcs|MutableSnapshotMidAppend' ./internal/table
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
-	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency' ./internal/obs ./internal/serve
+	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency|ScanPanicAnswers500' ./internal/obs ./internal/serve
 
 ## fuzz-smoke: run each fuzz target briefly (FUZZTIME per target)
 fuzz-smoke:
@@ -121,16 +122,42 @@ census:
 ## package lines say whose; informational (EXPERIMENTS.md "Code layout").
 LAYOUT_BIN ?= $(or $(TMPDIR),/tmp)/bipie-benchmark.layout
 LAYOUT_PKGS = bitpack|sel|agg|expr|engine|encoding
+# layout_list prints `symbol addr%64` for the scan path's text symbols of
+# the binary $(1), sorted.
+define layout_list
+$(GO) tool nm $(1) | LAYOUT_PKGS='$(LAYOUT_PKGS)' awk ' \
+	$$2 ~ /^[Tt]$$/ { name = $$0; sub(/^ *[0-9a-fA-F]+ +[Tt] +/, "", name); \
+		if (name !~ ("^bipie/internal/(" ENVIRON["LAYOUT_PKGS"] ")\\.")) next; \
+		h = tolower(substr($$1, length($$1) - 1)); \
+		v = 16 * (index("0123456789abcdef", substr(h, 1, 1)) - 1) + index("0123456789abcdef", substr(h, 2, 1)) - 1; \
+		print name, v % 64 }' | LC_ALL=C sort
+endef
+# pkg_digest prints the SHA-256 of package $(2)'s lines of the list $(1).
+pkg_digest = $$(grep "^bipie/internal/$(2)\." $(1) | sha256sum | cut -d' ' -f1)
 layout:
 	@$(GO) build -o $(LAYOUT_BIN) ./benchmark
-	@$(GO) tool nm $(LAYOUT_BIN) | LAYOUT_PKGS='$(LAYOUT_PKGS)' awk ' \
-		$$2 ~ /^[Tt]$$/ { name = $$0; sub(/^ *[0-9a-fA-F]+ +[Tt] +/, "", name); \
-			if (name !~ ("^bipie/internal/(" ENVIRON["LAYOUT_PKGS"] ")\\.")) next; \
-			h = tolower(substr($$1, length($$1) - 1)); \
-			v = 16 * (index("0123456789abcdef", substr(h, 1, 1)) - 1) + index("0123456789abcdef", substr(h, 2, 1)) - 1; \
-			print name, v % 64 }' | LC_ALL=C sort > $(LAYOUT_BIN).txt
+	@$(call layout_list,$(LAYOUT_BIN)) > $(LAYOUT_BIN).txt
 	@cat $(LAYOUT_BIN).txt
 	@for p in $$(echo '$(LAYOUT_PKGS)' | tr '|' ' '); do \
-		echo "sha256 $$p $$(grep "^bipie/internal/$$p\." $(LAYOUT_BIN).txt | sha256sum | cut -d' ' -f1)"; \
+		echo "sha256 $$p $(call pkg_digest,$(LAYOUT_BIN).txt,$$p)"; \
 	done
 	@echo "sha256 $$(sha256sum < $(LAYOUT_BIN).txt | cut -d' ' -f1)"
+
+## layout-diff BASE=<checkout>: `make layout` for this tree and for another
+## checkout of the repository (a `git clone` of the parent, say), compared:
+## each scan-path symbol whose addr%64 moved, as `symbol base -> this`
+## (`+ symbol` only here, `- symbol` only in BASE), then one
+## `sha256 <pkg> <base digest> <this digest> same|moved` line per package.
+layout-diff:
+	@test -n "$(BASE)" || { echo "usage: make layout-diff BASE=<checkout>" >&2; exit 2; }
+	@$(GO) build -o $(LAYOUT_BIN) ./benchmark
+	@$(call layout_list,$(LAYOUT_BIN)) > $(LAYOUT_BIN).txt
+	@cd $(BASE) && $(GO) build -o $(LAYOUT_BIN).base ./benchmark
+	@$(call layout_list,$(LAYOUT_BIN).base) > $(LAYOUT_BIN).base.txt
+	@awk 'NR == FNR { base[$$1] = $$2; next } \
+		{ seen[$$1] = 1; if (!($$1 in base)) print "+", $$0; else if (base[$$1] != $$2) print $$1, base[$$1], "->", $$2 } \
+		END { for (s in base) if (!(s in seen)) print "-", s, base[s] }' $(LAYOUT_BIN).base.txt $(LAYOUT_BIN).txt
+	@for p in $$(echo '$(LAYOUT_PKGS)' | tr '|' ' '); do \
+		b=$(call pkg_digest,$(LAYOUT_BIN).base.txt,$$p) c=$(call pkg_digest,$(LAYOUT_BIN).txt,$$p); \
+		echo "sha256 $$p $$b $$c $$([ "$$b" = "$$c" ] && echo same || echo moved)"; \
+	done

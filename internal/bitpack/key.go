@@ -5,8 +5,8 @@ package bitpack
 // code in the low a.Bits() bits and b's right above it, or a's code alone
 // when b is nil. The two widths together must fit a byte. Two 4-bit
 // columns (Q1's discount and tax) take a word-parallel body, sixteen keys a
-// pair of packed words; every other pair, and the ragged head and tail
-// around that body, takes the windowed loop.
+// pair of packed words, in blocks of keyBlock rows; every other pair, and
+// the ragged head and tail around those blocks, takes the windowed loop.
 //
 //bipie:kernel
 func Key(dst []uint8, a, b *Vector, start int) {
@@ -19,11 +19,19 @@ func Key(dst []uint8, a, b *Vector, start int) {
 	head, body := len(dst), 0
 	if a.bits == 4 && b.bits == 4 {
 		head, body = splitLanes(4, start, len(dst))
+		body &^= keyBlock - 1
 	}
 	keyWindowed(dst[:head], a, b, start)
-	keyBody44(dst[head:head+body], a.wordsAt(start+head), b.wordsAt(start+head))
+	aw, bw := a.wordsAt(start+head), b.wordsAt(start+head)
+	for k := 0; k < body; k += keyBlock {
+		keyBody44((*[keyBlock]uint8)(dst[head+k:]), (*[keyBlock / 16]uint64)(aw[k/16:]), (*[keyBlock / 16]uint64)(bw[k/16:]))
+	}
 	keyWindowed(dst[head+body:], a, b, start+head+body)
 }
+
+// keyBlock is the rows one keyBody44 call keys: sixteen words of each
+// column. A scan batch is sixteen blocks.
+const keyBlock = 256
 
 // keyWindowed is Key's general loop: both codes through the two-word
 // window of Get, any widths and any alignment.
@@ -36,14 +44,33 @@ func keyWindowed(dst []uint8, a, b *Vector, start int) {
 }
 
 // keyBody44 builds the keys of two 4-bit columns from word-aligned packed
-// words: each word's nibbles spread to bytes, b's moved to the high nibble.
+// words, sixteen keys a pair of words: the low halves of a's and b's words
+// side by side in one word, their nibbles zipped, then the high halves. An
+// index loop over fixed-size arrays, as groupsBody is, so the loop keeps one
+// counter and the masks in registers.
 //
 //bipie:kernel
 //bipie:nobce
-func keyBody44(d []uint8, a, b []uint64) {
-	for ; len(d) >= 16 && len(a) > 0 && len(b) > 0; d, a, b = d[16:], a[1:], b[1:] {
-		x, y := a[0], b[0]
-		putU64(d[:8], spreadNibbles(uint32(x))|spreadNibbles(uint32(y))<<4)
-		putU64(d[8:16], spreadNibbles(uint32(x>>32))|spreadNibbles(uint32(y>>32))<<4)
+func keyBody44(d *[keyBlock]uint8, a, b *[keyBlock / 16]uint64) {
+	for k := 0; k < len(a); k++ {
+		j := k & (len(a) - 1)
+		x, y, keys := a[j], b[j], d[16*j:]
+		putU64(keys[:8], zipNibbles(x&0xFFFFFFFF|y<<32))
+		putU64(keys[8:16], zipNibbles(x>>32|y&^0xFFFFFFFF))
 	}
+}
+
+// zipNibbles interleaves the nibbles of z's two halves: nibble i of the
+// low half goes to nibble 2i, nibble i of the high half to nibble 2i+1, so
+// byte i is low nibble i below high nibble i. It is an outer perfect
+// shuffle of sixteen nibbles, three delta swaps.
+//
+//bipie:inline
+func zipNibbles(z uint64) uint64 {
+	t := (z ^ z>>16) & 0x00000000FFFF0000
+	z ^= t ^ t<<16
+	t = (z ^ z>>8) & 0x0000FF000000FF00
+	z ^= t ^ t<<8
+	t = (z ^ z>>4) & 0x00F000F000F000F0
+	return z ^ t ^ t<<4
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -17,6 +19,12 @@ import (
 
 	"bipie/internal/agg"
 )
+
+// ErrInternal is what a scan returns when one of its units panicked: a
+// fault on the decode path (a corrupted segment, a kernel bug) fails that
+// scan, not the process. Match it with errors.Is; the error's text carries
+// the panic value and the stack it was raised on.
+var ErrInternal = errors.New("engine: internal error")
 
 // Options tune a scan. The zero value gives the paper's default behaviour:
 // runtime strategy choice and one worker per CPU. Segment elimination has no
@@ -127,7 +135,8 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 // It returns the scan's statistics by value, so any number of concurrent
 // callers (the serving layer reports rows scanned per request) each see
 // exactly their own scan's numbers. Process-wide metrics (obs.Default())
-// are always fed.
+// are always fed. A scan unit that panics fails the scan with ErrInternal
+// and counts in engine.scan_errors; the other units and callers go on.
 //
 // A non-nil trace turns on per-phase cycle attribution: the trace is reset,
 // every scan unit gets a tracer, the per-phase totals (and, with
@@ -213,6 +222,9 @@ func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result
 		sem <- struct{}{}
 		go func(i int, u unit) {
 			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("%w: scan unit %d: panic: %v\n\n%s", ErrInternal, i, r, debug.Stack())
+				}
 				<-sem
 				wg.Done()
 			}()
@@ -240,6 +252,9 @@ func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result
 		}
 	}
 	for i, e := range execs {
+		if e == nil { // the unit panicked before it had a state
+			continue
+		}
 		if firstErr == nil {
 			stats.add(&e.stats)
 			stats.Strategies[units[i].plan.strategy.String()]++
@@ -248,7 +263,11 @@ func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result
 		if e.trace != nil {
 			trace.EndUnit(e.trace, unitNanos[i], e.stats.RowsTotal)
 		}
-		e.release() // resets the state, detaching the tracer
+		// A unit that panicked may have left its buffers half written: its
+		// state is dropped, not pooled.
+		if !errors.Is(errs[i], ErrInternal) {
+			e.release() // resets the state, detaching the tracer
+		}
 	}
 	if firstErr != nil {
 		metricScanErrors.Inc()

@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -290,8 +291,11 @@ func (s *Server) fail(w http.ResponseWriter, span *obs.RequestSpan, err error) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	// The reply gets the first line; the journal and the error log get all
+	// of it, a scan panic's stack (engine.ErrInternal) included.
+	reply, _, _ := strings.Cut(err.Error(), "\n")
 	t := time.Now()
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), RequestID: obs.FormatRequestID(span.ID)})
+	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: reply, RequestID: obs.FormatRequestID(span.ID)})
 	span.EncodeNS = int64(time.Since(t))
 	s.finish(span, code, err.Error())
 }

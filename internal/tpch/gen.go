@@ -16,6 +16,12 @@
 //
 // Fixed-point columns are scaled integers: price in cents, discount and
 // tax in hundredths.
+//
+// The order in which the row loop (lineitems.fill) draws from the seeded
+// source defines every table this package builds, and through them every
+// benchmark table, answer and bytes-per-row figure: a change that adds,
+// drops or reorders a draw changes them all, and TestGenerateDigest pins
+// the bytes of three tables.
 package tpch
 
 import (
@@ -89,57 +95,35 @@ func Generate(opt GenOptions) (*table.Table, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
+	// One set of chunk buffers serves every chunk: AppendColumns copies
+	// what it is given.
 	const chunk = 1 << 18
 	n := opt.Rows
+	c := max(0, min(chunk, n))
+	l := lineitems{
+		orderKey:      make([]int64, c),
+		quantity:      make([]int64, c),
+		extendedPrice: make([]int64, c),
+		discount:      make([]int64, c),
+		tax:           make([]int64, c),
+		shipDate:      make([]int64, c),
+		returnFlag:    make([]string, c),
+		lineStatus:    make([]string, c),
+	}
 	for done := 0; done < n; done += chunk {
-		m := chunk
-		if done+m > n {
-			m = n - done
-		}
+		m := min(chunk, n-done)
+		l.fill(rng, done, m)
 		ints := map[string][]int64{
-			ColOrderKey:      make([]int64, m),
-			ColQuantity:      make([]int64, m),
-			ColExtendedPrice: make([]int64, m),
-			ColDiscount:      make([]int64, m),
-			ColTax:           make([]int64, m),
-			ColShipDate:      make([]int64, m),
+			ColOrderKey:      l.orderKey[:m],
+			ColQuantity:      l.quantity[:m],
+			ColExtendedPrice: l.extendedPrice[:m],
+			ColDiscount:      l.discount[:m],
+			ColTax:           l.tax[:m],
+			ColShipDate:      l.shipDate[:m],
 		}
 		strs := map[string][]string{
-			ColReturnFlag: make([]string, m),
-			ColLineStatus: make([]string, m),
-		}
-		for i := 0; i < m; i++ {
-			orderDay := rng.Int63n(MaxOrderDay + 1)
-			shipDay := orderDay + 1 + rng.Int63n(121) // O_ORDERDATE + random [1,121]
-			receiptDay := shipDay + 1 + rng.Int63n(30)
-
-			qty := rng.Int63n(50) + 1
-			// P_RETAILPRICE spans roughly [901.00, 2098.99]; extended
-			// price is quantity times a sampled retail price, in cents.
-			retailCents := 90100 + rng.Int63n(209899-90100+1)
-			ints[ColOrderKey][i] = int64(done + i)
-			ints[ColQuantity][i] = qty
-			ints[ColExtendedPrice][i] = qty * retailCents
-			ints[ColDiscount][i] = rng.Int63n(11)
-			ints[ColTax][i] = rng.Int63n(9)
-			ints[ColShipDate][i] = shipDay
-
-			// dbgen: returnflag is R or A (coin flip) when the receipt
-			// date is on or before CURRENTDATE, N otherwise; linestatus is
-			// F when the ship date is on or before CURRENTDATE, O after.
-			switch {
-			case receiptDay <= CurrentDateDay && rng.Intn(2) == 0:
-				strs[ColReturnFlag][i] = "R"
-			case receiptDay <= CurrentDateDay:
-				strs[ColReturnFlag][i] = "A"
-			default:
-				strs[ColReturnFlag][i] = "N"
-			}
-			if shipDay <= CurrentDateDay {
-				strs[ColLineStatus][i] = "F"
-			} else {
-				strs[ColLineStatus][i] = "O"
-			}
+			ColReturnFlag: l.returnFlag[:m],
+			ColLineStatus: l.lineStatus[:m],
 		}
 		if err := tbl.AppendColumns(ints, strs); err != nil {
 			return nil, err
@@ -147,4 +131,65 @@ func Generate(opt GenOptions) (*table.Table, error) {
 	}
 	tbl.Flush()
 	return tbl, nil
+}
+
+// lineitems holds one chunk of generated rows, a slice per column.
+type lineitems struct {
+	orderKey, quantity, extendedPrice, discount, tax, shipDate []int64
+	returnFlag, lineStatus                                     []string
+}
+
+// fill generates rows first..first+m-1 into the first m entries of each
+// column, in the draw order the package comment pins.
+func (l *lineitems) fill(rng *rand.Rand, first, m int) {
+	orderKey, quantity, extendedPrice := l.orderKey[:m], l.quantity[:m], l.extendedPrice[:m]
+	discount, tax, shipDate := l.discount[:m], l.tax[:m], l.shipDate[:m]
+	returnFlag, lineStatus := l.returnFlag[:m], l.lineStatus[:m]
+	for i := range orderKey {
+		orderDay := int63n(rng, rng.Int63(), MaxOrderDay+1)
+		shipDay := orderDay + 1 + int63n(rng, rng.Int63(), 121) // O_ORDERDATE + random [1,121]
+		receiptDay := shipDay + 1 + int63n(rng, rng.Int63(), 30)
+
+		qty := int63n(rng, rng.Int63(), 50) + 1
+		// P_RETAILPRICE spans roughly [901.00, 2098.99]; extended
+		// price is quantity times a sampled retail price, in cents.
+		retailCents := 90100 + int63n(rng, rng.Int63(), 209899-90100+1)
+		orderKey[i] = int64(first + i)
+		quantity[i] = qty
+		extendedPrice[i] = qty * retailCents
+		discount[i] = int63n(rng, rng.Int63(), 11)
+		tax[i] = int63n(rng, rng.Int63(), 9)
+		shipDate[i] = shipDay
+
+		// dbgen: returnflag is R or A (coin flip) when the receipt
+		// date is on or before CURRENTDATE, N otherwise; linestatus is
+		// F when the ship date is on or before CURRENTDATE, O after.
+		switch {
+		case receiptDay <= CurrentDateDay && rng.Intn(2) == 0:
+			returnFlag[i] = "R"
+		case receiptDay <= CurrentDateDay:
+			returnFlag[i] = "A"
+		default:
+			returnFlag[i] = "N"
+		}
+		if shipDay <= CurrentDateDay {
+			lineStatus[i] = "F"
+		} else {
+			lineStatus[i] = "O"
+		}
+	}
+}
+
+// int63n is rng.Int63n(n) for n > 0 not a power of two, given its first
+// draw v = rng.Int63(): the same values from the same draws. Called with a
+// constant n it inlines, and its rejection threshold and modulus fold into
+// constants, so a draw costs a compare and a multiply where Int63n divides
+// twice.
+func int63n(rng *rand.Rand, v, n int64) int64 {
+	if v > 1<<63-1-int64((1<<63)%uint64(n)) {
+		// Past a rejected first draw Int63n is its own rejection loop; for
+		// the bounds fill uses that is less than once in 2^46 draws.
+		return rng.Int63n(n)
+	}
+	return int64(uint64(v) % uint64(n))
 }
