@@ -44,11 +44,12 @@ benchmark-smoke:
 ## trace-race: the tracing-enabled torture combo, the concurrency tests of
 ## the tracer/metrics registry, and the request journal, end-to-end
 ## traceability and >=1000-in-flight serving tests, a scan panic contained
-## in the engine and answered 500 by the server, and concurrent table
+## in the engine and answered 500 by the server, the morsel-driven scan over
+## 1–5 segments at 1–8 workers traced and not, and concurrent table
 ## round trips through the write path's recycled buffers and its per-column
 ## fan-out, under the race detector (a focused subset of `race`)
 trace-race:
-	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans|ScanPanicIsContained' ./internal/engine
+	$(GO) test -race -count=1 -run 'TortureDifferential|MetricsConcurrentScans|ScanPanicIsContained|RunTraced' ./internal/engine
 	$(GO) test -race -count=1 -run 'ConcurrentRoundTrips|RecycledBuffers|ForEachColumn|SealSameAcrossProcs|MutableSnapshotMidAppend' ./internal/table
 	$(GO) test -race -count=1 -run 'Concurrent' ./internal/obs
 	$(GO) test -race -count=1 -run 'Journal|EndToEndTraceability|HighConcurrency|ScanPanicAnswers500' ./internal/obs ./internal/serve

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bipie/internal/colstore"
@@ -32,8 +33,10 @@ var ErrInternal = errors.New("engine: internal error")
 // The Disable* switches select the reference paths tests and ablations
 // compare the encoded ones against.
 type Options struct {
-	// Parallelism caps concurrent segment scans; 0 means GOMAXPROCS. The
-	// paper's evaluation always uses all hardware threads (§6).
+	// Parallelism caps a scan's worker goroutines, which pull morsels of
+	// batches from every live segment until none are left; 0 means
+	// GOMAXPROCS. The paper's evaluation always uses all hardware threads
+	// (§6).
 	Parallelism int
 	// ForceSelection pins the per-batch selection method; the benchmark
 	// harness uses it to sweep the nine strategy combinations of §6.2.
@@ -124,7 +127,7 @@ func Run(t *table.Table, q *Query, opts Options) (*Result, error) {
 //
 // Run is safe to call from any number of goroutines simultaneously; each
 // call borrows pooled exec state from the shared plans and merges its own
-// partials. Cancelling ctx stops the scan between batch ranges and returns
+// partials. Cancelling ctx stops the scan between batches and returns
 // ctx's error.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	res, _, err := p.RunTraced(ctx, nil)
@@ -174,98 +177,59 @@ func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result
 	stats.SegmentsScanned = len(plans)
 	stats.Strategies = make(map[string]int)
 
-	workers := resolveWorkers(p.opts.Parallelism)
-
-	// Work units are contiguous batch ranges. With more segments than
-	// workers each segment is one unit; otherwise large segments split so
-	// every worker has work even on a single-segment table (the paper's
-	// evaluation always uses every hardware thread, §6). Each unit borrows a
-	// pooled exec state, and the key-based merge combines chunk partials of
-	// the same segment exactly like partials of different segments.
-	type unit struct {
-		plan    *segPlan
-		batches []colstore.Batch
+	// The scan is morsel-driven: every live segment has a batch cursor, and
+	// worker w starts on segment w mod S, claims morselBatches batches at a
+	// time from it and, once it runs dry, takes morsels from the segments
+	// after it until none are left. So every worker decodes until the scan's
+	// last morsel, whichever of them the machine runs slower (the paper's
+	// evaluation always uses every hardware thread, §6). A worker holds one
+	// pooled exec state, a scan unit, per segment it touched and finalizes it
+	// as it leaves that segment; the key-based merge folds two partials of
+	// one segment exactly like partials of different segments.
+	m := &morselScan{ctx: ctx, trace: trace, plans: plans, batches: make([][]colstore.Batch, len(plans))}
+	morsels := 0
+	for i, sp := range plans {
+		m.batches[i] = sp.seg.Batches()
+		morsels += (len(m.batches[i]) + morselBatches - 1) / morselBatches
 	}
-	var units []unit
-	chunksPerSeg := 1
-	if len(plans) > 0 && len(plans) < workers {
-		chunksPerSeg = (workers + len(plans) - 1) / len(plans)
-	}
-	for _, sp := range plans {
-		batches := sp.seg.Batches()
-		nChunks := chunksPerSeg
-		if nChunks > len(batches) {
-			nChunks = len(batches)
-		}
-		if nChunks <= 1 {
-			units = append(units, unit{plan: sp, batches: batches})
-			continue
-		}
-		per := (len(batches) + nChunks - 1) / nChunks
-		for lo := 0; lo < len(batches); lo += per {
-			hi := lo + per
-			if hi > len(batches) {
-				hi = len(batches)
-			}
-			units = append(units, unit{plan: sp, batches: batches[lo:hi]})
-		}
-	}
-
-	partials := make([][]Row, len(units))
-	execs := make([]*execState, len(units))
-	errs := make([]error, len(units))
-	unitNanos := make([]int64, len(units))
+	m.cursors = make([]atomic.Int64, len(plans))
+	workers := min(resolveWorkers(p.opts.Parallelism), morsels)
+	units := make([]scanUnit, workers*len(plans)) // worker w's unit on segment s is units[w*S+s]
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, u := range units {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u unit) {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("%w: scan unit %d: panic: %v\n\n%s", ErrInternal, i, r, debug.Stack())
-				}
-				<-sem
-				wg.Done()
-			}()
-			start := time.Now()
-			e := u.plan.getExec()
-			execs[i] = e
-			if trace != nil {
-				e.trace = trace.StartUnit(u.plan.strategy.String())
-			}
-			if errs[i] = e.scanBatches(ctx, u.batches); errs[i] == nil {
-				t0 := e.traceStart()
-				partials[i] = e.finalize()
-				e.traceEnd(obs.PhaseMerge, t0, 0)
-			}
-			unitNanos[i] = int64(time.Since(start))
-		}(i, u)
+		go func(w int) {
+			defer wg.Done()
+			m.work(w, units[w*len(plans):(w+1)*len(plans)])
+		}(w)
 	}
 	wg.Wait()
 
 	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
+	for i := range units {
+		if firstErr = units[i].err; firstErr != nil {
 			break
 		}
 	}
-	for i, e := range execs {
-		if e == nil { // the unit panicked before it had a state
+	partials := make([][]Row, 0, len(units))
+	for i := range units {
+		u := &units[i]
+		e := u.exec
+		if e == nil { // the worker never touched this segment, or panicked before it had a state
 			continue
 		}
 		if firstErr == nil {
 			stats.add(&e.stats)
-			stats.Strategies[units[i].plan.strategy.String()]++
-			recordUnitMetrics(units[i].plan.strategy, unitNanos[i], e.stats.RowsTotal)
+			stats.Strategies[e.plan.strategy.String()]++
+			recordUnitMetrics(e.plan.strategy, u.nanos, e.stats.RowsTotal)
+			partials = append(partials, u.rows)
 		}
 		if e.trace != nil {
-			trace.EndUnit(e.trace, unitNanos[i], e.stats.RowsTotal)
+			trace.EndUnit(e.trace, u.nanos, e.stats.RowsTotal)
 		}
 		// A unit that panicked may have left its buffers half written: its
 		// state is dropped, not pooled.
-		if !errors.Is(errs[i], ErrInternal) {
+		if !errors.Is(u.err, ErrInternal) {
 			e.release() // resets the state, detaching the tracer
 		}
 	}
@@ -281,6 +245,88 @@ func (p *Prepared) RunTraced(ctx context.Context, trace *obs.ScanTrace) (*Result
 	}
 	recordScanMetrics(&stats)
 	return res, stats, nil
+}
+
+// morselBatches is how many batches a worker claims from a segment's
+// cursor at once: 16,384 rows, so one claim's atomic add is noise beside the
+// scan it buys, and the last claims still even out the workers' finishing
+// times. Sixteen-batch morsels left part of the static split's wait; eight
+// measured the same as four.
+const morselBatches = 4
+
+// morselScan is the state one scan's workers share: the live segments'
+// plans and batches, a batch cursor per segment, and the flag the first
+// error or panic raises so the others stop claiming.
+type morselScan struct {
+	ctx     context.Context
+	trace   *obs.ScanTrace
+	plans   []*segPlan
+	batches [][]colstore.Batch
+	cursors []atomic.Int64
+	stop    atomic.Bool
+}
+
+// scanUnit is what one exec state did in a scan: the worker's state on one
+// segment, the partial it finalized, its scan plus finalize wall time and
+// the error that ended it.
+type scanUnit struct {
+	exec  *execState
+	rows  []Row
+	nanos int64
+	err   error
+}
+
+// work is worker w's whole scan: its own segment first, then every other
+// segment in turn, one unit each (units is indexed by segment). A panic
+// fails the unit it hit with ErrInternal and stops the scan.
+func (m *morselScan) work(w int, units []scanUnit) {
+	si := w % len(m.plans)
+	defer func() {
+		if r := recover(); r != nil {
+			m.stop.Store(true)
+			units[si].err = fmt.Errorf("%w: scan worker %d, segment %d: panic: %v\n\n%s", ErrInternal, w, si, r, debug.Stack())
+		}
+	}()
+	for k := 0; k < len(m.plans) && !m.stop.Load(); k++ {
+		si = (w + k) % len(m.plans)
+		m.drain(si, &units[si])
+	}
+}
+
+// drain scans morsels of segment si into u until the segment's cursor runs
+// dry or the scan stops, then finalizes u's partial. The exec state is
+// borrowed at the first morsel claimed, so a segment the other workers
+// emptied costs this one nothing. u's clock starts once the state and its
+// tracer are in hand: a unit's nanos are its scan plus its finalize.
+func (m *morselScan) drain(si int, u *scanUnit) {
+	sp, batches, cursor := m.plans[si], m.batches[si], &m.cursors[si]
+	var start time.Time
+	for !m.stop.Load() {
+		lo := int(cursor.Add(morselBatches)) - morselBatches
+		if lo >= len(batches) {
+			break
+		}
+		if u.exec == nil {
+			u.exec = sp.getExec()
+			if m.trace != nil {
+				u.exec.trace = m.trace.StartUnit(sp.strategy.String())
+			}
+			start = time.Now()
+		}
+		if u.err = u.exec.scanBatches(m.ctx, batches[lo:min(lo+morselBatches, len(batches))]); u.err != nil {
+			m.stop.Store(true)
+			break
+		}
+	}
+	if u.exec == nil {
+		return
+	}
+	if u.err == nil {
+		t0 := u.exec.traceStart()
+		u.rows = u.exec.finalize()
+		u.exec.traceEnd(obs.PhaseMerge, t0, 0)
+	}
+	u.nanos = int64(time.Since(start))
 }
 
 // groupKey encodes a group-key tuple into one merge-map key. Each part is

@@ -27,9 +27,10 @@ import (
 //   - execState (exec.go): the mutable per-scan state — selection vectors,
 //     value vectors, mask vectors, accumulators — pooled per plan so
 //     steady-state execution allocates nothing.
-//   - execute (engine.go): the thin driver that splits segments into work
-//     units, borrows exec states, threads context cancellation between
-//     batch ranges, and merges partials.
+//   - execute (engine.go): the thin driver whose workers pull morsels of
+//     batches from every live segment, borrowing an exec state per segment
+//     they take morsels from; it threads context cancellation between
+//     batches and merges partials.
 
 // sumInput is one distinct SUM/MIN/MAX input resolved against a segment: a
 // slot of accumulators fed by one node of the plan's sum-expression

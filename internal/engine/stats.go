@@ -61,8 +61,9 @@ type ScanStats struct {
 	// RowsTotal and RowsSelected measure the scan's overall selectivity.
 	RowsTotal    int64
 	RowsSelected int64
-	// Strategies counts scan units per aggregation strategy (a segment
-	// split across workers counts once per unit).
+	// Strategies counts scan units per aggregation strategy. A unit is one
+	// worker's exec state on one segment, so a segment that several
+	// workers took morsels from counts once per worker.
 	Strategies map[string]int
 	// Phases is the per-phase cycle attribution, indexed by obs.Phase,
 	// filled only when the scan ran under a ScanTrace (nil otherwise).

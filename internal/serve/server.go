@@ -37,7 +37,7 @@ type Config struct {
 	Queue int
 	// DefaultTimeout is the per-request deadline when the request sets
 	// none; <= 0 means 30s. The deadline covers queue wait and execution;
-	// the engine observes it between batch ranges through context
+	// the engine observes it between batches through context
 	// cancellation.
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested deadlines; <= 0 means 5m.

@@ -333,6 +333,8 @@ func TestConcurrentSharedPrepared(t *testing.T) {
 // file-descriptor limit), holds more than 1000 requests in flight at once
 // with every reply a 200, returns its admission gauge to zero, and the
 // journal resolves the slowest request's ID to its queue and exec stages.
+// The test holds every worker slot until 1000 requests are in, so the
+// overlap does not depend on how fast the scans finish.
 func TestHandlerModeHighConcurrency(t *testing.T) {
 	const clients, perClient = 1100, 5
 	// Journal sized to the run so the slowest request is still in the ring
@@ -378,7 +380,18 @@ func TestHandlerModeHighConcurrency(t *testing.T) {
 			}
 		}(c)
 	}
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
 	close(start)
+	// The requests queue behind the held slots; once 1000 are admitted (or
+	// 5 s have passed, which the peak check then reports) they are let run.
+	for deadline := time.Now().Add(5 * time.Second); srv.InFlight() < 1000 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < cap(srv.sem); i++ {
+		<-srv.sem
+	}
 	wg.Wait()
 	if t.Failed() {
 		return
